@@ -44,6 +44,7 @@ from .factor import (
 from .hyperplanes import Hyperplane, candidate_hyperplanes
 from .intervals import Box
 from .numeric import RootCert, isolate_roots_1d, sample_zero_cells_2d
+from .parsing import format_poly
 from .poly import Mono, Poly
 
 # Conditionality levels, ordered from strongest statement to weakest.
@@ -168,7 +169,7 @@ def _int_nth_root(v: int, k: int) -> int | None:
     return lo if lo**k == v else None
 
 
-def _trial_divide(p: Poly, d: Poly) -> Poly | None:
+def trial_divide(p: Poly, d: Poly) -> Poly | None:
     """Exact quotient p / d under graded-lex leading-term division, or None."""
     quo = Poly.zero(p.n)
     rem = p
@@ -301,7 +302,7 @@ def irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0) -> IrredVer
     for cand in _linear_candidates(p):
         if cand.total_degree() < 1:
             continue
-        quo = _trial_divide(p, cand)
+        quo = trial_divide(p, cand)
         if quo is not None and not quo.is_constant():
             return IrredVerdict(
                 "Reducible", witness="exact division by a small linear form", factor=cand
@@ -314,7 +315,8 @@ def irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0) -> IrredVer
 # ---------------------------------------------------------------------------
 
 
-def _log_irreducibility(p, assume, attempts, seed, log) -> None:
+def _log_irreducibility(p, assume, attempts, seed, log) -> IrredVerdict | None:
+    """Log the hypothesis "Z(p) irreducible"; the oracle's verdict, if it ran."""
     if assume:
         log.append(
             HypothesisCheck(
@@ -323,7 +325,7 @@ def _log_irreducibility(p, assume, attempts, seed, log) -> None:
                 "accepted via flag; user responsibility",
             )
         )
-        return
+        return None
     verdict = irreducibility_oracle(p, attempts=attempts, seed=seed)
     if verdict.status == "Irreducible":
         log.append(
@@ -346,6 +348,18 @@ def _log_irreducibility(p, assume, attempts, seed, log) -> None:
         log.append(
             HypothesisCheck("Z(p) irreducible", "unverified", verdict.witness)
         )
+    return verdict
+
+
+def _refutation(oracle: IrredVerdict | None) -> str | None:
+    """Residual for a Z(p) the oracle proved reducible, with its witness."""
+    if oracle is None or oracle.status != "Reducible":
+        return None
+    return (
+        f"Z(p) is reducible over Q ({oracle.witness}; divisor "
+        f"{format_poly(oracle.factor)}), and a refuted irreducibility "
+        "hypothesis supports no IrreducibleSet verdict"
+    )
 
 
 def _log_codim1(p, f: EPoly, assume, log) -> list[RootCert] | None:
@@ -475,7 +489,7 @@ def classify_codim1(
         roots = _log_codim1(p, f, assume_codim1, log)
         return _classify_degenerate(p, log, notes, attempts, seed, roots)
 
-    _log_irreducibility(p, assume_irreducible, attempts, seed, log)
+    oracle = _log_irreducibility(p, assume_irreducible, attempts, seed, log)
     roots = _log_codim1(p, f, assume_codim1, log)
 
     certified: list[CertifiedHyperplane] = []
@@ -530,6 +544,7 @@ def classify_codim1(
             roots=roots,
         )
 
+    refuted = _refutation(oracle)
     if certified:
         verdict = HYPERPLANE_COMPONENTS
         residual = (
@@ -537,6 +552,9 @@ def classify_codim1(
             "codimension-1 component would be a certified candidate, and all "
             "remaining candidates fail the vanishing certificate"
         )
+    elif refuted:
+        verdict = INCONCLUSIVE
+        residual = refuted
     else:
         verdict = IRREDUCIBLE_SET
         residual = (
@@ -682,8 +700,9 @@ def classify_single_exp(
     )
 
     f = EPoly.from_poly(p)
+    oracle = None
     if not p.is_constant():
-        _log_irreducibility(p, False, attempts, seed, log)
+        oracle = _log_irreducibility(p, False, attempts, seed, log)
     roots = _log_codim1(p, f, False, log)
 
     # Exact slice p(0, x', 1).
@@ -771,6 +790,7 @@ def classify_single_exp(
             roots=roots,
         )
 
+    refuted = _refutation(oracle)
     if certified:
         verdict = HYPERPLANE_COMPONENTS
         residual = (
@@ -783,6 +803,9 @@ def classify_single_exp(
             "no codimension-1 hyperplane component; the zero set decomposes "
             "through the listed slice components (below codimension 1)"
         )
+    elif refuted:
+        verdict = INCONCLUSIVE
+        residual = refuted
     else:
         verdict = IRREDUCIBLE_SET
         residual = (

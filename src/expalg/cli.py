@@ -217,7 +217,10 @@ def _cmd_classify1e(args) -> int:
     _say(f"verdict: {rep.verdict} ({rep.conditionality})")
     for sc in rep.slice_components or []:
         tag = "component" if sc.real_points else "no real points"
-        _say(f"  slice factor {format_poly(sc.factor)}^{sc.multiplicity}: {tag}")
+        base = format_poly(sc.factor)
+        if len(sc.factor.terms) > 1:
+            base = f"({base})"
+        _say(f"  slice factor {base}^{sc.multiplicity}: {tag}")
     _emit(
         args,
         "classify1e",

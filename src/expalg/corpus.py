@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from .classify import (
-    _trial_divide,
     classify_codim1,
     classify_single_exp,
     irreducibility_oracle,
+    trial_divide,
 )
 from .epoly import EPoly
 from .errors import HypothesisViolation
@@ -405,4 +405,4 @@ def run_all() -> list[CorpusCheck]:
 
 
 def _exact_division_fails(p, factor) -> bool:
-    return _trial_divide(p, factor) is None
+    return trial_divide(p, factor) is None

@@ -35,8 +35,6 @@ from typing import Sequence
 from .errors import InternalInvariantError
 from .poly import Mono, Poly
 
-Dense = "list[Fraction]"
-
 
 # ---------------------------------------------------------------------------
 # Dense arithmetic over Q (works unchanged for ints where noted)

@@ -153,6 +153,76 @@ def enclose_rational(c: Fraction | int) -> Interval:
     return Interval(_down(f), _up(f))
 
 
+# ---------------------------------------------------------------------------
+# Float pairs: the fast backend of compiled evaluation plans
+# ---------------------------------------------------------------------------
+#
+# The same outward-rounded operations as the ``Interval`` methods, on plain
+# (lo, hi) tuples: each performs the same float operations and roundings in
+# the same order, so results are bit-identical to ``Interval`` arithmetic
+# without building (and validating) an object per step.  ``math.nextafter``
+# stands in for ``_down``/``_up``; it maps an infinity towards itself to
+# itself, so the two agree on every float.  The methods stay separate code:
+# the tests compare evaluation plans against an ``Interval`` reference.
+
+Pair = tuple[float, float]
+
+_next = math.nextafter
+
+
+def pair_add(a: Pair, b: Pair) -> Pair:
+    lo = a[0] + b[0]
+    hi = a[1] + b[1]
+    if lo != lo:  # NaN: opposite infinities after an overflow
+        lo = -_INF
+    if hi != hi:
+        hi = _INF
+    return (_next(lo, -_INF), _next(hi, _INF))
+
+
+def pair_mul(a: Pair, b: Pair) -> Pair:
+    alo, ahi = a
+    blo, bhi = b
+    p1 = alo * blo
+    p2 = alo * bhi
+    p3 = ahi * blo
+    p4 = ahi * bhi
+    # NaN: 0 * inf
+    if p1 != p1:
+        p1 = 0.0
+    if p2 != p2:
+        p2 = 0.0
+    if p3 != p3:
+        p3 = 0.0
+    if p4 != p4:
+        p4 = 0.0
+    return (_next(min(p1, p2, p3, p4), -_INF), _next(max(p1, p2, p3, p4), _INF))
+
+
+def pair_pow(a: Pair, k: int) -> Pair:
+    """a^k for k >= 1 (``Interval.pow_int`` without the k = 0 case)."""
+    lo, hi = a
+    if k % 2 == 0 and lo <= 0.0 <= hi:
+        return (0.0, _next(max(abs(lo), abs(hi)) ** k, _INF))
+    lo = lo**k
+    hi = hi**k
+    if hi < lo:
+        lo, hi = hi, lo
+    return (_next(lo, -_INF), _next(hi, _INF))
+
+
+def pair_exp(a: Pair) -> Pair:
+    return (
+        _next(_next(_safe_exp(a[0]), -_INF), -_INF),
+        _next(_next(_safe_exp(a[1]), _INF), _INF),
+    )
+
+
+def enclose_rational_pair(c: Fraction | int) -> Pair:
+    iv = enclose_rational(c)
+    return (iv.lo, iv.hi)
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box: one interval per dimension."""
@@ -254,14 +324,15 @@ class RatInterval:
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
 
-    def to_float_interval(self) -> Interval:
+    def to_float_pair(self) -> Pair:
+        """Smallest float (lo, hi) enclosing the interval."""
         flo = float(self.lo)
         fhi = float(self.hi)
         if Fraction(flo) > self.lo:
             flo = _down(flo)
         if Fraction(fhi) < self.hi:
             fhi = _up(fhi)
-        return Interval(flo, fhi)
+        return (flo, fhi)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"RatInterval({float(self.lo)}, {float(self.hi)})"

@@ -1,10 +1,19 @@
 """Certified numerics for exponential polynomials.
 
-Provides interval evaluation over boxes (fast float or rigorous rational
-backend), an exact sign routine at rational points, certified real root
-isolation in one variable, quadtree zero-cell sampling in two variables, and
-a Jacobian-minor transversality check for the single-exponential graph
-intersection.
+Provides interval evaluation over boxes, an exact sign routine at rational
+points, certified real root isolation in one variable, quadtree zero-cell
+sampling in two variables, and a Jacobian-minor transversality check for the
+single-exponential graph intersection.
+
+All box evaluation goes through one ``EvalPlan`` per function, compiled once:
+the terms in canonical order with their coefficient and spectrum enclosures
+precomputed.  One loop runs a plan on either of two backends: (lo, hi) float
+pairs with outward rounding (fast mode) or ``RatInterval`` with rational
+endpoints (rigorous mode).  The loop performs the same operations, with the
+same roundings in the same order, as term-by-term ``Interval`` or
+``RatInterval`` arithmetic, so its enclosures are bit-identical to theirs by
+construction.  ``TightEvaluator``, the root isolator and the transversality
+check keep their plans for as long as they run; nothing is cached globally.
 
 Root certificates come in three kinds.  ``SignChange`` encloses a root whose
 existence follows from verified opposite signs at the endpoints (and whose
@@ -32,9 +41,14 @@ from .errors import (
 from .intervals import (
     Box,
     Interval,
+    Pair,
     RatInterval,
-    enclose_rational,
+    enclose_rational_pair,
     exp_bounds,
+    pair_add,
+    pair_exp,
+    pair_mul,
+    pair_pow,
     point,
 )
 from .poly import Poly
@@ -48,26 +62,98 @@ _CERT_WIDTH = Fraction(1, 8)
 # ---------------------------------------------------------------------------
 
 
-def _poly_on_intervals(a: Poly, xs: Sequence[Interval]) -> Interval:
-    acc = point(0.0)
-    for mono, c in a.sorted_terms():
-        term = enclose_rational(c)
-        for iv, e in zip(xs, mono.x):
-            if e:
-                term = term * iv.pow_int(e)
-        acc = acc + term
-    return acc
+def _is_exact(mode: str) -> bool:
+    if mode == "fast":
+        return False
+    if mode == "rigorous":
+        return True
+    raise ValueError(f"unknown mode {mode!r}")
 
 
-def _poly_on_rat_intervals(a: Poly, xs: Sequence[RatInterval]) -> RatInterval:
-    acc = RatInterval.exact_point(0)
-    for mono, c in a.sorted_terms():
-        term = RatInterval.exact_point(c)
-        for iv, e in zip(xs, mono.x):
-            if e:
-                term = term * iv.pow_int(e)
-        acc = acc + term
-    return acc
+#: the two backends, as (zero, add, mul, pow, scale, exp); ``scale`` takes
+#: a spectrum entry in the form the plan stores it
+_FLOAT_OPS = ((0.0, 0.0), pair_add, pair_mul, pair_pow, pair_mul, pair_exp)
+_RATIONAL_OPS = (
+    RatInterval.exact_point(0),
+    RatInterval.__add__,
+    RatInterval.__mul__,
+    RatInterval.pow_int,
+    RatInterval.scale,
+    RatInterval.exp,
+)
+
+
+class EvalPlan:
+    """Interval evaluation of one Poly or EPoly, compiled once.
+
+    The plan holds the terms in canonical order with their coefficient and
+    spectrum enclosures precomputed: float pairs for the fast backend, exact
+    Fractions (as ``RatInterval`` points) for the rigorous one.  Each call
+    then runs one loop over the chosen backend.  It performs the operations
+    of the natural interval extension term by term, as ``Interval`` or
+    ``RatInterval`` arithmetic would, so the enclosures are bit-identical
+    to theirs; the powers x_i^e a call needs are computed once and shared
+    across terms.
+    """
+
+    __slots__ = ("exact", "powers", "groups")
+
+    def __init__(self, groups, exact: bool):
+        """``groups`` lists (spectrum or None, [(coefficient, exponents)])."""
+        self.exact = exact
+        coeff = RatInterval.exact_point if exact else enclose_rational_pair
+        entry = Fraction if exact else enclose_rational_pair
+        slots: dict[tuple[int, int], int] = {}  # (variable, exponent) -> power
+        compiled = []
+        for spec, terms in groups:
+            if spec is not None:
+                spec = tuple((i, entry(q)) for i, q in enumerate(spec) if q)
+            terms = tuple(
+                (coeff(c), tuple(slots.setdefault(v, len(slots)) for v in enumerate(exps) if v[1]))
+                for c, exps in terms
+            )
+            compiled.append((spec, terms))
+        self.groups = tuple(compiled)
+        self.powers = tuple(slots)
+
+    @classmethod
+    def of_epoly(cls, f: EPoly, exact: bool = False) -> EvalPlan:
+        """Plan for f on its n variables."""
+        return cls(
+            [(spec, [(c, m.x) for m, c in a.sorted_terms()]) for spec, a in f.sorted_terms()],
+            exact,
+        )
+
+    @classmethod
+    def of_poly(cls, p: Poly, exact: bool = False) -> EvalPlan:
+        """Plan for p on its 2n variables, ordered x1..xn, u1..un."""
+        return cls([(None, [(c, m.x + m.u) for m, c in p.sorted_terms()])], exact)
+
+    def __call__(self, bounds: Sequence[Pair]) -> Pair:
+        """Enclosure (lo, hi) over the box with the given float bounds."""
+        if self.exact:
+            xs = [RatInterval(Fraction(lo), Fraction(hi), exact=True) for lo, hi in bounds]
+            return self._run(xs, _RATIONAL_OPS).to_float_pair()
+        return self._run(bounds, _FLOAT_OPS)
+
+    def _run(self, xs, ops):
+        zero, add, mul, power, scale, exp = ops
+        pows = [power(xs[i], e) for i, e in self.powers]
+        acc = zero
+        for spec, terms in self.groups:
+            value = zero
+            for c, slots in terms:
+                term = c
+                for k in slots:
+                    term = mul(term, pows[k])
+                value = add(value, term)
+            if spec is None:  # a Poly: one group, no exponential factor
+                return value
+            dot = zero
+            for i, q in spec:
+                dot = add(dot, scale(xs[i], q))
+            acc = add(acc, mul(value, exp(dot)))
+        return acc
 
 
 def interval_eval(f: EPoly, box: Box, mode: str = "fast") -> Interval:
@@ -75,34 +161,12 @@ def interval_eval(f: EPoly, box: Box, mode: str = "fast") -> Interval:
 
     ``fast`` uses outward-rounded hardware floats; ``rigorous`` uses rational
     endpoints with a Taylor-enclosed exp (relative enclosure error below
-    2^-52), converted outward to a float interval on return.
+    2^-52), converted outward to a float interval on return.  Callers that
+    evaluate one function on many boxes should keep an ``EvalPlan``.
     """
     if box.dimension != f.n:
         raise DimensionError(f"box dimension {box.dimension} != ambient {f.n}")
-    if mode == "fast":
-        xs = box.intervals
-        acc = point(0.0)
-        for spec, a in f.sorted_terms():
-            dot = point(0.0)
-            for q, iv in zip(spec, xs):
-                if q:
-                    dot = dot + iv.scale(q)
-            acc = acc + _poly_on_intervals(a, xs) * dot.exp()
-        return acc
-    if mode == "rigorous":
-        xs = [
-            RatInterval(Fraction(iv.lo), Fraction(iv.hi), exact=True)
-            for iv in box.intervals
-        ]
-        acc = RatInterval.exact_point(0)
-        for spec, a in f.sorted_terms():
-            dot = RatInterval.exact_point(0)
-            for q, iv in zip(spec, xs):
-                if q:
-                    dot = dot + iv.scale(q)
-            acc = acc + _poly_on_rat_intervals(a, xs) * dot.exp()
-        return acc.to_float_interval()
-    raise ValueError(f"unknown mode {mode!r}")
+    return Interval(*EvalPlan.of_epoly(f, _is_exact(mode))(box.bounds()))
 
 
 class TightEvaluator:
@@ -114,13 +178,16 @@ class TightEvaluator:
     polynomials the gradients themselves suffer from heavy interval
     dependency, so their enclosures are computed by the same form one level
     down (Hessian entries by natural extension).  Derivative EPolys are
-    computed once per evaluator instance.
+    computed once per evaluator instance, and each gets an ``EvalPlan`` on
+    first use; the recursion works on float pairs and shares the midpoint
+    box.
     """
 
     def __init__(self, f: EPoly, mode: str = "fast", order: int = 2):
         self.mode = mode
         self.order = order
         self.derivs: dict[tuple[int, ...], EPoly] = {(): f}
+        self.plans: dict[tuple[int, ...], EvalPlan] = {}
         frontier = [()]
         for _ in range(order):
             new_frontier = []
@@ -135,30 +202,42 @@ class TightEvaluator:
             frontier = sorted(set(new_frontier))
 
     def __call__(self, box: Box) -> Interval:
-        return self._eval((), box, self.order)
+        f = self.derivs[()]
+        if box.dimension != f.n:
+            raise DimensionError(f"box dimension {box.dimension} != ambient {f.n}")
+        return Interval(*self._eval((), box.bounds(), [], self.order))
 
-    def _eval(self, path: tuple[int, ...], box: Box, depth: int) -> Interval:
-        g = self.derivs[path]
-        nat = interval_eval(g, box, self.mode)
-        if depth == 0 or nat.excludes_zero() or nat.width < 1e-14:
+    def _plan(self, path: tuple[int, ...]) -> EvalPlan:
+        plan = self.plans.get(path)
+        if plan is None:
+            plan = EvalPlan.of_epoly(self.derivs[path], _is_exact(self.mode))
+            self.plans[path] = plan
+        return plan
+
+    def _eval(self, path, bounds: list[Pair], centre: list, depth: int) -> Pair:
+        """``centre`` caches (midpoint bounds, box - midpoint) for this box."""
+        plan = self._plan(path)
+        nat = plan(bounds)
+        if depth == 0 or nat[0] > 0.0 or nat[1] < 0.0 or nat[1] - nat[0] < 1e-14:
             return nat
-        mids = tuple(point(iv.mid) for iv in box.intervals)
-        mv = interval_eval(g, Box(mids), self.mode)
-        for i, (iv, m) in enumerate(zip(box.intervals, mids), start=1):
-            if iv.width == 0.0:
+        if not centre:
+            mids = [0.5 * (lo + hi) for lo, hi in bounds]
+            if any(m != m for m in mids):
+                raise ValueError("box midpoint is not a number")
+            centre.append([(m, m) for m in mids])
+            centre.append([pair_add(iv, (-m, -m)) for iv, m in zip(bounds, mids)])
+        mid_bounds, offsets = centre
+        mv = plan(mid_bounds)
+        for i, (iv, off) in enumerate(zip(bounds, offsets), start=1):
+            if iv[1] - iv[0] == 0.0:
                 continue
-            gi = self._eval(tuple(sorted(path + (i,))), box, depth - 1)
-            mv = mv + gi * (iv - m)
-        out = nat.intersect(mv)
-        if out is None:
+            gi = self._eval(tuple(sorted(path + (i,))), bounds, centre, depth - 1)
+            mv = pair_add(mv, pair_mul(gi, off))
+        lo = max(nat[0], mv[0])
+        hi = min(nat[1], mv[1])
+        if lo > hi:
             raise InternalInvariantError("sound enclosures are disjoint")
-        return out
-
-
-def _eval_interval_1d(f: EPoly, lo: Fraction, hi: Fraction) -> Interval:
-    return interval_eval(
-        f, Box((Interval(_f_lo(lo), _f_hi(hi)),)), mode="fast"
-    )
+        return (lo, hi)
 
 
 def _f_lo(q: Fraction) -> float:
@@ -259,6 +338,8 @@ def isolate_roots_1d(
     tol_q = Fraction(tol)
     df = f.derivative(1)
     evaluator = TightEvaluator(f)
+    f_plan = EvalPlan.of_epoly(f)
+    df_plan = EvalPlan.of_epoly(df)
 
     sign_cache: dict[Fraction, int] = {}
 
@@ -272,7 +353,12 @@ def isolate_roots_1d(
     suspects: list[tuple[Fraction, Fraction]] = []
 
     def deriv_nonzero(lo: Fraction, hi: Fraction) -> bool:
-        return _eval_interval_1d(df, lo, hi).excludes_zero()
+        dlo, dhi = df_plan([(_f_lo(lo), _f_hi(hi))])
+        return dlo > 0.0 or dhi < 0.0
+
+    def residual(enc: Interval) -> float:
+        rlo, rhi = f_plan([(enc.lo, enc.hi)])
+        return max(abs(rlo), abs(rhi))
 
     stack = [(a, b, 0)]
     while stack:
@@ -326,7 +412,7 @@ def isolate_roots_1d(
         else:
             enc = Interval(_f_lo(lo), _f_hi(hi))
             uncertified.append(
-                RootCert(enc, "UncertifiedTangential", _residual(f, enc))
+                RootCert(enc, "UncertifiedTangential", residual(enc))
             )
 
     certs: list[RootCert] = []
@@ -338,23 +424,19 @@ def isolate_roots_1d(
         else:
             enc = Interval(_f_lo(x - h), _f_hi(x + h))
             uncertified.append(
-                RootCert(enc, "UncertifiedTangential", _residual(f, enc))
+                RootCert(enc, "UncertifiedTangential", residual(enc))
             )
     for lo, hi in refined:
         if any(lo <= r <= hi for r in exact_roots):
             continue
         enc = Interval(_f_lo(lo), _f_hi(hi))
-        certs.append(RootCert(enc, "SignChange", _residual(f, enc)))
+        certs.append(RootCert(enc, "SignChange", residual(enc)))
 
     certs.sort(key=lambda r: r.enclosure.lo)
     for r1, r2 in zip(certs, certs[1:]):
         if r1.enclosure.hi >= r2.enclosure.lo:
             raise InternalInvariantError("certified enclosures overlap")
     return certs, sorted(uncertified, key=lambda r: r.enclosure.lo)
-
-
-def _residual(f: EPoly, enc: Interval) -> float:
-    return _eval_interval_1d(f, Fraction(enc.lo), Fraction(enc.hi)).mag
 
 
 def _refine_bracket(f, sgn, lo: Fraction, hi: Fraction, tol: Fraction):
@@ -438,8 +520,9 @@ def sample_zero_cells_2d(
             continue
         (x, y) = cell.intervals
         xm, ym = x.mid, y.mid
+        y_halves = (Interval(y.lo, ym), Interval(ym, y.hi))
         for xi in (Interval(x.lo, xm), Interval(xm, x.hi)):
-            for yi in (Interval(y.lo, ym), Interval(ym, y.hi)):
+            for yi in y_halves:
                 stack.append((Box((xi, yi)), depth + 1))
     out.sort(key=lambda c: (c.intervals[0].lo, c.intervals[1].lo))
     return out
@@ -505,13 +588,13 @@ def check_transversality(
     margin, bi, bj = best
 
     # Interval cross-check of the decisive minor over the enclosure.
-    x1_iv = enc
-    u_iv = x1_iv.exp()
-    ivs = [x1_iv] + [point(v) for v in rest] + [u_iv] + [point(0.0)] * (n - 1)
+    u_iv = enc.exp()
+    bounds = [(enc.lo, enc.hi)] + [(v, v) for v in rest] + [(u_iv.lo, u_iv.hi)]
+    bounds += [(0.0, 0.0)] * (n - 1)
     grad_p_iv = [
-        _poly_full_intervals(p.derivative("x", i), ivs) for i in range(1, n + 1)
+        Interval(*EvalPlan.of_poly(dp)(bounds))
+        for dp in [p.derivative("x", i) for i in range(1, n + 1)] + [p.derivative("u", 1)]
     ]
-    grad_p_iv.append(_poly_full_intervals(p.derivative("u", 1), ivs))
     grad_g_iv = [-u_iv] + [point(0.0)] * (n - 1) + [point(1.0)]
     minor_iv = grad_p_iv[bi] * grad_g_iv[bj] - grad_p_iv[bj] * grad_g_iv[bi]
 
@@ -523,16 +606,3 @@ def check_transversality(
         verdict="Transverse" if transverse else "Undetermined",
     )
 
-
-def _poly_full_intervals(p: Poly, ivs: Sequence[Interval]) -> Interval:
-    acc = point(0.0)
-    for mono, c in p.sorted_terms():
-        term = enclose_rational(c)
-        for iv, e in zip(ivs[: p.n], mono.x):
-            if e:
-                term = term * iv.pow_int(e)
-        for iv, e in zip(ivs[p.n :], mono.u):
-            if e:
-                term = term * iv.pow_int(e)
-        acc = acc + term
-    return acc

@@ -9,6 +9,7 @@ from expalg.classify import (
     classify_codim1,
     classify_single_exp,
     irreducibility_oracle,
+    trial_divide,
 )
 from expalg.errors import DriverError, HypothesisViolation
 from expalg.factor import factor_dense
@@ -39,9 +40,7 @@ def test_oracle_difference_of_squares_reducible_with_exact_divisor():
     p = parse_poly("x1^2 - u1^2")
     v = irreducibility_oracle(p)
     assert v.status == "Reducible" and v.factor is not None
-    from expalg.classify import _trial_divide
-
-    quo = _trial_divide(p, v.factor)
+    quo = trial_divide(p, v.factor)
     assert quo is not None and quo * v.factor == p
 
 
@@ -105,6 +104,33 @@ def test_classify_umbrella_single_exponential():
     assert rep.verdict == "HyperplaneComponents"
     assert [c.hyperplane.normal for c in rep.hyperplanes] == [(1, 0)]
     assert rep.conditionality == "Unconditional"
+
+
+def _refuted_irreducibility(rep):
+    return [h for h in rep.hypothesis_log if h.name == "Z(p) irreducible" and h.status == "failed"]
+
+
+def test_classify_refuted_irreducibility_is_inconclusive():
+    # Both inputs are reducible and have no certified hyperplane.
+    for text, ambient in [("(x1 + u2 - 1)*(x2 + u3 + 1)", 3), ("(x1 + u1 + x2 + u2)^2 - 1", None)]:
+        p = parse_poly(text, ambient)
+        rep = classify_codim1(p)
+        assert _refuted_irreducibility(rep), text
+        assert rep.hyperplanes == []
+        assert rep.verdict == "Inconclusive", text
+        assert rep.residual.startswith("Z(p) is reducible over Q"), rep.residual
+        divisor = rep.residual.split("divisor ")[1].split(")")[0]
+        assert trial_divide(p, parse_poly(divisor, p.n)) is not None
+        assert rep.conditionality == "ConditionalOnAssertedHypotheses"
+
+
+def test_single_exp_refuted_irreducibility_is_inconclusive():
+    # Slice in two variables (not decomposed) and x1 = 0 is no component.
+    rep = classify_single_exp(parse_poly("(x2 + x3 + u1)*(x2 - x3 + u1 + 1)"))
+    assert _refuted_irreducibility(rep)
+    assert rep.hyperplanes == [] and rep.slice_components is None
+    assert rep.verdict == "Inconclusive"
+    assert "divisor x2 - x3 + u1 + 1" in rep.residual
 
 
 def test_classify_asserted_flags_downgrade_conditionality():

@@ -123,3 +123,11 @@ def test_timings_flag_adds_measurements(capsys):
     _, out, _ = run_cli(capsys, ["canon", "x1", "--timings"])
     report = json.loads(out)
     assert report["timings"] is not None and report["timings"]["totalMs"] >= 0.0
+
+
+def test_classify1e_summary_parenthesizes_repeated_slice_factors(capsys):
+    code, out, err = run_cli(capsys, ["classify1e", "(x2 + 1)^2 + x1*u1"])
+    assert code == 0
+    assert "slice factor (x2 + 1)^2: component" in err
+    factors = json.loads(out)["result"]["sliceComponents"]
+    assert factors == [{"factor": "x2 + 1", "multiplicity": 2, "realPoints": True}]

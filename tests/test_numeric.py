@@ -10,7 +10,9 @@ from expalg.epoly import EPoly
 from expalg.errors import HypothesisViolation
 from expalg.intervals import Box, Interval
 from expalg.numeric import (
+    EvalPlan,
     RootCert,
+    TightEvaluator,
     brute_force_sign_scan,
     check_transversality,
     default_root_domain,
@@ -21,7 +23,13 @@ from expalg.numeric import (
 )
 from expalg.parsing import parse_epoly, parse_poly
 
-from util import rand_poly
+from util import (
+    ReferenceTightEvaluator,
+    rand_epoly,
+    rand_poly,
+    reference_interval_eval,
+    reference_poly_intervals,
+)
 
 
 def test_interval_eval_worked_examples():
@@ -176,3 +184,106 @@ def test_transversality_precondition_on_synthetic_root():
     fake = RootCert(Interval(-1e-12, 1e-12), "SignChange", 0.0)
     with pytest.raises(HypothesisViolation):
         check_transversality(p, fake, (), 1e-6)
+
+
+def _outcome(fn, *args):
+    """(lo, hi) as exact float bits, or the type of the exception raised."""
+    try:
+        iv = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+    return (math.copysign(1.0, iv.lo), iv.lo, math.copysign(1.0, iv.hi), iv.hi)
+
+
+def _random_boxes(rng, n):
+    """Zero-width, 1e-9-wide, moderate, wide and overflowing boxes."""
+    boxes = []
+    for width in (0.0, 1e-9, 0.5, 40.0, 1e160):
+        for _ in range(3):
+            lo = [rng.uniform(-3.0, 3.0) * max(1.0, width) for _ in range(n)]
+            boxes.append(Box.from_bounds([(v, v + width) for v in lo]))
+    return boxes
+
+
+def test_compiled_plans_match_reference_bit_for_bit():
+    rng = random.Random(2024)
+    for trial in range(120):
+        n = rng.choice([1, 2, 2, 3])
+        f = rand_epoly(rng, n, max_terms=rng.choice([1, 3, 5]), max_exp=rng.choice([1, 3]))
+        tight = TightEvaluator(f)
+        ref_tight = ReferenceTightEvaluator(f)
+        for box in _random_boxes(rng, n):
+            assert _outcome(interval_eval, f, box) == _outcome(reference_interval_eval, f, box)
+            assert _outcome(tight, box) == _outcome(ref_tight, box)
+            if trial % 10 == 0 and box.intervals[0].width <= 0.5:
+                args = (f, box, "rigorous")
+                assert _outcome(interval_eval, *args) == _outcome(reference_interval_eval, *args)
+    # exp overflow widens to infinity identically, in both evaluators
+    f = parse_epoly("exp(x1)")
+    box = Box.from_bounds([(0.0, 1000.0)])
+    assert _outcome(interval_eval, f, box) == _outcome(reference_interval_eval, f, box)
+    assert _outcome(TightEvaluator(f), box) == _outcome(ReferenceTightEvaluator(f), box)
+
+
+def test_rigorous_tight_evaluator_matches_reference():
+    rng = random.Random(7)
+    for _ in range(6):
+        f = rand_epoly(rng, 2, max_terms=3)
+        tight = TightEvaluator(f, "rigorous")
+        ref = ReferenceTightEvaluator(f, "rigorous")
+        for width in (0.0, 1e-9, 0.25):
+            lows = (rng.uniform(-2, 2), rng.uniform(-2, 2))
+            box = Box.from_bounds([(v, v + width) for v in lows])
+            assert _outcome(tight, box) == _outcome(ref, box)
+
+
+def test_poly_plan_matches_reference_on_full_variable_list():
+    rng = random.Random(99)
+    for _ in range(200):
+        n = rng.choice([1, 2, 3])
+        p = rand_poly(rng, n, max_terms=5, max_exp=3)
+        ivs = []
+        for _ in range(2 * n):
+            lo = rng.uniform(-3, 3)
+            ivs.append(Interval(lo, lo + rng.choice([0.0, 1e-9, 2.0])))
+        got = EvalPlan.of_poly(p)([(iv.lo, iv.hi) for iv in ivs])
+        ref = reference_poly_intervals(p, ivs)
+        assert _outcome(lambda: Interval(*got)) == _outcome(lambda: ref)
+
+
+def test_transversality_unchanged_on_corpus_inputs():
+    f = parse_epoly("2*x1 + 1 - exp(x1)")
+    certs, _ = isolate_roots_1d(f, (-5.0, 5.0), 1e-9)
+    star = next(c for c in certs if not c.enclosure.contains(0.0))
+    cases = [
+        ("2*x1 - u1 + 1", None, (), 1.5128624176832495, "Transverse"),
+        ("2*x1 - u1 + 1", 2, (Fraction(0),), 1.5128624176832495, "Transverse"),
+        (
+            "(x1 + u1 - 1)*((2*x1 - u1 + 1)^2 + x2^2) + (2*x1 - u1 + 1)^3",
+            None,
+            (Fraction(0),),
+            2.1164882315990768e-09,
+            "Undetermined",
+        ),
+    ]
+    for text, ambient, coords, margin, verdict in cases:
+        p = parse_poly(text, ambient)
+        rep = check_transversality(p, star, coords, 1e-6)
+        assert (rep.tangency_margin, rep.verdict) == (margin, verdict), text
+        # the verdict re-derived with the reference evaluator of the minor
+        n = p.n
+        enc = star.enclosure
+        u_iv = enc.exp()
+        ivs = [enc] + [Interval(float(v), float(v)) for v in coords] + [u_iv]
+        ivs += [Interval(0.0, 0.0)] * (n - 1)
+        grads = [reference_poly_intervals(p.derivative("x", i), ivs) for i in range(1, n + 1)]
+        grads.append(reference_poly_intervals(p.derivative("u", 1), ivs))
+        g_row = [-u_iv] + [Interval(0.0, 0.0)] * (n - 1) + [Interval(1.0, 1.0)]
+        # Some minor excluding zero is necessary for Transverse; on these
+        # inputs it is also sufficient once the margin clears the tolerance.
+        decisive = any(
+            (grads[i] * g_row[j] - grads[j] * g_row[i]).excludes_zero()
+            for i in range(n + 1)
+            for j in range(i + 1, n + 1)
+        )
+        assert (rep.verdict == "Transverse") == (margin > 1e-6 and decisive)

@@ -5,6 +5,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from expalg.epoly import EPoly
+from expalg.errors import DimensionError, InternalInvariantError
+from expalg.intervals import Box, Interval, RatInterval, enclose_rational, point
 from expalg.poly import Mono, Poly
 
 
@@ -50,3 +53,97 @@ def embed_on_hyperplane(normal: tuple[int, ...], rest_values) -> list[float]:
         full[j] = value
     full[pivot] = -sum(normal[j] * full[j] for j in rest) / normal[pivot]
     return full
+
+
+def rand_epoly(rng: random.Random, n: int, max_terms: int = 4, max_exp: int = 2) -> EPoly:
+    """Random EPoly with rational spectra (as restriction produces) and x-only coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        spec = tuple(rand_fraction(rng, span=3, den=3) for _ in range(n))
+        terms[spec] = rand_poly(rng, n, max_exp=max_exp, allow_u=False)
+    return EPoly(n, terms)
+
+
+# ---------------------------------------------------------------------------
+# Reference box evaluators: one Interval or RatInterval object per arithmetic
+# step, term by term.  The compiled evaluation plans of ``expalg.numeric``
+# must reproduce their enclosures bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _reference_poly(a: Poly, xs, one, coeff):
+    acc = one(0)
+    for mono, c in a.sorted_terms():
+        term = coeff(c)
+        for iv, e in zip(xs, tuple(mono.x) + tuple(mono.u)):
+            if e:
+                term = term * iv.pow_int(e)
+        acc = acc + term
+    return acc
+
+
+def reference_poly_intervals(p: Poly, ivs) -> Interval:
+    """Natural extension of p over 2n float intervals (x1..xn, u1..un)."""
+    return _reference_poly(p, ivs, lambda v: point(float(v)), enclose_rational)
+
+
+def reference_interval_eval(f: EPoly, box: Box, mode: str = "fast") -> Interval:
+    """Natural extension of f over the box, as ``interval_eval`` defines it."""
+    if box.dimension != f.n:
+        raise DimensionError(f"box dimension {box.dimension} != ambient {f.n}")
+    if mode == "fast":
+        xs = box.intervals
+        one = lambda v: point(float(v))  # noqa: E731
+        coeff = enclose_rational
+    elif mode == "rigorous":
+        xs = [RatInterval(Fraction(iv.lo), Fraction(iv.hi), exact=True) for iv in box.intervals]
+        one = coeff = RatInterval.exact_point
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    acc = one(0)
+    for spec, a in f.sorted_terms():
+        dot = one(0)
+        for q, iv in zip(spec, xs):
+            if q:
+                dot = dot + iv.scale(q)
+        acc = acc + _reference_poly(a, xs, one, coeff) * dot.exp()
+    return acc if mode == "fast" else Interval(*acc.to_float_pair())
+
+
+class ReferenceTightEvaluator:
+    """Natural extension intersected with mean-value forms, on Interval objects."""
+
+    def __init__(self, f: EPoly, mode: str = "fast", order: int = 2):
+        self.mode = mode
+        self.order = order
+        self.derivs = {(): f}
+        frontier = [()]
+        for _ in range(order):
+            new_frontier = []
+            for path in frontier:
+                for i in range(1, f.n + 1):
+                    key = tuple(sorted(path + (i,)))
+                    if key not in self.derivs:
+                        self.derivs[key] = self.derivs[path].derivative(i)
+                    new_frontier.append(key)
+            frontier = sorted(set(new_frontier))
+
+    def __call__(self, box: Box) -> Interval:
+        return self._eval((), box, self.order)
+
+    def _eval(self, path, box: Box, depth: int) -> Interval:
+        g = self.derivs[path]
+        nat = reference_interval_eval(g, box, self.mode)
+        if depth == 0 or nat.excludes_zero() or nat.width < 1e-14:
+            return nat
+        mids = tuple(point(iv.mid) for iv in box.intervals)
+        mv = reference_interval_eval(g, Box(mids), self.mode)
+        for i, (iv, m) in enumerate(zip(box.intervals, mids), start=1):
+            if iv.width == 0.0:
+                continue
+            gi = self._eval(tuple(sorted(path + (i,))), box, depth - 1)
+            mv = mv + gi * (iv - m)
+        out = nat.intersect(mv)
+        if out is None:
+            raise InternalInvariantError("sound enclosures are disjoint")
+        return out
