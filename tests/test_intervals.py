@@ -12,6 +12,10 @@ from expalg.intervals import (
     RatInterval,
     enclose_rational,
     exp_bounds,
+    pair_add,
+    pair_exp,
+    pair_mul,
+    pair_pow,
     point,
     round_down,
     round_up,
@@ -112,3 +116,34 @@ def test_box_helpers():
     inner = Box.from_bounds([(0.25, 0.5), (0.0, 0.5)])
     assert box.contains_box(inner)
     assert not inner.contains_box(box)
+
+
+def _bits(v):
+    return (math.copysign(1.0, v), v)
+
+
+def test_pair_ops_match_interval_methods_on_special_endpoints():
+    """The float-pair backend repeats each Interval method bit for bit."""
+    big = 1.7976931348623157e308
+    values = [-math.inf, -big, -1e200, -1.5, -5e-324, -0.0, 0.0, 5e-324, 1.0, 3.25, 1e200, big, math.inf]
+    ivs = [(lo, hi) for lo in values for hi in values if lo <= hi]
+
+    def outcome(fn):
+        try:
+            lo, hi = fn()
+        except OverflowError as exc:
+            return type(exc)
+        return _bits(lo), _bits(hi)
+
+    def interval_outcome(fn):
+        return outcome(lambda: (lambda iv: (iv.lo, iv.hi))(fn()))
+
+    for a in ivs:
+        ia = Interval(*a)
+        assert outcome(lambda: pair_exp(a)) == interval_outcome(ia.exp)
+        for k in (1, 2, 3, 4):
+            assert outcome(lambda: pair_pow(a, k)) == interval_outcome(lambda: ia.pow_int(k))
+        for b in ivs:
+            ib = Interval(*b)
+            assert outcome(lambda: pair_add(a, b)) == interval_outcome(lambda: ia + ib)
+            assert outcome(lambda: pair_mul(a, b)) == interval_outcome(lambda: ia * ib)

@@ -196,12 +196,18 @@ def _outcome(fn, *args):
 
 
 def _random_boxes(rng, n):
-    """Zero-width, 1e-9-wide, moderate, wide and overflowing boxes."""
+    """Zero-width, 1e-9-wide, moderate, wide and overflowing boxes.
+
+    The last three have endpoints at exactly 0 and at infinity, where
+    products 0 * inf and sums inf - inf occur.
+    """
     boxes = []
     for width in (0.0, 1e-9, 0.5, 40.0, 1e160):
         for _ in range(3):
             lo = [rng.uniform(-3.0, 3.0) * max(1.0, width) for _ in range(n)]
             boxes.append(Box.from_bounds([(v, v + width) for v in lo]))
+    for bounds in ((0.0, 0.0), (0.0, math.inf), (-math.inf, 0.0)):
+        boxes.append(Box.from_bounds([bounds] * n))
     return boxes
 
 

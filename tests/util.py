@@ -71,8 +71,9 @@ def rand_epoly(rng: random.Random, n: int, max_terms: int = 4, max_exp: int = 2)
 # ---------------------------------------------------------------------------
 
 
-def _reference_poly(a: Poly, xs, one, coeff):
-    acc = one(0)
+def _reference_poly(a: Poly, xs, zero, coeff):
+    """Sum of the terms of a; xs covers x1..xn, and u1..un when a uses them."""
+    acc = zero
     for mono, c in a.sorted_terms():
         term = coeff(c)
         for iv, e in zip(xs, tuple(mono.x) + tuple(mono.u)):
@@ -84,7 +85,7 @@ def _reference_poly(a: Poly, xs, one, coeff):
 
 def reference_poly_intervals(p: Poly, ivs) -> Interval:
     """Natural extension of p over 2n float intervals (x1..xn, u1..un)."""
-    return _reference_poly(p, ivs, lambda v: point(float(v)), enclose_rational)
+    return _reference_poly(p, ivs, point(0.0), enclose_rational)
 
 
 def reference_interval_eval(f: EPoly, box: Box, mode: str = "fast") -> Interval:
@@ -93,20 +94,19 @@ def reference_interval_eval(f: EPoly, box: Box, mode: str = "fast") -> Interval:
         raise DimensionError(f"box dimension {box.dimension} != ambient {f.n}")
     if mode == "fast":
         xs = box.intervals
-        one = lambda v: point(float(v))  # noqa: E731
-        coeff = enclose_rational
+        zero, coeff = point(0.0), enclose_rational
     elif mode == "rigorous":
         xs = [RatInterval(Fraction(iv.lo), Fraction(iv.hi), exact=True) for iv in box.intervals]
-        one = coeff = RatInterval.exact_point
+        zero, coeff = RatInterval.exact_point(0), RatInterval.exact_point
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    acc = one(0)
+    acc = zero
     for spec, a in f.sorted_terms():
-        dot = one(0)
+        dot = zero
         for q, iv in zip(spec, xs):
             if q:
                 dot = dot + iv.scale(q)
-        acc = acc + _reference_poly(a, xs, one, coeff) * dot.exp()
+        acc = acc + _reference_poly(a, xs, zero, coeff) * dot.exp()
     return acc if mode == "fast" else Interval(*acc.to_float_pair())
 
 
