@@ -125,9 +125,9 @@ class EvalPlan:
         )
 
     @classmethod
-    def of_poly(cls, p: Poly, exact: bool = False) -> EvalPlan:
-        """Plan for p on its 2n variables, ordered x1..xn, u1..un."""
-        return cls([(None, [(c, m.x + m.u) for m, c in p.sorted_terms()])], exact)
+    def of_poly(cls, p: Poly) -> EvalPlan:
+        """Fast plan for p on its 2n variables, ordered x1..xn, u1..un."""
+        return cls([(None, [(c, m.x + m.u) for m, c in p.sorted_terms()])], False)
 
     def __call__(self, bounds: Sequence[Pair]) -> Pair:
         """Enclosure (lo, hi) over the box with the given float bounds."""
@@ -207,7 +207,8 @@ class TightEvaluator:
             raise DimensionError(f"box dimension {box.dimension} != ambient {f.n}")
         return Interval(*self._eval((), box.bounds(), [], self.order))
 
-    def _plan(self, path: tuple[int, ...]) -> EvalPlan:
+    def plan(self, path: tuple[int, ...]) -> EvalPlan:
+        """The plan of the derivative along ``path`` (sorted variable indices)."""
         plan = self.plans.get(path)
         if plan is None:
             plan = EvalPlan.of_epoly(self.derivs[path], _is_exact(self.mode))
@@ -216,7 +217,7 @@ class TightEvaluator:
 
     def _eval(self, path, bounds: list[Pair], centre: list, depth: int) -> Pair:
         """``centre`` caches (midpoint bounds, box - midpoint) for this box."""
-        plan = self._plan(path)
+        plan = self.plan(path)
         nat = plan(bounds)
         if depth == 0 or nat[0] > 0.0 or nat[1] < 0.0 or nat[1] - nat[0] < 1e-14:
             return nat
@@ -336,10 +337,9 @@ def isolate_roots_1d(
     if not a < b:
         raise ValueError("domain must be a nonempty interval")
     tol_q = Fraction(tol)
-    df = f.derivative(1)
     evaluator = TightEvaluator(f)
-    f_plan = EvalPlan.of_epoly(f)
-    df_plan = EvalPlan.of_epoly(df)
+    f_plan = evaluator.plan(())
+    df_plan = evaluator.plan((1,))
 
     sign_cache: dict[Fraction, int] = {}
 
