@@ -51,7 +51,6 @@ from .poly import Mono, Poly
 UNCONDITIONAL = "Unconditional"
 CONDITIONAL_SCHANUEL = "ConditionalOnSchanuel"
 CONDITIONAL_ASSERTED = "ConditionalOnAssertedHypotheses"
-_COND_RANK = {UNCONDITIONAL: 0, CONDITIONAL_SCHANUEL: 1, CONDITIONAL_ASSERTED: 2}
 
 IRREDUCIBLE_SET = "IrreducibleSet"
 HYPERPLANE_COMPONENTS = "HyperplaneComponents"
@@ -434,14 +433,11 @@ def _log_codim1(p, f: EPoly, assume, log) -> list[RootCert] | None:
     return None
 
 
-_COND_NAMES = [UNCONDITIONAL, CONDITIONAL_SCHANUEL, CONDITIONAL_ASSERTED]
-
-
 def _conditionality(base: str, log) -> str:
-    level = _COND_RANK[base]
+    """The weakest level, CONDITIONAL_ASSERTED, once any hypothesis is not verified."""
     if any(h.status in ("asserted", "unverified", "failed") for h in log):
-        level = max(level, _COND_RANK[CONDITIONAL_ASSERTED])
-    return _COND_NAMES[level]
+        return CONDITIONAL_ASSERTED
+    return base
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +609,6 @@ def _classify_degenerate(
     if x_part.is_constant():
         verdict = INCONCLUSIVE
         residual = "the x-part is a nonzero constant; the zero set is empty"
-        base = UNCONDITIONAL
     else:
         oracle = irreducibility_oracle(x_part, attempts=attempts, seed=seed)
         if oracle.status == "Irreducible":
@@ -628,7 +623,6 @@ def _classify_degenerate(
                     "x-part irreducible", "verified", oracle.witness
                 )
             )
-            base = UNCONDITIONAL
         elif oracle.status == "Reducible":
             verdict = INCONCLUSIVE
             residual = (
@@ -636,17 +630,15 @@ def _classify_degenerate(
                 "of scope"
             )
             log.append(HypothesisCheck("x-part irreducible", "failed", oracle.witness))
-            base = UNCONDITIONAL
         else:
             verdict = INCONCLUSIVE
             residual = "irreducibility of the x-part could not be decided"
             log.append(
                 HypothesisCheck("x-part irreducible", "unverified", oracle.witness)
             )
-            base = UNCONDITIONAL
     return ComponentReport(
         verdict=verdict,
-        conditionality=_conditionality(base, log),
+        conditionality=_conditionality(UNCONDITIONAL, log),
         hyperplanes=[],
         rejected=[],
         residual=residual,

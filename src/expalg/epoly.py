@@ -16,17 +16,26 @@ multiply), partial differentiation (d/dx_i maps A e^(s.x) to
 (dA/dx_i + s_i A) e^(s.x)), and restriction to a rational hyperplane through
 the origin, which eliminates one variable and in general introduces
 fractional spectra.
+
+As for ``Poly``, the constructor is the one merge path: it takes a mapping
+or an iterable of (spectrum, coefficient) pairs and folds them in arrival
+order, adding each coefficient to the one stored under its spectrum and
+removing a zero sum.  The ring operations, ``derivative``, ``restrict`` and
+``from_poly`` only generate pairs for it.  ``restrict`` substitutes the
+pivot variable with ``poly.Substitution``, one instance (and so one power
+table) for all the coefficients.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence
+from itertools import chain
 
 from .errors import DimensionError, HyperplaneError
 from .hyperplanes import Hyperplane
-from .poly import Mono, Poly, RatLike
+from .poly import Mono, Poly, RatLike, Substitution
 
 Spectrum = tuple[Fraction, ...]
 
@@ -45,25 +54,30 @@ class EPoly:
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Mapping[tuple, Poly] | None = None):
+    def __init__(
+        self,
+        n: int,
+        terms: Mapping[tuple, Poly] | Iterable[tuple[tuple, Poly]] | None = None,
+    ):
+        """Merge ``terms`` (a mapping or (spectrum, coefficient) pairs) in arrival order."""
         canon: dict[tuple, Poly] = {}
-        if terms:
-            for spec, coeff in terms.items():
-                spec = tuple(Fraction(q) for q in spec)
-                if len(spec) != n:
-                    raise DimensionError(f"spectrum length != ambient count {n}")
-                if coeff.n != n:
-                    raise DimensionError("coefficient ambient != spectrum ambient")
-                if not _x_only(coeff):
-                    raise ValueError("coefficient polynomials must not use u-variables")
-                if coeff.is_zero():
-                    continue
-                prev = canon.get(spec)
-                merged = coeff if prev is None else prev + coeff
-                if merged.is_zero():
-                    canon.pop(spec, None)
-                else:
-                    canon[spec] = merged
+        pairs = terms.items() if isinstance(terms, Mapping) else terms or ()
+        for spec, coeff in pairs:
+            spec = tuple(Fraction(q) for q in spec)
+            if len(spec) != n:
+                raise DimensionError(f"spectrum length != ambient count {n}")
+            if coeff.n != n:
+                raise DimensionError("coefficient ambient != spectrum ambient")
+            if not _x_only(coeff):
+                raise ValueError("coefficient polynomials must not use u-variables")
+            if coeff.is_zero():
+                continue
+            prev = canon.get(spec)
+            merged = coeff if prev is None else prev + coeff
+            if merged.is_zero():
+                del canon[spec]
+            else:
+                canon[spec] = merged
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", canon)
 
@@ -84,13 +98,10 @@ class EPoly:
         result is the zero function only for the zero polynomial.
         """
         n = p.n
-        grouped: dict[tuple, dict[Mono, Fraction]] = {}
+        grouped: dict[tuple, list[tuple[Mono, Fraction]]] = {}
         for mono, c in p.terms.items():
-            spec = tuple(Fraction(e) for e in mono.u)
-            bucket = grouped.setdefault(spec, {})
-            xmono = Mono(mono.x, (0,) * n)
-            bucket[xmono] = bucket.get(xmono, Fraction(0)) + c
-        return cls(n, {s: Poly(n, b) for s, b in grouped.items()})
+            grouped.setdefault(mono.u, []).append((Mono(mono.x, (0,) * n), c))
+        return cls(n, ((u, Poly(n, pairs)) for u, pairs in grouped.items()))
 
     # -- queries ---------------------------------------------------------------
 
@@ -125,15 +136,7 @@ class EPoly:
 
     def __add__(self, other: EPoly) -> EPoly:
         self._check_same_ambient(other)
-        out = dict(self.terms)
-        for spec, coeff in other.terms.items():
-            prev = out.get(spec)
-            merged = coeff if prev is None else prev + coeff
-            if merged.is_zero():
-                out.pop(spec, None)
-            else:
-                out[spec] = merged
-        return EPoly(self.n, out)
+        return EPoly(self.n, chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> EPoly:
         return EPoly(self.n, {s: -a for s, a in self.terms.items()})
@@ -143,18 +146,14 @@ class EPoly:
 
     def __mul__(self, other: EPoly) -> EPoly:
         self._check_same_ambient(other)
-        out: dict[tuple, Poly] = {}
-        for s1, a1 in self.terms.items():
-            for s2, a2 in other.terms.items():
-                spec = tuple(q1 + q2 for q1, q2 in zip(s1, s2))
-                prod = a1 * a2
-                prev = out.get(spec)
-                merged = prod if prev is None else prev + prod
-                if merged.is_zero():
-                    out.pop(spec, None)
-                else:
-                    out[spec] = merged
-        return EPoly(self.n, out)
+        return EPoly(
+            self.n,
+            (
+                (tuple(q1 + q2 for q1, q2 in zip(s1, s2)), a1 * a2)
+                for s1, a1 in self.terms.items()
+                for s2, a2 in other.terms.items()
+            ),
+        )
 
     def scale(self, c: RatLike) -> EPoly:
         c = Fraction(c)
@@ -168,18 +167,10 @@ class EPoly:
         """Exact partial derivative with respect to x_i (1-based)."""
         if not 1 <= i <= self.n:
             raise DimensionError(f"variable index {i} out of range 1..{self.n}")
-        out: dict[tuple, Poly] = {}
-        for spec, a in self.terms.items():
-            da = a.derivative("x", i) + a.scale(spec[i - 1])
-            if da.is_zero():
-                continue
-            prev = out.get(spec)
-            merged = da if prev is None else prev + da
-            if merged.is_zero():
-                out.pop(spec, None)
-            else:
-                out[spec] = merged
-        return EPoly(self.n, out)
+        return EPoly(
+            self.n,
+            ((s, a.derivative("x", i) + a.scale(s[i - 1])) for s, a in self.terms.items()),
+        )
 
     # -- restriction ---------------------------------------------------------------
 
@@ -203,41 +194,15 @@ class EPoly:
         pivot = max(range(self.n), key=lambda j: (abs(normal[j]), -j))
         rest = [j for j in range(self.n) if j != pivot]
         k = self.n - 1
-
-        # x_pivot, written in the n-1 remaining variables.
-        form = Poly.zero(k)
-        for new_j, j in enumerate(rest):
-            if normal[j]:
-                form = form + Poly.x_var(k, new_j + 1).scale(
-                    Fraction(-normal[j], normal[pivot])
-                )
-        powers: dict[int, Poly] = {0: Poly.const(k, 1)}
-
-        def form_pow(e: int) -> Poly:
-            while e not in powers:
-                top = max(powers)
-                powers[top + 1] = powers[top] * form
-            return powers[e]
-
-        out: dict[tuple, Poly] = {}
-        for spec, a in self.terms.items():
-            new_spec = tuple(
-                spec[j] - spec[pivot] * Fraction(normal[j], normal[pivot]) for j in rest
-            )
-            restricted = Poly.zero(k)
-            for mono, c in a.terms.items():
-                e = mono.x[pivot]
-                stripped = Mono(tuple(mono.x[j] for j in rest), (0,) * k)
-                restricted = restricted + (Poly(k, {stripped: c}) * form_pow(e))
-            if restricted.is_zero():
-                continue
-            prev = out.get(new_spec)
-            merged = restricted if prev is None else prev + restricted
-            if merged.is_zero():
-                out.pop(new_spec, None)
-            else:
-                out[new_spec] = merged
-        return EPoly(k, out)
+        ratio = [Fraction(normal[j], normal[pivot]) for j in rest]
+        # x_pivot = -sum_j ratio_j x_j, written in the n-1 remaining variables.
+        form = Poly.affine(k, [-r for r in ratio] + [0] * k)
+        zero = (0,) * k
+        sub = Substitution(form, lambda mono: (Mono(tuple(mono.x[j] for j in rest), zero), mono.x[pivot]))
+        return EPoly(
+            k,
+            ((tuple(s[j] - s[pivot] * r for j, r in zip(rest, ratio)), sub(a)) for s, a in self.terms.items()),
+        )
 
     # -- evaluation -------------------------------------------------------------
 

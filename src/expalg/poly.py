@@ -11,15 +11,29 @@ construction; every operation returns a new polynomial in canonical form
 (no stored zero coefficients), so values can be shared freely between
 threads.
 
+The constructor is the one merge path.  It takes a mapping or an iterable
+of (monomial, coefficient) pairs and folds them in arrival order: each
+coefficient is added to the sum stored under its monomial, and a zero sum
+is removed (a monomial met again after that arrives anew, at the end).  The
+ring operations only generate terms for it, so every term map's order
+follows from the operands' orders; float evaluation sums in that order.
+
+``Substitution`` is the one substitution kernel, shared by
+``Poly.substitute_affine`` and ``EPoly.restrict``: it sums c * rest * form^e
+over the terms, with (rest, e) given by a split function per monomial and
+form^e taken from a lazily extended power table.
+
 Variable indices in the public API are 1-based, matching the conventional
 names x1..xn and u1..un used by the text syntax.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import NamedTuple, Union
 
 from .errors import DimensionError
 
@@ -47,29 +61,54 @@ def _as_rat(c: RatLike) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
 
 
+def _unit(n: int, pos: int) -> tuple[int, ...]:
+    """Exponent tuple of length n with a single 1 at ``pos`` (0-based)."""
+    return tuple(int(j == pos) for j in range(n))
+
+
+def _products(
+    left: Iterable[tuple[Mono, Fraction]], right: Mapping[Mono, Fraction]
+) -> Iterator[tuple[Mono, Fraction]]:
+    """Every product of a term of ``left`` with a term of ``right``, unmerged."""
+    for m1, c1 in left:
+        for m2, c2 in right.items():
+            mono = Mono(
+                tuple(a + b for a, b in zip(m1.x, m2.x)),
+                tuple(a + b for a, b in zip(m1.u, m2.u)),
+            )
+            yield mono, c1 * c2
+
+
 class Poly:
     """Multivariate polynomial over Q in x1..xn, u1..un (sparse, canonical)."""
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Mapping[Mono, RatLike] | None = None):
+    def __init__(
+        self,
+        n: int,
+        terms: Mapping[Mono, RatLike] | Iterable[tuple[Mono, RatLike]] | None = None,
+    ):
+        """Merge ``terms`` (a mapping or (monomial, coefficient) pairs) in arrival order."""
         if n < 0:
             raise ValueError("ambient variable count must be non-negative")
         canon: dict[Mono, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if len(mono.x) != n or len(mono.u) != n:
-                    raise DimensionError(
-                        f"monomial exponent length != ambient count {n}: {mono}"
-                    )
-                if any(e < 0 for e in mono.x) or any(e < 0 for e in mono.u):
-                    raise ValueError(f"negative exponent in monomial {mono}")
-                c = _as_rat(coeff)
-                if c:
-                    prev = canon.get(mono)
-                    canon[mono] = prev + c if prev is not None else c
-                    if not canon[mono]:
-                        del canon[mono]
+        pairs = terms.items() if isinstance(terms, Mapping) else terms or ()
+        for mono, coeff in pairs:
+            if len(mono.x) != n or len(mono.u) != n:
+                raise DimensionError(
+                    f"monomial exponent length != ambient count {n}: {mono}"
+                )
+            if min(mono.x, default=0) < 0 or min(mono.u, default=0) < 0:
+                raise ValueError(f"negative exponent in monomial {mono}")
+            c = _as_rat(coeff)
+            if c:
+                prev = canon.get(mono)
+                s = c if prev is None else prev + c
+                if s:
+                    canon[mono] = s
+                else:
+                    del canon[mono]
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", canon)
 
@@ -90,17 +129,23 @@ class Poly:
     def x_var(cls, n: int, i: int) -> Poly:
         """The polynomial x_i (1-based index)."""
         _check_index(n, i)
-        e = [0] * n
-        e[i - 1] = 1
-        return cls(n, {Mono(tuple(e), (0,) * n): Fraction(1)})
+        return cls(n, {Mono(_unit(n, i - 1), (0,) * n): Fraction(1)})
 
     @classmethod
     def u_var(cls, n: int, i: int) -> Poly:
         """The polynomial u_i (1-based index)."""
         _check_index(n, i)
-        e = [0] * n
-        e[i - 1] = 1
-        return cls(n, {Mono((0,) * n, tuple(e)): Fraction(1)})
+        return cls(n, {Mono((0,) * n, _unit(n, i - 1)): Fraction(1)})
+
+    @classmethod
+    def affine(cls, n: int, coeffs: Sequence[RatLike], const: RatLike = 0) -> Poly:
+        """const + sum of coeffs[j] * v_j over the variables v = (x1..xn, u1..un)."""
+        if len(coeffs) != 2 * n:
+            raise DimensionError(f"affine form needs {2 * n} coefficients")
+        zero = (0,) * n
+        units = [Mono(_unit(n, j), zero) for j in range(n)]
+        units += [Mono(zero, _unit(n, j)) for j in range(n)]
+        return cls(n, [(Mono(zero, zero), const), *zip(units, coeffs)])
 
     # -- basic queries -------------------------------------------------------
 
@@ -168,14 +213,7 @@ class Poly:
 
     def __add__(self, other: Poly) -> Poly:
         self._check_same_ambient(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, Fraction(0)) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return Poly(self.n, out)
+        return Poly(self.n, chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> Poly:
         return Poly(self.n, {m: -c for m, c in self.terms.items()})
@@ -185,19 +223,7 @@ class Poly:
 
     def __mul__(self, other: Poly) -> Poly:
         self._check_same_ambient(other)
-        out: dict[Mono, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = Mono(
-                    tuple(a + b for a, b in zip(m1.x, m2.x)),
-                    tuple(a + b for a, b in zip(m1.u, m2.u)),
-                )
-                s = out.get(mono, Fraction(0)) + c1 * c2
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        return Poly(self.n, out)
+        return Poly(self.n, _products(self.terms.items(), other.terms))
 
     def __pow__(self, k: int) -> Poly:
         if k < 0:
@@ -253,18 +279,15 @@ class Poly:
 
     def derivative(self, kind: str, i: int) -> Poly:
         """Exact formal partial derivative with respect to x_i or u_i."""
-        pos = _var_pos(self.n, kind, i)
-        out: dict[Mono, Fraction] = {}
-        for mono, c in self.terms.items():
-            exps = mono.x if kind == "x" else mono.u
-            e = exps[pos]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[pos] = e - 1
-            m2 = Mono(tuple(new), mono.u) if kind == "x" else Mono(mono.x, tuple(new))
-            out[m2] = out.get(m2, Fraction(0)) + c * e
-        return Poly(self.n, out)
+        pos, block = _var_pos(self.n, kind, i), "xu".index(kind)
+        return Poly(
+            self.n,
+            (
+                (_set_exponent(m, block, pos, m[block][pos] - 1), c * m[block][pos])
+                for m, c in self.terms.items()
+                if m[block][pos]
+            ),
+        )
 
     def substitute_affine(
         self,
@@ -279,42 +302,9 @@ class Poly:
         (x1..xn, u1..un); the entry for the substituted variable itself is
         allowed (the identity substitution uses coefficient 1 there).
         """
-        pos = _var_pos(self.n, kind, i)
-        if len(coeffs) != 2 * self.n:
-            raise DimensionError(f"affine form needs {2 * self.n} coefficients")
-        form = Poly.const(self.n, const)
-        for j, c in enumerate(coeffs):
-            c = _as_rat(c)
-            if not c:
-                continue
-            var = (
-                Poly.x_var(self.n, j + 1)
-                if j < self.n
-                else Poly.u_var(self.n, j - self.n + 1)
-            )
-            form = form + var.scale(c)
-
-        powers: dict[int, Poly] = {0: Poly.const(self.n, 1)}
-
-        def form_pow(k: int) -> Poly:
-            while k not in powers:
-                top = max(powers)
-                powers[top + 1] = powers[top] * form
-            return powers[k]
-
-        out = Poly.zero(self.n)
-        for mono, c in self.terms.items():
-            exps = mono.x if kind == "x" else mono.u
-            k = exps[pos]
-            stripped = list(exps)
-            stripped[pos] = 0
-            rest = (
-                Mono(tuple(stripped), mono.u)
-                if kind == "x"
-                else Mono(mono.x, tuple(stripped))
-            )
-            out = out + (Poly(self.n, {rest: c}) * form_pow(k))
-        return out
+        pos, block = _var_pos(self.n, kind, i), "xu".index(kind)
+        form = Poly.affine(self.n, coeffs, const)
+        return Substitution(form, lambda m: (_set_exponent(m, block, pos, 0), m[block][pos]))(self)
 
     def substitute_value(self, kind: str, i: int, value: RatLike) -> Poly:
         """Replace one variable by a rational constant."""
@@ -343,6 +333,40 @@ class Poly:
         content = Fraction(num, den)
         _, lead = self.leading_term()
         return content if lead > 0 else -content
+
+
+class Substitution:
+    """p -> sum of c * rest * form^e over the terms c * mono of p.
+
+    ``split(mono)`` gives (rest, e): the monomial without the substituted
+    variable, and that variable's exponent.  Each power of ``form`` is
+    computed once, on first need, and kept by the instance, so one instance
+    serves every polynomial that takes the same form.  All products are
+    merged by one constructor call.
+    """
+
+    def __init__(self, form: Poly, split: Callable[[Mono], tuple[Mono, int]]):
+        self.form = form
+        self.split = split
+        self.powers = [Poly.const(form.n, 1)]
+
+    def __call__(self, p: Poly) -> Poly:
+        return Poly(self.form.n, self._pairs(p))
+
+    def _pairs(self, p: Poly) -> Iterator[tuple[Mono, Fraction]]:
+        powers = self.powers
+        for mono, c in p.terms.items():
+            rest, e = self.split(mono)
+            while len(powers) <= e:
+                powers.append(powers[-1] * self.form)
+            yield from _products(((rest, c),), powers[e].terms)
+
+
+def _set_exponent(mono: Mono, block: int, pos: int, e: int) -> Mono:
+    """mono with exponent e at ``pos`` of its x-block (block 0) or u-block (1)."""
+    exps = mono[block]
+    new = exps[:pos] + (e,) + exps[pos + 1 :]
+    return Mono(new, mono.u) if block == 0 else Mono(mono.x, new)
 
 
 def _check_index(n: int, i: int) -> None:

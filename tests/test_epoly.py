@@ -7,11 +7,11 @@ import pytest
 
 from expalg.epoly import EPoly
 from expalg.errors import DimensionError, HyperplaneError
-from expalg.hyperplanes import Hyperplane
+from expalg.hyperplanes import Hyperplane, primitive_normalize
 from expalg.parsing import format_epoly, parse_epoly, parse_poly
 from expalg.poly import Poly
 
-from util import rand_poly
+from util import embed_on_hyperplane, rand_epoly, rand_point, rand_poly
 
 
 def test_expand_groups_by_u_exponents():
@@ -117,18 +117,6 @@ def test_restriction_is_ring_compatible():
         assert (f * g).restrict(m) == f.restrict(m) * g.restrict(m)
 
 
-def _embed_on_hyperplane(m: Hyperplane, xs: list[float]) -> list[float]:
-    n = m.dimension
-    normal = m.normal
-    pivot = max(range(n), key=lambda j: (abs(normal[j]), -j))
-    rest = [j for j in range(n) if j != pivot]
-    full = [0.0] * n
-    for value, j in zip(xs, rest):
-        full[j] = value
-    full[pivot] = -sum(normal[j] * full[j] for j in rest) / normal[pivot]
-    return full
-
-
 def test_restriction_agrees_numerically_with_embedding():
     rng = random.Random(16)
     hyperplanes = [Hyperplane((1, 0)), Hyperplane((1, -1)), Hyperplane((2, 3))]
@@ -138,10 +126,53 @@ def test_restriction_agrees_numerically_with_embedding():
             r = f.restrict(m)
             for _ in range(20):
                 xs = [rng.uniform(-2, 2)]
-                inside = f.eval_float(_embed_on_hyperplane(m, xs))
+                inside = f.eval_float(embed_on_hyperplane(m.normal, xs))
                 restricted = r.eval_float(xs)
                 scale = max(1.0, abs(inside), abs(restricted))
                 assert abs(inside - restricted) <= 1e-9 * scale
+
+
+def _rand_normal(rng: random.Random, n: int) -> Hyperplane:
+    while True:
+        v = [rng.choice([0, 0, 1, -1, 2, -2, 3]) for _ in range(n)]
+        if any(v):
+            return primitive_normalize(v)
+
+
+def test_restriction_is_exact_on_the_hyperplane_at_n3_and_n4():
+    """f|m at a point equals f at that point's embedding, as exact value groups.
+
+    The normals include zero entries and ties in |m_j|, so the pivot rule
+    (largest |m_j|, smallest index on ties) has to agree with the embedding.
+    """
+    rng = random.Random(18)
+    seen_zero = seen_tie = False
+    for _ in range(40):
+        n = rng.choice([3, 4])
+        f = rng.choice([rand_epoly(rng, n), EPoly.from_poly(rand_poly(rng, n, max_terms=5))])
+        m = _rand_normal(rng, n)
+        sizes = sorted(abs(c) for c in m.normal)
+        seen_zero |= sizes[0] == 0
+        seen_tie |= sizes[-1] == sizes[-2]
+        r = f.restrict(m)
+        assert r.n == n - 1
+        for _ in range(3):
+            rest = rand_point(rng, n - 1)
+            on_plane = embed_on_hyperplane(m.normal, rest)
+            assert r.coefficient_groups(rest) == f.coefficient_groups(on_plane)
+    assert seen_zero and seen_tie
+
+
+def test_constructor_merges_pairs_in_arrival_order():
+    a, b, c = (Fraction(2),), (Fraction(1, 2),), (Fraction(-1),)
+    one, two = Poly.const(1, 1), Poly.x_var(1, 1)
+    f = EPoly(1, [(a, one), (b, two), (a, -one), (c, two), (a, two), (b, two), (c, -two)])
+    assert list(f.terms) == [b, a]
+    assert f.terms[b] == two.scale(2) and f.terms[a] == two
+    assert EPoly(1, [(a, one), (a, -one)]).is_zero()
+    # integer spectra are stored as Fractions, and the mapping form is unchanged
+    assert list(EPoly(1, [((2,), one)]).terms) == [(Fraction(2),)]
+    assert EPoly(1, {a: one, b: two}) == EPoly(1, [(a, one), (b, two)])
 
 
 def test_identically_zero_evaluates_to_zero():

@@ -45,6 +45,24 @@ def test_canonical_form_drops_zero_coefficients():
     assert p.is_zero() and p.terms == {}
 
 
+def test_constructor_merges_pairs_in_arrival_order():
+    a, b, c = Mono((0,), (0,)), Mono((1,), (0,)), Mono((0,), (1,))
+    p = Poly(1, [(a, 1), (b, 2), (a, -1), (c, Fraction(1, 2)), (a, 3), (b, 1), (c, 0)])
+    # a cancels and comes back: it arrives anew, after c
+    assert list(p.terms) == [b, c, a]
+    assert p.terms == {b: 3, c: Fraction(1, 2), a: 3}
+    assert all(type(v) is Fraction for v in p.terms.values())
+    assert Poly(1, [(a, 2), (a, -2)]).is_zero()
+    assert Poly(1, iter([])).is_zero() and Poly(1).is_zero()
+    # the mapping form behaves as before
+    assert list(Poly(1, {c: 1, a: 0, b: -1}).terms) == [c, b]
+    assert Poly(1, {a: 1, b: 2}) == Poly(1, [(a, 1), (b, 2)])
+    with pytest.raises(DimensionError):
+        Poly(1, [(Mono((1, 0), (0, 0)), 1)])
+    with pytest.raises(ValueError):
+        Poly(1, [(Mono((-1,), (0,)), 1)])
+
+
 def test_ambient_mismatch_raises():
     with pytest.raises(DimensionError):
         Poly.x_var(1, 1) + Poly.x_var(2, 1)
@@ -129,8 +147,8 @@ def test_substitute_affine_examples():
 
 def test_substitute_commutes_with_evaluation():
     rng = random.Random(6)
-    for _ in range(25):
-        n = 2
+    for _ in range(75):
+        n = rng.choice([1, 2, 3])
         p = rand_poly(rng, n)
         coeffs = [rand_point(rng, 1)[0] for _ in range(2 * n)]
         const = rand_point(rng, 1)[0]

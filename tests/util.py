@@ -44,7 +44,7 @@ def rand_point(rng: random.Random, count: int, span: int = 3) -> list[Fraction]:
 
 
 def embed_on_hyperplane(normal: tuple[int, ...], rest_values) -> list[float]:
-    """Point of {normal . x = 0} with the non-pivot coordinates given."""
+    """Point of {normal . x = 0} with the non-pivot coordinates given (exact for Fractions)."""
     n = len(normal)
     pivot = max(range(n), key=lambda j: (abs(normal[j]), -j))
     rest = [j for j in range(n) if j != pivot]
