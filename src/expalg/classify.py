@@ -3,15 +3,25 @@
 ``classify_codim1`` handles the general case: it checks the hypotheses
 (irreducibility of the defining algebraic set, codimension 1 of the zero
 set), builds the candidate hyperplane family from the u-monomial spectrum,
-and certifies symbolically which candidates lie inside the zero set.  For
-inputs using two or more exponentials the component-language conclusions are
-conditional on Schanuel's conjecture and reports say so; single-exponential
-and purely algebraic inputs get unconditional statements.
+and certifies symbolically which candidates lie inside the zero set.  Inputs
+with at most one u-exponent vector go to ``_classify_degenerate``: their zero
+set is algebraic in x.
 
 ``classify_single_exp`` is the dedicated single-exponential driver: it
 additionally computes the exact slice {x1 = 0, u1 = 1} of the defining
 polynomial and, when that slice is univariate, splits it into components by
-exact factorization.
+exact factorization.  Its analysis is independent of Schanuel's conjecture.
+
+All three drivers take their verdict, its conditionality and the residual
+from one rule, ``_verdict``.  With one variable the zero set is the certified
+root list, an irreducible set once the irreducibility premise is verified or
+asserted and a root was found.  Otherwise a certified hyperplane gives
+HyperplaneComponents, and IrreducibleSet needs a verified or asserted premise
+and no slice component with real points; every other case is Inconclusive.
+The label is ConditionalOnAssertedHypotheses once any logged hypothesis is
+asserted, unverified or failed.  Otherwise it is the driver's base level:
+ConditionalOnSchanuel for the candidate family of an input with two or more
+exponentials, Unconditional for single-exponential and algebraic zero sets.
 
 ``irreducibility_oracle`` is a heuristic certifier for polynomial
 irreducibility over Q: reducibility witnesses are exact divisors (verified),
@@ -310,55 +320,34 @@ def irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0) -> IrredVer
 
 
 # ---------------------------------------------------------------------------
-# Shared hypothesis checks
+# Hypothesis checks, certificates and the verdict
 # ---------------------------------------------------------------------------
 
 
-def _log_irreducibility(p, assume, attempts, seed, log) -> IrredVerdict | None:
-    """Log the hypothesis "Z(p) irreducible"; the oracle's verdict, if it ran."""
+def _log_irreducibility(
+    p, assume, attempts, seed, log, name="Z(p) irreducible"
+) -> IrredVerdict | None:
+    """Log the hypothesis ``name`` about p; the oracle's verdict, if it ran."""
     if assume:
         log.append(
-            HypothesisCheck(
-                "Z(p) irreducible",
-                "asserted",
-                "accepted via flag; user responsibility",
-            )
+            HypothesisCheck(name, "asserted", "accepted via flag; user responsibility")
         )
         return None
     verdict = irreducibility_oracle(p, attempts=attempts, seed=seed)
     if verdict.status == "Irreducible":
         log.append(
             HypothesisCheck(
-                "Z(p) irreducible",
+                name,
                 "verified",
                 "polynomial is irreducible over Q ({}); note this is a proxy for "
                 "irreducibility of the real zero set".format(verdict.witness),
             )
         )
     elif verdict.status == "Reducible":
-        log.append(
-            HypothesisCheck(
-                "Z(p) irreducible",
-                "failed",
-                f"polynomial factors: {verdict.witness}",
-            )
-        )
+        log.append(HypothesisCheck(name, "failed", f"polynomial factors: {verdict.witness}"))
     else:
-        log.append(
-            HypothesisCheck("Z(p) irreducible", "unverified", verdict.witness)
-        )
+        log.append(HypothesisCheck(name, "unverified", verdict.witness))
     return verdict
-
-
-def _refutation(oracle: IrredVerdict | None) -> str | None:
-    """Residual for a Z(p) the oracle proved reducible, with its witness."""
-    if oracle is None or oracle.status != "Reducible":
-        return None
-    return (
-        f"Z(p) is reducible over Q ({oracle.witness}; divisor "
-        f"{format_poly(oracle.factor)}), and a refuted irreducibility "
-        "hypothesis supports no IrreducibleSet verdict"
-    )
 
 
 def _log_codim1(p, f: EPoly, assume, log) -> list[RootCert] | None:
@@ -432,12 +421,95 @@ def _log_codim1(p, f: EPoly, assume, log) -> list[RootCert] | None:
     )
     return None
 
+def _certify(
+    f: EPoly, hyperplanes
+) -> tuple[list[CertifiedHyperplane], list[RejectedCandidate]]:
+    """Split hyperplanes by the exact certificate: f restricted to one is zero."""
+    certified: list[CertifiedHyperplane] = []
+    rejected: list[RejectedCandidate] = []
+    for m in hyperplanes:
+        if f.restrict(m).is_zero():
+            certified.append(
+                CertifiedHyperplane(
+                    m, "restriction to the hyperplane is the zero exponential polynomial"
+                )
+            )
+        else:
+            rejected.append(
+                RejectedCandidate(m, "restriction does not vanish identically")
+            )
+    return certified, rejected
 
-def _conditionality(base: str, log) -> str:
-    """The weakest level, CONDITIONAL_ASSERTED, once any hypothesis is not verified."""
-    if any(h.status in ("asserted", "unverified", "failed") for h in log):
-        return CONDITIONAL_ASSERTED
-    return base
+
+def _verdict(
+    base: str,
+    log: list[HypothesisCheck],
+    oracle: IrredVerdict | None,
+    n: int,
+    roots: list[RootCert] | None,
+    certified: list[CertifiedHyperplane],
+    slice_real: bool = False,
+    premise: str = "Z(p) irreducible",
+) -> tuple[str, str, str]:
+    """(verdict, conditionality, residual) from what a driver established.
+
+    Pure: it reads the hypothesis log, the oracle's verdict on the premise,
+    the certified roots and hyperplanes and whether a slice component has
+    real points, and runs no oracle and no numerics.  The first rule that
+    applies gives the verdict:
+
+    1. n = 1: IrreducibleSet when the premise is verified or asserted and
+       the certified root list is nonempty, else Inconclusive;
+    2. a certified hyperplane: HyperplaneComponents;
+    3. a slice component with real points: Inconclusive;
+    4. a refuted premise (the oracle found a divisor): Inconclusive;
+    5. a premise neither verified nor asserted, or never logged: Inconclusive;
+    6. otherwise IrreducibleSet.
+
+    The conditionality is ConditionalOnAssertedHypotheses once any logged
+    hypothesis is asserted, unverified or failed, and ``base`` otherwise.
+    """
+    status = next((h.status for h in log if h.name == premise), None)
+    established = status in ("verified", "asserted")
+    weak = any(h.status in ("asserted", "unverified", "failed") for h in log)
+    label = CONDITIONAL_ASSERTED if weak else base
+    if n == 1:
+        if established and roots:
+            return IRREDUCIBLE_SET, label, (
+                "the zero set is the finite set of certified roots; splitting off "
+                "any single transcendental point would need a defining equation "
+                "over Q, which Lindemann-type independence rules out"
+            )
+        return INCONCLUSIVE, label, (
+            "hypotheses not established for the one-variable argument"
+        )
+    if certified:
+        return HYPERPLANE_COMPONENTS, label, (
+            "closure of Z(f) minus the listed hyperplanes; any further "
+            "codimension-1 component would be a certified candidate, and all "
+            "remaining candidates fail the vanishing certificate"
+        )
+    if slice_real:
+        return INCONCLUSIVE, label, (
+            "no codimension-1 hyperplane component; the zero set decomposes "
+            "through the listed slice components (below codimension 1)"
+        )
+    if status == "failed":
+        return INCONCLUSIVE, label, (
+            f"{premise.removesuffix(' irreducible')} is reducible over Q "
+            f"({oracle.witness}; divisor {format_poly(oracle.factor)}), and a "
+            "refuted irreducibility hypothesis supports no IrreducibleSet verdict"
+        )
+    if not established:
+        return INCONCLUSIVE, label, (
+            f"the hypothesis '{premise}' is neither verified nor asserted, and "
+            "an unestablished irreducibility hypothesis supports no "
+            "IrreducibleSet verdict"
+        )
+    return IRREDUCIBLE_SET, label, (
+        "no candidate hyperplane lies in Z(f); under the logged hypotheses "
+        "the zero set has no codimension-1 decomposition"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +529,14 @@ def classify_codim1(
     Certified hyperplanes are exact symbolic facts (the restriction of the
     function to the hyperplane is the zero exponential polynomial).  The
     completeness claim, that any further codimension-1 component would be one
-    of the candidates, is conditional on Schanuel's conjecture for inputs
-    with two or more exponentials; single-exponential and purely algebraic
-    inputs are unconditional.
+    of the candidates, rests on Schanuel's conjecture for inputs with two or
+    more exponentials and not for the others; the label also records every
+    hypothesis that was asserted or not verified (see ``_verdict``).
     """
     if p.is_zero():
         raise HypothesisViolation("cannot classify the zero polynomial")
     n = p.n
     log: list[HypothesisCheck] = []
-    notes: list[str] = []
 
     f = EPoly.from_poly(p)
     if f.is_zero():
@@ -483,99 +554,45 @@ def classify_codim1(
         # The zero set is algebraic in x (up to a nonvanishing exponential
         # factor); only the x-part hypotheses matter here.
         roots = _log_codim1(p, f, assume_codim1, log)
-        return _classify_degenerate(p, log, notes, attempts, seed, roots)
+        return _classify_degenerate(p, log, attempts, seed, roots)
 
     oracle = _log_irreducibility(p, assume_irreducible, attempts, seed, log)
     roots = _log_codim1(p, f, assume_codim1, log)
+    certified, rejected = _certify(f, cand)
+    single_exp = sum(kind == "u" for kind, _ in p.variables_used()) <= 1
 
-    certified: list[CertifiedHyperplane] = []
-    rejected: list[RejectedCandidate] = []
-    for m in cand:
-        if f.restrict(m).is_zero():
-            certified.append(
-                CertifiedHyperplane(
-                    m, "restriction to the hyperplane is the zero exponential polynomial"
-                )
-            )
-        else:
-            rejected.append(
-                RejectedCandidate(m, "restriction does not vanish identically")
-            )
-
-    u_used = sorted(i for kind, i in p.variables_used() if kind == "u")
-    single_exp = len(u_used) <= 1
-
+    notes: list[str] = []
     if n == 1:
         # One variable: the zero set is a finite set of points; the candidate
-        # {x1 = 0} can lie inside it without being a component, so component
-        # claims come from the unconditional single-exponential theory.
+        # {x1 = 0} can lie inside it without being a component.
         if certified:
             notes.append(
                 "the origin lies in the zero set (restriction to x1 = 0 vanishes); "
                 "a point is reported through the root certificates, not as a "
                 "component"
             )
-        oracle_ok = any(
-            h.name == "Z(p) irreducible" and h.status in ("verified", "asserted")
-            for h in log
-        )
-        if oracle_ok and roots is not None and roots:
-            verdict = IRREDUCIBLE_SET
-            residual = (
-                "the zero set is the finite set of certified roots; splitting off "
-                "any single transcendental point would need a defining equation "
-                "over Q, which Lindemann-type independence rules out"
-            )
-        else:
-            verdict = INCONCLUSIVE
-            residual = "hypotheses not established for the one-variable argument"
-        return ComponentReport(
-            verdict=verdict,
-            conditionality=_conditionality(UNCONDITIONAL, log),
-            hyperplanes=[],
-            rejected=rejected,
-            residual=residual,
-            hypothesis_log=log,
-            notes=notes,
-            roots=roots,
-        )
-
-    refuted = _refutation(oracle)
-    if certified:
-        verdict = HYPERPLANE_COMPONENTS
-        residual = (
-            "closure of Z(f) minus the listed hyperplanes; any further "
-            "codimension-1 component would be a certified candidate, and all "
-            "remaining candidates fail the vanishing certificate"
-        )
-    elif refuted:
-        verdict = INCONCLUSIVE
-        residual = refuted
-    else:
-        verdict = IRREDUCIBLE_SET
-        residual = (
-            "no candidate hyperplane lies in Z(f); under the logged hypotheses "
-            "the zero set has no codimension-1 decomposition"
-        )
-    if single_exp:
-        base = UNCONDITIONAL
+        certified = []
+    elif single_exp:
         notes.append(
             "single-exponential input: the classification is unconditional"
         )
+        if certified:
+            notes.append(
+                "components below codimension 1 may remain; they are not computed "
+                "symbolically"
+            )
     else:
-        base = CONDITIONAL_SCHANUEL
         notes.append(
             "multi-exponential input: completeness of the component list is "
             "conditional on Schanuel's conjecture"
         )
-    if verdict == HYPERPLANE_COMPONENTS and single_exp:
-        notes.append(
-            "components below codimension 1 may remain; they are not computed "
-            "symbolically"
-        )
+    verdict, conditionality, residual = _verdict(
+        UNCONDITIONAL if single_exp else CONDITIONAL_SCHANUEL,
+        log, oracle, n, roots, certified,
+    )
     return ComponentReport(
         verdict=verdict,
-        conditionality=_conditionality(base, log),
+        conditionality=conditionality,
         hyperplanes=certified,
         rejected=rejected,
         residual=residual,
@@ -588,7 +605,6 @@ def classify_codim1(
 def _classify_degenerate(
     p: Poly,
     log: list[HypothesisCheck],
-    notes: list[str],
     attempts: int,
     seed: int,
     roots,
@@ -599,48 +615,26 @@ def _classify_degenerate(
         p.n, {Mono(m.x, (0,) * p.n): c for m, c in p.terms.items()}
     )
     if any(d):
-        notes.append(
+        notes = [
             "single exponential monomial factor e^(d.x) never vanishes; the "
             "zero set equals the real zero set of the x-coefficient polynomial"
-        )
+        ]
     else:
-        notes.append("no exponential dependence: the zero set is algebraic in x")
+        notes = ["no exponential dependence: the zero set is algebraic in x"]
 
-    if x_part.is_constant():
-        verdict = INCONCLUSIVE
+    oracle = None
+    if not x_part.is_constant():
+        oracle = _log_irreducibility(
+            x_part, False, attempts, seed, log, "x-part irreducible"
+        )
+    verdict, conditionality, residual = _verdict(
+        UNCONDITIONAL, log, oracle, p.n, roots, [], premise="x-part irreducible"
+    )
+    if oracle is None:
         residual = "the x-part is a nonzero constant; the zero set is empty"
-    else:
-        oracle = irreducibility_oracle(x_part, attempts=attempts, seed=seed)
-        if oracle.status == "Irreducible":
-            verdict = IRREDUCIBLE_SET
-            residual = (
-                "the zero set equals an irreducible algebraic set (irreducible "
-                "algebraic hypersurfaces stay irreducible in the exponential "
-                "topology)"
-            )
-            log.append(
-                HypothesisCheck(
-                    "x-part irreducible", "verified", oracle.witness
-                )
-            )
-        elif oracle.status == "Reducible":
-            verdict = INCONCLUSIVE
-            residual = (
-                "the x-part factors; decomposing general algebraic sets is out "
-                "of scope"
-            )
-            log.append(HypothesisCheck("x-part irreducible", "failed", oracle.witness))
-        else:
-            verdict = INCONCLUSIVE
-            residual = "irreducibility of the x-part could not be decided"
-            log.append(
-                HypothesisCheck("x-part irreducible", "unverified", oracle.witness)
-            )
     return ComponentReport(
         verdict=verdict,
-        conditionality=_conditionality(UNCONDITIONAL, log),
-        hyperplanes=[],
-        rejected=[],
+        conditionality=conditionality,
         residual=residual,
         hypothesis_log=log,
         degenerate=True,
@@ -659,11 +653,14 @@ def classify_single_exp(
     attempts: int = 8,
     seed: int = 0,
 ) -> ComponentReport:
-    """Unconditional analysis for polynomials depending on u1 only.
+    """Analysis for polynomials depending on u1 only.
 
-    Components of the zero set either sit inside the hyperplane {x1 = 0} or
-    arise as projections of components of the lifted variety Z(p)
-    intersected with the graph {u1 = e^{x1}}.  The exact slice
+    The analysis is independent of Schanuel's conjecture; the label follows
+    the hypothesis log, which always holds the asserted dimension bound, and
+    the verdict comes from the same rule as in ``classify_codim1``
+    (``_verdict``).  Components of the zero set either sit inside the
+    hyperplane {x1 = 0} or arise as projections of components of the lifted
+    variety Z(p) intersected with the graph {u1 = e^{x1}}.  The exact slice
     p(0, x2..xn, 1) detects the {x1 = 0, u1 = 1} part: if it vanishes
     identically the whole slice lies in the intersection; if it is univariate
     it is split into components by exact factorization.
@@ -677,19 +674,18 @@ def classify_single_exp(
             f"found u{bad[0]}"
         )
     n = p.n
-    log: list[HypothesisCheck] = []
     notes: list[str] = [
         "the lifted variety Z(p) itself serves as the algebraic cover of the "
         "zero set; the dimension bound dim Z(p) <= dim Z(f) + 1 is recorded, "
         "not computed"
     ]
-    log.append(
+    log = [
         HypothesisCheck(
             "dim Z(p) <= dim Z(f) + 1",
             "asserted",
             "structural assumption of the single-exponential analysis",
         )
-    )
+    ]
 
     f = EPoly.from_poly(p)
     oracle = None
@@ -700,24 +696,9 @@ def classify_single_exp(
     # Exact slice p(0, x', 1).
     sliced = p.substitute_value("x", 1, 0).substitute_value("u", 1, 1)
     slice_zero = sliced.is_zero()
-
-    certified: list[CertifiedHyperplane] = []
-    rejected: list[RejectedCandidate] = []
+    axis = [Hyperplane((1,) + (0,) * (n - 1))] if n >= 2 else []
+    certified, rejected = _certify(f, axis)
     slice_components: list[SliceComponent] | None = None
-
-    if n >= 2:
-        axis = Hyperplane((1,) + (0,) * (n - 1))
-        if f.restrict(axis).is_zero():
-            certified.append(
-                CertifiedHyperplane(
-                    axis,
-                    "restriction to the hyperplane is the zero exponential polynomial",
-                )
-            )
-        else:
-            rejected.append(
-                RejectedCandidate(axis, "restriction does not vanish identically")
-            )
 
     if slice_zero:
         notes.append(
@@ -729,25 +710,22 @@ def classify_single_exp(
             "the slice polynomial p(0, x', 1) is a nonzero constant: the "
             "{x1 = 0, u1 = 1} slice contributes no points"
         )
+    elif len(sliced.variables_used()) == 1:
+        _, factors = factor_univariate(sliced)
+        slice_components = [
+            SliceComponent(fac, mult, _has_real_root(fac)) for fac, mult in factors
+        ]
+        real = [sc for sc in slice_components if sc.real_points]
+        notes.append(
+            f"the slice factors exactly into {len(factors)} irreducible "
+            f"parts, {len(real)} with real points; each real part is one "
+            "component of the slice"
+        )
     else:
-        used = sliced.variables_used()
-        if len(used) == 1:
-            _, factors = factor_univariate(sliced)
-            slice_components = [
-                SliceComponent(fac, mult, _has_real_root(fac))
-                for fac, mult in factors
-            ]
-            real = [sc for sc in slice_components if sc.real_points]
-            notes.append(
-                f"the slice factors exactly into {len(factors)} irreducible "
-                f"parts, {len(real)} with real points; each real part is one "
-                "component of the slice"
-            )
-        else:
-            notes.append(
-                "the slice polynomial has 2 or more variables; slice "
-                "decomposition beyond the univariate case is not attempted"
-            )
+        notes.append(
+            "the slice polynomial has 2 or more variables; slice "
+            "decomposition beyond the univariate case is not attempted"
+        )
 
     notes.append(
         "any further components are projections of components of "
@@ -755,68 +733,10 @@ def classify_single_exp(
         "like (c d)^n in the total degree d, with an unspecified absolute "
         "constant c"
     )
-
-    if n == 1:
-        oracle_ok = any(
-            h.name == "Z(p) irreducible" and h.status == "verified" for h in log
-        )
-        if oracle_ok and roots:
-            verdict = IRREDUCIBLE_SET
-            residual = "the zero set is the finite set of certified roots"
-        else:
-            verdict = INCONCLUSIVE
-            residual = "see the root certificates and the hypothesis log"
-        conditionality = (
-            UNCONDITIONAL
-            if oracle_ok
-            else CONDITIONAL_ASSERTED
-        )
-        return ComponentReport(
-            verdict=verdict,
-            conditionality=conditionality,
-            hyperplanes=[],
-            rejected=rejected,
-            residual=residual,
-            hypothesis_log=log,
-            notes=notes,
-            roots=roots,
-        )
-
-    refuted = _refutation(oracle)
-    if certified:
-        verdict = HYPERPLANE_COMPONENTS
-        residual = (
-            "closure of Z(f) minus the hyperplane x1 = 0; remaining components "
-            "have dimension below n-1 and come from the graph intersection"
-        )
-    elif slice_components is not None and any(sc.real_points for sc in slice_components):
-        verdict = INCONCLUSIVE
-        residual = (
-            "no codimension-1 hyperplane component; the zero set decomposes "
-            "through the listed slice components (below codimension 1)"
-        )
-    elif refuted:
-        verdict = INCONCLUSIVE
-        residual = refuted
-    else:
-        verdict = IRREDUCIBLE_SET
-        residual = (
-            "no hyperplane component and no slice contribution; under the "
-            "logged hypotheses the zero set does not decompose in "
-            "codimension 1"
-        )
-
-    # The hyperplane certificate and the slice factorization are exact
-    # symbolic facts; only completeness-style claims depend on the logged
-    # hypotheses, and those are structural rather than conjectural here.
-    conditionality = UNCONDITIONAL
-    if verdict == IRREDUCIBLE_SET and any(
-        h.status in ("asserted", "unverified", "failed")
-        for h in log
-        if h.name == "Z(p) irreducible"
-    ):
-        conditionality = CONDITIONAL_ASSERTED
-
+    verdict, conditionality, residual = _verdict(
+        UNCONDITIONAL, log, oracle, n, roots, certified,
+        slice_real=any(sc.real_points for sc in slice_components or []),
+    )
     return ComponentReport(
         verdict=verdict,
         conditionality=conditionality,

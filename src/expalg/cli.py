@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 input/parse error, 2 hypothesis violation
 (precondition of the requested analysis fails on this input), 3 internal
 invariant breach (never expected).
 
-Reports are versioned (schemaVersion 1) and byte-identical for identical
+Reports are versioned (schemaVersion 2) and byte-identical for identical
 (input, seed, mode); wall-clock timings are only included when --timings is
 given, since they would break reproducibility.
 """
@@ -46,7 +46,7 @@ from .parsing import (
     parse_poly,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_INPUT = 1

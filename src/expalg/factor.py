@@ -103,13 +103,6 @@ def dderiv(a: list) -> list:
     return dtrim([a[i] * i for i in range(1, len(a))])
 
 
-def deval(a: list, x):
-    acc = 0
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 def ddivmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list, list]:
     """Division with remainder over Q; b must be nonzero."""
     if not b:
@@ -163,10 +156,6 @@ def dprimitive(f: Sequence[Fraction]) -> tuple[Fraction, list[int]]:
 
 def gf_trunc(f: Sequence[int], p: int) -> list[int]:
     return dtrim([c % p for c in f])
-
-
-def gf_add(a, b, p):
-    return dtrim([c % p for c in dadd(list(a), list(b))])
 
 
 def gf_sub(a, b, p):
@@ -239,10 +228,6 @@ def gf_pow_mod(base, e: int, mod, p):
         if e:
             base = gf_rem(gf_mul(base, base, p), mod, p)
     return result
-
-
-def gf_is_squarefree(f, p) -> bool:
-    return ddeg(gf_gcd(f, gf_trunc(dderiv(list(f)), p), p)) == 0
 
 
 def gf_factor_squarefree(f, p: int, rng: random.Random) -> list[list[int]]:

@@ -73,16 +73,10 @@ class Interval:
     def excludes_zero(self) -> bool:
         return self.lo > 0.0 or self.hi < 0.0
 
-    def strictly_inside(self, other: Interval) -> bool:
-        return other.lo < self.lo and self.hi < other.hi
-
     def intersect(self, other: Interval) -> Interval | None:
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
         return Interval(lo, hi) if lo <= hi else None
-
-    def hull(self, other: Interval) -> Interval:
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     # -- arithmetic (outward rounded) --
 
@@ -111,15 +105,6 @@ class Interval:
         ]
         products = [0.0 if math.isnan(p) else p for p in products]  # 0 * inf
         return Interval(_down(min(products)), _up(max(products)))
-
-    def inverse(self) -> Interval:
-        """1/interval; requires the interval to exclude zero."""
-        if self.contains_zero():
-            raise ZeroDivisionError("interval contains zero")
-        return Interval(_down(1.0 / self.hi), _up(1.0 / self.lo))
-
-    def __truediv__(self, other: Interval) -> Interval:
-        return self * other.inverse()
 
     def pow_int(self, k: int) -> Interval:
         if k < 0:

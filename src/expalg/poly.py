@@ -32,7 +32,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
 from typing import NamedTuple, Union
 
 from .errors import DimensionError
@@ -320,19 +319,6 @@ class Poly:
         minx = tuple(min(m.x[j] for m in monos) for j in range(self.n))
         minu = tuple(min(m.u[j] for m in monos) for j in range(self.n))
         return Mono(minx, minu)
-
-    def rational_content(self) -> Fraction:
-        """gcd of numerators over lcm of denominators, with the leading sign."""
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = lcm(den, c.denominator)
-        content = Fraction(num, den)
-        _, lead = self.leading_term()
-        return content if lead > 0 else -content
 
 
 class Substitution:

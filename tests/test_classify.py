@@ -1,11 +1,16 @@
 """Classification drivers and the irreducibility oracle."""
 
 import random
+from itertools import product
 
 import pytest
 
 from expalg.classify import (
+    CertifiedHyperplane,
+    HypothesisCheck,
+    IrredVerdict,
     _specialize_to_line,
+    _verdict,
     classify_codim1,
     classify_single_exp,
     irreducibility_oracle,
@@ -13,6 +18,9 @@ from expalg.classify import (
 )
 from expalg.errors import DriverError, HypothesisViolation
 from expalg.factor import factor_dense
+from expalg.hyperplanes import Hyperplane
+from expalg.intervals import Interval
+from expalg.numeric import RootCert
 from expalg.parsing import format_poly, parse_poly
 
 
@@ -194,7 +202,8 @@ def test_single_exp_shifted_circle_components():
     ]
     assert sorted(comps) == [("x2 + 1", 2), ("x2 - 1", 2)]
     assert rep.hyperplanes == []
-    assert rep.conditionality == "Unconditional"
+    # The driver always logs its dimension bound as asserted.
+    assert rep.conditionality == "ConditionalOnAssertedHypotheses"
 
 
 def test_single_exp_umbrella_slice_vanishes():
@@ -213,3 +222,87 @@ def test_single_exp_line_reports_roots():
 def test_single_exp_rejects_multi_exponential_input():
     with pytest.raises(DriverError):
         classify_single_exp(parse_poly("x1*u2 + x2*u1 - x1 - x2"))
+
+
+# Every combination of the inputs _verdict reads.  The expected outcome is
+# the rule written out once more, in its order: n = 1 first, then certified
+# hyperplanes, real slice components, a refuted premise, an unestablished
+# premise, and IrreducibleSet last.
+PREMISES = ["verified", "asserted", "unverified", "failed", None]
+OTHER_HYPOTHESES = [None, "verified", "supported", "asserted", "unverified"]
+ROOT = RootCert(Interval(0.0, 0.0), "NewtonContraction", 0.0)
+PLANE = CertifiedHyperplane(Hyperplane((1, 0)), "restriction vanishes")
+DIVISOR = parse_poly("x1 + u2 - 1", 3)
+REFUTED = IrredVerdict("Reducible", witness="planted witness", factor=DIVISOR)
+
+
+def _expected(n, premise, certified, slice_real, roots):
+    """(verdict, a phrase of the residual) of the first rule that applies."""
+    established = premise in ("verified", "asserted")
+    if n == 1:
+        if established and roots:
+            return "IrreducibleSet", "finite set of certified roots"
+        return "Inconclusive", "one-variable argument"
+    if certified:
+        return "HyperplaneComponents", "minus the listed hyperplanes"
+    if slice_real:
+        return "Inconclusive", "through the listed slice components"
+    if premise == "failed":
+        # A refuted premise is quoted with the oracle's witness and divisor.
+        return "Inconclusive", "reducible over Q (planted witness; divisor x1 + u2 - 1)"
+    if not established:
+        return "Inconclusive", "neither verified nor asserted"
+    return "IrreducibleSet", "no codimension-1 decomposition"
+
+
+@pytest.mark.parametrize("premise_name", ["Z(p) irreducible", "x-part irreducible"])
+def test_verdict_rule_table(premise_name):
+    rows = product(
+        [1, 2], PREMISES, [False, True], [False, True], [None, [], [ROOT]],
+        OTHER_HYPOTHESES, ["Unconditional", "ConditionalOnSchanuel"],
+    )
+    for n, premise, certified, slice_real, roots, other, base in rows:
+        log = []
+        if other is not None:
+            log.append(HypothesisCheck("dim Z(f) = n-1", other))
+        if premise is not None:
+            log.append(HypothesisCheck(premise_name, premise))
+        oracle = REFUTED if premise == "failed" else None
+        verdict, conditionality, residual = _verdict(
+            base, log, oracle, n, roots, [PLANE] if certified else [],
+            slice_real=slice_real, premise=premise_name,
+        )
+        case = (n, premise, certified, slice_real, roots, other, base)
+        expected_verdict, phrase = _expected(n, premise, certified, slice_real, roots)
+        assert verdict == expected_verdict, case
+        assert phrase in residual, case
+        weak = {premise, other} & {"asserted", "unverified", "failed"}
+        expected_label = "ConditionalOnAssertedHypotheses" if weak else base
+        assert conditionality == expected_label, case
+
+
+def test_verdict_reads_only_the_named_premise():
+    # A verified hypothesis under another name does not establish the premise.
+    log = [HypothesisCheck("x-part irreducible", "verified")]
+    verdict, conditionality, _ = _verdict("Unconditional", log, None, 2, None, [])
+    assert (verdict, conditionality) == ("Inconclusive", "Unconditional")
+    verdict, _, _ = _verdict(
+        "Unconditional", log, None, 2, None, [], premise="x-part irreducible"
+    )
+    assert verdict == "IrreducibleSet"
+
+
+def test_reducible_x_part_quotes_its_divisor():
+    rep = classify_codim1(parse_poly("(x1 - 1)*(x2 - 2)*u1"))
+    assert rep.degenerate and rep.verdict == "Inconclusive"
+    statuses = {h.name: h.status for h in rep.hypothesis_log}
+    assert statuses["x-part irreducible"] == "failed"
+    divisor = parse_poly(rep.residual.split("divisor ")[1].split(")")[0], 2)
+    assert trial_divide(parse_poly("(x1 - 1)*(x2 - 2)", 2), divisor) is not None
+
+
+def test_single_exp_constant_is_inconclusive():
+    # No irreducibility premise is ever logged for a constant.
+    rep = classify_single_exp(parse_poly("3", 2))
+    assert rep.verdict == "Inconclusive"
+    assert "Z(p) irreducible" not in {h.name for h in rep.hypothesis_log}

@@ -15,7 +15,7 @@ def test_canon_poly_and_epoly(capsys):
     code, out, _ = run_cli(capsys, ["canon", "2*x1 - u1 + 1"])
     assert code == 0
     report = json.loads(out)
-    assert report["schemaVersion"] == 1
+    assert report["schemaVersion"] == 2
     assert report["result"] == {"canonical": "2*x1 - u1 + 1", "kind": "poly"}
 
     code, out, _ = run_cli(capsys, ["canon", "2*x1 + 1 - exp(x1)"])
@@ -131,3 +131,38 @@ def test_classify1e_summary_parenthesizes_repeated_slice_factors(capsys):
     assert "slice factor (x2 + 1)^2: component" in err
     factors = json.loads(out)["result"]["sliceComponents"]
     assert factors == [{"factor": "x2 + 1", "multiplicity": 2, "realPoints": True}]
+
+
+def test_classify_unknown_oracle_is_inconclusive(capsys):
+    # A planted product on 6 active variables: the oracle's divisor hunt is
+    # skipped, so it answers Unknown, and an unverified premise supports no
+    # IrreducibleSet verdict.
+    text = "(x1*u2 - 2*x2 - x3 + 1)*(x1 + x3*u4 + 4*x4 - 3)"
+    code, out, err = run_cli(capsys, ["classify", "--ambient", "4", "--", text])
+    assert code == 0
+    report = json.loads(out)
+    statuses = {h["hypothesis"]: h["status"] for h in report["hypothesisLog"]}
+    assert statuses["Z(p) irreducible"] == "unverified"
+    assert report["result"]["verdict"] == "Inconclusive"
+    assert report["result"]["conditionality"] == "ConditionalOnAssertedHypotheses"
+    assert err.startswith("verdict: Inconclusive (ConditionalOnAssertedHypotheses)")
+
+
+def test_classify_empty_algebraic_zero_set_is_inconclusive(capsys):
+    code, out, _ = run_cli(capsys, ["classify", "x1^2 + 1"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["degenerate"] and result["roots"] == []
+    assert result["verdict"] == "Inconclusive"
+
+
+def test_both_drivers_agree_on_the_two_point_line(capsys):
+    results = []
+    for command in ("classify", "classify1e"):
+        code, out, _ = run_cli(capsys, [command, "2*x1 - u1 + 1"])
+        assert code == 0
+        results.append(json.loads(out)["result"])
+    codim1, single = results
+    assert codim1["verdict"] == single["verdict"] == "IrreducibleSet"
+    assert codim1["residual"] == single["residual"]
+    assert codim1["roots"] == single["roots"]
