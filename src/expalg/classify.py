@@ -574,7 +574,8 @@ def classify_codim1(
         certified = []
     elif single_exp:
         notes.append(
-            "single-exponential input: the classification is unconditional"
+            "single-exponential input: the classification does not rest on "
+            "Schanuel's conjecture"
         )
         if certified:
             notes.append(

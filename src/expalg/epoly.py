@@ -29,7 +29,7 @@ table) for all the coefficients.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import chain
 
@@ -208,14 +208,38 @@ class EPoly:
 
     def eval_float(self, point: Sequence[float]) -> float:
         """Floating-point value at a point of n coordinates."""
-        if len(point) != self.n:
-            raise DimensionError(f"point length {len(point)} != {self.n}")
-        full = list(point) + [0.0] * self.n  # u-block unused in coefficients
-        acc = 0.0
-        for spec, a in self.terms.items():
-            dot = sum(float(q) * v for q, v in zip(spec, point))
-            acc += a.eval(full) * math.exp(dot)
-        return acc
+        return self.float_evaluator()(point)
+
+    def float_evaluator(self) -> Callable[[Sequence[float]], float]:
+        """The float value as a function of the point, for many points.
+
+        Every coefficient and spectrum entry is converted to float once, here,
+        rather than at each point.
+        """
+        n = self.n
+        compiled = [
+            (
+                [float(q) for q in spec],
+                [(float(c), [(j, e) for j, e in enumerate(m.x) if e]) for m, c in a.terms.items()],
+            )
+            for spec, a in self.terms.items()
+        ]
+
+        def value(point: Sequence[float]) -> float:
+            if len(point) != n:
+                raise DimensionError(f"point length {len(point)} != {n}")
+            acc = 0.0
+            for spec, monos in compiled:
+                dot = sum(q * v for q, v in zip(spec, point))
+                coeff = None
+                for term, powers in monos:
+                    for j, e in powers:
+                        term = term * point[j] ** e
+                    coeff = term if coeff is None else coeff + term
+                acc += coeff * math.exp(dot)
+            return acc
+
+        return value
 
     def coefficient_groups(
         self, point: Sequence[RatLike]

@@ -5,7 +5,10 @@ ulp outward (two ulps for exp, whose libm error is not formally bounded to a
 half ulp).  Rigorous mode works on Fraction endpoints: ring operations are
 exact, exp is enclosed by an argument-reduced Taylor series with an explicit
 Lagrange remainder, and endpoints are rounded outward to a fixed dyadic
-precision after each step so denominators stay bounded.
+precision after each step so denominators stay bounded.  Every intermediate
+value of that exp enclosure lies on a dyadic grid, so it is computed in
+integer fixed point (the numerators over a power of two) and only the two
+returned endpoints become Fractions.
 
 Overflow in fast mode widens to an infinite endpoint rather than raising.
 """
@@ -238,13 +241,11 @@ class Box:
 
 
 def round_down(x: Fraction, bits: int = RIGOROUS_BITS) -> Fraction:
-    scaled = x * (1 << bits)
-    return Fraction(scaled.numerator // scaled.denominator, 1 << bits)
+    return Fraction((x.numerator << bits) // x.denominator, 1 << bits)
 
 
 def round_up(x: Fraction, bits: int = RIGOROUS_BITS) -> Fraction:
-    scaled = x * (1 << bits)
-    return Fraction(-((-scaled.numerator) // scaled.denominator), 1 << bits)
+    return Fraction(-((-x.numerator << bits) // x.denominator), 1 << bits)
 
 
 class RatInterval:
@@ -332,37 +333,46 @@ def exp_bounds(q: Fraction, bits: int = RIGOROUS_BITS) -> tuple[Fraction, Fracti
     square the enclosure k times.  Negative arguments go through the exact
     reciprocal.  All intermediate endpoints are rounded outward to the dyadic
     grid at a few guard bits beyond the target.
+
+    Each value on a grid of b bits is held as the integer numerator over 2^b
+    (integer fixed point), so every step is one floor or ceiling division
+    and the sums are integer additions; the enclosure is the one that exact
+    rational steps rounded outward to the same grids give.
     """
     if q == 0:
         return Fraction(1), Fraction(1)
     if q < 0:
         lo, hi = exp_bounds(-q, bits)
         work = bits + 8
-        return round_down(Fraction(1) / hi, work), round_up(Fraction(1) / lo, work)
+        return (
+            Fraction((hi.denominator << work) // hi.numerator, 1 << work),
+            Fraction(-((-lo.denominator << work) // lo.numerator), 1 << work),
+        )
 
-    k = 0
-    r = q
-    quarter = Fraction(1, 4)
-    while r > quarter:
-        r /= 2
+    # k is the least integer with r = a / (b 2^k) <= 1/4.
+    a, b = q.numerator, q.denominator
+    k = max(0, (4 * a).bit_length() - b.bit_length())
+    if b << k < 4 * a:
         k += 1
+    div = b << k
 
     work = bits + 2 * k + 16
     guard = work + 16
-    target = Fraction(1, 1 << (work - 4))
-    term_lo = term_hi = Fraction(1)
-    lo_sum = hi_sum = Fraction(1)
+    # Numerators over 2^guard; the loop stops once the next term is at most
+    # 2^-(work - 4) = 2^20 / 2^guard.
+    term_lo = term_hi = lo_sum = hi_sum = 1 << guard
     i = 0
-    while term_hi > target:
+    while term_hi > 1 << 20:
         i += 1
-        term_lo = round_down(term_lo * r / i, guard)
-        term_hi = round_up(term_hi * r / i, guard)
-        lo_sum = round_down(lo_sum + term_lo, guard)
-        hi_sum = round_up(hi_sum + term_hi, guard)
-    tail = round_up(term_hi * Fraction(4, 3), guard)
-    lo = round_down(lo_sum, work)
-    hi = round_up(hi_sum + tail, work)
+        term_lo = term_lo * a // (div * i)
+        term_hi = -(-term_hi * a // (div * i))
+        lo_sum += term_lo
+        hi_sum += term_hi
+    tail = -(-4 * term_hi // 3)
+    lo = lo_sum >> 16
+    hi = -(-(hi_sum + tail) >> 16)
 
+    # Numerators over 2^work.
     for _ in range(k):
-        lo, hi = round_down(lo * lo, work), round_up(hi * hi, work)
-    return lo, hi
+        lo, hi = lo * lo >> work, -(-hi * hi >> work)
+    return Fraction(lo, 1 << work), Fraction(hi, 1 << work)

@@ -267,24 +267,31 @@ def sign_at_rational(f: EPoly, pt: Sequence, max_bits: int = 4096) -> int:
     groups = f.coefficient_groups([Fraction(v) for v in pt])
     if not groups:
         return 0
+    # The sign is that of the sum scaled by the common denominator of the
+    # c_t, so the sums run on integers: each exp bound is n / 2^m.
+    scale = math.lcm(*(c.denominator for c in groups.values()))
+    coeffs = [(t, c.numerator * (scale // c.denominator)) for t, c in groups.items()]
     bits = 96
     while bits <= max_bits:
-        lo = Fraction(0)
-        hi = Fraction(0)
-        for t, c in groups.items():
+        lo_terms, hi_terms = [], []
+        for t, c in coeffs:
             elo, ehi = exp_bounds(t, bits)
-            if c >= 0:
-                lo += c * elo
-                hi += c * ehi
-            else:
-                lo += c * ehi
-                hi += c * elo
-        if lo > 0:
+            if c < 0:
+                elo, ehi = ehi, elo
+            lo_terms.append((c * elo.numerator, elo.denominator))
+            hi_terms.append((c * ehi.numerator, ehi.denominator))
+        if _dyadic_sum(lo_terms) > 0:
             return 1
-        if hi < 0:
+        if _dyadic_sum(hi_terms) < 0:
             return -1
         bits *= 2
     raise InternalInvariantError("sign refinement exhausted precision budget")
+
+
+def _dyadic_sum(terms: list[tuple[int, int]]) -> int:
+    """Sum of n / d over (n, d) with every d a power of two, times the largest d."""
+    top = max(d for _, d in terms).bit_length()
+    return sum(n << (top - d.bit_length()) for n, d in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +478,12 @@ def brute_force_sign_scan(
 ) -> int:
     """Independent root count oracle: strict sign changes plus exact grid zeros."""
     lo, hi = domain
+    value = f.float_evaluator()
     count = 0
     steps = int(round((hi - lo) / step))
     prev = None
     for k in range(steps + 1):
-        v = f.eval_float([lo + k * step])
+        v = value([lo + k * step])
         if v == 0.0:
             count += 1
             prev = None  # do not double-count the crossing around an exact hit

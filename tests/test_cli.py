@@ -166,3 +166,18 @@ def test_both_drivers_agree_on_the_two_point_line(capsys):
     assert codim1["verdict"] == single["verdict"] == "IrreducibleSet"
     assert codim1["residual"] == single["residual"]
     assert codim1["roots"] == single["roots"]
+
+
+def test_single_exponential_note_leaves_the_label_to_the_log(capsys):
+    # dim Z(f) = n-1 stays unverified at n = 3, so the label is conditional
+    # on that hypothesis; the note only says Schanuel's conjecture is not
+    # needed, and no longer calls the classification unconditional.
+    text = "(x3)*(-5) + (u3 - 1)*(2*x1*x2*u3 + 3*x1*x2 - 4*x1 - u3)"
+    code, out, _ = run_cli(capsys, ["classify", "--ambient", "3", "--", text])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["conditionality"] == "ConditionalOnAssertedHypotheses"
+    assert result["notes"][0] == (
+        "single-exponential input: the classification does not rest on Schanuel's conjecture"
+    )
+    assert not any("unconditional" in note for note in result["notes"])

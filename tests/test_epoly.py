@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -11,7 +12,7 @@ from expalg.hyperplanes import Hyperplane, primitive_normalize
 from expalg.parsing import format_epoly, parse_epoly, parse_poly
 from expalg.poly import Poly
 
-from util import embed_on_hyperplane, rand_epoly, rand_point, rand_poly
+from util import embed_on_hyperplane, rand_epoly, rand_point, rand_poly, reference_eval_float
 
 
 def test_expand_groups_by_u_exponents():
@@ -203,3 +204,26 @@ def test_restrict_dimension_checks():
         f.restrict(Hyperplane((1, 0)))
     with pytest.raises(HyperplaneError):
         Hyperplane((0, 0))
+
+
+def outcome(fn, pt) -> str:
+    """repr of the value (telling -0.0 from 0.0, nan equal to nan) or of the exception type."""
+    try:
+        return repr(fn(pt))
+    except OverflowError as exc:
+        return repr(type(exc))
+
+
+def test_float_evaluation_is_bit_identical_to_the_reference():
+    rng = random.Random(41)
+    coords = [0.0, -0.0, 1.0, -2.5, 1e-300, 3.0e5, -3.0e5, 705.0, -705.0, 800.0]
+    for _ in range(150):
+        n = rng.choice((1, 2, 3))
+        f = rand_epoly(rng, n, max_terms=5, max_exp=3)
+        value = f.float_evaluator()
+        for _ in range(6):
+            pt = [rng.choice(coords) if rng.random() < 0.3 else rng.uniform(-40.0, 40.0) for _ in range(n)]
+            expected = outcome(partial(reference_eval_float, f), pt)
+            assert outcome(value, pt) == outcome(f.eval_float, pt) == expected
+    with pytest.raises(DimensionError):
+        value([0.0] * (n + 1))

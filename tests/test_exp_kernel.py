@@ -1,0 +1,174 @@
+"""Bit identity of the fixed-point exp kernel and of exact signs.
+
+``intervals.exp_bounds``, ``round_down`` and ``round_up`` work on scaled
+integers; the Fraction versions in ``util`` round every step the same way
+on normalized Fractions.  The two must return equal Fractions.  The module
+needs no pytest, so it also runs as a script on an interpreter without it:
+
+    PYTHONPATH=src python3 tests/test_exp_kernel.py
+"""
+
+import random
+import sys
+from fractions import Fraction
+
+from expalg import numeric
+from expalg.epoly import EPoly
+from expalg.intervals import exp_bounds, round_down, round_up
+from expalg.numeric import sign_at_rational
+from expalg.parsing import parse_epoly
+
+from util import (
+    rand_epoly,
+    rand_fraction,
+    reference_exp_bounds,
+    reference_round_down,
+    reference_round_up,
+)
+
+EPS = Fraction(1, 10**30)
+QUARTER = Fraction(1, 4)
+SPECIAL = [
+    Fraction(0),
+    QUARTER,
+    -QUARTER,
+    QUARTER - EPS,
+    QUARTER + EPS,
+    -QUARTER - EPS,
+    -QUARTER + EPS,
+    Fraction(1, 2),  # dyadic, one halving
+    Fraction(-5, 16),
+    Fraction(3, 1 << 40),
+    Fraction(1, 3),  # non-dyadic
+    Fraction(-7, 3),
+    EPS,
+    -EPS,
+    Fraction(1000),
+    Fraction(-1000),
+]
+# The precisions sign_at_rational asks for (96 bits, doubled while within
+# its 4096-bit budget), and the budget itself; the high ones on fewer q.
+BITS = [96, 192, 384, 768, 1536]
+HIGH_BITS = [3072, 4096]
+HIGH_Q = [QUARTER + EPS, -QUARTER - EPS, Fraction(1, 3), Fraction(1000), Fraction(-1000)]
+# e to 60 significant digits, cut off: e - E60 is about 7.6e-60 (2^-196).
+E60 = Fraction("2.71828182845904523536028747135266249775724709369995957496696")
+
+
+def random_qs(seed: int, count: int) -> list[Fraction]:
+    rng = random.Random(seed)
+    qs = []
+    for _ in range(count):
+        qs.append(Fraction(rng.randint(-4000, 4000), rng.randint(1, 997)))
+        qs.append(Fraction(rng.randint(-(1 << 40), 1 << 40), 1 << rng.randint(34, 50)))
+    return qs
+
+
+def test_exp_bounds_special_arguments():
+    for q in SPECIAL:
+        for bits in BITS:
+            assert exp_bounds(q, bits) == reference_exp_bounds(q, bits), (q, bits)
+
+
+def test_exp_bounds_high_precision():
+    for q in HIGH_Q:
+        for bits in HIGH_BITS:
+            assert exp_bounds(q, bits) == reference_exp_bounds(q, bits), (q, bits)
+
+
+def test_exp_bounds_seeded_arguments():
+    for i, q in enumerate(random_qs(20, 40)):
+        bits = BITS[i % 3]
+        assert exp_bounds(q, bits) == reference_exp_bounds(q, bits), (q, bits)
+
+
+def test_exp_bounds_encloses_e_at_60_digits():
+    lo, hi = exp_bounds(Fraction(1), 384)
+    assert hi - lo < Fraction(1, 1 << 380)
+    # E60 falls short of e by less than 10^-59, by far more than the width.
+    assert E60 < lo <= hi < E60 + Fraction(1, 10**59)
+
+
+def test_rounding_matches_fraction_reference():
+    rng = random.Random(21)
+    values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(-1, 3), EPS, -EPS]
+    values += [Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**9)) for _ in range(200)]
+    for x in values:
+        for bits in (0, 1, 96, 1024):
+            assert round_down(x, bits) == reference_round_down(x, bits), (x, bits)
+            assert round_up(x, bits) == reference_round_up(x, bits), (x, bits)
+
+
+def reference_sign(f: EPoly, pt, max_bits: int = 4096) -> tuple[int, int]:
+    """Sign of f at a rational point from Fraction sums, with the deciding precision."""
+    groups = f.coefficient_groups(pt)
+    if not groups:
+        return 0, 0
+    bits = 96
+    while bits <= max_bits:
+        lo = hi = Fraction(0)
+        for t, c in groups.items():
+            elo, ehi = reference_exp_bounds(t, bits)
+            lo += c * (elo if c >= 0 else ehi)
+            hi += c * (ehi if c >= 0 else elo)
+        if lo > 0:
+            return 1, bits
+        if hi < 0:
+            return -1, bits
+        bits *= 2
+    raise AssertionError("reference ran out of precision")
+
+
+def precisions_asked(f: EPoly, pt) -> tuple[int, list[int]]:
+    """sign_at_rational(f, pt) and the precision of each exp_bounds call it made."""
+    asked = []
+
+    def spy(t, bits):
+        asked.append(bits)
+        return exp_bounds(t, bits)
+
+    numeric.exp_bounds = spy
+    try:
+        return sign_at_rational(f, pt), asked
+    finally:
+        numeric.exp_bounds = exp_bounds
+
+
+def test_sign_matches_fraction_sum_on_seeded_inputs():
+    rng = random.Random(22)
+    for _ in range(60):
+        n = rng.choice((1, 2))
+        f = rand_epoly(rng, n)
+        pt = [rand_fraction(rng, span=3, den=7) for _ in range(n)]
+        assert sign_at_rational(f, pt) == reference_sign(f, pt)[0]
+
+
+def test_sign_with_precision_doublings():
+    # A lower bound for e from the 1024-bit enclosure falls short of e by
+    # less than 2^-1024, so its sign takes several doublings.
+    e_1024 = reference_exp_bounds(Fraction(1), 1024)[0]
+    for approx, decided in ((E60, 192), (e_1024, 1536)):
+        # D*e^x1 - N with approx = N/D: the sign at x1 = 1 is that of e - approx.
+        for text, sign in (
+            (f"{approx.denominator}*u1 - {approx.numerator}", 1),
+            (f"{approx.numerator} - {approx.denominator}*u1", -1),
+        ):
+            f = parse_epoly(text, 1)
+            assert reference_sign(f, [1]) == (sign, decided)
+            got, asked = precisions_asked(f, [1])
+            assert got == sign
+            # t = 1 and t = 0 at each precision, doubling from 96 bits
+            assert asked == [b for b in BITS if b <= decided for _ in range(2)]
+
+
+def test_sign_of_exact_zero_needs_no_enclosure():
+    f = parse_epoly("2*x1*u1 - u1", 1)
+    assert precisions_asked(f, [Fraction(1, 2)]) == (0, [])
+
+
+if __name__ == "__main__":
+    tests = [(k, v) for k, v in sorted(globals().items()) if k.startswith("test_")]
+    for name, test in tests:
+        test()
+        print(f"ok  {name}")
+    print(f"{len(tests)} passed on Python {sys.version.split()[0]}")

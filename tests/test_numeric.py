@@ -293,3 +293,34 @@ def test_transversality_unchanged_on_corpus_inputs():
             for j in range(i + 1, n + 1)
         )
         assert (rep.verdict == "Transverse") == (margin > 1e-6 and decisive)
+
+
+def test_box_enclosures_reach_the_exact_sign_at_rational_points():
+    """Both backends of a plan agree with sign_at_rational inside dyadic boxes.
+
+    f(q) lies in every sound enclosure of a box holding q, so a positive
+    exact sign needs hi > 0, a negative one lo < 0, and a zero one both.
+    """
+    rng = random.Random(51)
+    seen = {-1: 0, 0: 0, 1: 0}
+    for case in range(60):
+        n = 1 + case % 2
+        f = rand_epoly(rng, n)
+        lows = [Fraction(rng.randint(-16, 16), 8) for _ in range(n)]
+        widths = [Fraction(1, 1 << rng.randint(0, 6)) for _ in range(n)]
+        if case % 3 == 0:
+            # a factor (x1 - c) with dyadic c in the box: f vanishes on x1 = c
+            c = lows[0] + widths[0] * Fraction(rng.randint(0, 4), 4)
+            f = f * parse_epoly(f"{c.denominator}*x1 + ({-c.numerator})", n)
+        bounds = [(float(lo), float(lo + w)) for lo, w in zip(lows, widths)]
+        enclosures = [EvalPlan.of_epoly(f)(bounds), EvalPlan.of_epoly(f, exact=True)(bounds)]
+        for _ in range(3):
+            pt = [lo + w * Fraction(rng.randint(0, 7), 7) for lo, w in zip(lows, widths)]
+            if case % 3 == 0 and rng.random() < 0.5:
+                pt[0] = c
+            sign = sign_at_rational(f, pt)
+            seen[sign] += 1
+            for lo, hi in enclosures:
+                assert (sign <= 0 or hi > 0) and (sign >= 0 or lo < 0)
+                assert sign != 0 or lo <= 0.0 <= hi
+    assert min(seen.values()) >= 10, seen

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -53,6 +54,22 @@ def embed_on_hyperplane(normal: tuple[int, ...], rest_values) -> list[float]:
         full[j] = value
     full[pivot] = -sum(normal[j] * full[j] for j in rest) / normal[pivot]
     return full
+
+
+def reference_eval_float(f: EPoly, point) -> float:
+    """Float value of f, converting every coefficient at each call.
+
+    ``EPoly.eval_float`` and ``EPoly.float_evaluator`` must reproduce it
+    bit for bit at float points.
+    """
+    if len(point) != f.n:
+        raise DimensionError(f"point length {len(point)} != {f.n}")
+    full = list(point) + [0.0] * f.n  # u-block unused in coefficients
+    acc = 0.0
+    for spec, a in f.terms.items():
+        dot = sum(float(q) * v for q, v in zip(spec, point))
+        acc += a.eval(full) * math.exp(dot)
+    return acc
 
 
 def rand_epoly(rng: random.Random, n: int, max_terms: int = 4, max_exp: int = 2) -> EPoly:
@@ -147,3 +164,57 @@ class ReferenceTightEvaluator:
         if out is None:
             raise InternalInvariantError("sound enclosures are disjoint")
         return out
+
+
+# ---------------------------------------------------------------------------
+# Reference rigorous exp: one normalized Fraction per Taylor step, each
+# rounded outward to its dyadic grid.  ``intervals.exp_bounds``,
+# ``round_down`` and ``round_up`` must reproduce it bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_round_down(x: Fraction, bits: int) -> Fraction:
+    scaled = x * (1 << bits)
+    return Fraction(scaled.numerator // scaled.denominator, 1 << bits)
+
+
+def reference_round_up(x: Fraction, bits: int) -> Fraction:
+    scaled = x * (1 << bits)
+    return Fraction(-((-scaled.numerator) // scaled.denominator), 1 << bits)
+
+
+def reference_exp_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """Lower/upper bounds for e^q, as ``exp_bounds`` defines them."""
+    if q == 0:
+        return Fraction(1), Fraction(1)
+    if q < 0:
+        lo, hi = reference_exp_bounds(-q, bits)
+        work = bits + 8
+        return (
+            reference_round_down(Fraction(1) / hi, work),
+            reference_round_up(Fraction(1) / lo, work),
+        )
+    k = 0
+    r = q
+    quarter = Fraction(1, 4)
+    while r > quarter:
+        r /= 2
+        k += 1
+    work = bits + 2 * k + 16
+    guard = work + 16
+    target = Fraction(1, 1 << (work - 4))
+    term_lo = term_hi = Fraction(1)
+    lo_sum = hi_sum = Fraction(1)
+    i = 0
+    while term_hi > target:
+        i += 1
+        term_lo = reference_round_down(term_lo * r / i, guard)
+        term_hi = reference_round_up(term_hi * r / i, guard)
+        lo_sum = reference_round_down(lo_sum + term_lo, guard)
+        hi_sum = reference_round_up(hi_sum + term_hi, guard)
+    tail = reference_round_up(term_hi * Fraction(4, 3), guard)
+    lo = reference_round_down(lo_sum, work)
+    hi = reference_round_up(hi_sum + tail, work)
+    for _ in range(k):
+        lo, hi = reference_round_down(lo * lo, work), reference_round_up(hi * hi, work)
+    return lo, hi
