@@ -35,14 +35,15 @@ hypothesis log rather than treated as proof.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
-from math import gcd
+from math import gcd, lcm
 
 from .epoly import EPoly
-from .errors import DriverError, HypothesisViolation
+from .errors import DimensionError, DriverError, HypothesisViolation
 from .factor import (
     count_real_roots,
     dadd,
@@ -179,32 +180,72 @@ def _int_nth_root(v: int, k: int) -> int | None:
 
 
 def trial_divide(p: Poly, d: Poly) -> Poly | None:
-    """Exact quotient p / d under graded-lex leading-term division, or None."""
-    quo = Poly.zero(p.n)
-    rem = p
+    """Exact quotient p / d under graded-lex leading-term division, or None.
+
+    The remainder is one dict, changed in place; a heap of negated grlex keys
+    yields its leading monomial (entries of monomials that cancelled are
+    skipped).  Each step removes the leading monomial and adds only smaller
+    ones, so the loop ends because grlex is a well-order.  If d divides p,
+    every remainder is a multiple of d and its leading monomial is divisible
+    by d's; the first one that is not proves d does not divide p.
+    """
+    if p.n != d.n:
+        raise DimensionError(f"ambient mismatch: {p.n} != {d.n}")
     lead_d, c_d = d.leading_term()
-    guard = len(p.terms) * (len(d.terms) + 1) + 16
-    for _ in range(guard):
-        if rem.is_zero():
-            return quo
-        lead_r, c_r = rem.leading_term()
+    tail_d = [(m, c) for m, c in d.terms.items() if m != lead_d]
+    rem = dict(p.terms)
+    heap = [(_desc_key(m), m) for m in rem]
+    heapq.heapify(heap)
+    quo: list[tuple[Mono, Fraction]] = []
+    while heap:
+        lead_r = heapq.heappop(heap)[1]
+        c_r = rem.pop(lead_r, None)
+        if c_r is None:
+            continue
         diff_x = tuple(a - b for a, b in zip(lead_r.x, lead_d.x))
         diff_u = tuple(a - b for a, b in zip(lead_r.u, lead_d.u))
-        if any(e < 0 for e in diff_x) or any(e < 0 for e in diff_u):
+        if min(diff_x, default=0) < 0 or min(diff_u, default=0) < 0:
             return None
-        t = Poly(p.n, {Mono(diff_x, diff_u): c_r / c_d})
-        quo = quo + t
-        rem = rem - t * d
-    return None
+        c_q = c_r / c_d
+        quo.append((Mono(diff_x, diff_u), c_q))
+        for m, c in tail_d:
+            mono = Mono(
+                tuple(a + b for a, b in zip(diff_x, m.x)),
+                tuple(a + b for a, b in zip(diff_u, m.u)),
+            )
+            v = c_q * c
+            prev = rem.get(mono)
+            if prev is None:
+                rem[mono] = -v
+                heapq.heappush(heap, (_desc_key(mono), mono))
+            elif prev == v:
+                del rem[mono]
+            else:
+                rem[mono] = prev - v
+    return Poly(p.n, quo)
 
 
-def _linear_candidates(p: Poly, height: int = 2, max_active: int = 5):
-    """Primitive affine forms in the active variables, small coefficients."""
+def _desc_key(m: Mono) -> tuple:
+    """Key whose ascending order is descending graded-lex order."""
+    return (-m.degree, tuple(-e for e in m.x), tuple(-e for e in m.u))
+
+
+def _linear_candidates(p: Poly, lines, height: int = 2, max_active: int = 5):
+    """Primitive affine forms in the active variables, small coefficients.
+
+    Only forms that pass every line of ``lines`` (see ``_line_filter``) are
+    built; every divisor of p passes them all.
+    """
     active = sorted(p.variables_used())
     if not active or len(active) > max_active:
         return
     span = range(-height, height + 1)
     n = p.n
+    pos = [idx - 1 if kind == "x" else n + idx - 1 for kind, idx in active]
+    filters = [
+        ([A[j] for j in pos], [B[j] for j in pos], l_b, roots)
+        for A, B, l_b, roots in lines
+    ]
     for consts in iter_product(span, repeat=len(active) + 1):
         coeffs, const = consts[:-1], consts[-1]
         if all(c == 0 for c in coeffs):
@@ -217,6 +258,8 @@ def _linear_candidates(p: Poly, height: int = 2, max_active: int = 5):
             g = gcd(g, abs(c))
         if g != 1:
             continue
+        if not all(_may_divide(coeffs, const, f) for f in filters):
+            continue
         terms = {}
         if const:
             terms[Mono((0,) * n, (0,) * n)] = Fraction(const)
@@ -228,6 +271,41 @@ def _linear_candidates(p: Poly, height: int = 2, max_active: int = 5):
             mono = Mono(tuple(e), (0,) * n) if kind == "x" else Mono((0,) * n, tuple(e))
             terms[mono] = Fraction(c)
         yield Poly(n, terms)
+
+
+def _line_filter(a: list[Fraction], b: list[Fraction], factors) -> tuple:
+    """What the divisor hunt keeps of a line whose image it has factored.
+
+    A divisor L = c.v + c0 of p restricts on the line v = a t + b to a
+    divisor alpha t + beta of the line's image, which is nonzero.  So either
+    alpha = 0 and beta != 0, or -beta/alpha is a rational root of the image,
+    that is -g0/g1 for a linear factor [g0, g1] of the factorization
+    (``[0, 1]`` included).  With a = A / l_a and b = B / l_b over integers,
+    alpha = alpha' / l_a and beta = beta' / l_b for the integers
+    alpha' = c.A and beta' = c0 l_b + c.B, and the root test reads
+    alpha' (-g0 l_b) + beta' (g1 l_a) = 0.  The filter is
+    (A, B, l_b, [(-g0 l_b, g1 l_a) for each linear factor]).
+    """
+    A, l_a = _over_common_denominator(a)
+    B, l_b = _over_common_denominator(b)
+    roots = [(-g[0] * l_b, g[1] * l_a) for g, _ in factors if len(g) == 2]
+    return A, B, l_b, roots
+
+
+def _over_common_denominator(v: list[Fraction]) -> tuple[list[int], int]:
+    """Integers V and l with v = V / l, l the lcm of the denominators."""
+    den = lcm(*(c.denominator for c in v))
+    return [c.numerator * (den // c.denominator) for c in v], den
+
+
+def _may_divide(coeffs, const: int, line_filter) -> bool:
+    """Whether c.v + c0 restricts on the line to a divisor of its image."""
+    A, B, l_b, roots = line_filter
+    alpha = sum(c * x for c, x in zip(coeffs, A))
+    beta = const * l_b + sum(c * x for c, x in zip(coeffs, B))
+    if not alpha:
+        return beta != 0
+    return any(alpha * r0 + beta * r1 == 0 for r0, r1 in roots)
 
 
 def _specialize_to_line(p: Poly, a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -250,8 +328,13 @@ def irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0) -> IrredVer
     Reducible verdicts always carry an exact divisor.  Irreducible verdicts
     record the certifying random line: the specialization preserves the total
     degree and its univariate image is irreducible over Q, so any nontrivial
-    factorization of p would specialize to one of the image.  After the
-    configured number of lines without a certificate the verdict is Unknown.
+    factorization of p would specialize to one of the image.  When no line
+    certifies, the oracle hunts for an exact divisor among the small primitive
+    linear forms.  It keeps the rational roots of every full-degree image it
+    factored and trial-divides only the forms whose restriction to each such
+    line divides the image (a factor of p restricts to a factor of every
+    specialization), so every divisor is still tried, in the same order.
+    Without a divisor the verdict is Unknown.
     """
     if p.is_zero() or p.is_constant():
         raise HypothesisViolation("irreducibility is undefined for constants")
@@ -290,6 +373,7 @@ def irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0) -> IrredVer
                 )
 
     rng = random.Random(_stable_seed(p, seed))
+    lines = []  # a _line_filter for each full-degree image that factored
     for _ in range(max(1, attempts)):
         a = [Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(2 * p.n)]
         b = [Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(2 * p.n)]
@@ -306,11 +390,11 @@ def irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0) -> IrredVer
                 witness="full-degree line specialization with irreducible image",
                 line=(tuple(a), tuple(b)),
             )
+        lines.append(_line_filter(a, b, factors))
 
-    # Every sampled image factored: hunt for an exact low-degree divisor.
-    for cand in _linear_candidates(p):
-        if cand.total_degree() < 1:
-            continue
+    # Every sampled image factored: hunt for an exact low-degree divisor
+    # among the linear forms that restrict to a divisor of every image.
+    for cand in _linear_candidates(p, lines):
         quo = trial_divide(p, cand)
         if quo is not None and not quo.is_constant():
             return IrredVerdict(
@@ -459,7 +543,9 @@ def _verdict(
     applies gives the verdict:
 
     1. n = 1: IrreducibleSet when the premise is verified or asserted and
-       the certified root list is nonempty, else Inconclusive;
+       the certified root list is nonempty, else Inconclusive (the residual
+       of an irreducible x-part says its roots are algebraic and conjugate
+       over Q; with exponentials it cites Lindemann-type independence);
     2. a certified hyperplane: HyperplaneComponents;
     3. a slice component with real points: Inconclusive;
     4. a refuted premise (the oracle found a divisor): Inconclusive;
@@ -474,6 +560,12 @@ def _verdict(
     weak = any(h.status in ("asserted", "unverified", "failed") for h in log)
     label = CONDITIONAL_ASSERTED if weak else base
     if n == 1:
+        if established and roots and premise == "x-part irreducible":
+            return IRREDUCIBLE_SET, label, (
+                "the zero set is the finite set of certified roots, which are "
+                "algebraic; the x-part is irreducible over Q, so a polynomial "
+                "over Q that vanishes at one root vanishes at all of them"
+            )
         if established and roots:
             return IRREDUCIBLE_SET, label, (
                 "the zero set is the finite set of certified roots; splitting off "

@@ -306,3 +306,22 @@ def test_single_exp_constant_is_inconclusive():
     rep = classify_single_exp(parse_poly("3", 2))
     assert rep.verdict == "Inconclusive"
     assert "Z(p) irreducible" not in {h.name for h in rep.hypothesis_log}
+
+
+def test_one_variable_residual_names_the_argument_that_applies():
+    # An algebraic x-part: its roots are algebraic and conjugate over Q.
+    rep = classify_codim1(parse_poly("x1^2 - 2"))
+    assert rep.degenerate and rep.verdict == "IrreducibleSet" and len(rep.roots) == 2
+    assert rep.residual == (
+        "the zero set is the finite set of certified roots, which are algebraic; "
+        "the x-part is irreducible over Q, so a polynomial over Q that vanishes "
+        "at one root vanishes at all of them"
+    )
+    # With an exponential the single root ln 2 is transcendental.
+    rep = classify_codim1(parse_poly("u1 - 2"))
+    assert not rep.degenerate and rep.verdict == "IrreducibleSet" and len(rep.roots) == 1
+    assert rep.residual == (
+        "the zero set is the finite set of certified roots; splitting off any "
+        "single transcendental point would need a defining equation over Q, "
+        "which Lindemann-type independence rules out"
+    )

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
+from expalg.classify import (
+    IrredVerdict,
+    _poly_nth_root,
+    _specialize_to_line,
+    _stable_seed,
+    trial_divide,
+)
 from expalg.epoly import EPoly
 from expalg.errors import DimensionError, InternalInvariantError
+from expalg.factor import factor_dense
 from expalg.intervals import Box, Interval, RatInterval, enclose_rational, point
 from expalg.poly import Mono, Poly
 
@@ -218,3 +227,125 @@ def reference_exp_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     for _ in range(k):
         lo, hi = reference_round_down(lo * lo, work), reference_round_up(hi * hi, work)
     return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# Reference divisor hunt: the irreducibility oracle before its hunt was
+# pruned by the line images, and the old trial division.  The oracle must
+# give the same verdicts; its hunt trial-divides exactly the candidates of
+# ``reference_linear_candidates`` whose restriction divides every image.
+# ---------------------------------------------------------------------------
+
+
+def reference_trial_divide(p: Poly, d: Poly) -> Poly | None:
+    """Leading-term division on whole Polys, under the old step guard."""
+    quo = Poly.zero(p.n)
+    rem = p
+    lead_d, c_d = d.leading_term()
+    guard = len(p.terms) * (len(d.terms) + 1) + 16
+    for _ in range(guard):
+        if rem.is_zero():
+            return quo
+        lead_r, c_r = rem.leading_term()
+        diff_x = tuple(a - b for a, b in zip(lead_r.x, lead_d.x))
+        diff_u = tuple(a - b for a, b in zip(lead_r.u, lead_d.u))
+        if any(e < 0 for e in diff_x) or any(e < 0 for e in diff_u):
+            return None
+        t = Poly(p.n, {Mono(diff_x, diff_u): c_r / c_d})
+        quo = quo + t
+        rem = rem - t * d
+    return None
+
+
+def reference_linear_candidates(p: Poly, height: int = 2, max_active: int = 5):
+    """Every primitive affine form in the active variables, in hunt order."""
+    active = sorted(p.variables_used())
+    if not active or len(active) > max_active:
+        return
+    n = p.n
+    for consts in itertools.product(range(-height, height + 1), repeat=len(active) + 1):
+        coeffs, const = consts[:-1], consts[-1]
+        if all(c == 0 for c in coeffs) or next(c for c in coeffs if c) < 0:
+            continue
+        if math.gcd(*consts) != 1:
+            continue
+        terms = {}
+        if const:
+            terms[Mono((0,) * n, (0,) * n)] = Fraction(const)
+        for (kind, idx), c in zip(active, coeffs):
+            if c:
+                e = tuple(int(j == idx - 1) for j in range(n))
+                zero = (0,) * n
+                terms[Mono(e, zero) if kind == "x" else Mono(zero, e)] = Fraction(c)
+        yield Poly(n, terms)
+
+
+def reference_irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0):
+    """(verdict, images): the oracle with the unpruned hunt.
+
+    ``images`` lists (a, b, image) for every full-degree line image that
+    factored, in the order the lines were drawn.
+    """
+    deg = p.total_degree()
+    if deg == 1:
+        return IrredVerdict("Irreducible", witness="linear polynomial"), []
+    content = p.monomial_content()
+    if content.degree > 0:
+        if len(p.terms) == 1:
+            kind, idx = sorted(p.variables_used())[0]
+            var = Poly.x_var(p.n, idx) if kind == "x" else Poly.u_var(p.n, idx)
+            return IrredVerdict("Reducible", witness="monomial of degree >= 2", factor=var), []
+        for kind, exps in (("x", content.x), ("u", content.u)):
+            for j, e in enumerate(exps):
+                if e:
+                    var = Poly.x_var(p.n, j + 1) if kind == "x" else Poly.u_var(p.n, j + 1)
+                    witness = f"common factor {kind}{j + 1}"
+                    return IrredVerdict("Reducible", witness=witness, factor=var), []
+    for k in (2, 3, 5, 7):
+        if deg % k == 0 and deg >= k:
+            root = _poly_nth_root(p, k)
+            if root is not None:
+                return IrredVerdict("Reducible", witness=f"perfect {k}-th power", factor=root), []
+    rng = random.Random(_stable_seed(p, seed))
+    images = []
+    for _ in range(max(1, attempts)):
+        a = [Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(2 * p.n)]
+        b = [Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(2 * p.n)]
+        if all(v == 0 for v in a):
+            continue
+        image = _specialize_to_line(p, a, b)
+        if len(image) - 1 != deg:
+            continue
+        _, factors = factor_dense(image)
+        nontrivial = [(g, m) for g, m in factors if len(g) > 1]
+        if len(nontrivial) == 1 and nontrivial[0][1] == 1 and len(nontrivial[0][0]) - 1 == deg:
+            witness = "full-degree line specialization with irreducible image"
+            return IrredVerdict("Irreducible", witness=witness, line=(tuple(a), tuple(b))), images
+        images.append((a, b, image))
+    for cand in reference_linear_candidates(p):
+        quo = trial_divide(p, cand)
+        if quo is not None and not quo.is_constant():
+            witness = "exact division by a small linear form"
+            return IrredVerdict("Reducible", witness=witness, factor=cand), images
+    return IrredVerdict("Unknown", witness="no certificate within the attempt budget"), images
+
+
+def restriction_divides(cand: Poly, a, b, image) -> bool:
+    """Whether the linear form cand, restricted to the line a t + b, divides
+    the image: alpha t + beta with alpha = 0 and beta != 0, or with image
+    vanishing at -beta/alpha (Fractions, Horner)."""
+    alpha = beta = Fraction(0)
+    for mono, c in cand.terms.items():
+        exps = mono.x + mono.u
+        if any(exps):
+            j = exps.index(1)
+            alpha += c * a[j]
+            beta += c * b[j]
+        else:
+            beta += c
+    if not alpha:
+        return beta != 0
+    t, value = -beta / alpha, Fraction(0)
+    for c in reversed(image):
+        value = value * t + c
+    return value == 0
