@@ -12,6 +12,12 @@ additionally computes the exact slice {x1 = 0, u1 = 1} of the defining
 polynomial and, when that slice is univariate, splits it into components by
 exact factorization.  Its analysis is independent of Schanuel's conjecture.
 
+The hypothesis dim Z(f) = n-1 is verified with one variable by the root
+isolator on its default domain (a root or a tangential leftover), and with
+two by a certified sign change: exact signs f(a) < 0 < f(b) at two rational
+grid points, so that Z(f) separates the plane.  Otherwise, and always with
+three or more variables, it is unverified unless asserted.
+
 All three drivers take their verdict, its conditionality and the residual
 from one rule, ``_verdict``.  With one variable the zero set is the certified
 root list, an irreducible set once the irreducibility premise is verified or
@@ -47,14 +53,15 @@ from .errors import DimensionError, DriverError, HypothesisViolation
 from .factor import (
     count_real_roots,
     dadd,
+    dense_to_poly,
     dmul,
+    dprimitive,
     factor_dense,
     factor_univariate,
     poly_to_dense,
 )
 from .hyperplanes import Hyperplane, candidate_hyperplanes
-from .intervals import Box
-from .numeric import RootCert, isolate_roots_1d, sample_zero_cells_2d
+from .numeric import RootCert, certified_sign_change, isolate_roots_1d
 from .parsing import format_poly
 from .poly import Mono, Poly
 
@@ -81,7 +88,7 @@ class IrredVerdict:
 @dataclass(frozen=True)
 class HypothesisCheck:
     name: str
-    status: str  # verified | supported | asserted | unverified | failed
+    status: str  # verified | asserted | unverified | failed
     detail: str = ""
 
 
@@ -322,13 +329,24 @@ def _specialize_to_line(p: Poly, a: list[Fraction], b: list[Fraction]) -> list[F
     return acc
 
 
+def _pull_back(g: list[int], a: Fraction, b: Fraction, n: int, kind: str, idx: int) -> Poly:
+    """g((v - b) / a) as a primitive Poly in the variable v = (kind, idx)."""
+    t = [-b / a, 1 / a]
+    acc = [Fraction(g[-1])]
+    for c in reversed(g[:-1]):
+        acc = dadd(dmul(acc, t), [Fraction(c)])
+    return dense_to_poly(dprimitive(acc)[1], n, kind, idx)
+
+
 def irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0) -> IrredVerdict:
     """Heuristic irreducibility certifier for polynomials over Q.
 
     Reducible verdicts always carry an exact divisor.  Irreducible verdicts
     record the certifying random line: the specialization preserves the total
     degree and its univariate image is irreducible over Q, so any nontrivial
-    factorization of p would specialize to one of the image.  When no line
+    factorization of p would specialize to one of the image.  In one variable
+    the first full-degree image decides: if it factors, one of its factors,
+    mapped back through the line, is an exact divisor.  When no line
     certifies, the oracle hunts for an exact divisor among the small primitive
     linear forms.  It keeps the rational roots of every full-degree image it
     factored and trial-divides only the forms whose restriction to each such
@@ -372,6 +390,7 @@ def irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0) -> IrredVer
                     "Reducible", witness=f"perfect {k}-th power", factor=root
                 )
 
+    active = sorted(p.variables_used())
     rng = random.Random(_stable_seed(p, seed))
     lines = []  # a _line_filter for each full-degree image that factored
     for _ in range(max(1, attempts)):
@@ -389,6 +408,18 @@ def irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0) -> IrredVer
                 "Irreducible",
                 witness="full-degree line specialization with irreducible image",
                 line=(tuple(a), tuple(b)),
+            )
+        if len(active) == 1:
+            # In one variable v, p(v) = image((v - b_v) / a_v) with a_v != 0
+            # (full degree), so the image factors exactly as p does.
+            [(kind, idx)] = active
+            j = idx - 1 if kind == "x" else p.n + idx - 1
+            g = min((g for g, _ in nontrivial), key=len)
+            return IrredVerdict(
+                "Reducible",
+                witness="a factor of a full-degree line image, mapped back "
+                "through the line (one variable)",
+                factor=_pull_back(g, a[j], b[j], p.n, kind, idx),
             )
         lines.append(_line_filter(a, b, factors))
 
@@ -434,8 +465,18 @@ def _log_irreducibility(
     return verdict
 
 
-def _log_codim1(p, f: EPoly, assume, log) -> list[RootCert] | None:
-    """Check/record the hypothesis dim Z(f) = n-1. Returns roots when n = 1."""
+def _log_codim1(f: EPoly, assume, log) -> list[RootCert] | None:
+    """Check/record the hypothesis dim Z(f) = n-1. Returns roots when n = 1.
+
+    n = 1: verified by a certified root or leftover of the root isolator.
+    n = 2: verified by a certified sign change, f(a) < 0 < f(b) at rational
+    points by exact signs (``certified_sign_change``).  Then Z(f) separates
+    R^2, and a closed set of dimension 0 does not disconnect the plane, so
+    dim Z(f) >= 1; Z(f) is definable in the o-minimal structure R_exp
+    (Wilkie), where topological and o-minimal dimension agree.  f is not
+    identically zero, so dim Z(f) = 1.  Without a sign change the hypothesis
+    is unverified: f may be sign-definite.  n >= 3: no check.
+    """
     n = f.n
     if assume:
         log.append(
@@ -465,34 +506,26 @@ def _log_codim1(p, f: EPoly, assume, log) -> list[RootCert] | None:
             )
         return certs
     if n == 2:
-        depth = 6
-        cells = sample_zero_cells_2d(
-            f, Box.from_bounds([(-2.0, 2.0), (-2.0, 2.0)]), depth
-        )
-        if len(cells) >= 2**depth:
-            log.append(
-                HypothesisCheck(
-                    "dim Z(f) = n-1",
-                    "supported",
-                    f"{len(cells)} retained cells at depth {depth} on [-2,2]^2 "
-                    "(curve-like count); heuristic, not a proof",
-                )
-            )
-        elif cells:
+        pair = certified_sign_change(f)
+        if pair is None:
             log.append(
                 HypothesisCheck(
                     "dim Z(f) = n-1",
                     "unverified",
-                    f"only {len(cells)} retained cells at depth {depth}; the zero "
-                    "set may have dimension below n-1",
+                    "no sign change certified on the rational grid in [-8,8]^2; "
+                    "f may be sign-definite, and then its zero set may have "
+                    "dimension below n-1",
                 )
             )
         else:
+            a, b = ("(" + ", ".join(map(str, pt)) + ")" for pt in pair)
             log.append(
                 HypothesisCheck(
                     "dim Z(f) = n-1",
-                    "unverified",
-                    "no retained cells on [-2,2]^2; the zero set may be empty",
+                    "verified",
+                    f"exact signs f{a} < 0 < f{b}: Z(f) separates R^2, so "
+                    "dim Z(f) >= 1 (Z(f) is definable in the o-minimal R_exp); "
+                    "f is not identically zero, so dim Z(f) = 1",
                 )
             )
         return None
@@ -504,6 +537,7 @@ def _log_codim1(p, f: EPoly, assume, log) -> list[RootCert] | None:
         )
     )
     return None
+
 
 def _certify(
     f: EPoly, hyperplanes
@@ -645,11 +679,11 @@ def classify_codim1(
     if cand.degenerate:
         # The zero set is algebraic in x (up to a nonvanishing exponential
         # factor); only the x-part hypotheses matter here.
-        roots = _log_codim1(p, f, assume_codim1, log)
+        roots = _log_codim1(f, assume_codim1, log)
         return _classify_degenerate(p, log, attempts, seed, roots)
 
     oracle = _log_irreducibility(p, assume_irreducible, attempts, seed, log)
-    roots = _log_codim1(p, f, assume_codim1, log)
+    roots = _log_codim1(f, assume_codim1, log)
     certified, rejected = _certify(f, cand)
     single_exp = sum(kind == "u" for kind, _ in p.variables_used()) <= 1
 
@@ -784,7 +818,7 @@ def classify_single_exp(
     oracle = None
     if not p.is_constant():
         oracle = _log_irreducibility(p, False, attempts, seed, log)
-    roots = _log_codim1(p, f, False, log)
+    roots = _log_codim1(f, False, log)
 
     # Exact slice p(0, x', 1).
     sliced = p.substitute_value("x", 1, 0).substitute_value("u", 1, 1)

@@ -1,8 +1,9 @@
 """Certified numerics for exponential polynomials.
 
 Provides interval evaluation over boxes, an exact sign routine at rational
-points, certified real root isolation in one variable, quadtree zero-cell
-sampling in two variables, and a Jacobian-minor transversality check for the
+points, a search for a certified sign change on a fixed rational grid,
+certified real root isolation in one variable, quadtree zero-cell sampling
+in two variables, and a Jacobian-minor transversality check for the
 single-exponential graph intersection.
 
 All box evaluation goes through one ``EvalPlan`` per function, compiled once:
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product as iter_product
 from typing import Sequence
 
 from .epoly import EPoly
@@ -292,6 +294,43 @@ def _dyadic_sum(terms: list[tuple[int, int]]) -> int:
     """Sum of n / d over (n, d) with every d a power of two, times the largest d."""
     top = max(d for _, d in terms).bit_length()
     return sum(n << (top - d.bit_length()) for n, d in terms)
+
+
+#: coordinates of the sign-change grid, nearest the origin first, with their
+#: float values; every grid point lies in [-8, 8]^n
+SIGN_GRID = tuple(
+    (Fraction(s * k, 3), s * k / 3) for k in (1, 4, 10, 22) for s in (1, -1)
+)
+
+
+def certified_sign_change(f: EPoly) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None:
+    """Rational points (a, b) with f(a) < 0 < f(b) by exact signs, or None.
+
+    Scans the grid of ``SIGN_GRID`` coordinates in each of the n variables,
+    in a fixed order.  The float value picks the candidates: points where it
+    overflows, is not finite or is 0 are skipped.  The first candidate of
+    each float sign is certified with ``sign_at_rational``; one whose exact
+    sign is 0 or differs is dropped and the scan goes on.  The grid is
+    finite, so the work is bounded.
+    """
+    value = f.float_evaluator()
+    found: dict[int, tuple[Fraction, ...]] = {}
+    for pt in iter_product(SIGN_GRID, repeat=f.n):
+        try:
+            v = value([c for _, c in pt])
+        except OverflowError:
+            continue
+        if not math.isfinite(v) or v == 0.0:
+            continue
+        s = 1 if v > 0.0 else -1
+        if s in found:
+            continue
+        exact = tuple(q for q, _ in pt)
+        if sign_at_rational(f, exact) == s:
+            found[s] = exact
+            if len(found) == 2:
+                return found[-1], found[1]
+    return None
 
 
 # ---------------------------------------------------------------------------

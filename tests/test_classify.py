@@ -1,6 +1,8 @@
 """Classification drivers and the irreducibility oracle."""
 
 import random
+import re
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -16,15 +18,17 @@ from expalg.classify import (
     irreducibility_oracle,
     trial_divide,
 )
+from expalg.epoly import EPoly
 from expalg.errors import DriverError, HypothesisViolation
 from expalg.factor import factor_dense
 from expalg.hyperplanes import Hyperplane
 from expalg.intervals import Interval
-from expalg.numeric import RootCert
+from expalg.numeric import RootCert, sign_at_rational
 from expalg.parsing import format_poly, parse_poly
 
 
 UMBRELLA = "(x1 + u1 - 1)*((2*x1 - u1 + 1)^2 + x2^2) + (2*x1 - u1 + 1)^3"
+SHIFTED_CIRCLE = "x1^2 + (x2^2 + (u1 - 1)^2 - 1)^2"
 
 
 def test_oracle_linear_is_irreducible():
@@ -75,7 +79,39 @@ def test_classify_axes_pair():
     assert rep.conditionality == "ConditionalOnSchanuel"
     statuses = {h.name: h.status for h in rep.hypothesis_log}
     assert statuses["Z(p) irreducible"] == "verified"
-    assert statuses["dim Z(f) = n-1"] == "supported"
+    assert statuses["dim Z(f) = n-1"] == "verified"
+
+
+# dim Z(f) = n-1 in two variables: verified by a certified sign change, whose
+# two points the detail quotes, and unverified where f may be sign-definite.
+# The degenerate inputs (no exponential) go through the same check.
+CODIM1_2D = [
+    (classify_codim1, "x1*u2 + x2*u1 - x1 - x2", "verified"),
+    (classify_codim1, "x1^2 + x2^2 - u1 - 1", "verified"),
+    (classify_codim1, "x1*u2 - x2*u1 + 3", "verified"),
+    (classify_codim1, "(x1 - x2)*3 + (u1 - u2)*(5*u2 + 1)", "verified"),
+    (classify_codim1, "x1 + x2", "verified"),
+    (classify_single_exp, UMBRELLA, "verified"),
+    (classify_codim1, "(x1 - u2)^2 + (x2 - 1)^2", "unverified"),
+    (classify_codim1, SHIFTED_CIRCLE, "unverified"),
+    (classify_single_exp, SHIFTED_CIRCLE, "unverified"),
+    (classify_codim1, "x1^2 + x2^2 + 1", "unverified"),
+]
+
+
+@pytest.mark.parametrize("driver, text, status", CODIM1_2D)
+def test_codim1_status_in_two_variables(driver, text, status):
+    p = parse_poly(text, 2)
+    [check] = [h for h in driver(p).hypothesis_log if h.name == "dim Z(f) = n-1"]
+    assert check.status == status
+    points = re.findall(r"f\(([^)]*)\)", check.detail)
+    if status == "unverified":
+        assert points == [] and "sign-definite" in check.detail
+        return
+    f = EPoly.from_poly(p)
+    a, b = ([Fraction(c) for c in pt.split(", ")] for pt in points)
+    assert sign_at_rational(f, a) == -1 and sign_at_rational(f, b) == 1
+    assert all(abs(c) <= 8 for c in a + b)
 
 
 def test_certified_hyperplanes_vanish_numerically_and_come_from_candidates():
@@ -193,7 +229,7 @@ def test_classify_reports_are_deterministic():
 
 
 def test_single_exp_shifted_circle_components():
-    rep = classify_single_exp(parse_poly("x1^2 + (x2^2 + (u1 - 1)^2 - 1)^2"))
+    rep = classify_single_exp(parse_poly(SHIFTED_CIRCLE))
     assert rep.slice_identically_zero is False
     comps = [
         (format_poly(sc.factor), sc.multiplicity)
@@ -229,7 +265,7 @@ def test_single_exp_rejects_multi_exponential_input():
 # hyperplanes, real slice components, a refuted premise, an unestablished
 # premise, and IrreducibleSet last.
 PREMISES = ["verified", "asserted", "unverified", "failed", None]
-OTHER_HYPOTHESES = [None, "verified", "supported", "asserted", "unverified"]
+OTHER_HYPOTHESES = [None, "verified", "asserted", "unverified"]
 ROOT = RootCert(Interval(0.0, 0.0), "NewtonContraction", 0.0)
 PLANE = CertifiedHyperplane(Hyperplane((1, 0)), "restriction vanishes")
 DIVISOR = parse_poly("x1 + u2 - 1", 3)

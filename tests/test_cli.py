@@ -1,6 +1,7 @@
 """CLI behaviour: JSON reports, determinism, exit codes."""
 
 import json
+import re
 
 from expalg import cli
 
@@ -181,3 +182,24 @@ def test_single_exponential_note_leaves_the_label_to_the_log(capsys):
         "single-exponential input: the classification does not rest on Schanuel's conjecture"
     )
     assert not any("unconditional" in note for note in result["notes"])
+
+
+def test_codim1_certificate_on_two_variable_inputs(capsys):
+    # dim Z(f) = n-1 is verified by a sign change at two quoted points, or
+    # unverified, and the label follows: an unverified hypothesis weakens it.
+    cases = [
+        ("x1^2 + x2^2 - u1 - 1", "verified", "Unconditional"),
+        ("x1*u2 - x2*u1 + 3", "verified", "ConditionalOnSchanuel"),
+        ("(x1 - u2)^2 + (x2 - 1)^2", "unverified", "ConditionalOnAssertedHypotheses"),
+    ]
+    for text, status, label in cases:
+        code, out, err = run_cli(capsys, ["classify", text])
+        assert code == 0
+        report = json.loads(out)
+        [check] = [h for h in report["hypothesisLog"] if h["hypothesis"] == "dim Z(f) = n-1"]
+        assert check["status"] == status, text
+        points = re.findall(r"f\((-?\d+/3, -?\d+/3)\)", check["detail"])
+        assert len(points) == (2 if status == "verified" else 0), text
+        result = report["result"]
+        assert (result["verdict"], result["conditionality"]) == ("IrreducibleSet", label), text
+        assert err.startswith(f"verdict: IrreducibleSet ({label})")

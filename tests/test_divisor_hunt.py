@@ -195,3 +195,23 @@ def test_trial_divide_matches_old_division():
             assert got == want and list(got.terms) == list(want.terms)
         elif got is not None:
             assert got * d == p  # exact, beyond the old step guard
+
+
+def test_one_variable_oracle_factors_one_image(monkeypatch):
+    # A full-degree line image of p in one variable factors exactly as p,
+    # so the first image decides and no divisor hunt follows.
+    calls = []
+
+    def counting(image):
+        calls.append(len(image) - 1)
+        return factor_dense(image)
+
+    monkeypatch.setattr(classify, "factor_dense", counting)
+    for text, n in [("x1^30 - 1", 1), ("u2^4 - 4", 2), ("(x1^2 + 1)^3*(3*x1 - 1)", 1)]:
+        p = parse_poly(text, n)
+        calls.clear()
+        verdict = irreducibility_oracle(p)
+        assert verdict.status == "Reducible" and calls == [p.total_degree()], text
+        quo = trial_divide(p, verdict.factor)
+        assert quo is not None and not quo.is_constant() and quo * verdict.factor == p, text
+        assert verdict.factor.variables_used() == p.variables_used()

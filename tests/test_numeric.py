@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,7 +14,9 @@ from expalg.numeric import (
     EvalPlan,
     RootCert,
     TightEvaluator,
+    SIGN_GRID,
     brute_force_sign_scan,
+    certified_sign_change,
     check_transversality,
     default_root_domain,
     interval_eval,
@@ -123,6 +126,29 @@ def test_root_completeness_against_scan():
         certs, leftovers = isolate_roots_1d(f, domain, 1e-9)
         assert not leftovers, text
         assert brute_force_sign_scan(f, domain) == len(certs), text
+
+
+def test_root_count_matches_scan_on_random_inputs():
+    """isolate_roots_1d counts what the sign scan counts, where the scan can.
+
+    The scan resolves every root when none is tangential (no leftover) and
+    the certified roots are more than a few steps apart and from the ends.
+    """
+    rng = random.Random(61)
+    domain, step = (-3.0, 3.0), 1e-3
+    checked, roots = 0, 0
+    for _ in range(60):
+        f = rand_epoly(rng, 1)
+        if f.is_zero():
+            continue
+        certs, leftovers = isolate_roots_1d(f, domain, 1e-9)
+        marks = [domain[0]] + [c.enclosure.mid for c in certs] + [domain[1]]
+        if leftovers or min(b - a for a, b in zip(marks, marks[1:])) <= 4 * step:
+            continue
+        assert brute_force_sign_scan(f, domain, step) == len(certs), f
+        checked += 1
+        roots += len(certs)
+    assert checked >= 30 and roots >= 20, (checked, roots)
 
 
 def test_default_domain_covers_coefficients():
@@ -324,3 +350,79 @@ def test_box_enclosures_reach_the_exact_sign_at_rational_points():
                 assert (sign <= 0 or hi > 0) and (sign >= 0 or lo < 0)
                 assert sign != 0 or lo <= 0.0 <= hi
     assert min(seen.values()) >= 10, seen
+
+
+# Certified sign changes: a proof that dim Z(f) = n-1 in two variables.
+
+
+def _reference_sign_change(f):
+    """The first grid points, in scan order, whose float and exact signs are
+    both -1 and both +1; every grid point is evaluated."""
+    first = {}
+    for pt in product(SIGN_GRID, repeat=f.n):
+        exact = tuple(q for q, _ in pt)
+        v = f.eval_float([float(q) for q in exact])
+        s = sign_at_rational(f, exact)
+        if s != 0 and (v > 0) - (v < 0) == s:
+            first.setdefault(s, exact)
+    return (first[-1], first[1]) if len(first) == 2 else None
+
+
+SIGN_CHANGING = [
+    "x1*u2 + x2*u1 - x1 - x2",
+    "x1^2 + x2^2 - u1 - 1",
+    "x1*u2 - x2*u1 + 3",
+    "(x1 - x2)*3 + (u1 - u2)*(5*u2 + 1)",
+]
+SIGN_DEFINITE = [
+    "(x1 - u2)^2 + (x2 - 1)^2",
+    "x1^2 + (x2^2 + (u1 - 1)^2 - 1)^2",
+    "x1^2 + x2^2 + 1",
+]
+
+
+def test_sign_change_points_have_opposite_exact_signs():
+    grid = {q for q, _ in SIGN_GRID}
+    assert all(abs(q) <= 8 for q in grid)
+    rng = random.Random(71)
+    inputs = [EPoly.from_poly(parse_poly(t, 2)) for t in SIGN_CHANGING + SIGN_DEFINITE]
+    inputs += [rand_epoly(rng, 2) for _ in range(30)]
+    found = 0
+    for f in inputs:
+        if f.is_zero():
+            continue
+        pair = certified_sign_change(f)
+        assert pair == _reference_sign_change(f), f
+        if pair is not None:
+            a, b = pair
+            assert sign_at_rational(f, a) == -1 and sign_at_rational(f, b) == 1
+            assert set(a) <= grid and set(b) <= grid
+            found += 1
+    assert found >= 20
+
+
+def test_sign_change_drops_a_float_nonzero_exact_zero():
+    # f vanishes on x1 = x2; at the first grid point the float value is a
+    # rounding residue, so that point is the first float-negative candidate.
+    f = EPoly.from_poly(parse_poly("(x1 - x2)*3 + (u1 - u2)*(5*u2 + 1)", 2))
+    third = Fraction(1, 3)
+    assert f.eval_float([1 / 3, 1 / 3]) < 0.0
+    assert sign_at_rational(f, [third, third]) == 0
+    a, b = certified_sign_change(f)
+    assert a != (third, third)
+    assert sign_at_rational(f, a) == -1 and sign_at_rational(f, b) == 1
+
+
+def test_sign_change_skips_overflowing_points():
+    # (x1 - 1)(1 + e^(100 x2)): the exponential overflows a float at x2 = 22/3.
+    a1 = parse_poly("x1 - 1", 2)
+    f = EPoly(2, {(Fraction(0), Fraction(0)): a1, (Fraction(0), Fraction(100)): a1})
+    with pytest.raises(OverflowError):
+        f.eval_float([1 / 3, 22 / 3])
+    a, b = certified_sign_change(f)
+    assert a[0] < 1 < b[0]
+
+
+def test_sign_definite_inputs_have_no_sign_change():
+    for text in SIGN_DEFINITE:
+        assert certified_sign_change(EPoly.from_poly(parse_poly(text, 2))) is None, text

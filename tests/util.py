@@ -281,7 +281,8 @@ def reference_linear_candidates(p: Poly, height: int = 2, max_active: int = 5):
 
 
 def reference_irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0):
-    """(verdict, images): the oracle with the unpruned hunt.
+    """(verdict, images): the oracle with the unpruned hunt, for polynomials
+    in two or more variables (in one, the oracle decides on the first image).
 
     ``images`` lists (a, b, image) for every full-degree line image that
     factored, in the order the lines were drawn.
