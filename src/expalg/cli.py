@@ -1,8 +1,8 @@
 """Command-line interface: JSON reports on stdout, human summaries on stderr.
 
-Exit codes: 0 success, 1 input/parse error, 2 hypothesis violation
-(precondition of the requested analysis fails on this input), 3 internal
-invariant breach (never expected).
+Exit codes: 0 success, 1 input/parse error (including a value outside the
+float range), 2 hypothesis violation (precondition of the requested analysis
+fails on this input), 3 internal invariant breach (never expected).
 
 Reports are versioned (schemaVersion 2) and byte-identical for identical
 (input, seed, mode); wall-clock timings are only included when --timings is
@@ -453,6 +453,9 @@ def main(argv=None) -> int:
         return EXIT_HYPOTHESIS
     except (DimensionError, HyperplaneError, ValueError) as exc:
         _say(f"input error: {exc}")
+        return EXIT_INPUT
+    except OverflowError as exc:
+        _say(f"input error: {exc}: a value is outside the float range")
         return EXIT_INPUT
     except InternalInvariantError as exc:  # pragma: no cover - never expected
         _say(f"internal invariant breach: {exc}")

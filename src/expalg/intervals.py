@@ -1,16 +1,21 @@
 """Outward-rounded interval arithmetic, in two flavours.
 
-Fast mode works on hardware floats and pads every elementary operation by one
-ulp outward (two ulps for exp, whose libm error is not formally bounded to a
-half ulp).  Rigorous mode works on Fraction endpoints: ring operations are
+Fast mode works on (lo, hi) float pairs: ``pair_add``, ``pair_mul``,
+``pair_pow`` and ``pair_exp`` are the program's one float interval
+arithmetic, and each pads its result by one ulp outward (two ulps for exp,
+whose libm error is not formally bounded to a half ulp).  ``Interval`` is the
+validated record that boxes, root enclosures and reports carry; it does no
+arithmetic.  Rigorous mode works on Fraction endpoints: ring operations are
 exact, exp is enclosed by an argument-reduced Taylor series with an explicit
 Lagrange remainder, and endpoints are rounded outward to a fixed dyadic
 precision after each step so denominators stay bounded.  Every intermediate
 value of that exp enclosure lies on a dyadic grid, so it is computed in
 integer fixed point (the numerators over a power of two) and only the two
-returned endpoints become Fractions.
+returned endpoints become Fractions.  ``float_down`` and ``float_up`` round a
+rational to the float on either side of it.
 
-Overflow in fast mode widens to an infinite endpoint rather than raising.
+Overflow in fast mode widens to an infinite endpoint rather than raising; a
+rational beyond the float range raises ``OverflowError`` when it is rounded.
 """
 
 from __future__ import annotations
@@ -28,14 +33,6 @@ RIGOROUS_BITS = 96
 _INF = math.inf
 
 
-def _down(v: float) -> float:
-    return v if v == -_INF else math.nextafter(v, -_INF)
-
-
-def _up(v: float) -> float:
-    return v if v == _INF else math.nextafter(v, _INF)
-
-
 def _safe_exp(v: float) -> float:
     try:
         return math.exp(v)
@@ -45,7 +42,11 @@ def _safe_exp(v: float) -> float:
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed float interval [lo, hi] with lo <= hi."""
+    """Closed float interval [lo, hi] with lo <= hi.
+
+    A validated record: arithmetic runs on (lo, hi) pairs (``pair_add`` and
+    the rest below).
+    """
 
     lo: float
     hi: float
@@ -62,11 +63,6 @@ class Interval:
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    @property
-    def mag(self) -> float:
-        """Upper bound for |v| over the interval."""
-        return max(abs(self.lo), abs(self.hi))
-
     def contains(self, v: float) -> bool:
         return self.lo <= v <= self.hi
 
@@ -76,86 +72,40 @@ class Interval:
     def excludes_zero(self) -> bool:
         return self.lo > 0.0 or self.hi < 0.0
 
-    def intersect(self, other: Interval) -> Interval | None:
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        return Interval(lo, hi) if lo <= hi else None
-
-    # -- arithmetic (outward rounded) --
-
-    def __add__(self, other: Interval) -> Interval:
-        lo = self.lo + other.lo
-        hi = self.hi + other.hi
-        # opposite infinities only appear after an overflow widened a bound
-        if math.isnan(lo):
-            lo = -_INF
-        if math.isnan(hi):
-            hi = _INF
-        return Interval(_down(lo), _up(hi))
-
-    def __neg__(self) -> Interval:
-        return Interval(-self.hi, -self.lo)
-
-    def __sub__(self, other: Interval) -> Interval:
-        return self + (-other)
-
-    def __mul__(self, other: Interval) -> Interval:
-        products = [
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        ]
-        products = [0.0 if math.isnan(p) else p for p in products]  # 0 * inf
-        return Interval(_down(min(products)), _up(max(products)))
-
-    def pow_int(self, k: int) -> Interval:
-        if k < 0:
-            raise ValueError("negative power")
-        if k == 0:
-            return Interval(1.0, 1.0)
-        if k % 2 == 0 and self.contains_zero():
-            return Interval(0.0, _up(self.mag**k))
-        lo, hi = sorted((self.lo**k, self.hi**k))
-        return Interval(_down(lo), _up(hi))
-
-    def exp(self) -> Interval:
-        return Interval(_down(_down(_safe_exp(self.lo))), _up(_up(_safe_exp(self.hi))))
-
-    def scale(self, c: Fraction) -> Interval:
-        return self * enclose_rational(c)
-
-
-def point(v: float) -> Interval:
-    return Interval(v, v)
-
-
-def enclose_rational(c: Fraction | int) -> Interval:
-    """Smallest float interval around an exact rational."""
-    c = Fraction(c)
-    f = float(c)
-    if math.isinf(f):
-        return Interval(-_INF, _INF) if c < 0 else Interval(f, f)
-    if Fraction(f) == c:
-        return Interval(f, f)
-    return Interval(_down(f), _up(f))
-
 
 # ---------------------------------------------------------------------------
-# Float pairs: the fast backend of compiled evaluation plans
+# Float pairs: the fast interval arithmetic
 # ---------------------------------------------------------------------------
 #
-# The same outward-rounded operations as the ``Interval`` methods, on plain
-# (lo, hi) tuples: each performs the same float operations and roundings in
-# the same order, so results are bit-identical to ``Interval`` arithmetic
-# without building (and validating) an object per step.  ``math.nextafter``
-# stands in for ``_down``/``_up``; it maps an infinity towards itself to
-# itself, so the two agree on every float.  The methods stay separate code:
-# the tests compare evaluation plans against an ``Interval`` reference.
+# Outward-rounded operations on plain (lo, hi) tuples, without building (and
+# validating) an object per step.  Each rounds its float result outward with
+# ``math.nextafter`` (one ulp, two for exp), which maps an infinity towards
+# itself to itself.
 
 Pair = tuple[float, float]
 
 _next = math.nextafter
+
+
+def float_down(q: Fraction) -> float:
+    """Largest float <= q; OverflowError beyond the float range."""
+    v = float(q)
+    return _next(v, -_INF) if Fraction(v) > q else v
+
+
+def float_up(q: Fraction) -> float:
+    """Smallest float >= q; OverflowError beyond the float range."""
+    v = float(q)
+    return _next(v, _INF) if Fraction(v) < q else v
+
+
+def enclose_rational_pair(c: Fraction | int) -> Pair:
+    """c itself when it is a float, else the nearest float widened one ulp each way."""
+    c = Fraction(c)
+    f = float(c)
+    if Fraction(f) == c:
+        return (f, f)
+    return (_next(f, -_INF), _next(f, _INF))
 
 
 def pair_add(a: Pair, b: Pair) -> Pair:
@@ -188,7 +138,7 @@ def pair_mul(a: Pair, b: Pair) -> Pair:
 
 
 def pair_pow(a: Pair, k: int) -> Pair:
-    """a^k for k >= 1 (``Interval.pow_int`` without the k = 0 case)."""
+    """a^k for k >= 1."""
     lo, hi = a
     if k % 2 == 0 and lo <= 0.0 <= hi:
         return (0.0, _next(max(abs(lo), abs(hi)) ** k, _INF))
@@ -204,11 +154,6 @@ def pair_exp(a: Pair) -> Pair:
         _next(_next(_safe_exp(a[0]), -_INF), -_INF),
         _next(_next(_safe_exp(a[1]), _INF), _INF),
     )
-
-
-def enclose_rational_pair(c: Fraction | int) -> Pair:
-    iv = enclose_rational(c)
-    return (iv.lo, iv.hi)
 
 
 @dataclass(frozen=True)
@@ -271,12 +216,6 @@ class RatInterval:
     def __add__(self, other: RatInterval) -> RatInterval:
         return RatInterval(self.lo + other.lo, self.hi + other.hi)
 
-    def __neg__(self) -> RatInterval:
-        return RatInterval(-self.hi, -self.lo, exact=True)
-
-    def __sub__(self, other: RatInterval) -> RatInterval:
-        return self + (-other)
-
     def __mul__(self, other: RatInterval) -> RatInterval:
         products = [
             self.lo * other.lo,
@@ -287,10 +226,7 @@ class RatInterval:
         return RatInterval(min(products), max(products))
 
     def pow_int(self, k: int) -> RatInterval:
-        if k < 0:
-            raise ValueError("negative power")
-        if k == 0:
-            return RatInterval.exact_point(1)
+        """self^k for k >= 1."""
         if k % 2 == 0 and self.lo <= 0 <= self.hi:
             m = max(-self.lo, self.hi)
             return RatInterval(Fraction(0), m**k)
@@ -307,18 +243,9 @@ class RatInterval:
         _, hi = exp_bounds(self.hi, bits)
         return RatInterval(lo, hi)
 
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
     def to_float_pair(self) -> Pair:
         """Smallest float (lo, hi) enclosing the interval."""
-        flo = float(self.lo)
-        fhi = float(self.hi)
-        if Fraction(flo) > self.lo:
-            flo = _down(flo)
-        if Fraction(fhi) < self.hi:
-            fhi = _up(fhi)
-        return (flo, fhi)
+        return (float_down(self.lo), float_up(self.hi))
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"RatInterval({float(self.lo)}, {float(self.hi)})"

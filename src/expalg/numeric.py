@@ -9,12 +9,14 @@ single-exponential graph intersection.
 All box evaluation goes through one ``EvalPlan`` per function, compiled once:
 the terms in canonical order with their coefficient and spectrum enclosures
 precomputed.  One loop runs a plan on either of two backends: (lo, hi) float
-pairs with outward rounding (fast mode) or ``RatInterval`` with rational
-endpoints (rigorous mode).  The loop performs the same operations, with the
-same roundings in the same order, as term-by-term ``Interval`` or
-``RatInterval`` arithmetic, so its enclosures are bit-identical to theirs by
-construction.  ``TightEvaluator``, the root isolator and the transversality
-check keep their plans for as long as they run; nothing is cached globally.
+pairs through the outward-rounded ``pair_*`` operations of ``intervals``
+(fast mode), which are the program's float interval arithmetic, or
+``RatInterval`` with rational endpoints (rigorous mode).  The transversality
+check computes its Jacobian minor with the same pair operations.
+``Interval`` only carries results: box sides, enclosures returned to
+callers, root enclosures.  ``TightEvaluator``, the root isolator and the
+transversality check keep their plans for as long as they run; nothing is
+cached globally.
 
 Root certificates come in three kinds.  ``SignChange`` encloses a root whose
 existence follows from verified opposite signs at the endpoints (and whose
@@ -47,11 +49,12 @@ from .intervals import (
     RatInterval,
     enclose_rational_pair,
     exp_bounds,
+    float_down,
+    float_up,
     pair_add,
     pair_exp,
     pair_mul,
     pair_pow,
-    point,
 )
 from .poly import Poly
 
@@ -91,10 +94,9 @@ class EvalPlan:
     The plan holds the terms in canonical order with their coefficient and
     spectrum enclosures precomputed: float pairs for the fast backend, exact
     Fractions (as ``RatInterval`` points) for the rigorous one.  Each call
-    then runs one loop over the chosen backend.  It performs the operations
-    of the natural interval extension term by term, as ``Interval`` or
-    ``RatInterval`` arithmetic would, so the enclosures are bit-identical
-    to theirs; the powers x_i^e a call needs are computed once and shared
+    then runs one loop over the chosen backend, the ``pair_*`` operations
+    or ``RatInterval`` arithmetic: the natural interval extension, term by
+    term.  The powers x_i^e a call needs are computed once and shared
     across terms.
     """
 
@@ -243,16 +245,6 @@ class TightEvaluator:
         return (lo, hi)
 
 
-def _f_lo(q: Fraction) -> float:
-    v = float(q)
-    return math.nextafter(v, -math.inf) if Fraction(v) > q else v
-
-
-def _f_hi(q: Fraction) -> float:
-    v = float(q)
-    return math.nextafter(v, math.inf) if Fraction(v) < q else v
-
-
 # ---------------------------------------------------------------------------
 # Exact sign at rational points
 # ---------------------------------------------------------------------------
@@ -399,7 +391,7 @@ def isolate_roots_1d(
     suspects: list[tuple[Fraction, Fraction]] = []
 
     def deriv_nonzero(lo: Fraction, hi: Fraction) -> bool:
-        dlo, dhi = df_plan([(_f_lo(lo), _f_hi(hi))])
+        dlo, dhi = df_plan([(float_down(lo), float_up(hi))])
         return dlo > 0.0 or dhi < 0.0
 
     def residual(enc: Interval) -> float:
@@ -409,7 +401,7 @@ def isolate_roots_1d(
     stack = [(a, b, 0)]
     while stack:
         lo, hi, depth = stack.pop()
-        if evaluator(Box((Interval(_f_lo(lo), _f_hi(hi)),))).excludes_zero():
+        if evaluator(Box((Interval(float_down(lo), float_up(hi)),))).excludes_zero():
             continue
         width = hi - lo
         if width <= _CERT_WIDTH:
@@ -456,7 +448,7 @@ def isolate_roots_1d(
         elif deriv_nonzero(lo, hi):
             continue  # monotone, same signs: provably no root
         else:
-            enc = Interval(_f_lo(lo), _f_hi(hi))
+            enc = Interval(float_down(lo), float_up(hi))
             uncertified.append(
                 RootCert(enc, "UncertifiedTangential", residual(enc))
             )
@@ -465,17 +457,17 @@ def isolate_roots_1d(
     for x in sorted(set(exact_roots)):
         h = max(tol_q / 2, Fraction(1, 1 << 40))
         if deriv_nonzero(x - h, x + h):
-            enc = Interval(_f_lo(x), _f_hi(x))
+            enc = Interval(float_down(x), float_up(x))
             certs.append(RootCert(enc, "NewtonContraction", 0.0))
         else:
-            enc = Interval(_f_lo(x - h), _f_hi(x + h))
+            enc = Interval(float_down(x - h), float_up(x + h))
             uncertified.append(
                 RootCert(enc, "UncertifiedTangential", residual(enc))
             )
     for lo, hi in refined:
         if any(lo <= r <= hi for r in exact_roots):
             continue
-        enc = Interval(_f_lo(lo), _f_hi(hi))
+        enc = Interval(float_down(lo), float_up(hi))
         certs.append(RootCert(enc, "SignChange", residual(enc)))
 
     certs.sort(key=lambda r: r.enclosure.lo)
@@ -635,17 +627,19 @@ def check_transversality(
     margin, bi, bj = best
 
     # Interval cross-check of the decisive minor over the enclosure.
-    u_iv = enc.exp()
-    bounds = [(enc.lo, enc.hi)] + [(v, v) for v in rest] + [(u_iv.lo, u_iv.hi)]
+    u_lo, u_hi = pair_exp((enc.lo, enc.hi))
+    bounds = [(enc.lo, enc.hi)] + [(v, v) for v in rest] + [(u_lo, u_hi)]
     bounds += [(0.0, 0.0)] * (n - 1)
     grad_p_iv = [
-        Interval(*EvalPlan.of_poly(dp)(bounds))
+        EvalPlan.of_poly(dp)(bounds)
         for dp in [p.derivative("x", i) for i in range(1, n + 1)] + [p.derivative("u", 1)]
     ]
-    grad_g_iv = [-u_iv] + [point(0.0)] * (n - 1) + [point(1.0)]
-    minor_iv = grad_p_iv[bi] * grad_g_iv[bj] - grad_p_iv[bj] * grad_g_iv[bi]
+    grad_g_iv = [(-u_hi, -u_lo)] + [(0.0, 0.0)] * (n - 1) + [(1.0, 1.0)]
+    # the subtracted product enters negated: (lo, hi) -> (-hi, -lo)
+    sub_lo, sub_hi = pair_mul(grad_p_iv[bj], grad_g_iv[bi])
+    minor_lo, minor_hi = pair_add(pair_mul(grad_p_iv[bi], grad_g_iv[bj]), (-sub_hi, -sub_lo))
 
-    transverse = margin > tol and minor_iv.excludes_zero()
+    transverse = margin > tol and (minor_lo > 0.0 or minor_hi < 0.0)
     return TransversalityReport(
         point=z,
         jacobian_rank_lower_bound=2 if transverse else 1,

@@ -104,6 +104,24 @@ def test_parse_error_exit_code(capsys):
     assert code == 1 and out == "" and "input error" in err
 
 
+HUGE = "1" + "0" * 400  # beyond the largest float
+
+
+def test_coefficient_beyond_float_range_is_an_input_error(capsys):
+    for argv in (
+        ["classify", "--", f"{HUGE}*x1 - u1 + x2"],
+        ["roots", "--", f"{HUGE}*x1 - u1"],
+        ["sample2d", "--", f"{HUGE}*x1 - u2"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == cli.EXIT_INPUT and out == "", argv
+        assert err.startswith("input error: ") and err.endswith("outside the float range\n"), argv
+        assert err.count("\n") == 1 and "Traceback" not in err, argv
+    # exact rational work alone never converts the coefficient to a float
+    code, out, _ = run_cli(capsys, ["hyperplanes", "--", f"{HUGE}*x1 - u1 + x2"])
+    assert code == 0 and json.loads(out)["command"] == "hyperplanes"
+
+
 def test_wrong_driver_exit_code(capsys):
     code, _, err = run_cli(capsys, ["roots", "x1*exp(x2)"])
     assert code == 2 and "hypothesis violation" in err

@@ -10,16 +10,19 @@ from expalg.intervals import (
     Box,
     Interval,
     RatInterval,
-    enclose_rational,
+    enclose_rational_pair,
     exp_bounds,
+    float_down,
+    float_up,
     pair_add,
     pair_exp,
     pair_mul,
     pair_pow,
-    point,
     round_down,
     round_up,
 )
+
+from util import ReferenceInterval, reference_enclose_rational
 
 
 def test_interval_basics():
@@ -36,28 +39,56 @@ def test_float_ops_enclose_exact_rational_results():
     for _ in range(300):
         a = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
         b = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
-        ia, ib = enclose_rational(a), enclose_rational(b)
-        assert _contains_exact(ia + ib, a + b)
-        assert _contains_exact(ia - ib, a - b)
-        assert _contains_exact(ia * ib, a * b)
-        k = rng.randint(0, 4)
-        assert _contains_exact(ia.pow_int(k), a**k)
+        ia, ib = enclose_rational_pair(a), enclose_rational_pair(b)
+        assert _contains_exact(pair_add(ia, ib), a + b)
+        assert _contains_exact(pair_add(ia, (-ib[1], -ib[0])), a - b)
+        assert _contains_exact(pair_mul(ia, ib), a * b)
+        k = rng.randint(1, 4)
+        assert _contains_exact(pair_pow(ia, k), a**k)
 
 
-def _contains_exact(iv: Interval, value: Fraction) -> bool:
-    return Fraction(iv.lo) <= value <= Fraction(iv.hi)
+def _contains_exact(pair, value: Fraction) -> bool:
+    return Fraction(pair[0]) <= value <= Fraction(pair[1])
 
 
 def test_exp_encloses_libm_neighbourhood():
     for x in [-10.0, -1.0, 0.0, 0.5, 1.0, 3.0]:
-        iv = point(x).exp()
-        assert iv.lo <= math.exp(x) <= iv.hi
-        assert iv.hi - iv.lo <= 4 * math.ulp(math.exp(x))
+        lo, hi = pair_exp((x, x))
+        assert lo <= math.exp(x) <= hi
+        assert hi - lo <= 4 * math.ulp(math.exp(x))
 
 
 def test_even_power_of_straddling_interval():
-    iv = Interval(-2.0, 1.0).pow_int(2)
-    assert iv.lo == 0.0 and iv.hi >= 4.0
+    lo, hi = pair_pow((-2.0, 1.0), 2)
+    assert lo == 0.0 and hi >= 4.0
+
+
+def test_float_rounding_pair_is_tight():
+    """float_down(q) and float_up(q) are the nearest floats on either side of q."""
+    big = Fraction(1.7976931348623157e308)
+    ulp = Fraction(math.ulp(1.7976931348623157e308))
+    tiny = Fraction(5e-324)
+    exact = [Fraction(0), Fraction(3, 2), Fraction(-13, 4), Fraction(0.1), tiny, -tiny, big, -big]
+    inexact = [Fraction(1, 3), Fraction(-1, 3), Fraction(1, 10), Fraction(10**20 + 1), Fraction(-7, 10**30)]
+    below_subnormal = [Fraction(1, 10**400), tiny / 2, tiny / 3, tiny * Fraction(2, 3)]
+    near_max = [big - ulp / 3, big - ulp / 2, big + ulp / 4, big + ulp / 3]
+    cases = exact + inexact + below_subnormal + [-q for q in below_subnormal] + near_max + [-q for q in near_max]
+    for q in cases:
+        lo, hi = float_down(q), float_up(q)
+        assert lo <= q <= hi, q
+        if q in exact:
+            assert lo == hi == q
+        else:
+            assert lo < q < hi, q
+            # one step beyond either bound crosses q: no float lies strictly between
+            assert math.nextafter(lo, math.inf) > q and math.nextafter(hi, -math.inf) < q, q
+        assert RatInterval(q, q, exact=True).to_float_pair() == (lo, hi)
+    assert float_up(big + ulp / 4) == math.inf and float_down(-big - ulp / 4) == -math.inf
+    for q in (big + ulp, Fraction(10**400)):
+        with pytest.raises(OverflowError):
+            float_down(q)
+        with pytest.raises(OverflowError):
+            float_up(-q)
 
 
 def test_dyadic_rounding():
@@ -123,7 +154,7 @@ def _bits(v):
 
 
 def test_pair_ops_match_interval_methods_on_special_endpoints():
-    """The float-pair backend repeats each Interval method bit for bit."""
+    """The float-pair operations repeat the reference interval methods bit for bit."""
     big = 1.7976931348623157e308
     values = [-math.inf, -big, -1e200, -1.5, -5e-324, -0.0, 0.0, 5e-324, 1.0, 3.25, 1e200, big, math.inf]
     ivs = [(lo, hi) for lo in values for hi in values if lo <= hi]
@@ -139,11 +170,16 @@ def test_pair_ops_match_interval_methods_on_special_endpoints():
         return outcome(lambda: (lambda iv: (iv.lo, iv.hi))(fn()))
 
     for a in ivs:
-        ia = Interval(*a)
+        ia = ReferenceInterval(*a)
         assert outcome(lambda: pair_exp(a)) == interval_outcome(ia.exp)
         for k in (1, 2, 3, 4):
             assert outcome(lambda: pair_pow(a, k)) == interval_outcome(lambda: ia.pow_int(k))
         for b in ivs:
-            ib = Interval(*b)
+            ib = ReferenceInterval(*b)
             assert outcome(lambda: pair_add(a, b)) == interval_outcome(lambda: ia + ib)
             assert outcome(lambda: pair_mul(a, b)) == interval_outcome(lambda: ia * ib)
+    for v in values:
+        if math.isfinite(v):
+            for c in (Fraction(v), Fraction(v) + Fraction(1, 3), Fraction(v) / 3):
+                expected = interval_outcome(lambda: reference_enclose_rational(c))
+                assert outcome(lambda: enclose_rational_pair(c)) == expected

@@ -25,10 +25,13 @@ from expalg.numeric import (
     sign_at_rational,
 )
 from expalg.parsing import parse_epoly, parse_poly
+from expalg.poly import Mono, Poly
 
 from util import (
+    ReferenceInterval,
     ReferenceTightEvaluator,
     rand_epoly,
+    rand_fraction,
     rand_poly,
     reference_interval_eval,
     reference_poly_intervals,
@@ -283,6 +286,60 @@ def test_poly_plan_matches_reference_on_full_variable_list():
         assert _outcome(lambda: Interval(*got)) == _outcome(lambda: ref)
 
 
+def _reference_transversal(p, enc: Interval, coords, tol: float):
+    """(margin, verdict) of ``check_transversality``, its minor on reference intervals.
+
+    The decisive minor is the first largest one at the midpoint, in the
+    order the check scans them.
+    """
+    n = p.n
+    x1 = enc.mid
+    rest = [float(v) for v in coords]
+    u = math.exp(x1)
+    full_mid = [x1, *rest] + [u] + [0.0] * (n - 1)
+    grad_p = [p.derivative("x", i).eval(full_mid) for i in range(1, n + 1)]
+    grad_p.append(p.derivative("u", 1).eval(full_mid))
+    grad_g = [-u] + [0.0] * (n - 1) + [1.0]
+    best = (0.0, 0, 1)
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            minor = grad_p[i] * grad_g[j] - grad_p[j] * grad_g[i]
+            if abs(minor) > best[0]:
+                best = (abs(minor), i, j)
+    margin, bi, bj = best
+    x_iv = ReferenceInterval(enc.lo, enc.hi)
+    u_iv = x_iv.exp()
+    ivs = [x_iv] + [ReferenceInterval(v, v) for v in rest] + [u_iv]
+    ivs += [ReferenceInterval(0.0, 0.0)] * (n - 1)
+    grads = [reference_poly_intervals(p.derivative("x", i), ivs) for i in range(1, n + 1)]
+    grads.append(reference_poly_intervals(p.derivative("u", 1), ivs))
+    g_row = [-u_iv] + [ReferenceInterval(0.0, 0.0)] * (n - 1) + [ReferenceInterval(1.0, 1.0)]
+    minor_iv = grads[bi] * g_row[bj] - grads[bj] * g_row[bi]
+    transverse = margin > tol and minor_iv.excludes_zero()
+    return margin, "Transverse" if transverse else "Undetermined"
+
+
+def _transversal(p, enc: Interval, coords, tol: float):
+    rep = check_transversality(p, RootCert(enc, "SignChange", 0.0), coords, tol)
+    return rep.tangency_margin, rep.verdict
+
+
+def _transversal_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OverflowError as exc:
+        return type(exc)
+
+
+def _rand_u1_poly(rng, n):
+    """Random p in x1..xn and u1 alone, as the single-exponential check needs."""
+    terms = []
+    for _ in range(rng.randint(2, 5)):
+        x = tuple(rng.randint(0, 2) for _ in range(n))
+        terms.append((Mono(x, (rng.randint(0, 2),) + (0,) * (n - 1)), rand_fraction(rng)))
+    return Poly(n, terms)
+
+
 def test_transversality_unchanged_on_corpus_inputs():
     f = parse_epoly("2*x1 + 1 - exp(x1)")
     certs, _ = isolate_roots_1d(f, (-5.0, 5.0), 1e-9)
@@ -302,23 +359,40 @@ def test_transversality_unchanged_on_corpus_inputs():
         p = parse_poly(text, ambient)
         rep = check_transversality(p, star, coords, 1e-6)
         assert (rep.tangency_margin, rep.verdict) == (margin, verdict), text
-        # the verdict re-derived with the reference evaluator of the minor
-        n = p.n
-        enc = star.enclosure
-        u_iv = enc.exp()
-        ivs = [enc] + [Interval(float(v), float(v)) for v in coords] + [u_iv]
-        ivs += [Interval(0.0, 0.0)] * (n - 1)
-        grads = [reference_poly_intervals(p.derivative("x", i), ivs) for i in range(1, n + 1)]
-        grads.append(reference_poly_intervals(p.derivative("u", 1), ivs))
-        g_row = [-u_iv] + [Interval(0.0, 0.0)] * (n - 1) + [Interval(1.0, 1.0)]
-        # Some minor excluding zero is necessary for Transverse; on these
-        # inputs it is also sufficient once the margin clears the tolerance.
-        decisive = any(
-            (grads[i] * g_row[j] - grads[j] * g_row[i]).excludes_zero()
-            for i in range(n + 1)
-            for j in range(i + 1, n + 1)
-        )
-        assert (rep.verdict == "Transverse") == (margin > 1e-6 and decisive)
+        assert _reference_transversal(p, star.enclosure, coords, 1e-6) == (margin, verdict), text
+
+    # Seeded inputs: the verdict is margin > tol and the reference decisive
+    # minor excludes 0, on narrow, wide and near-overflow enclosures.
+    rng = random.Random(808)
+    seen = set()
+    for trial in range(240):
+        n = 1 + trial % 2
+        p = _rand_u1_poly(rng, n)
+        coords = tuple(rand_fraction(rng) for _ in range(n - 1))
+        sign = rng.choice([1.0, -1.0])
+        kind = trial // 2 % 3
+        if kind == 0:  # narrow: one ulp, or 1e-9 wide
+            lo = sign * rng.uniform(0.1, 3.0)
+            hi = rng.choice([math.nextafter(lo, math.inf), lo + 1e-9])
+        elif kind == 1:  # wide
+            lo = sign * rng.uniform(0.1, 3.0)
+            hi = lo + rng.choice([0.5, 2.0])
+            if lo < 0.0 < hi:
+                hi = -1e-3
+        else:  # near overflow of exp: e^hi may round to infinity
+            lo = rng.uniform(700.0, 709.5)
+            hi = lo + rng.choice([1e-9, 0.5, 2.0])
+        enc = Interval(lo, hi)
+        tol = rng.choice([1e-6, 1e-300, 1e3])
+        got = _transversal_outcome(_transversal, p, enc, coords, tol)
+        assert got == _transversal_outcome(_reference_transversal, p, enc, coords, tol), (p, enc)
+        seen.add((kind, got) if isinstance(got, type) else (kind, got[1], got[0] > tol))
+    # every enclosure kind reaches both verdicts; on wide and near-overflow
+    # enclosures the minor alone refutes some margins above tol; near
+    # overflow the float margin at the midpoint overflows on some inputs
+    for kind in range(3):
+        assert {(kind, "Transverse", True), (kind, "Undetermined", False)} <= seen, seen
+    assert {(1, "Undetermined", True), (2, "Undetermined", True), (2, OverflowError)} <= seen, seen
 
 
 def test_box_enclosures_reach_the_exact_sign_at_rational_points():

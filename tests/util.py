@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from expalg.classify import (
@@ -17,7 +18,7 @@ from expalg.classify import (
 from expalg.epoly import EPoly
 from expalg.errors import DimensionError, InternalInvariantError
 from expalg.factor import factor_dense
-from expalg.intervals import Box, Interval, RatInterval, enclose_rational, point
+from expalg.intervals import Box, RatInterval
 from expalg.poly import Mono, Poly
 
 
@@ -91,9 +92,124 @@ def rand_epoly(rng: random.Random, n: int, max_terms: int = 4, max_exp: int = 2)
 
 
 # ---------------------------------------------------------------------------
-# Reference box evaluators: one Interval or RatInterval object per arithmetic
-# step, term by term.  The compiled evaluation plans of ``expalg.numeric``
-# must reproduce their enclosures bit for bit.
+# Reference float interval arithmetic: one validated object per step, with
+# the outward roundings written out.  The ``pair_*`` operations of
+# ``expalg.intervals`` must reproduce it bit for bit.
+# ---------------------------------------------------------------------------
+
+_INF = math.inf
+
+
+def _down(v: float) -> float:
+    return v if v == -_INF else math.nextafter(v, -_INF)
+
+
+def _up(v: float) -> float:
+    return v if v == _INF else math.nextafter(v, _INF)
+
+
+def _safe_exp(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return _INF
+
+
+@dataclass(frozen=True)
+class ReferenceInterval:
+    """Closed float interval [lo, hi] with outward-rounded arithmetic."""
+
+    lo: float
+    hi: float
+
+    def __post_init__(self):
+        if math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi:
+            raise ValueError(f"invalid interval [{self.lo}, {self.hi}]")
+
+    @property
+    def width(self) -> float:
+        return self.hi - self.lo
+
+    @property
+    def mid(self) -> float:
+        return 0.5 * (self.lo + self.hi)
+
+    @property
+    def mag(self) -> float:
+        """Upper bound for |v| over the interval."""
+        return max(abs(self.lo), abs(self.hi))
+
+    def contains_zero(self) -> bool:
+        return self.lo <= 0.0 <= self.hi
+
+    def excludes_zero(self) -> bool:
+        return self.lo > 0.0 or self.hi < 0.0
+
+    def intersect(self, other: ReferenceInterval) -> ReferenceInterval | None:
+        lo = max(self.lo, other.lo)
+        hi = min(self.hi, other.hi)
+        return ReferenceInterval(lo, hi) if lo <= hi else None
+
+    def __add__(self, other: ReferenceInterval) -> ReferenceInterval:
+        lo = self.lo + other.lo
+        hi = self.hi + other.hi
+        # opposite infinities only appear after an overflow widened a bound
+        if math.isnan(lo):
+            lo = -_INF
+        if math.isnan(hi):
+            hi = _INF
+        return ReferenceInterval(_down(lo), _up(hi))
+
+    def __neg__(self) -> ReferenceInterval:
+        return ReferenceInterval(-self.hi, -self.lo)
+
+    def __sub__(self, other: ReferenceInterval) -> ReferenceInterval:
+        return self + (-other)
+
+    def __mul__(self, other: ReferenceInterval) -> ReferenceInterval:
+        products = [
+            self.lo * other.lo,
+            self.lo * other.hi,
+            self.hi * other.lo,
+            self.hi * other.hi,
+        ]
+        products = [0.0 if math.isnan(p) else p for p in products]  # 0 * inf
+        return ReferenceInterval(_down(min(products)), _up(max(products)))
+
+    def pow_int(self, k: int) -> ReferenceInterval:
+        if k < 0:
+            raise ValueError("negative power")
+        if k == 0:
+            return ReferenceInterval(1.0, 1.0)
+        if k % 2 == 0 and self.contains_zero():
+            return ReferenceInterval(0.0, _up(self.mag**k))
+        lo, hi = sorted((self.lo**k, self.hi**k))
+        return ReferenceInterval(_down(lo), _up(hi))
+
+    def exp(self) -> ReferenceInterval:
+        return ReferenceInterval(_down(_down(_safe_exp(self.lo))), _up(_up(_safe_exp(self.hi))))
+
+    def scale(self, c: Fraction) -> ReferenceInterval:
+        return self * reference_enclose_rational(c)
+
+
+def reference_point(v: float) -> ReferenceInterval:
+    return ReferenceInterval(v, v)
+
+
+def reference_enclose_rational(c: Fraction | int) -> ReferenceInterval:
+    """c itself when it is a float, else the nearest float widened one ulp each way."""
+    c = Fraction(c)
+    f = float(c)
+    if Fraction(f) == c:
+        return ReferenceInterval(f, f)
+    return ReferenceInterval(_down(f), _up(f))
+
+
+# ---------------------------------------------------------------------------
+# Reference box evaluators: one ReferenceInterval or RatInterval object per
+# arithmetic step, term by term.  The compiled evaluation plans of
+# ``expalg.numeric`` must reproduce their enclosures bit for bit.
 # ---------------------------------------------------------------------------
 
 
@@ -109,18 +225,19 @@ def _reference_poly(a: Poly, xs, zero, coeff):
     return acc
 
 
-def reference_poly_intervals(p: Poly, ivs) -> Interval:
+def reference_poly_intervals(p: Poly, ivs) -> ReferenceInterval:
     """Natural extension of p over 2n float intervals (x1..xn, u1..un)."""
-    return _reference_poly(p, ivs, point(0.0), enclose_rational)
+    ivs = [ReferenceInterval(iv.lo, iv.hi) for iv in ivs]
+    return _reference_poly(p, ivs, reference_point(0.0), reference_enclose_rational)
 
 
-def reference_interval_eval(f: EPoly, box: Box, mode: str = "fast") -> Interval:
+def reference_interval_eval(f: EPoly, box: Box, mode: str = "fast") -> ReferenceInterval:
     """Natural extension of f over the box, as ``interval_eval`` defines it."""
     if box.dimension != f.n:
         raise DimensionError(f"box dimension {box.dimension} != ambient {f.n}")
     if mode == "fast":
-        xs = box.intervals
-        zero, coeff = point(0.0), enclose_rational
+        xs = [ReferenceInterval(iv.lo, iv.hi) for iv in box.intervals]
+        zero, coeff = reference_point(0.0), reference_enclose_rational
     elif mode == "rigorous":
         xs = [RatInterval(Fraction(iv.lo), Fraction(iv.hi), exact=True) for iv in box.intervals]
         zero, coeff = RatInterval.exact_point(0), RatInterval.exact_point
@@ -133,11 +250,11 @@ def reference_interval_eval(f: EPoly, box: Box, mode: str = "fast") -> Interval:
             if q:
                 dot = dot + iv.scale(q)
         acc = acc + _reference_poly(a, xs, zero, coeff) * dot.exp()
-    return acc if mode == "fast" else Interval(*acc.to_float_pair())
+    return acc if mode == "fast" else ReferenceInterval(*acc.to_float_pair())
 
 
 class ReferenceTightEvaluator:
-    """Natural extension intersected with mean-value forms, on Interval objects."""
+    """Natural extension intersected with mean-value forms, on ReferenceInterval objects."""
 
     def __init__(self, f: EPoly, mode: str = "fast", order: int = 2):
         self.mode = mode
@@ -154,17 +271,18 @@ class ReferenceTightEvaluator:
                     new_frontier.append(key)
             frontier = sorted(set(new_frontier))
 
-    def __call__(self, box: Box) -> Interval:
+    def __call__(self, box: Box) -> ReferenceInterval:
         return self._eval((), box, self.order)
 
-    def _eval(self, path, box: Box, depth: int) -> Interval:
+    def _eval(self, path, box: Box, depth: int) -> ReferenceInterval:
         g = self.derivs[path]
         nat = reference_interval_eval(g, box, self.mode)
         if depth == 0 or nat.excludes_zero() or nat.width < 1e-14:
             return nat
-        mids = tuple(point(iv.mid) for iv in box.intervals)
+        ivs = [ReferenceInterval(iv.lo, iv.hi) for iv in box.intervals]
+        mids = tuple(reference_point(iv.mid) for iv in ivs)
         mv = reference_interval_eval(g, Box(mids), self.mode)
-        for i, (iv, m) in enumerate(zip(box.intervals, mids), start=1):
+        for i, (iv, m) in enumerate(zip(ivs, mids), start=1):
             if iv.width == 0.0:
                 continue
             gi = self._eval(tuple(sorted(path + (i,))), box, depth - 1)
