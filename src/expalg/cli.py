@@ -12,6 +12,7 @@ given, since they would break reproducibility.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -440,9 +441,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and return its exit code.
+
+    The parser is built on the first call and reused by every later call in
+    the process: parsing reads it and leaves it unchanged, and each call gets
+    a fresh namespace.  A malformed command line still raises ``SystemExit``
+    with code 2, from argparse.
+    """
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -24,6 +24,11 @@ removing a zero sum.  The ring operations, ``derivative``, ``restrict`` and
 ``from_poly`` only generate pairs for it.  ``restrict`` substitutes the
 pivot variable with ``poly.Substitution``, one instance (and so one power
 table) for all the coefficients.
+
+Evaluation is compiled once per instance.  ``float_evaluator`` converts the
+coefficients and spectra to floats once.  ``scaled_groups``, the one exact
+evaluation path, runs on an integer kernel that each EPoly compiles on first
+use and keeps in a private slot, outside equality and repr.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ def _x_only(p: Poly) -> bool:
 class EPoly:
     """Exponential polynomial in canonical form (immutable)."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_exact")
 
     def __init__(
         self,
@@ -80,6 +85,7 @@ class EPoly:
                 canon[spec] = merged
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", canon)
+        object.__setattr__(self, "_exact", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("EPoly is immutable")
@@ -241,27 +247,69 @@ class EPoly:
 
         return value
 
-    def coefficient_groups(
-        self, point: Sequence[RatLike]
-    ) -> dict[Fraction, Fraction]:
-        """Exact value structure at a rational point: f(point) = sum_t c_t e^t.
+    def scaled_groups(self, point: Sequence[RatLike]) -> dict[Fraction, int]:
+        """Exact value structure at a rational point: f(point) = K * sum_t C_t e^t.
 
         Groups the terms by the exact rational exponent t = s . point and sums
-        the coefficient values; zero sums are dropped.  Since the e^t with
+        the coefficient values as integers C_t, scaled by one K > 0 that
+        depends on the point alone; zero sums are dropped.  Since the e^t with
         distinct rational t are linearly independent over Q, the returned map
-        is empty exactly when f(point) = 0.
+        is empty exactly when f(point) = 0, and otherwise the sign of f(point)
+        is that of sum_t C_t e^t.  The point's entries are Fractions or ints.
         """
-        if len(point) != self.n:
-            raise DimensionError(f"point length {len(point)} != {self.n}")
-        pt = [Fraction(v) for v in point]
-        full = pt + [Fraction(0)] * self.n
-        groups: dict[Fraction, Fraction] = {}
-        for spec, a in self.terms.items():
-            t = sum((q * v for q, v in zip(spec, pt)), Fraction(0))
-            val = a.eval(full)
-            s = groups.get(t, Fraction(0)) + val
-            if s:
-                groups[t] = s
-            else:
-                groups.pop(t, None)
+        if self._exact is None:
+            object.__setattr__(self, "_exact", self._exact_evaluator())
+        return self._exact(point)
+
+    def _exact_evaluator(self) -> Callable[[Sequence[RatLike]], dict[Fraction, int]]:
+        """The kernel of ``scaled_groups``, compiled once per instance.
+
+        Coefficients are scaled to integers by the lcm L of their
+        denominators and spectra by the lcm S of theirs.  At a point with
+        common denominator D and numerators v_j, the monomial c x^a of degree
+        d contributes c L D^(top - d) prod v_j^a_j, where top is the largest
+        degree, and t = (sum_j s_j S v_j) / (S D); so K = 1 / (L D^top).
+        """
+        n = self.n
+        scale = math.lcm(*(c.denominator for a in self.terms.values() for c in a.terms.values()))
+        spec_scale = math.lcm(*(q.denominator for spec in self.terms for q in spec))
+        top = max((sum(m.x) for a in self.terms.values() for m in a.terms), default=0)
+        compiled = [
+            (
+                [q.numerator * (spec_scale // q.denominator) for q in spec],
+                [
+                    (c.numerator * (scale // c.denominator), top - sum(m.x), [(j, e) for j, e in enumerate(m.x) if e])
+                    for m, c in a.terms.items()
+                ],
+            )
+            for spec, a in self.terms.items()
+        ]
+
+        def groups(point: Sequence[RatLike]) -> dict[Fraction, int]:
+            if len(point) != n:
+                raise DimensionError(f"point length {len(point)} != {n}")
+            den = math.lcm(*(v.denominator for v in point))
+            nums = [v.numerator * (den // v.denominator) for v in point]
+            den_pow = [1]
+            for _ in range(top):
+                den_pow.append(den_pow[-1] * den)
+            # keyed by the numerator of t over spec_scale * den, merged in
+            # term order: a zero sum is removed and a later term re-adds it
+            sums: dict[int, int] = {}
+            for spec, monos in compiled:
+                key = sum(q * v for q, v in zip(spec, nums))
+                val = 0
+                for term, gap, powers in monos:
+                    term *= den_pow[gap]
+                    for j, e in powers:
+                        term *= nums[j] ** e
+                    val += term
+                s = sums.get(key, 0) + val
+                if s:
+                    sums[key] = s
+                else:
+                    sums.pop(key, None)
+            t_den = spec_scale * den
+            return {Fraction(key, t_den): c for key, c in sums.items()}
+
         return groups

@@ -137,13 +137,26 @@ def pair_mul(a: Pair, b: Pair) -> Pair:
     return (_next(min(p1, p2, p3, p4), -_INF), _next(max(p1, p2, p3, p4), _INF))
 
 
+def _pow_or_inf(v: float, k: int) -> float:
+    """v**k, or the infinity of its sign when it overflows."""
+    try:
+        return v**k
+    except OverflowError:
+        return -_INF if v < 0.0 and k % 2 else _INF
+
+
 def pair_pow(a: Pair, k: int) -> Pair:
-    """a^k for k >= 1."""
+    """a^k for k >= 1.
+
+    An endpoint power beyond the float range becomes an infinity, which the
+    outward step turns into the largest finite float where it bounds the
+    result from the finite side.
+    """
     lo, hi = a
     if k % 2 == 0 and lo <= 0.0 <= hi:
-        return (0.0, _next(max(abs(lo), abs(hi)) ** k, _INF))
-    lo = lo**k
-    hi = hi**k
+        return (0.0, _next(_pow_or_inf(max(abs(lo), abs(hi)), k), _INF))
+    lo = _pow_or_inf(lo, k)
+    hi = _pow_or_inf(hi, k)
     if hi < lo:
         lo, hi = hi, lo
     return (_next(lo, -_INF), _next(hi, _INF))

@@ -253,22 +253,20 @@ class TightEvaluator:
 def sign_at_rational(f: EPoly, pt: Sequence, max_bits: int = 4096) -> int:
     """Exact sign of f at a rational point: -1, 0 or +1.
 
-    The value is sum_t c_t e^t with distinct rational t and rational c_t
-    (``EPoly.coefficient_groups``).  The sum is zero exactly when every c_t
-    is zero; otherwise the value is nonzero, so refining rational exp
-    enclosures must eventually separate it from zero.
+    The value is K * sum_t C_t e^t with K > 0, distinct rational t and
+    integer C_t (``EPoly.scaled_groups``, whose kernel each EPoly compiles
+    once).  The sum is zero exactly when every C_t is zero; otherwise the
+    value is nonzero, so refining rational exp enclosures must eventually
+    separate it from zero.  Each exp bound is n / 2^m, so the sums run on
+    integers.
     """
-    groups = f.coefficient_groups([Fraction(v) for v in pt])
+    groups = f.scaled_groups([Fraction(v) for v in pt])
     if not groups:
         return 0
-    # The sign is that of the sum scaled by the common denominator of the
-    # c_t, so the sums run on integers: each exp bound is n / 2^m.
-    scale = math.lcm(*(c.denominator for c in groups.values()))
-    coeffs = [(t, c.numerator * (scale // c.denominator)) for t, c in groups.items()]
     bits = 96
     while bits <= max_bits:
         lo_terms, hi_terms = [], []
-        for t, c in coeffs:
+        for t, c in groups.items():
             elo, ehi = exp_bounds(t, bits)
             if c < 0:
                 elo, ehi = ehi, elo

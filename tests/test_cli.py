@@ -221,3 +221,63 @@ def test_codim1_certificate_on_two_variable_inputs(capsys):
         result = report["result"]
         assert (result["verdict"], result["conditionality"]) == ("IrreducibleSet", label), text
         assert err.startswith(f"verdict: IrreducibleSet ({label})")
+
+
+def test_power_beyond_float_range_keeps_cells_in_the_box(capsys):
+    # x1^4 on [0, 1e100] is beyond the float range: the enclosure widens to
+    # infinity instead of raising, and the quadtree keeps every cell.
+    code, out, err = run_cli(capsys, ["sample2d", "--box", "0", "1e100", "0", "1", "--depth", "2", "--", "x1^4 - u2"])
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["count"] == len(result["cells"]) > 0
+    for x0, x1, y0, y1 in result["cells"]:
+        assert 0.0 <= x0 < x1 <= 1e100 and 0.0 <= y0 < y1 <= 1.0
+
+
+def test_reused_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
+    """Every report from the one shared parser equals the report from a new parser."""
+    target = tmp_path / "report.json"
+    line, axes, lifted = "2*x1 + 1 - exp(x1)", "x1*u2 + x2*u1 - x1 - x2", "2*x1 - u1 + 1"
+    with_options = [
+        ["sample2d", "x1^2 + x2^2 - u1", "--rigorous", "--depth", "3"],
+        ["canon", line, "--timings"],
+        ["hyperplanes", axes, "--output", str(target)],
+        ["roots", line, "--domain", "-1", "1"],
+        ["classify", axes, "--attempts", "2"],
+        ["transversal", lifted, "--ambient", "2", "--coords", "0", "--root-of", line],
+    ]
+    without = [
+        ["sample2d", "x1^2 + x2^2 - u1", "--depth", "3"],
+        ["canon", line],
+        ["hyperplanes", axes],
+        ["roots", line],
+        ["classify", axes],
+        ["transversal", lifted],
+    ]
+    malformed = [["roots", line, "--domain", "1"], ["roots"], ["no-such-command"]]
+    sequence = with_options + without + malformed + with_options
+
+    def reports():
+        seen = []
+        for argv in sequence:
+            target.unlink(missing_ok=True)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            out = re.sub(r'"totalMs": [-+.e0-9]+', '"totalMs": T', captured.out)
+            written = target.read_text() if target.exists() else None
+            seen.append((code, out, captured.err, written))
+        return seen
+
+    reused = reports()
+    k = len(with_options)
+    first, plain, bad = reused[:k], reused[k : 2 * k], reused[2 * k : 2 * k + len(malformed)]
+    assert [code for code, *_ in bad] == [2] * len(malformed)
+    assert first[2][3] == first[2][1] and plain[2][3] is None  # --output
+    assert '"totalMs": T' in first[1][1] and '"timings": null' in plain[1][1]  # --timings
+    assert '"mode": "rigorous"' in first[0][1] and '"mode": "fast"' in plain[0][1]  # --rigorous
+    assert reused[-k:] == first
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    assert reports() == reused

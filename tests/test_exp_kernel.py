@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from expalg import numeric
 from expalg.epoly import EPoly
+from expalg.hyperplanes import Hyperplane, primitive_normalize
 from expalg.intervals import exp_bounds, round_down, round_up
 from expalg.numeric import sign_at_rational
 from expalg.parsing import parse_epoly
@@ -21,6 +22,7 @@ from expalg.parsing import parse_epoly
 from util import (
     rand_epoly,
     rand_fraction,
+    reference_coefficient_groups,
     reference_exp_bounds,
     reference_round_down,
     reference_round_up,
@@ -99,24 +101,26 @@ def test_rounding_matches_fraction_reference():
             assert round_up(x, bits) == reference_round_up(x, bits), (x, bits)
 
 
-def reference_sign(f: EPoly, pt, max_bits: int = 4096) -> tuple[int, int]:
-    """Sign of f at a rational point from Fraction sums, with the deciding precision."""
-    groups = f.coefficient_groups(pt)
-    if not groups:
-        return 0, 0
+def reference_sign(f: EPoly, pt, max_bits: int = 4096) -> tuple[int, list[int]]:
+    """Sign of f at a rational point from Fraction sums, and the precision of each exp enclosure."""
+    groups = reference_coefficient_groups(f, pt)
+    asked: list[int] = []
     bits = 96
-    while bits <= max_bits:
+    while groups and bits <= max_bits:
         lo = hi = Fraction(0)
         for t, c in groups.items():
             elo, ehi = reference_exp_bounds(t, bits)
+            asked.append(bits)
             lo += c * (elo if c >= 0 else ehi)
             hi += c * (ehi if c >= 0 else elo)
         if lo > 0:
-            return 1, bits
+            return 1, asked
         if hi < 0:
-            return -1, bits
+            return -1, asked
         bits *= 2
-    raise AssertionError("reference ran out of precision")
+    if groups:
+        raise AssertionError("reference ran out of precision")
+    return 0, asked
 
 
 def precisions_asked(f: EPoly, pt) -> tuple[int, list[int]]:
@@ -134,13 +138,55 @@ def precisions_asked(f: EPoly, pt) -> tuple[int, list[int]]:
         numeric.exp_bounds = exp_bounds
 
 
+def restricted_epoly(rng: random.Random, n: int) -> EPoly:
+    """A random EPoly in n variables restricted from n + 1, so its spectra are fractional."""
+    normal = (0,)
+    while not any(normal):
+        normal = tuple(rng.randint(-3, 3) for _ in range(n + 1))
+    return rand_epoly(rng, n + 1).restrict(primitive_normalize(normal))
+
+
+def check_against_reference(f: EPoly, pt) -> int:
+    """The kernel's groups are the reference's, in order, times one positive factor;
+    sign_at_rational asks for the reference's precisions and returns its sign."""
+    ref = reference_coefficient_groups(f, pt)
+    got = f.scaled_groups(pt)
+    assert list(got) == list(ref), (f, pt)
+    ratios = {Fraction(c) / ref[t] for t, c in got.items()}
+    assert len(ratios) <= 1 and all(r > 0 for r in ratios), (f, pt)
+    sign, asked = reference_sign(f, pt)
+    assert precisions_asked(f, pt) == (sign, asked), (f, pt)
+    return sign
+
+
 def test_sign_matches_fraction_sum_on_seeded_inputs():
     rng = random.Random(22)
-    for _ in range(60):
-        n = rng.choice((1, 2))
-        f = rand_epoly(rng, n)
-        pt = [rand_fraction(rng, span=3, den=7) for _ in range(n)]
-        assert sign_at_rational(f, pt) == reference_sign(f, pt)[0]
+    seen_fractional = seen_merge = False
+    for _ in range(150):
+        n = rng.choice((1, 2, 3))
+        f = rand_epoly(rng, n) if rng.random() < 0.5 else restricted_epoly(rng, n)
+        seen_fractional |= any(q.denominator > 3 for s in f.terms for q in s)
+        for _ in range(2):
+            # distinct denominators, and zero coordinates so that spectra collide
+            pt = [Fraction(0) if rng.random() < 0.2 else rand_fraction(rng, span=20, den=12) for _ in range(n)]
+            seen_merge |= len(reference_coefficient_groups(f, pt)) < len(f.terms)
+            check_against_reference(f, pt)
+    assert seen_fractional and seen_merge
+
+
+def test_cancelling_groups_give_an_exact_zero():
+    a, b = Fraction(2, 7), Fraction(3, 5)
+    diagonal = parse_epoly("x1*u1 - x2*u2", 2)
+    assert check_against_reference(diagonal, [a, a]) == 0
+    assert check_against_reference(diagonal, [a, b]) != 0
+    axes = parse_epoly("x1*u2 + x2*u1 - x1 - x2", 2)
+    assert check_against_reference(axes, [Fraction(0), Fraction(5, 3)]) == 0
+    assert check_against_reference(axes.restrict(Hyperplane((1, 0))), [b]) == 0
+    # x3 = -x1/3 gives spectra (-1/3, 1) and (2/3, 0): equal exponents on x1 = x2
+    g = parse_epoly("x1*u2*u3 - x2*u1*u3", 3).restrict(Hyperplane((1, 0, 3)))
+    assert sorted(g.terms) == [(Fraction(-1, 3), Fraction(1)), (Fraction(2, 3), Fraction(0))]
+    assert check_against_reference(g, [a, a]) == 0
+    assert check_against_reference(g, [a, b]) != 0
 
 
 def test_sign_with_precision_doublings():
@@ -154,11 +200,9 @@ def test_sign_with_precision_doublings():
             (f"{approx.numerator} - {approx.denominator}*u1", -1),
         ):
             f = parse_epoly(text, 1)
-            assert reference_sign(f, [1]) == (sign, decided)
-            got, asked = precisions_asked(f, [1])
-            assert got == sign
             # t = 1 and t = 0 at each precision, doubling from 96 bits
-            assert asked == [b for b in BITS if b <= decided for _ in range(2)]
+            expected = (sign, [b for b in BITS if b <= decided for _ in range(2)])
+            assert reference_sign(f, [1]) == precisions_asked(f, [1]) == expected
 
 
 def test_sign_of_exact_zero_needs_no_enclosure():

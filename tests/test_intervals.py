@@ -63,6 +63,37 @@ def test_even_power_of_straddling_interval():
     assert lo == 0.0 and hi >= 4.0
 
 
+def _assert_encloses_power(pair, a, k):
+    """pair encloses {x^k : x in a} for a finite or half-infinite interval a."""
+    lo, hi = pair
+    ends = [Fraction(v) ** k for v in a if math.isfinite(v)]
+    if a[0] <= 0.0 <= a[1]:
+        ends.append(Fraction(0))
+    assert lo == -math.inf or Fraction(lo) <= min(ends)
+    assert hi == math.inf or Fraction(hi) >= max(ends)
+
+
+def test_power_beyond_float_range_widens_to_infinity():
+    big = 1.7976931348623157e308
+    v = 2.0**512  # v^2 = 2^1024 is just beyond the float range
+    below = math.nextafter(v, 0.0)  # below^2 is just inside it
+    cases = {
+        ((below, below), 2): (math.nextafter(below**2, 0.0), math.nextafter(below**2, math.inf)),
+        ((below, v), 2): (math.nextafter(below**2, 0.0), math.inf),
+        ((v, v), 2): (big, math.inf),
+        ((v, math.inf), 3): (big, math.inf),
+        ((-v, -v), 3): (-math.inf, -big),
+        ((-v, 1.0), 3): (-math.inf, math.nextafter(1.0, 2.0)),
+        ((-v, 0.5), 2): (0.0, math.inf),
+        ((-0.5, v), 4): (0.0, math.inf),
+        ((-v, -below), 2): (math.nextafter(below**2, 0.0), math.inf),
+    }
+    for (a, k), expected in cases.items():
+        got = pair_pow(a, k)
+        assert got == expected, (a, k, got)
+        _assert_encloses_power(got, a, k)
+
+
 def test_float_rounding_pair_is_tight():
     """float_down(q) and float_up(q) are the nearest floats on either side of q."""
     big = Fraction(1.7976931348623157e308)

@@ -91,6 +91,30 @@ def rand_epoly(rng: random.Random, n: int, max_terms: int = 4, max_exp: int = 2)
     return EPoly(n, terms)
 
 
+def reference_coefficient_groups(f: EPoly, point) -> dict[Fraction, Fraction]:
+    """Exact value structure at a rational point: f(point) = sum_t c_t e^t.
+
+    Groups the terms by the exact rational exponent t = s . point and sums
+    the coefficient values in Fractions; zero sums are dropped.
+    ``EPoly.scaled_groups`` must return the same exponents in the same order,
+    each c_t times one positive factor.
+    """
+    if len(point) != f.n:
+        raise DimensionError(f"point length {len(point)} != {f.n}")
+    pt = [Fraction(v) for v in point]
+    full = pt + [Fraction(0)] * f.n
+    groups: dict[Fraction, Fraction] = {}
+    for spec, a in f.terms.items():
+        t = sum((q * v for q, v in zip(spec, pt)), Fraction(0))
+        val = a.eval(full)
+        s = groups.get(t, Fraction(0)) + val
+        if s:
+            groups[t] = s
+        else:
+            groups.pop(t, None)
+    return groups
+
+
 # ---------------------------------------------------------------------------
 # Reference float interval arithmetic: one validated object per step, with
 # the outward roundings written out.  The ``pair_*`` operations of
@@ -106,6 +130,14 @@ def _down(v: float) -> float:
 
 def _up(v: float) -> float:
     return v if v == _INF else math.nextafter(v, _INF)
+
+
+def _pow_widened(v: float, k: int) -> float:
+    """v**k, or the infinity of the sign of v^k beyond the float range."""
+    try:
+        return v**k
+    except OverflowError:
+        return math.copysign(_INF, v) if k % 2 else _INF
 
 
 def _safe_exp(v: float) -> float:
@@ -182,8 +214,8 @@ class ReferenceInterval:
         if k == 0:
             return ReferenceInterval(1.0, 1.0)
         if k % 2 == 0 and self.contains_zero():
-            return ReferenceInterval(0.0, _up(self.mag**k))
-        lo, hi = sorted((self.lo**k, self.hi**k))
+            return ReferenceInterval(0.0, _up(_pow_widened(self.mag, k)))
+        lo, hi = sorted((_pow_widened(self.lo, k), _pow_widened(self.hi, k)))
         return ReferenceInterval(_down(lo), _up(hi))
 
     def exp(self) -> ReferenceInterval:
