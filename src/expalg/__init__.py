@@ -44,7 +44,7 @@ from .parsing import (
     parse_epoly,
     parse_poly,
 )
-from .poly import Mono, Poly, Rat
+from .poly import Poly, Rat
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "InternalInvariantError",
     "Interval",
     "IrredVerdict",
-    "Mono",
     "ParseError",
     "Poly",
     "Rat",

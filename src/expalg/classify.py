@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
 from math import gcd, lcm
+from operator import add, sub
 
 from .epoly import EPoly
 from .errors import DimensionError, DriverError, HypothesisViolation
@@ -63,7 +64,7 @@ from .factor import (
 from .hyperplanes import Hyperplane, candidate_hyperplanes
 from .numeric import RootCert, certified_sign_change, isolate_roots_1d
 from .parsing import format_poly
-from .poly import Mono, Poly
+from .poly import Mono, Poly, var_name, var_pos
 
 # Conditionality levels, ordered from strongest statement to weakest.
 UNCONDITIONAL = "Unconditional"
@@ -134,7 +135,8 @@ class ComponentReport:
 
 
 def _stable_seed(p: Poly, seed: int) -> int:
-    blob = repr(sorted((m.x, m.u, c.numerator, c.denominator) for m, c in p.terms.items()))
+    n = p.n
+    blob = repr(sorted((m[:n], m[n:], c.numerator, c.denominator) for m, c in p.terms.items()))
     digest = hashlib.sha256(blob.encode()).digest()
     return int.from_bytes(digest[:8], "big") ^ seed
 
@@ -142,14 +144,13 @@ def _stable_seed(p: Poly, seed: int) -> int:
 def _poly_nth_root(p: Poly, k: int) -> Poly | None:
     """Exact k-th root if p is a perfect k-th power, else None (verified)."""
     mono, c = p.leading_term()
-    if any(e % k for e in mono.x) or any(e % k for e in mono.u):
+    if any(e % k for e in mono):
         return None
     num = _int_nth_root(c.numerator, k)
     den = _int_nth_root(c.denominator, k)
     if num is None or den is None:
         return None
-    root_mono = Mono(tuple(e // k for e in mono.x), tuple(e // k for e in mono.u))
-    q = Poly(p.n, {root_mono: Fraction(num, den)})
+    q = Poly(p.n, {tuple(e // k for e in mono): Fraction(num, den)})
     limit = k * len(p.terms) + 16
     for _ in range(limit):
         r = p - q**k
@@ -158,13 +159,11 @@ def _poly_nth_root(p: Poly, k: int) -> Poly | None:
         lead_r, c_r = r.leading_term()
         lead_q, c_q = q.leading_term()
         # Next Newton term: LT(r) / (k LT(q)^(k-1)).
-        denom_mono = Mono(tuple(e * (k - 1) for e in lead_q.x), tuple(e * (k - 1) for e in lead_q.u))
-        diff_x = tuple(a - b for a, b in zip(lead_r.x, denom_mono.x))
-        diff_u = tuple(a - b for a, b in zip(lead_r.u, denom_mono.u))
-        if any(e < 0 for e in diff_x) or any(e < 0 for e in diff_u):
+        diff = tuple(a - b * (k - 1) for a, b in zip(lead_r, lead_q))
+        if min(diff, default=0) < 0:
             return None
         coeff = c_r / (k * c_q ** (k - 1))
-        q = q + Poly(p.n, {Mono(diff_x, diff_u): coeff})
+        q = q + Poly(p.n, {diff: coeff})
     return None
 
 
@@ -209,17 +208,13 @@ def trial_divide(p: Poly, d: Poly) -> Poly | None:
         c_r = rem.pop(lead_r, None)
         if c_r is None:
             continue
-        diff_x = tuple(a - b for a, b in zip(lead_r.x, lead_d.x))
-        diff_u = tuple(a - b for a, b in zip(lead_r.u, lead_d.u))
-        if min(diff_x, default=0) < 0 or min(diff_u, default=0) < 0:
+        diff = tuple(map(sub, lead_r, lead_d))
+        if min(diff, default=0) < 0:
             return None
         c_q = c_r / c_d
-        quo.append((Mono(diff_x, diff_u), c_q))
+        quo.append((diff, c_q))
         for m, c in tail_d:
-            mono = Mono(
-                tuple(a + b for a, b in zip(diff_x, m.x)),
-                tuple(a + b for a, b in zip(diff_u, m.u)),
-            )
+            mono = tuple(map(add, diff, m))
             v = c_q * c
             prev = rem.get(mono)
             if prev is None:
@@ -234,7 +229,7 @@ def trial_divide(p: Poly, d: Poly) -> Poly | None:
 
 def _desc_key(m: Mono) -> tuple:
     """Key whose ascending order is descending graded-lex order."""
-    return (-m.degree, tuple(-e for e in m.x), tuple(-e for e in m.u))
+    return (-sum(m), tuple(-e for e in m))
 
 
 def _linear_candidates(p: Poly, lines, height: int = 2, max_active: int = 5):
@@ -248,7 +243,7 @@ def _linear_candidates(p: Poly, lines, height: int = 2, max_active: int = 5):
         return
     span = range(-height, height + 1)
     n = p.n
-    pos = [idx - 1 if kind == "x" else n + idx - 1 for kind, idx in active]
+    pos = [var_pos(n, kind, idx) for kind, idx in active]
     filters = [
         ([A[j] for j in pos], [B[j] for j in pos], l_b, roots)
         for A, B, l_b, roots in lines
@@ -267,17 +262,10 @@ def _linear_candidates(p: Poly, lines, height: int = 2, max_active: int = 5):
             continue
         if not all(_may_divide(coeffs, const, f) for f in filters):
             continue
-        terms = {}
-        if const:
-            terms[Mono((0,) * n, (0,) * n)] = Fraction(const)
-        for (kind, idx), c in zip(active, coeffs):
-            if not c:
-                continue
-            e = [0] * n
-            e[idx - 1] = 1
-            mono = Mono(tuple(e), (0,) * n) if kind == "x" else Mono((0,) * n, tuple(e))
-            terms[mono] = Fraction(c)
-        yield Poly(n, terms)
+        form = [0] * (2 * n)
+        for j, c in zip(pos, coeffs):
+            form[j] = c
+        yield Poly.affine(n, form, const)
 
 
 def _line_filter(a: list[Fraction], b: list[Fraction], factors) -> tuple:
@@ -320,7 +308,7 @@ def _specialize_to_line(p: Poly, a: list[Fraction], b: list[Fraction]) -> list[F
     acc: list[Fraction] = []
     for mono, c in p.terms.items():
         term = [Fraction(c)]
-        for i, e in enumerate(list(mono.x) + list(mono.u)):
+        for i, e in enumerate(mono):
             if e:
                 lin = [b[i], a[i]] if a[i] else [b[i]]
                 for _ in range(e):
@@ -361,26 +349,17 @@ def irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0) -> IrredVer
         return IrredVerdict("Irreducible", witness="linear polynomial")
 
     content = p.monomial_content()
-    if content.degree > 0:
+    if any(content):
         if len(p.terms) == 1:
             # A single monomial of degree >= 2 splits off any one variable.
             kind, idx = sorted(p.variables_used())[0]
-            var = Poly.x_var(p.n, idx) if kind == "x" else Poly.u_var(p.n, idx)
-            return IrredVerdict("Reducible", witness="monomial of degree >= 2", factor=var)
-        for j, e in enumerate(content.x):
-            if e:
-                return IrredVerdict(
-                    "Reducible",
-                    witness=f"common factor x{j + 1}",
-                    factor=Poly.x_var(p.n, j + 1),
-                )
-        for j, e in enumerate(content.u):
-            if e:
-                return IrredVerdict(
-                    "Reducible",
-                    witness=f"common factor u{j + 1}",
-                    factor=Poly.u_var(p.n, j + 1),
-                )
+            return IrredVerdict(
+                "Reducible", witness="monomial of degree >= 2", factor=Poly.var(p.n, kind, idx)
+            )
+        kind, idx = var_name(p.n, next(j for j, e in enumerate(content) if e))
+        return IrredVerdict(
+            "Reducible", witness=f"common factor {kind}{idx}", factor=Poly.var(p.n, kind, idx)
+        )
 
     for k in (2, 3, 5, 7):
         if deg % k == 0 and deg >= k:
@@ -413,7 +392,7 @@ def irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0) -> IrredVer
             # In one variable v, p(v) = image((v - b_v) / a_v) with a_v != 0
             # (full degree), so the image factors exactly as p does.
             [(kind, idx)] = active
-            j = idx - 1 if kind == "x" else p.n + idx - 1
+            j = var_pos(p.n, kind, idx)
             g = min((g for g, _ in nontrivial), key=len)
             return IrredVerdict(
                 "Reducible",
@@ -680,7 +659,7 @@ def classify_codim1(
         # The zero set is algebraic in x (up to a nonvanishing exponential
         # factor); only the x-part hypotheses matter here.
         roots = _log_codim1(f, assume_codim1, log)
-        return _classify_degenerate(p, log, attempts, seed, roots)
+        return _classify_degenerate(f, log, attempts, seed, roots)
 
     oracle = _log_irreducibility(p, assume_irreducible, attempts, seed, log)
     roots = _log_codim1(f, assume_codim1, log)
@@ -730,17 +709,17 @@ def classify_codim1(
 
 
 def _classify_degenerate(
-    p: Poly,
+    f: EPoly,
     log: list[HypothesisCheck],
     attempts: int,
     seed: int,
     roots,
 ) -> ComponentReport:
-    """At most one u-exponent vector: the zero set is algebraic in x."""
-    d = next(iter(p.u_exponent_vectors()))
-    x_part = Poly(
-        p.n, {Mono(m.x, (0,) * p.n): c for m, c in p.terms.items()}
-    )
+    """At most one u-exponent vector: the zero set is algebraic in x.
+
+    So f = A e^(d.x) is a single term, and its coefficient A is the x-part.
+    """
+    [(d, x_part)] = f.terms.items()
     if any(d):
         notes = [
             "single exponential monomial factor e^(d.x) never vanishes; the "
@@ -755,7 +734,7 @@ def _classify_degenerate(
             x_part, False, attempts, seed, log, "x-part irreducible"
         )
     verdict, conditionality, residual = _verdict(
-        UNCONDITIONAL, log, oracle, p.n, roots, [], premise="x-part irreducible"
+        UNCONDITIONAL, log, oracle, f.n, roots, [], premise="x-part irreducible"
     )
     if oracle is None:
         residual = "the x-part is a nonzero constant; the zero set is empty"

@@ -322,9 +322,10 @@ def _cmd_transversal(args) -> int:
     for cert in selected:
         rep = check_transversality(p, cert, coords, args.tol)
         reports.append((cert, rep))
+        margin = rep.tangency_margin
         _say(
-            f"at x1 in [{cert.enclosure.lo!r}, {cert.enclosure.hi!r}]: "
-            f"{rep.verdict}, margin {rep.tangency_margin:.6g}"
+            f"at x1 in [{cert.enclosure.lo!r}, {cert.enclosure.hi!r}]: {rep.verdict}, margin "
+            + ("beyond the float range" if margin is None else f"{margin:.6g}")
         )
     result = {
         "tolerance": args.tol,
@@ -369,7 +370,6 @@ def _cmd_verify_paper(args) -> int:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
-    sub.add_argument("--rigorous", action="store_true", help="rational interval backend")
     sub.add_argument("--ambient", type=int, default=None, help="override variable count")
     sub.add_argument("--output", default=None, help="also write the JSON report to a file")
     sub.add_argument("--timings", action="store_true", help="include wall-clock timings")
@@ -418,6 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("text")
     sample.add_argument("--box", type=float, nargs=4, default=None, metavar=("X0", "X1", "Y0", "Y1"))
     sample.add_argument("--depth", type=int, default=8)
+    sample.add_argument("--rigorous", action="store_true", help="rational interval backend")
     _add_common(sample)
     sample.set_defaults(func=_cmd_sample2d)
 

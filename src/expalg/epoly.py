@@ -2,7 +2,10 @@
 
 The spectrum ``s`` ranges over vectors of rationals of length n and each
 coefficient A_s is a nonzero polynomial in x1..xn alone (a ``Poly`` whose
-u-exponents are all zero).  The zero function is the empty map.
+u-exponents are all zero).  The zero function is the empty map.  A
+coefficient's monomials keep the ``Poly`` layout of 2n exponents; since
+their u-block is zero, the evaluators enumerate whole monomials and meet
+only x-positions, and ``from_poly`` reads a term's spectrum off its u-block.
 
 This canonical form is semantically faithful: exponentials e^(s . x) with
 pairwise distinct rational spectra are linearly independent over the
@@ -51,7 +54,7 @@ def spectrum_key(s: Sequence[Fraction]) -> tuple:
 
 
 def _x_only(p: Poly) -> bool:
-    return all(all(e == 0 for e in m.u) for m in p.terms)
+    return not any(any(m[p.n :]) for m in p.terms)
 
 
 class EPoly:
@@ -104,9 +107,10 @@ class EPoly:
         result is the zero function only for the zero polynomial.
         """
         n = p.n
+        zero = (0,) * n
         grouped: dict[tuple, list[tuple[Mono, Fraction]]] = {}
         for mono, c in p.terms.items():
-            grouped.setdefault(mono.u, []).append((Mono(mono.x, (0,) * n), c))
+            grouped.setdefault(mono[n:], []).append((mono[:n] + zero, c))
         return cls(n, ((u, Poly(n, pairs)) for u, pairs in grouped.items()))
 
     # -- queries ---------------------------------------------------------------
@@ -204,7 +208,7 @@ class EPoly:
         # x_pivot = -sum_j ratio_j x_j, written in the n-1 remaining variables.
         form = Poly.affine(k, [-r for r in ratio] + [0] * k)
         zero = (0,) * k
-        sub = Substitution(form, lambda mono: (Mono(tuple(mono.x[j] for j in rest), zero), mono.x[pivot]))
+        sub = Substitution(form, lambda mono: (tuple(mono[j] for j in rest) + zero, mono[pivot]))
         return EPoly(
             k,
             ((tuple(s[j] - s[pivot] * r for j, r in zip(rest, ratio)), sub(a)) for s, a in self.terms.items()),
@@ -226,7 +230,7 @@ class EPoly:
         compiled = [
             (
                 [float(q) for q in spec],
-                [(float(c), [(j, e) for j, e in enumerate(m.x) if e]) for m, c in a.terms.items()],
+                [(float(c), [(j, e) for j, e in enumerate(m) if e]) for m, c in a.terms.items()],
             )
             for spec, a in self.terms.items()
         ]
@@ -273,12 +277,12 @@ class EPoly:
         n = self.n
         scale = math.lcm(*(c.denominator for a in self.terms.values() for c in a.terms.values()))
         spec_scale = math.lcm(*(q.denominator for spec in self.terms for q in spec))
-        top = max((sum(m.x) for a in self.terms.values() for m in a.terms), default=0)
+        top = max((sum(m) for a in self.terms.values() for m in a.terms), default=0)
         compiled = [
             (
                 [q.numerator * (spec_scale // q.denominator) for q in spec],
                 [
-                    (c.numerator * (scale // c.denominator), top - sum(m.x), [(j, e) for j, e in enumerate(m.x) if e])
+                    (c.numerator * (scale // c.denominator), top - sum(m), [(j, e) for j, e in enumerate(m) if e])
                     for m, c in a.terms.items()
                 ],
             )

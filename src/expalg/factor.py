@@ -33,7 +33,7 @@ from math import gcd, isqrt
 from typing import Sequence
 
 from .errors import InternalInvariantError
-from .poly import Mono, Poly
+from .poly import Poly, var_pos
 
 
 # ---------------------------------------------------------------------------
@@ -560,22 +560,21 @@ def poly_to_dense(p: Poly) -> tuple[tuple[str, int] | None, list[Fraction]]:
     if not used:
         return None, dtrim([p.constant_value()])
     (kind, idx) = next(iter(used))
+    pos = var_pos(p.n, kind, idx)
     coeffs = [Fraction(0)] * (p.degree_in(kind, idx) + 1)
     for mono, c in p.terms.items():
-        e = (mono.x if kind == "x" else mono.u)[idx - 1]
-        coeffs[e] += c
+        coeffs[mono[pos]] += c
     return (kind, idx), dtrim(coeffs)
 
 
 def dense_to_poly(coeffs: Sequence, n: int, kind: str, idx: int) -> Poly:
+    pos = var_pos(n, kind, idx)
     terms = {}
     for e, c in enumerate(coeffs):
-        if not c:
-            continue
-        ex = [0] * n
-        ex[idx - 1] = e
-        mono = Mono(tuple(ex), (0,) * n) if kind == "x" else Mono((0,) * n, tuple(ex))
-        terms[mono] = Fraction(c)
+        if c:
+            ex = [0] * (2 * n)
+            ex[pos] = e
+            terms[tuple(ex)] = Fraction(c)
     return Poly(n, terms)
 
 

@@ -103,7 +103,7 @@ class EvalPlan:
     __slots__ = ("exact", "powers", "groups")
 
     def __init__(self, groups, exact: bool):
-        """``groups`` lists (spectrum or None, [(coefficient, exponents)])."""
+        """``groups`` lists (spectrum or None, [(monomial, coefficient)])."""
         self.exact = exact
         coeff = RatInterval.exact_point if exact else enclose_rational_pair
         entry = Fraction if exact else enclose_rational_pair
@@ -113,8 +113,8 @@ class EvalPlan:
             if spec is not None:
                 spec = tuple((i, entry(q)) for i, q in enumerate(spec) if q)
             terms = tuple(
-                (coeff(c), tuple(slots.setdefault(v, len(slots)) for v in enumerate(exps) if v[1]))
-                for c, exps in terms
+                (coeff(c), tuple(slots.setdefault(v, len(slots)) for v in enumerate(mono) if v[1]))
+                for mono, c in terms
             )
             compiled.append((spec, terms))
         self.groups = tuple(compiled)
@@ -124,14 +124,14 @@ class EvalPlan:
     def of_epoly(cls, f: EPoly, exact: bool = False) -> EvalPlan:
         """Plan for f on its n variables."""
         return cls(
-            [(spec, [(c, m.x) for m, c in a.sorted_terms()]) for spec, a in f.sorted_terms()],
+            [(spec, a.sorted_terms()) for spec, a in f.sorted_terms()],
             exact,
         )
 
     @classmethod
     def of_poly(cls, p: Poly) -> EvalPlan:
         """Fast plan for p on its 2n variables, ordered x1..xn, u1..un."""
-        return cls([(None, [(c, m.x + m.u) for m, c in p.sorted_terms()])], False)
+        return cls([(None, p.sorted_terms())], False)
 
     def __call__(self, bounds: Sequence[Pair]) -> Pair:
         """Enclosure (lo, hi) over the box with the given float bounds."""
@@ -572,9 +572,9 @@ def sample_zero_cells_2d(
 
 @dataclass(frozen=True)
 class TransversalityReport:
-    point: tuple[float, ...]
+    point: tuple[float | None, ...]
     jacobian_rank_lower_bound: int
-    tangency_margin: float
+    tangency_margin: float | None
     verdict: str  # Transverse | Undetermined
 
 
@@ -593,6 +593,11 @@ def check_transversality(
     Transverse only when an interval evaluation of that decisive minor over
     the enclosure excludes zero (certified non-parallel gradients).
 
+    When e^{x1}, or a gradient entry built from its powers, is beyond the
+    float range at the midpoint, there is no float margin to rank the minors
+    by: the verdict is Undetermined with rank bound 1 and margin None, and
+    the point's u1 entry is None when e^{x1} itself overflows.
+
     Enclosures containing x1 = 0 violate the hypothesis and raise.
     """
     n = p.n
@@ -608,12 +613,15 @@ def check_transversality(
 
     x1 = enc.mid
     rest = [float(v) for v in other_coords]
-    u = math.exp(x1)
+    grads = [p.derivative("x", i) for i in range(1, n + 1)] + [p.derivative("u", 1)]
+    u = None
+    try:
+        u = math.exp(x1)
+        mid = [x1, *rest, u] + [0.0] * (n - 1)
+        grad_p = [dp.eval(mid) for dp in grads]
+    except OverflowError:
+        return TransversalityReport((x1, *rest, u), 1, None, "Undetermined")
     z = (x1, *rest, u)
-
-    full_mid = [x1, *rest] + [u] + [0.0] * (n - 1)
-    grad_p = [p.derivative("x", i).eval(full_mid) for i in range(1, n + 1)]
-    grad_p.append(p.derivative("u", 1).eval(full_mid))
     grad_g = [-u] + [0.0] * (n - 1) + [1.0]
 
     best = (0.0, 0, 1)
@@ -628,10 +636,7 @@ def check_transversality(
     u_lo, u_hi = pair_exp((enc.lo, enc.hi))
     bounds = [(enc.lo, enc.hi)] + [(v, v) for v in rest] + [(u_lo, u_hi)]
     bounds += [(0.0, 0.0)] * (n - 1)
-    grad_p_iv = [
-        EvalPlan.of_poly(dp)(bounds)
-        for dp in [p.derivative("x", i) for i in range(1, n + 1)] + [p.derivative("u", 1)]
-    ]
+    grad_p_iv = [EvalPlan.of_poly(dp)(bounds) for dp in grads]
     grad_g_iv = [(-u_hi, -u_lo)] + [(0.0, 0.0)] * (n - 1) + [(1.0, 1.0)]
     # the subtracted product enters negated: (lo, hi) -> (-hi, -lo)
     sub_lo, sub_hi = pair_mul(grad_p_iv[bj], grad_g_iv[bi])

@@ -20,6 +20,8 @@ function as ui, and returns the canonical exponential polynomial.
 
 Pretty printing emits canonical text (terms in decreasing graded-lex order,
 exponential factors in spectrum order) that parses back to an equal value.
+A monomial prints its variables in layout order, x1..xn then u1..un, each
+named by ``poly.var_name``; the parser builds variables with ``Poly.var``.
 Exponential polynomials whose spectra are not non-negative integers (they
 arise from hyperplane restriction) are printed in a readable extended form
 ``exp(q1*x1 + ...)`` that is not part of the input grammar.
@@ -34,7 +36,7 @@ from typing import NamedTuple
 from .epoly import EPoly
 from .errors import ParseError
 from .hyperplanes import Hyperplane
-from .poly import Mono, Poly, grlex_key
+from .poly import Mono, Poly, var_name
 
 
 class Token(NamedTuple):
@@ -187,7 +189,7 @@ class _Parser:
         if tok.kind == "VAR":
             self.advance()
             kind, idx = _split_var(tok)
-            return Poly.x_var(self.n, idx) if kind == "x" else Poly.u_var(self.n, idx)
+            return Poly.var(self.n, kind, idx)
         if tok.kind == "EXP":
             if not self.allow_exp:
                 raise ParseError(
@@ -206,7 +208,7 @@ class _Parser:
             self.advance()
             _, idx = _split_var(arg)
             self.expect_op(")")
-            return Poly.u_var(self.n, idx)
+            return Poly.var(self.n, "u", idx)
         if tok.kind == "OP" and tok.text == "(":
             self.advance()
             value = self.expr()
@@ -262,18 +264,12 @@ def format_rat(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def _format_monomial(mono: Mono, coeff: Fraction) -> str:
+def _format_monomial(n: int, mono: Mono, coeff: Fraction) -> str:
     parts: list[str] = []
-    for i, e in enumerate(mono.x):
-        if e == 1:
-            parts.append(f"x{i + 1}")
-        elif e > 1:
-            parts.append(f"x{i + 1}^{e}")
-    for i, e in enumerate(mono.u):
-        if e == 1:
-            parts.append(f"u{i + 1}")
-        elif e > 1:
-            parts.append(f"u{i + 1}^{e}")
+    for pos, e in enumerate(mono):
+        if e:
+            kind, i = var_name(n, pos)
+            parts.append(f"{kind}{i}" if e == 1 else f"{kind}{i}^{e}")
     c = abs(coeff)
     if not parts:
         return format_rat(c)
@@ -287,10 +283,8 @@ def format_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
     pieces: list[str] = []
-    for rank, (mono, coeff) in enumerate(
-        sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
-    ):
-        body = _format_monomial(mono, coeff)
+    for rank, (mono, coeff) in enumerate(p.sorted_terms()):
+        body = _format_monomial(p.n, mono, coeff)
         if rank == 0:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:
@@ -335,13 +329,5 @@ def format_epoly(f: EPoly) -> str:
 
 
 def format_hyperplane(m: Hyperplane) -> str:
-    n = m.dimension
-    linear = Poly(
-        n,
-        {
-            Mono(tuple(1 if j == i else 0 for j in range(n)), (0,) * n): Fraction(c)
-            for i, c in enumerate(m.normal)
-            if c
-        },
-    )
+    linear = Poly.affine(m.dimension, [*m.normal] + [0] * m.dimension)
     return f"{format_poly(linear)} = 0"

@@ -1,9 +1,11 @@
 """Exact sparse polynomials over Q in the paired variable blocks x1..xn, u1..un.
 
 A polynomial stores a map from monomials to nonzero rational coefficients.
-A monomial is a pair of exponent tuples, one for the x-block and one for the
-u-block, both of length ``n`` (the ambient variable count, fixed per
-polynomial).  The zero polynomial is the empty map.
+A monomial is one tuple of 2n non-negative exponents, those of x1..xn and
+then those of u1..un, where ``n`` is the ambient variable count, fixed per
+polynomial.  This module alone knows that layout: ``var_pos`` gives the
+position of a variable and ``var_name`` the variable at a position.  The
+zero polynomial is the empty map.
 
 Coefficients are ``fractions.Fraction``: arithmetic is exact, canonical forms
 are unique, and equality testing is reliable.  Instances are immutable after
@@ -32,37 +34,37 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import chain
-from typing import NamedTuple, Union
+from operator import add
+from typing import Union
 
 from .errors import DimensionError
 
 Rat = Fraction
 RatLike = Union[int, Fraction]
+Mono = tuple[int, ...]  # exponents of x1..xn, then of u1..un
 
 
-class Mono(NamedTuple):
-    """Monomial exponents: ``x[i]`` is the power of x_{i+1}, ``u[i]`` of u_{i+1}."""
+def var_pos(n: int, kind: str, i: int) -> int:
+    """Position of the variable x_i or u_i (1-based i) in a monomial of ambient n."""
+    if kind not in ("x", "u"):
+        raise ValueError(f"variable kind must be 'x' or 'u', got {kind!r}")
+    if not 1 <= i <= n:
+        raise DimensionError(f"variable index {i} out of range 1..{n}")
+    return i - 1 if kind == "x" else n + i - 1
 
-    x: tuple[int, ...]
-    u: tuple[int, ...]
 
-    @property
-    def degree(self) -> int:
-        return sum(self.x) + sum(self.u)
+def var_name(n: int, pos: int) -> tuple[str, int]:
+    """The (kind, index) pair of the variable at ``pos`` of a monomial of ambient n."""
+    return ("x", pos + 1) if pos < n else ("u", pos - n + 1)
 
 
 def grlex_key(m: Mono) -> tuple:
     """Graded lexicographic sort key: total degree first, then lex on (x, u)."""
-    return (m.degree, m.x, m.u)
+    return (sum(m), m)
 
 
 def _as_rat(c: RatLike) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
-
-
-def _unit(n: int, pos: int) -> tuple[int, ...]:
-    """Exponent tuple of length n with a single 1 at ``pos`` (0-based)."""
-    return tuple(int(j == pos) for j in range(n))
 
 
 def _products(
@@ -71,11 +73,7 @@ def _products(
     """Every product of a term of ``left`` with a term of ``right``, unmerged."""
     for m1, c1 in left:
         for m2, c2 in right.items():
-            mono = Mono(
-                tuple(a + b for a, b in zip(m1.x, m2.x)),
-                tuple(a + b for a, b in zip(m1.u, m2.u)),
-            )
-            yield mono, c1 * c2
+            yield tuple(map(add, m1, m2)), c1 * c2
 
 
 class Poly:
@@ -93,12 +91,13 @@ class Poly:
             raise ValueError("ambient variable count must be non-negative")
         canon: dict[Mono, Fraction] = {}
         pairs = terms.items() if isinstance(terms, Mapping) else terms or ()
+        width = 2 * n
         for mono, coeff in pairs:
-            if len(mono.x) != n or len(mono.u) != n:
+            if len(mono) != width:
                 raise DimensionError(
-                    f"monomial exponent length != ambient count {n}: {mono}"
+                    f"monomial exponent length != twice the ambient count {n}: {mono}"
                 )
-            if min(mono.x, default=0) < 0 or min(mono.u, default=0) < 0:
+            if min(mono, default=0) < 0:
                 raise ValueError(f"negative exponent in monomial {mono}")
             c = _as_rat(coeff)
             if c:
@@ -122,29 +121,22 @@ class Poly:
 
     @classmethod
     def const(cls, n: int, value: RatLike) -> Poly:
-        return cls(n, {Mono((0,) * n, (0,) * n): _as_rat(value)})
+        return cls(n, {(0,) * (2 * n): _as_rat(value)})
 
     @classmethod
-    def x_var(cls, n: int, i: int) -> Poly:
-        """The polynomial x_i (1-based index)."""
-        _check_index(n, i)
-        return cls(n, {Mono(_unit(n, i - 1), (0,) * n): Fraction(1)})
-
-    @classmethod
-    def u_var(cls, n: int, i: int) -> Poly:
-        """The polynomial u_i (1-based index)."""
-        _check_index(n, i)
-        return cls(n, {Mono((0,) * n, _unit(n, i - 1)): Fraction(1)})
+    def var(cls, n: int, kind: str, i: int) -> Poly:
+        """The polynomial x_i or u_i (1-based index)."""
+        pos = var_pos(n, kind, i)
+        return cls(n, {tuple(int(j == pos) for j in range(2 * n)): Fraction(1)})
 
     @classmethod
     def affine(cls, n: int, coeffs: Sequence[RatLike], const: RatLike = 0) -> Poly:
         """const + sum of coeffs[j] * v_j over the variables v = (x1..xn, u1..un)."""
         if len(coeffs) != 2 * n:
             raise DimensionError(f"affine form needs {2 * n} coefficients")
-        zero = (0,) * n
-        units = [Mono(_unit(n, j), zero) for j in range(n)]
-        units += [Mono(zero, _unit(n, j)) for j in range(n)]
-        return cls(n, [(Mono(zero, zero), const), *zip(units, coeffs)])
+        width = 2 * n
+        units = [tuple(int(j == k) for j in range(width)) for k in range(width)]
+        return cls(n, [((0,) * width, const), *zip(units, coeffs)])
 
     # -- basic queries -------------------------------------------------------
 
@@ -152,7 +144,7 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(m.degree == 0 for m in self.terms)
+        return not any(map(any, self.terms))
 
     def constant_value(self) -> Fraction:
         """Value of a constant polynomial (0 for the zero polynomial)."""
@@ -162,30 +154,21 @@ class Poly:
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((m.degree for m in self.terms), default=-1)
+        return max(map(sum, self.terms), default=-1)
 
     def degree_in(self, kind: str, i: int) -> int:
         """Degree in a single variable; 0 if absent, -1 for the zero polynomial."""
-        pos = _var_pos(self.n, kind, i)
-        if not self.terms:
-            return -1
-        return max((m.x if kind == "x" else m.u)[pos] for m in self.terms)
+        pos = var_pos(self.n, kind, i)
+        return max((m[pos] for m in self.terms), default=-1)
 
     def variables_used(self) -> set[tuple[str, int]]:
         """The (kind, index) pairs of variables with positive degree."""
-        used: set[tuple[str, int]] = set()
-        for m in self.terms:
-            for i, e in enumerate(m.x):
-                if e:
-                    used.add(("x", i + 1))
-            for i, e in enumerate(m.u):
-                if e:
-                    used.add(("u", i + 1))
-        return used
+        return {var_name(self.n, pos) for m in self.terms for pos, e in enumerate(m) if e}
 
     def u_exponent_vectors(self) -> set[tuple[int, ...]]:
         """Distinct u-block exponent vectors appearing in the polynomial."""
-        return {m.u for m in self.terms}
+        n = self.n
+        return {m[n:] for m in self.terms}
 
     def coefficient_height(self) -> int:
         """Max of |numerator| and denominator over all coefficients (0 if zero)."""
@@ -262,15 +245,10 @@ class Poly:
         """
         if len(point) != 2 * self.n:
             raise DimensionError(f"point length {len(point)} != {2 * self.n}")
-        xs = point[: self.n]
-        us = point[self.n :]
         acc = None
         for mono, c in self.terms.items():
             term = c
-            for v, e in zip(xs, mono.x):
-                if e:
-                    term = term * v**e
-            for v, e in zip(us, mono.u):
+            for v, e in zip(point, mono):
                 if e:
                     term = term * v**e
             acc = term if acc is None else acc + term
@@ -278,14 +256,10 @@ class Poly:
 
     def derivative(self, kind: str, i: int) -> Poly:
         """Exact formal partial derivative with respect to x_i or u_i."""
-        pos, block = _var_pos(self.n, kind, i), "xu".index(kind)
+        pos = var_pos(self.n, kind, i)
         return Poly(
             self.n,
-            (
-                (_set_exponent(m, block, pos, m[block][pos] - 1), c * m[block][pos])
-                for m, c in self.terms.items()
-                if m[block][pos]
-            ),
+            ((_set_exponent(m, pos, m[pos] - 1), c * m[pos]) for m, c in self.terms.items() if m[pos]),
         )
 
     def substitute_affine(
@@ -301,9 +275,9 @@ class Poly:
         (x1..xn, u1..un); the entry for the substituted variable itself is
         allowed (the identity substitution uses coefficient 1 there).
         """
-        pos, block = _var_pos(self.n, kind, i), "xu".index(kind)
+        pos = var_pos(self.n, kind, i)
         form = Poly.affine(self.n, coeffs, const)
-        return Substitution(form, lambda m: (_set_exponent(m, block, pos, 0), m[block][pos]))(self)
+        return Substitution(form, lambda m: (_set_exponent(m, pos, 0), m[pos]))(self)
 
     def substitute_value(self, kind: str, i: int, value: RatLike) -> Poly:
         """Replace one variable by a rational constant."""
@@ -314,11 +288,8 @@ class Poly:
     def monomial_content(self) -> Mono:
         """Componentwise minimum exponent vector over all terms (the monomial gcd)."""
         if not self.terms:
-            return Mono((0,) * self.n, (0,) * self.n)
-        monos = list(self.terms)
-        minx = tuple(min(m.x[j] for m in monos) for j in range(self.n))
-        minu = tuple(min(m.u[j] for m in monos) for j in range(self.n))
-        return Mono(minx, minu)
+            return (0,) * (2 * self.n)
+        return tuple(map(min, zip(*self.terms)))
 
 
 class Substitution:
@@ -348,20 +319,6 @@ class Substitution:
             yield from _products(((rest, c),), powers[e].terms)
 
 
-def _set_exponent(mono: Mono, block: int, pos: int, e: int) -> Mono:
-    """mono with exponent e at ``pos`` of its x-block (block 0) or u-block (1)."""
-    exps = mono[block]
-    new = exps[:pos] + (e,) + exps[pos + 1 :]
-    return Mono(new, mono.u) if block == 0 else Mono(mono.x, new)
-
-
-def _check_index(n: int, i: int) -> None:
-    if not 1 <= i <= n:
-        raise DimensionError(f"variable index {i} out of range 1..{n}")
-
-
-def _var_pos(n: int, kind: str, i: int) -> int:
-    if kind not in ("x", "u"):
-        raise ValueError(f"variable kind must be 'x' or 'u', got {kind!r}")
-    _check_index(n, i)
-    return i - 1
+def _set_exponent(mono: Mono, pos: int, e: int) -> Mono:
+    """mono with exponent e at ``pos``."""
+    return mono[:pos] + (e,) + mono[pos + 1 :]

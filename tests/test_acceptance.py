@@ -23,9 +23,9 @@ from expalg.numeric import (
     sample_zero_cells_2d,
 )
 from expalg.parsing import format_poly, parse_epoly, parse_poly
-from expalg.poly import Mono, Poly
+from expalg.poly import Poly
 
-from util import rand_poly
+from util import mono, rand_poly
 
 AXES_PAIR = "x1*u2 + x2*u1 - x1 - x2"
 TWO_POINT_LINE_F = "2*x1 + 1 - exp(x1)"
@@ -127,7 +127,7 @@ def _random_poly_with_u_vectors(rng, n, m):
     terms = {}
     for u in vectors:
         x = tuple(rng.randint(0, 2) for _ in range(n))
-        terms[Mono(x, u)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        terms[mono(x, u)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
     return Poly(n, terms)
 
 

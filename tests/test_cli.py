@@ -99,6 +99,42 @@ def test_transversal_with_lifted_coordinates(capsys):
     assert checks[0]["verdict"] == "Transverse"
 
 
+def test_transversal_beyond_float_range_is_undetermined(capsys):
+    # the root 710 is certified, but e^710 is beyond the float range: no
+    # float margin, so no verdict, instead of an input error
+    code, out, err = run_cli(capsys, ["transversal", "--", "x1 - 710"])
+    assert code == 0, err
+    [check] = json.loads(out)["result"]["checks"]
+    assert check["rootEnclosure"] == [710.0, 710.0] and check["point"] == [710.0, None]
+    assert check["verdict"] == "Undetermined" and check["jacobianRankLowerBound"] == 1
+    assert check["tangencyMargin"] is None
+    assert "margin beyond the float range" in err
+
+
+def test_rigorous_only_on_sample2d(capsys):
+    # only sample2d has a rational backend; elsewhere the flag changed
+    # nothing but the report's mode, so argparse rejects it
+    code, out, _ = run_cli(capsys, ["sample2d", "x1^2 + x2^2 - u1", "--rigorous", "--depth", "2"])
+    assert code == 0 and json.loads(out)["mode"] == "rigorous"
+    code, out, _ = run_cli(capsys, ["roots", "2*x1 + 1 - exp(x1)"])
+    assert code == 0 and json.loads(out)["mode"] == "fast"
+    for argv in (
+        ["roots", "2*x1 + 1 - exp(x1)"],
+        ["classify", "x1*u2 + x2*u1 - x1 - x2"],
+        ["transversal", "2*x1 - u1 + 1"],
+        ["canon", "x1"],
+        ["hyperplanes", "x1*u2"],
+        ["classify1e", "x1 - u1"],
+        ["verify-paper"],
+    ):
+        try:
+            code = cli.main([*argv, "--rigorous"])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and "--rigorous" in captured.err, argv
+
+
 def test_parse_error_exit_code(capsys):
     code, out, err = run_cli(capsys, ["canon", "x1 +"])
     assert code == 1 and out == "" and "input error" in err

@@ -13,9 +13,10 @@ from expalg import classify
 from expalg.classify import _line_filter, _may_divide, irreducibility_oracle, trial_divide
 from expalg.factor import factor_dense
 from expalg.parsing import format_poly, parse_poly
-from expalg.poly import Mono, Poly
+from expalg.poly import Poly
 
 from util import (
+    mono,
     rand_poly,
     reference_irreducibility_oracle,
     reference_linear_candidates,
@@ -41,24 +42,24 @@ def _record_divisions(monkeypatch):
 def _rand_form(rng, n, variables, height):
     """A random affine form on some of ``variables`` with coefficients in [-height, height]."""
     const = rng.choice([c for c in range(-height, height + 1) if c])
-    terms = {Mono((0,) * n, (0,) * n): Fraction(const)}
+    terms = {mono((0,) * n, (0,) * n): Fraction(const)}
     for kind, idx in rng.sample(variables, rng.randint(1, min(3, len(variables)))):
         e = tuple(int(j == idx - 1) for j in range(n))
-        mono = Mono(e, (0,) * n) if kind == "x" else Mono((0,) * n, e)
-        terms[mono] = Fraction(rng.choice([c for c in range(-height, height + 1) if c]))
+        m = mono(e, (0,) * n) if kind == "x" else mono((0,) * n, e)
+        terms[m] = Fraction(rng.choice([c for c in range(-height, height + 1) if c]))
     return Poly(n, terms)
 
 
 def _rand_factor(rng, n, variables):
     """A random polynomial of degree 1 or 2 on ``variables``, with a constant term."""
     while True:
-        terms = {Mono((0,) * n, (0,) * n): Fraction(rng.choice([-3, -1, 1, 2]))}
+        terms = {mono((0,) * n, (0,) * n): Fraction(rng.choice([-3, -1, 1, 2]))}
         for _ in range(rng.randint(2, 4)):
             mono_vars = rng.sample(variables, rng.randint(0, 2))
             x, u = [0] * n, [0] * n
             for kind, idx in mono_vars:
                 (x if kind == "x" else u)[idx - 1] += 1
-            terms[Mono(tuple(x), tuple(u))] = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
+            terms[mono(x, u)] = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
         q = Poly(n, terms)
         if not q.is_constant():
             return q
@@ -138,10 +139,10 @@ def test_line_filter_matches_exact_division():
             continue
         line = _line_filter(a, b, factor_dense(image)[1])
         A, B, l_b, _ = line
-        units = [Mono(e, (0,) * n) for e in _units(n)] + [Mono((0,) * n, e) for e in _units(n)]
+        units = [mono(e, (0,) * n) for e in _units(n)] + [mono((0,) * n, e) for e in _units(n)]
         for cand in reference_linear_candidates(p):
             coeffs = [int(cand.terms.get(m, 0)) for m in units]
-            const = int(cand.terms.get(Mono((0,) * n, (0,) * n), 0))
+            const = int(cand.terms.get(mono((0,) * n, (0,) * n), 0))
             want = restriction_divides(cand, a, b, image)
             assert _may_divide(coeffs, const, line) == want, (format_poly(p), a, b, format_poly(cand))
             alpha = sum(c * x for c, x in zip(coeffs, A))
@@ -176,7 +177,7 @@ def test_planted_linear_divisor_is_found_with_few_divisions(monkeypatch):
 def test_trial_divide_long_exact_quotient():
     p, d = parse_poly("x1^22 - 1", 1), parse_poly("x1 - 1", 1)
     quo = trial_divide(p, d)
-    assert quo == Poly(1, {Mono((k,), (0,)): 1 for k in range(22)})
+    assert quo == Poly(1, {mono((k,), (0,)): 1 for k in range(22)})
     assert len(quo.terms) == 22
     # The old division gave up after len(p) * (len(d) + 1) + 16 = 22 steps.
     assert reference_trial_divide(p, d) is None

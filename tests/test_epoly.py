@@ -173,7 +173,7 @@ def test_restriction_is_exact_on_the_hyperplane_at_n3_and_n4():
 
 def test_constructor_merges_pairs_in_arrival_order():
     a, b, c = (Fraction(2),), (Fraction(1, 2),), (Fraction(-1),)
-    one, two = Poly.const(1, 1), Poly.x_var(1, 1)
+    one, two = Poly.const(1, 1), Poly.var(1, "x", 1)
     f = EPoly(1, [(a, one), (b, two), (a, -one), (c, two), (a, two), (b, two), (c, -two)])
     assert list(f.terms) == [b, a]
     assert f.terms[b] == two.scale(2) and f.terms[a] == two
@@ -202,7 +202,7 @@ def test_identically_zero_evaluates_to_zero():
 
 def test_u_variables_rejected_in_coefficients():
     with pytest.raises(ValueError):
-        EPoly(1, {(Fraction(0),): Poly.u_var(1, 1)})
+        EPoly(1, {(Fraction(0),): Poly.var(1, "u", 1)})
 
 
 def test_restrict_dimension_checks():

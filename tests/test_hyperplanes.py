@@ -9,7 +9,9 @@ import pytest
 from expalg.errors import HyperplaneError
 from expalg.hyperplanes import candidate_hyperplanes, primitive_normalize
 from expalg.parsing import parse_poly
-from expalg.poly import Mono, Poly
+from expalg.poly import Poly
+
+from util import mono
 
 
 def test_primitive_normalize_examples():
@@ -44,7 +46,7 @@ def _random_poly_with_u_vectors(rng, n, m):
     terms = {}
     for u in vectors:
         x = tuple(rng.randint(0, 2) for _ in range(n))
-        terms[Mono(x, u)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        terms[mono(x, u)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
     return Poly(n, terms)
 
 

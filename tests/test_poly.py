@@ -5,16 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+from expalg.classify import _stable_seed
 from expalg.errors import DimensionError
-from expalg.parsing import parse_poly
-from expalg.poly import Mono, Poly
+from expalg.parsing import format_poly, parse_poly
+from expalg.poly import Poly, var_name, var_pos
 
-from util import rand_point, rand_poly
+from util import mono, rand_point, rand_poly
 
 
 def test_difference_of_squares():
     n = 1
-    x, u = Poly.x_var(n, 1), Poly.u_var(n, 1)
+    x, u = Poly.var(n, "x", 1), Poly.var(n, "u", 1)
     assert (x + u) * (x - u) == parse_poly("x1^2 - u1^2")
 
 
@@ -39,14 +40,14 @@ def test_square_expansion_matches_hand_result():
 
 def test_canonical_form_drops_zero_coefficients():
     n = 1
-    mono = Mono((1,), (0,))
-    assert Poly(n, {mono: Fraction(0)}).is_zero()
-    p = Poly(n, {mono: Fraction(2)}) + Poly(n, {mono: Fraction(-2)})
+    m = mono((1,), (0,))
+    assert Poly(n, {m: Fraction(0)}).is_zero()
+    p = Poly(n, {m: Fraction(2)}) + Poly(n, {m: Fraction(-2)})
     assert p.is_zero() and p.terms == {}
 
 
 def test_constructor_merges_pairs_in_arrival_order():
-    a, b, c = Mono((0,), (0,)), Mono((1,), (0,)), Mono((0,), (1,))
+    a, b, c = mono((0,), (0,)), mono((1,), (0,)), mono((0,), (1,))
     p = Poly(1, [(a, 1), (b, 2), (a, -1), (c, Fraction(1, 2)), (a, 3), (b, 1), (c, 0)])
     # a cancels and comes back: it arrives anew, after c
     assert list(p.terms) == [b, c, a]
@@ -58,16 +59,16 @@ def test_constructor_merges_pairs_in_arrival_order():
     assert list(Poly(1, {c: 1, a: 0, b: -1}).terms) == [c, b]
     assert Poly(1, {a: 1, b: 2}) == Poly(1, [(a, 1), (b, 2)])
     with pytest.raises(DimensionError):
-        Poly(1, [(Mono((1, 0), (0, 0)), 1)])
+        Poly(1, [(mono((1, 0), (0, 0)), 1)])
     with pytest.raises(ValueError):
-        Poly(1, [(Mono((-1,), (0,)), 1)])
+        Poly(1, [(mono((-1,), (0,)), 1)])
 
 
 def test_ambient_mismatch_raises():
     with pytest.raises(DimensionError):
-        Poly.x_var(1, 1) + Poly.x_var(2, 1)
+        Poly.var(1, "x", 1) + Poly.var(2, "x", 1)
     with pytest.raises(DimensionError):
-        Poly.x_var(2, 3)
+        Poly.var(2, "x", 3)
 
 
 def test_ring_axioms_on_random_inputs():
@@ -168,3 +169,82 @@ def test_power_and_scale():
     assert p**0 == Poly.const(1, 1)
     assert p**3 == p * p * p
     assert p.scale(Fraction(3, 2)).eval([2, 0]) == Fraction(9, 2)
+
+
+# Observable outputs of the monomial layout, recorded when a monomial was a
+# pair of x- and u-exponent tuples: (text, n, oracle seed, canonical text,
+# monomials in sorted_terms order as x-exponents then u-exponents).
+LAYOUT_CASES = [
+    ("2*x1 - u1 + 1", 1, 13986653927692771661, "2*x1 - u1 + 1", [(1, 0), (0, 1), (0, 0)]),
+    (
+        "x1^2*u1 - 3*u1^2 + x1*u1 - 1/2",
+        1,
+        6495893682063435354,
+        "x1^2*u1 + x1*u1 - 3*u1^2 - 1/2",
+        [(2, 1), (1, 1), (0, 2), (0, 0)],
+    ),
+    (
+        "x1*u2 + x2*u1 - x1 - x2",
+        2,
+        16384157865105445991,
+        "x1*u2 + x2*u1 - x1 - x2",
+        [(1, 0, 0, 1), (0, 1, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0)],
+    ),
+    (
+        "(x1 + u2 - 1)*(x2 + u1 + 1)",
+        2,
+        12207926651023008824,
+        "x1*x2 + x1*u1 + x2*u2 + u1*u2 + x1 - x2 - u1 + u2 - 1",
+        [
+            (1, 1, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1), (0, 0, 1, 1), (1, 0, 0, 0),
+            (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0),
+        ],
+    ),
+    (
+        "x1*x2*u3 + 5*u1^2*u2 - x3^3 + 7/3*u3",
+        3,
+        11469007431035589914,
+        "x1*x2*u3 - x3^3 + 5*u1^2*u2 + 7/3*u3",
+        [(1, 1, 0, 0, 0, 1), (0, 0, 3, 0, 0, 0), (0, 0, 0, 2, 1, 0), (0, 0, 0, 0, 0, 1)],
+    ),
+    (
+        "(x1 + u2 - 1)*(x2 + u3 + 1)",
+        3,
+        2983123310381854395,
+        "x1*x2 + x1*u3 + x2*u2 + u2*u3 + x1 - x2 + u2 - u3 - 1",
+        [
+            (1, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 1, 0), (0, 0, 0, 0, 1, 1),
+            (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1),
+            (0, 0, 0, 0, 0, 0),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("text, n, seed, canonical, order", LAYOUT_CASES)
+def test_layout_keeps_seeds_text_and_term_order(text, n, seed, canonical, order):
+    p = parse_poly(text, n)
+    assert _stable_seed(p, 0) == seed
+    assert format_poly(p) == canonical
+    assert [m for m, _ in p.sorted_terms()] == order
+
+
+def test_monomial_content():
+    assert Poly.zero(2).monomial_content() == (0, 0, 0, 0)
+    assert parse_poly("3*x1^2*u2", 2).monomial_content() == (2, 0, 0, 1)
+    assert parse_poly("x1^2*u1*u2 + x1*u1^2*u2^3", 2).monomial_content() == (1, 0, 1, 1)
+
+
+def test_var_pos_and_var_name_are_inverse():
+    for n in range(1, 5):
+        positions = [var_pos(n, kind, i) for kind in "xu" for i in range(1, n + 1)]
+        assert positions == list(range(2 * n))
+        for kind in "xu":
+            for i in range(1, n + 1):
+                assert var_name(n, var_pos(n, kind, i)) == (kind, i)
+                assert Poly.var(n, kind, i).variables_used() == {(kind, i)}
+        for bad in (("x", 0), ("u", n + 1)):
+            with pytest.raises(DimensionError):
+                var_pos(n, *bad)
+        with pytest.raises(ValueError):
+            var_pos(n, "y", 1)

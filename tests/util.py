@@ -19,7 +19,12 @@ from expalg.epoly import EPoly
 from expalg.errors import DimensionError, InternalInvariantError
 from expalg.factor import factor_dense
 from expalg.intervals import Box, RatInterval
-from expalg.poly import Mono, Poly
+from expalg.poly import Poly
+
+
+def mono(x, u) -> tuple[int, ...]:
+    """The monomial with x-exponents ``x`` and u-exponents ``u``."""
+    return (*x, *u)
 
 
 def rand_fraction(rng: random.Random, span: int = 6, den: int = 4) -> Fraction:
@@ -39,7 +44,7 @@ def rand_poly(
         u = tuple(rng.randint(0, max_exp) if allow_u else 0 for _ in range(n))
         c = rand_fraction(rng)
         if c:
-            terms[Mono(x, u)] = terms.get(Mono(x, u), Fraction(0)) + c
+            terms[mono(x, u)] = terms.get(mono(x, u), Fraction(0)) + c
     return Poly(n, terms)
 
 
@@ -248,9 +253,9 @@ def reference_enclose_rational(c: Fraction | int) -> ReferenceInterval:
 def _reference_poly(a: Poly, xs, zero, coeff):
     """Sum of the terms of a; xs covers x1..xn, and u1..un when a uses them."""
     acc = zero
-    for mono, c in a.sorted_terms():
+    for m, c in a.sorted_terms():
         term = coeff(c)
-        for iv, e in zip(xs, tuple(mono.x) + tuple(mono.u)):
+        for iv, e in zip(xs, m):
             if e:
                 term = term * iv.pow_int(e)
         acc = acc + term
@@ -389,7 +394,8 @@ def reference_exp_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
 
 def reference_trial_divide(p: Poly, d: Poly) -> Poly | None:
     """Leading-term division on whole Polys, under the old step guard."""
-    quo = Poly.zero(p.n)
+    n = p.n
+    quo = Poly.zero(n)
     rem = p
     lead_d, c_d = d.leading_term()
     guard = len(p.terms) * (len(d.terms) + 1) + 16
@@ -397,11 +403,11 @@ def reference_trial_divide(p: Poly, d: Poly) -> Poly | None:
         if rem.is_zero():
             return quo
         lead_r, c_r = rem.leading_term()
-        diff_x = tuple(a - b for a, b in zip(lead_r.x, lead_d.x))
-        diff_u = tuple(a - b for a, b in zip(lead_r.u, lead_d.u))
+        diff_x = tuple(a - b for a, b in zip(lead_r[:n], lead_d[:n]))
+        diff_u = tuple(a - b for a, b in zip(lead_r[n:], lead_d[n:]))
         if any(e < 0 for e in diff_x) or any(e < 0 for e in diff_u):
             return None
-        t = Poly(p.n, {Mono(diff_x, diff_u): c_r / c_d})
+        t = Poly(p.n, {mono(diff_x, diff_u): c_r / c_d})
         quo = quo + t
         rem = rem - t * d
     return None
@@ -421,12 +427,12 @@ def reference_linear_candidates(p: Poly, height: int = 2, max_active: int = 5):
             continue
         terms = {}
         if const:
-            terms[Mono((0,) * n, (0,) * n)] = Fraction(const)
+            terms[mono((0,) * n, (0,) * n)] = Fraction(const)
         for (kind, idx), c in zip(active, coeffs):
             if c:
                 e = tuple(int(j == idx - 1) for j in range(n))
                 zero = (0,) * n
-                terms[Mono(e, zero) if kind == "x" else Mono(zero, e)] = Fraction(c)
+                terms[mono(e, zero) if kind == "x" else mono(zero, e)] = Fraction(c)
         yield Poly(n, terms)
 
 
@@ -441,15 +447,15 @@ def reference_irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0):
     if deg == 1:
         return IrredVerdict("Irreducible", witness="linear polynomial"), []
     content = p.monomial_content()
-    if content.degree > 0:
+    if sum(content) > 0:
         if len(p.terms) == 1:
             kind, idx = sorted(p.variables_used())[0]
-            var = Poly.x_var(p.n, idx) if kind == "x" else Poly.u_var(p.n, idx)
+            var = Poly.var(p.n, kind, idx)
             return IrredVerdict("Reducible", witness="monomial of degree >= 2", factor=var), []
-        for kind, exps in (("x", content.x), ("u", content.u)):
+        for kind, exps in (("x", content[: p.n]), ("u", content[p.n :])):
             for j, e in enumerate(exps):
                 if e:
-                    var = Poly.x_var(p.n, j + 1) if kind == "x" else Poly.u_var(p.n, j + 1)
+                    var = Poly.var(p.n, kind, j + 1)
                     witness = f"common factor {kind}{j + 1}"
                     return IrredVerdict("Reducible", witness=witness, factor=var), []
     for k in (2, 3, 5, 7):
@@ -486,8 +492,7 @@ def restriction_divides(cand: Poly, a, b, image) -> bool:
     the image: alpha t + beta with alpha = 0 and beta != 0, or with image
     vanishing at -beta/alpha (Fractions, Horner)."""
     alpha = beta = Fraction(0)
-    for mono, c in cand.terms.items():
-        exps = mono.x + mono.u
+    for exps, c in cand.terms.items():
         if any(exps):
             j = exps.index(1)
             alpha += c * a[j]
