@@ -232,16 +232,22 @@ def _desc_key(m: Mono) -> tuple:
     return (-sum(m), tuple(-e for e in m))
 
 
-def _linear_candidates(p: Poly, lines, height: int = 2, max_active: int = 5):
+#: coefficient bound of the divisor hunt's affine forms, and the most active
+#: variables it hunts in
+_HUNT_HEIGHT = 2
+_HUNT_MAX_ACTIVE = 5
+
+
+def _linear_candidates(p: Poly, lines):
     """Primitive affine forms in the active variables, small coefficients.
 
     Only forms that pass every line of ``lines`` (see ``_line_filter``) are
     built; every divisor of p passes them all.
     """
     active = sorted(p.variables_used())
-    if not active or len(active) > max_active:
+    if not active or len(active) > _HUNT_MAX_ACTIVE:
         return
-    span = range(-height, height + 1)
+    span = range(-_HUNT_HEIGHT, _HUNT_HEIGHT + 1)
     n = p.n
     pos = [var_pos(n, kind, idx) for kind, idx in active]
     filters = [

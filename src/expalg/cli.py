@@ -1,8 +1,14 @@
 """Command-line interface: JSON reports on stdout, human summaries on stderr.
 
-Exit codes: 0 success, 1 input/parse error (including a value outside the
-float range), 2 hypothesis violation (precondition of the requested analysis
-fails on this input), 3 internal invariant breach (never expected).
+Exit codes: 0 success; 1 input error: a parse error, a value outside the
+float range, a non-positive root tolerance, a negative ``--depth`` or an
+unwritable ``--output`` path (the report is still printed); 2 hypothesis
+violation (precondition of the requested analysis fails on this input); 3
+internal invariant breach or a failed ``verify-paper`` check (never expected).
+
+Each subcommand handler computes its report's input, result and hypothesis
+log and prints its human summary; ``main`` alone times the handler and
+assembles, prints and writes the report.
 
 Reports are versioned (schemaVersion 2) and byte-identical for identical
 (input, seed, mode); wall-clock timings are only included when --timings is
@@ -53,6 +59,9 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_HYPOTHESIS = 2
 EXIT_INTERNAL = 3
+
+#: a subcommand handler's share of its report: input, result, hypothesis log
+Report = tuple[str | None, dict, list[dict]]
 
 
 # ---------------------------------------------------------------------------
@@ -115,24 +124,20 @@ def _hypothesis_json(rep: ComponentReport) -> list[dict]:
     ]
 
 
-def _emit(args, command: str, input_text, result, hypothesis_log=None, elapsed=None) -> None:
+def _emit(args, input_text, result, hypothesis_log, elapsed: float) -> None:
     report = {
         "schemaVersion": SCHEMA_VERSION,
-        "command": command,
+        "command": args.command,
         "input": input_text,
         "mode": "rigorous" if getattr(args, "rigorous", False) else "fast",
         "seed": getattr(args, "seed", 0),
         "result": result,
-        "hypothesisLog": hypothesis_log or [],
-        "timings": (
-            {"totalMs": round(elapsed * 1000.0, 3)}
-            if getattr(args, "timings", False) and elapsed is not None
-            else None
-        ),
+        "hypothesisLog": hypothesis_log,
+        "timings": {"totalMs": round(elapsed * 1000.0, 3)} if args.timings else None,
     }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w") as handle:
             handle.write(text)
 
@@ -146,8 +151,7 @@ def _say(message: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_canon(args) -> int:
-    start = time.perf_counter()
+def _cmd_canon(args) -> Report:
     as_epoly = args.epoly or "exp" in args.text
     if as_epoly:
         value = parse_epoly(args.text, args.ambient)
@@ -158,18 +162,10 @@ def _cmd_canon(args) -> int:
         canonical = format_poly(value)
         kind = "poly"
     _say(f"canonical {kind}: {canonical}")
-    _emit(
-        args,
-        "canon",
-        args.text,
-        {"kind": kind, "canonical": canonical},
-        elapsed=time.perf_counter() - start,
-    )
-    return EXIT_OK
+    return args.text, {"kind": kind, "canonical": canonical}, []
 
 
-def _cmd_hyperplanes(args) -> int:
-    start = time.perf_counter()
+def _cmd_hyperplanes(args) -> Report:
     p = parse_poly(args.text, args.ambient)
     cand = candidate_hyperplanes(p)
     result = {
@@ -181,12 +177,10 @@ def _cmd_hyperplanes(args) -> int:
         _say("candidate family undefined: at most one u-monomial")
     else:
         _say("candidates: " + ", ".join(format_hyperplane(h) for h in cand))
-    _emit(args, "hyperplanes", format_poly(p), result, elapsed=time.perf_counter() - start)
-    return EXIT_OK
+    return format_poly(p), result, []
 
 
-def _cmd_classify(args) -> int:
-    start = time.perf_counter()
+def _cmd_classify(args) -> Report:
     p = parse_poly(args.text, args.ambient)
     rep = classify_codim1(
         p,
@@ -200,19 +194,10 @@ def _cmd_classify(args) -> int:
         _say(f"  component: {format_hyperplane(c.hyperplane)}")
     for c in rep.rejected:
         _say(f"  rejected:  {format_hyperplane(c.hyperplane)}")
-    _emit(
-        args,
-        "classify",
-        format_poly(p),
-        _report_json(rep),
-        hypothesis_log=_hypothesis_json(rep),
-        elapsed=time.perf_counter() - start,
-    )
-    return EXIT_OK
+    return format_poly(p), _report_json(rep), _hypothesis_json(rep)
 
 
-def _cmd_classify1e(args) -> int:
-    start = time.perf_counter()
+def _cmd_classify1e(args) -> Report:
     p = parse_poly(args.text, args.ambient)
     rep = classify_single_exp(p, attempts=args.attempts, seed=args.seed)
     _say(f"verdict: {rep.verdict} ({rep.conditionality})")
@@ -222,19 +207,10 @@ def _cmd_classify1e(args) -> int:
         if len(sc.factor.terms) > 1:
             base = f"({base})"
         _say(f"  slice factor {base}^{sc.multiplicity}: {tag}")
-    _emit(
-        args,
-        "classify1e",
-        format_poly(p),
-        _report_json(rep),
-        hypothesis_log=_hypothesis_json(rep),
-        elapsed=time.perf_counter() - start,
-    )
-    return EXIT_OK
+    return format_poly(p), _report_json(rep), _hypothesis_json(rep)
 
 
-def _cmd_roots(args) -> int:
-    start = time.perf_counter()
+def _cmd_roots(args) -> Report:
     f = parse_epoly(args.text, args.ambient)
     if f.n != 1:
         raise DriverError("roots requires a 1-variable exponential polynomial")
@@ -253,12 +229,10 @@ def _cmd_roots(args) -> int:
         "certified": [_root_json(c) for c in certs],
         "uncertified": [_root_json(c) for c in leftovers],
     }
-    _emit(args, "roots", format_epoly(f), result, elapsed=time.perf_counter() - start)
-    return EXIT_OK
+    return format_epoly(f), result, []
 
 
-def _cmd_sample2d(args) -> int:
-    start = time.perf_counter()
+def _cmd_sample2d(args) -> Report:
     f = parse_epoly(args.text, args.ambient)
     if f.n != 2:
         raise DriverError("sample2d requires a 2-variable exponential polynomial")
@@ -280,12 +254,10 @@ def _cmd_sample2d(args) -> int:
             for c in cells
         ],
     }
-    _emit(args, "sample2d", format_epoly(f), result, elapsed=time.perf_counter() - start)
-    return EXIT_OK
+    return format_epoly(f), result, []
 
 
-def _cmd_transversal(args) -> int:
-    start = time.perf_counter()
+def _cmd_transversal(args) -> Report:
     p = parse_poly(args.text, args.ambient)
     n = p.n
     coords = [Fraction(c) for c in (args.coords or [])]
@@ -340,12 +312,10 @@ def _cmd_transversal(args) -> int:
             for cert, rep in reports
         ],
     }
-    _emit(args, "transversal", format_poly(p), result, elapsed=time.perf_counter() - start)
-    return EXIT_OK
+    return format_poly(p), result, []
 
 
-def _cmd_verify_paper(args) -> int:
-    start = time.perf_counter()
+def _cmd_verify_paper(args) -> Report:
     checks = corpus.run_all()
     failed = [c for c in checks if not c.passed]
     for c in checks:
@@ -359,8 +329,7 @@ def _cmd_verify_paper(args) -> int:
             {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
         ],
     }
-    _emit(args, "verify-paper", None, result, elapsed=time.perf_counter() - start)
-    return EXIT_OK if not failed else EXIT_INTERNAL
+    return None, result, []
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +337,14 @@ def _cmd_verify_paper(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
+def _add_input(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("text")
     sub.add_argument("--ambient", type=int, default=None, help="override variable count")
-    sub.add_argument("--output", default=None, help="also write the JSON report to a file")
-    sub.add_argument("--timings", action="store_true", help="include wall-clock timings")
+
+
+def _add_oracle(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--attempts", type=int, default=8)
+    sub.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,62 +355,57 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     canon = subs.add_parser("canon", help="parse and print the canonical form")
-    canon.add_argument("text")
+    _add_input(canon)
     canon.add_argument("--epoly", action="store_true", help="force the exponential grammar")
-    _add_common(canon)
     canon.set_defaults(func=_cmd_canon)
 
     hyper = subs.add_parser("hyperplanes", help="candidate hyperplane family")
-    hyper.add_argument("text")
-    _add_common(hyper)
+    _add_input(hyper)
     hyper.set_defaults(func=_cmd_hyperplanes)
 
     classify = subs.add_parser("classify", help="codimension-1 component classification")
-    classify.add_argument("text")
+    _add_input(classify)
     classify.add_argument("--assert-irreducible", action="store_true")
     classify.add_argument("--assert-codim1", action="store_true")
-    classify.add_argument("--attempts", type=int, default=8)
-    _add_common(classify)
+    _add_oracle(classify)
     classify.set_defaults(func=_cmd_classify)
 
     single = subs.add_parser("classify1e", help="single-exponential classification")
-    single.add_argument("text")
-    single.add_argument("--attempts", type=int, default=8)
-    _add_common(single)
+    _add_input(single)
+    _add_oracle(single)
     single.set_defaults(func=_cmd_classify1e)
 
     roots = subs.add_parser("roots", help="certified 1-D root isolation")
-    roots.add_argument("text")
+    _add_input(roots)
     roots.add_argument("--domain", type=float, nargs=2, default=None)
     roots.add_argument("--tol", type=float, default=1e-9)
-    _add_common(roots)
     roots.set_defaults(func=_cmd_roots)
 
     sample = subs.add_parser("sample2d", help="quadtree zero-cell sampling")
-    sample.add_argument("text")
+    _add_input(sample)
     sample.add_argument("--box", type=float, nargs=4, default=None, metavar=("X0", "X1", "Y0", "Y1"))
     sample.add_argument("--depth", type=int, default=8)
     sample.add_argument("--rigorous", action="store_true", help="rational interval backend")
-    _add_common(sample)
     sample.set_defaults(func=_cmd_sample2d)
 
     trans = subs.add_parser("transversal", help="graph transversality at lifted roots")
-    trans.add_argument("text")
+    _add_input(trans)
     trans.add_argument("--root-of", default=None, help="1-variable epoly whose root lifts")
     trans.add_argument("--coords", nargs="*", default=None, help="values of x2..xn")
     trans.add_argument("--root-index", type=int, default=None)
     trans.add_argument("--tol", type=float, default=1e-6)
     trans.add_argument("--root-tol", type=float, default=1e-9)
     trans.add_argument("--domain", type=float, nargs=2, default=None)
-    _add_common(trans)
     trans.set_defaults(func=_cmd_transversal)
 
     verify = subs.add_parser(
         "verify-paper", help="run the embedded example corpus against expected outcomes"
     )
-    _add_common(verify)
     verify.set_defaults(func=_cmd_verify_paper)
 
+    for sub in subs.choices.values():
+        sub.add_argument("--output", default=None, help="also write the JSON report to a file")
+        sub.add_argument("--timings", action="store_true", help="include wall-clock timings")
     return parser
 
 
@@ -452,12 +419,14 @@ def main(argv=None) -> int:
 
     The parser is built on the first call and reused by every later call in
     the process: parsing reads it and leaves it unchanged, and each call gets
-    a fresh namespace.  A malformed command line still raises ``SystemExit``
-    with code 2, from argparse.
+    a fresh namespace.  A malformed command line, or an option the
+    subcommand does not take, still raises ``SystemExit`` with code 2, from
+    argparse.
     """
     args = _shared_parser().parse_args(argv)
+    start = time.perf_counter()
     try:
-        return args.func(args)
+        input_text, result, hypothesis_log = args.func(args)
     except ParseError as exc:
         _say(f"input error: {exc}")
         return EXIT_INPUT
@@ -476,6 +445,14 @@ def main(argv=None) -> int:
     except ExpalgError as exc:  # pragma: no cover - residual guard
         _say(f"error: {exc}")
         return EXIT_INTERNAL
+    try:
+        _emit(args, input_text, result, hypothesis_log, time.perf_counter() - start)
+    except OSError as exc:
+        _say(f"input error: cannot write the report: {exc}")
+        return EXIT_INPUT
+    # verify-paper alone counts failed checks; a failed corpus check is a
+    # fault of the program, so it exits 3 after its report is out
+    return EXIT_INTERNAL if result.get("failed") else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -60,6 +60,13 @@ from .poly import Poly
 
 #: width at which the isolator starts attempting endpoint-sign certificates
 _CERT_WIDTH = Fraction(1, 8)
+#: deepest bisection of the isolator: a cell there is kept as a suspect
+_ISOLATE_MAX_DEPTH = 64
+#: order of ``TightEvaluator``'s mean-value form: gradients by the form one
+#: level down, Hessian entries by natural extension
+_TAYLOR_ORDER = 2
+#: largest exp enclosure precision, in bits, that ``sign_at_rational`` tries
+_SIGN_MAX_BITS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +194,12 @@ class TightEvaluator:
     box.
     """
 
-    def __init__(self, f: EPoly, mode: str = "fast", order: int = 2):
+    def __init__(self, f: EPoly, mode: str = "fast"):
         self.mode = mode
-        self.order = order
         self.derivs: dict[tuple[int, ...], EPoly] = {(): f}
         self.plans: dict[tuple[int, ...], EvalPlan] = {}
         frontier = [()]
-        for _ in range(order):
+        for _ in range(_TAYLOR_ORDER):
             new_frontier = []
             for path in frontier:
                 base = self.derivs[path]
@@ -209,7 +215,7 @@ class TightEvaluator:
         f = self.derivs[()]
         if box.dimension != f.n:
             raise DimensionError(f"box dimension {box.dimension} != ambient {f.n}")
-        return Interval(*self._eval((), box.bounds(), [], self.order))
+        return Interval(*self._eval((), box.bounds(), [], _TAYLOR_ORDER))
 
     def plan(self, path: tuple[int, ...]) -> EvalPlan:
         """The plan of the derivative along ``path`` (sorted variable indices)."""
@@ -250,7 +256,7 @@ class TightEvaluator:
 # ---------------------------------------------------------------------------
 
 
-def sign_at_rational(f: EPoly, pt: Sequence, max_bits: int = 4096) -> int:
+def sign_at_rational(f: EPoly, pt: Sequence) -> int:
     """Exact sign of f at a rational point: -1, 0 or +1.
 
     The value is K * sum_t C_t e^t with K > 0, distinct rational t and
@@ -264,7 +270,7 @@ def sign_at_rational(f: EPoly, pt: Sequence, max_bits: int = 4096) -> int:
     if not groups:
         return 0
     bits = 96
-    while bits <= max_bits:
+    while bits <= _SIGN_MAX_BITS:
         lo_terms, hi_terms = [], []
         for t, c in groups.items():
             elo, ehi = exp_bounds(t, bits)
@@ -352,7 +358,6 @@ def isolate_roots_1d(
     f: EPoly,
     domain: tuple[float, float] | None = None,
     tol: float = 1e-9,
-    max_depth: int = 64,
 ) -> tuple[list[RootCert], list[RootCert]]:
     """Certified root isolation on a finite interval.
 
@@ -360,7 +365,8 @@ def isolate_roots_1d(
     zero; endpoint signs are exact (``sign_at_rational``), so exact rational
     roots (for instance at 0) are detected and certified as point enclosures.
     Returns (certified, uncertified) lists, both sorted by position, with
-    pairwise disjoint certified enclosures of width at most ``tol``.
+    pairwise disjoint certified enclosures of width at most ``tol``, which
+    must be positive.
     """
     if f.n != 1:
         raise DimensionError("root isolation requires a 1-variable input")
@@ -372,6 +378,8 @@ def isolate_roots_1d(
     b = Fraction(domain[1])
     if not a < b:
         raise ValueError("domain must be a nonempty interval")
+    if not tol > 0:
+        raise ValueError("root tolerance must be positive")
     tol_q = Fraction(tol)
     evaluator = TightEvaluator(f)
     f_plan = evaluator.plan(())
@@ -413,7 +421,7 @@ def isolate_roots_1d(
                 if s_lo * s_hi < 0:
                     brackets.append((lo, hi))
                 continue
-        if width <= tol_q / 4 or depth >= max_depth:
+        if width <= tol_q / 4 or depth >= _ISOLATE_MAX_DEPTH:
             suspects.append((lo, hi))
             continue
         mid = (lo + hi) / 2
@@ -536,7 +544,7 @@ def sample_zero_cells_2d(
     The union of returned cells is a guaranteed superset of the zero set
     inside the box (inclusion monotonicity of interval evaluation), and cells
     kept at depth d+1 always lie inside cells kept at depth d.  Output is
-    sorted by coordinates.
+    sorted by coordinates.  ``max_depth`` must be nonnegative.
     """
     if f.n != 2:
         raise DimensionError("cell sampling requires a 2-variable input")
@@ -544,6 +552,8 @@ def sample_zero_cells_2d(
         raise HypothesisViolation("function is identically zero")
     if box.dimension != 2:
         raise DimensionError("box must be 2-dimensional")
+    if max_depth < 0:
+        raise ValueError("quadtree depth must be nonnegative")
 
     evaluator = TightEvaluator(f, mode)
     out: list[Box] = []

@@ -3,13 +3,23 @@
 import json
 import re
 
-from expalg import cli
+from expalg import cli, corpus
 
 
 def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_rejected(capsys, argv, flag):
+    """argparse rejects ``flag`` on this subcommand: exit 2, no report."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and flag in captured.err, argv
 
 
 def test_canon_poly_and_epoly(capsys):
@@ -127,17 +137,47 @@ def test_rigorous_only_on_sample2d(capsys):
         ["classify1e", "x1 - u1"],
         ["verify-paper"],
     ):
-        try:
-            code = cli.main([*argv, "--rigorous"])
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == "" and "--rigorous" in captured.err, argv
+        assert_rejected(capsys, [*argv, "--rigorous"], "--rigorous")
+
+
+def test_seed_only_on_the_oracle_drivers(capsys):
+    # only classify and classify1e run randomized oracle steps; elsewhere the
+    # seed was a label, so argparse rejects it, and the report says seed 0
+    for command in ("classify", "classify1e"):
+        code, out, _ = run_cli(capsys, [command, "--seed", "1", "--", "2*x1 - u1 + 1"])
+        assert code == 0 and json.loads(out)["seed"] == 1, command
+    code, out, _ = run_cli(capsys, ["roots", "2*x1 + 1 - exp(x1)"])
+    assert code == 0 and json.loads(out)["seed"] == 0
+    for argv in (
+        ["canon", "x1"],
+        ["hyperplanes", "x1*u2"],
+        ["roots", "2*x1 + 1 - exp(x1)"],
+        ["sample2d", "x1 - x2"],
+        ["transversal", "2*x1 - u1 + 1"],
+        ["verify-paper"],
+    ):
+        assert_rejected(capsys, [*argv, "--seed", "1"], "--seed")
+    # verify-paper takes no input, so no variable count either
+    assert_rejected(capsys, ["verify-paper", "--ambient", "2"], "--ambient")
 
 
 def test_parse_error_exit_code(capsys):
     code, out, err = run_cli(capsys, ["canon", "x1 +"])
     assert code == 1 and out == "" and "input error" in err
+
+
+def test_out_of_range_option_values_are_input_errors(capsys):
+    # a non-positive root tolerance used to bisect forever, and a negative
+    # depth gave a cell wider than the box
+    for argv in (
+        ["roots", "--tol", "0", "--", "3*x1 - 1"],
+        ["roots", "--tol", "-1", "--", "3*x1 - 1"],
+        ["transversal", "--root-tol", "0", "--", "3*x1 - 1 + u1 - u1"],
+        ["sample2d", "--depth", "-1", "--", "x1 - x2"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == cli.EXIT_INPUT and out == "", argv
+        assert err.startswith("input error: ") and err.count("\n") == 1, argv
 
 
 HUGE = "1" + "0" * 400  # beyond the largest float
@@ -172,6 +212,24 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text() == out
     payload = json.loads(target.read_text())
     assert payload["result"]["count"] == 3
+
+    # an unwritable path is an input error after the report is printed
+    missing = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, ["canon", "x1", "--output", str(missing)])
+    assert code == cli.EXIT_INPUT and json.loads(out)["result"]["canonical"] == "x1"
+    assert err.startswith("canonical poly: x1\ninput error: cannot write the report: ")
+    assert err.count("\n") == 2 and "Traceback" not in err and not missing.exists()
+
+
+def test_failed_corpus_check_still_reports(capsys, monkeypatch):
+    checks = [corpus.CorpusCheck("holds", True, ""), corpus.CorpusCheck("breaks", False, "planted")]
+    monkeypatch.setattr(corpus, "run_all", lambda: checks)
+    code, out, err = run_cli(capsys, ["verify-paper"])
+    assert code == cli.EXIT_INTERNAL
+    report = json.loads(out)
+    assert report["command"] == "verify-paper" and report["input"] is None
+    assert (report["result"]["passed"], report["result"]["failed"]) == (1, 1)
+    assert "FAIL  breaks  (planted)" in err and "1/2 corpus checks passed" in err
 
 
 def test_timings_flag_adds_measurements(capsys):
