@@ -346,8 +346,11 @@ def irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0) -> IrredVer
     factored and trial-divides only the forms whose restriction to each such
     line divides the image (a factor of p restricts to a factor of every
     specialization), so every divisor is still tried, in the same order.
-    Without a divisor the verdict is Unknown.
+    Without a divisor the verdict is Unknown.  ``attempts`` must be at
+    least 1.
     """
+    if attempts < 1:
+        raise ValueError("the oracle needs at least one attempt")
     if p.is_zero() or p.is_constant():
         raise HypothesisViolation("irreducibility is undefined for constants")
     deg = p.total_degree()
@@ -378,7 +381,7 @@ def irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0) -> IrredVer
     active = sorted(p.variables_used())
     rng = random.Random(_stable_seed(p, seed))
     lines = []  # a _line_filter for each full-degree image that factored
-    for _ in range(max(1, attempts)):
+    for _ in range(attempts):
         a = [Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(2 * p.n)]
         b = [Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(2 * p.n)]
         if all(v == 0 for v in a):

@@ -1,8 +1,9 @@
 """Command-line interface: JSON reports on stdout, human summaries on stderr.
 
 Exit codes: 0 success; 1 input error: a parse error, a value outside the
-float range, a non-positive root tolerance, a negative ``--depth`` or an
-unwritable ``--output`` path (the report is still printed); 2 hypothesis
+float range, a non-positive root tolerance, a negative or non-finite
+transversality ``--tol``, an ``--attempts`` below 1, a negative ``--depth``
+or an unwritable ``--output`` path (the report is still printed); 2 hypothesis
 violation (precondition of the requested analysis fails on this input); 3
 internal invariant breach or a failed ``verify-paper`` check (never expected).
 

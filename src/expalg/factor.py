@@ -103,13 +103,17 @@ def dderiv(a: list) -> list:
     return dtrim([a[i] * i for i in range(1, len(a))])
 
 
-def ddivmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list, list]:
-    """Division with remainder over Q; b must be nonzero."""
+def ddivmod(a: Sequence, b: Sequence) -> tuple[list, list]:
+    """Division with remainder over Q; b must be nonzero.
+
+    A divisor with leading coefficient 1 needs no inverse, so integer inputs
+    stay integer (Hensel lifting divides by monic integer polynomials).
+    """
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
-    rem = [Fraction(c) for c in a]
-    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / Fraction(b[-1])
+    rem = list(a)
+    quo = [0] * max(0, len(a) - len(b) + 1)
+    inv_lead = 1 if b[-1] == 1 else 1 / Fraction(b[-1])
     while len(rem) >= len(b) and dtrim(rem):
         shift = len(rem) - len(b)
         factor = rem[-1] * inv_lead
@@ -294,38 +298,19 @@ def _gf_to_sym(f, p):
     return _sym_trunc(gf_trunc(f, p), p)
 
 
-def _zdivmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
-    # Integer division by a monic divisor (exact in each step).
-    if not b:
-        raise ZeroDivisionError
-    if b[-1] != 1:
-        raise ValueError("integer division requires a monic divisor")
-    rem = list(a)
-    quo = [0] * max(0, len(a) - len(b) + 1)
-    while len(rem) >= len(b) and dtrim(rem):
-        shift = len(rem) - len(b)
-        factor = rem[-1]
-        quo[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] -= factor * c
-        rem.pop()
-        dtrim(rem)
-    return dtrim(quo), dtrim(rem)
-
-
 def _hensel_step(m, f, g, h, s, t):
     """One quadratic lift: from f = g*h (mod m), s*g + t*h = 1 (mod m),
     to the same relations mod m^2, with h monic."""
     mm = m * m
     e = _sym_trunc(dsub(f, dmul(g, h)), mm)
-    q, r = _zdivmod(dmul(s, e), h)
+    q, r = ddivmod(dmul(s, e), h)
     q, r = _sym_trunc(q, mm), _sym_trunc(r, mm)
     u = dadd(dmul(t, e), dmul(q, g))
     big_g = _sym_trunc(dadd(g, u), mm)
     big_h = _sym_trunc(dadd(h, r), mm)
     u = dadd(dmul(s, big_g), dmul(t, big_h))
     b = _sym_trunc(dsub(u, [1]), mm)
-    c, d = _zdivmod(dmul(s, b), big_h)
+    c, d = ddivmod(dmul(s, b), big_h)
     c, d = _sym_trunc(c, mm), _sym_trunc(d, mm)
     u = dadd(dmul(t, b), dmul(c, big_g))
     big_s = _sym_trunc(dsub(s, d), mm)
@@ -538,9 +523,7 @@ def count_real_roots(f: Sequence[Fraction]) -> int:
     f = dtrim([Fraction(c) for c in f])
     if not f or ddeg(f) == 0:
         return 0
-    g = dgcd(f, dderiv(f))
-    if ddeg(g) > 0:
-        f, _ = ddivmod(f, g)
+    # The chain ends at gcd(f, f'), so it counts distinct roots as it is.
     chain = sturm_chain(f)
     at_minus = [(1 if c[-1] > 0 else -1) * (-1) ** ddeg(c) for c in chain]
     at_plus = [1 if c[-1] > 0 else -1 for c in chain]

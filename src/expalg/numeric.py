@@ -188,42 +188,37 @@ class TightEvaluator:
     instead of linear overestimation in the box width.  On canonical expanded
     polynomials the gradients themselves suffer from heavy interval
     dependency, so their enclosures are computed by the same form one level
-    down (Hessian entries by natural extension).  Derivative EPolys are
-    computed once per evaluator instance, and each gets an ``EvalPlan`` on
-    first use; the recursion works on float pairs and shares the midpoint
+    down (Hessian entries by natural extension).  The derivative along a
+    sorted path of variables is derived on first use, from the derivative
+    along the path without its last variable, and compiled to an
+    ``EvalPlan``; the recursion works on float pairs and shares the midpoint
     box.
     """
 
     def __init__(self, f: EPoly, mode: str = "fast"):
-        self.mode = mode
+        self.n = f.n
+        self.exact = _is_exact(mode)
         self.derivs: dict[tuple[int, ...], EPoly] = {(): f}
         self.plans: dict[tuple[int, ...], EvalPlan] = {}
-        frontier = [()]
-        for _ in range(_TAYLOR_ORDER):
-            new_frontier = []
-            for path in frontier:
-                base = self.derivs[path]
-                for i in range(1, f.n + 1):
-                    # d/dx_i commutes, so reuse sorted multi-indices.
-                    key = tuple(sorted(path + (i,)))
-                    if key not in self.derivs:
-                        self.derivs[key] = base.derivative(i)
-                    new_frontier.append(key)
-            frontier = sorted(set(new_frontier))
 
     def __call__(self, box: Box) -> Interval:
-        f = self.derivs[()]
-        if box.dimension != f.n:
-            raise DimensionError(f"box dimension {box.dimension} != ambient {f.n}")
+        if box.dimension != self.n:
+            raise DimensionError(f"box dimension {box.dimension} != ambient {self.n}")
         return Interval(*self._eval((), box.bounds(), [], _TAYLOR_ORDER))
 
     def plan(self, path: tuple[int, ...]) -> EvalPlan:
         """The plan of the derivative along ``path`` (sorted variable indices)."""
         plan = self.plans.get(path)
         if plan is None:
-            plan = EvalPlan.of_epoly(self.derivs[path], _is_exact(self.mode))
-            self.plans[path] = plan
+            plan = self.plans[path] = EvalPlan.of_epoly(self._derivative(path), self.exact)
         return plan
+
+    def _derivative(self, path: tuple[int, ...]) -> EPoly:
+        # d/dx_i commute, so each sorted path is derived once, from its prefix.
+        g = self.derivs.get(path)
+        if g is None:
+            g = self.derivs[path] = self._derivative(path[:-1]).derivative(path[-1])
+        return g
 
     def _eval(self, path, bounds: list[Pair], centre: list, depth: int) -> Pair:
         """``centre`` caches (midpoint bounds, box - midpoint) for this box."""
@@ -392,18 +387,18 @@ def isolate_roots_1d(
             sign_cache[x] = sign_at_rational(f, [x])
         return sign_cache[x]
 
-    exact_roots: list[Fraction] = []
-    brackets: list[tuple[Fraction, Fraction]] = []
-    suspects: list[tuple[Fraction, Fraction]] = []
-
     def deriv_nonzero(lo: Fraction, hi: Fraction) -> bool:
         dlo, dhi = df_plan([(float_down(lo), float_up(hi))])
         return dlo > 0.0 or dhi < 0.0
 
-    def residual(enc: Interval) -> float:
+    def cert(kind: str, lo: Fraction, hi: Fraction) -> RootCert:
+        enc = Interval(float_down(lo), float_up(hi))
         rlo, rhi = f_plan([(enc.lo, enc.hi)])
-        return max(abs(rlo), abs(rhi))
+        return RootCert(enc, kind, max(abs(rlo), abs(rhi)))
 
+    exact_roots: set[Fraction] = set()
+    brackets: list[tuple[Fraction, Fraction]] = []
+    suspects: list[tuple[Fraction, Fraction]] = []
     stack = [(a, b, 0)]
     while stack:
         lo, hi, depth = stack.pop()
@@ -412,10 +407,7 @@ def isolate_roots_1d(
         width = hi - lo
         if width <= _CERT_WIDTH:
             s_lo, s_hi = sgn(lo), sgn(hi)
-            if s_lo == 0 and lo not in exact_roots:
-                exact_roots.append(lo)
-            if s_hi == 0 and hi not in exact_roots:
-                exact_roots.append(hi)
+            exact_roots.update(x for x, s in ((lo, s_lo), (hi, s_hi)) if s == 0)
             if deriv_nonzero(lo, hi):
                 # Monotone cell: at most one root, position decided by signs.
                 if s_lo * s_hi < 0:
@@ -428,53 +420,36 @@ def isolate_roots_1d(
         stack.append((mid, hi, depth + 1))
         stack.append((lo, mid, depth + 1))
 
-    # Refine brackets first: bisection can land exactly on a rational root,
-    # in which case the bracket collapses onto a point handled below.
-    refined: list[tuple[Fraction, Fraction]] = []
-    for lo, hi in brackets:
-        lo, hi = _refine_bracket(f, sgn, lo, hi, tol_q)
-        if lo == hi:
-            if lo not in exact_roots:
-                exact_roots.append(lo)
-        else:
-            refined.append((lo, hi))
-
     uncertified: list[RootCert] = []
     for lo, hi in _merge_cells(suspects):
         if any(lo <= r <= hi for r in exact_roots):
             continue  # covered by an exact-root certificate
-        s_lo, s_hi = sgn(lo), sgn(hi)
-        if s_lo * s_hi < 0:
-            rlo, rhi = _refine_bracket(f, sgn, lo, hi, tol_q)
-            if rlo == rhi:
-                if rlo not in exact_roots:
-                    exact_roots.append(rlo)
-            else:
-                refined.append((rlo, rhi))
-        elif deriv_nonzero(lo, hi):
-            continue  # monotone, same signs: provably no root
-        else:
-            enc = Interval(float_down(lo), float_up(hi))
-            uncertified.append(
-                RootCert(enc, "UncertifiedTangential", residual(enc))
-            )
+        if sgn(lo) * sgn(hi) < 0:
+            brackets.append((lo, hi))
+        elif not deriv_nonzero(lo, hi):  # monotone with equal signs: no root
+            uncertified.append(cert("UncertifiedTangential", lo, hi))
 
+    # Every bracket is settled in this one loop, after the suspect cells were
+    # checked against the exact roots.  The bisection leaves partition the
+    # domain, a bracket is one leaf or a merged run of suspect leaves with no
+    # exact root in it, and its endpoints have nonzero signs.  So the rational
+    # root a bracket may collapse onto lies in no suspect cell and in no other
+    # bracket, and no exact root lies in a SignChange enclosure.
     certs: list[RootCert] = []
-    for x in sorted(set(exact_roots)):
-        h = max(tol_q / 2, Fraction(1, 1 << 40))
+    for lo, hi in brackets:
+        lo, hi = _refine_bracket(sgn, lo, hi, tol_q)
+        if lo == hi:
+            exact_roots.add(lo)
+        else:
+            certs.append(cert("SignChange", lo, hi))
+
+    h = max(tol_q / 2, Fraction(1, 1 << 40))
+    for x in sorted(exact_roots):
         if deriv_nonzero(x - h, x + h):
             enc = Interval(float_down(x), float_up(x))
             certs.append(RootCert(enc, "NewtonContraction", 0.0))
         else:
-            enc = Interval(float_down(x - h), float_up(x + h))
-            uncertified.append(
-                RootCert(enc, "UncertifiedTangential", residual(enc))
-            )
-    for lo, hi in refined:
-        if any(lo <= r <= hi for r in exact_roots):
-            continue
-        enc = Interval(float_down(lo), float_up(hi))
-        certs.append(RootCert(enc, "SignChange", residual(enc)))
+            uncertified.append(cert("UncertifiedTangential", x - h, x + h))
 
     certs.sort(key=lambda r: r.enclosure.lo)
     for r1, r2 in zip(certs, certs[1:]):
@@ -483,7 +458,7 @@ def isolate_roots_1d(
     return certs, sorted(uncertified, key=lambda r: r.enclosure.lo)
 
 
-def _refine_bracket(f, sgn, lo: Fraction, hi: Fraction, tol: Fraction):
+def _refine_bracket(sgn, lo: Fraction, hi: Fraction, tol: Fraction):
     s_lo, s_hi = sgn(lo), sgn(hi)
     if s_lo * s_hi >= 0:
         raise InternalInvariantError("refine_bracket needs opposite endpoint signs")
@@ -608,8 +583,11 @@ def check_transversality(
     by: the verdict is Undetermined with rank bound 1 and margin None, and
     the point's u1 entry is None when e^{x1} itself overflows.
 
-    Enclosures containing x1 = 0 violate the hypothesis and raise.
+    Enclosures containing x1 = 0 violate the hypothesis and raise, and so
+    does a ``tol`` that is not finite and nonnegative.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("transversality tolerance must be finite and nonnegative")
     n = p.n
     if any(p.degree_in("u", j) > 0 for j in range(2, n + 1)):
         raise DriverError("transversality check requires dependence on u1 only")
@@ -646,11 +624,11 @@ def check_transversality(
     u_lo, u_hi = pair_exp((enc.lo, enc.hi))
     bounds = [(enc.lo, enc.hi)] + [(v, v) for v in rest] + [(u_lo, u_hi)]
     bounds += [(0.0, 0.0)] * (n - 1)
-    grad_p_iv = [EvalPlan.of_poly(dp)(bounds) for dp in grads]
+    p_i, p_j = (EvalPlan.of_poly(grads[k])(bounds) for k in (bi, bj))
     grad_g_iv = [(-u_hi, -u_lo)] + [(0.0, 0.0)] * (n - 1) + [(1.0, 1.0)]
     # the subtracted product enters negated: (lo, hi) -> (-hi, -lo)
-    sub_lo, sub_hi = pair_mul(grad_p_iv[bj], grad_g_iv[bi])
-    minor_lo, minor_hi = pair_add(pair_mul(grad_p_iv[bi], grad_g_iv[bj]), (-sub_hi, -sub_lo))
+    sub_lo, sub_hi = pair_mul(p_j, grad_g_iv[bi])
+    minor_lo, minor_hi = pair_add(pair_mul(p_i, grad_g_iv[bj]), (-sub_hi, -sub_lo))
 
     transverse = margin > tol and (minor_lo > 0.0 or minor_hi < 0.0)
     return TransversalityReport(

@@ -167,13 +167,21 @@ def test_parse_error_exit_code(capsys):
 
 
 def test_out_of_range_option_values_are_input_errors(capsys):
-    # a non-positive root tolerance used to bisect forever, and a negative
-    # depth gave a cell wider than the box
+    # a non-positive root tolerance used to bisect forever, a negative depth
+    # gave a cell wider than the box, a negative or NaN transversality
+    # tolerance dropped the margin test (NaN also made the JSON invalid), and
+    # fewer than one oracle attempt ran as one
     for argv in (
         ["roots", "--tol", "0", "--", "3*x1 - 1"],
         ["roots", "--tol", "-1", "--", "3*x1 - 1"],
         ["transversal", "--root-tol", "0", "--", "3*x1 - 1 + u1 - u1"],
+        ["transversal", "--tol", "-1", "--", "2*x1 - u1 + 1"],
+        ["transversal", "--tol", "nan", "--", "2*x1 - u1 + 1"],
+        ["transversal", "--tol", "inf", "--", "2*x1 - u1 + 1"],
         ["sample2d", "--depth", "-1", "--", "x1 - x2"],
+        ["classify", "--attempts", "-3", "--", "x1*u2+x2*u1-x1-x2"],
+        ["classify", "--attempts", "0", "--", "x1*u2+x2*u1-x1-x2"],
+        ["classify1e", "--attempts", "0", "--", "x1*u1 - 1"],
     ):
         code, out, err = run_cli(capsys, argv)
         assert code == cli.EXIT_INPUT and out == "", argv

@@ -99,5 +99,6 @@ def test_count_real_roots():
     assert count_real_roots([F(1), F(0), F(1)]) == 0  # x^2 + 1
     assert count_real_roots([F(-2), F(0), F(0), F(1)]) == 1  # x^3 - 2
     assert count_real_roots([F(1), F(2), F(1)]) == 1  # (x + 1)^2
+    assert count_real_roots([F(4), F(-4), F(-3), F(2), F(1)]) == 2  # (x - 1)^2 (x + 2)^2
     assert count_real_roots([F(-1), F(0), F(1)]) == 2  # x^2 - 1
     assert count_real_roots([F(0), F(-15), F(-9), F(6)]) == 3

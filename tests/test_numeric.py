@@ -112,6 +112,34 @@ def test_isolate_roots_reports_tangential_leftovers():
     assert all(r.kind == "UncertifiedTangential" for r in leftovers)
 
 
+def test_isolate_roots_bisection_lands_on_a_rational_root():
+    # 1/16 is the midpoint of the monotone cell [0, 1/8]: refining that
+    # bracket lands on it, and the exact sign 0 there makes it a point root.
+    certs, leftovers = isolate_roots_1d(parse_epoly("16*x1 - 1"), (-8.0, 8.0), 1e-9)
+    assert certs == [RootCert(Interval(0.0625, 0.0625), "NewtonContraction", 0.0)]
+    assert leftovers == []
+
+
+def test_isolate_roots_double_roots_stay_suspect_leftovers():
+    # Around each double root +-sqrt(2) no cell is monotone and no sign changes.
+    certs, leftovers = isolate_roots_1d(parse_epoly("(x1^2 - 2)^2"), (-8.0, 8.0), 1e-9)
+    assert certs == []
+    lo, hi, residual = 1.4142135621514171, 1.4142135626170784, 5.268362635035833e-09
+    assert leftovers == [
+        RootCert(Interval(-hi, -lo), "UncertifiedTangential", residual),
+        RootCert(Interval(lo, hi), "UncertifiedTangential", residual),
+    ]
+
+
+def test_isolate_roots_deepest_suspect_with_a_sign_change_is_refined():
+    # On a huge domain the depth limit stops bisection while cells are still
+    # wider than the certificate width; the sign change there is refined.
+    certs, leftovers = isolate_roots_1d(parse_epoly("x1 - 1/3"), (-1e300, 1e300), 1e-9)
+    enc = Interval(0.3333333326635275, 0.33333333335886317)
+    assert certs == [RootCert(enc, "SignChange", 6.698060439624959e-10)]
+    assert leftovers == []
+
+
 def test_isolate_roots_rejects_zero_function():
     zero = EPoly.zero(1)
     with pytest.raises(HypothesisViolation):
