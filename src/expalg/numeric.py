@@ -426,7 +426,7 @@ def isolate_roots_1d(
             continue  # covered by an exact-root certificate
         if sgn(lo) * sgn(hi) < 0:
             brackets.append((lo, hi))
-        elif not deriv_nonzero(lo, hi):  # monotone with equal signs: no root
+        elif not deriv_nonzero(lo, hi):  # equal signs, not monotone: f may touch 0
             uncertified.append(cert("UncertifiedTangential", lo, hi))
 
     # Every bracket is settled in this one loop, after the suspect cells were
