@@ -57,6 +57,7 @@ from .factor import (
     dense_to_poly,
     dmul,
     dprimitive,
+    dtrim,
     factor_dense,
     factor_univariate,
     poly_to_dense,
@@ -310,17 +311,32 @@ def _may_divide(coeffs, const: int, line_filter) -> bool:
 
 
 def _specialize_to_line(p: Poly, a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Dense univariate image of p under every variable -> a_i t + b_i."""
-    acc: list[Fraction] = []
-    for mono, c in p.terms.items():
-        term = [Fraction(c)]
+    """Dense univariate image of p under every variable -> a_i t + b_i.
+
+    Over one denominator, a = A / l and b = B / l, and p's coefficients are
+    C_m / D.  With d the total degree of p, the image is S(t) / (D l^d) for
+    the integer polynomial S = sum_m C_m l^(d - |m|) prod_i (A_i t + B_i)^m_i,
+    summed from one power table of A_i t + B_i per variable.
+    """
+    AB, l = _over_common_denominator(a + b)
+    A, B = AB[: len(a)], AB[len(a) :]
+    C, D = _over_common_denominator(list(p.terms.values()))
+    deg = p.total_degree()
+    l_pow = [l**k for k in range(deg + 1)]
+    tables: list[list[list[int]]] = [[[1]] for _ in a]
+    acc = [0] * (deg + 1)
+    for mono, c in zip(p.terms, C):
+        term = [c * l_pow[deg - sum(mono)]]
         for i, e in enumerate(mono):
             if e:
-                lin = [b[i], a[i]] if a[i] else [b[i]]
-                for _ in range(e):
-                    term = dmul(term, lin)
-        acc = dadd(acc, term)
-    return acc
+                table = tables[i]
+                while len(table) <= e:
+                    table.append(dmul(table[-1], [B[i], A[i]]))
+                term = dmul(term, table[e])
+        for k, v in enumerate(term):
+            acc[k] += v
+    den = D * l_pow[deg]
+    return [Fraction(v, den) for v in dtrim(acc)]
 
 
 def _pull_back(g: list[int], a: Fraction, b: Fraction, n: int, kind: str, idx: int) -> Poly:

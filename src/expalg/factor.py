@@ -1,16 +1,23 @@
 """Exact univariate polynomial factorization over Q, plus dense helpers.
 
 Dense polynomials are coefficient lists indexed by degree (``f[k]`` is the
-coefficient of ``x^k``), either Fractions or plain ints depending on context;
-the zero polynomial is the empty list.
+coefficient of ``x^k``); the zero polynomial is the empty list.  The public
+entry points (``factor_dense``, ``count_real_roots``, ``dprimitive``) take
+Fraction lists.  The ring helpers ``dadd`` .. ``dderiv`` work on either
+Fractions or ints; ``ddivmod`` divides over Q, and keeps integer inputs
+integer when the divisor is monic.  The ``z`` helpers (``zprimitive``,
+``zprem``, ``zgcd``, ``zdivexact``, ``zsquarefree``) and everything after
+the rational content is split off run on integer lists, and the ``gf_``
+helpers on residues modulo a prime.
 
 Factorization follows the classical route:
 
   rational content  ->  monomial part x^k  ->  Yun square-free decomposition
+  of the primitive integer part (primitive PRS gcds, exact integer division)
   ->  per square-free part: factor modulo a suitable odd prime
       (distinct-degree + equal-degree splitting), Hensel lift the factors
       past the Landau-Mignotte coefficient bound, recombine subsets by exact
-      trial division.
+      integer trial division.
 
 Returned irreducible factors are primitive integer polynomials with positive
 leading coefficient; ``content * prod(factor^mult)`` reproduces the input
@@ -19,8 +26,8 @@ exactly, and the function verifies that identity before returning.
 A deterministic RNG (seeded from the input coefficients) drives the
 equal-degree splitting, so results are reproducible across runs.
 
-The module also provides Sturm-chain real-root counting, used to decide
-which irreducible factors have real zeros.
+The module also provides Sturm-chain real-root counting on integer
+pseudo-remainders, used to decide which irreducible factors have real zeros.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from .errors import InternalInvariantError
@@ -37,7 +44,7 @@ from .poly import Poly, var_pos
 
 
 # ---------------------------------------------------------------------------
-# Dense arithmetic over Q (works unchanged for ints where noted)
+# Dense arithmetic (Fractions or ints)
 # ---------------------------------------------------------------------------
 
 
@@ -104,10 +111,11 @@ def dderiv(a: list) -> list:
 
 
 def ddivmod(a: Sequence, b: Sequence) -> tuple[list, list]:
-    """Division with remainder over Q; b must be nonzero.
+    """Division with remainder over Q of Fraction or int lists; b must be nonzero.
 
     A divisor with leading coefficient 1 needs no inverse, so integer inputs
     stay integer (Hensel lifting divides by monic integer polynomials).
+    Exact division of integer polynomials is ``zdivexact``.
     """
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -125,32 +133,108 @@ def ddivmod(a: Sequence, b: Sequence) -> tuple[list, list]:
     return dtrim(quo), dtrim(rem)
 
 
-def dgcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
-    """Monic gcd over Q (1 for coprime inputs, [] only if both are zero)."""
-    fa = dtrim([Fraction(c) for c in a])
-    fb = dtrim([Fraction(c) for c in b])
-    while fb:
-        fa, fb = fb, ddivmod(fa, fb)[1]
-    if not fa:
-        return []
-    return dscale(fa, 1 / fa[-1])
-
-
 def dprimitive(f: Sequence[Fraction]) -> tuple[Fraction, list[int]]:
     """Split off the rational content: f = content * primitive-int-part, lc > 0."""
     f = dtrim([Fraction(c) for c in f])
     if not f:
         return Fraction(0), []
-    den = 1
-    for c in f:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in f]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
+    den = lcm(*(c.denominator for c in f))
+    ints = [c.numerator * (den // c.denominator) for c in f]
+    g = gcd(*ints)
     sign = 1 if ints[-1] > 0 else -1
     prim = [c // (sign * g) for c in ints]
     return Fraction(sign * g, den), prim
+
+
+# ---------------------------------------------------------------------------
+# Primitive integer polynomials
+# ---------------------------------------------------------------------------
+
+
+def zprimitive(f: Sequence[int]) -> list[int]:
+    """The primitive part of an integer polynomial, lc > 0 ([] for zero)."""
+    if not f:
+        return []
+    g = gcd(*f) if f[-1] > 0 else -gcd(*f)
+    return [c // g for c in f]
+
+
+def zprem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """A positive integer multiple of the remainder of a by b over Q.
+
+    Pseudo-division: each step scales the running remainder by |lc(b)|
+    before cancelling its top coefficient, so no Fraction arises and the
+    signs are those of the remainder over Q.
+    """
+    rem = list(a)
+    lb = abs(b[-1])
+    sb = 1 if b[-1] > 0 else -1
+    tail = b[:-1]
+    while len(rem) >= len(b):
+        shift = len(rem) - len(b)
+        top = rem.pop() * sb
+        if lb != 1:
+            rem = [lb * c for c in rem]
+        for i, c in enumerate(tail):
+            rem[shift + i] -= top * c
+        dtrim(rem)
+    return rem
+
+
+def zgcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Primitive gcd with lc > 0 of integer polynomials, by the primitive
+    PRS (Collins 1967); [] only if both are zero."""
+    a, b = zprimitive(a), zprimitive(b)
+    while b:
+        a, b = b, zprimitive(zprem(a, b))
+    return a
+
+
+def zdivexact(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
+    """a / b for integer polynomials when b divides a in Z[x], else None.
+
+    For a primitive b, b | a over Q implies b | a in Z[x] (Gauss's lemma),
+    so every quotient coefficient is an integer; the division stops at the
+    first top coefficient that lc(b) does not divide.
+    """
+    rem = list(a)
+    quo = [0] * max(0, len(a) - len(b) + 1)
+    lb = b[-1]
+    tail = b[:-1]
+    while len(rem) >= len(b):
+        q, r = divmod(rem.pop(), lb)
+        if r:
+            return None
+        shift = len(rem) - len(tail)
+        quo[shift] = q
+        for i, c in enumerate(tail):
+            rem[shift + i] -= q * c
+        dtrim(rem)
+    return None if rem else quo
+
+
+def zsquarefree(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's algorithm on a primitive f with lc > 0: its primitive
+    square-free parts with lc > 0, and their multiplicities.
+
+    Every gcd is primitive, so each quotient is integral and ``zdivexact``
+    divides exactly; the parts are those of Yun's algorithm over Q, up to
+    the constant factors that primitive parts drop.
+    """
+    df = dderiv(f)
+    g = zgcd(f, df)
+    b = zdivexact(f, g)
+    d = dsub(zdivexact(df, g), dderiv(b))
+    out: list[tuple[list[int], int]] = []
+    i = 1
+    while ddeg(b) > 0:
+        a = zgcd(b, d)
+        if ddeg(a) > 0:
+            out.append((a, i))
+        b = zdivexact(b, a)
+        d = dsub(zdivexact(d, a), dderiv(b))
+        i += 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +491,15 @@ def _factor_squarefree_int(f: list[int], rng: random.Random) -> list[list[int]]:
             cand = [current[-1]]
             for i in subset:
                 cand = dmul(cand, lifted[i])
-            cand = _sym_trunc(cand, pl)
-            _, cand = dprimitive(cand)
+            cand = zprimitive(_sym_trunc(cand, pl))
             if not cand:
                 continue
-            quo, rem = ddivmod([Fraction(c) for c in current], [Fraction(c) for c in cand])
-            if not rem:
+            # current and cand are primitive, so a quotient over Q is the
+            # integer one, primitive with lc > 0 (Gauss's lemma).
+            quo = zdivexact(current, cand)
+            if quo is not None:
                 factors.append(cand)
-                _, current = dprimitive(quo)
+                current = quo
                 remaining = [i for i in remaining if i not in subset]
                 found = True
                 break
@@ -423,29 +508,6 @@ def _factor_squarefree_int(f: list[int], rng: random.Random) -> list[list[int]]:
     if ddeg(current) > 0:
         factors.append(current)
     return sorted(factors, key=lambda q: (ddeg(q), tuple(q)))
-
-
-def squarefree_decomposition(f: Sequence[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """Yun's algorithm: monic square-free parts with multiplicities."""
-    f = dtrim([Fraction(c) for c in f])
-    df = dderiv(f)
-    g = dgcd(f, df)
-    if ddeg(g) <= 0:
-        return [(dscale(f, 1 / f[-1]), 1)]
-    b, _ = ddivmod(f, g)
-    c, _ = ddivmod(df, g)
-    d = dsub(c, dderiv(b))
-    out: list[tuple[list[Fraction], int]] = []
-    i = 1
-    while ddeg(b) > 0:
-        a = dgcd(b, d)
-        if ddeg(a) > 0:
-            out.append((a, i))
-        b, _ = ddivmod(b, a)
-        c, _ = ddivmod(d, a)
-        d = dsub(c, dderiv(b))
-        i += 1
-    return out
 
 
 def _stable_rng(coeffs: Sequence[int]) -> random.Random:
@@ -478,9 +540,8 @@ def factor_dense(f: Sequence[Fraction]) -> tuple[Fraction, list[tuple[list[int],
 
     if ddeg(work) > 0:
         rng = _stable_rng([c.numerator for c in work] + [c.denominator for c in work])
-        for part, mult in squarefree_decomposition(work):
-            _, prim = dprimitive(part)
-            for irr in _factor_squarefree_int(prim, rng):
+        for part, mult in zsquarefree(dprimitive(work)[1]):
+            for irr in _factor_squarefree_int(part, rng):
                 factors.append((irr, mult))
 
     factors.sort(key=lambda fm: (ddeg(fm[0]), tuple(fm[0]), fm[1]))
@@ -489,10 +550,10 @@ def factor_dense(f: Sequence[Fraction]) -> tuple[Fraction, list[tuple[list[int],
         lead_prod *= fac[-1] ** mult
     content = f[-1] / lead_prod
 
-    check = [content]
+    check = [1]
     for fac, mult in factors:
-        check = dmul(check, dpow([Fraction(c) for c in fac], mult))
-    if dtrim(check) != f:
+        check = dmul(check, dpow(fac, mult))
+    if len(check) != len(f) or any(content * c != v for c, v in zip(check, f)):
         raise InternalInvariantError("factorization does not reproduce the input")
     return content, factors
 
@@ -502,29 +563,27 @@ def factor_dense(f: Sequence[Fraction]) -> tuple[Fraction, list[tuple[list[int],
 # ---------------------------------------------------------------------------
 
 
-def sturm_chain(f: Sequence[Fraction]) -> list[list[Fraction]]:
-    chain = [dtrim([Fraction(c) for c in f])]
-    chain.append(dderiv(chain[0]))
-    while chain[-1]:
-        rem = ddivmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append(dneg(rem))
-    return [c for c in chain if c]
-
-
 def _variations(signs: Sequence[int]) -> int:
     filtered = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(filtered, filtered[1:]) if a * b < 0)
 
 
 def count_real_roots(f: Sequence[Fraction]) -> int:
-    """Number of distinct real roots (Sturm; input need not be square-free)."""
-    f = dtrim([Fraction(c) for c in f])
-    if not f or ddeg(f) == 0:
+    """Number of distinct real roots (Sturm; input need not be square-free).
+
+    The chain is built on the primitive part s of f, which has f's roots.
+    Each member after s' is minus a ``zprem`` pseudo-remainder divided by its
+    positive content: a positive multiple of the member of s's chain over Q,
+    with the same signs at +-infinity.
+    """
+    _, s = dprimitive(f)
+    if ddeg(s) <= 0:
         return 0
     # The chain ends at gcd(f, f'), so it counts distinct roots as it is.
-    chain = sturm_chain(f)
+    chain = [s, dderiv(s)]
+    while rem := zprem(chain[-2], chain[-1]):
+        g = gcd(*rem)
+        chain.append([-c // g for c in rem])
     at_minus = [(1 if c[-1] > 0 else -1) * (-1) ** ddeg(c) for c in chain]
     at_plus = [1 if c[-1] > 0 else -1 for c in chain]
     return _variations(at_minus) - _variations(at_plus)

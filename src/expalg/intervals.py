@@ -26,8 +26,10 @@ from fractions import Fraction
 from typing import Sequence
 
 # Dyadic precision (bits after the binary point) for rigorous endpoints.
-# 96 bits leaves ample headroom over the 2^-52 relative-enclosure target
-# even after repeated squarings in the exp argument reduction.
+# 96 bits leaves ample headroom over a 2^-52 relative enclosure of e^q for
+# q >= 0, even after repeated squarings in the argument reduction.  For
+# q < 0 the error of exp_bounds is absolute, 2^-104 (see there): relative
+# 2^-52 holds only down to q of about -36.
 RIGOROUS_BITS = 96
 
 _INF = math.inf
@@ -265,7 +267,15 @@ class RatInterval:
 
 
 def exp_bounds(q: Fraction, bits: int = RIGOROUS_BITS) -> tuple[Fraction, Fraction]:
-    """Rational lower/upper bounds for e^q with relative error below 2^-bits.
+    """Rational lower/upper bounds for e^q.
+
+    For q >= 0 the error is relative: hi - lo < 2^-bits e^q.  For q < 0 it
+    is absolute: each bound is the reciprocal of one for -q, floored or
+    ceiled on the grid of w = bits + 8 bits, so each lies within
+    2^-w + e^q 2^-bits / (1 - 2^-bits) of e^q, the rounding plus the
+    propagated relative error.  At 96 bits the relative 2^-96 still holds
+    at q = -5 but not at q = -6; at q = -50 the width is 2.6e-10 e^q, and
+    e^-2800 gets the bounds 0 and 2^-104.
 
     Strategy: for q > 0 reduce the argument by halving until r = q / 2^k is at
     most 1/4, sum the Taylor series for e^r until the next term is below the

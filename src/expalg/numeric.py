@@ -171,8 +171,8 @@ def interval_eval(f: EPoly, box: Box, mode: str = "fast") -> Interval:
     """Enclosure of f over the box.
 
     ``fast`` uses outward-rounded hardware floats; ``rigorous`` uses rational
-    endpoints with a Taylor-enclosed exp (relative enclosure error below
-    2^-52), converted outward to a float interval on return.  Callers that
+    endpoints with a Taylor-enclosed exp (see ``exp_bounds`` for its error,
+    relative for arguments >= 0 and absolute below 0), converted outward to a float interval on return.  Callers that
     evaluate one function on many boxes should keep an ``EvalPlan``.
     """
     if box.dimension != f.n:

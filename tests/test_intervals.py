@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,34 @@ def test_exp_bounds_tightness_and_soundness():
         assert lo - slack <= approx <= hi + slack
         assert hi - lo <= abs(hi) * Fraction(1, 2**52)
     assert exp_bounds(Fraction(0)) == (1, 1)
+
+
+def test_exp_bounds_error_relative_above_zero_absolute_below():
+    ctx = Context(prec=100)
+
+    def exp_ref(q):
+        return Fraction(ctx.exp(ctx.divide(Decimal(q.numerator), Decimal(q.denominator))))
+
+    bits = 96
+    eps = Fraction(1, 2**bits)
+
+    def rel_width(q):
+        lo, hi = exp_bounds(q, bits)
+        return (hi - lo) / exp_ref(q)
+
+    for q in (Fraction(1, 3), Fraction(5), Fraction(50)):
+        assert rel_width(q) < eps
+    # Below zero the relative bound fails early: the error is absolute.
+    assert rel_width(Fraction(-5)) < eps <= rel_width(Fraction(-6))
+    assert 2.5e-10 < rel_width(Fraction(-50)) < 2.6e-10
+    assert exp_bounds(Fraction(-2800), bits) == (0, Fraction(1, 2 ** (bits + 8)))
+    rng = random.Random(41)
+    for _ in range(200):
+        q = Fraction(rng.randint(-60000, -1), 1000)
+        lo, hi = exp_bounds(q, bits)
+        e = exp_ref(q)
+        slack = Fraction(1, 2 ** (bits + 8)) + e * eps / (1 - eps)
+        assert lo <= e <= hi and e - lo < slack and hi - e < slack, q
 
 
 def test_rat_interval_ops_enclose():

@@ -8,16 +8,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from expalg import factor
 from expalg.classify import (
     IrredVerdict,
     _poly_nth_root,
-    _specialize_to_line,
     _stable_seed,
     trial_divide,
 )
 from expalg.epoly import EPoly
 from expalg.errors import DimensionError, InternalInvariantError
-from expalg.factor import factor_dense
+from expalg.factor import dadd, dderiv, ddivmod, ddeg, dmul, dneg, dpow, dprimitive, dscale, dsub, dtrim
 from expalg.intervals import Box, RatInterval
 from expalg.poly import Poly
 
@@ -436,6 +436,118 @@ def reference_linear_candidates(p: Poly, height: int = 2, max_active: int = 5):
         yield Poly(n, terms)
 
 
+def reference_specialize_to_line(p: Poly, a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """``classify._specialize_to_line`` on Fractions: the image of p under
+    every variable -> a_i t + b_i, one product of linear factors per monomial."""
+    acc: list[Fraction] = []
+    for m, c in p.terms.items():
+        term = [Fraction(c)]
+        for i, e in enumerate(m):
+            if e:
+                lin = [b[i], a[i]] if a[i] else [b[i]]
+                for _ in range(e):
+                    term = dmul(term, lin)
+        acc = dadd(acc, term)
+    return acc
+
+
+def reference_dgcd(a, b) -> list[Fraction]:
+    """Monic gcd over Q by Euclid on Fractions (1 for coprime inputs, [] only
+    if both are zero)."""
+    fa = dtrim([Fraction(c) for c in a])
+    fb = dtrim([Fraction(c) for c in b])
+    while fb:
+        fa, fb = fb, ddivmod(fa, fb)[1]
+    if not fa:
+        return []
+    return dscale(fa, 1 / fa[-1])
+
+
+def reference_squarefree_decomposition(f) -> list[tuple[list[Fraction], int]]:
+    """Yun's algorithm over Q: monic square-free parts with multiplicities."""
+    f = dtrim([Fraction(c) for c in f])
+    df = dderiv(f)
+    g = reference_dgcd(f, df)
+    if ddeg(g) <= 0:
+        return [(dscale(f, 1 / f[-1]), 1)]
+    b, _ = ddivmod(f, g)
+    c, _ = ddivmod(df, g)
+    d = dsub(c, dderiv(b))
+    out: list[tuple[list[Fraction], int]] = []
+    i = 1
+    while ddeg(b) > 0:
+        a = reference_dgcd(b, d)
+        if ddeg(a) > 0:
+            out.append((a, i))
+        b, _ = ddivmod(b, a)
+        c, _ = ddivmod(d, a)
+        d = dsub(c, dderiv(b))
+        i += 1
+    return out
+
+
+def reference_factor_dense(f) -> tuple[Fraction, list[tuple[list[int], int]]]:
+    """``factor.factor_dense`` with the square-free split of
+    ``reference_squarefree_decomposition`` over Q and the check in Fractions;
+    the same seed drives the same modular factoring of each part."""
+    f = dtrim([Fraction(c) for c in f])
+    if ddeg(f) == 0:
+        return f[0], []
+    work = list(f)
+    factors = []
+    shift = 0
+    while not work[0]:
+        work.pop(0)
+        shift += 1
+    if shift:
+        factors.append(([0, 1], shift))
+    if ddeg(work) > 0:
+        rng = factor._stable_rng([c.numerator for c in work] + [c.denominator for c in work])
+        for part, mult in reference_squarefree_decomposition(work):
+            _, prim = dprimitive(part)
+            for irr in factor._factor_squarefree_int(prim, rng):
+                factors.append((irr, mult))
+    factors.sort(key=lambda fm: (ddeg(fm[0]), tuple(fm[0]), fm[1]))
+    lead_prod = 1
+    for fac, mult in factors:
+        lead_prod *= fac[-1] ** mult
+    content = f[-1] / lead_prod
+    check = [content]
+    for fac, mult in factors:
+        check = dmul(check, dpow([Fraction(c) for c in fac], mult))
+    if dtrim(check) != f:
+        raise InternalInvariantError("factorization does not reproduce the input")
+    return content, factors
+
+
+def reference_sturm_chain(f) -> list[list[Fraction]]:
+    """The Sturm chain f, f', -rem(f, f'), ... over Q, up to gcd(f, f')."""
+    chain = [dtrim([Fraction(c) for c in f])]
+    chain.append(dderiv(chain[0]))
+    while chain[-1]:
+        rem = ddivmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append(dneg(rem))
+    return [c for c in chain if c]
+
+
+def reference_count_real_roots(f) -> int:
+    """Distinct real roots of f: sign variations of the Fraction Sturm chain
+    at -infinity minus those at +infinity."""
+    f = dtrim([Fraction(c) for c in f])
+    if ddeg(f) <= 0:
+        return 0
+
+    def variations(signs):
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    chain = reference_sturm_chain(f)
+    at_minus = [(1 if c[-1] > 0 else -1) * (-1) ** ddeg(c) for c in chain]
+    at_plus = [1 if c[-1] > 0 else -1 for c in chain]
+    return variations(at_minus) - variations(at_plus)
+
+
 def reference_irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0):
     """(verdict, images): the oracle with the unpruned hunt, for polynomials
     in two or more variables (in one, the oracle decides on the first image).
@@ -470,10 +582,10 @@ def reference_irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0):
         b = [Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(2 * p.n)]
         if all(v == 0 for v in a):
             continue
-        image = _specialize_to_line(p, a, b)
+        image = reference_specialize_to_line(p, a, b)
         if len(image) - 1 != deg:
             continue
-        _, factors = factor_dense(image)
+        _, factors = reference_factor_dense(image)
         nontrivial = [(g, m) for g, m in factors if len(g) > 1]
         if len(nontrivial) == 1 and nontrivial[0][1] == 1 and len(nontrivial[0][0]) - 1 == deg:
             witness = "full-degree line specialization with irreducible image"
