@@ -543,14 +543,42 @@ def _log_codim1(f: EPoly, assume, log) -> list[RootCert] | None:
     return None
 
 
+def _point_on(m: Hyperplane) -> list[Fraction]:
+    """One fixed rational point of {m . x = 0}.
+
+    Every coordinate j but the pivot (the first with m_j != 0) is
+    (2j + 3)/(5j + 7), small, distinct and not an integer; the pivot is
+    solved from m . x = 0.
+    """
+    normal = m.normal
+    pivot = next(j for j, c in enumerate(normal) if c)
+    point = [Fraction(2 * j + 3, 5 * j + 7) for j in range(len(normal))]
+    rest = sum(c * v for j, (c, v) in enumerate(zip(normal, point)) if j != pivot)
+    point[pivot] = Fraction(-rest, normal[pivot])
+    return point
+
+
 def _certify(
     f: EPoly, hyperplanes
 ) -> tuple[list[CertifiedHyperplane], list[RejectedCandidate]]:
-    """Split hyperplanes by the exact certificate: f restricted to one is zero."""
+    """Split hyperplanes by the exact certificate: f restricted to one is zero.
+
+    A candidate is refuted first by one exact value: when f is not zero at
+    the rational point ``_point_on(m)`` of the hyperplane (the
+    ``scaled_groups`` map is nonempty, which by Lindemann-Weierstrass means
+    f(point) != 0), the restriction is not zero.  Only a candidate on which
+    that value is exactly 0 is restricted, and the restriction is the only
+    certificate: a point that happens to be a zero of f decides nothing.  A
+    hyperplane of the wrong dimension goes to ``restrict``, which raises.
+    """
     certified: list[CertifiedHyperplane] = []
     rejected: list[RejectedCandidate] = []
     for m in hyperplanes:
-        if f.restrict(m).is_zero():
+        if m.dimension == f.n and f.scaled_groups(_point_on(m)):
+            rejected.append(
+                RejectedCandidate(m, "restriction does not vanish identically")
+            )
+        elif f.restrict(m).is_zero():
             certified.append(
                 CertifiedHyperplane(
                     m, "restriction to the hyperplane is the zero exponential polynomial"

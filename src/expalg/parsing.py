@@ -329,5 +329,15 @@ def format_epoly(f: EPoly) -> str:
 
 
 def format_hyperplane(m: Hyperplane) -> str:
-    linear = Poly.affine(m.dimension, [*m.normal] + [0] * m.dimension)
-    return f"{format_poly(linear)} = 0"
+    """The equation of {m . x = 0}, read off the normal: "x1 - 2*x3 = 0".
+
+    It is the text ``format_poly`` gives the linear form, whose terms come
+    in decreasing graded-lex order, x1 before x2; the first nonzero entry of
+    a primitive normal is positive, so the text never starts with a sign.
+    """
+    pieces: list[str] = []
+    for i, c in enumerate(m.normal, 1):
+        if c:
+            body = f"x{i}" if abs(c) == 1 else f"{abs(c)}*x{i}"
+            pieces.append(f"- {body}" if c < 0 else f"+ {body}" if pieces else body)
+    return " ".join(pieces) + " = 0"

@@ -6,7 +6,7 @@ import pytest
 
 from expalg.epoly import EPoly
 from expalg.errors import ParseError
-from expalg.hyperplanes import Hyperplane
+from expalg.hyperplanes import Hyperplane, primitive_normalize
 from expalg.parsing import (
     format_epoly,
     format_hyperplane,
@@ -15,7 +15,7 @@ from expalg.parsing import (
     parse_poly,
 )
 
-from util import rand_poly
+from util import rand_poly, reference_format_hyperplane
 
 
 def test_parse_worked_examples():
@@ -46,6 +46,22 @@ def test_pretty_print_examples():
     assert format_poly(Poly.zero(2)) == "0"
     assert format_hyperplane(Hyperplane((1, -1))) == "x1 - x2 = 0"
     assert format_hyperplane(Hyperplane((0, 1))) == "x2 = 0"
+
+
+def test_hyperplane_equation_matches_the_linear_form_text():
+    # Zero entries, +-1 and multi-digit entries, in every position.
+    rng = random.Random(14)
+    kinds = [0, 0, 1, -1, 2, -7, 12, -305]
+    seen = set()
+    for n in range(1, 7):
+        for _ in range(80):
+            v = [rng.choice(kinds) for _ in range(n)]
+            if not any(v):
+                continue
+            m = primitive_normalize(v)
+            assert format_hyperplane(m) == reference_format_hyperplane(m), m
+            seen.update(abs(c) for c in m.normal)
+    assert {0, 1, 2, 7, 12, 305} <= seen
 
 
 def test_round_trip_corpus_and_random():

@@ -18,7 +18,9 @@ from expalg.classify import (
 from expalg.epoly import EPoly
 from expalg.errors import DimensionError, InternalInvariantError
 from expalg.factor import dadd, dderiv, ddivmod, ddeg, dmul, dneg, dpow, dprimitive, dscale, dsub, dtrim
+from expalg.hyperplanes import Hyperplane
 from expalg.intervals import Box, RatInterval
+from expalg.parsing import format_poly
 from expalg.poly import Poly
 
 
@@ -617,3 +619,13 @@ def restriction_divides(cand: Poly, a, b, image) -> bool:
     for c in reversed(image):
         value = value * t + c
     return value == 0
+
+
+def reference_format_hyperplane(m: Hyperplane) -> str:
+    """The equation of {m . x = 0} as ``format_poly`` prints its linear form.
+
+    ``parsing.format_hyperplane`` writes it from the normal alone and must
+    give the same text.
+    """
+    linear = Poly.affine(m.dimension, [*m.normal] + [0] * m.dimension)
+    return f"{format_poly(linear)} = 0"
