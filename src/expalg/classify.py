@@ -46,7 +46,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
-from math import gcd, lcm
+from math import gcd
 from operator import add, sub
 
 from .epoly import EPoly
@@ -56,11 +56,12 @@ from .factor import (
     dadd,
     dense_to_poly,
     dmul,
-    dprimitive,
     dtrim,
     factor_dense,
     factor_univariate,
+    over_common_denominator,
     poly_to_dense,
+    zprimitive,
 )
 from .hyperplanes import Hyperplane, candidate_hyperplanes
 from .numeric import RootCert, certified_sign_change, isolate_roots_1d
@@ -252,8 +253,8 @@ def _linear_candidates(p: Poly, lines):
     n = p.n
     pos = [var_pos(n, kind, idx) for kind, idx in active]
     filters = [
-        ([A[j] for j in pos], [B[j] for j in pos], l_b, roots)
-        for A, B, l_b, roots in lines
+        ([A[j] for j in pos], [B[j] for j in pos], l, roots)
+        for A, B, l, roots in lines
     ]
     for consts in iter_product(span, repeat=len(active) + 1):
         coeffs, const = consts[:-1], consts[-1]
@@ -275,55 +276,43 @@ def _linear_candidates(p: Poly, lines):
         yield Poly.affine(n, form, const)
 
 
-def _line_filter(a: list[Fraction], b: list[Fraction], factors) -> tuple:
+def _line_filter(A: list[int], B: list[int], l: int, factors) -> tuple:
     """What the divisor hunt keeps of a line whose image it has factored.
 
-    A divisor L = c.v + c0 of p restricts on the line v = a t + b to a
-    divisor alpha t + beta of the line's image, which is nonzero.  So either
-    alpha = 0 and beta != 0, or -beta/alpha is a rational root of the image,
-    that is -g0/g1 for a linear factor [g0, g1] of the factorization
-    (``[0, 1]`` included).  With a = A / l_a and b = B / l_b over integers,
-    alpha = alpha' / l_a and beta = beta' / l_b for the integers
-    alpha' = c.A and beta' = c0 l_b + c.B, and the root test reads
-    alpha' (-g0 l_b) + beta' (g1 l_a) = 0.  The filter is
-    (A, B, l_b, [(-g0 l_b, g1 l_a) for each linear factor]).
+    A divisor L = c.v + c0 of p restricts on the line v = (A t + B) / l to
+    a divisor alpha t + beta of the line's image, which is nonzero.  So
+    either alpha = 0 and beta != 0, or -beta/alpha is a rational root of the
+    image, that is -g0/g1 for a linear factor [g0, g1] of the factorization
+    (``[0, 1]`` included).  Over integers, alpha = c.A / l and
+    beta = (c0 l + c.B) / l, and the root test reads
+    (c.A) (-g0) + (c0 l + c.B) g1 = 0.  The filter is
+    (A, B, l, [(-g0, g1) for each linear factor]).
     """
-    A, l_a = _over_common_denominator(a)
-    B, l_b = _over_common_denominator(b)
-    roots = [(-g[0] * l_b, g[1] * l_a) for g, _ in factors if len(g) == 2]
-    return A, B, l_b, roots
-
-
-def _over_common_denominator(v: list[Fraction]) -> tuple[list[int], int]:
-    """Integers V and l with v = V / l, l the lcm of the denominators."""
-    den = lcm(*(c.denominator for c in v))
-    return [c.numerator * (den // c.denominator) for c in v], den
+    return A, B, l, [(-g[0], g[1]) for g, _ in factors if len(g) == 2]
 
 
 def _may_divide(coeffs, const: int, line_filter) -> bool:
     """Whether c.v + c0 restricts on the line to a divisor of its image."""
-    A, B, l_b, roots = line_filter
+    A, B, l, roots = line_filter
     alpha = sum(c * x for c, x in zip(coeffs, A))
-    beta = const * l_b + sum(c * x for c, x in zip(coeffs, B))
+    beta = const * l + sum(c * x for c, x in zip(coeffs, B))
     if not alpha:
         return beta != 0
     return any(alpha * r0 + beta * r1 == 0 for r0, r1 in roots)
 
 
-def _specialize_to_line(p: Poly, a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Dense univariate image of p under every variable -> a_i t + b_i.
+def _specialize_to_line(p: Poly, C: list[int], A: list[int], B: list[int], l: int) -> list[int]:
+    """Dense integer multiple of the univariate image of p under every
+    variable -> (A_i t + B_i) / l.
 
-    Over one denominator, a = A / l and b = B / l, and p's coefficients are
-    C_m / D.  With d the total degree of p, the image is S(t) / (D l^d) for
-    the integer polynomial S = sum_m C_m l^(d - |m|) prod_i (A_i t + B_i)^m_i,
-    summed from one power table of A_i t + B_i per variable.
+    With p's coefficients C_m / D and d the total degree of p, the image is
+    S(t) / (D l^d) for the integer polynomial
+    S = sum_m C_m l^(d - |m|) prod_i (A_i t + B_i)^m_i, summed from one power
+    table of A_i t + B_i per variable; S is returned.
     """
-    AB, l = _over_common_denominator(a + b)
-    A, B = AB[: len(a)], AB[len(a) :]
-    C, D = _over_common_denominator(list(p.terms.values()))
     deg = p.total_degree()
     l_pow = [l**k for k in range(deg + 1)]
-    tables: list[list[list[int]]] = [[[1]] for _ in a]
+    tables: list[list[list[int]]] = [[[1]] for _ in A]
     acc = [0] * (deg + 1)
     for mono, c in zip(p.terms, C):
         term = [c * l_pow[deg - sum(mono)]]
@@ -335,17 +324,22 @@ def _specialize_to_line(p: Poly, a: list[Fraction], b: list[Fraction]) -> list[F
                 term = dmul(term, table[e])
         for k, v in enumerate(term):
             acc[k] += v
-    den = D * l_pow[deg]
-    return [Fraction(v, den) for v in dtrim(acc)]
+    return dtrim(acc)
 
 
-def _pull_back(g: list[int], a: Fraction, b: Fraction, n: int, kind: str, idx: int) -> Poly:
-    """g((v - b) / a) as a primitive Poly in the variable v = (kind, idx)."""
-    t = [-b / a, 1 / a]
-    acc = [Fraction(g[-1])]
+def _pull_back(g: list[int], A: int, B: int, l: int, n: int, kind: str, idx: int) -> Poly:
+    """g((v - b) / a) for a = A / l and b = B / l, as a primitive Poly in
+    the variable v = (kind, idx).
+
+    (v - b) / a = (l v - B) / A, so the Horner sum of
+    g_k (l v - B)^k A^(d - k) is A^d times it, with d the degree of g.
+    """
+    acc = [g[-1]]
+    scale = 1
     for c in reversed(g[:-1]):
-        acc = dadd(dmul(acc, t), [Fraction(c)])
-    return dense_to_poly(dprimitive(acc)[1], n, kind, idx)
+        scale *= A
+        acc = dadd(dmul(acc, [-B, l]), [c * scale])
+    return dense_to_poly(zprimitive(acc), n, kind, idx)
 
 
 def irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0) -> IrredVerdict:
@@ -395,6 +389,7 @@ def irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0) -> IrredVer
                 )
 
     active = sorted(p.variables_used())
+    C, _ = over_common_denominator(list(p.terms.values()))
     rng = random.Random(_stable_seed(p, seed))
     lines = []  # a _line_filter for each full-degree image that factored
     for _ in range(attempts):
@@ -402,10 +397,12 @@ def irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0) -> IrredVer
         b = [Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(2 * p.n)]
         if all(v == 0 for v in a):
             continue
-        image = _specialize_to_line(p, a, b)
+        AB, l = over_common_denominator(a + b)
+        A, B = AB[: 2 * p.n], AB[2 * p.n :]
+        image = _specialize_to_line(p, C, A, B, l)
         if len(image) - 1 != deg:
             continue  # degenerate direction; draw again
-        _, factors = factor_dense(image)
+        factors = factor_dense(image)
         nontrivial = [(g, m) for g, m in factors if len(g) > 1]
         if len(nontrivial) == 1 and nontrivial[0][1] == 1 and len(nontrivial[0][0]) - 1 == deg:
             return IrredVerdict(
@@ -423,9 +420,9 @@ def irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0) -> IrredVer
                 "Reducible",
                 witness="a factor of a full-degree line image, mapped back "
                 "through the line (one variable)",
-                factor=_pull_back(g, a[j], b[j], p.n, kind, idx),
+                factor=_pull_back(g, A[j], B[j], l, p.n, kind, idx),
             )
-        lines.append(_line_filter(a, b, factors))
+        lines.append(_line_filter(A, B, l, factors))
 
     # Every sampled image factored: hunt for an exact low-degree divisor
     # among the linear forms that restrict to a divisor of every image.

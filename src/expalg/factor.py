@@ -1,30 +1,33 @@
 """Exact univariate polynomial factorization over Q, plus dense helpers.
 
 Dense polynomials are coefficient lists indexed by degree (``f[k]`` is the
-coefficient of ``x^k``); the zero polynomial is the empty list.  The public
-entry points (``factor_dense``, ``count_real_roots``, ``dprimitive``) take
-Fraction lists.  The ring helpers ``dadd`` .. ``dderiv`` work on either
-Fractions or ints; ``ddivmod`` divides over Q, and keeps integer inputs
-integer when the divisor is monic.  The ``z`` helpers (``zprimitive``,
-``zprem``, ``zgcd``, ``zdivexact``, ``zsquarefree``) and everything after
-the rational content is split off run on integer lists, and the ``gf_``
-helpers on residues modulo a prime.
+coefficient of ``x^k``); the zero polynomial is the empty list.  Rationals
+become integers in one place: ``over_common_denominator`` writes a rational
+vector as integers over one denominator, and ``dprimitive`` splits a rational
+polynomial into its content and primitive integer part.  Every dense helper
+below them takes integer lists: the ring helpers ``dadd`` .. ``dderiv``, the
+``z`` helpers (``zprimitive``, ``zprem``, ``zgcd``, ``zdivexact``,
+``zsquarefree``), ``factor_dense``, and the ``gf_`` helpers on residues
+modulo a prime or a prime power.  ``factor_univariate`` and
+``count_real_roots`` take rational coefficients and pass them through
+``dprimitive``.
 
 Factorization follows the classical route:
 
-  rational content  ->  monomial part x^k  ->  Yun square-free decomposition
-  of the primitive integer part (primitive PRS gcds, exact integer division)
+  monomial part x^k  ->  Yun square-free decomposition of the primitive
+  integer part (primitive PRS gcds, exact integer division)
   ->  per square-free part: factor modulo a suitable odd prime
       (distinct-degree + equal-degree splitting), Hensel lift the factors
       past the Landau-Mignotte coefficient bound, recombine subsets by exact
       integer trial division.
 
 Returned irreducible factors are primitive integer polynomials with positive
-leading coefficient; ``content * prod(factor^mult)`` reproduces the input
-exactly, and the function verifies that identity before returning.
+leading coefficient; ``prod(factor^mult)`` is the primitive part of the
+input, and ``factor_dense`` verifies that identity before returning.
 
-A deterministic RNG (seeded from the input coefficients) drives the
-equal-degree splitting, so results are reproducible across runs.
+The equal-degree splitting draws from ``random.Random(0)``, fresh for each
+call.  The monic irreducible factors modulo p are unique and returned
+sorted, so the seed changes how long the splitting takes, never the result.
 
 The module also provides Sturm-chain real-root counting on integer
 pseudo-remainders, used to decide which irreducible factors have real zeros.
@@ -32,7 +35,6 @@ pseudo-remainders, used to decide which irreducible factors have real zeros.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -44,7 +46,7 @@ from .poly import Poly, var_pos
 
 
 # ---------------------------------------------------------------------------
-# Dense arithmetic (Fractions or ints)
+# Dense arithmetic on integer lists
 # ---------------------------------------------------------------------------
 
 
@@ -110,40 +112,19 @@ def dderiv(a: list) -> list:
     return dtrim([a[i] * i for i in range(1, len(a))])
 
 
-def ddivmod(a: Sequence, b: Sequence) -> tuple[list, list]:
-    """Division with remainder over Q of Fraction or int lists; b must be nonzero.
-
-    A divisor with leading coefficient 1 needs no inverse, so integer inputs
-    stay integer (Hensel lifting divides by monic integer polynomials).
-    Exact division of integer polynomials is ``zdivexact``.
-    """
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    rem = list(a)
-    quo = [0] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 if b[-1] == 1 else 1 / Fraction(b[-1])
-    while len(rem) >= len(b) and dtrim(rem):
-        shift = len(rem) - len(b)
-        factor = rem[-1] * inv_lead
-        quo[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] -= factor * c
-        rem.pop()
-        dtrim(rem)
-    return dtrim(quo), dtrim(rem)
+def over_common_denominator(v: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers V and l with v = V / l, l the lcm of the denominators."""
+    den = lcm(*(c.denominator for c in v))
+    return [c.numerator * (den // c.denominator) for c in v], den
 
 
 def dprimitive(f: Sequence[Fraction]) -> tuple[Fraction, list[int]]:
     """Split off the rational content: f = content * primitive-int-part, lc > 0."""
-    f = dtrim([Fraction(c) for c in f])
-    if not f:
+    ints, den = over_common_denominator(f)
+    prim = zprimitive(dtrim(ints))
+    if not prim:
         return Fraction(0), []
-    den = lcm(*(c.denominator for c in f))
-    ints = [c.numerator * (den // c.denominator) for c in f]
-    g = gcd(*ints)
-    sign = 1 if ints[-1] > 0 else -1
-    prim = [c // (sign * g) for c in ints]
-    return Fraction(sign * g, den), prim
+    return Fraction(ints[-1] // prim[-1], den), prim
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +228,11 @@ def gf_trunc(f: Sequence[int], p: int) -> list[int]:
 
 
 def gf_sub(a, b, p):
-    return dtrim([c % p for c in dsub(list(a), list(b))])
+    return gf_trunc(dsub(a, b), p)
 
 
 def gf_mul(a, b, p):
-    return dtrim([c % p for c in dmul(list(a), list(b))])
+    return gf_trunc(dmul(a, b), p)
 
 
 def gf_divmod(a, b, p):
@@ -384,17 +365,21 @@ def _gf_to_sym(f, p):
 
 def _hensel_step(m, f, g, h, s, t):
     """One quadratic lift: from f = g*h (mod m), s*g + t*h = 1 (mod m),
-    to the same relations mod m^2, with h monic."""
+    to the same relations mod m^2, with h monic.
+
+    Reduction modulo m^2 commutes with division by a monic polynomial, so
+    both divisions run in (Z / m^2)[x].
+    """
     mm = m * m
     e = _sym_trunc(dsub(f, dmul(g, h)), mm)
-    q, r = ddivmod(dmul(s, e), h)
+    q, r = gf_divmod(dmul(s, e), h, mm)
     q, r = _sym_trunc(q, mm), _sym_trunc(r, mm)
     u = dadd(dmul(t, e), dmul(q, g))
     big_g = _sym_trunc(dadd(g, u), mm)
     big_h = _sym_trunc(dadd(h, r), mm)
     u = dadd(dmul(s, big_g), dmul(t, big_h))
     b = _sym_trunc(dsub(u, [1]), mm)
-    c, d = ddivmod(dmul(s, b), big_h)
+    c, d = gf_divmod(dmul(s, b), big_h, mm)
     c, d = _sym_trunc(c, mm), _sym_trunc(d, mm)
     u = dadd(dmul(t, b), dmul(c, big_g))
     big_s = _sym_trunc(dsub(s, d), mm)
@@ -510,52 +495,33 @@ def _factor_squarefree_int(f: list[int], rng: random.Random) -> list[list[int]]:
     return sorted(factors, key=lambda q: (ddeg(q), tuple(q)))
 
 
-def _stable_rng(coeffs: Sequence[int]) -> random.Random:
-    blob = repr(tuple(coeffs)).encode()
-    seed = int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
-    return random.Random(seed)
+def factor_dense(f: Sequence[int]) -> list[tuple[list[int], int]]:
+    """Irreducible factors over Q of a nonzero integer polynomial.
 
-
-def factor_dense(f: Sequence[Fraction]) -> tuple[Fraction, list[tuple[list[int], int]]]:
-    """Full factorization over Q of a dense rational polynomial.
-
-    Returns (content, [(primitive integer factor, multiplicity), ...]) with
-    content * prod(factor^mult) == f exactly (verified).  Factors have
-    positive leading coefficients and are sorted by (degree, coefficients).
+    Returns [(primitive integer factor, multiplicity), ...] with
+    prod(factor^mult) == the primitive part of f exactly (verified).
+    Factors have positive leading coefficients and are sorted by (degree,
+    coefficients); a constant has no factors.
     """
-    f = dtrim([Fraction(c) for c in f])
+    f = dtrim(list(f))
     if not f:
         raise ValueError("cannot factor the zero polynomial")
-    if ddeg(f) == 0:
-        return f[0], []
-
-    work = list(f)
-    factors: list[tuple[list[int], int]] = []
-    shift = 0
-    while not work[0]:
-        work.pop(0)
-        shift += 1
-    if shift:
-        factors.append(([0, 1], shift))
-
+    shift = next(k for k, c in enumerate(f) if c)
+    factors: list[tuple[list[int], int]] = [([0, 1], shift)] if shift else []
+    work = zprimitive(f[shift:])
     if ddeg(work) > 0:
-        rng = _stable_rng([c.numerator for c in work] + [c.denominator for c in work])
-        for part, mult in zsquarefree(dprimitive(work)[1]):
+        rng = random.Random(0)
+        for part, mult in zsquarefree(work):
             for irr in _factor_squarefree_int(part, rng):
                 factors.append((irr, mult))
-
     factors.sort(key=lambda fm: (ddeg(fm[0]), tuple(fm[0]), fm[1]))
-    lead_prod = 1
-    for fac, mult in factors:
-        lead_prod *= fac[-1] ** mult
-    content = f[-1] / lead_prod
 
     check = [1]
     for fac, mult in factors:
         check = dmul(check, dpow(fac, mult))
-    if len(check) != len(f) or any(content * c != v for c, v in zip(check, f)):
+    if check != zprimitive(f):
         raise InternalInvariantError("factorization does not reproduce the input")
-    return content, factors
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -600,13 +566,14 @@ def poly_to_dense(p: Poly) -> tuple[tuple[str, int] | None, list[Fraction]]:
     if len(used) > 1:
         raise ValueError(f"polynomial is not univariate: uses {sorted(used)}")
     if not used:
-        return None, dtrim([p.constant_value()])
+        c = p.constant_value()
+        return None, [c] if c else []
     (kind, idx) = next(iter(used))
     pos = var_pos(p.n, kind, idx)
     coeffs = [Fraction(0)] * (p.degree_in(kind, idx) + 1)
     for mono, c in p.terms.items():
         coeffs[mono[pos]] += c
-    return (kind, idx), dtrim(coeffs)
+    return (kind, idx), coeffs
 
 
 def dense_to_poly(coeffs: Sequence, n: int, kind: str, idx: int) -> Poly:
@@ -630,7 +597,8 @@ def factor_univariate(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     var, coeffs = poly_to_dense(p)
-    content, factors = factor_dense(coeffs)
+    content, prim = dprimitive(coeffs)
+    factors = factor_dense(prim)
     if var is None:
         return content, []
     kind, idx = var

@@ -230,6 +230,8 @@ def _infer_ambient(tokens: list[Token], override: int | None) -> int:
         if tok.kind == "VAR":
             max_idx = max(max_idx, _split_var(tok)[1])
     if override is not None:
+        if override < 1:
+            raise ParseError(f"ambient override {override} below 1", 1, 1)
         if override < max_idx:
             raise ParseError(
                 f"ambient override {override} below used index {max_idx}", 1, 1

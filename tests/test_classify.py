@@ -11,7 +11,6 @@ from expalg.classify import (
     CertifiedHyperplane,
     HypothesisCheck,
     IrredVerdict,
-    _specialize_to_line,
     _verdict,
     classify_codim1,
     classify_single_exp,
@@ -25,6 +24,8 @@ from expalg.hyperplanes import Hyperplane
 from expalg.intervals import Interval
 from expalg.numeric import RootCert, sign_at_rational
 from expalg.parsing import format_poly, parse_poly
+
+from util import line_image
 
 
 UMBRELLA = "(x1 + u1 - 1)*((2*x1 - u1 + 1)^2 + x2^2) + (2*x1 - u1 + 1)^3"
@@ -41,9 +42,9 @@ def test_oracle_axes_polynomial_irreducible_with_recheckable_witness():
     v = irreducibility_oracle(p)
     assert v.status == "Irreducible" and v.line is not None
     a, b = v.line
-    image = _specialize_to_line(p, list(a), list(b))
+    image, _, _, _ = line_image(p, list(a), list(b))
     assert len(image) - 1 == p.total_degree()
-    _, factors = factor_dense(image)
+    factors = factor_dense(image)
     nontrivial = [(f, m) for f, m in factors if len(f) > 1]
     assert len(nontrivial) == 1 and nontrivial[0][1] == 1
 

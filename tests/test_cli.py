@@ -188,6 +188,23 @@ def test_out_of_range_option_values_are_input_errors(capsys):
         assert err.startswith("input error: ") and err.count("\n") == 1, argv
 
 
+def test_ambient_below_one_is_an_input_error(capsys):
+    # an ambient of 0 used to reach the drivers: classify logged "no dimension
+    # check available for n >= 3", transversal asked for "-1 --coords values"
+    # and classify1e failed on "variable index 1 out of range 1..0"
+    for command, text in (
+        ("canon", "1"),
+        ("hyperplanes", "1"),
+        ("classify", "1"),
+        ("classify1e", "2"),
+        ("transversal", "1"),
+    ):
+        for ambient in ("0", "-1"):
+            code, out, err = run_cli(capsys, [command, "--ambient", ambient, "--", text])
+            assert code == cli.EXIT_INPUT and out == "", (command, ambient)
+            assert err == f"input error: ambient override {ambient} below 1 (line 1, column 1)\n", err
+
+
 HUGE = "1" + "0" * 400  # beyond the largest float
 
 

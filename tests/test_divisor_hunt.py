@@ -16,6 +16,7 @@ from expalg.parsing import format_poly, parse_poly
 from expalg.poly import Poly
 
 from util import (
+    line_image,
     mono,
     rand_poly,
     reference_irreducibility_oracle,
@@ -134,11 +135,10 @@ def test_line_filter_matches_exact_division():
             continue
         a = [rng.choice(entries) for _ in range(2 * n)]
         b = [rng.choice(entries) for _ in range(2 * n)]
-        image = classify._specialize_to_line(p, a, b)
+        image, A, B, l = line_image(p, a, b)
         if not image:
             continue
-        line = _line_filter(a, b, factor_dense(image)[1])
-        A, B, l_b, _ = line
+        line = _line_filter(A, B, l, factor_dense(image))
         units = [mono(e, (0,) * n) for e in _units(n)] + [mono((0,) * n, e) for e in _units(n)]
         for cand in reference_linear_candidates(p):
             coeffs = [int(cand.terms.get(m, 0)) for m in units]
@@ -146,7 +146,7 @@ def test_line_filter_matches_exact_division():
             want = restriction_divides(cand, a, b, image)
             assert _may_divide(coeffs, const, line) == want, (format_poly(p), a, b, format_poly(cand))
             alpha = sum(c * x for c, x in zip(coeffs, A))
-            beta = const * l_b + sum(c * x for c, x in zip(coeffs, B))
+            beta = const * l + sum(c * x for c, x in zip(coeffs, B))
             seen.add((alpha == 0, beta == 0, want))
     assert {(True, True, False), (True, False, True), (False, True, True)} <= seen
 

@@ -7,9 +7,9 @@ import pytest
 
 from expalg.factor import (
     count_real_roots,
-    ddivmod,
     dmul,
     dpow,
+    dprimitive,
     dtrim,
     factor_dense,
     factor_univariate,
@@ -17,38 +17,41 @@ from expalg.factor import (
 )
 from expalg.parsing import format_poly, parse_poly
 
+from util import reference_ddivmod
+
 
 def test_factor_worked_examples():
-    content, factors = factor_dense([F(-1), F(0), F(1)])  # x^2 - 1
-    assert content == 1
+    factors = factor_dense([-1, 0, 1])  # x^2 - 1
     assert [(f, m) for f, m in factors] == [([-1, 1], 1), ([1, 1], 1)]
 
-    content, factors = factor_dense([F(1), F(0), F(1)])  # x^2 + 1
-    assert factors == [([1, 0, 1], 1)]
+    assert factor_dense([1, 0, 1]) == [([1, 0, 1], 1)]  # x^2 + 1
 
     # 6x^3 - 9x^2 - 15x = 3 * x * (x + 1) * (2x - 5)
-    content, factors = factor_dense([F(0), F(-15), F(-9), F(6)])
-    assert content == 3
-    assert factors == [([-5, 2], 1), ([0, 1], 1), ([1, 1], 1)]
+    assert dprimitive([F(0), F(-15), F(-9), F(6)])[0] == 3
+    assert factor_dense([0, -15, -9, 6]) == [([-5, 2], 1), ([0, 1], 1), ([1, 1], 1)]
+    # a negative content drops out with the rest of it
+    assert factor_dense([0, 15, 9, -6]) == [([-5, 2], 1), ([0, 1], 1), ([1, 1], 1)]
+    assert factor_dense([-7]) == []
+    with pytest.raises(ValueError):
+        factor_dense([0, 0])
 
 
 def test_factor_recombination_hard_cases():
     # Irreducible over Q although reducible modulo every prime.
-    content, factors = factor_dense([F(1), F(0), F(0), F(0), F(1)])
-    assert factors == [([1, 0, 0, 0, 1], 1)]
-    content, factors = factor_dense([F(1)] + [F(0)] * 7 + [F(1)])
-    assert factors == [([1] + [0] * 7 + [1], 1)]
+    assert factor_dense([1, 0, 0, 0, 1]) == [([1, 0, 0, 0, 1], 1)]
+    assert factor_dense([1] + [0] * 7 + [1]) == [([1] + [0] * 7 + [1], 1)]
 
 
 def test_factor_random_products_reassemble():
     rng = random.Random(31)
     for _ in range(60):
-        f = [F(rng.choice([1, 2, 3]))]
+        f = [rng.choice([1, 2, 3])]
         for _ in range(rng.randint(1, 3)):
             deg = rng.randint(1, 3)
-            fac = [F(rng.randint(-4, 4)) for _ in range(deg)] + [F(rng.randint(1, 4))]
+            fac = [rng.randint(-4, 4) for _ in range(deg)] + [rng.randint(1, 4)]
             f = dmul(f, dpow(fac, rng.randint(1, 2)))
-        content, factors = factor_dense(f)
+        content, _ = dprimitive(f)
+        factors = factor_dense(f)
         rebuilt = [content]
         for fac, mult in factors:
             rebuilt = dmul(rebuilt, dpow([F(c) for c in fac], mult))
@@ -90,7 +93,7 @@ def test_poly_to_dense_roundtrip():
 
 
 def test_division_with_remainder():
-    quo, rem = ddivmod([F(1), F(0), F(1)], [F(1), F(1)])
+    quo, rem = reference_ddivmod([F(1), F(0), F(1)], [F(1), F(1)])
     # x^2 + 1 = (x + 1)(x - 1) + 2
     assert quo == [F(-1), F(1)] and rem == [F(2)]
 

@@ -1,11 +1,15 @@
 """The oracle's integer kernels against their Fraction references.
 
 ``classify._specialize_to_line`` sums line images in integers over one
-denominator; ``factor_dense`` splits square-free parts with primitive PRS
-gcds and exact integer division; ``count_real_roots`` builds its Sturm chain
+denominator, and ``classify._pull_back`` maps a factor back through the line
+by integer Horner; ``factor_dense`` factors integer lists, splitting
+square-free parts with primitive PRS gcds and exact integer division and
+Hensel lifting in (Z / p^k)[x]; ``count_real_roots`` builds its Sturm chain
 from integer pseudo-remainders.  The references in ``util`` do the same on
-Fractions.  Images, factorizations and counts must be equal.  The module
-needs no pytest, so it also runs as a script on an interpreter without it:
+Fractions.  Images, pull-backs, factorizations and counts must be equal, and
+the modular splitting must return the same factors for every seed.  The
+module needs no pytest, so it also runs as a script on an interpreter
+without it:
 
     PYTHONPATH=src python3 tests/test_factor_kernel.py
 """
@@ -14,27 +18,38 @@ import random
 import sys
 from fractions import Fraction
 
-from expalg.classify import _specialize_to_line
+from expalg.classify import _pull_back
 from expalg.factor import (
+    _factor_squarefree_int,
+    _hensel_lift,
     count_real_roots,
     ddeg,
-    ddivmod,
+    dderiv,
     dmul,
     dpow,
     dprimitive,
     factor_dense,
+    gf_factor_squarefree,
+    gf_gcd,
+    gf_monic,
+    gf_trunc,
+    over_common_denominator,
     zdivexact,
     zgcd,
     zprem,
+    zprimitive,
     zsquarefree,
 )
 
 from util import (
+    line_image,
     rand_fraction,
     rand_poly,
     reference_count_real_roots,
+    reference_ddivmod,
     reference_dgcd,
     reference_factor_dense,
+    reference_pull_back,
     reference_specialize_to_line,
     reference_squarefree_decomposition,
     reference_sturm_chain,
@@ -56,9 +71,38 @@ def rand_product(rng: random.Random) -> list[Fraction]:
     return [Fraction(0)] * rng.choice([0, 0, 1, 2]) + f
 
 
+def rand_int_product(rng: random.Random) -> list[int]:
+    """An integer multiple of a product of random factors, some repeated,
+    times x^k: non-primitive lists, negative leading coefficients and x^k
+    parts all occur."""
+    f = [rng.choice([-6, -4, -1, 1, 2, 3])]
+    for _ in range(rng.randint(1, 3)):
+        f = dmul(f, dpow(rand_int_poly(rng, rng.randint(1, 3), span=4), rng.randint(1, 3)))
+    return [0] * rng.choice([0, 0, 1, 2]) + f
+
+
+def rand_squarefree(rng: random.Random, factors: int) -> list[int] | None:
+    """A primitive square-free product of at least ``factors`` irreducible
+    factors over Q, lc > 0, or None when the draw repeats a factor."""
+    f = [1]
+    for _ in range(factors):
+        f = dmul(f, rand_int_poly(rng, rng.choice([1, 1, 2, 3]), span=6))
+    f = zprimitive(f)
+    parts = zsquarefree(f)
+    return f if parts == [(f, 1)] else None
+
+
+def admissible(f: list[int], p: int) -> bool:
+    """Whether f keeps its degree and stays square-free modulo p."""
+    fp = gf_trunc(f, p)
+    return ddeg(fp) == ddeg(f) and ddeg(gf_gcd(fp, gf_trunc(dderiv(f), p), p)) == 0
+
+
 def test_line_image_matches_fraction_reference():
     # Entries 0 for a_i and b_i make zero lines, constant lines and lines
-    # through the origin; the fractions give the images denominators.
+    # through the origin; the fractions give the images denominators.  The
+    # integer image is D l^d times the image over Q, with p's coefficients
+    # over the denominator D, the line over l and d the total degree of p.
     rng = random.Random(13)
     entries = [Fraction(v) for v in (-3, -1, 0, 0, 1, 2)] + [Fraction(1, 2), Fraction(-5, 3), Fraction(7, 20)]
     seen = {"zero a_i": 0, "zero b_i": 0, "fractional image": 0, "zero image": 0}
@@ -69,14 +113,39 @@ def test_line_image_matches_fraction_reference():
             continue
         a = [rng.choice(entries) for _ in range(2 * n)]
         b = [rng.choice(entries) for _ in range(2 * n)]
-        got = _specialize_to_line(p, a, b)
+        got, _, _, l = line_image(p, a, b)
         want = reference_specialize_to_line(p, a, b)
-        assert got == want, (p, a, b)
-        assert all(type(c) is Fraction for c in got)
+        _, D = over_common_denominator(list(p.terms.values()))
+        scale = D * l ** p.total_degree()
+        assert got == [scale * c for c in want], (p, a, b)
+        assert all(type(c) is int for c in got)
         seen["zero a_i"] += 0 in a
         seen["zero b_i"] += 0 in b
-        seen["fractional image"] += any(c.denominator > 1 for c in got)
+        seen["fractional image"] += any(c.denominator > 1 for c in want)
         seen["zero image"] += not got
+    assert all(seen.values()), seen
+
+
+def test_pull_back_matches_fraction_horner():
+    # g((v - b) / a) for integer, negative and fractional a and b, on
+    # integer g of either leading sign, with zero and nonzero constants.
+    rng = random.Random(37)
+    entries = [Fraction(v) for v in (-4, -1, 1, 3)] + [Fraction(-2, 3), Fraction(5, 2), Fraction(-7, 12)]
+    seen = {"negative a": 0, "fractional a": 0, "negative b": 0, "fractional b": 0}
+    for _ in range(300):
+        n = rng.choice([1, 2, 3])
+        kind, idx = rng.choice("xu"), rng.randint(1, n)
+        g = rand_int_poly(rng, rng.randint(1, 4))
+        a = rng.choice(entries)
+        b = rng.choice(entries + [Fraction(0)])
+        (A, B), l = over_common_denominator([a, b])
+        got = _pull_back(g, A, B, l, n, kind, idx)
+        want = reference_pull_back(g, a, b, n, kind, idx)
+        assert got == want and list(got.terms) == list(want.terms), (g, a, b)
+        seen["negative a"] += a < 0
+        seen["fractional a"] += a.denominator > 1
+        seen["negative b"] += b < 0
+        seen["fractional b"] += b.denominator > 1
     assert all(seen.values()), seen
 
 
@@ -89,7 +158,7 @@ def test_integer_helpers_match_fraction_division():
         # zgcd is the primitive part of the monic gcd over Q.
         assert zgcd(a, b) == dprimitive(reference_dgcd(a, b))[1]
         # zprem is a positive multiple of the remainder over Q.
-        rem = ddivmod([Fraction(c) for c in a], [Fraction(c) for c in b])[1]
+        rem = reference_ddivmod([Fraction(c) for c in a], [Fraction(c) for c in b])[1]
         prem = zprem(a, b)
         assert len(prem) == len(rem)
         if rem:
@@ -97,7 +166,7 @@ def test_integer_helpers_match_fraction_division():
             assert ratio > 0 and [ratio * c for c in rem] == prem
         # zdivexact divides exactly what divides over Q, by a primitive divisor.
         _, d = dprimitive(b)
-        quo, rem = ddivmod([Fraction(c) for c in a], [Fraction(c) for c in d])
+        quo, rem = reference_ddivmod([Fraction(c) for c in a], [Fraction(c) for c in d])
         exact = zdivexact(a, d)
         assert exact == (None if rem else quo)
     # x^2 = (2x + 1)(x/2 - 1/4) + 1/4: the first quotient coefficient is
@@ -117,16 +186,57 @@ def test_squarefree_parts_match_yun_over_q():
 
 def test_factor_dense_matches_reference():
     rng = random.Random(23)
-    seen = {"repeated": 0, "negative content": 0, "fractional content": 0, "x^k": 0}
+    seen = {"repeated": 0, "non-primitive": 0, "negative lc": 0, "x^k": 0}
     for _ in range(200):
-        f = rand_product(rng)
-        content, factors = factor_dense(f)
-        assert (content, factors) == reference_factor_dense(f), f
+        f = rand_int_product(rng)
+        factors = factor_dense(f)
+        content, want = reference_factor_dense(f)
+        assert factors == want, f
+        assert all(type(c) is int for g, _ in factors for c in g)
         seen["repeated"] += any(m > 1 for g, m in factors if g != [0, 1])
-        seen["negative content"] += content < 0
-        seen["fractional content"] += content.denominator > 1
+        seen["non-primitive"] += abs(content) != 1
+        seen["negative lc"] += f[-1] < 0
         seen["x^k"] += any(g == [0, 1] for g, _ in factors)
     assert all(seen.values()), seen
+
+
+def test_modular_splitting_is_seed_independent():
+    # Products of three or four irreducible factors have at least three
+    # factors modulo every admissible prime, so the equal-degree splitting
+    # draws from the generator; the factors it returns are unique.
+    rng = random.Random(41)
+    done = 0
+    while done < 60:
+        f = rand_squarefree(rng, rng.choice([3, 4]))
+        if f is None:
+            continue
+        got = [_factor_squarefree_int(f, random.Random(s)) for s in range(5)]
+        assert len(got[0]) >= 3 and all(g == got[0] for g in got), f
+        done += 1
+
+
+def test_hensel_lift_reduces_to_the_modular_factors():
+    # Each lifted factor is monic and reduces to its modular factor mod p,
+    # and lc(f) times their product is f mod p^l.
+    rng = random.Random(43)
+    done = 0
+    while done < 60:
+        f = rand_squarefree(rng, rng.choice([2, 3, 4]))
+        if f is None:
+            continue
+        p = next(q for q in (3, 5, 7, 11, 13, 17, 19, 23) if f[-1] % q and admissible(f, q))
+        modular = gf_factor_squarefree(gf_monic(f, p), p, random.Random(0))
+        if len(modular) < 2:
+            continue
+        l = rng.randint(2, 9)
+        lifted = _hensel_lift(p, f, modular, l)
+        assert [gf_trunc(g, p) for g in lifted] == modular, (f, p)
+        assert all(g[-1] == 1 for g in lifted)
+        prod = [f[-1]]
+        for g in lifted:
+            prod = dmul(prod, g)
+        assert gf_trunc(prod, p**l) == gf_trunc(f, p**l), (f, p, l)
+        done += 1
 
 
 def test_count_real_roots_matches_fraction_sturm():

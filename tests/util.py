@@ -12,12 +12,26 @@ from expalg import factor
 from expalg.classify import (
     IrredVerdict,
     _poly_nth_root,
+    _specialize_to_line,
     _stable_seed,
     trial_divide,
 )
 from expalg.epoly import EPoly
 from expalg.errors import DimensionError, InternalInvariantError
-from expalg.factor import dadd, dderiv, ddivmod, ddeg, dmul, dneg, dpow, dprimitive, dscale, dsub, dtrim
+from expalg.factor import (
+    dadd,
+    dderiv,
+    ddeg,
+    dense_to_poly,
+    dmul,
+    dneg,
+    dpow,
+    dprimitive,
+    dscale,
+    dsub,
+    dtrim,
+    over_common_denominator,
+)
 from expalg.hyperplanes import Hyperplane
 from expalg.intervals import Box, RatInterval
 from expalg.parsing import format_poly
@@ -453,13 +467,50 @@ def reference_specialize_to_line(p: Poly, a: list[Fraction], b: list[Fraction]) 
     return acc
 
 
+def line_image(p: Poly, a: list[Fraction], b: list[Fraction]) -> tuple[list[int], list[int], list[int], int]:
+    """(S, A, B, l): the oracle's integer image S of p on the line a t + b,
+    with a = A / l and b = B / l over one denominator l."""
+    AB, l = over_common_denominator(a + b)
+    A, B = AB[: len(a)], AB[len(a) :]
+    C, _ = over_common_denominator(list(p.terms.values()))
+    return _specialize_to_line(p, C, A, B, l), A, B, l
+
+
+def reference_pull_back(g: list[int], a: Fraction, b: Fraction, n: int, kind: str, idx: int) -> Poly:
+    """``classify._pull_back`` on Fractions: g((v - b) / a) by Horner over
+    Q, as a primitive Poly in the variable v = (kind, idx)."""
+    t = [-b / a, 1 / a]
+    acc = [Fraction(g[-1])]
+    for c in reversed(g[:-1]):
+        acc = dadd(dmul(acc, t), [Fraction(c)])
+    return dense_to_poly(dprimitive(acc)[1], n, kind, idx)
+
+
+def reference_ddivmod(a, b) -> tuple[list[Fraction], list[Fraction]]:
+    """Division with remainder over Q; b must be nonzero."""
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    rem = [Fraction(c) for c in a]
+    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    inv_lead = 1 / Fraction(b[-1])
+    while len(rem) >= len(b) and dtrim(rem):
+        shift = len(rem) - len(b)
+        q = rem[-1] * inv_lead
+        quo[shift] = q
+        for i, c in enumerate(b):
+            rem[shift + i] -= q * c
+        rem.pop()
+        dtrim(rem)
+    return dtrim(quo), dtrim(rem)
+
+
 def reference_dgcd(a, b) -> list[Fraction]:
     """Monic gcd over Q by Euclid on Fractions (1 for coprime inputs, [] only
     if both are zero)."""
     fa = dtrim([Fraction(c) for c in a])
     fb = dtrim([Fraction(c) for c in b])
     while fb:
-        fa, fb = fb, ddivmod(fa, fb)[1]
+        fa, fb = fb, reference_ddivmod(fa, fb)[1]
     if not fa:
         return []
     return dscale(fa, 1 / fa[-1])
@@ -472,8 +523,8 @@ def reference_squarefree_decomposition(f) -> list[tuple[list[Fraction], int]]:
     g = reference_dgcd(f, df)
     if ddeg(g) <= 0:
         return [(dscale(f, 1 / f[-1]), 1)]
-    b, _ = ddivmod(f, g)
-    c, _ = ddivmod(df, g)
+    b, _ = reference_ddivmod(f, g)
+    c, _ = reference_ddivmod(df, g)
     d = dsub(c, dderiv(b))
     out: list[tuple[list[Fraction], int]] = []
     i = 1
@@ -481,8 +532,8 @@ def reference_squarefree_decomposition(f) -> list[tuple[list[Fraction], int]]:
         a = reference_dgcd(b, d)
         if ddeg(a) > 0:
             out.append((a, i))
-        b, _ = ddivmod(b, a)
-        c, _ = ddivmod(d, a)
+        b, _ = reference_ddivmod(b, a)
+        c, _ = reference_ddivmod(d, a)
         d = dsub(c, dderiv(b))
         i += 1
     return out
@@ -490,8 +541,8 @@ def reference_squarefree_decomposition(f) -> list[tuple[list[Fraction], int]]:
 
 def reference_factor_dense(f) -> tuple[Fraction, list[tuple[list[int], int]]]:
     """``factor.factor_dense`` with the square-free split of
-    ``reference_squarefree_decomposition`` over Q and the check in Fractions;
-    the same seed drives the same modular factoring of each part."""
+    ``reference_squarefree_decomposition`` over Q and the check in Fractions:
+    (content, factors) with content * prod(factor^mult) == f."""
     f = dtrim([Fraction(c) for c in f])
     if ddeg(f) == 0:
         return f[0], []
@@ -504,7 +555,7 @@ def reference_factor_dense(f) -> tuple[Fraction, list[tuple[list[int], int]]]:
     if shift:
         factors.append(([0, 1], shift))
     if ddeg(work) > 0:
-        rng = factor._stable_rng([c.numerator for c in work] + [c.denominator for c in work])
+        rng = random.Random(0)
         for part, mult in reference_squarefree_decomposition(work):
             _, prim = dprimitive(part)
             for irr in factor._factor_squarefree_int(prim, rng):
@@ -527,7 +578,7 @@ def reference_sturm_chain(f) -> list[list[Fraction]]:
     chain = [dtrim([Fraction(c) for c in f])]
     chain.append(dderiv(chain[0]))
     while chain[-1]:
-        rem = ddivmod(chain[-2], chain[-1])[1]
+        rem = reference_ddivmod(chain[-2], chain[-1])[1]
         if not rem:
             break
         chain.append(dneg(rem))
