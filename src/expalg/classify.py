@@ -694,16 +694,6 @@ def classify_codim1(
     log: list[HypothesisCheck] = []
 
     f = EPoly.from_poly(p)
-    if f.is_zero():
-        # Unreachable for nonzero p (the canonical form is faithful); kept
-        # as a defensive branch.
-        return ComponentReport(
-            verdict=INCONCLUSIVE,
-            conditionality=UNCONDITIONAL,
-            residual="the function vanishes identically; the zero set is all of R^n",
-            hypothesis_log=log,
-        )
-
     cand = candidate_hyperplanes(p)
     if cand.degenerate:
         # The zero set is algebraic in x (up to a nonvanishing exponential

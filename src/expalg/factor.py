@@ -16,10 +16,11 @@ Factorization follows the classical route:
 
   monomial part x^k  ->  Yun square-free decomposition of the primitive
   integer part (primitive PRS gcds, exact integer division)
-  ->  per square-free part: factor modulo a suitable odd prime
-      (distinct-degree + equal-degree splitting), Hensel lift the factors
-      past the Landau-Mignotte coefficient bound, recombine subsets by exact
-      integer trial division.
+  ->  per square-free part: choose an odd prime by the number of modular
+      factors that distinct-degree splitting counts, split only that prime's
+      distinct-degree parts by equal-degree splitting, Hensel lift the factors
+      past the Landau-Mignotte coefficient bound on residues in [0, p^k),
+      recombine subsets by exact integer trial division.
 
 Returned irreducible factors are primitive integer polynomials with positive
 leading coefficient; ``prod(factor^mult)`` is the primitive part of the
@@ -231,25 +232,22 @@ def gf_sub(a, b, p):
     return gf_trunc(dsub(a, b), p)
 
 
-def gf_mul(a, b, p):
-    return gf_trunc(dmul(a, b), p)
-
-
 def gf_divmod(a, b, p):
+    """a = quo*b + rem modulo p, for unreduced a and b: each step reduces
+    only the new top coefficient, and rem is reduced once at the end."""
     if not b:
         raise ZeroDivisionError("gf division by zero")
-    rem = [c % p for c in a]
+    rem = list(a)
     quo = [0] * max(0, len(a) - len(b) + 1)
     inv = pow(b[-1] % p, -1, p)
-    while len(rem) >= len(b) and dtrim(rem):
+    tail = b[:-1]
+    while len(rem) >= len(b):
         shift = len(rem) - len(b)
-        factor = rem[-1] * inv % p
+        factor = rem.pop() % p * inv % p
         quo[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] = (rem[shift + i] - factor * c) % p
-        rem.pop()
-        dtrim(rem)
-    return dtrim(quo), dtrim(rem)
+        for i, c in enumerate(tail):
+            rem[shift + i] -= factor * c
+    return dtrim(quo), gf_trunc(rem, p)
 
 
 def gf_rem(a, b, p):
@@ -279,8 +277,8 @@ def gf_gcdex(a, b, p):
     while r1:
         q, r = gf_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, gf_sub(s0, gf_mul(q, s1, p), p)
-        t0, t1 = t1, gf_sub(t0, gf_mul(q, t1, p), p)
+        s0, s1 = s1, gf_sub(s0, dmul(q, s1), p)
+        t0, t1 = t1, gf_sub(t0, dmul(q, t1), p)
     if ddeg(r0) != 0:
         raise ValueError("gf_gcdex requires coprime inputs")
     inv = pow(r0[0], -1, p)
@@ -292,34 +290,33 @@ def gf_pow_mod(base, e: int, mod, p):
     base = gf_rem(base, mod, p)
     while e:
         if e & 1:
-            result = gf_rem(gf_mul(result, base, p), mod, p)
+            result = gf_rem(dmul(result, base), mod, p)
         e >>= 1
         if e:
-            base = gf_rem(gf_mul(base, base, p), mod, p)
+            base = gf_rem(dmul(base, base), mod, p)
     return result
 
 
-def gf_factor_squarefree(f, p: int, rng: random.Random) -> list[list[int]]:
-    """Irreducible monic factors of a monic square-free f in GF(p)[x], p odd."""
-    factors: list[list[int]] = []
-    f = gf_monic(f, p)
+def gf_ddf(f, p: int) -> list[tuple[list[int], int]]:
+    """Distinct-degree parts of a monic square-free f in GF(p)[x]: pairs
+    (g, d) with g the monic product of f's irreducible factors of degree d,
+    so f has sum(ddeg(g) // d) irreducible factors."""
+    parts: list[tuple[list[int], int]] = []
     x = [0, 1]
     h = x
     d = 0
     while ddeg(f) > 0:
         d += 1
         if 2 * d > ddeg(f):
-            factors.append(f)
+            parts.append((f, ddeg(f)))
             break
         h = gf_pow_mod(h, p, f, p)
         g = gf_gcd(gf_sub(h, x, p), f, p)
         if ddeg(g) > 0:
-            factors.extend(_gf_equal_degree(g, d, p, rng))
+            parts.append((g, d))
             f, _ = gf_divmod(f, g, p)
             h = gf_rem(h, f, p)
-        if ddeg(f) == 0:
-            break
-    return sorted(factors, key=lambda q: (ddeg(q), tuple(q)))
+    return parts
 
 
 def _gf_equal_degree(g, d: int, p: int, rng: random.Random) -> list[list[int]]:
@@ -344,23 +341,8 @@ def _gf_equal_degree(g, d: int, p: int, rng: random.Random) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Hensel lifting (quadratic steps, symmetric representation)
+# Hensel lifting (quadratic steps, residues in [0, m))
 # ---------------------------------------------------------------------------
-
-
-def _sym_trunc(f: Sequence[int], m: int) -> list[int]:
-    out = []
-    half = m // 2
-    for c in f:
-        c %= m
-        if c > half:
-            c -= m
-        out.append(c)
-    return dtrim(out)
-
-
-def _gf_to_sym(f, p):
-    return _sym_trunc(gf_trunc(f, p), p)
 
 
 def _hensel_step(m, f, g, h, s, t):
@@ -368,22 +350,18 @@ def _hensel_step(m, f, g, h, s, t):
     to the same relations mod m^2, with h monic.
 
     Reduction modulo m^2 commutes with division by a monic polynomial, so
-    both divisions run in (Z / m^2)[x].
+    both divisions run in (Z / m^2)[x].  The lifts are unique modulo m^2, so
+    they do not depend on the residues chosen for the inputs.
     """
     mm = m * m
-    e = _sym_trunc(dsub(f, dmul(g, h)), mm)
+    e = gf_sub(f, dmul(g, h), mm)
     q, r = gf_divmod(dmul(s, e), h, mm)
-    q, r = _sym_trunc(q, mm), _sym_trunc(r, mm)
-    u = dadd(dmul(t, e), dmul(q, g))
-    big_g = _sym_trunc(dadd(g, u), mm)
-    big_h = _sym_trunc(dadd(h, r), mm)
-    u = dadd(dmul(s, big_g), dmul(t, big_h))
-    b = _sym_trunc(dsub(u, [1]), mm)
+    big_g = gf_trunc(dadd(g, dadd(dmul(t, e), dmul(q, g))), mm)
+    big_h = gf_trunc(dadd(h, r), mm)
+    b = gf_sub(dadd(dmul(s, big_g), dmul(t, big_h)), [1], mm)
     c, d = gf_divmod(dmul(s, b), big_h, mm)
-    c, d = _sym_trunc(c, mm), _sym_trunc(d, mm)
-    u = dadd(dmul(t, b), dmul(c, big_g))
-    big_s = _sym_trunc(dsub(s, d), mm)
-    big_t = _sym_trunc(dsub(t, u), mm)
+    big_s = gf_sub(s, d, mm)
+    big_t = gf_sub(t, dadd(dmul(t, b), dmul(c, big_g)), mm)
     return big_g, big_h, big_s, big_t
 
 
@@ -393,19 +371,17 @@ def _hensel_lift(p: int, f: list[int], modular: list[list[int]], l: int) -> list
     lc = f[-1]
     if r == 1:
         inv = pow(lc % p**l, -1, p**l)
-        return [_sym_trunc(dscale(f, inv), p**l)]
+        return [gf_trunc(dscale(f, inv), p**l)]
     m = p
     k = r // 2
     d = max(1, (l - 1).bit_length())
-    g = [lc % p]
+    g, h = [lc], [1]
     for q in modular[:k]:
-        g = gf_mul(g, q, p)
-    h = modular[k]
-    for q in modular[k + 1 :]:
-        h = gf_mul(h, q, p)
+        g = dmul(g, q)
+    for q in modular[k:]:
+        h = dmul(h, q)
+    g, h = gf_trunc(g, p), gf_trunc(h, p)
     s, t = gf_gcdex(g, h, p)
-    g, h = _gf_to_sym(g, p), _gf_to_sym(h, p)
-    s, t = _gf_to_sym(s, p), _gf_to_sym(t, p)
     for _ in range(d):
         g, h, s, t = _hensel_step(m, f, g, h, s, t)
         m = m * m
@@ -415,6 +391,18 @@ def _hensel_lift(p: int, f: list[int], modular: list[list[int]], l: int) -> list
 # ---------------------------------------------------------------------------
 # Zassenhaus over Z
 # ---------------------------------------------------------------------------
+
+
+def _sym_trunc(f: Sequence[int], m: int) -> list[int]:
+    """f modulo m with coefficients in (-m/2, m/2]."""
+    out = []
+    half = m // 2
+    for c in f:
+        c %= m
+        if c > half:
+            c -= m
+        out.append(c)
+    return dtrim(out)
 
 
 def _is_prime(n: int) -> bool:
@@ -442,21 +430,25 @@ def _factor_squarefree_int(f: list[int], rng: random.Random) -> list[list[int]]:
     # Landau-Mignotte style bound on coefficients of any factor, times lc.
     bound = (isqrt(n + 1) + 1) * (1 << n) * max_norm * abs(lc)
 
+    # Score each prime by its number of modular factors; split only the one kept.
     candidates = []
     p = 3
     while len(candidates) < 3 and p < 10000:
         if _is_prime(p) and lc % p != 0:
-            fp = gf_trunc(f, p)
-            if ddeg(fp) == n and ddeg(gf_gcd(fp, gf_trunc(dderiv(f), p), p)) == 0:
-                candidates.append((p, gf_factor_squarefree(gf_monic(fp, p), p, rng)))
-                if len(candidates[-1][1]) == 1:
+            fp = gf_monic(f, p)
+            if ddeg(gf_gcd(fp, gf_trunc(dderiv(f), p), p)) == 0:
+                parts = gf_ddf(fp, p)
+                candidates.append((sum(ddeg(g) // d for g, d in parts), p, parts))
+                if candidates[-1][0] == 1:
                     break
         p += 2
     if not candidates:
         raise InternalInvariantError("no admissible prime found for factorization")
-    p, modular = min(candidates, key=lambda c: len(c[1]))
-    if len(modular) == 1:
+    count, p, parts = min(candidates, key=lambda c: c[0])
+    if count == 1:
         return [f]
+    modular = [q for g, d in parts for q in _gf_equal_degree(g, d, p, rng)]
+    modular.sort(key=lambda q: (ddeg(q), tuple(q)))
 
     l = 1
     pl = p

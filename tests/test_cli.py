@@ -32,6 +32,14 @@ def test_canon_poly_and_epoly(capsys):
     code, out, _ = run_cli(capsys, ["canon", "2*x1 + 1 - exp(x1)"])
     assert json.loads(out)["result"]["canonical"] == "(2*x1 + 1) + (-1)*exp(x1)"
 
+    # The same text read as a polynomial, and under --epoly, where u1 is e^x1.
+    code, out, _ = run_cli(capsys, ["canon", "u1 + x1"])
+    assert code == 0
+    assert json.loads(out)["result"] == {"canonical": "x1 + u1", "kind": "poly"}
+    code, out, _ = run_cli(capsys, ["canon", "--epoly", "u1 + x1"])
+    assert code == 0
+    assert json.loads(out)["result"] == {"canonical": "(x1) + (1)*exp(x1)", "kind": "epoly"}
+
 
 def test_classify_report_shape(capsys):
     code, out, err = run_cli(capsys, ["classify", "x1*u2 + x2*u1 - x1 - x2"])

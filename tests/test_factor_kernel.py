@@ -7,9 +7,12 @@ square-free parts with primitive PRS gcds and exact integer division and
 Hensel lifting in (Z / p^k)[x]; ``count_real_roots`` builds its Sturm chain
 from integer pseudo-remainders.  The references in ``util`` do the same on
 Fractions.  Images, pull-backs, factorizations and counts must be equal, and
-the modular splitting must return the same factors for every seed.  The
-module needs no pytest, so it also runs as a script on an interpreter
-without it:
+the modular splitting must return the same factors for every seed.  Modular
+division, which reduces once per step, must equal division that reduces at
+every step; the prime is chosen by distinct-degree counts, which must equal
+the number of factors of the full splitting, and only the prime kept is
+split.  The module needs no pytest, so it also runs as a script on an
+interpreter without it:
 
     PYTHONPATH=src python3 tests/test_factor_kernel.py
 """
@@ -18,18 +21,22 @@ import random
 import sys
 from fractions import Fraction
 
+from expalg import factor
 from expalg.classify import _pull_back
 from expalg.factor import (
     _factor_squarefree_int,
+    _gf_equal_degree,
     _hensel_lift,
     count_real_roots,
+    dadd,
     ddeg,
     dderiv,
     dmul,
     dpow,
     dprimitive,
     factor_dense,
-    gf_factor_squarefree,
+    gf_ddf,
+    gf_divmod,
     gf_gcd,
     gf_monic,
     gf_trunc,
@@ -49,6 +56,8 @@ from util import (
     reference_ddivmod,
     reference_dgcd,
     reference_factor_dense,
+    reference_gf_divmod,
+    reference_gf_factor_squarefree,
     reference_pull_back,
     reference_specialize_to_line,
     reference_squarefree_decomposition,
@@ -96,6 +105,13 @@ def admissible(f: list[int], p: int) -> bool:
     """Whether f keeps its degree and stays square-free modulo p."""
     fp = gf_trunc(f, p)
     return ddeg(fp) == ddeg(f) and ddeg(gf_gcd(fp, gf_trunc(dderiv(f), p), p)) == 0
+
+
+def split_modular(fp: list[int], p: int, rng: random.Random) -> list[list[int]]:
+    """The monic factors of a monic square-free fp modulo p, from its
+    distinct-degree parts, sorted as ``_factor_squarefree_int`` sorts them."""
+    modular = [q for g, d in gf_ddf(fp, p) for q in _gf_equal_degree(g, d, p, rng)]
+    return sorted(modular, key=lambda q: (ddeg(q), tuple(q)))
 
 
 def test_line_image_matches_fraction_reference():
@@ -225,7 +241,7 @@ def test_hensel_lift_reduces_to_the_modular_factors():
         if f is None:
             continue
         p = next(q for q in (3, 5, 7, 11, 13, 17, 19, 23) if f[-1] % q and admissible(f, q))
-        modular = gf_factor_squarefree(gf_monic(f, p), p, random.Random(0))
+        modular = split_modular(gf_monic(f, p), p, random.Random(0))
         if len(modular) < 2:
             continue
         l = rng.randint(2, 9)
@@ -237,6 +253,91 @@ def test_hensel_lift_reduces_to_the_modular_factors():
             prod = dmul(prod, g)
         assert gf_trunc(prod, p**l) == gf_trunc(f, p**l), (f, p, l)
         done += 1
+
+
+def test_gf_divmod_matches_per_step_reduction():
+    # Dividends with unreduced and negative coefficients, moduli p and the
+    # p^k of Hensel steps, divisors whose top coefficient is not 1 (nor
+    # reduced), and dividends shorter than the divisor.
+    rng = random.Random(47)
+    seen = {"prime power": 0, "top not 1": 0, "short dividend": 0, "negative": 0}
+    for _ in range(800):
+        p = rng.choice([3, 5, 7, 11, 13])
+        m = p ** rng.choice([1, 1, 2, 9, 24, 60])
+        top = rng.choice([1, -1, 2, m - 1, rng.randrange(1, m)])
+        if top % p == 0:
+            continue
+        top += m * rng.randint(-2, 2)
+        b = [rng.randrange(-3 * m, 3 * m) for _ in range(rng.randint(0, 5))] + [top]
+        a = [rng.randrange(-5 * m, 5 * m) for _ in range(rng.randint(0, 11))]
+        quo, rem = gf_divmod(a, b, m)
+        assert (quo, rem) == reference_gf_divmod(a, b, m), (a, b, m)
+        assert len(rem) < len(b) and gf_trunc(dadd(dmul(quo, b), rem), m) == gf_trunc(a, m)
+        seen["prime power"] += m != p
+        seen["top not 1"] += top % m != 1
+        seen["short dividend"] += len(a) < len(b)
+        seen["negative"] += any(c < 0 for c in a)
+    assert all(v >= 50 for v in seen.values()), seen
+
+
+def test_distinct_degree_counts_match_the_full_splitting():
+    # Random monic square-free f modulo odd primes: the parts multiply back
+    # to f, their counts sum(deg g // d) are the number of irreducible
+    # factors, and splitting them gives the factors of the full splitting.
+    rng = random.Random(53)
+    done = needs_split = 0
+    while done < 300:
+        p = rng.choice([3, 5, 7, 11, 13, 31])
+        f = [rng.randrange(p) for _ in range(rng.randint(1, 10))] + [1]
+        if ddeg(gf_gcd(f, gf_trunc(dderiv(f), p), p)) != 0:
+            continue
+        parts = gf_ddf(f, p)
+        prod = [1]
+        for g, d in parts:
+            assert g[-1] == 1 and ddeg(g) % d == 0, (f, p)
+            prod = dmul(prod, g)
+        assert gf_trunc(prod, p) == f, (f, p)
+        want = reference_gf_factor_squarefree(f, p, random.Random(0))
+        assert sum(ddeg(g) // d for g, d in parts) == len(want), (f, p)
+        assert split_modular(f, p, random.Random(done)) == want, (f, p)
+        needs_split += any(ddeg(g) > d for g, d in parts)
+        done += 1
+    assert needs_split >= 50, needs_split
+
+
+def test_only_the_kept_prime_is_split():
+    # Wrapped, the distinct-degree split records each prime scored and the
+    # equal-degree split each prime it splits: one _factor_squarefree_int
+    # call splits at most one prime, a prime it scored.
+    scored: list[int] = []
+    split: list[int] = []
+    ddf, edf = factor.gf_ddf, factor._gf_equal_degree
+
+    def counting_ddf(f, p):
+        scored.append(p)
+        return ddf(f, p)
+
+    def counting_edf(g, d, p, rng):
+        split.append(p)
+        return edf(g, d, p, rng)
+
+    factor.gf_ddf, factor._gf_equal_degree = counting_ddf, counting_edf
+    try:
+        rng = random.Random(59)
+        done = several = 0
+        while done < 60:
+            f = rand_squarefree(rng, rng.choice([2, 3, 4]))
+            if f is None:
+                continue
+            scored.clear()
+            split.clear()
+            _factor_squarefree_int(f, random.Random(0))
+            assert len(set(split)) <= 1 and set(split) <= set(scored), (f, scored, split)
+            several += len(scored) > 1 and bool(split)
+            done += 1
+    finally:
+        factor.gf_ddf, factor._gf_equal_degree = ddf, edf
+    assert several >= 10, several
 
 
 def test_count_real_roots_matches_fraction_sturm():

@@ -504,6 +504,55 @@ def reference_ddivmod(a, b) -> tuple[list[Fraction], list[Fraction]]:
     return dtrim(quo), dtrim(rem)
 
 
+def reference_gf_divmod(a, b, p) -> tuple[list[int], list[int]]:
+    """``factor.gf_divmod`` reducing modulo p at every step: the dividend
+    up front and each updated remainder coefficient.
+
+    The reduced dividend is trimmed before its length is compared with the
+    divisor's; without that, a dividend whose top coefficients vanish
+    modulo p and whose reduced degree is below the divisor's takes one step
+    at a negative shift and returns a wrong quotient."""
+    if not b:
+        raise ZeroDivisionError("gf division by zero")
+    rem = dtrim([c % p for c in a])
+    quo = [0] * max(0, len(a) - len(b) + 1)
+    inv = pow(b[-1] % p, -1, p)
+    while len(rem) >= len(b) and dtrim(rem):
+        shift = len(rem) - len(b)
+        q = rem[-1] * inv % p
+        quo[shift] = q
+        for i, c in enumerate(b):
+            rem[shift + i] = (rem[shift + i] - q * c) % p
+        rem.pop()
+        dtrim(rem)
+    return dtrim(quo), dtrim(rem)
+
+
+def reference_gf_factor_squarefree(f, p: int, rng: random.Random) -> list[list[int]]:
+    """Irreducible monic factors of a monic square-free f in GF(p)[x], p odd,
+    sorted by (degree, coefficients): each distinct-degree part is split by
+    equal-degree splitting as soon as it is found."""
+    factors: list[list[int]] = []
+    f = factor.gf_monic(f, p)
+    x = [0, 1]
+    h = x
+    d = 0
+    while ddeg(f) > 0:
+        d += 1
+        if 2 * d > ddeg(f):
+            factors.append(f)
+            break
+        h = factor.gf_pow_mod(h, p, f, p)
+        g = factor.gf_gcd(factor.gf_sub(h, x, p), f, p)
+        if ddeg(g) > 0:
+            factors.extend(factor._gf_equal_degree(g, d, p, rng))
+            f, _ = reference_gf_divmod(f, g, p)
+            h = reference_gf_divmod(h, f, p)[1]
+        if ddeg(f) == 0:
+            break
+    return sorted(factors, key=lambda q: (ddeg(q), tuple(q)))
+
+
 def reference_dgcd(a, b) -> list[Fraction]:
     """Monic gcd over Q by Euclid on Fractions (1 for coprime inputs, [] only
     if both are zero)."""
