@@ -11,8 +11,10 @@ Lagrange remainder, and endpoints are rounded outward to a fixed dyadic
 precision after each step so denominators stay bounded.  Every intermediate
 value of that exp enclosure lies on a dyadic grid, so it is computed in
 integer fixed point (the numerators over a power of two) and only the two
-returned endpoints become Fractions.  ``float_down`` and ``float_up`` round a
-rational to the float on either side of it.
+returned endpoints become Fractions.  One rule rounds a rational to floats:
+``float_down`` and ``float_up`` give the nearest float below and above it,
+and both ``enclose_rational_pair`` (a fast plan's constants) and
+``RatInterval.to_float_pair`` (a rigorous result) return that pair.
 
 Overflow in fast mode widens to an infinite endpoint rather than raising; a
 rational beyond the float range raises ``OverflowError`` when it is rounded.
@@ -102,12 +104,9 @@ def float_up(q: Fraction) -> float:
 
 
 def enclose_rational_pair(c: Fraction | int) -> Pair:
-    """c itself when it is a float, else the nearest float widened one ulp each way."""
+    """The tightest float pair around c: (c, c) when c is a float."""
     c = Fraction(c)
-    f = float(c)
-    if Fraction(f) == c:
-        return (f, f)
-    return (_next(f, -_INF), _next(f, _INF))
+    return (float_down(c), float_up(c))
 
 
 def pair_add(a: Pair, b: Pair) -> Pair:

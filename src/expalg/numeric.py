@@ -6,13 +6,14 @@ certified real root isolation in one variable, quadtree zero-cell sampling
 in two variables, and a Jacobian-minor transversality check for the
 single-exponential graph intersection.
 
-All box evaluation goes through one ``EvalPlan`` per function, compiled once:
-the terms in canonical order with their coefficient and spectrum enclosures
-precomputed.  One loop runs a plan on either of two backends: (lo, hi) float
-pairs through the outward-rounded ``pair_*`` operations of ``intervals``
-(fast mode), which are the program's float interval arithmetic, or
-``RatInterval`` with rational endpoints (rigorous mode).  The transversality
-check computes its Jacobian minor with the same pair operations.
+All box evaluation goes through one ``EvalPlan`` per function, compiled once
+from an ``EPoly``: the terms in canonical order with their coefficient and
+spectrum enclosures precomputed.  One loop runs a plan on either of two
+backends: (lo, hi) float pairs through the outward-rounded ``pair_*``
+operations of ``intervals`` (fast mode), which are the program's float
+interval arithmetic, or ``RatInterval`` with rational endpoints (rigorous
+mode).  The transversality check's Jacobian minors are EPolys too, so it
+ranks them by their float values and encloses the decisive one with a plan.
 ``Interval`` only carries results: box sides, enclosures returned to
 callers, root enclosures.  ``TightEvaluator``, the root isolator and the
 transversality check keep their plans for as long as they run; nothing is
@@ -96,7 +97,7 @@ _RATIONAL_OPS = (
 
 
 class EvalPlan:
-    """Interval evaluation of one Poly or EPoly, compiled once.
+    """Interval evaluation of one EPoly, compiled once.
 
     The plan holds the terms in canonical order with their coefficient and
     spectrum enclosures precomputed: float pairs for the fast backend, exact
@@ -109,36 +110,23 @@ class EvalPlan:
 
     __slots__ = ("exact", "powers", "groups")
 
-    def __init__(self, groups, exact: bool):
-        """``groups`` lists (spectrum or None, [(monomial, coefficient)])."""
+    def __init__(self, f: EPoly, exact: bool = False):
+        """Plan for f on its n variables."""
         self.exact = exact
         coeff = RatInterval.exact_point if exact else enclose_rational_pair
         entry = Fraction if exact else enclose_rational_pair
         slots: dict[tuple[int, int], int] = {}  # (variable, exponent) -> power
-        compiled = []
-        for spec, terms in groups:
-            if spec is not None:
-                spec = tuple((i, entry(q)) for i, q in enumerate(spec) if q)
-            terms = tuple(
-                (coeff(c), tuple(slots.setdefault(v, len(slots)) for v in enumerate(mono) if v[1]))
-                for mono, c in terms
+        self.groups = tuple(
+            (
+                tuple((i, entry(q)) for i, q in enumerate(spec) if q),
+                tuple(
+                    (coeff(c), tuple(slots.setdefault(v, len(slots)) for v in enumerate(mono) if v[1]))
+                    for mono, c in a.sorted_terms()
+                ),
             )
-            compiled.append((spec, terms))
-        self.groups = tuple(compiled)
-        self.powers = tuple(slots)
-
-    @classmethod
-    def of_epoly(cls, f: EPoly, exact: bool = False) -> EvalPlan:
-        """Plan for f on its n variables."""
-        return cls(
-            [(spec, a.sorted_terms()) for spec, a in f.sorted_terms()],
-            exact,
+            for spec, a in f.sorted_terms()
         )
-
-    @classmethod
-    def of_poly(cls, p: Poly) -> EvalPlan:
-        """Fast plan for p on its 2n variables, ordered x1..xn, u1..un."""
-        return cls([(None, p.sorted_terms())], False)
+        self.powers = tuple(slots)
 
     def __call__(self, bounds: Sequence[Pair]) -> Pair:
         """Enclosure (lo, hi) over the box with the given float bounds."""
@@ -158,8 +146,6 @@ class EvalPlan:
                 for k in slots:
                     term = mul(term, pows[k])
                 value = add(value, term)
-            if spec is None:  # a Poly: one group, no exponential factor
-                return value
             dot = zero
             for i, q in spec:
                 dot = add(dot, scale(xs[i], q))
@@ -177,7 +163,7 @@ def interval_eval(f: EPoly, box: Box, mode: str = "fast") -> Interval:
     """
     if box.dimension != f.n:
         raise DimensionError(f"box dimension {box.dimension} != ambient {f.n}")
-    return Interval(*EvalPlan.of_epoly(f, _is_exact(mode))(box.bounds()))
+    return Interval(*EvalPlan(f, _is_exact(mode))(box.bounds()))
 
 
 class TightEvaluator:
@@ -210,7 +196,7 @@ class TightEvaluator:
         """The plan of the derivative along ``path`` (sorted variable indices)."""
         plan = self.plans.get(path)
         if plan is None:
-            plan = self.plans[path] = EvalPlan.of_epoly(self._derivative(path), self.exact)
+            plan = self.plans[path] = EvalPlan(self._derivative(path), self.exact)
         return plan
 
     def _derivative(self, path: tuple[int, ...]) -> EPoly:
@@ -519,7 +505,8 @@ def sample_zero_cells_2d(
     The union of returned cells is a guaranteed superset of the zero set
     inside the box (inclusion monotonicity of interval evaluation), and cells
     kept at depth d+1 always lie inside cells kept at depth d.  Output is
-    sorted by coordinates.  ``max_depth`` must be nonnegative.
+    sorted by coordinates.  ``max_depth`` must be nonnegative and every side
+    of the box finite.
     """
     if f.n != 2:
         raise DimensionError("cell sampling requires a 2-variable input")
@@ -529,6 +516,8 @@ def sample_zero_cells_2d(
         raise DimensionError("box must be 2-dimensional")
     if max_depth < 0:
         raise ValueError("quadtree depth must be nonnegative")
+    if not all(math.isfinite(v) for side in box.bounds() for v in side):
+        raise ValueError("box sides must be finite")
 
     evaluator = TightEvaluator(f, mode)
     out: list[Box] = []
@@ -573,15 +562,25 @@ def check_transversality(
 
     The lifted point is z = (x1, x2.., xn, e^{x1}) with x1 taken from the
     root enclosure and the remaining coordinates supplied exactly.  The check
-    compares the gradient rows of p and of u1 - e^{x1}: the reported margin
-    is the largest 2x2 Jacobian minor at the midpoint, and the verdict is
-    Transverse only when an interval evaluation of that decisive minor over
-    the enclosure excludes zero (certified non-parallel gradients).
+    compares the gradient rows of p and of u1 - e^{x1}.  Along the graph,
+    with f = p(x, e^{x1}), the chain rule makes every nonzero 2x2 minor of
+    these rows an exponential polynomial in x, of one of three kinds:
 
-    When e^{x1}, or a gradient entry built from its powers, is beyond the
-    float range at the midpoint, there is no float margin to rank the minors
-    by: the verdict is Undetermined with rank bound 1 and margin None, and
-    the point's u1 entry is None when e^{x1} itself overflows.
+    - columns (x1, xj), j >= 2: e^{x1} df/dxj;
+    - columns (x1, u1): df/dx1 = p_x1 + e^{x1} p_u1;
+    - columns (xj, u1), j >= 2: df/dxj = p_xj.
+
+    Every other minor is identically 0.  The reported margin is the first
+    largest |minor| at the midpoint, in that order (for n = 1 it is
+    |f'(x1)|), and the verdict is Transverse only when the margin exceeds
+    ``tol`` and an interval evaluation of that decisive minor over the
+    enclosure and the outward-rounded coordinates excludes zero (certified
+    non-parallel gradients).
+
+    When a minor's float value at the midpoint overflows or is not finite,
+    there is no margin to rank the minors by: the verdict is Undetermined
+    with rank bound 1 and margin None.  The point's u1 entry is None when
+    e^{x1} itself overflows.
 
     Enclosures containing x1 = 0 violate the hypothesis and raise, and so
     does a ``tol`` that is not finite and nonnegative.
@@ -599,42 +598,35 @@ def check_transversality(
             "root enclosure contains x1 = 0, excluded by the non-tangency hypothesis"
         )
 
-    x1 = enc.mid
-    rest = [float(v) for v in other_coords]
-    grads = [p.derivative("x", i) for i in range(1, n + 1)] + [p.derivative("u", 1)]
-    u = None
+    mid = [enc.mid, *(float(v) for v in other_coords)]
     try:
-        u = math.exp(x1)
-        mid = [x1, *rest, u] + [0.0] * (n - 1)
-        grad_p = [dp.eval(mid) for dp in grads]
+        u = math.exp(mid[0])
     except OverflowError:
-        return TransversalityReport((x1, *rest, u), 1, None, "Undetermined")
-    z = (x1, *rest, u)
-    grad_g = [-u] + [0.0] * (n - 1) + [1.0]
+        u = None
+    z = (*mid, u)
+    f = EPoly.from_poly(p)
+    df = [f.derivative(j) for j in range(1, n + 1)]
+    e1 = EPoly.from_poly(Poly.var(n, "u", 1))
+    # columns (x1, xj), then (x1, u1), then (xj, u1): the scan order
+    minors = [e1 * d for d in df[1:]] + df
 
-    best = (0.0, 0, 1)
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            minor = grad_p[i] * grad_g[j] - grad_p[j] * grad_g[i]
-            if abs(minor) > best[0]:
-                best = (abs(minor), i, j)
-    margin, bi, bj = best
+    try:
+        values = [abs(minor.eval_float(mid)) for minor in minors]
+    except OverflowError:
+        values = [math.inf]
+    if not all(math.isfinite(v) for v in values):
+        return TransversalityReport(z, 1, None, "Undetermined")
+    margin = max(values)
 
-    # Interval cross-check of the decisive minor over the enclosure.
-    u_lo, u_hi = pair_exp((enc.lo, enc.hi))
-    bounds = [(enc.lo, enc.hi)] + [(v, v) for v in rest] + [(u_lo, u_hi)]
-    bounds += [(0.0, 0.0)] * (n - 1)
-    p_i, p_j = (EvalPlan.of_poly(grads[k])(bounds) for k in (bi, bj))
-    grad_g_iv = [(-u_hi, -u_lo)] + [(0.0, 0.0)] * (n - 1) + [(1.0, 1.0)]
-    # the subtracted product enters negated: (lo, hi) -> (-hi, -lo)
-    sub_lo, sub_hi = pair_mul(p_j, grad_g_iv[bi])
-    minor_lo, minor_hi = pair_add(pair_mul(p_i, grad_g_iv[bj]), (-sub_hi, -sub_lo))
-
-    transverse = margin > tol and (minor_lo > 0.0 or minor_hi < 0.0)
+    # Interval cross-check of the decisive minor, the first largest.
+    transverse = False
+    if margin > tol:
+        bounds = [(enc.lo, enc.hi), *(enclose_rational_pair(v) for v in other_coords)]
+        lo, hi = EvalPlan(minors[values.index(margin)])(bounds)
+        transverse = lo > 0.0 or hi < 0.0
     return TransversalityReport(
         point=z,
         jacobian_rank_lower_bound=2 if transverse else 1,
         tangency_margin=margin,
         verdict="Transverse" if transverse else "Undetermined",
     )
-

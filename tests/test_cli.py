@@ -1,9 +1,15 @@
 """CLI behaviour: JSON reports, determinism, exit codes."""
 
 import json
+import math
 import re
 
+import pytest
+
 from expalg import cli, corpus
+from expalg.intervals import Box
+from expalg.numeric import sample_zero_cells_2d
+from expalg.parsing import parse_epoly
 
 
 def run_cli(capsys, argv):
@@ -86,6 +92,21 @@ def test_sample2d_report(capsys):
     assert result["count"] == 0 and result["cells"] == []
 
 
+def test_sample2d_rejects_an_unbounded_box(capsys):
+    # an infinite side used to exit 0 with Infinity in box, cellWidth and
+    # cells, which is not valid JSON
+    for box in (["0", "inf", "0", "1"], ["-1", "0", "0", "inf"]):
+        code, out, err = run_cli(capsys, ["sample2d", "--box", *box, "--depth", "1", "--", "x1 - x2"])
+        assert code == cli.EXIT_INPUT and out == "", box
+        assert err == "input error: box sides must be finite\n", err
+    # argparse takes a leading "-inf" for an option, so -inf reaches only
+    # library callers
+    f = parse_epoly("x1 - x2")
+    for side in ((-math.inf, 0.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="box sides must be finite"):
+            sample_zero_cells_2d(f, Box.from_bounds([(0.0, 1.0), side]), 1)
+
+
 def test_transversal_default_and_zero_root(capsys):
     code, out, _ = run_cli(capsys, ["transversal", "2*x1 - u1 + 1"])
     assert code == 0
@@ -117,10 +138,21 @@ def test_transversal_with_lifted_coordinates(capsys):
     assert checks[0]["verdict"] == "Transverse"
 
 
-def test_transversal_beyond_float_range_is_undetermined(capsys):
-    # the root 710 is certified, but e^710 is beyond the float range: no
-    # float margin, so no verdict, instead of an input error
+def test_transversal_root_beyond_float_range_is_transverse(capsys):
+    # the root 710 is certified and e^710 is beyond the float range, but the
+    # one minor, f' = 1, has no exponential in it
     code, out, err = run_cli(capsys, ["transversal", "--", "x1 - 710"])
+    assert code == 0, err
+    [check] = json.loads(out)["result"]["checks"]
+    assert check["rootEnclosure"] == [710.0, 710.0] and check["point"] == [710.0, None]
+    assert check["verdict"] == "Transverse" and check["jacobianRankLowerBound"] == 2
+    assert check["tangencyMargin"] == 1.0
+
+
+def test_transversal_beyond_float_range_is_undetermined(capsys):
+    # the minor f' = e^x1 (x1 - 709) is beyond the float range at the
+    # root 710: no float margin, so no verdict, instead of an input error
+    code, out, err = run_cli(capsys, ["transversal", "--root-of", "x1 - 710", "--", "u1*(x1 - 710)"])
     assert code == 0, err
     [check] = json.loads(out)["result"]["checks"]
     assert check["rootEnclosure"] == [710.0, 710.0] and check["point"] == [710.0, None]

@@ -123,6 +123,24 @@ def test_float_rounding_pair_is_tight():
             float_up(-q)
 
 
+def test_rational_constants_get_the_tightest_float_pair():
+    """A plan's constants round by the one rule, (float_down(c), float_up(c))."""
+    pinned = {
+        Fraction(1, 3): (0.3333333333333333, 0.33333333333333337),
+        Fraction(1, 10): (0.09999999999999999, 0.1),
+        Fraction(-2, 7): (-0.28571428571428575, -0.2857142857142857),
+    }
+    for c, pair in pinned.items():
+        assert enclose_rational_pair(c) == pair == (float_down(c), float_up(c)), c
+        assert RatInterval(c, c, exact=True).to_float_pair() == pair, c
+        # consecutive floats on either side of c
+        assert pair[0] < c < pair[1] and math.nextafter(pair[0], math.inf) == pair[1], c
+    assert enclose_rational_pair(3) == (3.0, 3.0)
+    for c in (Fraction(10**400), Fraction(-(10**400), 3)):
+        with pytest.raises(OverflowError):
+            enclose_rational_pair(c)
+
+
 def test_dyadic_rounding():
     x = Fraction(1, 3)
     assert round_down(x, 8) <= x <= round_up(x, 8)

@@ -7,9 +7,10 @@ from itertools import product
 
 import pytest
 
+from expalg import numeric
 from expalg.epoly import EPoly
 from expalg.errors import HypothesisViolation
-from expalg.intervals import Box, Interval
+from expalg.intervals import Box, Interval, float_down, float_up
 from expalg.numeric import (
     EvalPlan,
     RootCert,
@@ -28,14 +29,13 @@ from expalg.parsing import parse_epoly, parse_poly
 from expalg.poly import Poly
 
 from util import (
-    ReferenceInterval,
     ReferenceTightEvaluator,
     mono,
     rand_epoly,
     rand_fraction,
     rand_poly,
+    reference_enclose_rational,
     reference_interval_eval,
-    reference_poly_intervals,
 )
 
 
@@ -301,60 +301,84 @@ def test_rigorous_tight_evaluator_matches_reference():
             assert _outcome(tight, box) == _outcome(ref, box)
 
 
-def test_poly_plan_matches_reference_on_full_variable_list():
-    rng = random.Random(99)
-    for _ in range(200):
-        n = rng.choice([1, 2, 3])
-        p = rand_poly(rng, n, max_terms=5, max_exp=3)
-        ivs = []
-        for _ in range(2 * n):
-            lo = rng.uniform(-3, 3)
-            ivs.append(Interval(lo, lo + rng.choice([0.0, 1e-9, 2.0])))
-        got = EvalPlan.of_poly(p)([(iv.lo, iv.hi) for iv in ivs])
-        ref = reference_poly_intervals(p, ivs)
-        assert _outcome(lambda: Interval(*got)) == _outcome(lambda: ref)
+def _reference_minors(p):
+    """The 2x2 minors of the rows grad p and grad(u1 - e^{x1}), by column pairs.
+
+    Each minor is formed from p's Poly partials in x1..xn, u1 and read as an
+    EPoly (u1 = e^{x1}); the identically zero ones are dropped.
+    """
+    n = p.n
+    u1 = Poly.var(n, "u", 1)
+    grad_p = [p.derivative("x", i) for i in range(1, n + 1)] + [p.derivative("u", 1)]
+    grad_g = [-u1] + [Poly.zero(n)] * (n - 1) + [Poly.const(n, 1)]
+    minors = []
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            minor = EPoly.from_poly(grad_p[i] * grad_g[j] - grad_p[j] * grad_g[i])
+            if not minor.is_zero():
+                minors.append(minor)
+    return minors
 
 
 def _reference_transversal(p, enc: Interval, coords, tol: float):
-    """(margin, verdict) of ``check_transversality``, its minor on reference intervals.
+    """(margin, verdict, decisive minor) of ``check_transversality``, on reference intervals.
 
     The decisive minor is the first largest one at the midpoint, in the
-    order the check scans them.  A midpoint value beyond the float range
-    leaves no margin: (None, "Undetermined").
+    order the column pairs are scanned; it is enclosed over the root enclosure and
+    the outward-rounded coordinates only when the margin exceeds ``tol``, and
+    is reported only then.  A midpoint value that overflows or is not finite
+    leaves no margin: (None, "Undetermined", None).
     """
-    n = p.n
-    x1 = enc.mid
-    rest = [float(v) for v in coords]
-    try:
-        u = math.exp(x1)
-        full_mid = [x1, *rest] + [u] + [0.0] * (n - 1)
-        grad_p = [p.derivative("x", i).eval(full_mid) for i in range(1, n + 1)]
-        grad_p.append(p.derivative("u", 1).eval(full_mid))
-    except OverflowError:
-        return None, "Undetermined"
-    grad_g = [-u] + [0.0] * (n - 1) + [1.0]
-    best = (0.0, 0, 1)
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            minor = grad_p[i] * grad_g[j] - grad_p[j] * grad_g[i]
-            if abs(minor) > best[0]:
-                best = (abs(minor), i, j)
-    margin, bi, bj = best
-    x_iv = ReferenceInterval(enc.lo, enc.hi)
-    u_iv = x_iv.exp()
-    ivs = [x_iv] + [ReferenceInterval(v, v) for v in rest] + [u_iv]
-    ivs += [ReferenceInterval(0.0, 0.0)] * (n - 1)
-    grads = [reference_poly_intervals(p.derivative("x", i), ivs) for i in range(1, n + 1)]
-    grads.append(reference_poly_intervals(p.derivative("u", 1), ivs))
-    g_row = [-u_iv] + [ReferenceInterval(0.0, 0.0)] * (n - 1) + [ReferenceInterval(1.0, 1.0)]
-    minor_iv = grads[bi] * g_row[bj] - grads[bj] * g_row[bi]
-    transverse = margin > tol and minor_iv.excludes_zero()
-    return margin, "Transverse" if transverse else "Undetermined"
+    mid = [enc.mid] + [float(v) for v in coords]
+    margin, decisive = 0.0, None
+    for minor in _reference_minors(p):
+        try:
+            value = abs(minor.eval_float(mid))
+        except OverflowError:
+            return None, "Undetermined", None
+        if not math.isfinite(value):
+            return None, "Undetermined", None
+        if value > margin:
+            margin, decisive = value, minor
+    if not margin > tol:
+        return margin, "Undetermined", None
+    sides = [reference_enclose_rational(v) for v in coords]
+    box = Box.from_bounds([(enc.lo, enc.hi)] + [(iv.lo, iv.hi) for iv in sides])
+    verdict = "Transverse" if reference_interval_eval(decisive, box).excludes_zero() else "Undetermined"
+    return margin, verdict, decisive
 
 
-def _transversal(p, enc: Interval, coords, tol: float):
-    rep = check_transversality(p, RootCert(enc, "SignChange", 0.0), coords, tol)
-    return rep.tangency_margin, rep.verdict
+def _transversal(monkeypatch, p, enc: Interval, coords, tol: float):
+    """((margin, verdict, enclosed minor), bounds) of ``check_transversality``.
+
+    The enclosed minor is the EPoly of the one plan the check evaluated, and
+    ``bounds`` the box it was evaluated over; both are None without a plan.
+    """
+    calls = []
+
+    def plan(f, exact=False):
+        inner = EvalPlan(f, exact)
+
+        def run(bounds):
+            calls.append((f, list(bounds)))
+            return inner(bounds)
+
+        return run
+
+    with monkeypatch.context() as m:
+        m.setattr(numeric, "EvalPlan", plan)
+        rep = check_transversality(p, RootCert(enc, "SignChange", 0.0), coords, tol)
+    assert len(calls) <= 1
+    minor, bounds = calls[0] if calls else (None, None)
+    return (rep.tangency_margin, rep.verdict, minor), bounds
+
+
+def _agree(got, ref) -> bool:
+    """Equal verdicts and enclosed minors, and margins equal to 1e-15 relative."""
+    (margin, verdict, minor), (ref_margin, ref_verdict, ref_minor) = got, ref
+    if (verdict, minor) != (ref_verdict, ref_minor) or (margin is None) != (ref_margin is None):
+        return False
+    return margin is None or math.isclose(margin, ref_margin, rel_tol=1e-15, abs_tol=0.0)
 
 
 def _rand_u1_poly(rng, n):
@@ -366,18 +390,20 @@ def _rand_u1_poly(rng, n):
     return Poly(n, terms)
 
 
-def test_transversality_unchanged_on_corpus_inputs():
+def test_transversality_unchanged_on_corpus_inputs(monkeypatch):
     f = parse_epoly("2*x1 + 1 - exp(x1)")
     certs, _ = isolate_roots_1d(f, (-5.0, 5.0), 1e-9)
     star = next(c for c in certs if not c.enclosure.contains(0.0))
     cases = [
         ("2*x1 - u1 + 1", None, (), 1.5128624176832495, "Transverse"),
         ("2*x1 - u1 + 1", 2, (Fraction(0),), 1.5128624176832495, "Transverse"),
+        # the umbrella gradient vanishes at the exact lifted point, so this
+        # margin is cancellation noise in the float value of df/dx1
         (
             "(x1 + u1 - 1)*((2*x1 - u1 + 1)^2 + x2^2) + (2*x1 - u1 + 1)^3",
             None,
             (Fraction(0),),
-            2.1164882315990768e-09,
+            2.1165078578633256e-09,
             "Undetermined",
         ),
     ]
@@ -385,10 +411,12 @@ def test_transversality_unchanged_on_corpus_inputs():
         p = parse_poly(text, ambient)
         rep = check_transversality(p, star, coords, 1e-6)
         assert (rep.tangency_margin, rep.verdict) == (margin, verdict), text
-        assert _reference_transversal(p, star.enclosure, coords, 1e-6) == (margin, verdict), text
+        got, _ = _transversal(monkeypatch, p, star.enclosure, coords, 1e-6)
+        assert _agree(got, _reference_transversal(p, star.enclosure, coords, 1e-6)), text
 
     # Seeded inputs: the verdict is margin > tol and the reference decisive
-    # minor excludes 0, on narrow, wide and near-overflow enclosures.
+    # minor excludes 0, on narrow, wide and near-overflow enclosures; the
+    # check encloses the reference's decisive minor.
     rng = random.Random(808)
     seen = set()
     for trial in range(240):
@@ -410,16 +438,45 @@ def test_transversality_unchanged_on_corpus_inputs():
             hi = lo + rng.choice([1e-9, 0.5, 2.0])
         enc = Interval(lo, hi)
         tol = rng.choice([1e-6, 1e-300, 1e3])
-        margin, verdict = _transversal(p, enc, coords, tol)
-        assert (margin, verdict) == _reference_transversal(p, enc, coords, tol), (p, enc)
+        got, _ = _transversal(monkeypatch, p, enc, coords, tol)
+        assert _agree(got, _reference_transversal(p, enc, coords, tol)), (p, enc)
+        margin, verdict, _ = got
         seen.add((kind, verdict, None if margin is None else margin > tol))
-    # every enclosure kind reaches both verdicts; on wide and near-overflow
-    # enclosures the minor alone refutes some margins above tol; near
-    # overflow the float margin at the midpoint overflows on some inputs,
-    # which leaves no margin and no verdict
+    # every enclosure kind reaches both verdicts; on wide enclosures the
+    # minor alone refutes some margins above tol; near overflow a minor with
+    # e^{2 x1} in it overflows at the midpoint on some inputs, which leaves
+    # no margin and no verdict, and no finite minor there, A_0 + A_1 e^{x1}
+    # with small coefficients, changes sign across the enclosure
     for kind in range(3):
         assert {(kind, "Transverse", True), (kind, "Undetermined", False)} <= seen, seen
-    assert {(1, "Undetermined", True), (2, "Undetermined", True), (2, "Undetermined", None)} <= seen, seen
+    assert {(1, "Undetermined", True), (2, "Undetermined", None)} <= seen, seen
+
+
+def test_transversality_minors_follow_the_chain_rule():
+    # along the graph u1 = e^{x1}, f = p(x, e^{x1}) has df/dx1 = p_x1 + u1 p_u1
+    # and df/dxj = p_xj: the (x1, u1) and (xj, u1) minors of the Jacobian
+    rng = random.Random(417)
+    for trial in range(150):
+        n = 1 + trial % 3
+        p = _rand_u1_poly(rng, n)
+        f = EPoly.from_poly(p)
+        u1 = Poly.var(n, "u", 1)
+        assert f.derivative(1) == EPoly.from_poly(p.derivative("x", 1) + u1 * p.derivative("u", 1)), p
+        for j in range(2, n + 1):
+            assert f.derivative(j) == EPoly.from_poly(p.derivative("x", j)), (p, j)
+
+
+def test_transversality_encloses_rational_coordinates_outward(monkeypatch):
+    # x2 = 1/3 is no float: the minor's box holds the tightest float pair
+    # around it, not the point float(1/3)
+    p = parse_poly("x1*x2 - u1 + 3", 2)
+    third = Fraction(1, 3)
+    enc = Interval(1.5, 1.5 + 1e-9)
+    got, bounds = _transversal(monkeypatch, p, enc, (third,), 1e-6)
+    assert bounds == [(enc.lo, enc.hi), (float_down(third), float_up(third))]
+    assert float_down(third) < third < float_up(third)
+    assert _agree(got, _reference_transversal(p, enc, (third,), 1e-6))
+    assert got[1] == "Transverse"
 
 
 def test_box_enclosures_reach_the_exact_sign_at_rational_points():
@@ -440,7 +497,7 @@ def test_box_enclosures_reach_the_exact_sign_at_rational_points():
             c = lows[0] + widths[0] * Fraction(rng.randint(0, 4), 4)
             f = f * parse_epoly(f"{c.denominator}*x1 + ({-c.numerator})", n)
         bounds = [(float(lo), float(lo + w)) for lo, w in zip(lows, widths)]
-        enclosures = [EvalPlan.of_epoly(f)(bounds), EvalPlan.of_epoly(f, exact=True)(bounds)]
+        enclosures = [EvalPlan(f)(bounds), EvalPlan(f, exact=True)(bounds)]
         for _ in range(3):
             pt = [lo + w * Fraction(rng.randint(0, 7), 7) for lo, w in zip(lows, widths)]
             if case % 3 == 0 and rng.random() < 0.5:

@@ -251,12 +251,19 @@ def reference_point(v: float) -> ReferenceInterval:
 
 
 def reference_enclose_rational(c: Fraction | int) -> ReferenceInterval:
-    """c itself when it is a float, else the nearest float widened one ulp each way."""
+    """The tightest float interval around c, found by stepping from float(c).
+
+    ``float(c)`` raises OverflowError beyond the float range.  Each endpoint
+    moves one float at a time while it is on the wrong side of c, compared
+    exactly (a Fraction compares with any float, infinities included).
+    """
     c = Fraction(c)
-    f = float(c)
-    if Fraction(f) == c:
-        return ReferenceInterval(f, f)
-    return ReferenceInterval(_down(f), _up(f))
+    lo = hi = float(c)
+    while lo > c:
+        lo = math.nextafter(lo, -_INF)
+    while hi < c:
+        hi = math.nextafter(hi, _INF)
+    return ReferenceInterval(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +274,7 @@ def reference_enclose_rational(c: Fraction | int) -> ReferenceInterval:
 
 
 def _reference_poly(a: Poly, xs, zero, coeff):
-    """Sum of the terms of a; xs covers x1..xn, and u1..un when a uses them."""
+    """Sum of the terms of a, an EPoly coefficient, over xs = (x1..xn)."""
     acc = zero
     for m, c in a.sorted_terms():
         term = coeff(c)
@@ -276,12 +283,6 @@ def _reference_poly(a: Poly, xs, zero, coeff):
                 term = term * iv.pow_int(e)
         acc = acc + term
     return acc
-
-
-def reference_poly_intervals(p: Poly, ivs) -> ReferenceInterval:
-    """Natural extension of p over 2n float intervals (x1..xn, u1..un)."""
-    ivs = [ReferenceInterval(iv.lo, iv.hi) for iv in ivs]
-    return _reference_poly(p, ivs, reference_point(0.0), reference_enclose_rational)
 
 
 def reference_interval_eval(f: EPoly, box: Box, mode: str = "fast") -> ReferenceInterval:
