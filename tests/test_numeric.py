@@ -335,7 +335,7 @@ def _reference_transversal(p, enc: Interval, coords, tol: float):
         try:
             value = abs(minor.eval_float(mid))
         except OverflowError:
-            return None, "Undetermined", None
+            value = math.inf
         if not math.isfinite(value):
             return None, "Undetermined", None
         if value > margin:
