@@ -64,7 +64,7 @@ from .factor import (
     zprimitive,
 )
 from .hyperplanes import Hyperplane, candidate_hyperplanes
-from .numeric import RootCert, certified_sign_change, isolate_roots_1d
+from .numeric import RootCert, certified_sign_change, default_root_domain, isolate_roots_1d
 from .parsing import format_poly
 from .poly import Mono, Poly, var_name, var_pos
 
@@ -469,7 +469,10 @@ def _log_irreducibility(
 def _log_codim1(f: EPoly, assume, log) -> list[RootCert] | None:
     """Check/record the hypothesis dim Z(f) = n-1. Returns roots when n = 1.
 
-    n = 1: verified by a certified root or leftover of the root isolator.
+    n = 1: verified by a certified root of the root isolator.  Without one
+    it is unverified: a leftover may only touch zero or hold no root, and the
+    default search domain is a heuristic bound, so no root in it does not
+    make Z(f) empty.
     n = 2: verified by a certified sign change, f(a) < 0 < f(b) at rational
     points by exact signs (``certified_sign_change``).  Then Z(f) separates
     R^2, and a closed set of dimension 0 does not disconnect the plane, so
@@ -487,8 +490,9 @@ def _log_codim1(f: EPoly, assume, log) -> list[RootCert] | None:
         )
         return None
     if n == 1:
-        certs, leftovers = isolate_roots_1d(f)
-        if certs or leftovers:
+        lo, hi = domain = default_root_domain(f)
+        certs, leftovers = isolate_roots_1d(f, domain)
+        if certs:
             log.append(
                 HypothesisCheck(
                     "dim Z(f) = n-1",
@@ -500,9 +504,10 @@ def _log_codim1(f: EPoly, assume, log) -> list[RootCert] | None:
             log.append(
                 HypothesisCheck(
                     "dim Z(f) = n-1",
-                    "failed",
-                    "no roots found on the default search domain; the zero set "
-                    "appears empty",
+                    "unverified",
+                    f"no certified root and {len(leftovers)} uncertified leftover "
+                    f"intervals on the default search domain [{lo:g}, {hi:g}], a "
+                    "heuristic bound that roots may lie beyond",
                 )
             )
         return certs

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -348,6 +349,11 @@ def _add_oracle(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
 
 
+#: a negative number as ``float`` reads it: argparse's own test takes
+#: ``-5e0`` and ``-inf`` for options, so they could not be option values
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="expalg",
@@ -405,6 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=_cmd_verify_paper)
 
     for sub in subs.choices.values():
+        sub._negative_number_matcher = _NEGATIVE_NUMBER
         sub.add_argument("--output", default=None, help="also write the JSON report to a file")
         sub.add_argument("--timings", action="store_true", help="include wall-clock timings")
     return parser

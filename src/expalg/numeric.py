@@ -345,9 +345,12 @@ def isolate_roots_1d(
     Adaptive bisection discards subintervals whose interval value excludes
     zero; endpoint signs are exact (``sign_at_rational``), so exact rational
     roots (for instance at 0) are detected and certified as point enclosures.
-    Returns (certified, uncertified) lists, both sorted by position, with
-    pairwise disjoint certified enclosures of width at most ``tol``, which
-    must be positive.
+    Each bracket is then narrowed to width ``tol`` by ``_refine_bracket``:
+    quadratic interval refinement on the monotone cells, which hold one
+    root, and bisection on merged runs of suspect cells; both give the
+    enclosure bisection gives.  Returns (certified, uncertified) lists, both
+    sorted by position, with pairwise disjoint certified enclosures of width
+    at most ``tol``, which must be positive.
     """
     if f.n != 1:
         raise DimensionError("root isolation requires a 1-variable input")
@@ -383,7 +386,7 @@ def isolate_roots_1d(
         return RootCert(enc, kind, max(abs(rlo), abs(rhi)))
 
     exact_roots: set[Fraction] = set()
-    brackets: list[tuple[Fraction, Fraction]] = []
+    brackets: list[tuple[Fraction, Fraction, bool]] = []  # (lo, hi, one_root)
     suspects: list[tuple[Fraction, Fraction]] = []
     stack = [(a, b, 0)]
     while stack:
@@ -397,7 +400,7 @@ def isolate_roots_1d(
             if deriv_nonzero(lo, hi):
                 # Monotone cell: at most one root, position decided by signs.
                 if s_lo * s_hi < 0:
-                    brackets.append((lo, hi))
+                    brackets.append((lo, hi, True))
                 continue
         if width <= tol_q / 4 or depth >= _ISOLATE_MAX_DEPTH:
             suspects.append((lo, hi))
@@ -411,7 +414,7 @@ def isolate_roots_1d(
         if any(lo <= r <= hi for r in exact_roots):
             continue  # covered by an exact-root certificate
         if sgn(lo) * sgn(hi) < 0:
-            brackets.append((lo, hi))
+            brackets.append((lo, hi, False))
         elif not deriv_nonzero(lo, hi):  # equal signs, not monotone: f may touch 0
             uncertified.append(cert("UncertifiedTangential", lo, hi))
 
@@ -422,8 +425,9 @@ def isolate_roots_1d(
     # root a bracket may collapse onto lies in no suspect cell and in no other
     # bracket, and no exact root lies in a SignChange enclosure.
     certs: list[RootCert] = []
-    for lo, hi in brackets:
-        lo, hi = _refine_bracket(sgn, lo, hi, tol_q)
+    value = f.float_evaluator()
+    for lo, hi, one_root in brackets:
+        lo, hi = _refine_bracket(sgn, value, lo, hi, tol_q, one_root)
         if lo == hi:
             exact_roots.add(lo)
         else:
@@ -444,21 +448,86 @@ def isolate_roots_1d(
     return certs, sorted(uncertified, key=lambda r: r.enclosure.lo)
 
 
-def _refine_bracket(sgn, lo: Fraction, hi: Fraction, tol: Fraction):
+def _refine_bracket(sgn, value, lo: Fraction, hi: Fraction, tol: Fraction, one_root: bool):
+    """Bisection's answer for the bracket [lo, hi], by quadratic interval refinement.
+
+    The endpoint signs must be nonzero and opposite.  Bisection halves the
+    bracket until its width is at most ``tol``, k levels down, and returns
+    (mid, mid) at the first midpoint whose exact sign is 0.  On a bracket
+    with one simple root r (``one_root``) that answer depends on r alone:
+    (r, r) when r lies on the level-k grid lo + j (hi - lo) / 2^k, otherwise
+    the level-k cell containing r.  So each step guesses the cell of r among
+    N = 2^m equal cells by a secant step on the float values ``value`` gives
+    at the endpoints, and proves the guess by the exact signs of the cell's
+    endpoints, which are grid points of level at most k (Abbott, "Quadratic
+    interval refinement for real roots", 2014).  A proven guess doubles m, a
+    refuted one halves it, and m = 1 is a bisection step.  When the float
+    values overflow, are not finite or do not have strictly opposite signs,
+    or the N cells are narrower than the floats resolve, the step bisects.
+    A bracket not known to hold one root (a merged run of suspect cells,
+    where bisection's answer depends on its path) is only bisected.
+    """
     s_lo, s_hi = sgn(lo), sgn(hi)
     if s_lo * s_hi >= 0:
         raise InternalInvariantError("refine_bracket needs opposite endpoint signs")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        s_mid = sgn(mid)
-        if s_mid == 0:
-            # Exact rational root in the middle; shrink to the point.
-            return mid, mid
-        if s_mid == s_lo:
-            lo = mid
-        else:
-            hi = mid
+    # k, the first level whose cells are at most tol wide: the least k with
+    # 2^k >= ceil((hi - lo) / tol)
+    ratio = (hi - lo) / tol
+    levels = (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
+    m = 1
+    while levels:
+        m = min(m, levels)
+        j = _secant_cell(value, lo, hi, m) if one_root and m > 1 else None
+        if j is None:
+            mid = (lo + hi) / 2
+            s_mid = sgn(mid)
+            if s_mid == 0:
+                # Exact rational root in the middle; shrink to the point.
+                return mid, mid
+            if s_mid == s_lo:
+                lo = mid
+            else:
+                hi = mid
+            levels -= 1
+            m = 2
+            continue
+        width = (hi - lo) / (1 << m)
+        a, b = lo + j * width, lo + (j + 1) * width
+        s_a = sgn(a)
+        if s_a == 0:
+            return a, a
+        if s_a == s_lo:
+            s_b = sgn(b)
+            if s_b == 0:
+                return b, b
+            if s_b == s_hi:
+                lo, hi = a, b
+                levels -= m
+                m *= 2
+                continue
+        m //= 2
     return lo, hi
+
+
+def _secant_cell(value, lo: Fraction, hi: Fraction, m: int) -> int | None:
+    """Index of the cell of [lo, hi] split in 2^m where the float secant meets 0.
+
+    None when the floats give no hint: the values overflow, are not finite or
+    do not have strictly opposite signs, or the cells are below float
+    resolution.
+    """
+    x_lo, x_hi = float(lo), float(hi)
+    if x_hi - x_lo <= math.ulp(max(abs(x_lo), abs(x_hi))) * (1 << m):
+        return None
+    try:
+        v_lo, v_hi = value([x_lo]), value([x_hi])
+    except OverflowError:
+        return None
+    if not (math.isfinite(v_lo) and math.isfinite(v_hi)):
+        return None
+    if not (v_lo < 0.0 < v_hi or v_hi < 0.0 < v_lo):
+        return None
+    return min(int(v_lo / (v_lo - v_hi) * (1 << m)), (1 << m) - 1)
 
 
 def _merge_cells(cells: list[tuple[Fraction, Fraction]]):

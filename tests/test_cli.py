@@ -95,16 +95,35 @@ def test_sample2d_report(capsys):
 def test_sample2d_rejects_an_unbounded_box(capsys):
     # an infinite side used to exit 0 with Infinity in box, cellWidth and
     # cells, which is not valid JSON
-    for box in (["0", "inf", "0", "1"], ["-1", "0", "0", "inf"]):
+    for box in (["0", "inf", "0", "1"], ["-1", "0", "0", "inf"], ["-inf", "0", "0", "1"]):
         code, out, err = run_cli(capsys, ["sample2d", "--box", *box, "--depth", "1", "--", "x1 - x2"])
         assert code == cli.EXIT_INPUT and out == "", box
         assert err == "input error: box sides must be finite\n", err
-    # argparse takes a leading "-inf" for an option, so -inf reaches only
-    # library callers
     f = parse_epoly("x1 - x2")
     for side in ((-math.inf, 0.0), (0.0, math.inf)):
         with pytest.raises(ValueError, match="box sides must be finite"):
             sample_zero_cells_2d(f, Box.from_bounds([(0.0, 1.0), side]), 1)
+
+
+def test_negative_option_values_with_an_exponent(capsys):
+    # argparse read -5e0, -1e1 and -1e0 as option strings: the first two
+    # exited 2 with "expected N arguments", the last with "unrecognized
+    # arguments".  Each now gives the report of the plain decimal.
+    for argv, value, plain in (
+        (["roots", "--domain", "-5e0", "5", "--", "2*x1 + 1 - exp(x1)"], "-5e0", "-5"),
+        (["sample2d", "x1 - x2", "--box", "-1e1", "1", "0", "1", "--depth", "3"], "-1e1", "-10"),
+        (
+            ["transversal", "--ambient", "2", "--root-of", "2*x1 + 1 - exp(x1)", "--coords", "-1e0", "--", "2*x1 - u1 + x2"],
+            "-1e0",
+            "-1",
+        ),
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0, (argv, err)
+        assert run_cli(capsys, [plain if a == value else a for a in argv]) == (code, out, err)
+    # -inf is read as a value too, and the range checks reject it
+    code, out, err = run_cli(capsys, ["roots", "--domain", "-inf", "5", "--", "x1 - 1"])
+    assert code == cli.EXIT_INPUT and out == "" and err.startswith("input error: "), err
 
 
 def test_transversal_default_and_zero_root(capsys):
@@ -324,6 +343,26 @@ def test_classify_unknown_oracle_is_inconclusive(capsys):
     assert report["result"]["verdict"] == "Inconclusive"
     assert report["result"]["conditionality"] == "ConditionalOnAssertedHypotheses"
     assert err.startswith("verdict: Inconclusive (ConditionalOnAssertedHypotheses)")
+
+
+def test_one_variable_dimension_needs_a_certified_root(capsys):
+    # e^x1 - 1 - x1 only touches zero at 0, and x1 - 2 e^x1 has no root, but
+    # the default search domain is a heuristic bound: neither verifies nor
+    # refutes dim Z(f) = n-1.  They logged "verified" with 0 certified roots
+    # and "failed" with "the zero set appears empty".
+    for text, leftovers in (("u1 - 1 - x1", 1), ("(x1^2 + 1)*(x1 - 2*u1)", 0)):
+        code, out, err = run_cli(capsys, ["classify", "--ambient", "1", "--", text])
+        assert code == 0, err
+        report = json.loads(out)
+        [check] = [h for h in report["hypothesisLog"] if h["hypothesis"] == "dim Z(f) = n-1"]
+        assert check["status"] == "unverified"
+        assert check["detail"] == (
+            f"no certified root and {leftovers} uncertified leftover intervals on the "
+            "default search domain [-8, 8], a heuristic bound that roots may lie beyond"
+        )
+        assert report["result"]["roots"] == []
+        assert report["result"]["verdict"] == "Inconclusive"
+        assert report["result"]["conditionality"] == "ConditionalOnAssertedHypotheses"
 
 
 def test_classify_empty_algebraic_zero_set_is_inconclusive(capsys):

@@ -730,3 +730,23 @@ def reference_format_hyperplane(m: Hyperplane) -> str:
     """
     linear = Poly.affine(m.dimension, [*m.normal] + [0] * m.dimension)
     return f"{format_poly(linear)} = 0"
+
+
+def reference_refine_bracket(sgn, lo: Fraction, hi: Fraction, tol: Fraction):
+    """Plain bisection of a bracket with opposite endpoint signs, one exact
+    sign per halving, down to width at most ``tol``: the answer
+    ``numeric._refine_bracket`` must give."""
+    s_lo, s_hi = sgn(lo), sgn(hi)
+    if s_lo * s_hi >= 0:
+        raise InternalInvariantError("refine_bracket needs opposite endpoint signs")
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        s_mid = sgn(mid)
+        if s_mid == 0:
+            # Exact rational root in the middle; shrink to the point.
+            return mid, mid
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
