@@ -715,11 +715,16 @@ def classify_codim1(
     if n == 1:
         # One variable: the zero set is a finite set of points; the candidate
         # {x1 = 0} can lie inside it without being a component.
-        if certified:
+        if certified and any(r.enclosure.contains_zero() for r in roots or ()):
             notes.append(
                 "the origin lies in the zero set (restriction to x1 = 0 vanishes); "
                 "a point is reported through the root certificates, not as a "
                 "component"
+            )
+        elif certified:  # e.g. a tangential zero, left uncertified
+            notes.append(
+                "the origin lies in the zero set (restriction to x1 = 0 vanishes), "
+                "but no certified root encloses it; it is a point, not a component"
             )
         certified = []
     elif single_exp:

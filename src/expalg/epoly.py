@@ -224,29 +224,40 @@ class EPoly:
         """The float value as a function of the point, for many points.
 
         Every coefficient and spectrum entry is converted to float once, here,
-        rather than at each point.
+        rather than at each point, and each group keeps only its nonzero
+        spectrum entries.  A group without one skips exp(0) = 1, a group with
+        one computes its exponent q * x_j directly, and a group with several
+        sums the products with ``sum``.  At finite points the dropped zero
+        products could change only the sign of a zero exponent, so the value
+        is the one the sum over all entries gives.
         """
         n = self.n
         compiled = [
             (
-                [float(q) for q in spec],
+                [(j, float(q)) for j, q in enumerate(spec) if q],
                 [(float(c), [(j, e) for j, e in enumerate(m) if e]) for m, c in a.terms.items()],
             )
             for spec, a in self.terms.items()
         ]
+        exp = math.exp
 
         def value(point: Sequence[float]) -> float:
             if len(point) != n:
                 raise DimensionError(f"point length {len(point)} != {n}")
             acc = 0.0
-            for spec, monos in compiled:
-                dot = sum(q * v for q, v in zip(spec, point))
+            for entries, monos in compiled:
                 coeff = None
                 for term, powers in monos:
                     for j, e in powers:
                         term = term * point[j] ** e
                     coeff = term if coeff is None else coeff + term
-                acc += coeff * math.exp(dot)
+                if not entries:
+                    acc += coeff
+                elif len(entries) == 1:
+                    [(j, q)] = entries
+                    acc += coeff * exp(q * point[j])
+                else:
+                    acc += coeff * exp(sum(q * point[j] for j, q in entries))
             return acc
 
         return value

@@ -1,20 +1,23 @@
 """Outward-rounded interval arithmetic, in two flavours.
 
 Fast mode works on (lo, hi) float pairs: ``pair_add``, ``pair_mul``,
-``pair_pow`` and ``pair_exp`` are the program's one float interval
+``pair_pow`` and ``pair_exp`` define the program's one float interval
 arithmetic, and each pads its result by one ulp outward (two ulps for exp,
-whose libm error is not formally bounded to a half ulp).  ``Interval`` is the
-validated record that boxes, root enclosures and reports carry; it does no
-arithmetic.  Rigorous mode works on Fraction endpoints: ring operations are
-exact, exp is enclosed by an argument-reduced Taylor series with an explicit
-Lagrange remainder, and endpoints are rounded outward to a fixed dyadic
-precision after each step so denominators stay bounded.  Every intermediate
-value of that exp enclosure lies on a dyadic grid, so it is computed in
-integer fixed point (the numerators over a power of two) and only the two
-returned endpoints become Fractions.  One rule rounds a rational to floats:
-``float_down`` and ``float_up`` give the nearest float below and above it,
-and both ``enclose_rational_pair`` (a fast plan's constants) and
-``RatInterval.to_float_pair`` (a rigorous result) return that pair.
+whose libm error is not formally bounded to a half ulp).  They are the
+semantics: ``numeric.EvalPlan`` runs whole plans in an inlined kernel that
+reproduces them bit for bit, and the mean-value step calls them directly.
+``Interval`` is the validated record that boxes, root enclosures and reports
+carry; it does no arithmetic.  Rigorous mode works on Fraction endpoints:
+ring operations are exact, exp is enclosed by an argument-reduced Taylor
+series with an explicit Lagrange remainder, and endpoints are rounded
+outward to a fixed dyadic precision after each step so denominators stay
+bounded.  Every intermediate value of that exp enclosure lies on a dyadic
+grid, so it is computed in integer fixed point (the numerators over a power
+of two) and only the two returned endpoints become Fractions.  One rule
+rounds a rational to floats: ``float_down`` and ``float_up`` give the
+nearest float below and above it, and both ``enclose_rational_pair`` (a fast
+plan's constants) and ``RatInterval.to_float_pair`` (a rigorous result)
+return that pair.
 
 Overflow in fast mode widens to an infinite endpoint rather than raising; a
 rational beyond the float range raises ``OverflowError`` when it is rounded.

@@ -8,12 +8,15 @@ single-exponential graph intersection.
 
 All box evaluation goes through one ``EvalPlan`` per function, compiled once
 from an ``EPoly``: the terms in canonical order with their coefficient and
-spectrum enclosures precomputed.  One loop runs a plan on either of two
-backends: (lo, hi) float pairs through the outward-rounded ``pair_*``
-operations of ``intervals`` (fast mode), which are the program's float
-interval arithmetic, or ``RatInterval`` with rational endpoints (rigorous
-mode).  The transversality check's Jacobian minors are EPolys too, so it
-ranks them by their float values and encloses the decisive one with a plan.
+spectrum enclosures precomputed.  A plan runs on one of two backends.  Fast
+mode is one hand-written float kernel: it computes on local floats exactly
+what the outward-rounded ``pair_*`` operations of ``intervals`` would, bit
+for bit, without a call or a tuple per operation.  Rigorous mode is a loop
+over ``RatInterval`` arithmetic with rational endpoints.  The mean-value
+step of ``TightEvaluator`` combines plan results with the ``pair_*``
+operations themselves.  The transversality check's Jacobian minors are
+EPolys too, so it ranks them by their float values and encloses the
+decisive one with a plan.
 ``Interval`` only carries results: box sides, enclosures returned to
 callers, root enclosures.  ``TightEvaluator``, the root isolator and the
 transversality check keep their plans for as long as they run; nothing is
@@ -55,7 +58,6 @@ from .intervals import (
     pair_add,
     pair_exp,
     pair_mul,
-    pair_pow,
 )
 from .poly import Poly
 
@@ -83,29 +85,31 @@ def _is_exact(mode: str) -> bool:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-#: the two backends, as (zero, add, mul, pow, scale, exp); ``scale`` takes
-#: a spectrum entry in the form the plan stores it
-_FLOAT_OPS = ((0.0, 0.0), pair_add, pair_mul, pair_pow, pair_mul, pair_exp)
-_RATIONAL_OPS = (
-    RatInterval.exact_point(0),
-    RatInterval.__add__,
-    RatInterval.__mul__,
-    RatInterval.pow_int,
-    RatInterval.scale,
-    RatInterval.exp,
-)
+#: the rigorous backend's additive zero, shared by every plan call
+_RAT_ZERO = RatInterval.exact_point(0)
+#: the exp enclosure of a group without exponential: ``pair_exp((0, 0))``
+_EXP0_LO, _EXP0_HI = pair_exp((0.0, 0.0))
 
 
 class EvalPlan:
     """Interval evaluation of one EPoly, compiled once.
 
     The plan holds the terms in canonical order with their coefficient and
-    spectrum enclosures precomputed: float pairs for the fast backend, exact
-    Fractions (as ``RatInterval`` points) for the rigorous one.  Each call
-    then runs one loop over the chosen backend, the ``pair_*`` operations
-    or ``RatInterval`` arithmetic: the natural interval extension, term by
-    term.  The powers x_i^e a call needs are computed once and shared
-    across terms.
+    spectrum enclosures precomputed: the tightest float pairs for the fast
+    backend, exact Fractions (coefficients as ``RatInterval`` points) for the
+    rigorous one.  A call computes the natural interval extension term by
+    term, with the powers x_i^e it needs computed once and shared.
+
+    The fast backend is one hand-written kernel, ``__call__``, on local
+    floats.  It reproduces ``pair_pow``, ``pair_mul``, ``pair_add`` and
+    ``pair_exp`` of ``intervals`` bit for bit and in the same order, with the
+    outward rounding inlined.  A product takes its endpoints from the
+    sign-case table (Moore, Kearfott & Cloud, *Introduction to Interval
+    Analysis*, SIAM 2009, section 2.2): two products when one factor has a
+    known sign, and min/max of two when both straddle 0.  These differ from
+    the min/max of all four products only in the sign of a zero, which the
+    outward step erases.  The rigorous backend, ``_rational``, runs the same
+    loop on ``RatInterval`` arithmetic.
     """
 
     __slots__ = ("exact", "powers", "groups")
@@ -113,14 +117,18 @@ class EvalPlan:
     def __init__(self, f: EPoly, exact: bool = False):
         """Plan for f on its n variables."""
         self.exact = exact
-        coeff = RatInterval.exact_point if exact else enclose_rational_pair
-        entry = Fraction if exact else enclose_rational_pair
+        # A fast term is (c_lo, c_hi, slots) and a spectrum entry (i, q_lo,
+        # q_hi); a rigorous term is (c, slots) and an entry (i, q).
+        if exact:
+            coeff, entry = (lambda c: (RatInterval.exact_point(c),)), (lambda q: (q,))
+        else:
+            coeff = entry = enclose_rational_pair
         slots: dict[tuple[int, int], int] = {}  # (variable, exponent) -> power
         self.groups = tuple(
             (
-                tuple((i, entry(q)) for i, q in enumerate(spec) if q),
+                tuple((i, *entry(q)) for i, q in enumerate(spec) if q),
                 tuple(
-                    (coeff(c), tuple(slots.setdefault(v, len(slots)) for v in enumerate(mono) if v[1]))
+                    (*coeff(c), tuple(slots.setdefault(v, len(slots)) for v in enumerate(mono) if v[1]))
                     for mono, c in a.sorted_terms()
                 ),
             )
@@ -131,26 +139,130 @@ class EvalPlan:
     def __call__(self, bounds: Sequence[Pair]) -> Pair:
         """Enclosure (lo, hi) over the box with the given float bounds."""
         if self.exact:
-            xs = [RatInterval(Fraction(lo), Fraction(hi), exact=True) for lo, hi in bounds]
-            return self._run(xs, _RATIONAL_OPS).to_float_pair()
-        return self._run(bounds, _FLOAT_OPS)
+            return self._rational(bounds)
+        nxt = math.nextafter
+        inf = math.inf
+        # A product's 0 * inf counts as 0.  A sum adds two outward-rounded
+        # pairs, whose lower ends are never +inf and upper ends never -inf,
+        # so it is never NaN and needs no fix.
+        pows = []
+        for i, k in self.powers:
+            lo, hi = bounds[i]
+            if k % 2 == 0 and lo <= 0.0 <= hi:
+                try:
+                    hi = (hi if hi > -lo else -lo) ** k
+                except OverflowError:
+                    hi = inf
+                pows.append((0.0, nxt(hi, inf)))
+                continue
+            try:
+                lo = lo**k
+            except OverflowError:
+                lo = -inf if lo < 0.0 and k % 2 else inf
+            try:
+                hi = hi**k
+            except OverflowError:
+                hi = -inf if hi < 0.0 and k % 2 else inf
+            if hi < lo:
+                lo, hi = hi, lo
+            pows.append((nxt(lo, -inf), nxt(hi, inf)))
 
-    def _run(self, xs, ops):
-        zero, add, mul, power, scale, exp = ops
-        pows = [power(xs[i], e) for i, e in self.powers]
-        acc = zero
+        acc_lo = acc_hi = 0.0
         for spec, terms in self.groups:
-            value = zero
-            for c, slots in terms:
-                term = c
-                for k in slots:
-                    term = mul(term, pows[k])
-                value = add(value, term)
-            dot = zero
+            v_lo = v_hi = 0.0
+            for t_lo, t_hi, term_slots in terms:
+                for k in term_slots:
+                    p_lo, p_hi = pows[k]
+                    if p_lo >= 0.0:
+                        lo = t_lo * (p_lo if t_lo >= 0.0 else p_hi)
+                        hi = t_hi * (p_hi if t_hi >= 0.0 else p_lo)
+                    elif p_hi <= 0.0:
+                        lo = t_hi * (p_lo if t_hi >= 0.0 else p_hi)
+                        hi = t_lo * (p_hi if t_lo >= 0.0 else p_lo)
+                    elif t_lo >= 0.0:
+                        lo = p_lo * t_hi
+                        hi = p_hi * t_hi
+                    elif t_hi <= 0.0:
+                        lo = p_hi * t_lo
+                        hi = p_lo * t_lo
+                    else:
+                        lo = min(t_lo * p_hi, t_hi * p_lo)
+                        hi = max(t_lo * p_lo, t_hi * p_hi)
+                    if lo != lo:
+                        lo = 0.0
+                    if hi != hi:
+                        hi = 0.0
+                    t_lo = nxt(lo, -inf)
+                    t_hi = nxt(hi, inf)
+                v_lo = nxt(v_lo + t_lo, -inf)
+                v_hi = nxt(v_hi + t_hi, inf)
+
+            if spec:
+                d_lo = d_hi = 0.0
+                for i, q_lo, q_hi in spec:
+                    x_lo, x_hi = bounds[i]
+                    if q_lo >= 0.0:
+                        lo = x_lo * (q_lo if x_lo >= 0.0 else q_hi)
+                        hi = x_hi * (q_hi if x_hi >= 0.0 else q_lo)
+                    else:  # a nonzero rational's pair has a sign
+                        lo = x_hi * (q_lo if x_hi >= 0.0 else q_hi)
+                        hi = x_lo * (q_hi if x_lo >= 0.0 else q_lo)
+                    if lo != lo:
+                        lo = 0.0
+                    if hi != hi:
+                        hi = 0.0
+                    d_lo = nxt(d_lo + nxt(lo, -inf), -inf)
+                    d_hi = nxt(d_hi + nxt(hi, inf), inf)
+                # exp, padded by two ulps; its lower end is below 0 after an
+                # underflow, so its sign is tested below like any other.
+                try:
+                    e_lo = math.exp(d_lo)
+                except OverflowError:
+                    e_lo = inf
+                try:
+                    e_hi = math.exp(d_hi)
+                except OverflowError:
+                    e_hi = inf
+                e_lo = nxt(nxt(e_lo, -inf), -inf)
+                e_hi = nxt(nxt(e_hi, inf), inf)
+            else:
+                e_lo, e_hi = _EXP0_LO, _EXP0_HI
+
+            if e_lo >= 0.0:
+                lo = v_lo * (e_lo if v_lo >= 0.0 else e_hi)
+                hi = v_hi * (e_hi if v_hi >= 0.0 else e_lo)
+            elif v_lo >= 0.0:  # e_hi > 0 always
+                lo = e_lo * v_hi
+                hi = e_hi * v_hi
+            elif v_hi <= 0.0:
+                lo = e_hi * v_lo
+                hi = e_lo * v_lo
+            else:
+                lo = min(v_lo * e_hi, v_hi * e_lo)
+                hi = max(v_lo * e_lo, v_hi * e_hi)
+            # lo is never NaN: e_lo is finite, and e_hi > 0 meets only v_lo < 0.
+            if hi != hi:
+                hi = 0.0
+            acc_lo = nxt(acc_lo + nxt(lo, -inf), -inf)
+            acc_hi = nxt(acc_hi + nxt(hi, inf), inf)
+        return (acc_lo, acc_hi)
+
+    def _rational(self, bounds: Sequence[Pair]) -> Pair:
+        """The rigorous backend: the same loop on ``RatInterval`` arithmetic."""
+        xs = [RatInterval(Fraction(lo), Fraction(hi), exact=True) for lo, hi in bounds]
+        pows = [xs[i].pow_int(k) for i, k in self.powers]
+        acc = _RAT_ZERO
+        for spec, terms in self.groups:
+            value = _RAT_ZERO
+            for term, term_slots in terms:
+                for k in term_slots:
+                    term = term * pows[k]
+                value = value + term
+            dot = _RAT_ZERO
             for i, q in spec:
-                dot = add(dot, scale(xs[i], q))
-            acc = add(acc, mul(value, exp(dot)))
-        return acc
+                dot = dot + xs[i].scale(q)
+            acc = acc + value * dot.exp()
+        return acc.to_float_pair()
 
 
 def interval_eval(f: EPoly, box: Box, mode: str = "fast") -> Interval:

@@ -365,6 +365,28 @@ def test_one_variable_dimension_needs_a_certified_root(capsys):
         assert report["result"]["conditionality"] == "ConditionalOnAssertedHypotheses"
 
 
+def test_one_variable_origin_note_follows_the_root_certificates(capsys):
+    # Both inputs vanish at 0.  2*x1 + 1 - e^x1 has a certified simple root
+    # there; e^x1 - 1 - x1 only touches zero, an uncertified leftover that
+    # the report does not list, so the note must not point to the roots.
+    code, out, _ = run_cli(capsys, ["classify", "--ambient", "1", "--", "2*x1 - u1 + 1"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["roots"][0] == {"enclosure": [0.0, 0.0], "kind": "NewtonContraction", "residualBound": 0.0}
+    assert result["notes"] == [
+        "the origin lies in the zero set (restriction to x1 = 0 vanishes); a point is "
+        "reported through the root certificates, not as a component"
+    ]
+    code, out, _ = run_cli(capsys, ["classify", "--ambient", "1", "--", "u1 - 1 - x1"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["roots"] == []
+    assert result["notes"] == [
+        "the origin lies in the zero set (restriction to x1 = 0 vanishes), but no "
+        "certified root encloses it; it is a point, not a component"
+    ]
+
+
 def test_classify_empty_algebraic_zero_set_is_inconclusive(capsys):
     code, out, _ = run_cli(capsys, ["classify", "x1^2 + 1"])
     assert code == 0

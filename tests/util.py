@@ -33,7 +33,16 @@ from expalg.factor import (
     over_common_denominator,
 )
 from expalg.hyperplanes import Hyperplane
-from expalg.intervals import Box, RatInterval
+from expalg.intervals import (
+    Box,
+    Pair,
+    RatInterval,
+    enclose_rational_pair,
+    pair_add,
+    pair_exp,
+    pair_mul,
+    pair_pow,
+)
 from expalg.parsing import format_poly
 from expalg.poly import Poly
 
@@ -110,6 +119,38 @@ def rand_epoly(rng: random.Random, n: int, max_terms: int = 4, max_exp: int = 2)
         spec = tuple(rand_fraction(rng, span=3, den=3) for _ in range(n))
         terms[spec] = rand_poly(rng, n, max_exp=max_exp, allow_u=False)
     return EPoly(n, terms)
+
+
+def reference_float_evaluator(f: EPoly):
+    """The float value of f as a function of the point, one generator per group.
+
+    Every spectrum entry, zero or not, enters the exponent through ``sum``.
+    ``EPoly.float_evaluator`` must reproduce it bit for bit at finite points.
+    """
+    n = f.n
+    compiled = [
+        (
+            [float(q) for q in spec],
+            [(float(c), [(j, e) for j, e in enumerate(m) if e]) for m, c in a.terms.items()],
+        )
+        for spec, a in f.terms.items()
+    ]
+
+    def value(point) -> float:
+        if len(point) != n:
+            raise DimensionError(f"point length {len(point)} != {n}")
+        acc = 0.0
+        for spec, monos in compiled:
+            dot = sum(q * v for q, v in zip(spec, point))
+            coeff = None
+            for term, powers in monos:
+                for j, e in powers:
+                    term = term * point[j] ** e
+                coeff = term if coeff is None else coeff + term
+            acc += coeff * math.exp(dot)
+        return acc
+
+    return value
 
 
 def reference_coefficient_groups(f: EPoly, point) -> dict[Fraction, Fraction]:
@@ -271,6 +312,41 @@ def reference_enclose_rational(c: Fraction | int) -> ReferenceInterval:
 # arithmetic step, term by term.  The compiled evaluation plans of
 # ``expalg.numeric`` must reproduce their enclosures bit for bit.
 # ---------------------------------------------------------------------------
+
+
+def reference_pair_plan(f: EPoly, bounds) -> Pair:
+    """The fast plan of f run as one ``pair_*`` call per interval operation.
+
+    Terms and groups in canonical order, each coefficient and spectrum entry
+    enclosed by ``enclose_rational_pair``, each power x_i^e computed once, and
+    every value, exponent and sum starting from the pair (0, 0).  The float
+    kernel of ``EvalPlan`` must reproduce it bit for bit.
+    """
+    slots: dict[tuple[int, int], int] = {}
+    groups = [
+        (
+            [(i, enclose_rational_pair(q)) for i, q in enumerate(spec) if q],
+            [
+                (enclose_rational_pair(c), [slots.setdefault(v, len(slots)) for v in enumerate(mono) if v[1]])
+                for mono, c in a.sorted_terms()
+            ],
+        )
+        for spec, a in f.sorted_terms()
+    ]
+    pows = [pair_pow(bounds[i], e) for i, e in slots]
+    acc = (0.0, 0.0)
+    for spec, terms in groups:
+        value = (0.0, 0.0)
+        for c, term_slots in terms:
+            term = c
+            for k in term_slots:
+                term = pair_mul(term, pows[k])
+            value = pair_add(value, term)
+        dot = (0.0, 0.0)
+        for i, q in spec:
+            dot = pair_add(dot, pair_mul(bounds[i], q))
+        acc = pair_add(acc, pair_mul(value, pair_exp(dot)))
+    return acc
 
 
 def _reference_poly(a: Poly, xs, zero, coeff):
