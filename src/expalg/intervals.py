@@ -68,7 +68,11 @@ class Interval:
 
     @property
     def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        """0.5 * (lo + hi), or 0.5 * lo + 0.5 * hi where that sum overflows."""
+        m = 0.5 * (self.lo + self.hi)
+        if math.isinf(m) and math.isfinite(self.lo) and math.isfinite(self.hi):
+            return 0.5 * self.lo + 0.5 * self.hi
+        return m
 
     def contains(self, v: float) -> bool:
         return self.lo <= v <= self.hi
@@ -95,15 +99,23 @@ _next = math.nextafter
 
 
 def float_down(q: Fraction) -> float:
-    """Largest float <= q; OverflowError beyond the float range."""
-    v = float(q)
-    return _next(v, -_INF) if Fraction(v) > q else v
+    """Largest float <= q; OverflowError beyond the float range.
+
+    ``n / d`` on ints is correctly rounded, as ``float(q)`` is, and the
+    nearest float v = a / b lies above q exactly when a d > n b.
+    """
+    n, d = q.numerator, q.denominator
+    v = n / d
+    a, b = v.as_integer_ratio()
+    return _next(v, -_INF) if a * d > n * b else v
 
 
 def float_up(q: Fraction) -> float:
     """Smallest float >= q; OverflowError beyond the float range."""
-    v = float(q)
-    return _next(v, _INF) if Fraction(v) < q else v
+    n, d = q.numerator, q.denominator
+    v = n / d
+    a, b = v.as_integer_ratio()
+    return _next(v, _INF) if a * d < n * b else v
 
 
 def enclose_rational_pair(c: Fraction | int) -> Pair:

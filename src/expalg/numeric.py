@@ -6,6 +6,13 @@ certified real root isolation in one variable, quadtree zero-cell sampling
 in two variables, and a Jacobian-minor transversality check for the
 single-exponential graph intersection.
 
+The isolator settles a monotone cell (one whose derivative enclosure
+excludes zero) at any width, by float enclosures of f at its endpoints or
+else by their exact signs, and bisects the other cells.  It then narrows
+each one-root bracket by quadratic interval refinement whose first guess is
+the cell, on the deepest level the floats resolve, that holds a root found
+in floats by the Illinois method; two exact signs prove the cell.
+
 All box evaluation goes through one ``EvalPlan`` per function, compiled once
 from an ``EPoly``: the terms in canonical order with their coefficient and
 spectrum enclosures precomputed.  A plan runs on one of two backends.  Fast
@@ -65,6 +72,8 @@ from .poly import Poly
 _CERT_WIDTH = Fraction(1, 8)
 #: deepest bisection of the isolator: a cell there is kept as a suspect
 _ISOLATE_MAX_DEPTH = 64
+#: most Illinois steps of the float root search in ``_float_root``
+_FLOAT_ROOT_STEPS = 64
 #: order of ``TightEvaluator``'s mean-value form: gradients by the form one
 #: level down, Hessian entries by natural extension
 _TAYLOR_ORDER = 2
@@ -362,9 +371,11 @@ def sign_at_rational(f: EPoly, pt: Sequence) -> int:
     groups = f.scaled_groups([Fraction(v) for v in pt])
     if not groups:
         return 0
+    # e^0 = 1 exactly: the t = 0 group needs no enclosure.
+    c0 = groups.pop(Fraction(0), 0)
     bits = 96
     while bits <= _SIGN_MAX_BITS:
-        lo_terms, hi_terms = [], []
+        lo_terms, hi_terms = [(c0, 1)], [(c0, 1)]
         for t, c in groups.items():
             elo, ehi = exp_bounds(t, bits)
             if c < 0:
@@ -454,15 +465,33 @@ def isolate_roots_1d(
 ) -> tuple[list[RootCert], list[RootCert]]:
     """Certified root isolation on a finite interval.
 
-    Adaptive bisection discards subintervals whose interval value excludes
-    zero; endpoint signs are exact (``sign_at_rational``), so exact rational
-    roots (for instance at 0) are detected and certified as point enclosures.
-    Each bracket is then narrowed to width ``tol`` by ``_refine_bracket``:
-    quadratic interval refinement on the monotone cells, which hold one
-    root, and bisection on merged runs of suspect cells; both give the
-    enclosure bisection gives.  Returns (certified, uncertified) lists, both
-    sorted by position, with pairwise disjoint certified enclosures of width
-    at most ``tol``, which must be positive.
+    Adaptive bisection of the domain.  A cell on which the derivative's
+    enclosure excludes zero is monotone, so it holds at most one root, and
+    it is settled at once, whatever its width.  It is dropped when the
+    float enclosures of f at both endpoints exclude zero with one sign;
+    otherwise the exact signs (``sign_at_rational``) of its endpoints
+    decide: opposite signs make it a one-root bracket, equal ones drop it.
+    Any other cell is dropped when its interval value (``TightEvaluator``)
+    excludes zero, gets endpoint signs once it is at most ``_CERT_WIDTH``
+    wide, and is bisected on.  Exact rational roots (for instance at 0) are
+    detected by a zero sign and certified as point enclosures.  Each
+    bracket is then narrowed by ``_refine_bracket``: quadratic interval
+    refinement on the monotone cells, and bisection on merged runs of
+    suspect cells.  Returns (certified, uncertified) lists, both sorted by
+    position, with pairwise disjoint certified enclosures of width at most
+    ``tol``, which must be positive.
+
+    The result is that of plain bisection that takes signs only on cells at
+    most ``_CERT_WIDTH`` wide.  There a one-root bracket ends as the cell
+    holding the root on the first level of the domain's bisection grid
+    whose cells are at most ``tol`` and at most ``_CERT_WIDTH`` wide, or as
+    the root itself when it is a grid point of that level or a coarser one;
+    so does a wider monotone bracket here.  The natural extension of f' is
+    inclusion-isotone, so in that bisection every descendant of a monotone
+    cell would be monotone too and would settle the same way.  When the
+    grid reaches width ``tol / 4`` or depth ``_ISOLATE_MAX_DEPTH`` before
+    ``_CERT_WIDTH``, that bisection settles no cell, and neither does this
+    one.
     """
     if f.n != 1:
         raise DimensionError("root isolation requires a 1-variable input")
@@ -477,6 +506,17 @@ def isolate_roots_1d(
     if not tol > 0:
         raise ValueError("root tolerance must be positive")
     tol_q = Fraction(tol)
+    # The domain's bisection grid reaches _CERT_WIDTH at depth cert_depth,
+    # where its cells are cert_w wide.  Monotone cells settle only if the
+    # grid gets there within the depth limit and no later than to width
+    # tol / 4, where cells become suspects.  A domain at most 1/8 wide
+    # counts as later when tol >= 8 cert_w; its one cell then ends as a
+    # suspect, with the same result.
+    cert_w, cert_depth = b - a, 0
+    while cert_w > _CERT_WIDTH:
+        cert_w /= 2
+        cert_depth += 1
+    settle = cert_depth <= _ISOLATE_MAX_DEPTH and 8 * cert_w > tol_q
     evaluator = TightEvaluator(f)
     f_plan = evaluator.plan(())
     df_plan = evaluator.plan((1,))
@@ -492,6 +532,11 @@ def isolate_roots_1d(
         dlo, dhi = df_plan([(float_down(lo), float_up(hi))])
         return dlo > 0.0 or dhi < 0.0
 
+    def enclosed_sign(x: Fraction) -> int:
+        """The sign of f(x) where its float enclosure excludes 0, else 0."""
+        vlo, vhi = f_plan([(float_down(x), float_up(x))])
+        return 1 if vlo > 0.0 else -1 if vhi < 0.0 else 0
+
     def cert(kind: str, lo: Fraction, hi: Fraction) -> RootCert:
         enc = Interval(float_down(lo), float_up(hi))
         rlo, rhi = f_plan([(enc.lo, enc.hi)])
@@ -503,14 +548,20 @@ def isolate_roots_1d(
     stack = [(a, b, 0)]
     while stack:
         lo, hi, depth = stack.pop()
-        if evaluator(Box((Interval(float_down(lo), float_up(hi)),))).excludes_zero():
+        # f on a monotone cell lies between its values at the ends, so the
+        # cell needs no box test.
+        monotone = settle and deriv_nonzero(lo, hi)
+        if monotone:
+            if enclosed_sign(lo) * enclosed_sign(hi) > 0:
+                continue
+        elif evaluator(Box((Interval(float_down(lo), float_up(hi)),))).excludes_zero():
             continue
         width = hi - lo
-        if width <= _CERT_WIDTH:
+        if monotone or width <= _CERT_WIDTH:
             s_lo, s_hi = sgn(lo), sgn(hi)
             exact_roots.update(x for x, s in ((lo, s_lo), (hi, s_hi)) if s == 0)
-            if deriv_nonzero(lo, hi):
-                # Monotone cell: at most one root, position decided by signs.
+            if monotone:
+                # At most one root, position decided by signs.
                 if s_lo * s_hi < 0:
                     brackets.append((lo, hi, True))
                 continue
@@ -538,8 +589,9 @@ def isolate_roots_1d(
     # bracket, and no exact root lies in a SignChange enclosure.
     certs: list[RootCert] = []
     value = f.float_evaluator()
+    one_root_tol = min(tol_q, cert_w)
     for lo, hi, one_root in brackets:
-        lo, hi = _refine_bracket(sgn, value, lo, hi, tol_q, one_root)
+        lo, hi = _refine_bracket(sgn, value, lo, hi, one_root_tol if one_root else tol_q, one_root)
         if lo == hi:
             exact_roots.add(lo)
         else:
@@ -569,15 +621,19 @@ def _refine_bracket(sgn, value, lo: Fraction, hi: Fraction, tol: Fraction, one_r
     with one simple root r (``one_root``) that answer depends on r alone:
     (r, r) when r lies on the level-k grid lo + j (hi - lo) / 2^k, otherwise
     the level-k cell containing r.  So each step guesses the cell of r among
-    N = 2^m equal cells by a secant step on the float values ``value`` gives
-    at the endpoints, and proves the guess by the exact signs of the cell's
-    endpoints, which are grid points of level at most k (Abbott, "Quadratic
-    interval refinement for real roots", 2014).  A proven guess doubles m, a
-    refuted one halves it, and m = 1 is a bisection step.  When the float
-    values overflow, are not finite or do not have strictly opposite signs,
-    or the N cells are narrower than the floats resolve, the step bisects.
-    A bracket not known to hold one root (a merged run of suspect cells,
-    where bisection's answer depends on its path) is only bisected.
+    N = 2^m equal cells and proves the guess by the exact signs of the
+    cell's endpoints, which are grid points of level at most k (Abbott,
+    "Quadratic interval refinement for real roots", 2014).  The guess is
+    the cell, found exactly with Fractions, that holds a float root of
+    ``value`` (``_float_root``), and m is capped at the deepest level whose
+    cells the floats resolve.  The first guess takes m = k, so on a bracket
+    the floats resolve down to width ``tol`` the two signs of one cell
+    settle it.  A proven guess doubles m, a refuted one halves it, and
+    m = 1 is a bisection step.  When the float values overflow, are not
+    finite or do not have strictly opposite signs, or not even two levels
+    are resolved, the step bisects.  A bracket not known to hold one root
+    (a merged run of suspect cells, where bisection's answer depends on its
+    path) is only bisected.
     """
     s_lo, s_hi = sgn(lo), sgn(hi)
     if s_lo * s_hi >= 0:
@@ -586,11 +642,16 @@ def _refine_bracket(sgn, value, lo: Fraction, hi: Fraction, tol: Fraction, one_r
     # 2^k >= ceil((hi - lo) / tol)
     ratio = (hi - lo) / tol
     levels = (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
-    m = 1
+    m = levels
+    root = None  # a float root of value, kept while it lies in [lo, hi]
     while levels:
         m = min(m, levels)
-        j = _secant_cell(value, lo, hi, m) if one_root and m > 1 else None
-        if j is None:
+        if one_root and m > 1:
+            x_lo, x_hi = float(lo), float(hi)
+            m = min(m, _resolved_levels(x_lo, x_hi))
+            if m > 1 and (root is None or not x_lo <= root <= x_hi):
+                root = _float_root(value, x_lo, x_hi)
+        if not one_root or m < 2 or root is None:
             mid = (lo + hi) / 2
             s_mid = sgn(mid)
             if s_mid == 0:
@@ -603,7 +664,10 @@ def _refine_bracket(sgn, value, lo: Fraction, hi: Fraction, tol: Fraction, one_r
             levels -= 1
             m = 2
             continue
-        width = (hi - lo) / (1 << m)
+        cells = 1 << m
+        width = (hi - lo) / cells
+        pos = (Fraction(root) - lo) / width
+        j = min(max(pos.numerator // pos.denominator, 0), cells - 1)
         a, b = lo + j * width, lo + (j + 1) * width
         s_a = sgn(a)
         if s_a == 0:
@@ -621,25 +685,56 @@ def _refine_bracket(sgn, value, lo: Fraction, hi: Fraction, tol: Fraction, one_r
     return lo, hi
 
 
-def _secant_cell(value, lo: Fraction, hi: Fraction, m: int) -> int | None:
-    """Index of the cell of [lo, hi] split in 2^m where the float secant meets 0.
+def _resolved_levels(x_lo: float, x_hi: float) -> int:
+    """The largest r such that 2^r equal cells of [x_lo, x_hi] are each wider
+    than one ulp of its larger endpoint: the levels the floats resolve."""
+    ulps = (x_hi - x_lo) / math.ulp(max(abs(x_lo), abs(x_hi)))
+    if not math.isfinite(ulps):
+        return 0
+    frac, exp = math.frexp(ulps)  # ulps = frac 2^exp with 1/2 <= frac < 1, or 0
+    return exp - 1 if frac > 0.5 else exp - 2
 
-    None when the floats give no hint: the values overflow, are not finite or
-    do not have strictly opposite signs, or the cells are below float
-    resolution.
+
+def _float_root(value, x_lo: float, x_hi: float) -> float | None:
+    """A float root of ``value`` in [x_lo, x_hi] by the Illinois method.
+
+    Regula falsi where an end kept twice in a row has its value halved
+    (Dowell & Jarratt, *BIT* 11, 1971), for at most ``_FLOAT_ROOT_STEPS``
+    steps; a step whose secant point is not strictly inside the bracket
+    bisects it, and the search ends at a zero value or when the bracket has
+    no float strictly inside.  Returns the zero or the midpoint of the last
+    bracket, or None when a value overflows or is not finite or the end
+    values do not have strictly opposite signs.
     """
-    x_lo, x_hi = float(lo), float(hi)
-    if x_hi - x_lo <= math.ulp(max(abs(x_lo), abs(x_hi))) * (1 << m):
-        return None
     try:
         v_lo, v_hi = value([x_lo]), value([x_hi])
+        if not (math.isfinite(v_lo) and math.isfinite(v_hi) and (v_lo < 0.0 < v_hi or v_hi < 0.0 < v_lo)):
+            return None
+        kept = 0  # -1: lo was kept last step, +1: hi was
+        for _ in range(_FLOAT_ROOT_STEPS):
+            x = x_lo + (x_hi - x_lo) * (v_lo / (v_lo - v_hi))
+            if not x_lo < x < x_hi:
+                x = 0.5 * x_lo + 0.5 * x_hi
+                if not x_lo < x < x_hi:
+                    break
+            v = value([x])
+            if not math.isfinite(v):
+                return None
+            if v == 0.0:
+                return x
+            if (v < 0.0) == (v_lo < 0.0):
+                x_lo, v_lo = x, v
+                if kept == 1:
+                    v_hi *= 0.5
+                kept = 1
+            else:
+                x_hi, v_hi = x, v
+                if kept == -1:
+                    v_lo *= 0.5
+                kept = -1
     except OverflowError:
         return None
-    if not (math.isfinite(v_lo) and math.isfinite(v_hi)):
-        return None
-    if not (v_lo < 0.0 < v_hi or v_hi < 0.0 < v_lo):
-        return None
-    return min(int(v_lo / (v_lo - v_hi) * (1 << m)), (1 << m) - 1)
+    return 0.5 * x_lo + 0.5 * x_hi
 
 
 def _merge_cells(cells: list[tuple[Fraction, Fraction]]):

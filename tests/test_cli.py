@@ -454,6 +454,36 @@ def test_power_beyond_float_range_keeps_cells_in_the_box(capsys):
         assert 0.0 <= x0 < x1 <= 1e100 and 0.0 <= y0 < y1 <= 1.0
 
 
+def strict_json(text):
+    """The report parsed as standard JSON, which has no Infinity or NaN."""
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_midpoint_near_the_top_of_the_float_range(capsys):
+    # lo + hi overflows for an enclosure near 1.6e308 and a box side
+    # [1e308, 1.7e308]; their midpoints must stay finite and inside.
+    c = str(16 * 10**307)
+    argv = ["transversal", "--ambient", "2", "--coords", "1", "--root-of", f"x1 - {c}"]
+    argv += ["--domain", "1e307", "1.7e308", "--", f"(x1 - {c})*(x2 + 1)"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    [check] = strict_json(out)["result"]["checks"]
+    lo, hi = check["rootEnclosure"]
+    assert check["point"] == [1.6000000000000002e308, 1.0, None]
+    assert lo <= check["point"][0] <= hi
+    assert (check["verdict"], check["tangencyMargin"]) == ("Undetermined", None)
+
+    c = str(12 * 10**307)
+    code, out, err = run_cli(capsys, ["sample2d", f"x1 + x2 - {c}", "--box", "1e308", "1.7e308", "0", "1", "--depth", "2"])
+    assert code == 0, err
+    result = strict_json(out)["result"]
+    assert result["cells"] == [[1.175e308, 1.35e308, k / 4, (k + 1) / 4] for k in range(4)]
+
+
 def test_reused_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
     """Every report from the one shared parser equals the report from a new parser."""
     target = tmp_path / "report.json"

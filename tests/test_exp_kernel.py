@@ -102,15 +102,19 @@ def test_rounding_matches_fraction_reference():
 
 
 def reference_sign(f: EPoly, pt, max_bits: int = 4096) -> tuple[int, list[int]]:
-    """Sign of f at a rational point from Fraction sums, and the precision of each exp enclosure."""
+    """Sign of f at a rational point from Fraction sums, and the precision of
+    each exp enclosure; e^0 = 1 needs none."""
     groups = reference_coefficient_groups(f, pt)
     asked: list[int] = []
     bits = 96
     while groups and bits <= max_bits:
         lo = hi = Fraction(0)
         for t, c in groups.items():
-            elo, ehi = reference_exp_bounds(t, bits)
-            asked.append(bits)
+            if t == 0:
+                elo = ehi = Fraction(1)
+            else:
+                elo, ehi = reference_exp_bounds(t, bits)
+                asked.append(bits)
             lo += c * (elo if c >= 0 else ehi)
             hi += c * (ehi if c >= 0 else elo)
         if lo > 0:
@@ -200,14 +204,37 @@ def test_sign_with_precision_doublings():
             (f"{approx.numerator} - {approx.denominator}*u1", -1),
         ):
             f = parse_epoly(text, 1)
-            # t = 1 and t = 0 at each precision, doubling from 96 bits
-            expected = (sign, [b for b in BITS if b <= decided for _ in range(2)])
+            # t = 1 at each precision, doubling from 96 bits; t = 0 needs none
+            expected = (sign, [b for b in BITS if b <= decided])
             assert reference_sign(f, [1]) == precisions_asked(f, [1]) == expected
 
 
 def test_sign_of_exact_zero_needs_no_enclosure():
     f = parse_epoly("2*x1*u1 - u1", 1)
     assert precisions_asked(f, [Fraction(1, 2)]) == (0, [])
+
+
+def test_group_without_exponential_needs_no_enclosure():
+    # At x1 = 0 every group has t = 0; at x1 = 1/2 the constant group has
+    # t = 0 and the other t = 1/2 or 1.
+    arguments = []
+
+    def spy(t, bits):
+        arguments.append(t)
+        return exp_bounds(t, bits)
+
+    numeric.exp_bounds = spy
+    try:
+        for text, x, sign in (
+            ("3*x1 - 1 + u1 - u1^2", 0, -1),
+            ("3*x1 - 1 + u1 - u1^2", Fraction(1, 2), -1),
+            ("x1^2 - 7", Fraction(3, 8), -1),
+            ("2*u1 - 3", Fraction(1, 2), 1),
+        ):
+            assert sign_at_rational(parse_epoly(text, 1), [x]) == sign, text
+    finally:
+        numeric.exp_bounds = exp_bounds
+    assert arguments and 0 not in arguments, arguments
 
 
 if __name__ == "__main__":

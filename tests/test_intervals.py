@@ -29,10 +29,25 @@ from util import ReferenceInterval, reference_enclose_rational
 def test_interval_basics():
     iv = Interval(1.0, 2.0)
     assert iv.contains(1.5) and not iv.contains(2.5)
+    assert iv.mid == 1.5
     assert Interval(-1.0, 1.0).contains_zero()
     assert Interval(0.5, 1.0).excludes_zero()
     with pytest.raises(ValueError):
         Interval(2.0, 1.0)
+
+
+def test_midpoint_where_the_sum_overflows():
+    """mid is 0.5 * (lo + hi) where that sum is finite, bit for bit, and
+    0.5 * lo + 0.5 * hi where it overflows."""
+    rng = random.Random(19)
+    for _ in range(2000):
+        lo, hi = sorted(rng.uniform(-1, 1) * 10.0 ** rng.randint(-320, 307) for _ in range(2))
+        assert Interval(lo, hi).mid.hex() == (0.5 * (lo + hi)).hex()
+    for lo, hi, mid in ((1e308, 1.7e308, 1.35e308), (-1.7e308, -1e308, -1.35e308), (1.7e308, 1.7e308, 1.7e308)):
+        assert Interval(lo, hi).mid == mid
+        assert lo <= Interval(lo, hi).mid <= hi
+    assert Interval(0.0, math.inf).mid == math.inf
+    assert Interval(-math.inf, -1.0).mid == -math.inf
 
 
 def test_float_ops_enclose_exact_rational_results():
@@ -121,6 +136,52 @@ def test_float_rounding_pair_is_tight():
             float_down(q)
         with pytest.raises(OverflowError):
             float_up(-q)
+
+
+def _fraction_float_down(q: Fraction) -> float:
+    v = float(q)
+    return math.nextafter(v, -math.inf) if Fraction(v) > q else v
+
+
+def _fraction_float_up(q: Fraction) -> float:
+    v = float(q)
+    return math.nextafter(v, math.inf) if Fraction(v) < q else v
+
+
+def _rounded(fn, q):
+    """fn(q) as a hex string, which tells -0.0 from 0.0, or the exception type."""
+    try:
+        return fn(q).hex()
+    except OverflowError:
+        return "OverflowError"
+
+
+def test_float_rounding_matches_fraction_comparison_on_seeded_rationals():
+    """float_down and float_up give the bits of rounding by float(q) and a
+    Fraction comparison, and raise where it does."""
+    rng = random.Random(20)
+    tiny = Fraction(5e-324)
+    big = Fraction(1.7976931348623157e308)
+    cases = [Fraction(0), tiny, tiny / 2, tiny / 3, Fraction(1, 10**400), big, big + 1, big * Fraction(3, 2)]
+    for _ in range(3000):
+        kind = rng.randrange(4)
+        if kind == 0:  # ordinary magnitudes
+            q = Fraction(rng.randint(-(10**20), 10**20), rng.randint(1, 10**20))
+        elif kind == 1:  # subnormal and below: multiples of 2^-1074 and rounding to +-0
+            q = tiny * Fraction(rng.randint(-(1 << 60), 1 << 60), rng.randint(1, 1 << 58))
+        elif kind == 2:  # huge numerators, around the top of the float range
+            q = Fraction(rng.randint(1, 10**330), rng.randint(1, 10**25))
+        else:  # long dyadic and non-dyadic denominators
+            q = Fraction(rng.getrandbits(200) - (1 << 199), rng.choice((1 << rng.randrange(260), rng.randint(1, 1 << 200))))
+        cases.append(q)
+    cases += [-q for q in cases]
+    seen = set()
+    for q in cases:
+        down, up = _rounded(float_down, q), _rounded(float_up, q)
+        assert down == _rounded(_fraction_float_down, q), q
+        assert up == _rounded(_fraction_float_up, q), q
+        seen.update((down, up))
+    assert {"OverflowError", "0x0.0p+0", "-0x0.0p+0", "0x0.0000000000001p-1022"} <= seen
 
 
 def test_rational_constants_get_the_tightest_float_pair():

@@ -1,16 +1,23 @@
-"""Root-bracket refinement against plain bisection.
+"""Root isolation against a reference isolator, and root-bracket refinement
+against plain bisection.
 
+``numeric.isolate_roots_1d`` settles a monotone cell by its endpoint signs
+at any width; ``util.reference_isolate_roots_1d`` waits for width 1/8 and
+refines from a first bisection step by secant guesses.  Both must return
+the same certificates, or raise the same exception.
 ``numeric._refine_bracket`` refines a bracket with one simple root by
-quadratic interval refinement, guessing the root's cell from float values
-and proving each guess with exact signs.  Its answer must be the one plain
-bisection (``util.reference_refine_bracket``) gives on the same (lo, hi):
-the same point root or the same cell, as Fractions.  A bracket not known to
-hold one root must be refined exactly as bisection does it.  The module
-needs no pytest, so it also runs as a script on an interpreter without it:
+quadratic interval refinement, guessing the root's cell from a float root
+search and proving each guess with exact signs.  Its answer must be the one
+plain bisection (``util.reference_refine_bracket``) gives on the same
+(lo, hi): the same point root or the same cell, as Fractions.  A bracket
+not known to hold one root must be refined exactly as bisection does it.
+The module needs no pytest, so it also runs as a script on an interpreter
+without it:
 
     PYTHONPATH=src python3 tests/test_refine.py
 """
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -19,28 +26,31 @@ from expalg import numeric
 from expalg.numeric import _refine_bracket, isolate_roots_1d
 from expalg.parsing import parse_epoly
 
-from util import rand_epoly, reference_refine_bracket
+from util import rand_epoly, reference_isolate_roots_1d, reference_refine_bracket
 
 #: 2^-30 makes a bracket of width 1/8 exactly 27 levels deep
 TOLS = (Fraction(1e-9), Fraction(1e-30), Fraction(1e-40), Fraction(2**-30))
 
 
-class CountingSigns:
-    """Count ``numeric.sign_at_rational`` calls inside the block, then put it back."""
+class Counting:
+    """Count the calls of ``owner.name`` inside the block, then put it back."""
+
+    def __init__(self, owner, name):
+        self.owner, self.name = owner, name
 
     def __enter__(self):
         self.calls = 0
-        self.original = numeric.sign_at_rational
+        self.original = original = getattr(self.owner, self.name)
 
-        def sign_at_rational(f, pt):
+        def counted(*args):
             self.calls += 1
-            return self.original(f, pt)
+            return original(*args)
 
-        numeric.sign_at_rational = sign_at_rational
+        setattr(self.owner, self.name, counted)
         return self
 
     def __exit__(self, *exc):
-        numeric.sign_at_rational = self.original
+        setattr(self.owner, self.name, self.original)
 
 
 def signs(f, taken=None):
@@ -93,10 +103,9 @@ def brackets_around(rng, root, count, den, width=Fraction(1, 8)):
 
 def test_dyadic_roots_match_bisection():
     # Dyadic brackets put the root on their grid at a level below the target
-    # one, so bisection stops on it and so must the refinement.  The secant
-    # of a convex increasing cubic falls short of the root and that of a
-    # concave one overshoots, so guessed cells end at the root on the right
-    # and on the left.
+    # one, so bisection stops on it and so must the refinement.  The float
+    # root is the exact one here, and the guessed cells of a convex and a
+    # concave cubic end at the root on either side.
     rng = random.Random(18)
     cases = (
         ("1024*x1 - 3", Fraction(3, 1024)),
@@ -196,6 +205,106 @@ def test_isolation_matches_bisection_on_seeded_inputs():
     assert refined >= 40, refined
 
 
+def isolate_both(f, domain, tol):
+    """(repr of (certified, uncertified) or the exception type, exact signs,
+    box evaluations) from the isolator and from the reference."""
+    out = []
+    for isolate in (isolate_roots_1d, reference_isolate_roots_1d):
+        with Counting(numeric, "sign_at_rational") as exact, Counting(numeric.TightEvaluator, "__call__") as box:
+            try:
+                result = repr(isolate(f, domain, tol))
+            except Exception as exc:  # the reference must raise the same type
+                result = type(exc).__name__
+        out.append((result, exact.calls, box.calls))
+    return out
+
+
+def test_isolation_matches_reference_on_seeded_inputs():
+    # One input in three gets the exact root 3/8, a grid point of every
+    # domain below; tol 2^-30 and 1e-40 take brackets below float
+    # resolution, and tol 0.3 and 2 and a domain of width 2^64 make the
+    # reference's cells suspects before they are 1/8 wide, so no monotone
+    # cell may settle there.  A domain at most 1/8 wide takes signs on its
+    # first cell whatever the tol.
+    rng = random.Random(2000)
+    at_grid_point = parse_epoly("x1 - 3/8")
+    kinds = set()
+    compared = 0
+    for i in range(12):
+        f = rand_epoly(rng, 1)
+        if f.is_zero():
+            continue
+        if i % 3 == 0:
+            f = f * at_grid_point
+        for domain in ((-6.0, 6.0), (-40.0, 13.0), None):
+            for tol in (1e-9, 2.0**-30, 1e-40):
+                (new, *_), (ref, *_) = isolate_both(f, domain, tol)
+                assert new == ref, (f, domain, tol)
+                kinds.update(k for k in ("SignChange", "NewtonContraction", "Uncertified") if k in new)
+                compared += 1
+        for domain, tol in (((-6.0, 6.0), 0.3), ((-6.0, 6.0), 2.0), ((0.25, 0.375), 1.0), ((0.25, 0.375), 1e-9)):
+            (new, *_), (ref, *_) = isolate_both(f, domain, tol)
+            assert new == ref, (f, domain, tol)
+    # Double roots, irrational and on the grid, leave tangential cells.
+    for text in ("(x1^2 - 2)^2*(x1 + 1)", "(8*x1 - 3)^2*(x1 - 1)"):
+        (new, *_), (ref, *_) = isolate_both(parse_epoly(text), (-6.0, 6.0), 1e-9)
+        assert new == ref, text
+        kinds.update(k for k in ("SignChange", "NewtonContraction", "Uncertified") if k in new)
+    assert kinds == {"SignChange", "NewtonContraction", "Uncertified"}, kinds
+    assert compared >= 90, compared
+    # Exact signs with exp terms at |x1| near 2^63 do not finish, so the
+    # wide domain takes a polynomial.  Its depth-64 cells are 1 wide, and
+    # the roots 3/8 and 5/8 share one.
+    f = parse_epoly("(x1 - 3/8)*(8*x1 - 5)*(3*x1 + 70)")
+    (new, *_), (ref, *_) = isolate_both(f, (-(2.0**63), 2.0**63), 1e-9)
+    assert new == ref and "UncertifiedTangential" in new, new
+
+
+def test_isolation_needs_fewer_exact_signs_than_the_reference():
+    # Monotone cells settle wide, without a box evaluation, and each
+    # one-root bracket is settled by the two signs of the cell that holds
+    # its float root: at most half the reference's signs on simple roots.
+    # Near the double roots of the last input, wide monotone cells without a
+    # root are dropped by their float values, so they add no signs either.
+    # At tol 1e-40 the first guess stops at the float resolution and
+    # bisection goes on below it.
+    for text, simple in (
+        ("(x1^3 - 2*x1 - 5)*exp(x1) - x1 + 1", True),
+        ("5*x1^3 - 15*x1 + 5 - exp(x1)", True),
+        ("(x1^2 - 2)^2", False),
+    ):
+        f = parse_epoly(text)
+        (new, n_signs, n_boxes), (ref, ref_signs, ref_boxes) = isolate_both(f, (-6.0, 6.0), 1e-9)
+        assert new == ref, text
+        assert (2 if simple else 1) * n_signs < ref_signs and n_boxes < ref_boxes, (text, n_signs, ref_signs, n_boxes, ref_boxes)
+        if simple:
+            (new, n_signs, _), (ref, ref_signs, _) = isolate_both(f, (-6.0, 6.0), 1e-40)
+            assert new == ref and n_signs < ref_signs, (text, n_signs, ref_signs)
+    # Monotone on the whole domain: two signs at its ends and two for the
+    # cell of the float root, and no box evaluation at all.
+    (new, n_signs, n_boxes), (ref, ref_signs, ref_boxes) = isolate_both(parse_epoly("3*x1 - 2 + exp(x1)"), (-6.0, 6.0), 1e-9)
+    assert new == ref and (n_signs, n_boxes) == (4, 0) and ref_boxes > 0, (n_signs, n_boxes, ref_signs, ref_boxes)
+
+
+def test_float_root_by_the_illinois_method():
+    # Plain regula falsi keeps the left end of x^10 - 1/2 on [0, 3/2] for
+    # hundreds of steps; the Illinois halving reaches adjacent floats well
+    # inside the step budget.
+    cases = (
+        ("x1^10 - 1/2", 0.0, 1.5, 0.5 ** 0.1),
+        ("exp(x1) - 2", -1.0, 1000.0, None),  # exp overflows at the right end
+        ("2*x1 + 1 - exp(x1)", 1.0, 2.0, 1.2564312086261697),
+        ("16*x1 - 1", 0.0, 0.125, 0.0625),  # a float root, hit exactly
+        ("x1^2 + 1", -1.0, 1.0, None),  # no sign change
+    )
+    for text, lo, hi, root in cases:
+        got = numeric._float_root(parse_epoly(text).float_evaluator(), lo, hi)
+        if root is None:
+            assert got is None, (text, got)
+        else:
+            assert abs(got - root) <= 4 * math.ulp(root), (text, got, root)
+
+
 def test_refinement_needs_at_most_half_the_exact_signs_of_bisection():
     # Bisection makes 27 signs per bracket of width 1/8 at tol 1e-9; a
     # return to one sign per halving fails this bound.
@@ -212,10 +321,10 @@ def test_refinement_needs_at_most_half_the_exact_signs_of_bisection():
         f = parse_epoly(text)
         for _ in range(8):
             lo = root - Fraction(rng.randint(1, 999), 8000)
-            with CountingSigns() as counter:
+            with Counting(numeric, "sign_at_rational") as counter:
                 new = _refine_bracket(signs(f), f.float_evaluator(), lo, lo + Fraction(1, 8), tol, True)
             new_calls += counter.calls
-            with CountingSigns() as counter:
+            with Counting(numeric, "sign_at_rational") as counter:
                 ref = reference_refine_bracket(signs(f), lo, lo + Fraction(1, 8), tol)
             ref_calls += counter.calls
             assert new == ref, (text, lo)

@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from expalg import factor
+from expalg import factor, numeric
 from expalg.classify import (
     IrredVerdict,
     _poly_nth_root,
@@ -17,7 +17,7 @@ from expalg.classify import (
     trial_divide,
 )
 from expalg.epoly import EPoly
-from expalg.errors import DimensionError, InternalInvariantError
+from expalg.errors import DimensionError, HypothesisViolation, InternalInvariantError
 from expalg.factor import (
     dadd,
     dderiv,
@@ -35,14 +35,18 @@ from expalg.factor import (
 from expalg.hyperplanes import Hyperplane
 from expalg.intervals import (
     Box,
+    Interval,
     Pair,
     RatInterval,
     enclose_rational_pair,
+    float_down,
+    float_up,
     pair_add,
     pair_exp,
     pair_mul,
     pair_pow,
 )
+from expalg.numeric import RootCert, default_root_domain
 from expalg.parsing import format_poly
 from expalg.poly import Poly
 
@@ -826,3 +830,159 @@ def reference_refine_bracket(sgn, lo: Fraction, hi: Fraction, tol: Fraction):
         else:
             hi = mid
     return lo, hi
+
+
+def reference_isolate_roots_1d(f: EPoly, domain=None, tol: float = 1e-9):
+    """``numeric.isolate_roots_1d`` as it was before monotone cells settled
+    at any width: endpoint signs only on cells at most ``_CERT_WIDTH`` wide,
+    and one-root brackets refined from a first bisection step by secant
+    guesses.  The isolator must return the same certificates.  Exact signs
+    go through ``numeric.sign_at_rational`` at call time, so they can be
+    counted."""
+    if f.n != 1:
+        raise DimensionError("root isolation requires a 1-variable input")
+    if f.is_zero():
+        raise HypothesisViolation("function is identically zero")
+    if domain is None:
+        domain = default_root_domain(f)
+    a = Fraction(domain[0])
+    b = Fraction(domain[1])
+    if not a < b:
+        raise ValueError("domain must be a nonempty interval")
+    if not tol > 0:
+        raise ValueError("root tolerance must be positive")
+    tol_q = Fraction(tol)
+    evaluator = numeric.TightEvaluator(f)
+    f_plan = evaluator.plan(())
+    df_plan = evaluator.plan((1,))
+
+    sign_cache: dict[Fraction, int] = {}
+
+    def sgn(x: Fraction) -> int:
+        if x not in sign_cache:
+            sign_cache[x] = numeric.sign_at_rational(f, [x])
+        return sign_cache[x]
+
+    def deriv_nonzero(lo: Fraction, hi: Fraction) -> bool:
+        dlo, dhi = df_plan([(float_down(lo), float_up(hi))])
+        return dlo > 0.0 or dhi < 0.0
+
+    def cert(kind: str, lo: Fraction, hi: Fraction) -> RootCert:
+        enc = Interval(float_down(lo), float_up(hi))
+        rlo, rhi = f_plan([(enc.lo, enc.hi)])
+        return RootCert(enc, kind, max(abs(rlo), abs(rhi)))
+
+    exact_roots: set[Fraction] = set()
+    brackets: list[tuple[Fraction, Fraction, bool]] = []
+    suspects: list[tuple[Fraction, Fraction]] = []
+    stack = [(a, b, 0)]
+    while stack:
+        lo, hi, depth = stack.pop()
+        if evaluator(Box((Interval(float_down(lo), float_up(hi)),))).excludes_zero():
+            continue
+        width = hi - lo
+        if width <= numeric._CERT_WIDTH:
+            s_lo, s_hi = sgn(lo), sgn(hi)
+            exact_roots.update(x for x, s in ((lo, s_lo), (hi, s_hi)) if s == 0)
+            if deriv_nonzero(lo, hi):
+                if s_lo * s_hi < 0:
+                    brackets.append((lo, hi, True))
+                continue
+        if width <= tol_q / 4 or depth >= numeric._ISOLATE_MAX_DEPTH:
+            suspects.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        stack.append((mid, hi, depth + 1))
+        stack.append((lo, mid, depth + 1))
+
+    uncertified: list[RootCert] = []
+    for lo, hi in numeric._merge_cells(suspects):
+        if any(lo <= r <= hi for r in exact_roots):
+            continue
+        if sgn(lo) * sgn(hi) < 0:
+            brackets.append((lo, hi, False))
+        elif not deriv_nonzero(lo, hi):
+            uncertified.append(cert("UncertifiedTangential", lo, hi))
+
+    certs: list[RootCert] = []
+    value = f.float_evaluator()
+    for lo, hi, one_root in brackets:
+        lo, hi = _reference_secant_refine(sgn, value, lo, hi, tol_q, one_root)
+        if lo == hi:
+            exact_roots.add(lo)
+        else:
+            certs.append(cert("SignChange", lo, hi))
+
+    h = max(tol_q / 2, Fraction(1, 1 << 40))
+    for x in sorted(exact_roots):
+        if deriv_nonzero(x - h, x + h):
+            enc = Interval(float_down(x), float_up(x))
+            certs.append(RootCert(enc, "NewtonContraction", 0.0))
+        else:
+            uncertified.append(cert("UncertifiedTangential", x - h, x + h))
+
+    certs.sort(key=lambda r: r.enclosure.lo)
+    for r1, r2 in zip(certs, certs[1:]):
+        if r1.enclosure.hi >= r2.enclosure.lo:
+            raise InternalInvariantError("certified enclosures overlap")
+    return certs, sorted(uncertified, key=lambda r: r.enclosure.lo)
+
+
+def _reference_secant_refine(sgn, value, lo: Fraction, hi: Fraction, tol: Fraction, one_root: bool):
+    """Bisection's answer for [lo, hi] by quadratic interval refinement that
+    starts with one bisection step and guesses each cell by one float
+    secant step; a bracket not known to hold one root is only bisected."""
+    s_lo, s_hi = sgn(lo), sgn(hi)
+    if s_lo * s_hi >= 0:
+        raise InternalInvariantError("refine_bracket needs opposite endpoint signs")
+    ratio = (hi - lo) / tol
+    levels = (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
+    m = 1
+    while levels:
+        m = min(m, levels)
+        j = _reference_secant_cell(value, lo, hi, m) if one_root and m > 1 else None
+        if j is None:
+            mid = (lo + hi) / 2
+            s_mid = sgn(mid)
+            if s_mid == 0:
+                return mid, mid
+            if s_mid == s_lo:
+                lo = mid
+            else:
+                hi = mid
+            levels -= 1
+            m = 2
+            continue
+        width = (hi - lo) / (1 << m)
+        a, b = lo + j * width, lo + (j + 1) * width
+        s_a = sgn(a)
+        if s_a == 0:
+            return a, a
+        if s_a == s_lo:
+            s_b = sgn(b)
+            if s_b == 0:
+                return b, b
+            if s_b == s_hi:
+                lo, hi = a, b
+                levels -= m
+                m *= 2
+                continue
+        m //= 2
+    return lo, hi
+
+
+def _reference_secant_cell(value, lo: Fraction, hi: Fraction, m: int):
+    """Index of the cell of [lo, hi] split in 2^m where the float secant
+    meets 0, or None when the floats give no hint."""
+    x_lo, x_hi = float(lo), float(hi)
+    if x_hi - x_lo <= math.ulp(max(abs(x_lo), abs(x_hi))) * (1 << m):
+        return None
+    try:
+        v_lo, v_hi = value([x_lo]), value([x_hi])
+    except OverflowError:
+        return None
+    if not (math.isfinite(v_lo) and math.isfinite(v_hi)):
+        return None
+    if not (v_lo < 0.0 < v_hi or v_hi < 0.0 < v_lo):
+        return None
+    return min(int(v_lo / (v_lo - v_hi) * (1 << m)), (1 << m) - 1)
