@@ -7,17 +7,24 @@ whose libm error is not formally bounded to a half ulp).  They are the
 semantics: ``numeric.EvalPlan`` runs whole plans in an inlined kernel that
 reproduces them bit for bit, and the mean-value step calls them directly.
 ``Interval`` is the validated record that boxes, root enclosures and reports
-carry; it does no arithmetic.  Rigorous mode works on Fraction endpoints:
-ring operations are exact, exp is enclosed by an argument-reduced Taylor
-series with an explicit Lagrange remainder, and endpoints are rounded
-outward to a fixed dyadic precision after each step so denominators stay
-bounded.  Every intermediate value of that exp enclosure lies on a dyadic
-grid, so it is computed in integer fixed point (the numerators over a power
-of two) and only the two returned endpoints become Fractions.  One rule
-rounds a rational to floats: ``float_down`` and ``float_up`` give the
-nearest float below and above it, and both ``enclose_rational_pair`` (a fast
-plan's constants) and ``RatInterval.to_float_pair`` (a rigorous result)
-return that pair.
+carry; it does no arithmetic.
+
+Rigorous mode works on rational endpoints held as integers: the ``rat_*``
+functions take and return (lo_num, lo_den, hi_num, hi_den).  Ring
+operations are exact, ends that are equal stay exact, and every other end is
+floored or ceiled onto a fixed dyadic grid so the numbers stay bounded; ends
+are compared by cross-multiplication, so no fraction needs lowest terms.  exp
+is enclosed by ``exp_fixed``, an argument-reduced Taylor series with an
+explicit Lagrange remainder in integer fixed point: every intermediate value
+is a numerator over a power of two, and so are the two bounds it returns.
+``exp_bounds`` is the same enclosure as two Fractions, for exact signs.
+``RatInterval`` is the record of a rigorous interval with Fraction ends,
+over the same ``rat_*`` functions, as ``Interval`` is for float pairs.
+
+One rule rounds a rational to floats: ``ratio_down`` and ``ratio_up`` give
+the nearest float below and above n / d (``float_down`` and ``float_up`` of
+a Fraction), and both ``enclose_rational_pair`` (a fast plan's constants)
+and ``rat_float_pair`` (a rigorous result) return that pair.
 
 Overflow in fast mode widens to an infinite endpoint rather than raising; a
 rational beyond the float range raises ``OverflowError`` when it is rounded.
@@ -98,24 +105,32 @@ Pair = tuple[float, float]
 _next = math.nextafter
 
 
-def float_down(q: Fraction) -> float:
-    """Largest float <= q; OverflowError beyond the float range.
+def ratio_down(n: int, d: int) -> float:
+    """Largest float <= n / d for d > 0; OverflowError beyond the float range.
 
-    ``n / d`` on ints is correctly rounded, as ``float(q)`` is, and the
-    nearest float v = a / b lies above q exactly when a d > n b.
+    ``n / d`` on ints is correctly rounded, and the nearest float v = a / b
+    lies above n / d exactly when a d > n b.
     """
-    n, d = q.numerator, q.denominator
     v = n / d
     a, b = v.as_integer_ratio()
     return _next(v, -_INF) if a * d > n * b else v
 
 
-def float_up(q: Fraction) -> float:
-    """Smallest float >= q; OverflowError beyond the float range."""
-    n, d = q.numerator, q.denominator
+def ratio_up(n: int, d: int) -> float:
+    """Smallest float >= n / d for d > 0; OverflowError beyond the float range."""
     v = n / d
     a, b = v.as_integer_ratio()
     return _next(v, _INF) if a * d < n * b else v
+
+
+def float_down(q: Fraction) -> float:
+    """Largest float <= q; OverflowError beyond the float range."""
+    return ratio_down(q.numerator, q.denominator)
+
+
+def float_up(q: Fraction) -> float:
+    """Smallest float >= q; OverflowError beyond the float range."""
+    return ratio_up(q.numerator, q.denominator)
 
 
 def enclose_rational_pair(c: Fraction | int) -> Pair:
@@ -210,8 +225,23 @@ class Box:
 
 
 # ---------------------------------------------------------------------------
-# Rigorous (rational endpoint) arithmetic
+# Rigorous arithmetic: rational endpoints on integers
 # ---------------------------------------------------------------------------
+#
+# A rigorous interval is four integers (lo_num, lo_den, hi_num, hi_den), both
+# denominators positive and neither fraction necessarily in lowest terms.
+# Every rule depends on the values alone: ring operations are exact, a result
+# whose ends are equal stays exact (so exact zeros survive), and any other
+# result is floored and ceiled onto the grid of 2^-RIGOROUS_BITS, which keeps
+# its numbers bounded.  Ends are compared by cross-multiplication.  The
+# ``rat_*`` functions define this arithmetic, and the rigorous backend of
+# ``numeric.EvalPlan`` runs whole plans on them.  ``RatInterval`` is their
+# record with Fraction ends; ``round_down`` and ``round_up`` are the grid
+# rule on Fractions.
+
+RatEnds = tuple[int, int, int, int]
+
+_GRID = 1 << RIGOROUS_BITS
 
 
 def round_down(x: Fraction, bits: int = RIGOROUS_BITS) -> Fraction:
@@ -222,16 +252,134 @@ def round_up(x: Fraction, bits: int = RIGOROUS_BITS) -> Fraction:
     return Fraction(-((-x.numerator << bits) // x.denominator), 1 << bits)
 
 
+def rat_interval(ln: int, ld: int, hn: int, hd: int) -> RatEnds:
+    """[ln / ld, hn / hd] exact when its ends are equal, else on the grid."""
+    if ln * hd == hn * ld:
+        return (ln, ld, hn, hd)
+    if ld != _GRID:
+        ln = (ln << RIGOROUS_BITS) // ld
+    if hd != _GRID:
+        hn = -((-hn << RIGOROUS_BITS) // hd)
+    return (ln, _GRID, hn, _GRID)
+
+
+def rat_add(a: RatEnds, b: RatEnds) -> RatEnds:
+    """a + b, each end summed over the least common denominator."""
+    ln, ld, hn, hd = a
+    bln, bld, bhn, bhd = b
+    if ld == bld:
+        ln += bln
+    else:
+        g = math.gcd(ld, bld)
+        ld //= g
+        ln, ld = ln * (bld // g) + bln * ld, ld * bld
+    if hd == bhd:
+        hn += bhn
+    else:
+        g = math.gcd(hd, bhd)
+        hd //= g
+        hn, hd = hn * (bhd // g) + bhn * hd, hd * bhd
+    return rat_interval(ln, ld, hn, hd)
+
+
+def rat_mul(a: RatEnds, b: RatEnds) -> RatEnds:
+    """a b, its ends taken from the sign-case table of interval products.
+
+    With exact products the table gives the min and max of the four
+    endpoint products (Moore, Kearfott & Cloud, *Introduction to Interval
+    Analysis*, SIAM 2009, section 2.2); only two straddling factors need a
+    comparison.
+    """
+    aln, ald, ahn, ahd = a
+    bln, bld, bhn, bhd = b
+    if bln >= 0:  # b >= 0
+        if aln >= 0:
+            return rat_interval(aln * bln, ald * bld, ahn * bhn, ahd * bhd)
+        if ahn <= 0:
+            return rat_interval(aln * bhn, ald * bhd, ahn * bln, ahd * bld)
+        return rat_interval(aln * bhn, ald * bhd, ahn * bhn, ahd * bhd)
+    if bhn <= 0:  # b <= 0
+        if aln >= 0:
+            return rat_interval(ahn * bln, ahd * bld, aln * bhn, ald * bhd)
+        if ahn <= 0:
+            return rat_interval(ahn * bhn, ahd * bhd, aln * bln, ald * bld)
+        return rat_interval(ahn * bln, ahd * bld, aln * bln, ald * bld)
+    # b straddles 0
+    if aln >= 0:
+        return rat_interval(ahn * bln, ahd * bld, ahn * bhn, ahd * bhd)
+    if ahn <= 0:
+        return rat_interval(aln * bhn, ald * bhd, aln * bln, ald * bld)
+    ln, ld = aln * bhn, ald * bhd
+    n, d = ahn * bln, ahd * bld
+    if n * ld < ln * d:
+        ln, ld = n, d
+    hn, hd = aln * bln, ald * bld
+    n, d = ahn * bhn, ahd * bhd
+    if n * hd > hn * d:
+        hn, hd = n, d
+    return rat_interval(ln, ld, hn, hd)
+
+
+def rat_pow(a: RatEnds, k: int) -> RatEnds:
+    """a^k for k >= 1."""
+    ln, ld, hn, hd = a
+    if k % 2 == 0 and ln <= 0 <= hn:
+        if -ln * hd > hn * ld:
+            hn, hd = -ln, ld
+        return rat_interval(0, 1, hn**k, hd**k)
+    if k % 2 == 0 and hn < 0:
+        return rat_interval(hn**k, hd**k, ln**k, ld**k)
+    return rat_interval(ln**k, ld**k, hn**k, hd**k)
+
+
+def rat_scale(a: RatEnds, n: int, d: int) -> RatEnds:
+    """a times the rational n / d, d > 0."""
+    ln, ld, hn, hd = a
+    if n >= 0:
+        return rat_interval(ln * n, ld * d, hn * n, hd * d)
+    return rat_interval(hn * n, hd * d, ln * n, ld * d)
+
+
+def rat_exp(a: RatEnds, bits: int = RIGOROUS_BITS, memo: dict | None = None) -> RatEnds:
+    """e^a: the lower end of ``exp_fixed`` at a's lower end, the upper at its upper.
+
+    ``memo`` maps (numerator, denominator, bits) to ``exp_fixed``'s result,
+    so a caller that meets the same arguments again can keep one.
+    """
+    ln, ld, hn, hd = a
+    if memo is None:
+        memo = {}
+    lo_key = (ln, ld, bits)
+    lo_e = memo.get(lo_key)
+    if lo_e is None:
+        lo_e = memo[lo_key] = exp_fixed(ln, ld, bits)
+    hi_e = lo_e
+    if ln * hd != hn * ld:
+        hi_key = (hn, hd, bits)
+        hi_e = memo.get(hi_key)
+        if hi_e is None:
+            hi_e = memo[hi_key] = exp_fixed(hn, hd, bits)
+    return rat_interval(lo_e[0], 1 << lo_e[2], hi_e[1], 1 << hi_e[2])
+
+
+def rat_float_pair(a: RatEnds) -> Pair:
+    """Smallest float (lo, hi) enclosing the interval."""
+    return (ratio_down(a[0], a[1]), ratio_up(a[2], a[3]))
+
+
 class RatInterval:
-    """Interval with exact rational endpoints, rounded outward to a dyadic grid."""
+    """Record of a rigorous interval with Fraction ends.
+
+    Unequal ends land on the dyadic grid unless ``exact`` keeps them (as for
+    box sides).  Its operations are the ``rat_*`` functions on the ends'
+    numerators and denominators.
+    """
 
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: Fraction, hi: Fraction, exact: bool = False):
         if lo > hi:
             raise ValueError("invalid rational interval")
-        # Degenerate rational endpoints are kept exact so that, e.g., exact
-        # zeros survive; everything else lands on the dyadic grid.
         if exact or lo == hi:
             self.lo, self.hi = lo, hi
         else:
@@ -242,46 +390,40 @@ class RatInterval:
         v = Fraction(v)
         return cls(v, v, exact=True)
 
+    @classmethod
+    def of_ends(cls, a: RatEnds) -> RatInterval:
+        return cls(Fraction(a[0], a[1]), Fraction(a[2], a[3]), exact=True)
+
+    def ends(self) -> RatEnds:
+        return (self.lo.numerator, self.lo.denominator, self.hi.numerator, self.hi.denominator)
+
     def __add__(self, other: RatInterval) -> RatInterval:
-        return RatInterval(self.lo + other.lo, self.hi + other.hi)
+        return RatInterval.of_ends(rat_add(self.ends(), other.ends()))
 
     def __mul__(self, other: RatInterval) -> RatInterval:
-        products = [
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        ]
-        return RatInterval(min(products), max(products))
+        return RatInterval.of_ends(rat_mul(self.ends(), other.ends()))
 
     def pow_int(self, k: int) -> RatInterval:
         """self^k for k >= 1."""
-        if k % 2 == 0 and self.lo <= 0 <= self.hi:
-            m = max(-self.lo, self.hi)
-            return RatInterval(Fraction(0), m**k)
-        lo, hi = sorted((self.lo**k, self.hi**k))
-        return RatInterval(lo, hi)
+        return RatInterval.of_ends(rat_pow(self.ends(), k))
 
     def scale(self, c: Fraction) -> RatInterval:
-        if c >= 0:
-            return RatInterval(self.lo * c, self.hi * c)
-        return RatInterval(self.hi * c, self.lo * c)
+        c = Fraction(c)
+        return RatInterval.of_ends(rat_scale(self.ends(), c.numerator, c.denominator))
 
     def exp(self, bits: int = RIGOROUS_BITS) -> RatInterval:
-        lo, _ = exp_bounds(self.lo, bits)
-        _, hi = exp_bounds(self.hi, bits)
-        return RatInterval(lo, hi)
+        return RatInterval.of_ends(rat_exp(self.ends(), bits))
 
     def to_float_pair(self) -> Pair:
         """Smallest float (lo, hi) enclosing the interval."""
-        return (float_down(self.lo), float_up(self.hi))
+        return rat_float_pair(self.ends())
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"RatInterval({float(self.lo)}, {float(self.hi)})"
 
 
 def exp_bounds(q: Fraction, bits: int = RIGOROUS_BITS) -> tuple[Fraction, Fraction]:
-    """Rational lower/upper bounds for e^q.
+    """Rational lower/upper bounds for e^q: ``exp_fixed`` as Fractions.
 
     For q >= 0 the error is relative: hi - lo < 2^-bits e^q.  For q < 0 it
     is absolute: each bound is the reciprocal of one for -q, floored or
@@ -290,31 +432,37 @@ def exp_bounds(q: Fraction, bits: int = RIGOROUS_BITS) -> tuple[Fraction, Fracti
     propagated relative error.  At 96 bits the relative 2^-96 still holds
     at q = -5 but not at q = -6; at q = -50 the width is 2.6e-10 e^q, and
     e^-2800 gets the bounds 0 and 2^-104.
-
-    Strategy: for q > 0 reduce the argument by halving until r = q / 2^k is at
-    most 1/4, sum the Taylor series for e^r until the next term is below the
-    target, bound the tail by term * 4/3 (geometric, since r <= 1/4), then
-    square the enclosure k times.  Negative arguments go through the exact
-    reciprocal.  All intermediate endpoints are rounded outward to the dyadic
-    grid at a few guard bits beyond the target.
-
-    Each value on a grid of b bits is held as the integer numerator over 2^b
-    (integer fixed point), so every step is one floor or ceiling division
-    and the sums are integer additions; the enclosure is the one that exact
-    rational steps rounded outward to the same grids give.
     """
-    if q == 0:
-        return Fraction(1), Fraction(1)
-    if q < 0:
-        lo, hi = exp_bounds(-q, bits)
+    lo, hi, work = exp_fixed(q.numerator, q.denominator, bits)
+    return Fraction(lo, 1 << work), Fraction(hi, 1 << work)
+
+
+def exp_fixed(a: int, b: int, bits: int = RIGOROUS_BITS) -> tuple[int, int, int]:
+    """Bounds for e^(a / b), b > 0, in integer fixed point: (lo, hi, work)
+    for the enclosure [lo / 2^work, hi / 2^work].
+
+    Strategy: for q = a / b > 0 reduce the argument by halving until r =
+    q / 2^k is at most 1/4, sum the Taylor series for e^r until the next
+    term is below the target, bound the tail by term * 4/3 (geometric, since
+    r <= 1/4), then square the enclosure k times.  Negative arguments go
+    through the exact reciprocal.  All intermediate endpoints are rounded
+    outward to the dyadic grid at a few guard bits beyond the target.
+
+    Each value on a grid of g bits is held as the integer numerator over
+    2^g, so every step is one floor or ceiling division and the sums are
+    integer additions; the enclosure is the one that exact rational steps
+    rounded outward to the same grids give, and it depends on the value
+    a / b alone.
+    """
+    if a == 0:
+        return 1, 1, 0
+    if a < 0:
+        lo, hi, w = exp_fixed(-a, b, bits)
         work = bits + 8
-        return (
-            Fraction((hi.denominator << work) // hi.numerator, 1 << work),
-            Fraction(-((-lo.denominator << work) // lo.numerator), 1 << work),
-        )
+        one = 1 << (work + w)
+        return one // hi, -(-one // lo), work
 
     # k is the least integer with r = a / (b 2^k) <= 1/4.
-    a, b = q.numerator, q.denominator
     k = max(0, (4 * a).bit_length() - b.bit_length())
     if b << k < 4 * a:
         k += 1
@@ -339,4 +487,4 @@ def exp_bounds(q: Fraction, bits: int = RIGOROUS_BITS) -> tuple[Fraction, Fracti
     # Numerators over 2^work.
     for _ in range(k):
         lo, hi = lo * lo >> work, -(-hi * hi >> work)
-    return Fraction(lo, 1 << work), Fraction(hi, 1 << work)
+    return lo, hi, work

@@ -18,16 +18,19 @@ from an ``EPoly``: the terms in canonical order with their coefficient and
 spectrum enclosures precomputed.  A plan runs on one of two backends.  Fast
 mode is one hand-written float kernel: it computes on local floats exactly
 what the outward-rounded ``pair_*`` operations of ``intervals`` would, bit
-for bit, without a call or a tuple per operation.  Rigorous mode is a loop
-over ``RatInterval`` arithmetic with rational endpoints.  The mean-value
-step of ``TightEvaluator`` combines plan results with the ``pair_*``
-operations themselves.  The transversality check's Jacobian minors are
-EPolys too, so it ranks them by their float values and encloses the
-decisive one with a plan.
+for bit, without a call or a tuple per operation.  Rigorous mode runs the
+same loop on the integer ``rat_*`` arithmetic of ``intervals``: rational
+endpoints as (numerator, denominator) integers, with the fixed-point exp
+core ``exp_fixed``; no Fraction is built.  The mean-value step of
+``TightEvaluator`` combines plan results with the ``pair_*`` operations
+themselves.  The transversality check's Jacobian minors are EPolys too, so
+it ranks them by their float values and encloses the decisive one with a
+plan.
 ``Interval`` only carries results: box sides, enclosures returned to
 callers, root enclosures.  ``TightEvaluator``, the root isolator and the
-transversality check keep their plans for as long as they run; nothing is
-cached globally.
+transversality check keep their plans for as long as they run, and a
+rigorous plan keeps the exp enclosures it computed, one per distinct
+argument; nothing is cached globally.
 
 Root certificates come in three kinds.  ``SignChange`` encloses a root whose
 existence follows from verified opposite signs at the endpoints (and whose
@@ -57,7 +60,6 @@ from .intervals import (
     Box,
     Interval,
     Pair,
-    RatInterval,
     enclose_rational_pair,
     exp_bounds,
     float_down,
@@ -65,6 +67,12 @@ from .intervals import (
     pair_add,
     pair_exp,
     pair_mul,
+    rat_add,
+    rat_exp,
+    rat_float_pair,
+    rat_mul,
+    rat_pow,
+    rat_scale,
 )
 from .poly import Poly
 
@@ -94,8 +102,6 @@ def _is_exact(mode: str) -> bool:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-#: the rigorous backend's additive zero, shared by every plan call
-_RAT_ZERO = RatInterval.exact_point(0)
 #: the exp enclosure of a group without exponential: ``pair_exp((0, 0))``
 _EXP0_LO, _EXP0_HI = pair_exp((0.0, 0.0))
 
@@ -105,7 +111,7 @@ class EvalPlan:
 
     The plan holds the terms in canonical order with their coefficient and
     spectrum enclosures precomputed: the tightest float pairs for the fast
-    backend, exact Fractions (coefficients as ``RatInterval`` points) for the
+    backend, exact integer ratios (coefficients as point intervals) for the
     rigorous one.  A call computes the natural interval extension term by
     term, with the powers x_i^e it needs computed once and shared.
 
@@ -118,18 +124,30 @@ class EvalPlan:
     known sign, and min/max of two when both straddle 0.  These differ from
     the min/max of all four products only in the sign of a zero, which the
     outward step erases.  The rigorous backend, ``_rational``, runs the same
-    loop on ``RatInterval`` arithmetic.
+    loop on the integer ``rat_*`` operations of ``intervals``, which give the
+    enclosure exact Fraction arithmetic rounded to the dyadic grid gives.
+    It keeps each exp enclosure in ``exps``, a dict from argument to
+    ``exp_fixed``'s bounds, for the life of the plan: neighbouring boxes
+    share sides, so most arguments recur.
     """
 
-    __slots__ = ("exact", "powers", "groups")
+    __slots__ = ("exact", "powers", "groups", "exps")
 
     def __init__(self, f: EPoly, exact: bool = False):
         """Plan for f on its n variables."""
         self.exact = exact
+        self.exps: dict = {}
         # A fast term is (c_lo, c_hi, slots) and a spectrum entry (i, q_lo,
-        # q_hi); a rigorous term is (c, slots) and an entry (i, q).
+        # q_hi); a rigorous term is (c, slots), with c the point interval
+        # (n, d, n, d), and an entry (i, n, d).
         if exact:
-            coeff, entry = (lambda c: (RatInterval.exact_point(c),)), (lambda q: (q,))
+
+            def coeff(c: Fraction) -> tuple:
+                return ((c.numerator, c.denominator, c.numerator, c.denominator),)
+
+            def entry(q: Fraction) -> tuple:
+                return (q.numerator, q.denominator)
+
         else:
             coeff = entry = enclose_rational_pair
         slots: dict[tuple[int, int], int] = {}  # (variable, exponent) -> power
@@ -257,21 +275,25 @@ class EvalPlan:
         return (acc_lo, acc_hi)
 
     def _rational(self, bounds: Sequence[Pair]) -> Pair:
-        """The rigorous backend: the same loop on ``RatInterval`` arithmetic."""
-        xs = [RatInterval(Fraction(lo), Fraction(hi), exact=True) for lo, hi in bounds]
-        pows = [xs[i].pow_int(k) for i, k in self.powers]
-        acc = _RAT_ZERO
+        """The rigorous backend: the same loop on the integer ``rat_*`` operations.
+
+        Box sides are exact (``as_integer_ratio``), as is the zero each sum
+        starts from.
+        """
+        xs = [(*lo.as_integer_ratio(), *hi.as_integer_ratio()) for lo, hi in bounds]
+        pows = [rat_pow(xs[i], k) for i, k in self.powers]
+        acc = (0, 1, 0, 1)
         for spec, terms in self.groups:
-            value = _RAT_ZERO
+            value = (0, 1, 0, 1)
             for term, term_slots in terms:
                 for k in term_slots:
-                    term = term * pows[k]
-                value = value + term
-            dot = _RAT_ZERO
-            for i, q in spec:
-                dot = dot + xs[i].scale(q)
-            acc = acc + value * dot.exp()
-        return acc.to_float_pair()
+                    term = rat_mul(term, pows[k])
+                value = rat_add(value, term)
+            dot = (0, 1, 0, 1)
+            for i, n, d in spec:
+                dot = rat_add(dot, rat_scale(xs[i], n, d))
+            acc = rat_add(acc, rat_mul(value, rat_exp(dot, memo=self.exps)))
+        return rat_float_pair(acc)
 
 
 def interval_eval(f: EPoly, box: Box, mode: str = "fast") -> Interval:
@@ -479,7 +501,7 @@ def isolate_roots_1d(
     refinement on the monotone cells, and bisection on merged runs of
     suspect cells.  Returns (certified, uncertified) lists, both sorted by
     position, with pairwise disjoint certified enclosures of width at most
-    ``tol``, which must be positive.
+    ``tol``, which must be positive and finite; so must the domain's ends.
 
     The result is that of plain bisection that takes signs only on cells at
     most ``_CERT_WIDTH`` wide.  There a one-root bracket ends as the cell
@@ -499,12 +521,14 @@ def isolate_roots_1d(
         raise HypothesisViolation("function is identically zero")
     if domain is None:
         domain = default_root_domain(f)
+    if not all(math.isfinite(v) for v in domain):
+        raise ValueError("domain endpoints must be finite")
     a = Fraction(domain[0])
     b = Fraction(domain[1])
     if not a < b:
         raise ValueError("domain must be a nonempty interval")
-    if not tol > 0:
-        raise ValueError("root tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("root tolerance must be positive and finite")
     tol_q = Fraction(tol)
     # The domain's bisection grid reaches _CERT_WIDTH at depth cert_depth,
     # where its cells are cert_w wide.  Monotone cells settle only if the

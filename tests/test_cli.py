@@ -247,6 +247,22 @@ def test_out_of_range_option_values_are_input_errors(capsys):
         assert err.startswith("input error: ") and err.count("\n") == 1, argv
 
 
+def test_non_finite_root_options_name_the_option(capsys):
+    # each exited 1 with "cannot convert Infinity to integer ratio: a value
+    # is outside the float range" or a bare "cannot convert NaN to integer
+    # ratio", which names neither the option nor the rule
+    for argv, message in (
+        (["roots", "--tol", "inf", "--", "3*x1 - 1"], "root tolerance must be positive and finite"),
+        (["transversal", "--root-tol", "inf", "--", "2*x1 - u1 + 1"], "root tolerance must be positive and finite"),
+        (["roots", "--domain", " -inf", "5", "--", "3*x1 - 1"], "domain endpoints must be finite"),
+        (["roots", "--domain", "0", "nan", "--", "3*x1 - 1"], "domain endpoints must be finite"),
+        (["transversal", "--domain", "0", "nan", "--", "2*x1 - u1 + 1"], "domain endpoints must be finite"),
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == cli.EXIT_INPUT and out == "", argv
+        assert err == f"input error: {message}\n", (argv, err)
+
+
 def test_ambient_below_one_is_an_input_error(capsys):
     # an ambient of 0 used to reach the drivers: classify logged "no dimension
     # check available for n >= 3", transversal asked for "-1 --coords values"

@@ -1,0 +1,69 @@
+"""Metamorphic relations of 1-D root isolation on seeded inputs.
+
+For f = P(x1, e^x1), the functions c f (c a nonzero rational) and
+u1^k f = e^(k x1) f have the zeros of f and no others.  So on one domain the
+isolator must certify as many roots for each as for f, and each certified
+enclosure of one run must meet exactly one certified enclosure of the other.
+The claims are on counts and containment, not on bytes: the float
+enclosures that steer the bisection change with how f is written, and at a
+coarse tolerance so may the width of an enclosure.
+"""
+
+import random
+from fractions import Fraction
+
+from expalg.epoly import EPoly
+from expalg.numeric import isolate_roots_1d
+from expalg.poly import Poly
+
+from util import rand_epoly
+
+DOMAIN = (-4.0, 4.0)
+TOL = 1e-6
+
+
+def certified(f: EPoly) -> list[tuple[float, float]]:
+    certs, _ = isolate_roots_1d(f, DOMAIN, TOL)
+    return [(r.enclosure.lo, r.enclosure.hi) for r in certs]
+
+
+def meets_exactly_one(mine: list[tuple[float, float]], theirs: list[tuple[float, float]]) -> bool:
+    return all(sum(1 for lo, hi in theirs if lo <= b and a <= hi) == 1 for a, b in mine)
+
+
+def seeded_inputs(seed: int, count: int) -> list[EPoly]:
+    rng = random.Random(seed)
+    inputs = []
+    while len(inputs) < count:
+        f = rand_epoly(rng, 1, max_terms=3, max_exp=3)
+        if not f.is_zero():
+            inputs.append(f)
+    return inputs
+
+
+def check_same_roots(f: EPoly, g: EPoly) -> int:
+    mine, theirs = certified(f), certified(g)
+    assert len(mine) == len(theirs), (f, g, mine, theirs)
+    assert meets_exactly_one(mine, theirs) and meets_exactly_one(theirs, mine), (f, g, mine, theirs)
+    return len(mine)
+
+
+def test_nonzero_rational_multiple_has_the_same_roots():
+    rng = random.Random(1401)
+    roots = 0
+    for f in seeded_inputs(1402, 100):
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, 10**6, Fraction(1, 10**6)))
+        roots += check_same_roots(f, f.scale(c))
+    assert roots >= 80  # the inputs have roots to compare
+
+
+def test_exponential_multiple_has_the_same_roots():
+    rng = random.Random(1403)
+    u1 = EPoly.from_poly(Poly.var(1, "u", 1))
+    roots = 0
+    for f in seeded_inputs(1404, 100):
+        g = f
+        for _ in range(rng.randint(1, 3)):
+            g = u1 * g
+        roots += check_same_roots(f, g)
+    assert roots >= 80

@@ -34,10 +34,10 @@ from expalg.factor import (
 )
 from expalg.hyperplanes import Hyperplane
 from expalg.intervals import (
+    RIGOROUS_BITS,
     Box,
     Interval,
     Pair,
-    RatInterval,
     enclose_rational_pair,
     float_down,
     float_up,
@@ -312,8 +312,8 @@ def reference_enclose_rational(c: Fraction | int) -> ReferenceInterval:
 
 
 # ---------------------------------------------------------------------------
-# Reference box evaluators: one ReferenceInterval or RatInterval object per
-# arithmetic step, term by term.  The compiled evaluation plans of
+# Reference box evaluators: one ReferenceInterval or ReferenceRatInterval
+# object per arithmetic step, term by term.  The compiled evaluation plans of
 # ``expalg.numeric`` must reproduce their enclosures bit for bit.
 # ---------------------------------------------------------------------------
 
@@ -373,8 +373,8 @@ def reference_interval_eval(f: EPoly, box: Box, mode: str = "fast") -> Reference
         xs = [ReferenceInterval(iv.lo, iv.hi) for iv in box.intervals]
         zero, coeff = reference_point(0.0), reference_enclose_rational
     elif mode == "rigorous":
-        xs = [RatInterval(Fraction(iv.lo), Fraction(iv.hi), exact=True) for iv in box.intervals]
-        zero, coeff = RatInterval.exact_point(0), RatInterval.exact_point
+        xs = [ReferenceRatInterval(Fraction(iv.lo), Fraction(iv.hi), exact=True) for iv in box.intervals]
+        zero, coeff = ReferenceRatInterval.exact_point(0), ReferenceRatInterval.exact_point
     else:
         raise ValueError(f"unknown mode {mode!r}")
     acc = zero
@@ -428,9 +428,11 @@ class ReferenceTightEvaluator:
 
 
 # ---------------------------------------------------------------------------
-# Reference rigorous exp: one normalized Fraction per Taylor step, each
+# Reference rigorous exp and interval: one normalized Fraction per step, each
 # rounded outward to its dyadic grid.  ``intervals.exp_bounds``,
-# ``round_down`` and ``round_up`` must reproduce it bit for bit.
+# ``exp_fixed``, ``round_down`` and ``round_up`` must reproduce the exp
+# bit for bit, and the integer ``rat_*`` arithmetic (with the rigorous
+# kernel of ``numeric.EvalPlan``) the interval.
 # ---------------------------------------------------------------------------
 
 
@@ -479,6 +481,66 @@ def reference_exp_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     for _ in range(k):
         lo, hi = reference_round_down(lo * lo, work), reference_round_up(hi * hi, work)
     return lo, hi
+
+
+class ReferenceRatInterval:
+    """Interval with exact rational endpoints, rounded outward to a dyadic grid.
+
+    Fraction endpoints throughout: ends that are equal stay exact, so exact
+    zeros survive, and ``exact`` keeps unequal ones too (as for box sides);
+    every other result is floored and ceiled onto the grid of
+    2^-RIGOROUS_BITS.
+    """
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: Fraction, hi: Fraction, exact: bool = False):
+        if lo > hi:
+            raise ValueError("invalid rational interval")
+        if exact or lo == hi:
+            self.lo, self.hi = lo, hi
+        else:
+            self.lo = reference_round_down(lo, RIGOROUS_BITS)
+            self.hi = reference_round_up(hi, RIGOROUS_BITS)
+
+    @classmethod
+    def exact_point(cls, v: Fraction | int) -> ReferenceRatInterval:
+        v = Fraction(v)
+        return cls(v, v, exact=True)
+
+    def __add__(self, other: ReferenceRatInterval) -> ReferenceRatInterval:
+        return ReferenceRatInterval(self.lo + other.lo, self.hi + other.hi)
+
+    def __mul__(self, other: ReferenceRatInterval) -> ReferenceRatInterval:
+        products = [
+            self.lo * other.lo,
+            self.lo * other.hi,
+            self.hi * other.lo,
+            self.hi * other.hi,
+        ]
+        return ReferenceRatInterval(min(products), max(products))
+
+    def pow_int(self, k: int) -> ReferenceRatInterval:
+        """self^k for k >= 1."""
+        if k % 2 == 0 and self.lo <= 0 <= self.hi:
+            m = max(-self.lo, self.hi)
+            return ReferenceRatInterval(Fraction(0), m**k)
+        lo, hi = sorted((self.lo**k, self.hi**k))
+        return ReferenceRatInterval(lo, hi)
+
+    def scale(self, c: Fraction) -> ReferenceRatInterval:
+        if c >= 0:
+            return ReferenceRatInterval(self.lo * c, self.hi * c)
+        return ReferenceRatInterval(self.hi * c, self.lo * c)
+
+    def exp(self, bits: int = RIGOROUS_BITS) -> ReferenceRatInterval:
+        lo, _ = reference_exp_bounds(self.lo, bits)
+        _, hi = reference_exp_bounds(self.hi, bits)
+        return ReferenceRatInterval(lo, hi)
+
+    def to_float_pair(self) -> Pair:
+        """Smallest float (lo, hi) enclosing the interval."""
+        return (float_down(self.lo), float_up(self.hi))
 
 
 # ---------------------------------------------------------------------------
