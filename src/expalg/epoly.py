@@ -29,9 +29,10 @@ pivot variable with ``poly.Substitution``, one instance (and so one power
 table) for all the coefficients.
 
 Evaluation is compiled once per instance.  ``float_evaluator`` converts the
-coefficients and spectra to floats once.  ``scaled_groups``, the one exact
-evaluation path, runs on an integer kernel that each EPoly compiles on first
-use and keeps in a private slot, outside equality and repr.
+coefficients and spectra to floats once.  ``scaled_value`` and
+``scaled_groups``, the one exact evaluation path, run on an integer kernel
+that each EPoly compiles on first use and keeps in a private slot, outside
+equality and repr.
 """
 
 from __future__ import annotations
@@ -272,18 +273,22 @@ class EPoly:
         is empty exactly when f(point) = 0, and otherwise the sign of f(point)
         is that of sum_t C_t e^t.  The point's entries are Fractions or ints.
         """
+        return self.scaled_value(point)[1]
+
+    def scaled_value(self, point: Sequence[RatLike]) -> tuple[int, dict[Fraction, int]]:
+        """(M, ``scaled_groups(point)``) with f(point) = sum_t C_t e^t / M, M > 0."""
         if self._exact is None:
             object.__setattr__(self, "_exact", self._exact_evaluator())
         return self._exact(point)
 
-    def _exact_evaluator(self) -> Callable[[Sequence[RatLike]], dict[Fraction, int]]:
-        """The kernel of ``scaled_groups``, compiled once per instance.
+    def _exact_evaluator(self) -> Callable[[Sequence[RatLike]], tuple[int, dict[Fraction, int]]]:
+        """The kernel of ``scaled_value``, compiled once per instance.
 
         Coefficients are scaled to integers by the lcm L of their
         denominators and spectra by the lcm S of theirs.  At a point with
         common denominator D and numerators v_j, the monomial c x^a of degree
         d contributes c L D^(top - d) prod v_j^a_j, where top is the largest
-        degree, and t = (sum_j s_j S v_j) / (S D); so K = 1 / (L D^top).
+        degree, and t = (sum_j s_j S v_j) / (S D); so K = 1 / M with M = L D^top.
         """
         n = self.n
         scale = math.lcm(*(c.denominator for a in self.terms.values() for c in a.terms.values()))
@@ -300,7 +305,7 @@ class EPoly:
             for spec, a in self.terms.items()
         ]
 
-        def groups(point: Sequence[RatLike]) -> dict[Fraction, int]:
+        def groups(point: Sequence[RatLike]) -> tuple[int, dict[Fraction, int]]:
             if len(point) != n:
                 raise DimensionError(f"point length {len(point)} != {n}")
             den = math.lcm(*(v.denominator for v in point))
@@ -325,6 +330,6 @@ class EPoly:
                 else:
                     sums.pop(key, None)
             t_den = spec_scale * den
-            return {Fraction(key, t_den): c for key, c in sums.items()}
+            return scale * den_pow[top], {Fraction(key, t_den): c for key, c in sums.items()}
 
         return groups

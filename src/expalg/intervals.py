@@ -1,47 +1,44 @@
-"""Outward-rounded interval arithmetic, in two flavours.
+"""Outward-rounded interval arithmetic on (lo, hi) float pairs.
 
-Fast mode works on (lo, hi) float pairs: ``pair_add``, ``pair_mul``,
-``pair_pow`` and ``pair_exp`` define the program's one float interval
-arithmetic, and each pads its result by one ulp outward (two ulps for exp,
-whose libm error is not formally bounded to a half ulp).  They are the
-semantics: ``numeric.EvalPlan`` runs whole plans in an inlined kernel that
-reproduces them bit for bit, and the mean-value step calls them directly.
-``Interval`` is the validated record that boxes, root enclosures and reports
-carry; it does no arithmetic.
+``pair_add``, ``pair_mul``, ``pair_pow`` and ``pair_exp`` define the
+program's one interval arithmetic, and each pads its result by one ulp
+outward (two ulps for exp, whose libm error is not formally bounded to a
+half ulp).  They are the semantics: ``numeric.EvalPlan`` runs whole fast
+plans in an inlined kernel that reproduces them bit for bit, and the
+mean-value step calls them directly.  ``Interval`` is the validated record
+that boxes, root enclosures and reports carry; it does no arithmetic.
 
-Rigorous mode works on rational endpoints held as integers: the ``rat_*``
-functions take and return (lo_num, lo_den, hi_num, hi_den).  Ring
-operations are exact, ends that are equal stay exact, and every other end is
-floored or ceiled onto a fixed dyadic grid so the numbers stay bounded; ends
-are compared by cross-multiplication, so no fraction needs lowest terms.  exp
-is enclosed by ``exp_fixed``, an argument-reduced Taylor series with an
-explicit Lagrange remainder in integer fixed point: every intermediate value
-is a numerator over a power of two, and so are the two bounds it returns.
-``exp_bounds`` is the same enclosure as two Fractions, for exact signs.
-``RatInterval`` is the record of a rigorous interval with Fraction ends,
-over the same ``rat_*`` functions, as ``Interval`` is for float pairs.
+Rigorous mode keeps ``pair_add`` and ``pair_mul``, whose IEEE results are
+correctly rounded, and replaces the two operations that go through libm:
+``pair_pow_exact`` takes the exact powers of the float ends, and
+``enclose_exp`` encloses e^q for a rational q by ``exp_fixed``, an
+argument-reduced Taylor series with an explicit Lagrange remainder in
+integer fixed point; both round their rational bounds outward.
+``exp_bounds`` is the same exp enclosure as two Fractions, for exact signs.
+``RatInterval`` is a validated record with Fraction ends, as ``Interval``
+is for floats.
 
 One rule rounds a rational to floats: ``ratio_down`` and ``ratio_up`` give
 the nearest float below and above n / d (``float_down`` and ``float_up`` of
-a Fraction), and both ``enclose_rational_pair`` (a fast plan's constants)
-and ``rat_float_pair`` (a rigorous result) return that pair.
-
-Overflow in fast mode widens to an infinite endpoint rather than raising; a
-rational beyond the float range raises ``OverflowError`` when it is rounded.
+a Fraction), and ``enclose_rational_pair`` returns that pair.  They raise
+``OverflowError`` beyond the float range; ``floor_float`` and
+``ceil_float``, which rigorous mode uses, widen to the largest float or an
+infinity instead, as the fast operations do.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-# Dyadic precision (bits after the binary point) for rigorous endpoints.
-# 96 bits leaves ample headroom over a 2^-52 relative enclosure of e^q for
-# q >= 0, even after repeated squarings in the argument reduction.  For
-# q < 0 the error of exp_bounds is absolute, 2^-104 (see there): relative
-# 2^-52 holds only down to q of about -36.
+# Precision of the exp enclosures of rigorous mode, in bits.  96 bits leaves
+# ample headroom over a 2^-52 relative enclosure of e^q for q >= 0, even
+# after repeated squarings in the argument reduction.  For q < 0 the error
+# of exp_bounds is absolute, 2^-104 (see there): relative 2^-52 holds only
+# down to q of about -36.
 RIGOROUS_BITS = 96
 
 _INF = math.inf
@@ -225,201 +222,75 @@ class Box:
 
 
 # ---------------------------------------------------------------------------
-# Rigorous arithmetic: rational endpoints on integers
+# Rigorous mode: certified powers and exp on float pairs
 # ---------------------------------------------------------------------------
 #
-# A rigorous interval is four integers (lo_num, lo_den, hi_num, hi_den), both
-# denominators positive and neither fraction necessarily in lowest terms.
-# Every rule depends on the values alone: ring operations are exact, a result
-# whose ends are equal stays exact (so exact zeros survive), and any other
-# result is floored and ceiled onto the grid of 2^-RIGOROUS_BITS, which keeps
-# its numbers bounded.  Ends are compared by cross-multiplication.  The
-# ``rat_*`` functions define this arithmetic, and the rigorous backend of
-# ``numeric.EvalPlan`` runs whole plans on them.  ``RatInterval`` is their
-# record with Fraction ends; ``round_down`` and ``round_up`` are the grid
-# rule on Fractions.
+# IEEE 754 rounds a sum or product correctly (IEEE 754-2008, section 5.4),
+# so ``pair_add`` and ``pair_mul`` are sound as they stand; libm's powers and
+# exp carry no such guarantee, so rigorous mode replaces them.
 
-RatEnds = tuple[int, int, int, int]
-
-_GRID = 1 << RIGOROUS_BITS
+_MAX = sys.float_info.max
+_TINY = math.ulp(0.0)
 
 
-def round_down(x: Fraction, bits: int = RIGOROUS_BITS) -> Fraction:
-    return Fraction((x.numerator << bits) // x.denominator, 1 << bits)
+def floor_float(n: int, d: int) -> float:
+    """``ratio_down(n, d)``, or the largest float or -inf beyond the float range."""
+    try:
+        return ratio_down(n, d)
+    except OverflowError:
+        return _MAX if n > 0 else -_INF
 
 
-def round_up(x: Fraction, bits: int = RIGOROUS_BITS) -> Fraction:
-    return Fraction(-((-x.numerator << bits) // x.denominator), 1 << bits)
+def ceil_float(n: int, d: int) -> float:
+    """``ratio_up(n, d)``, or inf or the most negative float beyond the float range."""
+    try:
+        return ratio_up(n, d)
+    except OverflowError:
+        return _INF if n > 0 else -_MAX
 
 
-def rat_interval(ln: int, ld: int, hn: int, hd: int) -> RatEnds:
-    """[ln / ld, hn / hd] exact when its ends are equal, else on the grid."""
-    if ln * hd == hn * ld:
-        return (ln, ld, hn, hd)
-    if ld != _GRID:
-        ln = (ln << RIGOROUS_BITS) // ld
-    if hd != _GRID:
-        hn = -((-hn << RIGOROUS_BITS) // hd)
-    return (ln, _GRID, hn, _GRID)
+def pair_pow_exact(a: Pair, k: int) -> Pair:
+    """a^k for k >= 1 from the exact powers of its float ends, rounded outward."""
+    lo, hi = a
+    if k == 1:
+        return a
+    if k % 2 == 0 and lo <= 0.0 <= hi:
+        n, d = (hi if hi > -lo else -lo).as_integer_ratio()
+        return (0.0, ceil_float(n**k, d**k))
+    if k % 2 == 0 and hi < 0.0:
+        lo, hi = -hi, -lo
+    ln, ld = lo.as_integer_ratio()
+    hn, hd = hi.as_integer_ratio()
+    return (floor_float(ln**k, ld**k), ceil_float(hn**k, hd**k))
 
 
-def rat_add(a: RatEnds, b: RatEnds) -> RatEnds:
-    """a + b, each end summed over the least common denominator."""
-    ln, ld, hn, hd = a
-    bln, bld, bhn, bhd = b
-    if ld == bld:
-        ln += bln
-    else:
-        g = math.gcd(ld, bld)
-        ld //= g
-        ln, ld = ln * (bld // g) + bln * ld, ld * bld
-    if hd == bhd:
-        hn += bhn
-    else:
-        g = math.gcd(hd, bhd)
-        hd //= g
-        hn, hd = hn * (bhd // g) + bhn * hd, hd * bhd
-    return rat_interval(ln, ld, hn, hd)
+def enclose_exp(n: int, d: int) -> Pair:
+    """Float bounds for e^(n / d), d > 0: ``exp_fixed``'s rounded outward.
 
-
-def rat_mul(a: RatEnds, b: RatEnds) -> RatEnds:
-    """a b, its ends taken from the sign-case table of interval products.
-
-    With exact products the table gives the min and max of the four
-    endpoint products (Moore, Kearfott & Cloud, *Introduction to Interval
-    Analysis*, SIAM 2009, section 2.2); only two straddling factors need a
-    comparison.
+    Past 709.79 or below -745.2 no ``exp_fixed`` runs: the bounds are the
+    largest float and inf, or 0 and the smallest subnormal.
     """
-    aln, ald, ahn, ahd = a
-    bln, bld, bhn, bhd = b
-    if bln >= 0:  # b >= 0
-        if aln >= 0:
-            return rat_interval(aln * bln, ald * bld, ahn * bhn, ahd * bhd)
-        if ahn <= 0:
-            return rat_interval(aln * bhn, ald * bhd, ahn * bln, ahd * bld)
-        return rat_interval(aln * bhn, ald * bhd, ahn * bhn, ahd * bhd)
-    if bhn <= 0:  # b <= 0
-        if aln >= 0:
-            return rat_interval(ahn * bln, ahd * bld, aln * bhn, ald * bhd)
-        if ahn <= 0:
-            return rat_interval(ahn * bhn, ahd * bhd, aln * bln, ald * bld)
-        return rat_interval(ahn * bln, ahd * bld, aln * bln, ald * bld)
-    # b straddles 0
-    if aln >= 0:
-        return rat_interval(ahn * bln, ahd * bld, ahn * bhn, ahd * bhd)
-    if ahn <= 0:
-        return rat_interval(aln * bhn, ald * bhd, aln * bln, ald * bld)
-    ln, ld = aln * bhn, ald * bhd
-    n, d = ahn * bln, ahd * bld
-    if n * ld < ln * d:
-        ln, ld = n, d
-    hn, hd = aln * bln, ald * bld
-    n, d = ahn * bhn, ahd * bhd
-    if n * hd > hn * d:
-        hn, hd = n, d
-    return rat_interval(ln, ld, hn, hd)
-
-
-def rat_pow(a: RatEnds, k: int) -> RatEnds:
-    """a^k for k >= 1."""
-    ln, ld, hn, hd = a
-    if k % 2 == 0 and ln <= 0 <= hn:
-        if -ln * hd > hn * ld:
-            hn, hd = -ln, ld
-        return rat_interval(0, 1, hn**k, hd**k)
-    if k % 2 == 0 and hn < 0:
-        return rat_interval(hn**k, hd**k, ln**k, ld**k)
-    return rat_interval(ln**k, ld**k, hn**k, hd**k)
-
-
-def rat_scale(a: RatEnds, n: int, d: int) -> RatEnds:
-    """a times the rational n / d, d > 0."""
-    ln, ld, hn, hd = a
-    if n >= 0:
-        return rat_interval(ln * n, ld * d, hn * n, hd * d)
-    return rat_interval(hn * n, hd * d, ln * n, ld * d)
-
-
-def rat_exp(a: RatEnds, bits: int = RIGOROUS_BITS, memo: dict | None = None) -> RatEnds:
-    """e^a: the lower end of ``exp_fixed`` at a's lower end, the upper at its upper.
-
-    ``memo`` maps (numerator, denominator, bits) to ``exp_fixed``'s result,
-    so a caller that meets the same arguments again can keep one.
-    """
-    ln, ld, hn, hd = a
-    if memo is None:
-        memo = {}
-    lo_key = (ln, ld, bits)
-    lo_e = memo.get(lo_key)
-    if lo_e is None:
-        lo_e = memo[lo_key] = exp_fixed(ln, ld, bits)
-    hi_e = lo_e
-    if ln * hd != hn * ld:
-        hi_key = (hn, hd, bits)
-        hi_e = memo.get(hi_key)
-        if hi_e is None:
-            hi_e = memo[hi_key] = exp_fixed(hn, hd, bits)
-    return rat_interval(lo_e[0], 1 << lo_e[2], hi_e[1], 1 << hi_e[2])
-
-
-def rat_float_pair(a: RatEnds) -> Pair:
-    """Smallest float (lo, hi) enclosing the interval."""
-    return (ratio_down(a[0], a[1]), ratio_up(a[2], a[3]))
+    if 100 * n > 70979 * d:
+        return (_MAX, _INF)
+    if 10 * n < -7452 * d:
+        return (0.0, _TINY)
+    lo, hi, work = exp_fixed(n, d, RIGOROUS_BITS)
+    return (floor_float(lo, 1 << work), ceil_float(hi, 1 << work))
 
 
 class RatInterval:
-    """Record of a rigorous interval with Fraction ends.
+    """Closed rational interval [lo, hi] with Fraction ends, lo <= hi.
 
-    Unequal ends land on the dyadic grid unless ``exact`` keeps them (as for
-    box sides).  Its operations are the ``rat_*`` functions on the ends'
-    numerators and denominators.
+    A validated record, as ``Interval`` is for floats; it does no
+    arithmetic.
     """
 
     __slots__ = ("lo", "hi")
 
-    def __init__(self, lo: Fraction, hi: Fraction, exact: bool = False):
+    def __init__(self, lo: Fraction, hi: Fraction):
         if lo > hi:
             raise ValueError("invalid rational interval")
-        if exact or lo == hi:
-            self.lo, self.hi = lo, hi
-        else:
-            self.lo, self.hi = round_down(lo), round_up(hi)
-
-    @classmethod
-    def exact_point(cls, v: Fraction | int) -> RatInterval:
-        v = Fraction(v)
-        return cls(v, v, exact=True)
-
-    @classmethod
-    def of_ends(cls, a: RatEnds) -> RatInterval:
-        return cls(Fraction(a[0], a[1]), Fraction(a[2], a[3]), exact=True)
-
-    def ends(self) -> RatEnds:
-        return (self.lo.numerator, self.lo.denominator, self.hi.numerator, self.hi.denominator)
-
-    def __add__(self, other: RatInterval) -> RatInterval:
-        return RatInterval.of_ends(rat_add(self.ends(), other.ends()))
-
-    def __mul__(self, other: RatInterval) -> RatInterval:
-        return RatInterval.of_ends(rat_mul(self.ends(), other.ends()))
-
-    def pow_int(self, k: int) -> RatInterval:
-        """self^k for k >= 1."""
-        return RatInterval.of_ends(rat_pow(self.ends(), k))
-
-    def scale(self, c: Fraction) -> RatInterval:
-        c = Fraction(c)
-        return RatInterval.of_ends(rat_scale(self.ends(), c.numerator, c.denominator))
-
-    def exp(self, bits: int = RIGOROUS_BITS) -> RatInterval:
-        return RatInterval.of_ends(rat_exp(self.ends(), bits))
-
-    def to_float_pair(self) -> Pair:
-        """Smallest float (lo, hi) enclosing the interval."""
-        return rat_float_pair(self.ends())
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"RatInterval({float(self.lo)}, {float(self.hi)})"
+        self.lo, self.hi = lo, hi
 
 
 def exp_bounds(q: Fraction, bits: int = RIGOROUS_BITS) -> tuple[Fraction, Fraction]:

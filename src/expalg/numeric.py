@@ -15,21 +15,18 @@ in floats by the Illinois method; two exact signs prove the cell.
 
 All box evaluation goes through one ``EvalPlan`` per function, compiled once
 from an ``EPoly``: the terms in canonical order with their coefficient and
-spectrum enclosures precomputed.  A plan runs on one of two backends.  Fast
-mode is one hand-written float kernel: it computes on local floats exactly
-what the outward-rounded ``pair_*`` operations of ``intervals`` would, bit
-for bit, without a call or a tuple per operation.  Rigorous mode runs the
-same loop on the integer ``rat_*`` arithmetic of ``intervals``: rational
-endpoints as (numerator, denominator) integers, with the fixed-point exp
-core ``exp_fixed``; no Fraction is built.  The mean-value step of
-``TightEvaluator`` combines plan results with the ``pair_*`` operations
-themselves.  The transversality check's Jacobian minors are EPolys too, so
-it ranks them by their float values and encloses the decisive one with a
-plan.
-``Interval`` only carries results: box sides, enclosures returned to
-callers, root enclosures.  ``TightEvaluator``, the root isolator and the
+spectrum enclosures precomputed.  Both modes run on the float pairs of
+``intervals``.  Fast mode is one hand-written kernel that computes exactly
+what the ``pair_*`` operations would, bit for bit, without a call or a tuple
+per operation.  Rigorous mode calls ``pair_add`` and ``pair_mul`` and
+certifies the rest: exact powers, exp enclosed by ``exp_fixed``, and the
+exact value on a point box.  The mean-value step of ``TightEvaluator``
+combines plan results with the ``pair_*`` operations themselves.  The
+transversality check's Jacobian minors are EPolys too, so it ranks them by
+their float values and encloses the decisive one with a plan.  ``Interval``
+only carries results.  ``TightEvaluator``, the root isolator and the
 transversality check keep their plans for as long as they run, and a
-rigorous plan keeps the exp enclosures it computed, one per distinct
+rigorous evaluator keeps the exp enclosures it computed, one per distinct
 argument; nothing is cached globally.
 
 Root certificates come in three kinds.  ``SignChange`` encloses a root whose
@@ -57,22 +54,21 @@ from .errors import (
     InternalInvariantError,
 )
 from .intervals import (
+    RIGOROUS_BITS,
     Box,
     Interval,
     Pair,
+    ceil_float,
+    enclose_exp,
     enclose_rational_pair,
     exp_bounds,
     float_down,
     float_up,
+    floor_float,
     pair_add,
     pair_exp,
     pair_mul,
-    rat_add,
-    rat_exp,
-    rat_float_pair,
-    rat_mul,
-    rat_pow,
-    rat_scale,
+    pair_pow_exact,
 )
 from .poly import Poly
 
@@ -87,6 +83,9 @@ _FLOAT_ROOT_STEPS = 64
 _TAYLOR_ORDER = 2
 #: largest exp enclosure precision, in bits, that ``sign_at_rational`` tries
 _SIGN_MAX_BITS = 4096
+#: largest |t| for which a rigorous point box gets the exact value: beyond
+#: it e^t is far outside the float range, and ``exp_bounds`` grows with t
+_POINT_EXP_EDGE = 746
 
 
 # ---------------------------------------------------------------------------
@@ -110,54 +109,51 @@ class EvalPlan:
     """Interval evaluation of one EPoly, compiled once.
 
     The plan holds the terms in canonical order with their coefficient and
-    spectrum enclosures precomputed: the tightest float pairs for the fast
-    backend, exact integer ratios (coefficients as point intervals) for the
-    rigorous one.  A call computes the natural interval extension term by
-    term, with the powers x_i^e it needs computed once and shared.
+    spectrum enclosures precomputed as the tightest float pairs, and each
+    spectrum entry also as an exact ratio.  A call computes the natural
+    interval extension term by term, with the powers x_i^e it needs
+    computed once and shared.
 
-    The fast backend is one hand-written kernel, ``__call__``, on local
-    floats.  It reproduces ``pair_pow``, ``pair_mul``, ``pair_add`` and
-    ``pair_exp`` of ``intervals`` bit for bit and in the same order, with the
-    outward rounding inlined.  A product takes its endpoints from the
-    sign-case table (Moore, Kearfott & Cloud, *Introduction to Interval
-    Analysis*, SIAM 2009, section 2.2): two products when one factor has a
-    known sign, and min/max of two when both straddle 0.  These differ from
-    the min/max of all four products only in the sign of a zero, which the
-    outward step erases.  The rigorous backend, ``_rational``, runs the same
-    loop on the integer ``rat_*`` operations of ``intervals``, which give the
-    enclosure exact Fraction arithmetic rounded to the dyadic grid gives.
-    It keeps each exp enclosure in ``exps``, a dict from argument to
-    ``exp_fixed``'s bounds, for the life of the plan: neighbouring boxes
-    share sides, so most arguments recur.
+    Fast mode is one hand-written kernel, ``__call__``, on local floats.  It
+    reproduces ``pair_pow``, ``pair_mul``, ``pair_add`` and ``pair_exp`` of
+    ``intervals`` bit for bit and in the same order, with the outward
+    rounding inlined.  A product takes its endpoints from the sign-case
+    table (Moore, Kearfott & Cloud, *Introduction to Interval Analysis*,
+    SIAM 2009, section 2.2): two products when one factor has a known sign,
+    and min/max of two when both straddle 0.  These differ from the min/max
+    of all four products only in the sign of a zero, which the outward step
+    erases.
+
+    Rigorous mode (``exact``), ``_rigorous``, runs the same loop through
+    ``pair_mul`` and ``pair_add`` themselves, with ``pair_pow_exact`` for
+    powers and ``enclose_exp`` at the two ends of each exp argument s . x,
+    computed exactly at box corners.  ``exps`` keeps those enclosures by
+    argument (a ``TightEvaluator`` gives all its plans one), so neighbouring
+    boxes share them.  A point box gets the exact value sum_t C_t e^t / M
+    (``EPoly.scaled_value``), bounded as in ``sign_at_rational`` and rounded
+    outward, so an exact zero gives (0, 0); unless some |t| exceeds 746.
     """
 
-    __slots__ = ("exact", "powers", "groups", "exps")
+    __slots__ = ("f", "exact", "powers", "groups", "exps")
 
-    def __init__(self, f: EPoly, exact: bool = False):
-        """Plan for f on its n variables."""
+    def __init__(self, f: EPoly, exact: bool = False, exps: dict | None = None):
+        """Plan for f on its n variables; ``exps`` may be shared by plans of one spectrum."""
+        self.f = f
         self.exact = exact
-        self.exps: dict = {}
-        # A fast term is (c_lo, c_hi, slots) and a spectrum entry (i, q_lo,
-        # q_hi); a rigorous term is (c, slots), with c the point interval
-        # (n, d, n, d), and an entry (i, n, d).
-        if exact:
-
-            def coeff(c: Fraction) -> tuple:
-                return ((c.numerator, c.denominator, c.numerator, c.denominator),)
-
-            def entry(q: Fraction) -> tuple:
-                return (q.numerator, q.denominator)
-
-        else:
-            coeff = entry = enclose_rational_pair
+        self.exps = {} if exps is None else exps
+        # A group is (spectrum pairs, terms, spectrum ratios): entries (i,
+        # q_lo, q_hi) and (i, numerator, denominator), terms (c_lo, c_hi,
+        # power slots).
+        pair = enclose_rational_pair
         slots: dict[tuple[int, int], int] = {}  # (variable, exponent) -> power
         self.groups = tuple(
             (
-                tuple((i, *entry(q)) for i, q in enumerate(spec) if q),
+                tuple((i, *pair(q)) for i, q in enumerate(spec) if q),
                 tuple(
-                    (*coeff(c), tuple(slots.setdefault(v, len(slots)) for v in enumerate(mono) if v[1]))
+                    (*pair(c), tuple(slots.setdefault(v, len(slots)) for v in enumerate(mono) if v[1]))
                     for mono, c in a.sorted_terms()
                 ),
+                tuple((i, q.numerator, q.denominator) for i, q in enumerate(spec) if q),
             )
             for spec, a in f.sorted_terms()
         )
@@ -166,7 +162,7 @@ class EvalPlan:
     def __call__(self, bounds: Sequence[Pair]) -> Pair:
         """Enclosure (lo, hi) over the box with the given float bounds."""
         if self.exact:
-            return self._rational(bounds)
+            return self._rigorous(bounds)
         nxt = math.nextafter
         inf = math.inf
         # A product's 0 * inf counts as 0.  A sum adds two outward-rounded
@@ -195,7 +191,7 @@ class EvalPlan:
             pows.append((nxt(lo, -inf), nxt(hi, inf)))
 
         acc_lo = acc_hi = 0.0
-        for spec, terms in self.groups:
+        for spec, terms, _ in self.groups:
             v_lo = v_hi = 0.0
             for t_lo, t_hi, term_slots in terms:
                 for k in term_slots:
@@ -274,35 +270,47 @@ class EvalPlan:
             acc_hi = nxt(acc_hi + nxt(hi, inf), inf)
         return (acc_lo, acc_hi)
 
-    def _rational(self, bounds: Sequence[Pair]) -> Pair:
-        """The rigorous backend: the same loop on the integer ``rat_*`` operations.
-
-        Box sides are exact (``as_integer_ratio``), as is the zero each sum
-        starts from.
-        """
-        xs = [(*lo.as_integer_ratio(), *hi.as_integer_ratio()) for lo, hi in bounds]
-        pows = [rat_pow(xs[i], k) for i, k in self.powers]
-        acc = (0, 1, 0, 1)
-        for spec, terms in self.groups:
-            value = (0, 1, 0, 1)
-            for term, term_slots in terms:
+    def _rigorous(self, bounds: Sequence[Pair]) -> Pair:
+        """Rigorous mode: a point value, or the loop on ``pair_*`` operations."""
+        if all(lo == hi for lo, hi in bounds):
+            m, groups = self.f.scaled_value([Fraction(lo) for lo, _ in bounds])
+            if all(abs(t) <= _POINT_EXP_EDGE for t in groups):
+                (ln, ld), (hn, hd) = _group_bounds(groups, RIGOROUS_BITS)
+                return (floor_float(ln, ld * m), ceil_float(hn, hd * m))
+        pows = [pair_pow_exact(bounds[i], k) for i, k in self.powers]
+        ends = [(lo.as_integer_ratio(), hi.as_integer_ratio()) for lo, hi in bounds]
+        exps = self.exps
+        acc = (0.0, 0.0)
+        for _, terms, spec in self.groups:
+            value = (0.0, 0.0)
+            for c_lo, c_hi, term_slots in terms:
+                term = (c_lo, c_hi)
                 for k in term_slots:
-                    term = rat_mul(term, pows[k])
-                value = rat_add(value, term)
-            dot = (0, 1, 0, 1)
-            for i, n, d in spec:
-                dot = rat_add(dot, rat_scale(xs[i], n, d))
-            acc = rat_add(acc, rat_mul(value, rat_exp(dot, memo=self.exps)))
-        return rat_float_pair(acc)
+                    term = pair_mul(term, pows[k])
+                value = pair_add(value, term)
+            if spec:
+                # s . x is least at the corner with x_i low where s_i > 0
+                # and high where s_i < 0, and greatest at the opposite one.
+                ln = hn = 0
+                ld = hd = 1
+                for i, n, d in spec:
+                    (a, b), (c, e) = ends[i] if n > 0 else ends[i][::-1]
+                    ln, ld = ln * d * b + n * a * ld, ld * d * b
+                    hn, hd = hn * d * e + n * c * hd, hd * d * e
+                e_lo = exps.get((ln, ld)) or exps.setdefault((ln, ld), enclose_exp(ln, ld))
+                e_hi = exps.get((hn, hd)) or exps.setdefault((hn, hd), enclose_exp(hn, hd))
+                value = pair_mul(value, (e_lo[0], e_hi[1]))
+            acc = pair_add(acc, value)
+        return acc
 
 
 def interval_eval(f: EPoly, box: Box, mode: str = "fast") -> Interval:
     """Enclosure of f over the box.
 
-    ``fast`` uses outward-rounded hardware floats; ``rigorous`` uses rational
-    endpoints with a Taylor-enclosed exp (see ``exp_bounds`` for its error,
-    relative for arguments >= 0 and absolute below 0), converted outward to a float interval on return.  Callers that
-    evaluate one function on many boxes should keep an ``EvalPlan``.
+    ``fast`` uses outward-rounded hardware floats; ``rigorous`` certifies
+    powers and exp too, and evaluates a point box exactly (see
+    ``EvalPlan``).  Callers that evaluate one function on many boxes should
+    keep an ``EvalPlan``.
     """
     if box.dimension != f.n:
         raise DimensionError(f"box dimension {box.dimension} != ambient {f.n}")
@@ -329,6 +337,8 @@ class TightEvaluator:
         self.exact = _is_exact(mode)
         self.derivs: dict[tuple[int, ...], EPoly] = {(): f}
         self.plans: dict[tuple[int, ...], EvalPlan] = {}
+        # Derivatives keep the spectrum, so the plans share exp enclosures.
+        self.exps: dict = {}
 
     def __call__(self, box: Box) -> Interval:
         if box.dimension != self.n:
@@ -339,7 +349,7 @@ class TightEvaluator:
         """The plan of the derivative along ``path`` (sorted variable indices)."""
         plan = self.plans.get(path)
         if plan is None:
-            plan = self.plans[path] = EvalPlan(self._derivative(path), self.exact)
+            plan = self.plans[path] = EvalPlan(self._derivative(path), self.exact, self.exps)
         return plan
 
     def _derivative(self, path: tuple[int, ...]) -> EPoly:
@@ -387,35 +397,43 @@ def sign_at_rational(f: EPoly, pt: Sequence) -> int:
     integer C_t (``EPoly.scaled_groups``, whose kernel each EPoly compiles
     once).  The sum is zero exactly when every C_t is zero; otherwise the
     value is nonzero, so refining rational exp enclosures must eventually
-    separate it from zero.  Each exp bound is n / 2^m, so the sums run on
-    integers.
+    separate it from zero.
     """
     groups = f.scaled_groups([Fraction(v) for v in pt])
     if not groups:
         return 0
-    # e^0 = 1 exactly: the t = 0 group needs no enclosure.
-    c0 = groups.pop(Fraction(0), 0)
     bits = 96
     while bits <= _SIGN_MAX_BITS:
-        lo_terms, hi_terms = [(c0, 1)], [(c0, 1)]
-        for t, c in groups.items():
-            elo, ehi = exp_bounds(t, bits)
-            if c < 0:
-                elo, ehi = ehi, elo
-            lo_terms.append((c * elo.numerator, elo.denominator))
-            hi_terms.append((c * ehi.numerator, ehi.denominator))
-        if _dyadic_sum(lo_terms) > 0:
+        (lo, _), (hi, _) = _group_bounds(groups, bits)
+        if lo > 0:
             return 1
-        if _dyadic_sum(hi_terms) < 0:
+        if hi < 0:
             return -1
         bits *= 2
     raise InternalInvariantError("sign refinement exhausted precision budget")
 
 
-def _dyadic_sum(terms: list[tuple[int, int]]) -> int:
-    """Sum of n / d over (n, d) with every d a power of two, times the largest d."""
-    top = max(d for _, d in terms).bit_length()
-    return sum(n << (top - d.bit_length()) for n, d in terms)
+def _group_bounds(groups: dict[Fraction, int], bits: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Bounds (n, d) below and above sum_t C_t e^t, d a power of two: each
+    e^t but e^0 = 1 enclosed by ``exp_bounds``, whose bounds are dyadic."""
+    lo_terms, hi_terms = [], []
+    for t, c in groups.items():
+        if not t:
+            lo_terms.append((c, 1))
+            hi_terms.append((c, 1))
+            continue
+        elo, ehi = exp_bounds(t, bits)
+        if c < 0:
+            elo, ehi = ehi, elo
+        lo_terms.append((c * elo.numerator, elo.denominator))
+        hi_terms.append((c * ehi.numerator, ehi.denominator))
+    return _dyadic_sum(lo_terms), _dyadic_sum(hi_terms)
+
+
+def _dyadic_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
+    """Sum of n / d over (n, d) with every d a power of two, over the largest d."""
+    top = max((d for _, d in terms), default=1).bit_length()
+    return sum(n << (top - d.bit_length()) for n, d in terms), 1 << (top - 1)
 
 
 #: coordinates of the sign-change grid, nearest the origin first, with their
@@ -806,7 +824,8 @@ def sample_zero_cells_2d(
     inside the box (inclusion monotonicity of interval evaluation), and cells
     kept at depth d+1 always lie inside cells kept at depth d.  Output is
     sorted by coordinates.  ``max_depth`` must be nonnegative and every side
-    of the box finite.
+    of the box finite and of positive width: a side of width 0 would make
+    the halves of a cell equal, and so its cells duplicates.
     """
     if f.n != 2:
         raise DimensionError("cell sampling requires a 2-variable input")
@@ -818,6 +837,8 @@ def sample_zero_cells_2d(
         raise ValueError("quadtree depth must be nonnegative")
     if not all(math.isfinite(v) for side in box.bounds() for v in side):
         raise ValueError("box sides must be finite")
+    if not all(lo < hi for lo, hi in box.bounds()):
+        raise ValueError("box sides must be nonempty intervals")
 
     evaluator = TightEvaluator(f, mode)
     out: list[Box] = []

@@ -105,6 +105,30 @@ def test_sample2d_rejects_an_unbounded_box(capsys):
             sample_zero_cells_2d(f, Box.from_bounds([(0.0, 1.0), side]), 1)
 
 
+def test_sample2d_rejects_a_zero_width_side(capsys):
+    # a side of width 0 used to give duplicate cells: 4 copies of
+    # [0.75, 1.0, 0.5, 0.5] for the first box, 16 of [0, 0, 0, 0] for the second
+    for box in (["0", "1", "0.5", "0.5"], ["0", "0", "0", "0"], ["2", "2", "0", "1"]):
+        code, out, err = run_cli(capsys, ["sample2d", "--box", *box, "--depth", "2", "--", "x1 - 2*x2"])
+        assert code == cli.EXIT_INPUT and out == "", box
+        assert err == "input error: box sides must be nonempty intervals\n", err
+    with pytest.raises(ValueError, match="box sides must be nonempty intervals"):
+        sample_zero_cells_2d(parse_epoly("x1 - x2"), Box.from_bounds([(0.0, 1.0), (1.0, 1.0)]), 1)
+
+
+def test_rigorous_sample2d_beyond_the_float_range(capsys):
+    # e^x1 leaves the float range inside the box: rigorous mode used to exit
+    # 1 with an OverflowError; it now widens to inf, as fast mode does, and
+    # keeps fast mode's single cell
+    argv = ["sample2d", "--depth", "3", "--box", "0", "1000", "0", "1", "--", "u1 - x2"]
+    code, fast, _ = run_cli(capsys, argv)
+    assert code == 0
+    code, rigorous, _ = run_cli(capsys, ["sample2d", "--rigorous", *argv[1:]])
+    assert code == 0
+    fast, rigorous = json.loads(fast)["result"], json.loads(rigorous)["result"]
+    assert rigorous == fast and rigorous["cells"] == [[0.0, 125.0, 0.875, 1.0]]
+
+
 def test_negative_option_values_with_an_exponent(capsys):
     # argparse read -5e0, -1e1 and -1e0 as option strings: the first two
     # exited 2 with "expected N arguments", the last with "unrecognized

@@ -1,8 +1,8 @@
 """Bit identity of the fixed-point exp kernel and of exact signs.
 
-``intervals.exp_bounds``, ``round_down`` and ``round_up`` work on scaled
-integers; the Fraction versions in ``util`` round every step the same way
-on normalized Fractions.  The two must return equal Fractions.  The module
+``intervals.exp_bounds`` works on scaled integers; the Fraction version in
+``util`` rounds every step the same way on normalized Fractions.  The two
+must return equal Fractions.  The module
 needs no pytest, so it also runs as a script on an interpreter without it:
 
     PYTHONPATH=src python3 tests/test_exp_kernel.py
@@ -15,7 +15,7 @@ from fractions import Fraction
 from expalg import numeric
 from expalg.epoly import EPoly
 from expalg.hyperplanes import Hyperplane, primitive_normalize
-from expalg.intervals import exp_bounds, round_down, round_up
+from expalg.intervals import exp_bounds
 from expalg.numeric import sign_at_rational
 from expalg.parsing import parse_epoly
 
@@ -24,8 +24,6 @@ from util import (
     rand_fraction,
     reference_coefficient_groups,
     reference_exp_bounds,
-    reference_round_down,
-    reference_round_up,
 )
 
 EPS = Fraction(1, 10**30)
@@ -89,16 +87,6 @@ def test_exp_bounds_encloses_e_at_60_digits():
     assert hi - lo < Fraction(1, 1 << 380)
     # E60 falls short of e by less than 10^-59, by far more than the width.
     assert E60 < lo <= hi < E60 + Fraction(1, 10**59)
-
-
-def test_rounding_matches_fraction_reference():
-    rng = random.Random(21)
-    values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(-1, 3), EPS, -EPS]
-    values += [Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**9)) for _ in range(200)]
-    for x in values:
-        for bits in (0, 1, 96, 1024):
-            assert round_down(x, bits) == reference_round_down(x, bits), (x, bits)
-            assert round_up(x, bits) == reference_round_up(x, bits), (x, bits)
 
 
 def reference_sign(f: EPoly, pt, max_bits: int = 4096) -> tuple[int, list[int]]:

@@ -1,4 +1,4 @@
-"""Interval arithmetic soundness, both float and rational backends."""
+"""Interval arithmetic soundness: float pairs, rounding of rationals and the exp enclosure."""
 
 import math
 import random
@@ -10,17 +10,16 @@ import pytest
 from expalg.intervals import (
     Box,
     Interval,
-    RatInterval,
+    ceil_float,
     enclose_rational_pair,
     exp_bounds,
     float_down,
     float_up,
+    floor_float,
     pair_add,
     pair_exp,
     pair_mul,
     pair_pow,
-    round_down,
-    round_up,
 )
 
 from util import ReferenceInterval, reference_enclose_rational
@@ -129,13 +128,17 @@ def test_float_rounding_pair_is_tight():
             assert lo < q < hi, q
             # one step beyond either bound crosses q: no float lies strictly between
             assert math.nextafter(lo, math.inf) > q and math.nextafter(hi, -math.inf) < q, q
-        assert RatInterval(q, q, exact=True).to_float_pair() == (lo, hi)
+        # rigorous mode's rounding agrees inside the float range ...
+        assert (floor_float(q.numerator, q.denominator), ceil_float(q.numerator, q.denominator)) == (lo, hi)
     assert float_up(big + ulp / 4) == math.inf and float_down(-big - ulp / 4) == -math.inf
     for q in (big + ulp, Fraction(10**400)):
         with pytest.raises(OverflowError):
             float_down(q)
         with pytest.raises(OverflowError):
             float_up(-q)
+        # ... and widens beyond it
+        assert (floor_float(q.numerator, q.denominator), ceil_float(q.numerator, q.denominator)) == (big, math.inf)
+        assert (floor_float(-q.numerator, q.denominator), ceil_float(-q.numerator, q.denominator)) == (-math.inf, -big)
 
 
 def _fraction_float_down(q: Fraction) -> float:
@@ -193,20 +196,13 @@ def test_rational_constants_get_the_tightest_float_pair():
     }
     for c, pair in pinned.items():
         assert enclose_rational_pair(c) == pair == (float_down(c), float_up(c)), c
-        assert RatInterval(c, c, exact=True).to_float_pair() == pair, c
+        assert (floor_float(c.numerator, c.denominator), ceil_float(c.numerator, c.denominator)) == pair, c
         # consecutive floats on either side of c
         assert pair[0] < c < pair[1] and math.nextafter(pair[0], math.inf) == pair[1], c
     assert enclose_rational_pair(3) == (3.0, 3.0)
     for c in (Fraction(10**400), Fraction(-(10**400), 3)):
         with pytest.raises(OverflowError):
             enclose_rational_pair(c)
-
-
-def test_dyadic_rounding():
-    x = Fraction(1, 3)
-    assert round_down(x, 8) <= x <= round_up(x, 8)
-    assert round_down(x, 8) == Fraction(85, 256)
-    assert round_up(-x, 8) == Fraction(-85, 256)
 
 
 def test_exp_bounds_tightness_and_soundness():
@@ -256,28 +252,6 @@ def test_exp_bounds_error_relative_above_zero_absolute_below():
         e = exp_ref(q)
         slack = Fraction(1, 2 ** (bits + 8)) + e * eps / (1 - eps)
         assert lo <= e <= hi and e - lo < slack and hi - e < slack, q
-
-
-def test_rat_interval_ops_enclose():
-    rng = random.Random(42)
-    for _ in range(200):
-        a = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
-        b = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
-        ia = RatInterval.exact_point(a)
-        ib = RatInterval.exact_point(b)
-        s = ia + ib
-        assert s.lo <= a + b <= s.hi
-        m = ia * ib
-        assert m.lo <= a * b <= m.hi
-        p2 = ia.pow_int(2)
-        assert p2.lo <= a * a <= p2.hi
-
-
-def test_rat_interval_exp_monotone():
-    iv = RatInterval(Fraction(0), Fraction(1), exact=True).exp()
-    assert iv.lo <= 1 <= iv.hi
-    e = Fraction(math.e)
-    assert iv.hi >= e - Fraction(1, 10**9)
 
 
 def test_box_helpers():

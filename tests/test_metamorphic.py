@@ -4,6 +4,10 @@ For f = P(x1, e^x1), the functions c f (c a nonzero rational) and
 u1^k f = e^(k x1) f have the zeros of f and no others.  So on one domain the
 isolator must certify as many roots for each as for f, and each certified
 enclosure of one run must meet exactly one certified enclosure of the other.
+The reflection e^(S x1) f(-x1), S the largest exponent of f, is again a
+polynomial in x1 and e^x1, and its zeros are those of f negated: on the
+symmetric domain each enclosure of one run, negated, must meet exactly one
+enclosure of the other.
 The claims are on counts and containment, not on bytes: the float
 enclosures that steer the bisection change with how f is written, and at a
 coarse tolerance so may the width of an enclosure.
@@ -41,8 +45,10 @@ def seeded_inputs(seed: int, count: int) -> list[EPoly]:
     return inputs
 
 
-def check_same_roots(f: EPoly, g: EPoly) -> int:
+def check_same_roots(f: EPoly, g: EPoly, mirror: bool = False) -> int:
     mine, theirs = certified(f), certified(g)
+    if mirror:
+        mine = [(-hi, -lo) for lo, hi in reversed(mine)]
     assert len(mine) == len(theirs), (f, g, mine, theirs)
     assert meets_exactly_one(mine, theirs) and meets_exactly_one(theirs, mine), (f, g, mine, theirs)
     return len(mine)
@@ -66,4 +72,17 @@ def test_exponential_multiple_has_the_same_roots():
         for _ in range(rng.randint(1, 3)):
             g = u1 * g
         roots += check_same_roots(f, g)
+    assert roots >= 80
+
+
+def reflected(f: EPoly) -> EPoly:
+    """e^(S x1) f(-x1), with S the largest exponent of f."""
+    top = max(s for (s,) in f.terms)
+    return EPoly(1, {(top - s,): Poly(1, {m: c * (-1) ** m[0] for m, c in a.terms.items()}) for (s,), a in f.terms.items()})
+
+
+def test_reflection_negates_the_roots():
+    roots = 0
+    for f in seeded_inputs(1405, 100):
+        roots += check_same_roots(f, reflected(f), mirror=True)
     assert roots >= 80

@@ -1,56 +1,62 @@
-"""The integer rigorous arithmetic and exp core against Fraction references.
+"""The rigorous kernel and its rational exp core against references.
 
-``intervals`` runs the rigorous interval arithmetic on integer (numerator,
-denominator) ends that need not be in lowest terms: the ``rat_*`` functions,
-their record ``RatInterval``, and the rigorous kernel of
-``numeric.EvalPlan``.  ``util.ReferenceRatInterval`` does one normalized
-Fraction per step.  Ends that are equal must stay exact, every other end
-must be floored or ceiled onto the 2^-96 grid, and the result must be
-rounded to floats by value, so the two must give the same enclosure, bit
-for bit.  ``exp_fixed``, the fixed-point exp core, must give the bounds of
-``util.reference_exp_bounds`` whatever the representation of its argument.
+Rigorous ``numeric.EvalPlan`` runs on float pairs through ``pair_add`` and
+``pair_mul``, with two certified operations from ``intervals``:
+``pair_pow_exact`` (exact endpoint powers rounded outward) and
+``enclose_exp`` (``exp_fixed`` rounded outward, or fixed bounds past the
+float range).  A point box gets the exact value K * sum_t C_t e^t rounded
+outward.  ``util.reference_pair_plan`` runs the same plan as one call per
+operation, with the exp arguments and point values found with Fractions,
+and the plan must match it bit for bit.  Independently, every enclosure
+must contain the values of f at points of its box, computed with Fractions
+and 1,024-bit ``exp_bounds``.  ``exp_fixed``, the fixed-point exp core, must
+give the bounds of ``util.reference_exp_bounds`` whatever the
+representation of its argument.
 
 The inputs include point boxes and zero-width sides, sides straddling 0
 under even and odd powers, coefficients 1/3 and 1/10, rational spectra, exp
-arguments from -50 to +40 and the exact zero of 2 x1 + 1 - e^x1 at 0.  The
-module needs no pytest, so it also runs as a script on an interpreter
-without it:
+arguments from -50 to +40 and across the edges of the float range, and the
+exact zero of 2 x1 + 1 - e^x1 at 0.  The module needs no pytest, so it also
+runs as a script on an interpreter without it:
 
     PYTHONPATH=src python3 tests/test_rational_kernel.py
 """
 
+import math
 import random
 import struct
 import sys
 from fractions import Fraction
 
+from expalg import intervals
 from expalg.epoly import EPoly
 from expalg.intervals import (
     Box,
     RatInterval,
+    enclose_exp,
+    exp_bounds,
     exp_fixed,
-    rat_add,
-    rat_exp,
-    rat_float_pair,
-    rat_mul,
-    rat_pow,
-    rat_scale,
+    float_down,
+    float_up,
+    pair_pow_exact,
 )
 from expalg.numeric import EvalPlan, TightEvaluator
 from expalg.parsing import parse_epoly
 from expalg.poly import Poly
 
 from util import (
-    ReferenceRatInterval,
     ReferenceTightEvaluator,
     mono,
-    rand_fraction,
     reference_exp_bounds,
-    reference_interval_eval,
+    reference_pair_plan,
 )
 
 #: coefficients and spectrum entries with non-dyadic denominators
 RATIONALS = (Fraction(1, 3), Fraction(-1, 3), Fraction(1, 10), Fraction(-7, 10), Fraction(5, 2), Fraction(-2), 1)
+#: exp arguments around the edges of the float range: ln of the largest
+#: float is 709.7827, and e^t is below the smallest subnormal for t < -745.14
+EDGES = (709.5, 709.78, 709.7827, 709.79, 709.8, 710.0, 1e4, -744.4, -745.13, -745.2, -745.3, -800.0, -1e4)
+MAX = sys.float_info.max
 
 
 def bits(pair) -> bytes:
@@ -58,69 +64,13 @@ def bits(pair) -> bytes:
     return struct.pack("<2d", *pair)
 
 
-def ends(iv: ReferenceRatInterval, rng: random.Random) -> tuple[int, int, int, int]:
-    """The ends of iv as integers, each fraction scaled out of lowest terms at random."""
-    m1, m2 = rng.choice((1, 1, 3, 1 << 40, 6)), rng.choice((1, 1, 5, 1 << 96, 10))
-    return (iv.lo.numerator * m1, iv.lo.denominator * m1, iv.hi.numerator * m2, iv.hi.denominator * m2)
-
-
-def same(got: tuple[int, int, int, int], ref: ReferenceRatInterval) -> bool:
-    """Equal values at both ends."""
-    return Fraction(got[0], got[1]) == ref.lo and Fraction(got[2], got[3]) == ref.hi
-
-
-def rand_rat_interval(rng: random.Random) -> ReferenceRatInterval:
-    """A point, an exact side, a grid interval or one straddling or touching 0."""
-    kind = rng.randrange(5)
-    a = rand_fraction(rng, span=9, den=12)
-    if kind == 0:
-        return ReferenceRatInterval.exact_point(a)
-    b = a + Fraction(rng.randint(1, 40), rng.choice((1, 3, 8, 10, 1 << 60)))
-    if kind == 1:
-        return ReferenceRatInterval(a, b, exact=True)
-    if kind == 2:
-        return ReferenceRatInterval(a, b)
-    if kind == 3:
-        return ReferenceRatInterval(-abs(a) - Fraction(1, 7), abs(b) + Fraction(1, 10))
-    return ReferenceRatInterval(Fraction(0), abs(b), exact=True) if rng.random() < 0.5 else ReferenceRatInterval(-abs(b), Fraction(0))
-
-
-def test_rat_operations_match_reference():
-    rng = random.Random(2101)
-    for _ in range(1500):
-        a, b = rand_rat_interval(rng), rand_rat_interval(rng)
-        ea, eb = ends(a, rng), ends(b, rng)
-        assert same(rat_add(ea, eb), a + b), (a.lo, a.hi, b.lo, b.hi)
-        assert same(rat_mul(ea, eb), a * b), (a.lo, a.hi, b.lo, b.hi)
-        k = rng.randint(1, 5)
-        assert same(rat_pow(ea, k), a.pow_int(k)), (a.lo, a.hi, k)
-        c = rng.choice(RATIONALS) * rng.choice((1, -1))
-        assert same(rat_scale(ea, c.numerator * 3, c.denominator * 3), a.scale(c)), (a.lo, a.hi, c)
-        assert rat_float_pair(ea) == a.to_float_pair(), (a.lo, a.hi)
-
-
-def test_rat_exp_matches_reference():
-    rng = random.Random(2102)
-    for _ in range(120):
-        lo = Fraction(rng.randint(-5000, 4000), rng.choice((100, 3, 7, 1 << 30)))
-        width = rng.choice((Fraction(0), Fraction(1, 1 << 90), Fraction(1, 3), Fraction(5, 2)))
-        a = ReferenceRatInterval(lo, lo + width, exact=True)
-        assert same(rat_exp(ends(a, rng)), a.exp()), (a.lo, a.hi)
-
-
-def test_rat_interval_record_matches_reference():
-    """``RatInterval`` is the record over the same integer functions."""
-    rng = random.Random(2103)
-    for _ in range(300):
-        a, b = rand_rat_interval(rng), rand_rat_interval(rng)
-        ra, rb = RatInterval(a.lo, a.hi, exact=True), RatInterval(b.lo, b.hi, exact=True)
-        k = rng.randint(1, 4)
-        c = rng.choice(RATIONALS)
-        for got, ref in ((ra + rb, a + b), (ra * rb, a * b), (ra.pow_int(k), a.pow_int(k)), (ra.scale(c), a.scale(c))):
-            assert (got.lo, got.hi) == (ref.lo, ref.hi), (a.lo, a.hi, b.lo, b.hi)
-        hi = a.hi + abs(b.hi) + Fraction(1, 3)  # off the grid, so both round it
-        got, ref = RatInterval(a.lo, hi), ReferenceRatInterval(a.lo, hi)
-        assert (got.lo, got.hi) == (ref.lo, ref.hi) and got.to_float_pair() == ref.to_float_pair(), (a.lo, hi)
+def outcome(evaluate, *args):
+    """The bytes of the enclosure, or the name of the error."""
+    try:
+        got = evaluate(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+    return bits(got if isinstance(got, tuple) else (got.lo, got.hi))
 
 
 def test_exp_core_matches_reference_from_minus_50_to_40():
@@ -136,18 +86,62 @@ def test_exp_core_matches_reference_from_minus_50_to_40():
                 assert (Fraction(lo, 1 << work), Fraction(hi, 1 << work)) == ref, (q, bits_, m)
 
 
-def outcome(evaluate, *args):
-    """The bytes of the enclosure, or the error when it lies beyond the float range."""
+def exp_1024(q: Fraction) -> tuple[Fraction, Fraction]:
+    """Bounds for e^q from 1,024-bit ``exp_bounds``, relative also for q < 0."""
+    if q < 0:
+        lo, hi = exp_bounds(-q, 1024)
+        return 1 / hi, 1 / lo
+    return exp_bounds(q, 1024)
+
+
+def test_certified_exp_and_pow_enclose_fraction_values():
+    """``enclose_exp`` and ``pair_pow_exact`` against Fractions, across the float range's edges."""
+    rng = random.Random(2102)
+    qs = [Fraction(0), Fraction(1, 3), Fraction(-7, 10)] + [Fraction(t) for t in EDGES]
+    qs += [Fraction(rng.randint(-5000, 4000), rng.choice((100, 3, 7, 1 << 30))) for _ in range(60)]
+    qs += [Fraction(rng.uniform(-746.0, 710.0)) for _ in range(30)]
+    for q in qs:
+        lo, hi = enclose_exp(q.numerator, q.denominator)
+        assert enclose_exp(q.numerator * 6, q.denominator * 6) == (lo, hi), q
+        if q > Fraction(70979, 100):
+            assert (lo, hi) == (MAX, math.inf), q
+        elif q < Fraction(-7452, 10):
+            assert (lo, hi) == (0.0, math.ulp(0.0)), q
+        elo, ehi = exp_1024(q)
+        assert Fraction(lo) <= elo and (hi == math.inf or ehi <= Fraction(hi)), q
+        if -36 <= q <= 709:  # relative error 2^-96: at most one float inside
+            assert hi <= math.nextafter(math.nextafter(lo, math.inf), math.inf), q
+    for _ in range(400):
+        k = rng.randint(1, 7)
+        scale = 10.0 ** rng.choice((0, 0, 1, -3, 60, -60, 200))
+        lo, hi = sorted(rng.uniform(-3.0, 3.0) * scale for _ in range(2))
+        lo, hi = sorted((rng.choice((lo, lo, 0.0, -0.0, hi)), hi))
+        got = pair_pow_exact((lo, hi), k)
+        powers = [Fraction(lo) ** k, Fraction(hi) ** k]
+        if k % 2 == 0 and lo <= 0.0 <= hi:
+            powers.append(Fraction(0))
+        low, high = min(powers), max(powers)
+        assert encloses(got, low, high), (lo, hi, k)
+        if high <= MAX and low >= -MAX:  # tightest floats
+            assert got == (float_down(low), float_up(high)), (lo, hi, k)
+
+
+def test_rat_interval_is_a_validated_record():
+    """``RatInterval`` keeps its Fraction ends, rejects lo > hi and does no arithmetic."""
+    iv = RatInterval(Fraction(-1, 3), Fraction(2, 7))
+    assert (iv.lo, iv.hi) == (Fraction(-1, 3), Fraction(2, 7))
     try:
-        got = evaluate(*args)
-    except OverflowError:
-        return "OverflowError"
-    return bits(got if isinstance(got, tuple) else (got.lo, got.hi))
+        RatInterval(Fraction(1), Fraction(0))
+    except ValueError:
+        pass
+    else:
+        raise AssertionError("RatInterval accepted lo > hi")
+    assert not any(hasattr(iv, op) for op in ("__add__", "__mul__", "pow_int", "scale", "exp", "to_float_pair"))
 
 
 def rigorous_plan_matches(f: EPoly, bounds) -> None:
     got = outcome(EvalPlan(f, exact=True), bounds)
-    ref = outcome(reference_interval_eval, f, Box.from_bounds(bounds), "rigorous")
+    ref = outcome(reference_pair_plan, f, bounds, True)
     assert got == ref, (f, bounds, got, ref)
 
 
@@ -168,8 +162,9 @@ def rational_epoly(rng: random.Random, n: int) -> EPoly:
 
 
 def side(rng: random.Random, f: EPoly) -> tuple[float, float]:
-    """A point, a straddling side, a side touching 0, or one putting an exp argument in [-50, 40]."""
-    kind = rng.randrange(5)
+    """A point, a straddling side, a side touching 0, or one putting an exp
+    argument in [-50, 40] or across an edge of the float range."""
+    kind = rng.randrange(6)
     if kind == 0:
         v = rng.choice((0.0, -0.0, 0.5, rng.uniform(-3.0, 3.0)))
         return (v, v)
@@ -181,8 +176,10 @@ def side(rng: random.Random, f: EPoly) -> tuple[float, float]:
         lo = rng.uniform(-3.0, 3.0)
         return (lo, lo + rng.choice((1e-9, 0.25, 1.0)))
     entries = [q for spec in f.terms for q in spec if q] or [Fraction(1)]
-    t = rng.uniform(-50.0, 40.0) / float(rng.choice(entries))
-    return (t, t + rng.choice((0.0, 1e-6, 0.5)))
+    t = rng.uniform(-50.0, 40.0) if kind == 4 else rng.choice(EDGES)
+    t /= float(rng.choice(entries))
+    lo, hi = sorted((t, t + rng.choice((0.0, 1e-6, 0.5, -0.5))))
+    return (lo, hi)
 
 
 def test_rigorous_plan_matches_reference():
@@ -210,7 +207,7 @@ def test_rigorous_plan_straddling_powers():
 
 
 def test_exact_zero_on_point_box():
-    """2 x1 + 1 - e^x1 vanishes at 0: every step is an exact point."""
+    """2 x1 + 1 - e^x1 vanishes at 0: the point box gets the exact value."""
     f = parse_epoly("2*x1 + 1 - exp(x1)")
     assert bits(EvalPlan(f, exact=True)([(0.0, 0.0)])) == bits((0.0, 0.0))
     rigorous_plan_matches(f, [(0.0, 0.0)])
@@ -219,7 +216,7 @@ def test_exact_zero_on_point_box():
 
 
 def test_rigorous_tight_evaluator_matches_reference():
-    """The mean-value form over rigorous plans, each keeping its exp enclosures across boxes."""
+    """The mean-value form over rigorous plans, which share their exp enclosures across boxes."""
     rng = random.Random(2106)
     for _ in range(8):
         f = rational_epoly(rng, 2)
@@ -229,6 +226,72 @@ def test_rigorous_tight_evaluator_matches_reference():
         for _ in range(4):
             box = Box.from_bounds([side(rng, f) for _ in range(2)])
             assert outcome(tight, box) == outcome(ref, box), (f, box)
+
+
+def value_bounds(f: EPoly, point: list[Fraction]) -> tuple[Fraction, Fraction]:
+    """Bounds for f at a rational point: Fraction sums, each e^t by 1,024-bit ``exp_bounds``."""
+    lo = hi = Fraction(0)
+    for spec, a in f.sorted_terms():
+        c = a.eval(point + [Fraction(0)] * f.n)
+        elo, ehi = exp_1024(sum(q * x for q, x in zip(spec, point)))
+        lo += c * (elo if c > 0 else ehi)
+        hi += c * (ehi if c > 0 else elo)
+    return lo, hi
+
+
+def encloses(pair, low: Fraction, high: Fraction) -> bool:
+    return (pair[0] == -math.inf or Fraction(pair[0]) <= low) and (pair[1] == math.inf or high <= Fraction(pair[1]))
+
+
+def test_rigorous_enclosures_contain_fraction_values():
+    """On seeded boxes, exp edges included, the plan's and the mean-value
+    enclosures contain f at the corners, the midpoint and random points."""
+    rng = random.Random(2107)
+    checked = 0
+    for case in range(60):
+        n = 1 + case % 2
+        f = rational_epoly(rng, n)
+        if f.is_zero():
+            continue
+        plan, tight = EvalPlan(f, exact=True), TightEvaluator(f, "rigorous")
+        for _ in range(3):
+            bounds = [side(rng, f) for _ in range(n)]
+            got = plan(bounds)
+            tight_got = tight(Box.from_bounds(bounds))
+            points = [[Fraction(rng.choice(b)) for b in bounds] for _ in range(2)]
+            points.append([Fraction(0.5 * lo + 0.5 * hi) for lo, hi in bounds])
+            points.append([Fraction(rng.uniform(lo, hi)) for lo, hi in bounds])
+            for point in points:
+                low, high = value_bounds(f, point)
+                assert encloses(got, low, high), (f, bounds, point, got)
+                assert encloses((tight_got.lo, tight_got.hi), low, high), (f, bounds, point)
+                checked += 1
+    assert checked >= 300
+
+
+def test_beyond_the_float_range_no_exp_core_runs():
+    """Boxes reaching far past ln of the largest float get an infinite end,
+    and no ``exp_fixed`` call sees an argument above 746 or below -746."""
+    seen = []
+    core = intervals.exp_fixed
+
+    def spy(a, b, bits_=96):
+        seen.append(Fraction(a, b))
+        return core(a, b, bits_)
+
+    intervals.exp_fixed = spy
+    try:
+        f = parse_epoly("exp(x1)")
+        lo, hi = EvalPlan(f, exact=True)([(0.0, 1e6)])
+        assert hi == math.inf and 0.99 < lo <= 1.0
+        lo, hi = EvalPlan(f, exact=True)([(-1e6, -1e3)])
+        assert lo <= 0.0 and 0.0 < hi <= math.ulp(0.0) * 4
+        g = parse_epoly("exp(x1) - x2")
+        tight = TightEvaluator(g, "rigorous")(Box.from_bounds([(0.0, 1e6), (0.0, 1.0)]))
+        assert tight.hi == math.inf and tight.lo <= 0.0
+    finally:
+        intervals.exp_fixed = core
+    assert seen and all(abs(q) <= 746 for q in seen), max(seen)
 
 
 if __name__ == "__main__":

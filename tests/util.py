@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from expalg.intervals import (
     Box,
     Interval,
     Pair,
+    enclose_exp,
     enclose_rational_pair,
     float_down,
     float_up,
@@ -45,6 +47,7 @@ from expalg.intervals import (
     pair_exp,
     pair_mul,
     pair_pow,
+    pair_pow_exact,
 )
 from expalg.numeric import RootCert, default_root_domain
 from expalg.parsing import format_poly
@@ -312,24 +315,37 @@ def reference_enclose_rational(c: Fraction | int) -> ReferenceInterval:
 
 
 # ---------------------------------------------------------------------------
-# Reference box evaluators: one ReferenceInterval or ReferenceRatInterval
-# object per arithmetic step, term by term.  The compiled evaluation plans of
-# ``expalg.numeric`` must reproduce their enclosures bit for bit.
+# Reference box evaluators.  ``reference_pair_plan`` runs a plan as one
+# ``pair_*`` call per interval operation; ``reference_interval_eval`` in fast
+# mode builds one ReferenceInterval object per step.  The compiled
+# evaluation plans of ``expalg.numeric`` must reproduce their enclosures bit
+# for bit.
 # ---------------------------------------------------------------------------
 
 
-def reference_pair_plan(f: EPoly, bounds) -> Pair:
-    """The fast plan of f run as one ``pair_*`` call per interval operation.
+def reference_pair_plan(f: EPoly, bounds, rigorous: bool = False) -> Pair:
+    """A plan of f run as one ``pair_*`` call per interval operation.
 
     Terms and groups in canonical order, each coefficient and spectrum entry
     enclosed by ``enclose_rational_pair``, each power x_i^e computed once, and
     every value, exponent and sum starting from the pair (0, 0).  The float
     kernel of ``EvalPlan`` must reproduce it bit for bit.
+
+    ``rigorous`` takes the certified operations instead: ``pair_pow_exact``
+    for powers, and for the exp of a group ``enclose_exp`` at the least and
+    greatest values of its argument over the box, found exactly with
+    Fractions at the box corners; a group without exponential is not
+    multiplied.  A point box gets the exact value instead
+    (``reference_point_value``) unless an exponent lies beyond +-746.
     """
+    if rigorous and all(lo == hi for lo, hi in bounds):
+        point = reference_point_value(f, [Fraction(lo) for lo, _ in bounds])
+        if point is not None:
+            return point
     slots: dict[tuple[int, int], int] = {}
     groups = [
         (
-            [(i, enclose_rational_pair(q)) for i, q in enumerate(spec) if q],
+            [(i, q) for i, q in enumerate(spec) if q],
             [
                 (enclose_rational_pair(c), [slots.setdefault(v, len(slots)) for v in enumerate(mono) if v[1]])
                 for mono, c in a.sorted_terms()
@@ -337,7 +353,8 @@ def reference_pair_plan(f: EPoly, bounds) -> Pair:
         )
         for spec, a in f.sorted_terms()
     ]
-    pows = [pair_pow(bounds[i], e) for i, e in slots]
+    power = pair_pow_exact if rigorous else pair_pow
+    pows = [power(bounds[i], e) for i, e in slots]
     acc = (0.0, 0.0)
     for spec, terms in groups:
         value = (0.0, 0.0)
@@ -346,11 +363,55 @@ def reference_pair_plan(f: EPoly, bounds) -> Pair:
             for k in term_slots:
                 term = pair_mul(term, pows[k])
             value = pair_add(value, term)
-        dot = (0.0, 0.0)
-        for i, q in spec:
-            dot = pair_add(dot, pair_mul(bounds[i], q))
-        acc = pair_add(acc, pair_mul(value, pair_exp(dot)))
+        if not rigorous:
+            dot = (0.0, 0.0)
+            for i, q in spec:
+                dot = pair_add(dot, pair_mul(bounds[i], enclose_rational_pair(q)))
+            value = pair_mul(value, pair_exp(dot))
+        elif spec:
+            low = sum(q * Fraction(bounds[i][0 if q > 0 else 1]) for i, q in spec)
+            high = sum(q * Fraction(bounds[i][1 if q > 0 else 0]) for i, q in spec)
+            e_lo = enclose_exp(low.numerator, low.denominator)[0]
+            e_hi = enclose_exp(high.numerator, high.denominator)[1]
+            value = pair_mul(value, (e_lo, e_hi))
+        acc = pair_add(acc, value)
     return acc
+
+
+def reference_point_value(f: EPoly, point: list[Fraction]) -> Pair | None:
+    """Float bounds for f at a rational point from Fraction sums, or None.
+
+    The terms are grouped by their exact exponent t and each e^t is enclosed
+    by ``reference_exp_bounds`` at ``RIGOROUS_BITS``; the bounds of the sum
+    are rounded outward, to the largest float or an infinity beyond the
+    float range.  (0, 0) when every group cancels; None when some |t|
+    exceeds 746.
+    """
+    groups: dict[Fraction, Fraction] = {}
+    for spec, a in f.sorted_terms():
+        t = sum(q * x for q, x in zip(spec, point))
+        groups[t] = groups.get(t, 0) + a.eval(point + [Fraction(0)] * f.n)
+    groups = {t: c for t, c in groups.items() if c}
+    if not groups:
+        return (0.0, 0.0)
+    if any(abs(t) > 746 for t in groups):
+        return None
+    lo = hi = Fraction(0)
+    for t, c in groups.items():
+        elo, ehi = reference_exp_bounds(t, RIGOROUS_BITS)
+        lo += c * (elo if c > 0 else ehi)
+        hi += c * (ehi if c > 0 else elo)
+    return (_float_or_edge(float_down, lo), _float_or_edge(float_up, hi))
+
+
+def _float_or_edge(rounding, q: Fraction) -> float:
+    """``rounding(q)``, or where q is beyond the float range the bound on that side."""
+    try:
+        return rounding(q)
+    except OverflowError:
+        if rounding is float_down:
+            return sys.float_info.max if q > 0 else -_INF
+        return _INF if q > 0 else -sys.float_info.max
 
 
 def _reference_poly(a: Poly, xs, zero, coeff):
@@ -366,25 +427,27 @@ def _reference_poly(a: Poly, xs, zero, coeff):
 
 
 def reference_interval_eval(f: EPoly, box: Box, mode: str = "fast") -> ReferenceInterval:
-    """Natural extension of f over the box, as ``interval_eval`` defines it."""
+    """Natural extension of f over the box, as ``interval_eval`` defines it.
+
+    Fast mode builds one ReferenceInterval per step; rigorous mode is
+    ``reference_pair_plan`` with the certified operations.
+    """
     if box.dimension != f.n:
         raise DimensionError(f"box dimension {box.dimension} != ambient {f.n}")
-    if mode == "fast":
-        xs = [ReferenceInterval(iv.lo, iv.hi) for iv in box.intervals]
-        zero, coeff = reference_point(0.0), reference_enclose_rational
-    elif mode == "rigorous":
-        xs = [ReferenceRatInterval(Fraction(iv.lo), Fraction(iv.hi), exact=True) for iv in box.intervals]
-        zero, coeff = ReferenceRatInterval.exact_point(0), ReferenceRatInterval.exact_point
-    else:
+    if mode == "rigorous":
+        return ReferenceInterval(*reference_pair_plan(f, box.bounds(), rigorous=True))
+    if mode != "fast":
         raise ValueError(f"unknown mode {mode!r}")
+    xs = [ReferenceInterval(iv.lo, iv.hi) for iv in box.intervals]
+    zero = reference_point(0.0)
     acc = zero
     for spec, a in f.sorted_terms():
         dot = zero
         for q, iv in zip(spec, xs):
             if q:
                 dot = dot + iv.scale(q)
-        acc = acc + _reference_poly(a, xs, zero, coeff) * dot.exp()
-    return acc if mode == "fast" else ReferenceInterval(*acc.to_float_pair())
+        acc = acc + _reference_poly(a, xs, zero, reference_enclose_rational) * dot.exp()
+    return acc
 
 
 class ReferenceTightEvaluator:
@@ -428,22 +491,18 @@ class ReferenceTightEvaluator:
 
 
 # ---------------------------------------------------------------------------
-# Reference rigorous exp and interval: one normalized Fraction per step, each
-# rounded outward to its dyadic grid.  ``intervals.exp_bounds``,
-# ``exp_fixed``, ``round_down`` and ``round_up`` must reproduce the exp
-# bit for bit, and the integer ``rat_*`` arithmetic (with the rigorous
-# kernel of ``numeric.EvalPlan``) the interval.
+# Reference rigorous exp: one normalized Fraction per step, each rounded
+# outward to its dyadic grid.  ``intervals.exp_bounds`` and ``exp_fixed``
+# must reproduce it bit for bit.
 # ---------------------------------------------------------------------------
 
 
-def reference_round_down(x: Fraction, bits: int) -> Fraction:
-    scaled = x * (1 << bits)
-    return Fraction(scaled.numerator // scaled.denominator, 1 << bits)
+def _grid_down(x: Fraction, bits: int) -> Fraction:
+    return Fraction(math.floor(x * (1 << bits)), 1 << bits)
 
 
-def reference_round_up(x: Fraction, bits: int) -> Fraction:
-    scaled = x * (1 << bits)
-    return Fraction(-((-scaled.numerator) // scaled.denominator), 1 << bits)
+def _grid_up(x: Fraction, bits: int) -> Fraction:
+    return Fraction(math.ceil(x * (1 << bits)), 1 << bits)
 
 
 def reference_exp_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
@@ -454,8 +513,8 @@ def reference_exp_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
         lo, hi = reference_exp_bounds(-q, bits)
         work = bits + 8
         return (
-            reference_round_down(Fraction(1) / hi, work),
-            reference_round_up(Fraction(1) / lo, work),
+            _grid_down(Fraction(1) / hi, work),
+            _grid_up(Fraction(1) / lo, work),
         )
     k = 0
     r = q
@@ -471,76 +530,16 @@ def reference_exp_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     i = 0
     while term_hi > target:
         i += 1
-        term_lo = reference_round_down(term_lo * r / i, guard)
-        term_hi = reference_round_up(term_hi * r / i, guard)
-        lo_sum = reference_round_down(lo_sum + term_lo, guard)
-        hi_sum = reference_round_up(hi_sum + term_hi, guard)
-    tail = reference_round_up(term_hi * Fraction(4, 3), guard)
-    lo = reference_round_down(lo_sum, work)
-    hi = reference_round_up(hi_sum + tail, work)
+        term_lo = _grid_down(term_lo * r / i, guard)
+        term_hi = _grid_up(term_hi * r / i, guard)
+        lo_sum = _grid_down(lo_sum + term_lo, guard)
+        hi_sum = _grid_up(hi_sum + term_hi, guard)
+    tail = _grid_up(term_hi * Fraction(4, 3), guard)
+    lo = _grid_down(lo_sum, work)
+    hi = _grid_up(hi_sum + tail, work)
     for _ in range(k):
-        lo, hi = reference_round_down(lo * lo, work), reference_round_up(hi * hi, work)
+        lo, hi = _grid_down(lo * lo, work), _grid_up(hi * hi, work)
     return lo, hi
-
-
-class ReferenceRatInterval:
-    """Interval with exact rational endpoints, rounded outward to a dyadic grid.
-
-    Fraction endpoints throughout: ends that are equal stay exact, so exact
-    zeros survive, and ``exact`` keeps unequal ones too (as for box sides);
-    every other result is floored and ceiled onto the grid of
-    2^-RIGOROUS_BITS.
-    """
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: Fraction, hi: Fraction, exact: bool = False):
-        if lo > hi:
-            raise ValueError("invalid rational interval")
-        if exact or lo == hi:
-            self.lo, self.hi = lo, hi
-        else:
-            self.lo = reference_round_down(lo, RIGOROUS_BITS)
-            self.hi = reference_round_up(hi, RIGOROUS_BITS)
-
-    @classmethod
-    def exact_point(cls, v: Fraction | int) -> ReferenceRatInterval:
-        v = Fraction(v)
-        return cls(v, v, exact=True)
-
-    def __add__(self, other: ReferenceRatInterval) -> ReferenceRatInterval:
-        return ReferenceRatInterval(self.lo + other.lo, self.hi + other.hi)
-
-    def __mul__(self, other: ReferenceRatInterval) -> ReferenceRatInterval:
-        products = [
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        ]
-        return ReferenceRatInterval(min(products), max(products))
-
-    def pow_int(self, k: int) -> ReferenceRatInterval:
-        """self^k for k >= 1."""
-        if k % 2 == 0 and self.lo <= 0 <= self.hi:
-            m = max(-self.lo, self.hi)
-            return ReferenceRatInterval(Fraction(0), m**k)
-        lo, hi = sorted((self.lo**k, self.hi**k))
-        return ReferenceRatInterval(lo, hi)
-
-    def scale(self, c: Fraction) -> ReferenceRatInterval:
-        if c >= 0:
-            return ReferenceRatInterval(self.lo * c, self.hi * c)
-        return ReferenceRatInterval(self.hi * c, self.lo * c)
-
-    def exp(self, bits: int = RIGOROUS_BITS) -> ReferenceRatInterval:
-        lo, _ = reference_exp_bounds(self.lo, bits)
-        _, hi = reference_exp_bounds(self.hi, bits)
-        return ReferenceRatInterval(lo, hi)
-
-    def to_float_pair(self) -> Pair:
-        """Smallest float (lo, hi) enclosing the interval."""
-        return (float_down(self.lo), float_up(self.hi))
 
 
 # ---------------------------------------------------------------------------
