@@ -2,10 +2,12 @@
 
 Exit codes: 0 success; 1 input error: a parse error, a value outside the
 float range, a non-positive root tolerance, a negative or non-finite
-transversality ``--tol``, an ``--attempts`` below 1, a negative ``--depth``
-or an unwritable ``--output`` path (the report is still printed); 2 hypothesis
-violation (precondition of the requested analysis fails on this input); 3
-internal invariant breach or a failed ``verify-paper`` check (never expected).
+transversality ``--tol``, an ``--attempts`` below 1, a negative ``--depth``,
+a ``--box`` side that is not finite, has width 0 or is too narrow to halve
+``--depth`` times, or an unwritable ``--output`` path (the report is still
+printed); 2 hypothesis violation (precondition of the requested analysis
+fails on this input); 3 internal invariant breach or a failed
+``verify-paper`` check (never expected).
 
 Each subcommand handler computes its report's input, result and hypothesis
 log and prints its human summary; ``main`` alone times the handler and
@@ -392,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(sample)
     sample.add_argument("--box", type=float, nargs=4, default=None, metavar=("X0", "X1", "Y0", "Y1"))
     sample.add_argument("--depth", type=int, default=8)
-    sample.add_argument("--rigorous", action="store_true", help="rational interval backend")
+    sample.add_argument("--rigorous", action="store_true", help="certified powers and exp on float pairs")
     sample.set_defaults(func=_cmd_sample2d)
 
     trans = subs.add_parser("transversal", help="graph transversality at lifted roots")

@@ -24,7 +24,7 @@ from .classify import (
 from .epoly import EPoly
 from .errors import HypothesisViolation
 from .hyperplanes import Hyperplane, candidate_hyperplanes
-from .intervals import Box, Interval
+from .intervals import Box
 from .numeric import (
     brute_force_sign_scan,
     check_transversality,
@@ -50,15 +50,6 @@ class CorpusCheck:
 
 def _check(name: str, condition: bool, detail: str = "") -> CorpusCheck:
     return CorpusCheck(name, bool(condition), detail)
-
-
-def _nonzero_root_interval() -> Interval:
-    f = parse_epoly("2*x1 + 1 - exp(x1)")
-    certs, _ = isolate_roots_1d(f, (-5.0, 5.0), 1e-9)
-    for cert in certs:
-        if cert.enclosure.lo > 0:
-            return cert.enclosure
-    raise AssertionError("nonzero root not found")
 
 
 def _cell_distance_ok(cells, width: float, distance) -> tuple[bool, str]:
@@ -290,20 +281,21 @@ def run_all() -> list[CorpusCheck]:
     )
 
     # --- certified roots --------------------------------------------------------------
-    certs, leftovers = isolate_roots_1d(f_line, (-5.0, 5.0), 1e-9)
+    # The roots of f_line also serve the umbrella cells and the transversality checks.
+    line_certs, leftovers = isolate_roots_1d(f_line, (-5.0, 5.0), 1e-9)
     scan = brute_force_sign_scan(f_line, (-5.0, 5.0))
     zero_ok = any(
-        c.enclosure.contains(0.0) and c.enclosure.width == 0.0 for c in certs
+        c.enclosure.contains(0.0) and c.enclosure.width == 0.0 for c in line_certs
     )
     star_ok = any(
         1.25 <= c.enclosure.lo and c.enclosure.hi <= 1.26 and c.enclosure.width <= 1e-9
-        for c in certs
+        for c in line_certs
     )
     out(
         _check(
             "roots/two-point-line",
-            len(certs) == 2 and not leftovers and zero_ok and star_ok and scan == 2,
-            f"{len(certs)} certified, scan count {scan}",
+            len(line_certs) == 2 and not leftovers and zero_ok and star_ok and scan == 2,
+            f"{len(line_certs)} certified, scan count {scan}",
         )
     )
     certs, _ = isolate_roots_1d(parse_epoly("exp(x1) - 1"), (-2.0, 2.0), 1e-9)
@@ -349,7 +341,8 @@ def run_all() -> list[CorpusCheck]:
     ok, detail = _cell_distance_ok(cells, width, dist_axes)
     out(_check("cells/axes-hug-the-axes", ok, detail))
 
-    star = _nonzero_root_interval()
+    star_root = next(c for c in line_certs if c.enclosure.lo > 0)
+    star = star_root.enclosure
     cells = sample_zero_cells_2d(f_umb, box, 8)
 
     def dist_umbrella(cell):
@@ -367,9 +360,7 @@ def run_all() -> list[CorpusCheck]:
     out(_check("cells/positive-function-empty", cells == []))
 
     # --- transversality -------------------------------------------------------------------
-    certs, _ = isolate_roots_1d(f_line, (-5.0, 5.0), 1e-9)
-    zero_root = next(c for c in certs if c.enclosure.contains(0.0))
-    star_root = next(c for c in certs if not c.enclosure.contains(0.0))
+    zero_root = next(c for c in line_certs if c.enclosure.contains(0.0))
     rep = check_transversality(p_line, star_root, (), 1e-6)
     out(
         _check(

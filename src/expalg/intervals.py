@@ -51,6 +51,14 @@ def _safe_exp(v: float) -> float:
         return _INF
 
 
+def midpoint(lo: float, hi: float) -> float:
+    """0.5 * (lo + hi), or 0.5 * lo + 0.5 * hi where that sum overflows."""
+    m = 0.5 * (lo + hi)
+    if math.isinf(m) and math.isfinite(lo) and math.isfinite(hi):
+        return 0.5 * lo + 0.5 * hi
+    return m
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed float interval [lo, hi] with lo <= hi.
@@ -72,11 +80,7 @@ class Interval:
 
     @property
     def mid(self) -> float:
-        """0.5 * (lo + hi), or 0.5 * lo + 0.5 * hi where that sum overflows."""
-        m = 0.5 * (self.lo + self.hi)
-        if math.isinf(m) and math.isfinite(self.lo) and math.isfinite(self.hi):
-            return 0.5 * self.lo + 0.5 * self.hi
-        return m
+        return midpoint(self.lo, self.hi)
 
     def contains(self, v: float) -> bool:
         return self.lo <= v <= self.hi

@@ -20,12 +20,13 @@ spectrum enclosures precomputed.  Both modes run on the float pairs of
 what the ``pair_*`` operations would, bit for bit, without a call or a tuple
 per operation.  Rigorous mode calls ``pair_add`` and ``pair_mul`` and
 certifies the rest: exact powers, exp enclosed by ``exp_fixed``, and the
-exact value on a point box.  The mean-value step of ``TightEvaluator``
-combines plan results with the ``pair_*`` operations themselves.  The
-transversality check's Jacobian minors are EPolys too, so it ranks them by
-their float values and encloses the decisive one with a plan.  ``Interval``
-only carries results.  ``TightEvaluator``, the root isolator and the
-transversality check keep their plans for as long as they run, and a
+exact value on a point box.  ``TightEvaluator`` maps float bounds to one
+pair as a plan does, and its mean-value step combines plan results with the
+``pair_*`` operations themselves.  The transversality check ranks its
+Jacobian minors, EPolys too, by their float values and encloses the decisive
+one with a plan.  Cells are float bounds; ``Box`` and ``Interval`` carry
+only what this module returns.  ``TightEvaluator``, the root isolator and
+the transversality check keep their plans for as long as they run, and a
 rigorous evaluator keeps the exp enclosures it computed, one per distinct
 argument; nothing is cached globally.
 
@@ -65,6 +66,7 @@ from .intervals import (
     float_down,
     float_up,
     floor_float,
+    midpoint,
     pair_add,
     pair_exp,
     pair_mul,
@@ -304,6 +306,11 @@ class EvalPlan:
         return acc
 
 
+def _sign(enclosure: Pair) -> int:
+    """The sign of every value in the enclosure, or 0 when it holds 0."""
+    return 1 if enclosure[0] > 0.0 else -1 if enclosure[1] < 0.0 else 0
+
+
 def interval_eval(f: EPoly, box: Box, mode: str = "fast") -> Interval:
     """Enclosure of f over the box.
 
@@ -320,46 +327,41 @@ def interval_eval(f: EPoly, box: Box, mode: str = "fast") -> Interval:
 class TightEvaluator:
     """Box evaluation: natural extension intersected with mean-value forms.
 
-    The mean-value form f(c) + grad f(box) . (box - c) is a sound enclosure
-    (mean value theorem along the segment to the midpoint) with quadratic
-    instead of linear overestimation in the box width.  On canonical expanded
-    polynomials the gradients themselves suffer from heavy interval
-    dependency, so their enclosures are computed by the same form one level
-    down (Hessian entries by natural extension).  The derivative along a
-    sorted path of variables is derived on first use, from the derivative
-    along the path without its last variable, and compiled to an
-    ``EvalPlan``; the recursion works on float pairs and shares the midpoint
-    box.
+    Like an ``EvalPlan``, it maps the float bounds of a box to one enclosure
+    (lo, hi).  The mean-value form f(c) + grad f(box) . (box - c) is a sound
+    enclosure (mean value theorem along the segment to the midpoint) with
+    quadratic instead of linear overestimation in the box width.  On
+    canonical expanded polynomials the gradients themselves suffer from
+    heavy interval dependency, so their enclosures are computed by the same
+    form one level down (Hessian entries by natural extension).  ``plans``
+    holds one ``EvalPlan`` per sorted path of variables, the derivative
+    along it; each is derived on first use from the function of its path
+    without the last variable.  The recursion shares the midpoint box.
     """
 
     def __init__(self, f: EPoly, mode: str = "fast"):
         self.n = f.n
         self.exact = _is_exact(mode)
-        self.derivs: dict[tuple[int, ...], EPoly] = {(): f}
-        self.plans: dict[tuple[int, ...], EvalPlan] = {}
         # Derivatives keep the spectrum, so the plans share exp enclosures.
         self.exps: dict = {}
+        self.plans: dict[tuple[int, ...], EvalPlan] = {(): EvalPlan(f, self.exact, self.exps)}
 
-    def __call__(self, box: Box) -> Interval:
-        if box.dimension != self.n:
-            raise DimensionError(f"box dimension {box.dimension} != ambient {self.n}")
-        return Interval(*self._eval((), box.bounds(), [], _TAYLOR_ORDER))
+    def __call__(self, bounds: Sequence[Pair]) -> Pair:
+        """Enclosure (lo, hi) over the box with the given float bounds."""
+        if len(bounds) != self.n:
+            raise DimensionError(f"box dimension {len(bounds)} != ambient {self.n}")
+        return self._eval((), bounds, [], _TAYLOR_ORDER)
 
     def plan(self, path: tuple[int, ...]) -> EvalPlan:
         """The plan of the derivative along ``path`` (sorted variable indices)."""
+        # d/dx_i commute, so each sorted path is derived once, from its prefix.
         plan = self.plans.get(path)
         if plan is None:
-            plan = self.plans[path] = EvalPlan(self._derivative(path), self.exact, self.exps)
+            g = self.plan(path[:-1]).f.derivative(path[-1])
+            plan = self.plans[path] = EvalPlan(g, self.exact, self.exps)
         return plan
 
-    def _derivative(self, path: tuple[int, ...]) -> EPoly:
-        # d/dx_i commute, so each sorted path is derived once, from its prefix.
-        g = self.derivs.get(path)
-        if g is None:
-            g = self.derivs[path] = self._derivative(path[:-1]).derivative(path[-1])
-        return g
-
-    def _eval(self, path, bounds: list[Pair], centre: list, depth: int) -> Pair:
+    def _eval(self, path, bounds: Sequence[Pair], centre: list, depth: int) -> Pair:
         """``centre`` caches (midpoint bounds, box - midpoint) for this box."""
         plan = self.plan(path)
         nat = plan(bounds)
@@ -402,7 +404,7 @@ def sign_at_rational(f: EPoly, pt: Sequence) -> int:
     groups = f.scaled_groups([Fraction(v) for v in pt])
     if not groups:
         return 0
-    bits = 96
+    bits = RIGOROUS_BITS
     while bits <= _SIGN_MAX_BITS:
         (lo, _), (hi, _) = _group_bounds(groups, bits)
         if lo > 0:
@@ -571,13 +573,11 @@ def isolate_roots_1d(
         return sign_cache[x]
 
     def deriv_nonzero(lo: Fraction, hi: Fraction) -> bool:
-        dlo, dhi = df_plan([(float_down(lo), float_up(hi))])
-        return dlo > 0.0 or dhi < 0.0
+        return _sign(df_plan([(float_down(lo), float_up(hi))])) != 0
 
     def enclosed_sign(x: Fraction) -> int:
         """The sign of f(x) where its float enclosure excludes 0, else 0."""
-        vlo, vhi = f_plan([(float_down(x), float_up(x))])
-        return 1 if vlo > 0.0 else -1 if vhi < 0.0 else 0
+        return _sign(f_plan([(float_down(x), float_up(x))]))
 
     def cert(kind: str, lo: Fraction, hi: Fraction) -> RootCert:
         enc = Interval(float_down(lo), float_up(hi))
@@ -596,7 +596,7 @@ def isolate_roots_1d(
         if monotone:
             if enclosed_sign(lo) * enclosed_sign(hi) > 0:
                 continue
-        elif evaluator(Box((Interval(float_down(lo), float_up(hi)),))).excludes_zero():
+        elif _sign(evaluator([(float_down(lo), float_up(hi))])):
             continue
         width = hi - lo
         if monotone or width <= _CERT_WIDTH:
@@ -823,9 +823,10 @@ def sample_zero_cells_2d(
     The union of returned cells is a guaranteed superset of the zero set
     inside the box (inclusion monotonicity of interval evaluation), and cells
     kept at depth d+1 always lie inside cells kept at depth d.  Output is
-    sorted by coordinates.  ``max_depth`` must be nonnegative and every side
-    of the box finite and of positive width: a side of width 0 would make
-    the halves of a cell equal, and so its cells duplicates.
+    sorted by coordinates.  ``max_depth`` must be nonnegative, and every side
+    of the box finite, of positive width and wide enough to halve where
+    needed with each midpoint strictly inside: else a cell's halves would
+    repeat it or be degenerate.
     """
     if f.n != 2:
         raise DimensionError("cell sampling requires a 2-variable input")
@@ -841,23 +842,24 @@ def sample_zero_cells_2d(
         raise ValueError("box sides must be nonempty intervals")
 
     evaluator = TightEvaluator(f, mode)
-    out: list[Box] = []
-    stack = [(box, 0)]
+    out: list[Sequence[Pair]] = []
+    stack = [(box.bounds(), 0)]
     while stack:
         cell, depth = stack.pop()
-        if not evaluator(cell).contains_zero():
+        if _sign(evaluator(cell)):
             continue
         if depth >= max_depth:
             out.append(cell)
             continue
-        (x, y) = cell.intervals
-        xm, ym = x.mid, y.mid
-        y_halves = (Interval(y.lo, ym), Interval(ym, y.hi))
-        for xi in (Interval(x.lo, xm), Interval(xm, x.hi)):
-            for yi in y_halves:
-                stack.append((Box((xi, yi)), depth + 1))
-    out.sort(key=lambda c: (c.intervals[0].lo, c.intervals[1].lo))
-    return out
+        (x_lo, x_hi), (y_lo, y_hi) = cell
+        xm, ym = midpoint(x_lo, x_hi), midpoint(y_lo, y_hi)
+        if not (x_lo < xm < x_hi and y_lo < ym < y_hi):
+            raise ValueError("box sides are too narrow to halve max_depth times")
+        for x in ((x_lo, xm), (xm, x_hi)):
+            stack.append(((x, (y_lo, ym)), depth + 1))
+            stack.append(((x, (ym, y_hi)), depth + 1))
+    out.sort(key=lambda c: (c[0][0], c[1][0]))
+    return [Box.from_bounds(cell) for cell in out]
 
 
 # ---------------------------------------------------------------------------
@@ -943,8 +945,7 @@ def check_transversality(
     transverse = False
     if margin > tol:
         bounds = [(enc.lo, enc.hi), *(enclose_rational_pair(v) for v in other_coords)]
-        lo, hi = EvalPlan(minors[values.index(margin)])(bounds)
-        transverse = lo > 0.0 or hi < 0.0
+        transverse = _sign(EvalPlan(minors[values.index(margin)])(bounds)) != 0
     return TransversalityReport(
         point=z,
         jacobian_rank_lower_bound=2 if transverse else 1,

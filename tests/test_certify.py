@@ -11,7 +11,6 @@ without it:
 """
 
 import random
-import sys
 from fractions import Fraction
 
 from expalg.classify import _certify, _point_on, classify_codim1
@@ -21,7 +20,7 @@ from expalg.hyperplanes import Hyperplane, candidate_hyperplanes, primitive_norm
 from expalg.parsing import parse_poly
 from expalg.poly import Poly
 
-from util import rand_epoly, rand_nonzero_poly
+from util import rand_epoly, rand_nonzero_poly, run_standalone
 
 CERTIFIED = "restriction to the hyperplane is the zero exponential polynomial"
 REJECTED = "restriction does not vanish identically"
@@ -157,8 +156,4 @@ def test_classify_restricts_once_per_certified_hyperplane():
 
 
 if __name__ == "__main__":
-    tests = [(k, v) for k, v in sorted(globals().items()) if k.startswith("test_")]
-    for name, test in tests:
-        test()
-        print(f"ok  {name}")
-    print(f"{len(tests)} passed on Python {sys.version.split()[0]}")
+    run_standalone(globals())

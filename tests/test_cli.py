@@ -116,6 +116,22 @@ def test_sample2d_rejects_a_zero_width_side(capsys):
         sample_zero_cells_2d(parse_epoly("x1 - x2"), Box.from_bounds([(0.0, 1.0), (1.0, 1.0)]), 1)
 
 
+def test_sample2d_rejects_a_side_too_narrow_to_halve(capsys):
+    # a split whose midpoint is an end of its side used to give duplicate and
+    # degenerate cells: 16 cells, 14 with x side [1.0, 1.0] and a cellWidth
+    # of 2.8e-17, for the first box; 8 cells, 6 degenerate, for the second
+    for box, depth, text in (
+        (["1", "1.0000000000000002", "0", "1"], "3", "x1 - 2*x2"),
+        (["0", "5e-324", "0", "1"], "2", "x1 - x2 + 1/2"),
+    ):
+        code, out, err = run_cli(capsys, ["sample2d", "--depth", depth, "--box", *box, "--", text])
+        assert code == cli.EXIT_INPUT and out == "", box
+        assert err == "input error: box sides are too narrow to halve max_depth times\n", err
+    # a narrow side is fine while no cell that holds a zero needs splitting
+    cells = sample_zero_cells_2d(parse_epoly("x1 - 2*x2"), Box.from_bounds([(1.0, 1.0000000000000002), (0.0, 1.0)]), 0)
+    assert len(cells) == 1
+
+
 def test_rigorous_sample2d_beyond_the_float_range(capsys):
     # e^x1 leaves the float range inside the box: rigorous mode used to exit
     # 1 with an OverflowError; it now widens to inf, as fast mode does, and

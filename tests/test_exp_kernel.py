@@ -9,7 +9,6 @@ needs no pytest, so it also runs as a script on an interpreter without it:
 """
 
 import random
-import sys
 from fractions import Fraction
 
 from expalg import numeric
@@ -24,6 +23,7 @@ from util import (
     rand_fraction,
     reference_coefficient_groups,
     reference_exp_bounds,
+    run_standalone,
 )
 
 EPS = Fraction(1, 10**30)
@@ -226,8 +226,4 @@ def test_group_without_exponential_needs_no_enclosure():
 
 
 if __name__ == "__main__":
-    tests = [(k, v) for k, v in sorted(globals().items()) if k.startswith("test_")]
-    for name, test in tests:
-        test()
-        print(f"ok  {name}")
-    print(f"{len(tests)} passed on Python {sys.version.split()[0]}")
+    run_standalone(globals())

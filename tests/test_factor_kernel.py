@@ -18,7 +18,6 @@ interpreter without it:
 """
 
 import random
-import sys
 from fractions import Fraction
 
 from expalg import factor
@@ -62,6 +61,7 @@ from util import (
     reference_specialize_to_line,
     reference_squarefree_decomposition,
     reference_sturm_chain,
+    run_standalone,
 )
 
 
@@ -365,8 +365,4 @@ def test_count_real_roots_matches_fraction_sturm():
 
 
 if __name__ == "__main__":
-    tests = [(k, v) for k, v in sorted(globals().items()) if k.startswith("test_")]
-    for name, test in tests:
-        test()
-        print(f"ok  {name}")
-    print(f"{len(tests)} passed on Python {sys.version.split()[0]}")
+    run_standalone(globals())

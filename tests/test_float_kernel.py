@@ -22,7 +22,6 @@ pytest, so it also runs as a script on an interpreter without it:
 import math
 import random
 import struct
-import sys
 from fractions import Fraction
 
 from expalg.epoly import EPoly
@@ -39,6 +38,7 @@ from util import (
     reference_float_evaluator,
     reference_interval_eval,
     reference_pair_plan,
+    run_standalone,
 )
 
 INF = math.inf
@@ -227,8 +227,4 @@ def test_brute_force_scan_counts_the_two_roots():
 
 
 if __name__ == "__main__":
-    tests = [(k, v) for k, v in sorted(globals().items()) if k.startswith("test_")]
-    for name, test in tests:
-        test()
-        print(f"ok  {name}")
-    print(f"{len(tests)} passed on Python {sys.version.split()[0]}")
+    run_standalone(globals())

@@ -1,4 +1,5 @@
-"""Metamorphic relations of 1-D root isolation on seeded inputs.
+"""Metamorphic relations of 1-D root isolation and of hyperplane
+certificates on seeded inputs.
 
 For f = P(x1, e^x1), the functions c f (c a nonzero rational) and
 u1^k f = e^(k x1) f have the zeros of f and no others.  So on one domain the
@@ -8,6 +9,10 @@ The reflection e^(S x1) f(-x1), S the largest exponent of f, is again a
 polynomial in x1 and e^x1, and its zeros are those of f negated: on the
 symmetric domain each enclosure of one run, negated, must meet exactly one
 enclosure of the other.
+For an integer matrix M with det 1 and nonnegative entries, f(M x) comes
+from P_M(x, u) = P(M x, u^M), where u^d becomes u^(M^T d).  f vanishes on
+{a . y = 0} exactly when f(M x) vanishes on {(M^T a) . x = 0}, so the
+certified normals of P_M are the primitive M^T a for the certified a of P.
 The claims are on counts and containment, not on bytes: the float
 enclosures that steer the bisection change with how f is written, and at a
 coarse tolerance so may the width of an enclosure.
@@ -16,7 +21,9 @@ coarse tolerance so may the width of an enclosure.
 import random
 from fractions import Fraction
 
+from expalg.classify import classify_codim1
 from expalg.epoly import EPoly
+from expalg.hyperplanes import primitive_normalize
 from expalg.numeric import isolate_roots_1d
 from expalg.poly import Poly
 
@@ -86,3 +93,56 @@ def test_reflection_negates_the_roots():
     for f in seeded_inputs(1405, 100):
         roots += check_same_roots(f, reflected(f), mirror=True)
     assert roots >= 80
+
+
+#: integer changes of variables, det 1 and entries >= 0: u^M stays a polynomial
+MAPS = (((1, 1), (0, 1)), ((1, 0), (1, 1)), ((2, 1), (1, 1)))
+
+
+def planted_2d(rng: random.Random) -> tuple[Poly, tuple[int, int]]:
+    """(d . x) A + (u^d+ - u^d-)(u^e B1 + u^e' B2), which vanishes on
+    {d . x = 0}: A a constant, B1 and B2 polynomials in x, e != e' in
+    {0, (1, 0), (0, 1)}.  Returns P and the planted primitive normal d."""
+    while True:
+        d = (rng.randint(-2, 2), rng.randint(-2, 2))
+        if d != (0, 0) and primitive_normalize(d).normal == d:
+            break
+    zero = (0, 0)
+    lin = Poly(2, {(1, 0, *zero): d[0], (0, 1, *zero): d[1]})
+    binom = Poly(2, {(0, 0, *(max(e, 0) for e in d)): 1, (0, 0, *(max(-e, 0) for e in d)): -1})
+    b = Poly.zero(2)
+    for e in rng.sample([zero, (1, 0), (0, 1)], 2):
+        x_part = Poly(2, {(rng.randint(0, 2), rng.randint(0, 2), *e): rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(1, 3))})
+        b = b + x_part
+    return lin.scale(rng.choice((-2, -1, 1, 3))) + binom * b, d
+
+
+def changed(p: Poly, m) -> Poly:
+    """P_M(x, u) = P(M x, u^M): x_i becomes sum_j M_ij x_j, u^d becomes u^(M^T d)."""
+    forms = [Poly.affine(2, [*row, 0, 0]) for row in m]
+    out = Poly.zero(2)
+    for mono, c in p.terms.items():
+        xe, ue = mono[:2], mono[2:]
+        term = Poly(2, {(0, 0, *(sum(m[i][j] * ue[i] for i in range(2)) for j in range(2))): c})
+        for form, e in zip(forms, xe):
+            term = term * form**e
+        out = out + term
+    return out
+
+
+def certified_normals(p: Poly) -> set[tuple[int, ...]]:
+    return {h.hyperplane.normal for h in classify_codim1(p).hyperplanes}
+
+
+def test_integer_change_of_variables_maps_the_certified_normals():
+    rng = random.Random(1406)
+    pairs = 0
+    for _ in range(45):
+        p, d = planted_2d(rng)
+        normals = certified_normals(p)
+        assert d in normals, (p, d)
+        for m in MAPS:
+            mapped = {primitive_normalize([sum(m[i][j] * a[i] for i in range(2)) for j in range(2)]).normal for a in normals}
+            assert certified_normals(changed(p, m)) == mapped, (p, m)
+            pairs += 1
+    assert pairs == 135

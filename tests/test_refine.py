@@ -19,14 +19,13 @@ without it:
 
 import math
 import random
-import sys
 from fractions import Fraction
 
 from expalg import numeric
 from expalg.numeric import _refine_bracket, isolate_roots_1d
 from expalg.parsing import parse_epoly
 
-from util import rand_epoly, reference_isolate_roots_1d, reference_refine_bracket
+from util import rand_epoly, reference_isolate_roots_1d, reference_refine_bracket, run_standalone
 
 #: 2^-30 makes a bracket of width 1/8 exactly 27 levels deep
 TOLS = (Fraction(1e-9), Fraction(1e-30), Fraction(1e-40), Fraction(2**-30))
@@ -333,8 +332,4 @@ def test_refinement_needs_at_most_half_the_exact_signs_of_bisection():
 
 
 if __name__ == "__main__":
-    tests = [(k, v) for k, v in sorted(globals().items()) if k.startswith("test_")]
-    for name, test in tests:
-        test()
-        print(f"ok  {name}")
-    print(f"{len(tests)} passed on Python {sys.version.split()[0]}")
+    run_standalone(globals())

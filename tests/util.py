@@ -939,7 +939,8 @@ def reference_isolate_roots_1d(f: EPoly, domain=None, tol: float = 1e-9):
     stack = [(a, b, 0)]
     while stack:
         lo, hi, depth = stack.pop()
-        if evaluator(Box((Interval(float_down(lo), float_up(hi)),))).excludes_zero():
+        v_lo, v_hi = evaluator([(float_down(lo), float_up(hi))])
+        if v_lo > 0.0 or v_hi < 0.0:
             continue
         width = hi - lo
         if width <= numeric._CERT_WIDTH:
@@ -1047,3 +1048,13 @@ def _reference_secant_cell(value, lo: Fraction, hi: Fraction, m: int):
     if not (v_lo < 0.0 < v_hi or v_hi < 0.0 < v_lo):
         return None
     return min(int(v_lo / (v_lo - v_hi) * (1 << m)), (1 << m) - 1)
+
+
+def run_standalone(namespace: dict) -> None:
+    """Run a test module's ``test_*`` functions by name, without pytest: one
+    ``ok  name`` line each, then ``N passed on Python X``."""
+    tests = [(k, v) for k, v in sorted(namespace.items()) if k.startswith("test_")]
+    for name, test in tests:
+        test()
+        print(f"ok  {name}")
+    print(f"{len(tests)} passed on Python {sys.version.split()[0]}")
