@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
 from math import gcd
-from operator import add, sub
+from operator import add, mul, sub
 
 from .epoly import EPoly
 from .errors import DimensionError, DriverError, HypothesisViolation
@@ -241,39 +241,30 @@ _HUNT_MAX_ACTIVE = 5
 
 
 def _linear_candidates(p: Poly, lines):
-    """Primitive affine forms in the active variables, small coefficients.
-
-    Only forms that pass every line of ``lines`` (see ``_line_filter``) are
-    built; every divisor of p passes them all.
-    """
+    """Primitive affine forms c.v + c0 in the active variables with small
+    coefficients that pass every line, as each divisor of p does, in
+    ``iter_product`` order of (c, c0): c is enumerated, c0 solved per line."""
     active = sorted(p.variables_used())
     if not active or len(active) > _HUNT_MAX_ACTIVE:
         return
     span = range(-_HUNT_HEIGHT, _HUNT_HEIGHT + 1)
     n = p.n
     pos = [var_pos(n, kind, idx) for kind, idx in active]
-    filters = [
-        ([A[j] for j in pos], [B[j] for j in pos], l, roots)
-        for A, B, l, roots in lines
-    ]
-    for consts in iter_product(span, repeat=len(active) + 1):
-        coeffs, const = consts[:-1], consts[-1]
-        if all(c == 0 for c in coeffs):
-            continue
-        first = next(c for c in coeffs if c)
-        if first < 0:
-            continue  # sign-canonical representative
-        g = 0
-        for c in coeffs + (const,):
-            g = gcd(g, abs(c))
-        if g != 1:
-            continue
-        if not all(_may_divide(coeffs, const, f) for f in filters):
-            continue
+    filters = [([A[j] for j in pos], [B[j] for j in pos], l, roots) for A, B, l, roots in lines]
+    for coeffs in iter_product(span, repeat=len(active)):
+        if next((c for c in coeffs if c), 0) <= 0:
+            continue  # zero, or not the sign-canonical representative
+        consts = set(span)
+        for f in filters:
+            consts &= _allowed_constants(coeffs, f, span)
+            if not consts:
+                break
         form = [0] * (2 * n)
         for j, c in zip(pos, coeffs):
             form[j] = c
-        yield Poly.affine(n, form, const)
+        for const in sorted(consts):
+            if gcd(*coeffs, const) == 1:
+                yield Poly.affine(n, form, const)
 
 
 def _line_filter(A: list[int], B: list[int], l: int, factors) -> tuple:
@@ -283,22 +274,25 @@ def _line_filter(A: list[int], B: list[int], l: int, factors) -> tuple:
     a divisor alpha t + beta of the line's image, which is nonzero.  So
     either alpha = 0 and beta != 0, or -beta/alpha is a rational root of the
     image, that is -g0/g1 for a linear factor [g0, g1] of the factorization
-    (``[0, 1]`` included).  Over integers, alpha = c.A / l and
-    beta = (c0 l + c.B) / l, and the root test reads
-    (c.A) (-g0) + (c0 l + c.B) g1 = 0.  The filter is
+    (``[0, 1]`` included).  The filter is
     (A, B, l, [(-g0, g1) for each linear factor]).
     """
     return A, B, l, [(-g[0], g[1]) for g, _ in factors if len(g) == 2]
 
 
-def _may_divide(coeffs, const: int, line_filter) -> bool:
-    """Whether c.v + c0 restricts on the line to a divisor of its image."""
+def _allowed_constants(coeffs, line_filter, span: range) -> set[int]:
+    """The c0 in ``span`` for which c.v + c0 restricts on the line to a
+    divisor of its image.  Over integers, alpha = c.A / l and
+    beta = (c0 l + c.B) / l.  If c.A = 0, every c0 but -c.B / l passes;
+    otherwise each root r0/r1 of the image fixes c0 by the root test
+    (c.A) r0 + (c0 l + c.B) r1 = 0, if that c0 is an integer."""
     A, B, l, roots = line_filter
-    alpha = sum(c * x for c, x in zip(coeffs, A))
-    beta = const * l + sum(c * x for c, x in zip(coeffs, B))
+    alpha = sum(map(mul, coeffs, A))
+    beta = sum(map(mul, coeffs, B))
     if not alpha:
-        return beta != 0
-    return any(alpha * r0 + beta * r1 == 0 for r0, r1 in roots)
+        return {c0 for c0 in span if c0 * l + beta}
+    solved = (divmod(-(alpha * r0 + beta * r1), l * r1) for r0, r1 in roots)
+    return {c0 for c0, r in solved if not r and c0 in span}
 
 
 def _specialize_to_line(p: Poly, C: list[int], A: list[int], B: list[int], l: int) -> list[int]:
@@ -355,7 +349,9 @@ def irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0) -> IrredVer
     linear forms.  It keeps the rational roots of every full-degree image it
     factored and trial-divides only the forms whose restriction to each such
     line divides the image (a factor of p restricts to a factor of every
-    specialization), so every divisor is still tried, in the same order.
+    specialization), so every divisor is still tried, in the same order;
+    each line's roots fix the constant terms that pass, which are solved
+    for instead of enumerated.
     Without a divisor the verdict is Unknown.  ``attempts`` must be at
     least 1.
     """

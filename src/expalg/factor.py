@@ -237,21 +237,25 @@ def gf_divmod(a, b, p):
     only the new top coefficient, and rem is reduced once at the end."""
     if not b:
         raise ZeroDivisionError("gf division by zero")
-    rem = list(a)
+    rem, inv, tail = list(a), pow(b[-1] % p, -1, p), b[:-1]
     quo = [0] * max(0, len(a) - len(b) + 1)
-    inv = pow(b[-1] % p, -1, p)
-    tail = b[:-1]
-    while len(rem) >= len(b):
-        shift = len(rem) - len(b)
-        factor = rem.pop() % p * inv % p
-        quo[shift] = factor
+    for shift in range(len(a) - len(b), -1, -1):
+        quo[shift] = factor = rem.pop() % p * inv % p
         for i, c in enumerate(tail):
             rem[shift + i] -= factor * c
     return dtrim(quo), gf_trunc(rem, p)
 
 
 def gf_rem(a, b, p):
-    return gf_divmod(a, b, p)[1]
+    """The remainder of ``gf_divmod(a, b, p)``, without building the quotient."""
+    if not b:
+        raise ZeroDivisionError("gf division by zero")
+    rem, inv, tail = list(a), pow(b[-1] % p, -1, p), b[:-1]
+    for shift in range(len(a) - len(b), -1, -1):
+        factor = rem.pop() % p * inv % p
+        for i, c in enumerate(tail):
+            rem[shift + i] -= factor * c
+    return gf_trunc(rem, p)
 
 
 def gf_monic(f, p):

@@ -368,7 +368,7 @@ class TightEvaluator:
         if depth == 0 or nat[0] > 0.0 or nat[1] < 0.0 or nat[1] - nat[0] < 1e-14:
             return nat
         if not centre:
-            mids = [0.5 * (lo + hi) for lo, hi in bounds]
+            mids = [midpoint(lo, hi) for lo, hi in bounds]
             if any(m != m for m in mids):
                 raise ValueError("box midpoint is not a number")
             centre.append([(m, m) for m in mids])

@@ -13,12 +13,12 @@ construction; every operation returns a new polynomial in canonical form
 (no stored zero coefficients), so values can be shared freely between
 threads.
 
-The constructor is the one merge path.  It takes a mapping or an iterable
-of (monomial, coefficient) pairs and folds them in arrival order: each
-coefficient is added to the sum stored under its monomial, and a zero sum
-is removed (a monomial met again after that arrives anew, at the end).  The
-ring operations only generate terms for it, so every term map's order
-follows from the operands' orders; float evaluation sums in that order.
+One merge loop, ``_merged``, folds (monomial, coefficient) pairs in arrival
+order: each coefficient is added to the sum stored under its monomial, and a
+zero sum is removed (a monomial met again after that arrives anew, at the
+end).  The public constructor validates its pairs first; the ring operations
+merge the terms they generate from valid operands unchecked, so every term
+map's order follows from the operands' orders.  Float evaluation sums in it.
 
 ``Substitution`` is the one substitution kernel, shared by
 ``Poly.substitute_affine`` and ``EPoly.restrict``: it sums c * rest * form^e
@@ -67,6 +67,23 @@ def _as_rat(c: RatLike) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
 
 
+def _merged(n: int, pairs: Iterable[tuple[Mono, Fraction]]) -> Poly:
+    """The Poly of ``pairs`` (valid monomials, Fraction coefficients), unchecked."""
+    canon: dict[Mono, Fraction] = {}
+    for mono, c in pairs:
+        if c:
+            prev = canon.get(mono)
+            s = c if prev is None else prev + c
+            if s:
+                canon[mono] = s
+            else:
+                del canon[mono]
+    p = object.__new__(Poly)
+    object.__setattr__(p, "n", n)
+    object.__setattr__(p, "terms", canon)
+    return p
+
+
 def _products(
     left: Iterable[tuple[Mono, Fraction]], right: Mapping[Mono, Fraction]
 ) -> Iterator[tuple[Mono, Fraction]]:
@@ -86,12 +103,12 @@ class Poly:
         n: int,
         terms: Mapping[Mono, RatLike] | Iterable[tuple[Mono, RatLike]] | None = None,
     ):
-        """Merge ``terms`` (a mapping or (monomial, coefficient) pairs) in arrival order."""
+        """Check ``terms`` (a mapping or (monomial, coefficient) pairs), then merge them."""
         if n < 0:
             raise ValueError("ambient variable count must be non-negative")
-        canon: dict[Mono, Fraction] = {}
         pairs = terms.items() if isinstance(terms, Mapping) else terms or ()
         width = 2 * n
+        checked = []
         for mono, coeff in pairs:
             if len(mono) != width:
                 raise DimensionError(
@@ -99,16 +116,9 @@ class Poly:
                 )
             if min(mono, default=0) < 0:
                 raise ValueError(f"negative exponent in monomial {mono}")
-            c = _as_rat(coeff)
-            if c:
-                prev = canon.get(mono)
-                s = c if prev is None else prev + c
-                if s:
-                    canon[mono] = s
-                else:
-                    del canon[mono]
+            checked.append((mono, _as_rat(coeff)))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", canon)
+        object.__setattr__(self, "terms", _merged(n, checked).terms)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Poly is immutable")
@@ -195,17 +205,17 @@ class Poly:
 
     def __add__(self, other: Poly) -> Poly:
         self._check_same_ambient(other)
-        return Poly(self.n, chain(self.terms.items(), other.terms.items()))
+        return _merged(self.n, chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> Poly:
-        return Poly(self.n, {m: -c for m, c in self.terms.items()})
+        return _merged(self.n, ((m, -c) for m, c in self.terms.items()))
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
 
     def __mul__(self, other: Poly) -> Poly:
         self._check_same_ambient(other)
-        return Poly(self.n, _products(self.terms.items(), other.terms))
+        return _merged(self.n, _products(self.terms.items(), other.terms))
 
     def __pow__(self, k: int) -> Poly:
         if k < 0:
@@ -223,7 +233,7 @@ class Poly:
         c = _as_rat(c)
         if not c:
             return Poly.zero(self.n)
-        return Poly(self.n, {m: c * v for m, v in self.terms.items()})
+        return _merged(self.n, ((m, c * v) for m, v in self.terms.items()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
@@ -257,7 +267,7 @@ class Poly:
     def derivative(self, kind: str, i: int) -> Poly:
         """Exact formal partial derivative with respect to x_i or u_i."""
         pos = var_pos(self.n, kind, i)
-        return Poly(
+        return _merged(
             self.n,
             ((_set_exponent(m, pos, m[pos] - 1), c * m[pos]) for m, c in self.terms.items() if m[pos]),
         )
@@ -299,7 +309,7 @@ class Substitution:
     variable, and that variable's exponent.  Each power of ``form`` is
     computed once, on first need, and kept by the instance, so one instance
     serves every polynomial that takes the same form.  All products are
-    merged by one constructor call.
+    merged at once.
     """
 
     def __init__(self, form: Poly, split: Callable[[Mono], tuple[Mono, int]]):
@@ -308,7 +318,7 @@ class Substitution:
         self.powers = [Poly.const(form.n, 1)]
 
     def __call__(self, p: Poly) -> Poly:
-        return Poly(self.form.n, self._pairs(p))
+        return _merged(self.form.n, self._pairs(p))
 
     def _pairs(self, p: Poly) -> Iterator[tuple[Mono, Fraction]]:
         powers = self.powers

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from expalg import classify
-from expalg.classify import _line_filter, _may_divide, irreducibility_oracle, trial_divide
+from expalg.classify import _allowed_constants, _line_filter, irreducibility_oracle, trial_divide
 from expalg.factor import factor_dense
 from expalg.parsing import format_poly, parse_poly
 from expalg.poly import Poly
@@ -144,7 +144,8 @@ def test_line_filter_matches_exact_division():
             coeffs = [int(cand.terms.get(m, 0)) for m in units]
             const = int(cand.terms.get(mono((0,) * n, (0,) * n), 0))
             want = restriction_divides(cand, a, b, image)
-            assert _may_divide(coeffs, const, line) == want, (format_poly(p), a, b, format_poly(cand))
+            allowed = _allowed_constants(coeffs, line, range(-2, 3))
+            assert (const in allowed) == want, (format_poly(p), a, b, format_poly(cand))
             alpha = sum(c * x for c, x in zip(coeffs, A))
             beta = const * l + sum(c * x for c, x in zip(coeffs, B))
             seen.add((alpha == 0, beta == 0, want))

@@ -9,9 +9,9 @@ from integer pseudo-remainders.  The references in ``util`` do the same on
 Fractions.  Images, pull-backs, factorizations and counts must be equal, and
 the modular splitting must return the same factors for every seed.  Modular
 division, which reduces once per step, must equal division that reduces at
-every step; the prime is chosen by distinct-degree counts, which must equal
-the number of factors of the full splitting, and only the prime kept is
-split.  The module needs no pytest, so it also runs as a script on an
+every step, and so must the remainder-only ``gf_rem``; the prime is
+chosen by distinct-degree counts, which must equal the number of factors of
+the full splitting, and only the prime kept is split.  The module needs no pytest, so it also runs as a script on an
 interpreter without it:
 
     PYTHONPATH=src python3 tests/test_factor_kernel.py
@@ -36,6 +36,7 @@ from expalg.factor import (
     factor_dense,
     gf_ddf,
     gf_divmod,
+    gf_rem,
     gf_gcd,
     gf_monic,
     gf_trunc,
@@ -258,7 +259,8 @@ def test_hensel_lift_reduces_to_the_modular_factors():
 def test_gf_divmod_matches_per_step_reduction():
     # Dividends with unreduced and negative coefficients, moduli p and the
     # p^k of Hensel steps, divisors whose top coefficient is not 1 (nor
-    # reduced), and dividends shorter than the divisor.
+    # reduced), and dividends shorter than the divisor.  ``gf_rem``, which
+    # builds no quotient, must give the same remainder.
     rng = random.Random(47)
     seen = {"prime power": 0, "top not 1": 0, "short dividend": 0, "negative": 0}
     for _ in range(800):
@@ -272,6 +274,7 @@ def test_gf_divmod_matches_per_step_reduction():
         a = [rng.randrange(-5 * m, 5 * m) for _ in range(rng.randint(0, 11))]
         quo, rem = gf_divmod(a, b, m)
         assert (quo, rem) == reference_gf_divmod(a, b, m), (a, b, m)
+        assert gf_rem(a, b, m) == rem, (a, b, m)
         assert len(rem) < len(b) and gf_trunc(dadd(dmul(quo, b), rem), m) == gf_trunc(a, m)
         seen["prime power"] += m != p
         seen["top not 1"] += top % m != 1

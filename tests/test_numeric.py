@@ -291,6 +291,19 @@ def test_compiled_plans_match_reference_bit_for_bit():
     assert _outcome(TightEvaluator(f), box.bounds()) == _outcome(ReferenceTightEvaluator(f), box)
 
 
+def test_tight_evaluator_midpoint_near_the_top_of_the_float_range():
+    # 1e308 + 1.7e308 overflows, so a midpoint taken as 0.5 * (lo + hi) is
+    # inf and the mean-value form gives -inf; the overflow-safe midpoint
+    # keeps it finite.  The literal stands for 13*10^307, beyond the
+    # parser's exponent cap.
+    f = parse_epoly(f"x1 - {13 * 10**307}*x2")
+    bounds = [(1e308, 1.7e308), (0.5, 1.5)]
+    lo, hi = TightEvaluator(f)(bounds)
+    assert -9.6e307 < lo < -9.4e307 and 1.04e308 < hi < 1.06e308
+    want = _outcome(ReferenceTightEvaluator(f), Box.from_bounds(bounds))
+    assert _outcome(TightEvaluator(f), bounds) == want
+
+
 def test_rigorous_tight_evaluator_matches_reference():
     rng = random.Random(7)
     for _ in range(6):

@@ -51,7 +51,7 @@ from expalg.intervals import (
 )
 from expalg.numeric import RootCert, default_root_domain
 from expalg.parsing import format_poly
-from expalg.poly import Poly
+from expalg.poly import Poly, var_pos
 
 
 def mono(x, u) -> tuple[int, ...]:
@@ -233,7 +233,11 @@ class ReferenceInterval:
 
     @property
     def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        """0.5 * (lo + hi), or 0.5 * lo + 0.5 * hi where the finite ends' sum overflows."""
+        m = 0.5 * (self.lo + self.hi)
+        if math.isinf(m) and math.isfinite(self.lo) and math.isfinite(self.hi):
+            return 0.5 * self.lo + 0.5 * self.hi
+        return m
 
     @property
     def mag(self) -> float:
@@ -592,6 +596,42 @@ def reference_linear_candidates(p: Poly, height: int = 2, max_active: int = 5):
                 zero = (0,) * n
                 terms[mono(e, zero) if kind == "x" else mono(zero, e)] = Fraction(c)
         yield Poly(n, terms)
+
+
+def reference_filtered_candidates(p: Poly, lines, height: int = 2, max_active: int = 5):
+    """``classify._linear_candidates`` by enumeration: every tuple (c, c0) of
+    the span, in ``itertools.product`` order, kept when it is primitive,
+    sign-canonical and passes ``reference_may_divide`` on every line."""
+    active = sorted(p.variables_used())
+    if not active or len(active) > max_active:
+        return
+    n = p.n
+    pos = [var_pos(n, kind, idx) for kind, idx in active]
+    filters = [([A[j] for j in pos], [B[j] for j in pos], l, roots) for A, B, l, roots in lines]
+    for consts in itertools.product(range(-height, height + 1), repeat=len(active) + 1):
+        coeffs, const = consts[:-1], consts[-1]
+        if all(c == 0 for c in coeffs) or next(c for c in coeffs if c) < 0:
+            continue
+        if math.gcd(*consts) != 1:
+            continue
+        if not all(reference_may_divide(coeffs, const, f) for f in filters):
+            continue
+        form = [0] * (2 * n)
+        for j, c in zip(pos, coeffs):
+            form[j] = c
+        yield Poly.affine(n, form, const)
+
+
+def reference_may_divide(coeffs, const: int, line_filter) -> bool:
+    """Whether c.v + c0 restricts on the filter's line to a divisor of its
+    image: alpha = c.A, beta = c0 l + c.B, and either alpha = 0 and
+    beta != 0, or alpha r0 + beta r1 = 0 for one of its roots r0/r1."""
+    A, B, l, roots = line_filter
+    alpha = sum(c * x for c, x in zip(coeffs, A))
+    beta = const * l + sum(c * x for c, x in zip(coeffs, B))
+    if not alpha:
+        return beta != 0
+    return any(alpha * r0 + beta * r1 == 0 for r0, r1 in roots)
 
 
 def reference_specialize_to_line(p: Poly, a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
