@@ -20,13 +20,15 @@ multiply), partial differentiation (d/dx_i maps A e^(s.x) to
 the origin, which eliminates one variable and in general introduces
 fractional spectra.
 
-As for ``Poly``, the constructor is the one merge path: it takes a mapping
-or an iterable of (spectrum, coefficient) pairs and folds them in arrival
+The constructor is the one merge path: it takes a mapping or an iterable of
+(spectrum, coefficient) pairs, checks each pair, and folds them in arrival
 order, adding each coefficient to the one stored under its spectrum and
 removing a zero sum.  The ring operations, ``derivative``, ``restrict`` and
-``from_poly`` only generate pairs for it.  ``restrict`` substitutes the
-pivot variable with ``poly.Substitution``, one instance (and so one power
-table) for all the coefficients.
+``from_poly`` only generate pairs for it.  (``Poly`` differs: its ring
+operations and named constructors merge their terms without the public
+constructor's checks.)  ``restrict`` substitutes the pivot variable with
+``poly.Substitution``, one instance (and so one power table) for all the
+coefficients.
 
 Evaluation is compiled once per instance.  ``float_evaluator`` converts the
 coefficients and spectra to floats once.  ``scaled_value`` and

@@ -502,7 +502,7 @@ def default_root_domain(f: EPoly) -> tuple[float, float]:
 
 def isolate_roots_1d(
     f: EPoly,
-    domain: tuple[float, float] | None = None,
+    domain: tuple[float, float],
     tol: float = 1e-9,
 ) -> tuple[list[RootCert], list[RootCert]]:
     """Certified root isolation on a finite interval.
@@ -539,8 +539,6 @@ def isolate_roots_1d(
         raise DimensionError("root isolation requires a 1-variable input")
     if f.is_zero():
         raise HypothesisViolation("function is identically zero")
-    if domain is None:
-        domain = default_root_domain(f)
     if not all(math.isfinite(v) for v in domain):
         raise ValueError("domain endpoints must be finite")
     a = Fraction(domain[0])

@@ -12,19 +12,28 @@ Grammar (EBNF):
 Variable indices are 1-based.  Implicit multiplication is rejected, '/'
 appears only inside rational literals, and exp() takes a single x-variable
 (general arguments are rejected at parse level).  The leading optional '-'
-is the only unary minus.
+is the only unary minus.  Exponents are capped at 64, and parentheses at 64
+levels of nesting.
 
 ``parse_poly`` accepts x- and u-variables and rejects exp();
 ``parse_epoly`` additionally accepts exp(xi), which denotes the same
 function as ui, and returns the canonical exponential polynomial.
 
+The tokenizer reads the text once.  A token's kind is ``NUM``, ``x`` or
+``u`` for a variable (whose index is the rest of its text), ``exp``,
+``END``, or the operator character itself.  The parser builds each variable
+once per parse with ``Poly.var`` and shares it between its occurrences
+(values are immutable).  A sum of two or more terms goes to the ``Poly``
+constructor as one list of signed pairs, so it is merged once; that gives
+the term map, in the same order, that adding the terms one by one gives.
+
 Pretty printing emits canonical text (terms in decreasing graded-lex order,
 exponential factors in spectrum order) that parses back to an equal value.
 A monomial prints its variables in layout order, x1..xn then u1..un, each
-named by ``poly.var_name``; the parser builds variables with ``Poly.var``.
-Exponential polynomials whose spectra are not non-negative integers (they
-arise from hyperplane restriction) are printed in a readable extended form
-``exp(q1*x1 + ...)`` that is not part of the input grammar.
+named by ``poly.var_name``.  Exponential polynomials whose spectra are not
+non-negative integers (they arise from hyperplane restriction) are printed
+in a readable extended form ``exp(q1*x1 + ...)`` that is not part of the
+input grammar.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from .poly import Mono, Poly, var_name
 
 
 class Token(NamedTuple):
-    kind: str  # NUM, VAR, EXP, OP, END
+    kind: str  # NUM, x, u, exp, END, or the operator character
     text: str
     line: int
     column: int
@@ -52,45 +61,38 @@ _TOKEN_RE = re.compile(
   | (?P<num>\d+)
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>[-+*/^()])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
-_VAR_RE = re.compile(r"^(x|u)([1-9][0-9]*)$")
+_VAR_RE = re.compile(r"[xu][1-9][0-9]*")
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     line = 1
     col = 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        if m.lastgroup == "ws":
-            for ch in lexeme:
-                if ch == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-            pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        lexeme = m.group()
+        group = m.lastgroup
+        if group == "ws":
+            breaks = lexeme.count("\n")
+            line += breaks
+            col = len(lexeme) - lexeme.rfind("\n") if breaks else col + len(lexeme)
             continue
-        if m.lastgroup == "num":
-            tokens.append(Token("NUM", lexeme, line, col))
-        elif m.lastgroup == "name":
-            if lexeme == "exp":
-                tokens.append(Token("EXP", lexeme, line, col))
-            elif _VAR_RE.match(lexeme):
-                tokens.append(Token("VAR", lexeme, line, col))
-            else:
-                raise ParseError(f"unknown name {lexeme!r}", line, col)
+        if group == "num":
+            kind = "NUM"
+        elif group == "op" or lexeme == "exp":
+            kind = lexeme
+        elif group == "bad":
+            raise ParseError(f"unexpected character {lexeme!r}", line, col)
+        elif _VAR_RE.fullmatch(lexeme):
+            kind = lexeme[0]
         else:
-            tokens.append(Token("OP", lexeme, line, col))
+            raise ParseError(f"unknown name {lexeme!r}", line, col)
+        tokens.append(Token(kind, lexeme, line, col))
         col += len(lexeme)
-        pos = m.end()
     tokens.append(Token("END", "", line, col))
     return tokens
 
@@ -100,72 +102,67 @@ class _Parser:
 
     exp(xi) is parsed as the variable ui; the epoly entry point applies the
     canonical expansion afterwards, which makes the two spellings agree.
+    ``tok`` is the next token to read, ``depth`` the number of parentheses
+    open, and ``variables`` maps each variable name met so far to its Poly.
     """
 
     def __init__(self, tokens: list[Token], n: int, allow_exp: bool):
-        self.tokens = tokens
-        self.pos = 0
+        self.tokens = iter(tokens)
+        self.tok = next(self.tokens)
         self.n = n
         self.allow_exp = allow_exp
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+        self.depth = 0
+        self.variables: dict[str, Poly] = {}
 
     def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.tok
+        self.tok = next(self.tokens)
         return tok
 
-    def expect_op(self, op: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "OP" or tok.text != op:
-            raise ParseError(f"expected {op!r}", tok.line, tok.column)
+    def expect(self, kind: str, message: str) -> Token:
+        if self.tok.kind != kind:
+            raise ParseError(message, self.tok.line, self.tok.column)
         return self.advance()
+
+    def variable(self, name: str) -> Poly:
+        p = self.variables.get(name)
+        if p is None:
+            p = self.variables[name] = Poly.var(self.n, name[0], int(name[1:]))
+        return p
 
     def parse(self) -> Poly:
         value = self.expr()
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "END":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
         return value
 
     def expr(self) -> Poly:
-        negate = False
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "-":
-            self.advance()
-            negate = True
-        value = self.term()
+        negate = self.tok.kind == "-"
         if negate:
-            value = -value
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text in "+-":
-                self.advance()
-                rhs = self.term()
-                value = value + rhs if tok.text == "+" else value - rhs
-            else:
-                return value
+            self.advance()
+        signed = [(negate, self.term())]
+        while self.tok.kind in ("+", "-"):
+            signed.append((self.advance().kind == "-", self.term()))
+        if len(signed) == 1:
+            return -signed[0][1] if negate else signed[0][1]
+        return Poly(
+            self.n,
+            [(m, -c if minus else c) for minus, t in signed for m, c in t.terms.items()],
+        )
 
     def term(self) -> Poly:
         value = self.factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text == "*":
-                self.advance()
-                value = value * self.factor()
-            else:
-                return value
+        while self.tok.kind == "*":
+            self.advance()
+            value = value * self.factor()
+        return value
 
     def factor(self) -> Poly:
         value = self.base()
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "^":
+        if self.tok.kind == "^":
             self.advance()
-            num = self.peek()
-            if num.kind != "NUM":
-                raise ParseError("exponent must be a non-negative integer", num.line, num.column)
-            self.advance()
+            num = self.expect("NUM", "exponent must be a non-negative integer")
             exponent = int(num.text)
             if exponent > 64:
                 raise ParseError("exponent too large (limit 64)", num.line, num.column)
@@ -173,24 +170,22 @@ class _Parser:
         return value
 
     def base(self) -> Poly:
-        tok = self.peek()
-        if tok.kind == "NUM":
+        tok = self.tok
+        kind = tok.kind
+        if kind == "NUM":
             self.advance()
-            numerator = int(tok.text)
-            nxt = self.peek()
-            if nxt.kind == "OP" and nxt.text == "/":
-                self.advance()
-                den = self.peek()
-                if den.kind != "NUM" or int(den.text) == 0:
-                    raise ParseError("denominator must be a positive integer", den.line, den.column)
-                self.advance()
-                return Poly.const(self.n, Fraction(numerator, int(den.text)))
-            return Poly.const(self.n, numerator)
-        if tok.kind == "VAR":
+            if self.tok.kind != "/":
+                return Poly.const(self.n, int(tok.text))
             self.advance()
-            kind, idx = _split_var(tok)
-            return Poly.var(self.n, kind, idx)
-        if tok.kind == "EXP":
+            den = self.tok
+            if den.kind != "NUM" or int(den.text) == 0:
+                raise ParseError("denominator must be a positive integer", den.line, den.column)
+            self.advance()
+            return Poly.const(self.n, Fraction(int(tok.text), int(den.text)))
+        if kind == "x" or kind == "u":
+            self.advance()
+            return self.variable(tok.text)
+        if kind == "exp":
             if not self.allow_exp:
                 raise ParseError(
                     "exp() is not allowed in polynomial input; use a u-variable "
@@ -199,43 +194,29 @@ class _Parser:
                     tok.column,
                 )
             self.advance()
-            self.expect_op("(")
-            arg = self.peek()
-            if arg.kind != "VAR" or _split_var(arg)[0] != "x":
-                raise ParseError(
-                    "exp() takes a single x-variable argument", arg.line, arg.column
-                )
-            self.advance()
-            _, idx = _split_var(arg)
-            self.expect_op(")")
-            return Poly.var(self.n, "u", idx)
-        if tok.kind == "OP" and tok.text == "(":
+            self.expect("(", "expected '('")
+            arg = self.expect("x", "exp() takes a single x-variable argument")
+            self.expect(")", "expected ')'")
+            return self.variable("u" + arg.text[1:])
+        if kind == "(":
+            if self.depth == 64:
+                raise ParseError("parentheses nested too deeply (limit 64)", tok.line, tok.column)
+            self.depth += 1
             self.advance()
             value = self.expr()
-            self.expect_op(")")
+            self.expect(")", "expected ')'")
+            self.depth -= 1
             return value
         raise ParseError(f"unexpected token {tok.text or 'end of input'!r}", tok.line, tok.column)
 
 
-def _split_var(tok: Token) -> tuple[str, int]:
-    m = _VAR_RE.match(tok.text)
-    if not m:  # pragma: no cover - guarded by the tokenizer
-        raise ParseError(f"bad variable {tok.text!r}", tok.line, tok.column)
-    return m.group(1), int(m.group(2))
-
-
 def _infer_ambient(tokens: list[Token], override: int | None) -> int:
-    max_idx = 0
-    for tok in tokens:
-        if tok.kind == "VAR":
-            max_idx = max(max_idx, _split_var(tok)[1])
+    max_idx = max((int(tok.text[1:]) for tok in tokens if tok.kind in ("x", "u")), default=0)
     if override is not None:
         if override < 1:
             raise ParseError(f"ambient override {override} below 1", 1, 1)
         if override < max_idx:
-            raise ParseError(
-                f"ambient override {override} below used index {max_idx}", 1, 1
-            )
+            raise ParseError(f"ambient override {override} below used index {max_idx}", 1, 1)
         return override
     return max(max_idx, 1)
 
@@ -243,16 +224,13 @@ def _infer_ambient(tokens: list[Token], override: int | None) -> int:
 def parse_poly(text: str, ambient: int | None = None) -> Poly:
     """Parse polynomial text in x/u variables (exp() rejected)."""
     tokens = tokenize(text)
-    n = _infer_ambient(tokens, ambient)
-    return _Parser(tokens, n, allow_exp=False).parse()
+    return _Parser(tokens, _infer_ambient(tokens, ambient), allow_exp=False).parse()
 
 
 def parse_epoly(text: str, ambient: int | None = None) -> EPoly:
     """Parse exponential-polynomial text; exp(xi) and ui both mean e^(x_i)."""
     tokens = tokenize(text)
-    n = _infer_ambient(tokens, ambient)
-    p = _Parser(tokens, n, allow_exp=True).parse()
-    return EPoly.from_poly(p)
+    return EPoly.from_poly(_Parser(tokens, _infer_ambient(tokens, ambient), allow_exp=True).parse())
 
 
 # ---------------------------------------------------------------------------

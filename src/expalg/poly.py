@@ -16,9 +16,11 @@ threads.
 One merge loop, ``_merged``, folds (monomial, coefficient) pairs in arrival
 order: each coefficient is added to the sum stored under its monomial, and a
 zero sum is removed (a monomial met again after that arrives anew, at the
-end).  The public constructor validates its pairs first; the ring operations
-merge the terms they generate from valid operands unchecked, so every term
-map's order follows from the operands' orders.  Float evaluation sums in it.
+end).  The public constructor validates its pairs first.  The ring
+operations merge the terms they generate from valid operands unchecked, so
+every term map's order follows from the operands' orders.  So do ``const``,
+``var`` and ``affine``, once ``var`` has checked its index and ``affine`` the
+length of its coefficients.  Float evaluation sums in it.
 
 ``Substitution`` is the one substitution kernel, shared by
 ``Poly.substitute_affine`` and ``EPoly.restrict``: it sums c * rest * form^e
@@ -84,6 +86,11 @@ def _merged(n: int, pairs: Iterable[tuple[Mono, Fraction]]) -> Poly:
     return p
 
 
+def _unit(width: int, pos: int) -> Mono:
+    """The monomial of ``width`` exponents with a single 1, at ``pos``."""
+    return (0,) * pos + (1,) + (0,) * (width - pos - 1)
+
+
 def _products(
     left: Iterable[tuple[Mono, Fraction]], right: Mapping[Mono, Fraction]
 ) -> Iterator[tuple[Mono, Fraction]]:
@@ -131,22 +138,22 @@ class Poly:
 
     @classmethod
     def const(cls, n: int, value: RatLike) -> Poly:
-        return cls(n, {(0,) * (2 * n): _as_rat(value)})
+        return _merged(n, [((0,) * (2 * n), _as_rat(value))])
 
     @classmethod
     def var(cls, n: int, kind: str, i: int) -> Poly:
         """The polynomial x_i or u_i (1-based index)."""
-        pos = var_pos(n, kind, i)
-        return cls(n, {tuple(int(j == pos) for j in range(2 * n)): Fraction(1)})
+        return _merged(n, [(_unit(2 * n, var_pos(n, kind, i)), Fraction(1))])
 
     @classmethod
     def affine(cls, n: int, coeffs: Sequence[RatLike], const: RatLike = 0) -> Poly:
         """const + sum of coeffs[j] * v_j over the variables v = (x1..xn, u1..un)."""
-        if len(coeffs) != 2 * n:
-            raise DimensionError(f"affine form needs {2 * n} coefficients")
         width = 2 * n
-        units = [tuple(int(j == k) for j in range(width)) for k in range(width)]
-        return cls(n, [((0,) * width, const), *zip(units, coeffs)])
+        if len(coeffs) != width:
+            raise DimensionError(f"affine form needs {width} coefficients")
+        pairs = [((0,) * width, _as_rat(const))]
+        pairs += ((_unit(width, j), _as_rat(c)) for j, c in enumerate(coeffs))
+        return _merged(n, pairs)
 
     # -- basic queries -------------------------------------------------------
 

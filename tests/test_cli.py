@@ -320,6 +320,17 @@ def test_ambient_below_one_is_an_input_error(capsys):
             assert err == f"input error: ambient override {ambient} below 1 (line 1, column 1)\n", err
 
 
+def test_deep_parentheses_are_an_input_error(capsys):
+    # each level costs the parser four frames, so without a limit about 245
+    # levels end in a RecursionError traceback instead of an input error
+    for depth in (65, 1000):
+        code, out, err = run_cli(capsys, ["canon", "--", "(" * depth + "x1" + ")" * depth])
+        assert code == cli.EXIT_INPUT and out == "", depth
+        assert err == "input error: parentheses nested too deeply (limit 64) (line 1, column 65)\n", err
+    code, out, _ = run_cli(capsys, ["canon", "--", "(" * 64 + "x1" + ")" * 64])
+    assert code == cli.EXIT_OK and json.loads(out)["result"]["canonical"] == "x1"
+
+
 HUGE = "1" + "0" * 400  # beyond the largest float
 
 

@@ -121,6 +121,17 @@ def test_error_positions_and_messages():
         parse_poly("x1 +")
 
 
+def test_parentheses_nest_at_most_64_deep():
+    assert parse_poly("(" * 64 + "x1 + 1" + ")" * 64) == parse_poly("x1 + 1")
+    assert parse_epoly("-(" * 64 + "exp(x1)" + ")" * 64) == parse_epoly("exp(x1)")
+    with pytest.raises(ParseError) as err:
+        parse_poly("(" * 65 + "x1" + ")" * 65)
+    assert str(err.value) == "parentheses nested too deeply (limit 64) (line 1, column 65)"
+    assert err.value.line == 1 and err.value.column == 65
+    # the limit counts open parentheses, not all of them in the text
+    assert parse_poly(" + ".join(["((x1))"] * 100)) == parse_poly("100*x1")
+
+
 def test_fractional_spectra_print_in_extended_form():
     f = parse_epoly("exp(x1)", ambient=2).restrict(Hyperplane((2, -1)))
     assert "exp((1/2)*x1)" in format_epoly(f)

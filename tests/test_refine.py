@@ -22,7 +22,7 @@ import random
 from fractions import Fraction
 
 from expalg import numeric
-from expalg.numeric import _refine_bracket, isolate_roots_1d
+from expalg.numeric import _refine_bracket, default_root_domain, isolate_roots_1d
 from expalg.parsing import parse_epoly
 
 from util import rand_epoly, reference_isolate_roots_1d, reference_refine_bracket, run_standalone
@@ -235,7 +235,7 @@ def test_isolation_matches_reference_on_seeded_inputs():
             continue
         if i % 3 == 0:
             f = f * at_grid_point
-        for domain in ((-6.0, 6.0), (-40.0, 13.0), None):
+        for domain in ((-6.0, 6.0), (-40.0, 13.0), default_root_domain(f)):
             for tol in (1e-9, 2.0**-30, 1e-40):
                 (new, *_), (ref, *_) = isolate_both(f, domain, tol)
                 assert new == ref, (f, domain, tol)

@@ -6,9 +6,10 @@ constants c0 it allows.  ``util.reference_filtered_candidates`` enumerates
 every (c, c0) and tests each form on each line; both must yield the same
 forms in the same order, with the same term order.
 
-``Poly``'s ring operations merge their generated terms without the public
-constructor's checks.  Each must give the term map, in the same order, that
-the public constructor gives for the same pairs.  The module needs no
+``Poly``'s ring operations and named constructors merge their generated
+terms without the public constructor's checks.  Each must give the term
+map, in the same order, that the public constructor gives for the same
+pairs.  The module needs no
 pytest, so it also runs as a script on an interpreter without it:
 
     PYTHONPATH=src python3 tests/test_symbolic_kernel.py
@@ -22,7 +23,8 @@ from operator import add
 
 from expalg.classify import _line_filter, _linear_candidates
 from expalg.factor import factor_dense
-from expalg.poly import Poly, var_pos
+from expalg.errors import DimensionError
+from expalg.poly import Poly, var_name, var_pos
 
 from util import line_image, rand_fraction, rand_poly, reference_filtered_candidates, run_standalone
 
@@ -173,6 +175,32 @@ def test_ring_operations_merge_as_the_public_constructor():
             assert all(type(v) is Fraction for v in got.terms.values()), name
             shrunk += len(got.terms) < len({m for m, _ in pairs})
     assert shrunk >= 50, shrunk
+
+
+def test_named_constructors_build_the_public_constructors_terms():
+    # Zero coefficients and zero constants drop out; int, float and Fraction
+    # values become Fractions; affine's constant comes first.
+    rng = random.Random(32)
+    values = [0, 1, -2, Fraction(1, 3), 0.5]
+    for n in (0, 1, 2, 3):
+        width = 2 * n
+        zero = (0,) * width
+        units = [tuple(int(j == k) for j in range(width)) for k in range(width)]
+        cases = [(Poly.const(n, v), Poly(n, {zero: v})) for v in values]
+        cases += [(Poly.var(n, *var_name(n, k)), Poly(n, {unit: 1})) for k, unit in enumerate(units)]
+        for _ in range(20):
+            coeffs = [rng.choice(values) for _ in range(width)]
+            const = rng.choice(values)
+            cases.append((Poly.affine(n, coeffs, const), Poly(n, [(zero, const), *zip(units, coeffs)])))
+        for got, want in cases:
+            assert got.n == want.n and list(got.terms.items()) == list(want.terms.items()), want.terms
+            assert all(type(v) is Fraction for v in got.terms.values())
+    for bad in (lambda: Poly.var(2, "x", 3), lambda: Poly.var(2, "y", 1), lambda: Poly.affine(2, [1, 2, 3])):
+        try:
+            bad()
+        except (DimensionError, ValueError):
+            continue
+        raise AssertionError("a named constructor took a bad argument")
 
 
 if __name__ == "__main__":

@@ -5,9 +5,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from expalg import factor, numeric
 from expalg.classify import (
@@ -18,7 +20,7 @@ from expalg.classify import (
     trial_divide,
 )
 from expalg.epoly import EPoly
-from expalg.errors import DimensionError, HypothesisViolation, InternalInvariantError
+from expalg.errors import DimensionError, HypothesisViolation, InternalInvariantError, ParseError
 from expalg.factor import (
     dadd,
     dderiv,
@@ -49,7 +51,7 @@ from expalg.intervals import (
     pair_pow,
     pair_pow_exact,
 )
-from expalg.numeric import RootCert, default_root_domain
+from expalg.numeric import RootCert
 from expalg.parsing import format_poly
 from expalg.poly import Poly, var_pos
 
@@ -933,7 +935,7 @@ def reference_refine_bracket(sgn, lo: Fraction, hi: Fraction, tol: Fraction):
     return lo, hi
 
 
-def reference_isolate_roots_1d(f: EPoly, domain=None, tol: float = 1e-9):
+def reference_isolate_roots_1d(f: EPoly, domain, tol: float = 1e-9):
     """``numeric.isolate_roots_1d`` as it was before monotone cells settled
     at any width: endpoint signs only on cells at most ``_CERT_WIDTH`` wide,
     and one-root brackets refined from a first bisection step by secant
@@ -944,8 +946,6 @@ def reference_isolate_roots_1d(f: EPoly, domain=None, tol: float = 1e-9):
         raise DimensionError("root isolation requires a 1-variable input")
     if f.is_zero():
         raise HypothesisViolation("function is identically zero")
-    if domain is None:
-        domain = default_root_domain(f)
     a = Fraction(domain[0])
     b = Fraction(domain[1])
     if not a < b:
@@ -1088,6 +1088,207 @@ def _reference_secant_cell(value, lo: Fraction, hi: Fraction, m: int):
     if not (v_lo < 0.0 < v_hi or v_hi < 0.0 < v_lo):
         return None
     return min(int(v_lo / (v_lo - v_hi) * (1 << m)), (1 << m) - 1)
+
+
+# ---------------------------------------------------------------------------
+# Reference parser: the tokenizer and recursive-descent parser as they were
+# before operators became their own token kind, variables were built once
+# per parse and sums were merged once.  ``parsing`` must give the same term
+# maps, in the same order, and the same ParseError message and position.
+# ---------------------------------------------------------------------------
+
+
+class _RefToken(NamedTuple):
+    kind: str  # NUM, VAR, EXP, OP, END
+    text: str
+    line: int
+    column: int
+
+
+_REF_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<num>\d+)
+  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<op>[-+*/^()])
+    """,
+    re.VERBOSE,
+)
+
+_REF_VAR_RE = re.compile(r"^(x|u)([1-9][0-9]*)$")
+
+
+def _reference_tokenize(text: str) -> list[_RefToken]:
+    tokens: list[_RefToken] = []
+    line = 1
+    col = 1
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        lexeme = m.group(0)
+        if m.lastgroup == "ws":
+            for ch in lexeme:
+                if ch == "\n":
+                    line += 1
+                    col = 1
+                else:
+                    col += 1
+            pos = m.end()
+            continue
+        if m.lastgroup == "num":
+            tokens.append(_RefToken("NUM", lexeme, line, col))
+        elif m.lastgroup == "name":
+            if lexeme == "exp":
+                tokens.append(_RefToken("EXP", lexeme, line, col))
+            elif _REF_VAR_RE.match(lexeme):
+                tokens.append(_RefToken("VAR", lexeme, line, col))
+            else:
+                raise ParseError(f"unknown name {lexeme!r}", line, col)
+        else:
+            tokens.append(_RefToken("OP", lexeme, line, col))
+        col += len(lexeme)
+        pos = m.end()
+    tokens.append(_RefToken("END", "", line, col))
+    return tokens
+
+
+def _reference_split_var(tok: _RefToken) -> tuple[str, int]:
+    m = _REF_VAR_RE.match(tok.text)
+    return m.group(1), int(m.group(2))
+
+
+class _ReferenceParser:
+    """A fresh ``Poly.var`` per occurrence, and each sum added term by term."""
+
+    def __init__(self, tokens: list[_RefToken], n: int, allow_exp: bool):
+        self.tokens = tokens
+        self.pos = 0
+        self.n = n
+        self.allow_exp = allow_exp
+
+    def peek(self) -> _RefToken:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _RefToken:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op: str) -> _RefToken:
+        tok = self.peek()
+        if tok.kind != "OP" or tok.text != op:
+            raise ParseError(f"expected {op!r}", tok.line, tok.column)
+        return self.advance()
+
+    def parse(self) -> Poly:
+        value = self.expr()
+        tok = self.peek()
+        if tok.kind != "END":
+            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
+        return value
+
+    def expr(self) -> Poly:
+        negate = False
+        tok = self.peek()
+        if tok.kind == "OP" and tok.text == "-":
+            self.advance()
+            negate = True
+        value = self.term()
+        if negate:
+            value = -value
+        while True:
+            tok = self.peek()
+            if tok.kind == "OP" and tok.text in "+-":
+                self.advance()
+                rhs = self.term()
+                value = value + rhs if tok.text == "+" else value - rhs
+            else:
+                return value
+
+    def term(self) -> Poly:
+        value = self.factor()
+        while True:
+            tok = self.peek()
+            if tok.kind == "OP" and tok.text == "*":
+                self.advance()
+                value = value * self.factor()
+            else:
+                return value
+
+    def factor(self) -> Poly:
+        value = self.base()
+        tok = self.peek()
+        if tok.kind == "OP" and tok.text == "^":
+            self.advance()
+            num = self.peek()
+            if num.kind != "NUM":
+                raise ParseError("exponent must be a non-negative integer", num.line, num.column)
+            self.advance()
+            exponent = int(num.text)
+            if exponent > 64:
+                raise ParseError("exponent too large (limit 64)", num.line, num.column)
+            value = value**exponent
+        return value
+
+    def base(self) -> Poly:
+        tok = self.peek()
+        if tok.kind == "NUM":
+            self.advance()
+            numerator = int(tok.text)
+            nxt = self.peek()
+            if nxt.kind == "OP" and nxt.text == "/":
+                self.advance()
+                den = self.peek()
+                if den.kind != "NUM" or int(den.text) == 0:
+                    raise ParseError("denominator must be a positive integer", den.line, den.column)
+                self.advance()
+                return Poly.const(self.n, Fraction(numerator, int(den.text)))
+            return Poly.const(self.n, numerator)
+        if tok.kind == "VAR":
+            self.advance()
+            kind, idx = _reference_split_var(tok)
+            return Poly.var(self.n, kind, idx)
+        if tok.kind == "EXP":
+            if not self.allow_exp:
+                raise ParseError(
+                    "exp() is not allowed in polynomial input; use a u-variable "
+                    "or the exponential-polynomial entry point",
+                    tok.line,
+                    tok.column,
+                )
+            self.advance()
+            self.expect_op("(")
+            arg = self.peek()
+            if arg.kind != "VAR" or _reference_split_var(arg)[0] != "x":
+                raise ParseError("exp() takes a single x-variable argument", arg.line, arg.column)
+            self.advance()
+            _, idx = _reference_split_var(arg)
+            self.expect_op(")")
+            return Poly.var(self.n, "u", idx)
+        if tok.kind == "OP" and tok.text == "(":
+            self.advance()
+            value = self.expr()
+            self.expect_op(")")
+            return value
+        raise ParseError(f"unexpected token {tok.text or 'end of input'!r}", tok.line, tok.column)
+
+
+def reference_parse(text: str, ambient: int | None = None, allow_exp: bool = False) -> Poly:
+    """The Poly that ``parse_poly`` gives (``parse_epoly``'s Poly before its
+    canonical expansion, with ``allow_exp``), or its ParseError."""
+    tokens = _reference_tokenize(text)
+    max_idx = max((_reference_split_var(t)[1] for t in tokens if t.kind == "VAR"), default=0)
+    if ambient is not None:
+        if ambient < 1:
+            raise ParseError(f"ambient override {ambient} below 1", 1, 1)
+        if ambient < max_idx:
+            raise ParseError(f"ambient override {ambient} below used index {max_idx}", 1, 1)
+        n = ambient
+    else:
+        n = max(max_idx, 1)
+    return _ReferenceParser(tokens, n, allow_exp).parse()
 
 
 def run_standalone(namespace: dict) -> None:
