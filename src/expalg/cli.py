@@ -1,14 +1,14 @@
 """Command-line interface: JSON reports on stdout, human summaries on stderr.
 
-Exit codes: 0 success; 1 input error: a parse error, an exponent above 64,
-parentheses nested more than 64 deep, a value outside the float range, a
-non-positive root tolerance, a negative or non-finite transversality
-``--tol``, an ``--attempts`` below 1, a negative ``--depth``, a ``--box``
-side that is not finite, has width 0 or is too narrow to halve ``--depth``
-times, or an unwritable ``--output`` path (the report is still printed); 2
-hypothesis violation (precondition of the requested analysis fails on this
-input); 3 internal invariant breach or a failed ``verify-paper`` check
-(never expected).
+Exit codes: 0 success; 1 input error: a parse error, an exponent, a
+variable index or an ``--ambient`` above 64, parentheses nested more than 64
+deep, a value outside the float range, a non-positive root tolerance, a
+negative or non-finite transversality ``--tol``, an ``--attempts`` below 1,
+a negative ``--depth``, a ``--box`` side that is not finite, has width 0 or
+is too narrow to halve ``--depth`` times, or an unwritable ``--output``
+path (the report is still printed); 2 hypothesis violation (precondition of
+the requested analysis fails on this input); 3 internal invariant breach or
+a failed ``verify-paper`` check (never expected).
 
 Each subcommand handler computes its report's input, result and hypothesis
 log and prints its human summary; ``main`` alone times the handler and

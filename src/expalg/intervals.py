@@ -3,18 +3,18 @@
 ``pair_add``, ``pair_mul``, ``pair_pow`` and ``pair_exp`` define the
 program's one interval arithmetic, and each pads its result by one ulp
 outward (two ulps for exp, whose libm error is not formally bounded to a
-half ulp).  They are the semantics: ``numeric.EvalPlan`` runs whole fast
-plans in an inlined kernel that reproduces them bit for bit, and the
-mean-value step calls them directly.  ``Interval`` is the validated record
-that boxes, root enclosures and reports carry; it does no arithmetic.
+half ulp).  They are the semantics: ``numeric.EvalPlan`` runs whole plans,
+fast and rigorous, in an inlined kernel that reproduces them bit for bit,
+and the mean-value step calls them directly.  ``Interval`` is the validated
+record that boxes, root enclosures and reports carry; it does no arithmetic.
 
-Rigorous mode keeps ``pair_add`` and ``pair_mul``, whose IEEE results are
-correctly rounded, and replaces the two operations that go through libm:
+Rigorous mode keeps the sums and products, whose IEEE results are correctly
+rounded, and replaces the two operations that go through libm:
 ``pair_pow_exact`` takes the exact powers of the float ends, and
-``enclose_exp`` encloses e^q for a rational q by ``exp_fixed``, an
-argument-reduced Taylor series with an explicit Lagrange remainder in
-integer fixed point; both round their rational bounds outward.
-``exp_bounds`` is the same exp enclosure as two Fractions, for exact signs.
+``enclose_exp`` encloses e^q for a rational q to a relative 2^-96 by
+``exp_fixed``, an argument-reduced Taylor series with an explicit Lagrange
+remainder in integer fixed point; both round their rational bounds outward.
+``exp_bounds`` is ``exp_fixed``'s enclosure as Fractions, for exact signs.
 ``RatInterval`` is a validated record with Fraction ends, as ``Interval``
 is for floats.
 
@@ -34,11 +34,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-# Precision of the exp enclosures of rigorous mode, in bits.  96 bits leaves
-# ample headroom over a 2^-52 relative enclosure of e^q for q >= 0, even
-# after repeated squarings in the argument reduction.  For q < 0 the error
-# of exp_bounds is absolute, 2^-104 (see there): relative 2^-52 holds only
-# down to q of about -36.
+# Precision of the exp enclosures of rigorous mode, in bits: ample headroom
+# over a 2^-52 relative enclosure of e^q, even after repeated squarings in
+# the argument reduction, and for q < 0 too in ``enclose_exp``.  The error of
+# ``exp_bounds`` is absolute for q < 0, 2^-104 (see there).
 RIGOROUS_BITS = 96
 
 _INF = math.inf
@@ -269,7 +268,8 @@ def pair_pow_exact(a: Pair, k: int) -> Pair:
 
 
 def enclose_exp(n: int, d: int) -> Pair:
-    """Float bounds for e^(n / d), d > 0: ``exp_fixed``'s rounded outward.
+    """Float bounds for e^(n / d), d > 0: ``exp_fixed``'s rounded outward,
+    below 0 their reciprocals for -n / d, so the error is relative.
 
     Past 709.79 or below -745.2 no ``exp_fixed`` runs: the bounds are the
     largest float and inf, or 0 and the smallest subnormal.
@@ -278,6 +278,9 @@ def enclose_exp(n: int, d: int) -> Pair:
         return (_MAX, _INF)
     if 10 * n < -7452 * d:
         return (0.0, _TINY)
+    if n < 0:
+        lo, hi, work = exp_fixed(-n, d, RIGOROUS_BITS)
+        return (floor_float(1 << work, hi), ceil_float(1 << work, lo))
     lo, hi, work = exp_fixed(n, d, RIGOROUS_BITS)
     return (floor_float(lo, 1 << work), ceil_float(hi, 1 << work))
 

@@ -15,20 +15,20 @@ in floats by the Illinois method; two exact signs prove the cell.
 
 All box evaluation goes through one ``EvalPlan`` per function, compiled once
 from an ``EPoly``: the terms in canonical order with their coefficient and
-spectrum enclosures precomputed.  Both modes run on the float pairs of
-``intervals``.  Fast mode is one hand-written kernel that computes exactly
-what the ``pair_*`` operations would, bit for bit, without a call or a tuple
-per operation.  Rigorous mode calls ``pair_add`` and ``pair_mul`` and
-certifies the rest: exact powers, exp enclosed by ``exp_fixed``, and the
-exact value on a point box.  ``TightEvaluator`` maps float bounds to one
-pair as a plan does, and its mean-value step combines plan results with the
-``pair_*`` operations themselves.  The transversality check ranks its
-Jacobian minors, EPolys too, by their float values and encloses the decisive
-one with a plan.  Cells are float bounds; ``Box`` and ``Interval`` carry
-only what this module returns.  ``TightEvaluator``, the root isolator and
-the transversality check keep their plans for as long as they run, and a
-rigorous evaluator keeps the exp enclosures it computed, one per distinct
-argument; nothing is cached globally.
+spectrum enclosures precomputed.  Both modes run one hand-written loop on
+the float pairs of ``intervals`` that computes exactly what the ``pair_*``
+operations would, bit for bit, without a call or a tuple per operation.
+Rigorous mode differs in three steps: the exact value on a point box, exact
+powers, and exp by ``exp_fixed`` at the exact ends of its argument.
+``TightEvaluator`` maps float bounds to one pair as a plan does, and its
+mean-value step combines plan results with the ``pair_*`` operations.  The
+transversality check ranks its Jacobian minors, EPolys too, by their float
+values and encloses the decisive one with a plan.  Cells are float bounds;
+``Box`` and ``Interval`` carry only what this module returns.
+``TightEvaluator``, the root isolator and the transversality check keep
+their plans for as long as they run, and a rigorous evaluator keeps the exp
+enclosures it computed, one per distinct argument; nothing is cached
+globally.
 
 Root certificates come in three kinds.  ``SignChange`` encloses a root whose
 existence follows from verified opposite signs at the endpoints (and whose
@@ -116,24 +116,26 @@ class EvalPlan:
     interval extension term by term, with the powers x_i^e it needs
     computed once and shared.
 
-    Fast mode is one hand-written kernel, ``__call__``, on local floats.  It
-    reproduces ``pair_pow``, ``pair_mul``, ``pair_add`` and ``pair_exp`` of
-    ``intervals`` bit for bit and in the same order, with the outward
-    rounding inlined.  A product takes its endpoints from the sign-case
-    table (Moore, Kearfott & Cloud, *Introduction to Interval Analysis*,
-    SIAM 2009, section 2.2): two products when one factor has a known sign,
-    and min/max of two when both straddle 0.  These differ from the min/max
-    of all four products only in the sign of a zero, which the outward step
-    erases.
+    Both modes run one hand-written kernel, ``__call__``, on local floats.
+    It reproduces ``pair_mul`` and ``pair_add`` of ``intervals``, and in
+    fast mode ``pair_pow`` and ``pair_exp``, bit for bit and in the same
+    order, with the outward rounding inlined.  A product takes its endpoints
+    from the sign-case table (Moore, Kearfott & Cloud, *Introduction to
+    Interval Analysis*, SIAM 2009, section 2.2): two products when one
+    factor has a known sign, and min/max of two when both straddle 0.  These
+    differ from the min/max of all four products only in the sign of a zero,
+    which the outward step erases.
 
-    Rigorous mode (``exact``), ``_rigorous``, runs the same loop through
-    ``pair_mul`` and ``pair_add`` themselves, with ``pair_pow_exact`` for
-    powers and ``enclose_exp`` at the two ends of each exp argument s . x,
-    computed exactly at box corners.  ``exps`` keeps those enclosures by
-    argument (a ``TightEvaluator`` gives all its plans one), so neighbouring
-    boxes share them.  A point box gets the exact value sum_t C_t e^t / M
-    (``EPoly.scaled_value``), bounded as in ``sign_at_rational`` and rounded
-    outward, so an exact zero gives (0, 0); unless some |t| exceeds 746.
+    Rigorous mode (``exact``) differs in three steps: a point box gets the
+    exact value sum_t C_t e^t / M (``EPoly.scaled_value``) rounded outward,
+    so an exact zero gives (0, 0), unless some |t| exceeds 746; powers come
+    from ``pair_pow_exact``; and a group's exp is ``enclose_exp`` at the
+    ends of its argument s . x, computed exactly at box corners, while a
+    group without exponential is added without a product.  The kernel's
+    products and sums stay exactly ``pair_mul`` and ``pair_add``: no lower
+    end is +inf, no upper end -inf, and no exp enclosure reaches below 0.
+    ``exps`` keeps the exp enclosures by argument (a ``TightEvaluator``
+    gives all its plans one), so neighbouring boxes share them.
     """
 
     __slots__ = ("f", "exact", "powers", "groups", "exps")
@@ -163,37 +165,45 @@ class EvalPlan:
 
     def __call__(self, bounds: Sequence[Pair]) -> Pair:
         """Enclosure (lo, hi) over the box with the given float bounds."""
-        if self.exact:
-            return self._rigorous(bounds)
         nxt = math.nextafter
         inf = math.inf
-        # A product's 0 * inf counts as 0.  A sum adds two outward-rounded
-        # pairs, whose lower ends are never +inf and upper ends never -inf,
-        # so it is never NaN and needs no fix.
-        pows = []
-        for i, k in self.powers:
-            lo, hi = bounds[i]
-            if k % 2 == 0 and lo <= 0.0 <= hi:
+        exact = self.exact
+        if exact:
+            if all(lo == hi for lo, hi in bounds):
+                m, groups = self.f.scaled_value([Fraction(lo) for lo, _ in bounds])
+                if all(abs(t) <= _POINT_EXP_EDGE for t in groups):
+                    (ln, ld), (hn, hd) = _group_bounds(groups, RIGOROUS_BITS)
+                    return (floor_float(ln, ld * m), ceil_float(hn, hd * m))
+            pows = [pair_pow_exact(bounds[i], k) for i, k in self.powers]
+            ends = [(lo.as_integer_ratio(), hi.as_integer_ratio()) for lo, hi in bounds]
+            exps = self.exps
+        else:
+            pows = []
+            for i, k in self.powers:
+                lo, hi = bounds[i]
+                if k % 2 == 0 and lo <= 0.0 <= hi:
+                    try:
+                        hi = (hi if hi > -lo else -lo) ** k
+                    except OverflowError:
+                        hi = inf
+                    pows.append((0.0, nxt(hi, inf)))
+                    continue
                 try:
-                    hi = (hi if hi > -lo else -lo) ** k
+                    lo = lo**k
                 except OverflowError:
-                    hi = inf
-                pows.append((0.0, nxt(hi, inf)))
-                continue
-            try:
-                lo = lo**k
-            except OverflowError:
-                lo = -inf if lo < 0.0 and k % 2 else inf
-            try:
-                hi = hi**k
-            except OverflowError:
-                hi = -inf if hi < 0.0 and k % 2 else inf
-            if hi < lo:
-                lo, hi = hi, lo
-            pows.append((nxt(lo, -inf), nxt(hi, inf)))
+                    lo = -inf if lo < 0.0 and k % 2 else inf
+                try:
+                    hi = hi**k
+                except OverflowError:
+                    hi = -inf if hi < 0.0 and k % 2 else inf
+                if hi < lo:
+                    lo, hi = hi, lo
+                pows.append((nxt(lo, -inf), nxt(hi, inf)))
 
+        # A product's 0 * inf counts as 0.  A sum is never NaN and needs no
+        # fix: no lower end is ever +inf, and no upper end -inf.
         acc_lo = acc_hi = 0.0
-        for spec, terms, _ in self.groups:
+        for spec, terms, ratios in self.groups:
             v_lo = v_hi = 0.0
             for t_lo, t_hi, term_slots in terms:
                 for k in term_slots:
@@ -222,7 +232,22 @@ class EvalPlan:
                 v_lo = nxt(v_lo + t_lo, -inf)
                 v_hi = nxt(v_hi + t_hi, inf)
 
-            if spec:
+            if exact:
+                if not ratios:  # no exponential: the value is added as it is
+                    acc_lo = nxt(acc_lo + v_lo, -inf)
+                    acc_hi = nxt(acc_hi + v_hi, inf)
+                    continue
+                # s . x is least at the corner with x_i low where s_i > 0
+                # and high where s_i < 0, and greatest at the opposite one.
+                ln = hn = 0
+                ld = hd = 1
+                for i, n, d in ratios:
+                    (a, b), (c, e) = ends[i] if n > 0 else ends[i][::-1]
+                    ln, ld = ln * d * b + n * a * ld, ld * d * b
+                    hn, hd = hn * d * e + n * c * hd, hd * d * e
+                e_lo = (exps.get((ln, ld)) or exps.setdefault((ln, ld), enclose_exp(ln, ld)))[0]
+                e_hi = (exps.get((hn, hd)) or exps.setdefault((hn, hd), enclose_exp(hn, hd)))[1]
+            elif spec:
                 d_lo = d_hi = 0.0
                 for i, q_lo, q_hi in spec:
                     x_lo, x_hi = bounds[i]
@@ -271,39 +296,6 @@ class EvalPlan:
             acc_lo = nxt(acc_lo + nxt(lo, -inf), -inf)
             acc_hi = nxt(acc_hi + nxt(hi, inf), inf)
         return (acc_lo, acc_hi)
-
-    def _rigorous(self, bounds: Sequence[Pair]) -> Pair:
-        """Rigorous mode: a point value, or the loop on ``pair_*`` operations."""
-        if all(lo == hi for lo, hi in bounds):
-            m, groups = self.f.scaled_value([Fraction(lo) for lo, _ in bounds])
-            if all(abs(t) <= _POINT_EXP_EDGE for t in groups):
-                (ln, ld), (hn, hd) = _group_bounds(groups, RIGOROUS_BITS)
-                return (floor_float(ln, ld * m), ceil_float(hn, hd * m))
-        pows = [pair_pow_exact(bounds[i], k) for i, k in self.powers]
-        ends = [(lo.as_integer_ratio(), hi.as_integer_ratio()) for lo, hi in bounds]
-        exps = self.exps
-        acc = (0.0, 0.0)
-        for _, terms, spec in self.groups:
-            value = (0.0, 0.0)
-            for c_lo, c_hi, term_slots in terms:
-                term = (c_lo, c_hi)
-                for k in term_slots:
-                    term = pair_mul(term, pows[k])
-                value = pair_add(value, term)
-            if spec:
-                # s . x is least at the corner with x_i low where s_i > 0
-                # and high where s_i < 0, and greatest at the opposite one.
-                ln = hn = 0
-                ld = hd = 1
-                for i, n, d in spec:
-                    (a, b), (c, e) = ends[i] if n > 0 else ends[i][::-1]
-                    ln, ld = ln * d * b + n * a * ld, ld * d * b
-                    hn, hd = hn * d * e + n * c * hd, hd * d * e
-                e_lo = exps.get((ln, ld)) or exps.setdefault((ln, ld), enclose_exp(ln, ld))
-                e_hi = exps.get((hn, hd)) or exps.setdefault((hn, hd), enclose_exp(hn, hd))
-                value = pair_mul(value, (e_lo[0], e_hi[1]))
-            acc = pair_add(acc, value)
-        return acc
 
 
 def _sign(enclosure: Pair) -> int:

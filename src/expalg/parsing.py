@@ -12,8 +12,8 @@ Grammar (EBNF):
 Variable indices are 1-based.  Implicit multiplication is rejected, '/'
 appears only inside rational literals, and exp() takes a single x-variable
 (general arguments are rejected at parse level).  The leading optional '-'
-is the only unary minus.  Exponents are capped at 64, and parentheses at 64
-levels of nesting.
+is the only unary minus.  Exponents, variable indices and the ambient
+override are capped at 64, and parentheses at 64 levels of nesting.
 
 ``parse_poly`` accepts x- and u-variables and rejects exp();
 ``parse_epoly`` additionally accepts exp(xi), which denotes the same
@@ -88,6 +88,8 @@ def tokenize(text: str) -> list[Token]:
         elif group == "bad":
             raise ParseError(f"unexpected character {lexeme!r}", line, col)
         elif _VAR_RE.fullmatch(lexeme):
+            if len(lexeme) > 3 or int(lexeme[1:]) > 64:  # no leading zeros
+                raise ParseError("variable index too large (limit 64)", line, col)
             kind = lexeme[0]
         else:
             raise ParseError(f"unknown name {lexeme!r}", line, col)
@@ -215,6 +217,8 @@ def _infer_ambient(tokens: list[Token], override: int | None) -> int:
     if override is not None:
         if override < 1:
             raise ParseError(f"ambient override {override} below 1", 1, 1)
+        if override > 64:
+            raise ParseError(f"ambient override {override} too large (limit 64)", 1, 1)
         if override < max_idx:
             raise ParseError(f"ambient override {override} below used index {max_idx}", 1, 1)
         return override

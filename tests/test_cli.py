@@ -320,6 +320,18 @@ def test_ambient_below_one_is_an_input_error(capsys):
             assert err == f"input error: ambient override {ambient} below 1 (line 1, column 1)\n", err
 
 
+def test_variable_index_above_64_is_an_input_error(capsys):
+    # x100000 used to set the ambient count to 100,000: classify then ran
+    # for seconds into gigabytes and ended in a MemoryError traceback
+    for argv, message in (
+        (["classify", "--", "x100000 + u1"], "variable index too large (limit 64) (line 1, column 1)"),
+        (["classify", "--ambient", "65", "--", "x1 + u1"], "ambient override 65 too large (limit 64) (line 1, column 1)"),
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == cli.EXIT_INPUT and out == "", argv
+        assert err == f"input error: {message}\n", (argv, err)
+
+
 def test_deep_parentheses_are_an_input_error(capsys):
     # each level costs the parser four frames, so without a limit about 245
     # levels end in a RecursionError traceback instead of an input error

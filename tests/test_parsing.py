@@ -132,6 +132,19 @@ def test_parentheses_nest_at_most_64_deep():
     assert parse_poly(" + ".join(["((x1))"] * 100)) == parse_poly("100*x1")
 
 
+def test_variable_indices_and_ambient_are_at_most_64():
+    assert parse_poly("x64 + u1").n == 64
+    assert parse_epoly("exp(x64)").n == 64
+    assert parse_poly("x1", ambient=64).n == 64
+    for text, column in (("x65", 1), ("x1 + u65", 6), ("exp(x100000)", 5), ("x" + "9" * 5000, 1)):
+        with pytest.raises(ParseError) as err:
+            parse_epoly(text)
+        assert str(err.value) == f"variable index too large (limit 64) (line 1, column {column})", text
+    with pytest.raises(ParseError) as err:
+        parse_poly("x1", ambient=65)
+    assert str(err.value) == "ambient override 65 too large (limit 64) (line 1, column 1)"
+
+
 def test_fractional_spectra_print_in_extended_form():
     f = parse_epoly("exp(x1)", ambient=2).restrict(Hyperplane((2, -1)))
     assert "exp((1/2)*x1)" in format_epoly(f)

@@ -1,13 +1,14 @@
 """The rigorous kernel and its rational exp core against references.
 
-Rigorous ``numeric.EvalPlan`` runs on float pairs through ``pair_add`` and
-``pair_mul``, with two certified operations from ``intervals``:
-``pair_pow_exact`` (exact endpoint powers rounded outward) and
-``enclose_exp`` (``exp_fixed`` rounded outward, or fixed bounds past the
-float range).  A point box gets the exact value K * sum_t C_t e^t rounded
-outward.  ``util.reference_pair_plan`` runs the same plan as one call per
-operation, with the exp arguments and point values found with Fractions,
-and the plan must match it bit for bit.  Independently, every enclosure
+Rigorous ``numeric.EvalPlan`` runs the fast mode's inlined float-pair kernel,
+whose sums and products are exactly ``pair_add`` and ``pair_mul``, with two
+certified operations from ``intervals``: ``pair_pow_exact`` (exact endpoint
+powers rounded outward) and ``enclose_exp`` (``exp_fixed`` rounded outward,
+relative also below 0, or fixed bounds past the float range).  A group
+without exponential is added without a product, and a point box gets the
+exact value K * sum_t C_t e^t rounded outward.  ``util.reference_pair_plan``
+runs the same plan as one call per operation, with the exp arguments and
+point values found with Fractions, and the plan must match it bit for bit.  Independently, every enclosure
 must contain the values of f at points of its box, computed with Fractions
 and 1,024-bit ``exp_bounds``.  ``exp_fixed``, the fixed-point exp core, must
 give the bounds of ``util.reference_exp_bounds`` whatever the
@@ -16,8 +17,10 @@ representation of its argument.
 The inputs include point boxes and zero-width sides, sides straddling 0
 under even and odd powers, coefficients 1/3 and 1/10, rational spectra, exp
 arguments from -50 to +40 and across the edges of the float range, and the
-exact zero of 2 x1 + 1 - e^x1 at 0.  The module needs no pytest, so it also
-runs as a script on an interpreter without it:
+exact zero of 2 x1 + 1 - e^x1 at 0; fixed cases cover groups without
+exponential, powers past the float range and an underflowed exp times a
+value straddling 0.  The module needs no pytest, so it also runs as a
+script on an interpreter without it:
 
     PYTHONPATH=src python3 tests/test_rational_kernel.py
 """
@@ -110,7 +113,7 @@ def test_certified_exp_and_pow_enclose_fraction_values():
             assert (lo, hi) == (0.0, math.ulp(0.0)), q
         elo, ehi = exp_1024(q)
         assert Fraction(lo) <= elo and (hi == math.inf or ehi <= Fraction(hi)), q
-        if -36 <= q <= 709:  # relative error 2^-96: at most one float inside
+        if Fraction(-7452, 10) <= q <= 709:  # relative error 2^-96: at most one float inside
             assert hi <= math.nextafter(math.nextafter(lo, math.inf), math.inf), q
     for _ in range(400):
         k = rng.randint(1, 7)
@@ -205,6 +208,73 @@ def test_rigorous_plan_straddling_powers():
     f = EPoly(2, {(Fraction(0), Fraction(0)): Poly(2, polys), (Fraction(1, 3), Fraction(-1)): Poly(2, {(0, 0, 0, 0): 1})})
     for bounds in ([(-1.0, 0.5), (-0.25, 2.0)], [(-1.0, -1.0), (-0.5, 0.5)], [(0.0, 0.0), (0.0, 0.0)]):
         rigorous_plan_matches(f, bounds)
+
+
+def test_rigorous_plan_groups_without_exponential():
+    """A group without exponential is added as it is, alone or between
+    groups with exponentials."""
+    alone = EPoly(1, {(Fraction(0),): Poly(1, {(2, 0): Fraction(1, 3), (0, 0): Fraction(-1, 10)})})
+    between = EPoly(
+        1,
+        {
+            (Fraction(-1),): Poly(1, {(1, 0): Fraction(1, 3)}),
+            (Fraction(0),): Poly(1, {(2, 0): Fraction(-1, 10), (0, 0): 1}),
+            (Fraction(1, 3),): Poly(1, {(0, 0): Fraction(5, 2)}),
+        },
+    )
+    assert [spec for spec, _ in between.sorted_terms()][1] == (Fraction(0),)
+    for f in (alone, between):
+        for bounds in ((0.25, 0.75), (-0.5, 0.75), (-3.0, -2.0), (0.1, 0.1), (-800.0, 800.0)):
+            rigorous_plan_matches(f, [bounds])
+    # not widened by the two-ulp pad of e^0 that fast mode multiplies by
+    rigorous, fast = EvalPlan(alone, exact=True)([(0.25, 0.75)]), EvalPlan(alone)([(0.25, 0.75)])
+    assert fast[0] < rigorous[0] < 0.0 < rigorous[1] < fast[1], (rigorous, fast)
+
+
+def test_rigorous_plan_powers_beyond_the_float_range():
+    """Powers whose exact ends overflow give the largest float or an infinity
+    (``pair_pow_exact``), and the sign-case products take them as they are."""
+    big = 1e200
+    f = EPoly(
+        2,
+        {
+            (Fraction(0), Fraction(0)): Poly(2, {(3, 0, 0, 0): Fraction(1, 3), (0, 2, 0, 0): Fraction(-1, 10)}),
+            (Fraction(0), Fraction(1)): Poly(2, {(2, 0, 0, 0): Fraction(-7, 10), (1, 1, 0, 0): 1}),
+        },
+    )
+    cases = (
+        [(-big, big), (0.0, 1.0)],  # x1^3 -> (-inf, inf), x1^2 -> (0, inf)
+        [(big, 10 * big), (-1.0, 1.0)],  # x1^3 and x1^2 -> (MAX, inf)
+        [(-10 * big, -big), (-1.0, 0.0)],  # x1^3 -> (-inf, -MAX)
+        [(-big, -big), (big, big)],  # point box: powers of single floats overflow
+        [(0.5, 0.5), (-10 * big, big)],  # x2^2 -> (0, inf), e^x2 -> (0, inf)
+    )
+    for bounds in cases:
+        rigorous_plan_matches(f, bounds)
+    assert pair_pow_exact((big, 10 * big), 3) == (MAX, math.inf)
+    assert pair_pow_exact((-10 * big, -big), 3) == (-math.inf, -MAX)
+
+
+def test_rigorous_plan_underflowed_exp_times_straddling_value():
+    """e^x1 below the smallest subnormal is (0, 5e-324); times a value that
+    straddles 0 it gives a few subnormals on both sides: the product rounds
+    to one, and the product and the sum each step outward once."""
+    f = EPoly(2, {(Fraction(1), Fraction(0)): Poly(2, {(0, 1, 0, 0): 1, (0, 0, 0, 0): Fraction(-1, 2)})})
+    for bounds in ([(-1000.0, -900.0), (0.0, 1.0)], [(-1000.0, -900.0), (0.75, 1.0)], [(-1000.0, -1.0), (0.0, 1.0)]):
+        rigorous_plan_matches(f, bounds)
+    tiny = math.ulp(0.0)
+    assert EvalPlan(f, exact=True)([(-1000.0, -900.0), (0.0, 1.0)]) == (-3 * tiny, 3 * tiny)
+
+
+def test_rigorous_exp_below_0_is_relative():
+    """exp(x1) - 1/10^40 on [-100, -99] is about -1e-40 throughout: the
+    rigorous enclosure excludes 0 and lies inside the fast one."""
+    f = parse_epoly("exp(x1) - 1/10000000000000000000000000000000000000000")
+    rigorous = EvalPlan(f, exact=True)([(-100.0, -99.0)])
+    fast = EvalPlan(f)([(-100.0, -99.0)])
+    assert rigorous[1] < 0.0, rigorous
+    assert fast[0] <= rigorous[0] and rigorous[1] <= fast[1], (rigorous, fast)
+    rigorous_plan_matches(f, [(-100.0, -99.0)])
 
 
 def test_exact_zero_on_point_box():
