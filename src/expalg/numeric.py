@@ -13,6 +13,10 @@ each one-root bracket by quadratic interval refinement whose first guess is
 the cell, on the deepest level the floats resolve, that holds a root found
 in floats by the Illinois method; two exact signs prove the cell.
 
+The quadtree keeps a cell without enclosing it when its corners prove a
+zero of f in it: an exact zero, or two point enclosures of opposite signs.
+Its corner signs last for one call, so most kept cells cost no evaluation.
+
 All box evaluation goes through one ``EvalPlan`` per function, compiled once
 from an ``EPoly``: the terms in canonical order with their coefficient and
 spectrum enclosures precomputed.  Both modes run one hand-written loop on
@@ -88,6 +92,8 @@ _SIGN_MAX_BITS = 4096
 #: largest |t| for which a rigorous point box gets the exact value: beyond
 #: it e^t is far outside the float range, and ``exp_bounds`` grows with t
 _POINT_EXP_EDGE = 746
+#: grid points ``brute_force_sign_scan`` evaluates at a time
+_SCAN_CHUNK = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +334,9 @@ class TightEvaluator:
     form one level down (Hessian entries by natural extension).  ``plans``
     holds one ``EvalPlan`` per sorted path of variables, the derivative
     along it; each is derived on first use from the function of its path
-    without the last variable.  The recursion shares the midpoint box.
+    without the last variable.  The recursion shares the midpoint box and
+    one natural extension per path (d2f/dx1dx2 serves both gradient rows);
+    a caller hands in those it has.  Nothing is kept between calls.
     """
 
     def __init__(self, f: EPoly, mode: str = "fast"):
@@ -338,11 +346,12 @@ class TightEvaluator:
         self.exps: dict = {}
         self.plans: dict[tuple[int, ...], EvalPlan] = {(): EvalPlan(f, self.exact, self.exps)}
 
-    def __call__(self, bounds: Sequence[Pair]) -> Pair:
-        """Enclosure (lo, hi) over the box with the given float bounds."""
+    def __call__(self, bounds: Sequence[Pair], nats: dict | None = None) -> Pair:
+        """Enclosure (lo, hi) over the box with the given float bounds;
+        ``nats`` holds natural extensions on it already known, by path."""
         if len(bounds) != self.n:
             raise DimensionError(f"box dimension {len(bounds)} != ambient {self.n}")
-        return self._eval((), bounds, [], _TAYLOR_ORDER)
+        return self._eval((), bounds, [], {} if nats is None else nats, _TAYLOR_ORDER)
 
     def plan(self, path: tuple[int, ...]) -> EvalPlan:
         """The plan of the derivative along ``path`` (sorted variable indices)."""
@@ -353,10 +362,13 @@ class TightEvaluator:
             plan = self.plans[path] = EvalPlan(g, self.exact, self.exps)
         return plan
 
-    def _eval(self, path, bounds: Sequence[Pair], centre: list, depth: int) -> Pair:
-        """``centre`` caches (midpoint bounds, box - midpoint) for this box."""
+    def _eval(self, path, bounds: Sequence[Pair], centre: list, nats: dict, depth: int) -> Pair:
+        """``centre`` caches (midpoint bounds, box - midpoint) for this box,
+        and ``nats`` its natural extensions by path."""
         plan = self.plan(path)
-        nat = plan(bounds)
+        nat = nats.get(path)
+        if nat is None:
+            nat = nats[path] = plan(bounds)
         if depth == 0 or nat[0] > 0.0 or nat[1] < 0.0 or nat[1] - nat[0] < 1e-14:
             return nat
         if not centre:
@@ -370,7 +382,7 @@ class TightEvaluator:
         for i, (iv, off) in enumerate(zip(bounds, offsets), start=1):
             if iv[1] - iv[0] == 0.0:
                 continue
-            gi = self._eval(tuple(sorted(path + (i,))), bounds, centre, depth - 1)
+            gi = self._eval(tuple(sorted(path + (i,))), bounds, centre, nats, depth - 1)
             mv = pair_add(mv, pair_mul(gi, off))
         lo = max(nat[0], mv[0])
         hi = min(nat[1], mv[1])
@@ -580,13 +592,16 @@ def isolate_roots_1d(
     stack = [(a, b, 0)]
     while stack:
         lo, hi, depth = stack.pop()
+        cell = [(float_down(lo), float_up(hi))]
         # f on a monotone cell lies between its values at the ends, so the
-        # cell needs no box test.
-        monotone = settle and deriv_nonzero(lo, hi)
+        # cell needs no box test.  The box test reuses the derivative's
+        # natural extension.
+        nats = {(1,): df_plan(cell)} if settle else {}
+        monotone = settle and _sign(nats[(1,)]) != 0
         if monotone:
             if enclosed_sign(lo) * enclosed_sign(hi) > 0:
                 continue
-        elif _sign(evaluator([(float_down(lo), float_up(hi))])):
+        elif _sign(evaluator(cell, nats)):
             continue
         width = hi - lo
         if monotone or width <= _CERT_WIDTH:
@@ -784,12 +799,9 @@ def brute_force_sign_scan(
 ) -> int:
     """Independent root count oracle: strict sign changes plus exact grid zeros."""
     lo, hi = domain
-    value = f.float_evaluator()
     count = 0
-    steps = int(round((hi - lo) / step))
     prev = None
-    for k in range(steps + 1):
-        v = value([lo + k * step])
+    for v in _grid_values(f, lo, step, int(round((hi - lo) / step)) + 1):
         if v == 0.0:
             count += 1
             prev = None  # do not double-count the crossing around an exact hit
@@ -798,6 +810,32 @@ def brute_force_sign_scan(
             count += 1
         prev = v
     return count
+
+
+def _grid_values(f: EPoly, lo: float, step: float, points: int):
+    """``EPoly.float_evaluator``'s values at lo + k step, k < ``points``, with
+    its operation order, computed ``_SCAN_CHUNK`` points at a time."""
+    if f.n != 1:
+        raise DimensionError(f"point length 1 != {f.n}")
+    # per group: its spectrum entry, or None, and its (coefficient, exponent) terms
+    groups = [
+        (float(spec[0]) if spec[0] else None, [(float(c), m[0]) for m, c in a.terms.items()])
+        for spec, a in f.terms.items()
+    ]
+    exp = math.exp
+    for start in range(0, points, _SCAN_CHUNK):
+        xs = [lo + k * step for k in range(start, min(start + _SCAN_CHUNK, points))]
+        acc = [0.0] * len(xs)
+        for q, terms in groups:
+            coeff = None
+            for c, e in terms:
+                term = [c * x**e for x in xs] if e else [c] * len(xs)
+                coeff = term if coeff is None else [a + b for a, b in zip(coeff, term)]
+            if q is None:
+                acc = [a + b for a, b in zip(acc, coeff)]
+            else:
+                acc = [a + b * exp(q * x) for a, b, x in zip(acc, coeff, xs)]
+        yield from acc
 
 
 # ---------------------------------------------------------------------------
@@ -817,6 +855,14 @@ def sample_zero_cells_2d(
     of the box finite, of positive width and wide enough to halve where
     needed with each midpoint strictly inside: else a cell's halves would
     repeat it or be degenerate.
+
+    A cell is kept unevaluated when a corner is an exact zero
+    (``EPoly.scaled_groups`` is empty) or two corners' point enclosures
+    have opposite signs: f vanishes in the convex cell, so no sound
+    enclosure of it (fast mode: on the usual libm trust) excludes 0, and
+    the cells are the same.  Corner signs last for the call.  Other cells
+    go when f's natural extension excludes 0; else their missing corners
+    are evaluated, and last the ``TightEvaluator`` decides.
     """
     if f.n != 2:
         raise DimensionError("cell sampling requires a 2-variable input")
@@ -832,16 +878,39 @@ def sample_zero_cells_2d(
         raise ValueError("box sides must be nonempty intervals")
 
     evaluator = TightEvaluator(f, mode)
+    f_plan = evaluator.plan(())
+    # corner -> sign of f there, None if undecided; -0.0 and 0.0 are one point
+    corners: dict[Pair, int | None] = {}
+
+    def corner_sign(x: float, y: float) -> int | None:
+        s = _sign(f_plan(((x, x), (y, y))))
+        if s:
+            return s
+        return None if f.scaled_groups((Fraction(x), Fraction(y))) else 0
+
     out: list[Sequence[Pair]] = []
     stack = [(box.bounds(), 0)]
     while stack:
         cell, depth = stack.pop()
-        if _sign(evaluator(cell)):
-            continue
+        (x_lo, x_hi), (y_lo, y_hi) = cell
+        points = ((x_lo, y_lo), (x_lo, y_hi), (x_hi, y_lo), (x_hi, y_hi))
+        if not _holds_zero({corners[p] for p in points if p in corners}):
+            nat = f_plan(cell)
+            if _sign(nat):
+                continue
+            signs = set()
+            for p in points:  # the missing corners, until they prove a zero
+                if p not in corners:
+                    corners[p] = corner_sign(*p)
+                signs.add(corners[p])
+                if _holds_zero(signs):
+                    break
+            else:
+                if _sign(evaluator(cell, {(): nat})):
+                    continue
         if depth >= max_depth:
             out.append(cell)
             continue
-        (x_lo, x_hi), (y_lo, y_hi) = cell
         xm, ym = midpoint(x_lo, x_hi), midpoint(y_lo, y_hi)
         if not (x_lo < xm < x_hi and y_lo < ym < y_hi):
             raise ValueError("box sides are too narrow to halve max_depth times")
@@ -850,6 +919,11 @@ def sample_zero_cells_2d(
             stack.append(((x, (ym, y_hi)), depth + 1))
     out.sort(key=lambda c: (c[0][0], c[1][0]))
     return [Box.from_bounds(cell) for cell in out]
+
+
+def _holds_zero(signs: set) -> bool:
+    """Whether corner signs prove a zero in their cell: a 0, or both signs."""
+    return 0 in signs or (1 in signs and -1 in signs)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ Variable indices are 1-based.  Implicit multiplication is rejected, '/'
 appears only inside rational literals, and exp() takes a single x-variable
 (general arguments are rejected at parse level).  The leading optional '-'
 is the only unary minus.  Exponents, variable indices and the ambient
-override are capped at 64, and parentheses at 64 levels of nesting.
+override are capped at 64, parentheses at 64 levels of nesting, and
+integer literals at 4,300 significant digits.
 
 ``parse_poly`` accepts x- and u-variables and rejects exp();
 ``parse_epoly`` additionally accepts exp(xi), which denotes the same
@@ -165,10 +166,10 @@ class _Parser:
         if self.tok.kind == "^":
             self.advance()
             num = self.expect("NUM", "exponent must be a non-negative integer")
-            exponent = int(num.text)
-            if exponent > 64:
+            digits = num.text.lstrip("0") or "0"
+            if len(digits) > 2 or int(digits) > 64:
                 raise ParseError("exponent too large (limit 64)", num.line, num.column)
-            value = value**exponent
+            value = value ** int(digits)
         return value
 
     def base(self) -> Poly:
@@ -176,14 +177,15 @@ class _Parser:
         kind = tok.kind
         if kind == "NUM":
             self.advance()
+            num = _literal(tok)
             if self.tok.kind != "/":
-                return Poly.const(self.n, int(tok.text))
+                return Poly.const(self.n, num)
             self.advance()
             den = self.tok
-            if den.kind != "NUM" or int(den.text) == 0:
+            if den.kind != "NUM" or _literal(den) == 0:
                 raise ParseError("denominator must be a positive integer", den.line, den.column)
             self.advance()
-            return Poly.const(self.n, Fraction(int(tok.text), int(den.text)))
+            return Poly.const(self.n, Fraction(num, _literal(den)))
         if kind == "x" or kind == "u":
             self.advance()
             return self.variable(tok.text)
@@ -210,6 +212,14 @@ class _Parser:
             self.depth -= 1
             return value
         raise ParseError(f"unexpected token {tok.text or 'end of input'!r}", tok.line, tok.column)
+
+
+def _literal(tok: Token) -> int:
+    """An integer literal's value; CPython converts at most 4,300 digits."""
+    digits = tok.text.lstrip("0") or "0"
+    if len(digits) > 4300:
+        raise ParseError("integer literal too long (limit 4300 digits)", tok.line, tok.column)
+    return int(digits)
 
 
 def _infer_ambient(tokens: list[Token], override: int | None) -> int:

@@ -343,6 +343,30 @@ def test_deep_parentheses_are_an_input_error(capsys):
     assert code == cli.EXIT_OK and json.loads(out)["result"]["canonical"] == "x1"
 
 
+def test_exponent_past_the_int_conversion_limit_is_an_input_error(capsys):
+    # int() of more than 4,300 digits raises, so a long exponent used to end
+    # in CPython's "Exceeds the limit" message with no line or column
+    for text, column in (("x1^" + "1" * 5000, 4), ("x1^" + "0" * 5000 + "65", 4), ("2*(x1 + 1)^" + "9" * 4301, 12)):
+        code, out, err = run_cli(capsys, ["canon", "--", text])
+        assert code == cli.EXIT_INPUT and out == "", text[:20]
+        assert err == f"input error: exponent too large (limit 64) (line 1, column {column})\n", err
+    code, out, _ = run_cli(capsys, ["canon", "--", "x1^" + "0" * 5000 + "64"])
+    assert code == cli.EXIT_OK and json.loads(out)["result"]["canonical"] == "x1^64"
+
+
+def test_integer_literal_past_the_int_conversion_limit_is_an_input_error(capsys):
+    long = "1" * 5000
+    for text, column in ((f"{long}*x1 + 1", 1), (f"x1 - 1/{long}", 8), (f"x1 + {long}/3", 6)):
+        code, out, err = run_cli(capsys, ["canon", "--", text])
+        assert code == cli.EXIT_INPUT and out == "", text[:20]
+        assert err == f"input error: integer literal too long (limit 4300 digits) (line 1, column {column})\n", err
+    # the limit counts significant digits: leading zeros are free
+    code, out, _ = run_cli(capsys, ["canon", "--", "0" * 5000 + "7*x1"])
+    assert code == cli.EXIT_OK and json.loads(out)["result"]["canonical"] == "7*x1"
+    code, out, _ = run_cli(capsys, ["canon", "--", "9" * 4300 + "*x1"])
+    assert code == cli.EXIT_OK and json.loads(out)["result"]["canonical"] == "9" * 4300 + "*x1"
+
+
 HUGE = "1" + "0" * 400  # beyond the largest float
 
 

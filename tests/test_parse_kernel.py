@@ -154,5 +154,14 @@ def test_malformed_text_raises_the_reference_error():
     assert len(messages) >= 8, messages
 
 
+def test_literals_past_the_int_conversion_limit_raise_the_reference_error():
+    # CPython converts at most 4,300 digits to an int; leading zeros count
+    long, padded = "1" * 4301, "0" * 4400 + "65"
+    for text in (f"x1^{long}", f"x1^{padded}", f"{long}*x1", f"x1 - 1/{long}", f"(x2 + {long}/7)^2"):
+        assert _assert_same(text, None)[0] == "error", text[:20]
+    for text in (f"x1^{padded[:-1]}", f"{padded}*x1 + {'9' * 4300}/{padded}"):
+        assert _assert_same(text, None)[0] == "ok", text[:20]
+
+
 if __name__ == "__main__":
     run_standalone(globals())

@@ -1091,6 +1091,57 @@ def _reference_secant_cell(value, lo: Fraction, hi: Fraction, m: int):
 
 
 # ---------------------------------------------------------------------------
+# Reference quadtree and sign scan, as they were before certified cells were
+# kept unevaluated and before the scan was evaluated in chunks.
+# ``numeric.sample_zero_cells_2d`` and ``numeric.brute_force_sign_scan`` must
+# give the same cells and counts.
+# ---------------------------------------------------------------------------
+
+
+def reference_sample_zero_cells_2d(f: EPoly, box: Box, max_depth: int, mode: str = "fast") -> list[Box]:
+    """The quadtree's cells when ``TightEvaluator`` decides every cell."""
+    evaluator = numeric.TightEvaluator(f, mode)
+    out = []
+    stack = [(box.bounds(), 0)]
+    while stack:
+        cell, depth = stack.pop()
+        lo, hi = evaluator(cell)
+        if lo > 0.0 or hi < 0.0:
+            continue
+        if depth >= max_depth:
+            out.append(cell)
+            continue
+        (x_lo, x_hi), (y_lo, y_hi) = cell
+        xm, ym = numeric.midpoint(x_lo, x_hi), numeric.midpoint(y_lo, y_hi)
+        if not (x_lo < xm < x_hi and y_lo < ym < y_hi):
+            raise ValueError("box sides are too narrow to halve max_depth times")
+        for x in ((x_lo, xm), (xm, x_hi)):
+            stack.append(((x, (y_lo, ym)), depth + 1))
+            stack.append(((x, (ym, y_hi)), depth + 1))
+    out.sort(key=lambda c: (c[0][0], c[1][0]))
+    return [Box.from_bounds(cell) for cell in out]
+
+
+def reference_brute_force_sign_scan(f: EPoly, domain, step: float = 1e-4) -> int:
+    """The sign scan with one ``float_evaluator`` call per grid point."""
+    lo, hi = domain
+    value = f.float_evaluator()
+    count = 0
+    steps = int(round((hi - lo) / step))
+    prev = None
+    for k in range(steps + 1):
+        v = value([lo + k * step])
+        if v == 0.0:
+            count += 1
+            prev = None
+            continue
+        if prev is not None and prev * v < 0:
+            count += 1
+        prev = v
+    return count
+
+
+# ---------------------------------------------------------------------------
 # Reference parser: the tokenizer and recursive-descent parser as they were
 # before operators became their own token kind, variables were built once
 # per parse and sums were merged once.  ``parsing`` must give the same term
@@ -1152,6 +1203,15 @@ def _reference_tokenize(text: str) -> list[_RefToken]:
         pos = m.end()
     tokens.append(_RefToken("END", "", line, col))
     return tokens
+
+
+def _reference_literal(tok: _RefToken) -> int:
+    """An integer literal's value; more than 4,300 significant digits, past
+    CPython's default conversion limit, is a ParseError at the token."""
+    digits = tok.text.lstrip("0") or "0"
+    if len(digits) > 4300:
+        raise ParseError("integer literal too long (limit 4300 digits)", tok.line, tok.column)
+    return int(digits)
 
 
 def _reference_split_var(tok: _RefToken) -> tuple[str, int]:
@@ -1226,25 +1286,25 @@ class _ReferenceParser:
             if num.kind != "NUM":
                 raise ParseError("exponent must be a non-negative integer", num.line, num.column)
             self.advance()
-            exponent = int(num.text)
-            if exponent > 64:
+            digits = num.text.lstrip("0") or "0"
+            if len(digits) > 2 or int(digits) > 64:
                 raise ParseError("exponent too large (limit 64)", num.line, num.column)
-            value = value**exponent
+            value = value ** int(digits)
         return value
 
     def base(self) -> Poly:
         tok = self.peek()
         if tok.kind == "NUM":
             self.advance()
-            numerator = int(tok.text)
+            numerator = _reference_literal(tok)
             nxt = self.peek()
             if nxt.kind == "OP" and nxt.text == "/":
                 self.advance()
                 den = self.peek()
-                if den.kind != "NUM" or int(den.text) == 0:
+                if den.kind != "NUM" or _reference_literal(den) == 0:
                     raise ParseError("denominator must be a positive integer", den.line, den.column)
                 self.advance()
-                return Poly.const(self.n, Fraction(numerator, int(den.text)))
+                return Poly.const(self.n, Fraction(numerator, _reference_literal(den)))
             return Poly.const(self.n, numerator)
         if tok.kind == "VAR":
             self.advance()
