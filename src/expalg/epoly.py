@@ -31,10 +31,12 @@ constructor's checks.)  ``restrict`` substitutes the pivot variable with
 coefficients.
 
 Evaluation is compiled once per instance.  ``float_evaluator`` converts the
-coefficients and spectra to floats once.  ``scaled_value`` and
-``scaled_groups``, the one exact evaluation path, run on an integer kernel
-that each EPoly compiles on first use and keeps in a private slot, outside
-equality and repr.
+coefficients and spectra to floats once.  ``scaled_ints``, the one exact
+evaluation path, runs on an integer kernel that each EPoly compiles on first
+use and keeps in a private slot, outside equality and repr: at a rational
+point it gives integers (M, T, {a: C_a}) with f = sum_a C_a e^(a / T) / M, so
+exact signs and fixed-point values need no Fraction per exponent.
+``scaled_groups`` is its Fraction view.
 """
 
 from __future__ import annotations
@@ -61,7 +63,13 @@ def _x_only(p: Poly) -> bool:
 
 
 class EPoly:
-    """Exponential polynomial in canonical form (immutable)."""
+    """Exponential polynomial in canonical form (immutable).
+
+    ``terms`` maps each spectrum to its coefficient.  At a rational point
+    ``scaled_ints`` gives the exact value as integers (M, T, {a: C_a}), f =
+    sum_a C_a e^(a / T) / M, which exact signs, fixed-point values and
+    rigorous point boxes sum with ``intervals.exp_fixed``.
+    """
 
     __slots__ = ("n", "terms", "_exact")
 
@@ -274,23 +282,31 @@ class EPoly:
         distinct rational t are linearly independent over Q, the returned map
         is empty exactly when f(point) = 0, and otherwise the sign of f(point)
         is that of sum_t C_t e^t.  The point's entries are Fractions or ints.
+        This is the Fraction view of ``scaled_ints``.
         """
-        return self.scaled_value(point)[1]
+        _, t_den, groups = self.scaled_ints(point)
+        return {Fraction(a, t_den): c for a, c in groups.items()}
 
-    def scaled_value(self, point: Sequence[RatLike]) -> tuple[int, dict[Fraction, int]]:
-        """(M, ``scaled_groups(point)``) with f(point) = sum_t C_t e^t / M, M > 0."""
+    def scaled_ints(self, point: Sequence[RatLike]) -> tuple[int, int, dict[int, int]]:
+        """The integer view of the exact value: (M, T, {a: C_a}) with
+        f(point) = sum_a C_a e^(a / T) / M, M > 0 and T > 0.
+
+        The keys a / T are the exponents t of ``scaled_groups``, in the same
+        order and unreduced: T is one common denominator for the point.
+        """
         if self._exact is None:
             object.__setattr__(self, "_exact", self._exact_evaluator())
         return self._exact(point)
 
-    def _exact_evaluator(self) -> Callable[[Sequence[RatLike]], tuple[int, dict[Fraction, int]]]:
-        """The kernel of ``scaled_value``, compiled once per instance.
+    def _exact_evaluator(self) -> Callable[[Sequence[RatLike]], tuple[int, int, dict[int, int]]]:
+        """The kernel of ``scaled_ints``, compiled once per instance.
 
         Coefficients are scaled to integers by the lcm L of their
         denominators and spectra by the lcm S of theirs.  At a point with
         common denominator D and numerators v_j, the monomial c x^a of degree
         d contributes c L D^(top - d) prod v_j^a_j, where top is the largest
-        degree, and t = (sum_j s_j S v_j) / (S D); so K = 1 / M with M = L D^top.
+        degree, and t = (sum_j s_j S v_j) / (S D); so K = 1 / M with M = L D^top
+        and T = S D.
         """
         n = self.n
         scale = math.lcm(*(c.denominator for a in self.terms.values() for c in a.terms.values()))
@@ -307,7 +323,7 @@ class EPoly:
             for spec, a in self.terms.items()
         ]
 
-        def groups(point: Sequence[RatLike]) -> tuple[int, dict[Fraction, int]]:
+        def groups(point: Sequence[RatLike]) -> tuple[int, int, dict[int, int]]:
             if len(point) != n:
                 raise DimensionError(f"point length {len(point)} != {n}")
             den = math.lcm(*(v.denominator for v in point))
@@ -331,7 +347,6 @@ class EPoly:
                     sums[key] = s
                 else:
                     sums.pop(key, None)
-            t_den = spec_scale * den
-            return scale * den_pow[top], {Fraction(key, t_den): c for key, c in sums.items()}
+            return scale * den_pow[top], spec_scale * den, sums
 
         return groups

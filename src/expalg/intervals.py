@@ -14,7 +14,8 @@ rounded, and replaces the two operations that go through libm:
 ``enclose_exp`` encloses e^q for a rational q to a relative 2^-96 by
 ``exp_fixed``, an argument-reduced Taylor series with an explicit Lagrange
 remainder in integer fixed point; both round their rational bounds outward.
-``exp_bounds`` is ``exp_fixed``'s enclosure as Fractions, for exact signs.
+``exp_bounds`` is ``exp_fixed``'s enclosure as Fractions; exact signs sum
+``exp_fixed``'s integers directly.
 ``RatInterval`` is a validated record with Fraction ends, as ``Interval``
 is for floats.
 

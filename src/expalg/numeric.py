@@ -6,12 +6,21 @@ certified real root isolation in one variable, quadtree zero-cell sampling
 in two variables, and a Jacobian-minor transversality check for the
 single-exponential graph intersection.
 
-The isolator settles a monotone cell (one whose derivative enclosure
-excludes zero) at any width, by float enclosures of f at its endpoints or
-else by their exact signs, and bisects the other cells.  It then narrows
-each one-root bracket by quadratic interval refinement whose first guess is
-the cell, on the deepest level the floats resolve, that holds a root found
-in floats by the Illinois method; two exact signs prove the cell.
+Exact signs, fixed-point values of f and rigorous point boxes read f at a
+rational point through ``EPoly.scaled_ints``, integers (M, T, {a: C_a})
+with f = sum_a C_a e^(a / T) / M, and sum ``exp_fixed``'s integer bounds
+for the e^(a / T) on one dyadic grid (``_exp_sum``).
+
+The isolator keeps its cells as integers over one power-of-two denominator
+and caches each end's float enclosure and exact sign by its integer.  It
+settles a monotone cell (one whose derivative enclosure excludes zero) at
+any width, by float enclosures of f at its endpoints or else by their exact
+signs, and bisects the other cells; a cell whose endpoint enclosures
+bracket a root needs no box test.  It then narrows each one-root bracket
+by quadratic interval refinement whose first guess is the cell, on the
+deepest level the floats resolve, that holds a root found in floats by the
+Illinois method; below float resolution the guesses come from regula falsi
+on fixed-point values of f.  Two exact signs prove each guessed cell.
 
 The quadtree keeps a cell without enclosing it when its corners prove a
 zero of f in it: an exact zero, or two point enclosures of opposite signs.
@@ -66,7 +75,7 @@ from .intervals import (
     ceil_float,
     enclose_exp,
     enclose_rational_pair,
-    exp_bounds,
+    exp_fixed,
     float_down,
     float_up,
     floor_float,
@@ -75,6 +84,8 @@ from .intervals import (
     pair_exp,
     pair_mul,
     pair_pow_exact,
+    ratio_down,
+    ratio_up,
 )
 from .poly import Poly
 
@@ -89,8 +100,10 @@ _FLOAT_ROOT_STEPS = 64
 _TAYLOR_ORDER = 2
 #: largest exp enclosure precision, in bits, that ``sign_at_rational`` tries
 _SIGN_MAX_BITS = 4096
+#: relative precision of ``_fixed_value``, in bits
+_FIXED_REL_BITS = 20
 #: largest |t| for which a rigorous point box gets the exact value: beyond
-#: it e^t is far outside the float range, and ``exp_bounds`` grows with t
+#: it e^t is far outside the float range, and ``exp_fixed`` grows with t
 _POINT_EXP_EDGE = 746
 #: grid points ``brute_force_sign_scan`` evaluates at a time
 _SCAN_CHUNK = 2048
@@ -133,7 +146,8 @@ class EvalPlan:
     which the outward step erases.
 
     Rigorous mode (``exact``) differs in three steps: a point box gets the
-    exact value sum_t C_t e^t / M (``EPoly.scaled_value``) rounded outward,
+    exact value sum_t C_t e^t / M (``EPoly.scaled_ints``, summed by
+    ``_exp_sum``) rounded outward,
     so an exact zero gives (0, 0), unless some |t| exceeds 746; powers come
     from ``pair_pow_exact``; and a group's exp is ``enclose_exp`` at the
     ends of its argument s . x, computed exactly at box corners, while a
@@ -176,10 +190,11 @@ class EvalPlan:
         exact = self.exact
         if exact:
             if all(lo == hi for lo, hi in bounds):
-                m, groups = self.f.scaled_value([Fraction(lo) for lo, _ in bounds])
-                if all(abs(t) <= _POINT_EXP_EDGE for t in groups):
-                    (ln, ld), (hn, hd) = _group_bounds(groups, RIGOROUS_BITS)
-                    return (floor_float(ln, ld * m), ceil_float(hn, hd * m))
+                m, t_den, groups = self.f.scaled_ints([Fraction(lo) for lo, _ in bounds])
+                edge = _POINT_EXP_EDGE * t_den
+                if all(-edge <= a <= edge for a in groups):
+                    lo, hi, work = _exp_sum(groups, t_den, RIGOROUS_BITS)
+                    return (floor_float(lo, m << work), ceil_float(hi, m << work))
             pows = [pair_pow_exact(bounds[i], k) for i, k in self.powers]
             ends = [(lo.as_integer_ratio(), hi.as_integer_ratio()) for lo, hi in bounds]
             exps = self.exps
@@ -399,18 +414,18 @@ class TightEvaluator:
 def sign_at_rational(f: EPoly, pt: Sequence) -> int:
     """Exact sign of f at a rational point: -1, 0 or +1.
 
-    The value is K * sum_t C_t e^t with K > 0, distinct rational t and
-    integer C_t (``EPoly.scaled_groups``, whose kernel each EPoly compiles
-    once).  The sum is zero exactly when every C_t is zero; otherwise the
-    value is nonzero, so refining rational exp enclosures must eventually
-    separate it from zero.
+    The value is sum_a C_a e^(a / T) / M with M > 0, distinct exponents
+    a / T and integer C_a (``EPoly.scaled_ints``, whose kernel each EPoly
+    compiles once).  The sum is zero exactly when every C_a is zero;
+    otherwise the value is nonzero, so ``_exp_sum``'s integer bounds at
+    doubling precision must eventually separate it from zero.
     """
-    groups = f.scaled_groups([Fraction(v) for v in pt])
+    _, t_den, groups = f.scaled_ints([Fraction(v) for v in pt])
     if not groups:
         return 0
     bits = RIGOROUS_BITS
     while bits <= _SIGN_MAX_BITS:
-        (lo, _), (hi, _) = _group_bounds(groups, bits)
+        lo, hi, _ = _exp_sum(groups, t_den, bits)
         if lo > 0:
             return 1
         if hi < 0:
@@ -419,27 +434,42 @@ def sign_at_rational(f: EPoly, pt: Sequence) -> int:
     raise InternalInvariantError("sign refinement exhausted precision budget")
 
 
-def _group_bounds(groups: dict[Fraction, int], bits: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Bounds (n, d) below and above sum_t C_t e^t, d a power of two: each
-    e^t but e^0 = 1 enclosed by ``exp_bounds``, whose bounds are dyadic."""
-    lo_terms, hi_terms = [], []
-    for t, c in groups.items():
-        if not t:
-            lo_terms.append((c, 1))
-            hi_terms.append((c, 1))
-            continue
-        elo, ehi = exp_bounds(t, bits)
-        if c < 0:
-            elo, ehi = ehi, elo
-        lo_terms.append((c * elo.numerator, elo.denominator))
-        hi_terms.append((c * ehi.numerator, ehi.denominator))
-    return _dyadic_sum(lo_terms), _dyadic_sum(hi_terms)
+def _exp_sum(groups: dict[int, int], t_den: int, bits: int) -> tuple[int, int, int]:
+    """Integer bounds (lo, hi, w) with lo / 2^w <= sum_a C_a e^(a / t_den) <= hi / 2^w.
+
+    Each e^(a / t_den) but e^0 = 1 is enclosed by ``exp_fixed`` at ``bits``,
+    on its own dyadic grid; every bound is shifted onto the finest grid, w,
+    so the sums are exact.  ``exp_fixed`` depends on a / t_den alone, so an
+    unreduced exponent gives the same bounds.
+    """
+    terms = []
+    for a, c in groups.items():
+        if a:
+            e_lo, e_hi, work = exp_fixed(a, t_den, bits)
+            terms.append((c * e_lo, c * e_hi, work) if c > 0 else (c * e_hi, c * e_lo, work))
+        else:
+            terms.append((c, c, 0))
+    w = max((work for _, _, work in terms), default=0)
+    return sum(lo << (w - work) for lo, _, work in terms), sum(hi << (w - work) for _, hi, work in terms), w
 
 
-def _dyadic_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
-    """Sum of n / d over (n, d) with every d a power of two, over the largest d."""
-    top = max((d for _, d in terms), default=1).bit_length()
-    return sum(n << (top - d.bit_length()) for n, d in terms), 1 << (top - 1)
+def _fixed_value(f: EPoly, x: Fraction) -> tuple[int, int, int] | None:
+    """Integer bounds (lo, hi, d) with lo / d <= f(x) <= hi / d, d > 0, of one
+    sign and within 2^-``_FIXED_REL_BITS`` of each other relatively, or None.
+
+    ``_exp_sum`` at doubling precision from ``RIGOROUS_BITS``; None when f(x)
+    is 0 or ``_SIGN_MAX_BITS`` do not reach that precision.
+    """
+    m, t_den, groups = f.scaled_ints([x])
+    if not groups:
+        return None
+    bits = RIGOROUS_BITS
+    while bits <= _SIGN_MAX_BITS:
+        lo, hi, w = _exp_sum(groups, t_den, bits)
+        if (lo > 0 or hi < 0) and (hi - lo) << _FIXED_REL_BITS <= min(abs(lo), abs(hi)):
+            return lo, hi, m << w
+        bits *= 2
+    return None
 
 
 #: coordinates of the sign-change grid, nearest the origin first, with their
@@ -519,13 +549,23 @@ def isolate_roots_1d(
     decide: opposite signs make it a one-root bracket, equal ones drop it.
     Any other cell is dropped when its interval value (``TightEvaluator``)
     excludes zero, gets endpoint signs once it is at most ``_CERT_WIDTH``
-    wide, and is bisected on.  Exact rational roots (for instance at 0) are
-    detected by a zero sign and certified as point enclosures.  Each
-    bracket is then narrowed by ``_refine_bracket``: quadratic interval
-    refinement on the monotone cells, and bisection on merged runs of
-    suspect cells.  Returns (certified, uncertified) lists, both sorted by
-    position, with pairwise disjoint certified enclosures of width at most
-    ``tol``, which must be positive and finite; so must the domain's ends.
+    wide, and is bisected on.  A cell whose endpoint enclosures exclude zero
+    with opposite signs holds a root, so no sound enclosure of f on it
+    excludes zero (on the libm trust of the fast plan): it skips the box
+    test.  Exact rational roots (for instance at 0) are detected by a zero
+    sign and certified as point enclosures.  Each bracket is then narrowed
+    by ``_refine_bracket``: quadratic interval refinement on the monotone
+    cells, and bisection on merged runs of suspect cells.  Returns
+    (certified, uncertified) lists, both sorted by position, with pairwise
+    disjoint certified enclosures of width at most ``tol``, which must be
+    positive and finite; so must the domain's ends.
+
+    Cell ends are integers over one denominator D = L 2^64, L the common
+    denominator of the domain's ends (a power of two for float ends), so a
+    cell is halved exactly by ``(lo + hi) >> 1`` down to the depth limit of
+    64.  Each end's float enclosure and exact sign are cached by its
+    integer; Fractions are built only for brackets, suspects and exact
+    roots.
 
     The result is that of plain bisection that takes signs only on cells at
     most ``_CERT_WIDTH`` wide.  There a one-root bracket ends as the cell
@@ -567,66 +607,83 @@ def isolate_roots_1d(
     f_plan = evaluator.plan(())
     df_plan = evaluator.plan((1,))
 
-    sign_cache: dict[Fraction, int] = {}
+    # A cell is (lo, hi) over den; it is a suspect once 4 (hi - lo) <= tol den.
+    den = math.lcm(a.denominator, b.denominator) << _ISOLATE_MAX_DEPTH
+    suspect_width = tol_q.numerator * den // (4 * tol_q.denominator)
+    end_signs: dict[int, int] = {}  # exact sign of f at a cell end
+    enclosed: dict[int, int] = {}  # sign of f's point enclosure there, 0 if it holds 0
+    fine_signs: dict[Fraction, int] = {}  # exact sign of f off the cell grid
+
+    def end_sign(n: int) -> int:
+        s = end_signs.get(n)
+        if s is None:
+            s = end_signs[n] = sign_at_rational(f, [Fraction(n, den)])
+        return s
+
+    def enclosed_sign(n: int) -> int:
+        s = enclosed.get(n)
+        if s is None:
+            s = enclosed[n] = _sign(f_plan([(ratio_down(n, den), ratio_up(n, den))]))
+        return s
 
     def sgn(x: Fraction) -> int:
-        if x not in sign_cache:
-            sign_cache[x] = sign_at_rational(f, [x])
-        return sign_cache[x]
+        q, r = divmod(den, x.denominator)
+        if not r:
+            return end_sign(x.numerator * q)
+        s = fine_signs.get(x)
+        if s is None:
+            s = fine_signs[x] = sign_at_rational(f, [x])
+        return s
 
     def deriv_nonzero(lo: Fraction, hi: Fraction) -> bool:
         return _sign(df_plan([(float_down(lo), float_up(hi))])) != 0
-
-    def enclosed_sign(x: Fraction) -> int:
-        """The sign of f(x) where its float enclosure excludes 0, else 0."""
-        return _sign(f_plan([(float_down(x), float_up(x))]))
 
     def cert(kind: str, lo: Fraction, hi: Fraction) -> RootCert:
         enc = Interval(float_down(lo), float_up(hi))
         rlo, rhi = f_plan([(enc.lo, enc.hi)])
         return RootCert(enc, kind, max(abs(rlo), abs(rhi)))
 
-    exact_roots: set[Fraction] = set()
+    zero_ends: set[int] = set()
     brackets: list[tuple[Fraction, Fraction, bool]] = []  # (lo, hi, one_root)
-    suspects: list[tuple[Fraction, Fraction]] = []
-    stack = [(a, b, 0)]
+    suspects: list[tuple[int, int]] = []
+    stack = [(a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), 0)]
     while stack:
         lo, hi, depth = stack.pop()
-        cell = [(float_down(lo), float_up(hi))]
+        cell = [(ratio_down(lo, den), ratio_up(hi, den))]
         # f on a monotone cell lies between its values at the ends, so the
-        # cell needs no box test.  The box test reuses the derivative's
-        # natural extension.
+        # cell needs no box test, and neither does a cell whose ends bracket
+        # a root.  The box test reuses the derivative's natural extension.
         nats = {(1,): df_plan(cell)} if settle else {}
         monotone = settle and _sign(nats[(1,)]) != 0
         if monotone:
             if enclosed_sign(lo) * enclosed_sign(hi) > 0:
                 continue
-        elif _sign(evaluator(cell, nats)):
+        elif enclosed_sign(lo) * enclosed_sign(hi) >= 0 and _sign(evaluator(cell, nats)):
             continue
         width = hi - lo
-        if monotone or width <= _CERT_WIDTH:
-            s_lo, s_hi = sgn(lo), sgn(hi)
-            exact_roots.update(x for x, s in ((lo, s_lo), (hi, s_hi)) if s == 0)
+        if monotone or 8 * width <= den:
+            s_lo, s_hi = end_sign(lo), end_sign(hi)
+            zero_ends.update(x for x, s in ((lo, s_lo), (hi, s_hi)) if s == 0)
             if monotone:
                 # At most one root, position decided by signs.
                 if s_lo * s_hi < 0:
-                    brackets.append((lo, hi, True))
+                    brackets.append((Fraction(lo, den), Fraction(hi, den), True))
                 continue
-        if width <= tol_q / 4 or depth >= _ISOLATE_MAX_DEPTH:
+        if width <= suspect_width or depth >= _ISOLATE_MAX_DEPTH:
             suspects.append((lo, hi))
             continue
-        mid = (lo + hi) / 2
+        mid = (lo + hi) >> 1
         stack.append((mid, hi, depth + 1))
         stack.append((lo, mid, depth + 1))
 
     uncertified: list[RootCert] = []
     for lo, hi in _merge_cells(suspects):
-        if any(lo <= r <= hi for r in exact_roots):
+        if any(lo <= r <= hi for r in zero_ends):
             continue  # covered by an exact-root certificate
-        if sgn(lo) * sgn(hi) < 0:
-            brackets.append((lo, hi, False))
-        elif not deriv_nonzero(lo, hi):  # equal signs, not monotone: f may touch 0
-            uncertified.append(cert("UncertifiedTangential", lo, hi))
+        if end_sign(lo) * end_sign(hi) < 0:
+            brackets.append((Fraction(lo, den), Fraction(hi, den), False))
+        elif not deriv_nonzero(Fraction(lo, den), Fraction(hi, den)):  # equal signs, not monotone: f may touch 0
+            uncertified.append(cert("UncertifiedTangential", Fraction(lo, den), Fraction(hi, den)))
 
     # Every bracket is settled in this one loop, after the suspect cells were
     # checked against the exact roots.  The bisection leaves partition the
@@ -634,11 +691,12 @@ def isolate_roots_1d(
     # exact root in it, and its endpoints have nonzero signs.  So the rational
     # root a bracket may collapse onto lies in no suspect cell and in no other
     # bracket, and no exact root lies in a SignChange enclosure.
+    exact_roots = {Fraction(n, den) for n in zero_ends}
     certs: list[RootCert] = []
     value = f.float_evaluator()
     one_root_tol = min(tol_q, cert_w)
     for lo, hi, one_root in brackets:
-        lo, hi = _refine_bracket(sgn, value, lo, hi, one_root_tol if one_root else tol_q, one_root)
+        lo, hi = _refine_bracket(f, sgn, value, lo, hi, one_root_tol if one_root else tol_q, one_root)
         if lo == hi:
             exact_roots.add(lo)
         else:
@@ -659,7 +717,7 @@ def isolate_roots_1d(
     return certs, sorted(uncertified, key=lambda r: r.enclosure.lo)
 
 
-def _refine_bracket(sgn, value, lo: Fraction, hi: Fraction, tol: Fraction, one_root: bool):
+def _refine_bracket(f: EPoly, sgn, value, lo: Fraction, hi: Fraction, tol: Fraction, one_root: bool):
     """Bisection's answer for the bracket [lo, hi], by quadratic interval refinement.
 
     The endpoint signs must be nonzero and opposite.  Bisection halves the
@@ -668,19 +726,23 @@ def _refine_bracket(sgn, value, lo: Fraction, hi: Fraction, tol: Fraction, one_r
     with one simple root r (``one_root``) that answer depends on r alone:
     (r, r) when r lies on the level-k grid lo + j (hi - lo) / 2^k, otherwise
     the level-k cell containing r.  So each step guesses the cell of r among
-    N = 2^m equal cells and proves the guess by the exact signs of the
-    cell's endpoints, which are grid points of level at most k (Abbott,
-    "Quadratic interval refinement for real roots", 2014).  The guess is
-    the cell, found exactly with Fractions, that holds a float root of
+    N = 2^m equal cells and proves the guess by the exact signs (``sgn``) of
+    the cell's endpoints, which are grid points of level at most k (Abbott,
+    "Quadratic interval refinement for real roots", 2014).  A proven guess
+    doubles m, a refuted one halves it, and m = 1 is a bisection step.
+
+    While the floats resolve at least two levels of the bracket, the guess
+    is the cell, found exactly with Fractions, that holds a float root of
     ``value`` (``_float_root``), and m is capped at the deepest level whose
-    cells the floats resolve.  The first guess takes m = k, so on a bracket
+    cells the floats resolve; the first guess takes m = k, so on a bracket
     the floats resolve down to width ``tol`` the two signs of one cell
-    settle it.  A proven guess doubles m, a refuted one halves it, and
-    m = 1 is a bisection step.  When the float values overflow, are not
-    finite or do not have strictly opposite signs, or not even two levels
-    are resolved, the step bisects.  A bracket not known to hold one root
-    (a merged run of suspect cells, where bisection's answer depends on its
-    path) is only bisected.
+    settle it.  When the float values overflow, are not finite or do not
+    have strictly opposite signs, the step bisects.  Below float resolution
+    the guess is regula falsi on fixed-point values of f at the bracket's
+    ends (``_fixed_value``, each within 2^-20 relatively), the first such
+    guess taking every level left, and m is capped at the levels those
+    values resolve.  A bracket not known to hold one root (a merged run of suspect
+    cells, where bisection's answer depends on its path) is only bisected.
     """
     s_lo, s_hi = sgn(lo), sgn(hi)
     if s_lo * s_hi >= 0:
@@ -691,14 +753,30 @@ def _refine_bracket(sgn, value, lo: Fraction, hi: Fraction, tol: Fraction, one_r
     levels = (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
     m = levels
     root = None  # a float root of value, kept while it lies in [lo, hi]
+    values: dict[Fraction, tuple[int, int, int] | None] = {}  # fixed-point values of f
     while levels:
         m = min(m, levels)
+        guess = None  # the root's position in [lo, hi], as (numerator, denominator)
         if one_root and m > 1:
             x_lo, x_hi = float(lo), float(hi)
-            m = min(m, _resolved_levels(x_lo, x_hi))
-            if m > 1 and (root is None or not x_lo <= root <= x_hi):
-                root = _float_root(value, x_lo, x_hi)
-        if not one_root or m < 2 or root is None:
+            resolved = _resolved_levels(x_lo, x_hi)
+            if resolved >= 2:
+                m = min(m, resolved)
+                if root is None or not x_lo <= root <= x_hi:
+                    root = _float_root(value, x_lo, x_hi)
+                if root is not None:
+                    pos = (Fraction(root) - lo) / (hi - lo)
+                    guess = (pos.numerator, pos.denominator)
+            else:
+                if not values:  # the first guess below float resolution
+                    m = levels
+                for x in (lo, hi):
+                    if x not in values:
+                        values[x] = _fixed_value(f, x)
+                if values[lo] and values[hi]:
+                    guess, resolved = _secant_position(values[lo], values[hi])
+                    m = min(m, resolved)
+        if guess is None or m < 2:
             mid = (lo + hi) / 2
             s_mid = sgn(mid)
             if s_mid == 0:
@@ -712,9 +790,8 @@ def _refine_bracket(sgn, value, lo: Fraction, hi: Fraction, tol: Fraction, one_r
             m = 2
             continue
         cells = 1 << m
+        j = min(max(cells * guess[0] // guess[1], 0), cells - 1)
         width = (hi - lo) / cells
-        pos = (Fraction(root) - lo) / width
-        j = min(max(pos.numerator // pos.denominator, 0), cells - 1)
         a, b = lo + j * width, lo + (j + 1) * width
         s_a = sgn(a)
         if s_a == 0:
@@ -730,6 +807,30 @@ def _refine_bracket(sgn, value, lo: Fraction, hi: Fraction, tol: Fraction, one_r
                 continue
         m //= 2
     return lo, hi
+
+
+def _secant_position(v_lo: tuple[int, int, int], v_hi: tuple[int, int, int]) -> tuple[tuple[int, int], float]:
+    """Regula falsi on ``_fixed_value`` bounds at a bracket's two ends: the
+    secant's zero as a fraction (n, d) of the bracket, and the levels it
+    resolves.
+
+    With A and B the midpoints of the value bounds, of opposite signs, the
+    zero lies at |A| / (|A| + |B|).  If each value is known to 2^-e
+    relatively, that fraction is known to 2^-(e + 1), so 2^(e - 1) equal
+    cells are each four times wider than its error.
+    """
+    (al, ah, ad), (bl, bh, bd) = v_lo, v_hi
+    wa, wb = abs(al + ah) * bd, abs(bl + bh) * ad
+    e = min(_relative_bits(al, ah), _relative_bits(bl, bh))
+    return (wa, wa + wb), e - 1
+
+
+def _relative_bits(lo: int, hi: int) -> float:
+    """A lower bound for e with hi - lo <= 2^-e min(|lo|, |hi|), for bounds of
+    one sign; inf where they are equal (a value without exponential)."""
+    if lo == hi:
+        return math.inf
+    return min(abs(lo), abs(hi)).bit_length() - (hi - lo).bit_length() - 1
 
 
 def _resolved_levels(x_lo: float, x_hi: float) -> int:
@@ -784,8 +885,8 @@ def _float_root(value, x_lo: float, x_hi: float) -> float | None:
     return 0.5 * x_lo + 0.5 * x_hi
 
 
-def _merge_cells(cells: list[tuple[Fraction, Fraction]]):
-    merged: list[list[Fraction]] = []
+def _merge_cells(cells: list[tuple[int, int]]):
+    merged: list[list[int]] = []
     for lo, hi in sorted(cells):
         if merged and lo <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], hi)

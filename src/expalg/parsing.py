@@ -14,7 +14,9 @@ appears only inside rational literals, and exp() takes a single x-variable
 (general arguments are rejected at parse level).  The leading optional '-'
 is the only unary minus.  Exponents, variable indices and the ambient
 override are capped at 64, parentheses at 64 levels of nesting, and
-integer literals at 4,300 significant digits.
+integer literals at 4,300 significant digits, as are the numerator and
+denominator of every coefficient that a product, a power or a sum makes
+(CPython converts at most 4,300 digits between int and str).
 
 ``parse_poly`` accepts x- and u-variables and rejects exp();
 ``parse_epoly`` additionally accepts exp(xi), which denotes the same
@@ -145,31 +147,32 @@ class _Parser:
         if negate:
             self.advance()
         signed = [(negate, self.term())]
+        first_op = self.tok
         while self.tok.kind in ("+", "-"):
             signed.append((self.advance().kind == "-", self.term()))
         if len(signed) == 1:
             return -signed[0][1] if negate else signed[0][1]
-        return Poly(
-            self.n,
-            [(m, -c if minus else c) for minus, t in signed for m, c in t.terms.items()],
+        return _checked(
+            Poly(self.n, [(m, -c if minus else c) for minus, t in signed for m, c in t.terms.items()]),
+            first_op,
         )
 
     def term(self) -> Poly:
         value = self.factor()
         while self.tok.kind == "*":
-            self.advance()
-            value = value * self.factor()
+            op = self.advance()
+            value = _checked(value * self.factor(), op)
         return value
 
     def factor(self) -> Poly:
         value = self.base()
         if self.tok.kind == "^":
-            self.advance()
+            op = self.advance()
             num = self.expect("NUM", "exponent must be a non-negative integer")
             digits = num.text.lstrip("0") or "0"
             if len(digits) > 2 or int(digits) > 64:
                 raise ParseError("exponent too large (limit 64)", num.line, num.column)
-            value = value ** int(digits)
+            value = _checked(value ** int(digits), op)
         return value
 
     def base(self) -> Poly:
@@ -220,6 +223,19 @@ def _literal(tok: Token) -> int:
     if len(digits) > 4300:
         raise ParseError("integer literal too long (limit 4300 digits)", tok.line, tok.column)
     return int(digits)
+
+
+#: the least integer of 4,301 digits
+_TOO_LONG = 10**4300
+
+
+def _checked(value: Poly, op: Token) -> Poly:
+    """``value``, or a ParseError at ``op`` when a coefficient's numerator or
+    denominator has more than 4,300 digits."""
+    for c in value.terms.values():
+        if abs(c.numerator) >= _TOO_LONG or c.denominator >= _TOO_LONG:
+            raise ParseError("coefficient too long (limit 4300 digits)", op.line, op.column)
+    return value
 
 
 def _infer_ambient(tokens: list[Token], override: int | None) -> int:

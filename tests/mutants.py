@@ -1,0 +1,154 @@
+"""Committed mutants: planted errors that named tests must catch.
+
+Each entry of ``MUTANTS`` names a file of the checkout, an exact text that
+must occur in it exactly once, the text that replaces it, and a target: one
+test function of a module under ``tests`` that needs no pytest
+(``tests/test_refine.py::test_name``).  The runner copies ``src`` and
+``tests`` to a temporary directory, never touching the checkout, and first
+runs every target on the unmutated copy, which must pass.  Then, for each
+entry, it applies the change to a fresh copy and runs the target, which must
+fail.  A refactor that removes or repeats a mutated text makes the run fail
+too, and the entry is updated with it.  Standard library only:
+
+    python3 tests/mutants.py            # every mutant
+    python3 tests/mutants.py NAME ...   # the named ones
+
+It prints one line per run and exits 1 when a target fails unmutated, a
+text does not occur exactly once, or a mutant survives.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+#: a target that runs longer than this counts as failing (a mutant may loop)
+TIMEOUT_S = 300
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the checkout
+    old: str
+    new: str
+    target: str  # tests/<module>.py::<test function>
+
+
+MUTANTS = [
+    # Exact signs, fixed-point values and rigorous point boxes sum their
+    # exp enclosures on one dyadic grid.
+    Mutant(
+        "exp sum: the e^0 group on the 2^-1 grid",
+        "src/expalg/numeric.py",
+        "            terms.append((c, c, 0))\n",
+        "            terms.append((c, c, 1))\n",
+        "tests/test_exp_kernel.py::test_integer_view_and_bound_sum_match_fraction_sums_on_seeded_inputs",
+    ),
+    # A guessed cell holds the root only if the signs at both its ends differ.
+    Mutant(
+        "refinement: a guess accepted after one end's sign",
+        "src/expalg/numeric.py",
+        "            if s_b == s_hi:\n                lo, hi = a, b\n",
+        "            if s_a == s_lo:\n                lo, hi = a, b\n",
+        "tests/test_refine.py::test_refinement_below_float_resolution_needs_at_most_a_third_of_bisections_signs",
+    ),
+    # Only a cell whose ends bracket a root may skip the box test.
+    Mutant(
+        "isolator: the bracketing test inverted",
+        "src/expalg/numeric.py",
+        "        elif enclosed_sign(lo) * enclosed_sign(hi) >= 0 and _sign(evaluator(cell, nats)):\n",
+        "        elif enclosed_sign(lo) * enclosed_sign(hi) < 0 and _sign(evaluator(cell, nats)):\n",
+        "tests/test_refine.py::test_cells_whose_ends_bracket_a_root_skip_the_box_test",
+    ),
+    Mutant(
+        "rigorous point box: the value without its 1/M scale",
+        "src/expalg/numeric.py",
+        "                    return (floor_float(lo, m << work), ceil_float(hi, m << work))\n",
+        "                    return (floor_float(lo, 1 << work), ceil_float(hi, 1 << work))\n",
+        "tests/test_rational_kernel.py::test_rigorous_plan_matches_reference",
+    ),
+    Mutant(
+        "parser: the leading negation of a single term dropped",
+        "src/expalg/parsing.py",
+        "            return -signed[0][1] if negate else signed[0][1]\n",
+        "            return signed[0][1]\n",
+        "tests/test_parse_kernel.py::test_valid_text_parses_to_the_reference_term_order",
+    ),
+    Mutant(
+        "divisor hunt: c0 + 1 as the solved constant",
+        "src/expalg/classify.py",
+        "    return {c0 for c0, r in solved if not r and c0 in span}\n",
+        "    return {c0 + 1 for c0, r in solved if not r and c0 in span}\n",
+        "tests/test_symbolic_kernel.py::test_solved_constants_match_enumerated_forms",
+    ),
+]
+
+
+def copy_tree(dest: Path) -> None:
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=shutil.ignore_patterns("__pycache__"))
+
+
+def run_target(tree: Path, target: str) -> tuple[bool, str]:
+    """(passed, last output line) of one test function run in ``tree``."""
+    module_path, func = target.split("::")
+    module = Path(module_path).stem
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(tree / "tests")]))
+    code = f"import {module}; {module}.{func}()"
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        return False, f"timed out after {TIMEOUT_S} s"
+    lines = (done.stderr or done.stdout).strip().splitlines()
+    return done.returncode == 0, lines[-1] if lines else ""
+
+
+def apply(tree: Path, mutant: Mutant) -> None:
+    """Replace the mutant's text in ``tree``, where it must occur exactly once."""
+    path = tree / mutant.path
+    text = path.read_text()
+    count = text.count(mutant.old)
+    if count != 1:
+        raise SystemExit(f"mutants.py: {mutant.name}: the text occurs {count} times in {mutant.path}")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    if names and len(chosen) != len(names):
+        known = ", ".join(repr(m.name) for m in MUTANTS)
+        raise SystemExit(f"mutants.py: unknown mutant name; known: {known}")
+    survived = 0
+    with tempfile.TemporaryDirectory(prefix="expalg-mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        copy_tree(clean)
+        for mutant in chosen:  # every text must be there before anything runs
+            apply(clean, mutant._replace(new=mutant.old))  # an identity edit
+        for target in dict.fromkeys(m.target for m in chosen):
+            passed, last = run_target(clean, target)
+            print(f"{'passes' if passed else 'FAILS '}  unmutated  {target}")
+            if not passed:
+                print(f"        {last}")
+                return 1
+        for k, mutant in enumerate(chosen):
+            tree = Path(tmp) / f"mutant{k}"
+            copy_tree(tree)
+            apply(tree, mutant)
+            passed, last = run_target(tree, mutant.target)
+            print(f"{'SURVIVED' if passed else 'caught  '}  {mutant.name}  ({last[:100]})")
+            survived += passed
+            shutil.rmtree(tree)
+    print(f"{len(chosen) - survived} of {len(chosen)} mutants caught")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

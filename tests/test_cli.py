@@ -367,6 +367,26 @@ def test_integer_literal_past_the_int_conversion_limit_is_an_input_error(capsys)
     assert code == cli.EXIT_OK and json.loads(out)["result"]["canonical"] == "9" * 4300 + "*x1"
 
 
+def test_coefficient_past_the_int_conversion_limit_is_an_input_error(capsys):
+    # Each literal is within the limit, but a product, power or sum of them
+    # is not: the report used to fail in str() of the coefficient, with
+    # CPython's "Exceeds the limit" message and no line or column.
+    ones = "1" * 3000
+    for text, column in (
+        (f"{ones}*{ones}*x1", 3001),
+        (f"x1 + ({ones}*x2)^2", 3011),
+        (f"x1 - 1/{ones}*1/{ones}", 3008),
+        (f"{'9' * 4300} + 1 + x1", 4302),
+    ):
+        code, out, err = run_cli(capsys, ["canon", "--", text])
+        assert code == cli.EXIT_INPUT and out == "", text[:20]
+        assert err == f"input error: coefficient too long (limit 4300 digits) (line 1, column {column})\n", (text[:20], err)
+    # 4,300 digits after a product or a sum are within the limit
+    code, out, _ = run_cli(capsys, ["canon", "--", f"{'3' * 2150}*{'3' * 2150}*x1 + {'9' * 4299} + 1"])
+    assert code == cli.EXIT_OK, out
+    assert json.loads(out)["result"]["canonical"] == f"{int('3' * 2150) ** 2}*x1 + 1{'0' * 4299}"
+
+
 HUGE = "1" + "0" * 400  # beyond the largest float
 
 

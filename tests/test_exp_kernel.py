@@ -2,8 +2,12 @@
 
 ``intervals.exp_bounds`` works on scaled integers; the Fraction version in
 ``util`` rounds every step the same way on normalized Fractions.  The two
-must return equal Fractions.  The module
-needs no pytest, so it also runs as a script on an interpreter without it:
+must return equal Fractions.  ``EPoly.scaled_ints``, the integer view of the
+exact value, must give the Fraction reference's groups, and
+``numeric._exp_sum``, the integer bound sum behind exact signs, fixed-point
+values and rigorous point boxes, the bounds of a Fraction sum of
+``exp_bounds``.  The module needs no pytest, so it also runs as a script on
+an interpreter without it:
 
     PYTHONPATH=src python3 tests/test_exp_kernel.py
 """
@@ -14,8 +18,8 @@ from fractions import Fraction
 from expalg import numeric
 from expalg.epoly import EPoly
 from expalg.hyperplanes import Hyperplane, primitive_normalize
-from expalg.intervals import exp_bounds
-from expalg.numeric import sign_at_rational
+from expalg.intervals import exp_bounds, exp_fixed
+from expalg.numeric import _exp_sum, sign_at_rational
 from expalg.parsing import parse_epoly
 
 from util import (
@@ -116,18 +120,18 @@ def reference_sign(f: EPoly, pt, max_bits: int = 4096) -> tuple[int, list[int]]:
 
 
 def precisions_asked(f: EPoly, pt) -> tuple[int, list[int]]:
-    """sign_at_rational(f, pt) and the precision of each exp_bounds call it made."""
+    """sign_at_rational(f, pt) and the precision of each exp_fixed call it made."""
     asked = []
 
-    def spy(t, bits):
+    def spy(a, b, bits):
         asked.append(bits)
-        return exp_bounds(t, bits)
+        return exp_fixed(a, b, bits)
 
-    numeric.exp_bounds = spy
+    numeric.exp_fixed = spy
     try:
         return sign_at_rational(f, pt), asked
     finally:
-        numeric.exp_bounds = exp_bounds
+        numeric.exp_fixed = exp_fixed
 
 
 def restricted_epoly(rng: random.Random, n: int) -> EPoly:
@@ -207,11 +211,11 @@ def test_group_without_exponential_needs_no_enclosure():
     # t = 0 and the other t = 1/2 or 1.
     arguments = []
 
-    def spy(t, bits):
-        arguments.append(t)
-        return exp_bounds(t, bits)
+    def spy(a, b, bits):
+        arguments.append(Fraction(a, b))
+        return exp_fixed(a, b, bits)
 
-    numeric.exp_bounds = spy
+    numeric.exp_fixed = spy
     try:
         for text, x, sign in (
             ("3*x1 - 1 + u1 - u1^2", 0, -1),
@@ -221,8 +225,38 @@ def test_group_without_exponential_needs_no_enclosure():
         ):
             assert sign_at_rational(parse_epoly(text, 1), [x]) == sign, text
     finally:
-        numeric.exp_bounds = exp_bounds
+        numeric.exp_fixed = exp_fixed
     assert arguments and 0 not in arguments, arguments
+
+
+def test_integer_view_and_bound_sum_match_fraction_sums_on_seeded_inputs():
+    # scaled_ints gives (M, T, {a: C}) with f = sum C e^(a / T) / M: each
+    # C / M must be the reference's coefficient sum at t = a / T, in its
+    # order.  _exp_sum must bound sum C e^(a / T) exactly as the Fraction
+    # sum of exp_bounds does, on one grid.
+    rng = random.Random(29)
+    seen_negative = seen_mixed_grids = False
+    for _ in range(120):
+        n = rng.choice((1, 2, 3))
+        f = rand_epoly(rng, n) if rng.random() < 0.5 else restricted_epoly(rng, n)
+        pt = [Fraction(0) if rng.random() < 0.2 else rand_fraction(rng, span=20, den=12) for _ in range(n)]
+        m, t_den, groups = f.scaled_ints(pt)
+        assert m > 0 and t_den > 0, (f, pt)
+        ref = reference_coefficient_groups(f, pt)
+        assert [(Fraction(a, t_den), Fraction(c, m)) for a, c in groups.items()] == list(ref.items()), (f, pt)
+        for bits in (96, 192):
+            lo = hi = Fraction(0)
+            works = set()
+            for a, c in groups.items():
+                elo, ehi = exp_bounds(Fraction(a, t_den), bits) if a else (1, 1)
+                works.add(exp_fixed(a, t_den, bits)[2])
+                lo += c * (elo if c > 0 else ehi)
+                hi += c * (ehi if c > 0 else elo)
+            got_lo, got_hi, w = _exp_sum(groups, t_den, bits)
+            assert (Fraction(got_lo, 1 << w), Fraction(got_hi, 1 << w)) == (lo, hi), (f, pt, bits)
+            seen_negative |= any(a < 0 for a in groups)
+            seen_mixed_grids |= len(works) > 1
+    assert seen_negative and seen_mixed_grids
 
 
 if __name__ == "__main__":

@@ -21,7 +21,9 @@ from expalg.parsing import parse_epoly, parse_poly
 from util import reference_parse, run_standalone
 
 SEPARATORS = ["", " ", " ", " ", "  ", "\n", "\n  ", "\t"]
-JUNK = ["@", "y1", "x0", "x01", "exp", "/", "^", "(", ")", "0", "7", "65", "-", "*", "u9"]
+#: the long digit strings pass the 4,300-digit limit alone, or in a product
+#: or power, and glued to a variable they make an index past 64
+JUNK = ["@", "y1", "x0", "x01", "exp", "/", "^", "(", ")", "0", "7", "65", "-", "*", "u9", "9" * 2200, "1" * 4301]
 
 
 def _base(rng, depth, n, allow_exp, seen):
@@ -161,6 +163,25 @@ def test_literals_past_the_int_conversion_limit_raise_the_reference_error():
         assert _assert_same(text, None)[0] == "error", text[:20]
     for text in (f"x1^{padded[:-1]}", f"{padded}*x1 + {'9' * 4300}/{padded}"):
         assert _assert_same(text, None)[0] == "ok", text[:20]
+
+
+def test_coefficients_past_the_int_conversion_limit_raise_the_reference_error():
+    # a product, power or sum of literals within the limit may pass it; a
+    # sum is checked whole, so one that comes back within the limit is kept
+    half, nines = "3" * 2200, "9" * 4300
+    for text in (
+        f"{half}*{half}*x1",
+        f"x2 + ({half}*x1 - 1)^2",
+        f"1/{half}*x1*1/{half}",
+        f"{nines} + 1 + x1",
+        f"x1 - {nines}/7 - {nines}/11",
+        f"x1*(x2 + 1/{half})^2",
+    ):
+        assert _assert_same(text, None)[0] == "error", text[:20]
+    for text in (f"{nines} + 1 - 1", f"{half[:2150]}*{half[:2150]}*x1", f"{nines} + 1 - {nines} + x1"):
+        assert _assert_same(text, None)[0] == "ok", text[:20]
+    # glued to a variable, a long digit string is a variable index past 64
+    assert _assert_same(f"x1{'1' * 4402} + 1", None)[1] == "variable index too large (limit 64) (line 1, column 1)"
 
 
 if __name__ == "__main__":

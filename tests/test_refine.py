@@ -22,7 +22,8 @@ import random
 from fractions import Fraction
 
 from expalg import numeric
-from expalg.numeric import _refine_bracket, default_root_domain, isolate_roots_1d
+from expalg.intervals import float_down, float_up
+from expalg.numeric import EvalPlan, TightEvaluator, _refine_bracket, default_root_domain, isolate_roots_1d
 from expalg.parsing import parse_epoly
 
 from util import rand_epoly, reference_isolate_roots_1d, reference_refine_bracket, run_standalone
@@ -74,7 +75,7 @@ def refine_both(f, lo, hi, tol, one_root=True):
     bisection returns it: it is the last point whose sign was computed.
     """
     taken = []
-    new = _refine_bracket(signs(f, taken), f.float_evaluator(), lo, hi, tol, one_root)
+    new = _refine_bracket(f, signs(f, taken), f.float_evaluator(), lo, hi, tol, one_root)
     if new[0] == new[1]:
         assert taken[-1] == new[0], (lo, hi, tol, new)
     return new, reference_refine_bracket(signs(f), lo, hi, tol)
@@ -180,7 +181,7 @@ def test_merged_bracket_with_three_roots_is_bisected():
             assert ref[0] <= Fraction(9, 10) <= ref[1]
 
 
-def bisect_only(sgn, value, lo, hi, tol, one_root):
+def bisect_only(f, sgn, value, lo, hi, tol, one_root):
     return reference_refine_bracket(sgn, lo, hi, tol)
 
 
@@ -265,8 +266,9 @@ def test_isolation_needs_fewer_exact_signs_than_the_reference():
     # its float root: at most half the reference's signs on simple roots.
     # Near the double roots of the last input, wide monotone cells without a
     # root are dropped by their float values, so they add no signs either.
-    # At tol 1e-40 the first guess stops at the float resolution and
-    # bisection goes on below it.
+    # At tol 1e-40 the float guesses stop at the float resolution, and
+    # regula falsi on fixed-point values guesses below it: at most a third
+    # of the reference's signs, which bisects there.
     for text, simple in (
         ("(x1^3 - 2*x1 - 5)*exp(x1) - x1 + 1", True),
         ("5*x1^3 - 15*x1 + 5 - exp(x1)", True),
@@ -278,7 +280,7 @@ def test_isolation_needs_fewer_exact_signs_than_the_reference():
         assert (2 if simple else 1) * n_signs < ref_signs and n_boxes < ref_boxes, (text, n_signs, ref_signs, n_boxes, ref_boxes)
         if simple:
             (new, n_signs, _), (ref, ref_signs, _) = isolate_both(f, (-6.0, 6.0), 1e-40)
-            assert new == ref and n_signs < ref_signs, (text, n_signs, ref_signs)
+            assert new == ref and 3 * n_signs <= ref_signs, (text, n_signs, ref_signs)
     # Monotone on the whole domain: two signs at its ends and two for the
     # cell of the float root, and no box evaluation at all.
     (new, n_signs, n_boxes), (ref, ref_signs, ref_boxes) = isolate_both(parse_epoly("3*x1 - 2 + exp(x1)"), (-6.0, 6.0), 1e-9)
@@ -321,7 +323,7 @@ def test_refinement_needs_at_most_half_the_exact_signs_of_bisection():
         for _ in range(8):
             lo = root - Fraction(rng.randint(1, 999), 8000)
             with Counting(numeric, "sign_at_rational") as counter:
-                new = _refine_bracket(signs(f), f.float_evaluator(), lo, lo + Fraction(1, 8), tol, True)
+                new = _refine_bracket(f, signs(f), f.float_evaluator(), lo, lo + Fraction(1, 8), tol, True)
             new_calls += counter.calls
             with Counting(numeric, "sign_at_rational") as counter:
                 ref = reference_refine_bracket(signs(f), lo, lo + Fraction(1, 8), tol)
@@ -329,6 +331,115 @@ def test_refinement_needs_at_most_half_the_exact_signs_of_bisection():
             assert new == ref, (text, lo)
     assert ref_calls == len(cases) * 8 * (2 + 27), ref_calls
     assert 2 * new_calls <= ref_calls, (new_calls, ref_calls)
+
+
+def test_refinement_below_float_resolution_needs_at_most_a_third_of_bisections_signs():
+    # At tol 1e-40 bisection makes 130 signs per bracket of width 1/8, about
+    # 80 of them below float resolution, where the guesses come from
+    # fixed-point values; a return to bisection there fails this bound.
+    rng = random.Random(2900)
+    cases = (
+        ("3*x1 - 1", Fraction(1, 3)),
+        ("2*x1 + 1 - exp(x1)", Fraction(1.2564312086261697)),
+        ("exp(x1) - 2", Fraction(0.6931471805599453)),
+        ("x1^3 - 2*x1 - 5", Fraction(2.0945514815423265)),
+        ("x1*exp(x1) + 1/3", Fraction(-0.6190612867359452)),
+    )
+    tol = TOLS[2]
+    new_calls = ref_calls = 0
+    for text, root in cases:
+        f = parse_epoly(text)
+        for _ in range(4):
+            lo = root - Fraction(rng.randint(1, 999), 8000)
+            with Counting(numeric, "sign_at_rational") as counter:
+                new = _refine_bracket(f, signs(f), f.float_evaluator(), lo, lo + Fraction(1, 8), tol, True)
+            new_calls += counter.calls
+            with Counting(numeric, "sign_at_rational") as counter:
+                ref = reference_refine_bracket(signs(f), lo, lo + Fraction(1, 8), tol)
+            ref_calls += counter.calls
+            assert new == ref, (text, lo)
+    assert ref_calls == len(cases) * 4 * (2 + 130), ref_calls
+    assert 3 * new_calls <= ref_calls, (new_calls, ref_calls)
+
+
+def _bracketing(plan, lo: Fraction, hi: Fraction) -> bool:
+    """Whether the float enclosures of f at lo and at hi exclude 0 with opposite signs."""
+    signs = []
+    for x in (lo, hi):
+        v_lo, v_hi = plan([(float_down(x), float_up(x))])
+        signs.append(1 if v_lo > 0.0 else -1 if v_hi < 0.0 else 0)
+    return signs[0] * signs[1] < 0
+
+
+def _expected_isolator_boxes(f, domain, tol) -> tuple[list, int]:
+    """The cells the isolator's TightEvaluator must get, in order, and the
+    number of cells that skip it because their ends bracket a root.
+
+    The isolator's traversal does not depend on exact signs: a monotone cell
+    is settled, a cell whose end enclosures bracket a root skips the box
+    test, and any other cell is dropped when the box test excludes 0; the
+    rest become suspects or are halved.  ``domain`` must let monotone cells
+    settle.
+    """
+    plan, dplan, tight = EvalPlan(f), EvalPlan(f.derivative(1)), TightEvaluator(f)
+    out, skipped = [], 0
+    stack = [(Fraction(domain[0]), Fraction(domain[1]), 0)]
+    while stack:
+        lo, hi, depth = stack.pop()
+        cell = [(float_down(lo), float_up(hi))]
+        d_lo, d_hi = dplan(cell)
+        if d_lo > 0.0 or d_hi < 0.0:
+            continue
+        if _bracketing(plan, lo, hi):
+            skipped += 1
+        else:
+            out.append(cell)
+            v_lo, v_hi = tight(cell)
+            if v_lo > 0.0 or v_hi < 0.0:
+                continue
+        if 4 * (hi - lo) <= Fraction(tol) or depth >= numeric._ISOLATE_MAX_DEPTH:
+            continue
+        mid = (lo + hi) / 2
+        stack.append((mid, hi, depth + 1))
+        stack.append((lo, mid, depth + 1))
+    return out, skipped
+
+
+def test_cells_whose_ends_bracket_a_root_skip_the_box_test():
+    # A non-monotone cell whose end enclosures have opposite signs holds a
+    # root, so no sound enclosure excludes 0 there: it must not reach the
+    # TightEvaluator, and every other non-monotone cell must, in order.
+    seen = []
+    tight_call = TightEvaluator.__call__
+
+    def recording(self, bounds, nats=None):
+        seen.append(list(bounds))
+        return tight_call(self, bounds, nats)
+
+    rng = random.Random(2901)
+    inputs = [
+        "(x1^3 - 2*x1 - 5)*exp(x1) - x1 + 1",
+        "5*x1^3 - 15*x1 + 5 - exp(x1)",
+        "(x1^2 - 2)^2*(x1 + 1)",
+        "(8*x1 - 3)*(x1^2 - 1/3)*exp(x1) + x1",
+    ]
+    inputs += [rand_epoly(rng, 1) for _ in range(12)]
+    skipped = 0
+    for f in inputs:
+        f = parse_epoly(f) if isinstance(f, str) else f
+        if f.is_zero():
+            continue
+        for domain, tol in (((-6.0, 6.0), 1e-9), ((-3.0, 5.0), 1e-6)):
+            del seen[:]
+            TightEvaluator.__call__ = recording
+            try:
+                isolate_roots_1d(f, domain, tol)
+            finally:
+                TightEvaluator.__call__ = tight_call
+            want, n = _expected_isolator_boxes(f, domain, tol)
+            assert seen == want, (f, domain, tol)
+            skipped += n
+    assert skipped >= 40, skipped
 
 
 if __name__ == "__main__":

@@ -1193,7 +1193,10 @@ def _reference_tokenize(text: str) -> list[_RefToken]:
         elif m.lastgroup == "name":
             if lexeme == "exp":
                 tokens.append(_RefToken("EXP", lexeme, line, col))
-            elif _REF_VAR_RE.match(lexeme):
+            elif var := _REF_VAR_RE.match(lexeme):
+                index = var.group(2)
+                if len(index) > 2 or int(index) > 64:
+                    raise ParseError("variable index too large (limit 64)", line, col)
                 tokens.append(_RefToken("VAR", lexeme, line, col))
             else:
                 raise ParseError(f"unknown name {lexeme!r}", line, col)
@@ -1212,6 +1215,15 @@ def _reference_literal(tok: _RefToken) -> int:
     if len(digits) > 4300:
         raise ParseError("integer literal too long (limit 4300 digits)", tok.line, tok.column)
     return int(digits)
+
+
+def _reference_size_checked(value: Poly, op: _RefToken) -> Poly:
+    """``value``, or the ParseError at ``op`` for a coefficient whose
+    numerator or denominator has more than 4,300 digits."""
+    limit = 10**4300
+    if any(max(abs(c.numerator), c.denominator) >= limit for c in value.terms.values()):
+        raise ParseError("coefficient too long (limit 4300 digits)", op.line, op.column)
+    return value
 
 
 def _reference_split_var(tok: _RefToken) -> tuple[str, int]:
@@ -1258,14 +1270,17 @@ class _ReferenceParser:
         value = self.term()
         if negate:
             value = -value
+        first_op = None
         while True:
             tok = self.peek()
             if tok.kind == "OP" and tok.text in "+-":
                 self.advance()
+                first_op = first_op or tok
                 rhs = self.term()
                 value = value + rhs if tok.text == "+" else value - rhs
             else:
-                return value
+                # a sum is checked once, whole, at its first operator
+                return value if first_op is None else _reference_size_checked(value, first_op)
 
     def term(self) -> Poly:
         value = self.factor()
@@ -1273,7 +1288,7 @@ class _ReferenceParser:
             tok = self.peek()
             if tok.kind == "OP" and tok.text == "*":
                 self.advance()
-                value = value * self.factor()
+                value = _reference_size_checked(value * self.factor(), tok)
             else:
                 return value
 
@@ -1289,7 +1304,7 @@ class _ReferenceParser:
             digits = num.text.lstrip("0") or "0"
             if len(digits) > 2 or int(digits) > 64:
                 raise ParseError("exponent too large (limit 64)", num.line, num.column)
-            value = value ** int(digits)
+            value = _reference_size_checked(value ** int(digits), tok)
         return value
 
     def base(self) -> Poly:
@@ -1343,6 +1358,8 @@ def reference_parse(text: str, ambient: int | None = None, allow_exp: bool = Fal
     if ambient is not None:
         if ambient < 1:
             raise ParseError(f"ambient override {ambient} below 1", 1, 1)
+        if ambient > 64:
+            raise ParseError(f"ambient override {ambient} too large (limit 64)", 1, 1)
         if ambient < max_idx:
             raise ParseError(f"ambient override {ambient} below used index {max_idx}", 1, 1)
         n = ambient
