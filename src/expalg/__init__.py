@@ -28,7 +28,7 @@ from .errors import (
 )
 from .factor import factor_univariate
 from .hyperplanes import CandidateSet, Hyperplane, candidate_hyperplanes, primitive_normalize
-from .intervals import Box, Interval
+from .intervals import Interval
 from .numeric import (
     RootCert,
     TransversalityReport,
@@ -49,7 +49,6 @@ from .poly import Poly, Rat
 __version__ = "0.1.0"
 
 __all__ = [
-    "Box",
     "CandidateSet",
     "ComponentReport",
     "DimensionError",

@@ -563,7 +563,7 @@ def _certify(
 
     A candidate is refuted first by one exact value: when f is not zero at
     the rational point ``_point_on(m)`` of the hyperplane (the
-    ``scaled_groups`` map is nonempty, which by Lindemann-Weierstrass means
+    ``scaled_ints`` map is nonempty, which by Lindemann-Weierstrass means
     f(point) != 0), the restriction is not zero.  Only a candidate on which
     that value is exactly 0 is restricted, and the restriction is the only
     certificate: a point that happens to be a zero of f decides nothing.  A
@@ -572,11 +572,8 @@ def _certify(
     certified: list[CertifiedHyperplane] = []
     rejected: list[RejectedCandidate] = []
     for m in hyperplanes:
-        if m.dimension == f.n and f.scaled_groups(_point_on(m)):
-            rejected.append(
-                RejectedCandidate(m, "restriction does not vanish identically")
-            )
-        elif f.restrict(m).is_zero():
+        refuted = m.dimension == f.n and f.scaled_ints(_point_on(m))[2]
+        if not refuted and f.restrict(m).is_zero():
             certified.append(
                 CertifiedHyperplane(
                     m, "restriction to the hyperplane is the zero exponential polynomial"

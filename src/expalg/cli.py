@@ -4,11 +4,12 @@ Exit codes: 0 success; 1 input error: a parse error, an exponent, a
 variable index or an ``--ambient`` above 64, parentheses nested more than 64
 deep, a value outside the float range, a non-positive root tolerance, a
 negative or non-finite transversality ``--tol``, an ``--attempts`` below 1,
-a negative ``--depth``, a ``--box`` side that is not finite, has width 0 or
-is too narrow to halve ``--depth`` times, or an unwritable ``--output``
-path (the report is still printed); 2 hypothesis violation (precondition of
-the requested analysis fails on this input); 3 internal invariant breach or
-a failed ``verify-paper`` check (never expected).
+a negative ``--depth``, a ``--box`` side that is not finite (NaN
+included), is reversed, has width 0 or is too narrow to halve ``--depth``
+times, or an unwritable ``--output`` path (the report is still printed); 2
+hypothesis violation (precondition of the requested analysis fails on this
+input); 3 internal invariant breach or a failed ``verify-paper`` check
+(never expected).
 
 Each subcommand handler computes its report's input, result and hypothesis
 log and prints its human summary; ``main`` alone times the handler and
@@ -42,7 +43,7 @@ from .errors import (
     ParseError,
 )
 from .hyperplanes import candidate_hyperplanes
-from .intervals import Box, Interval
+from .intervals import Interval
 from .numeric import (
     RootCert,
     check_transversality,
@@ -241,23 +242,15 @@ def _cmd_sample2d(args) -> Report:
     f = parse_epoly(args.text, args.ambient)
     if f.n != 2:
         raise DriverError("sample2d requires a 2-variable exponential polynomial")
-    bounds = args.box if args.box else [-2.0, 2.0, -2.0, 2.0]
-    box = Box.from_bounds([(bounds[0], bounds[1]), (bounds[2], bounds[3])])
-    mode = "rigorous" if args.rigorous else "fast"
-    cells = sample_zero_cells_2d(f, box, args.depth, mode)
+    x_lo, x_hi, y_lo, y_hi = args.box if args.box else [-2.0, 2.0, -2.0, 2.0]
+    cells = sample_zero_cells_2d(f, [(x_lo, x_hi), (y_lo, y_hi)], args.depth, args.rigorous)
     _say(f"{len(cells)} cells retained at depth {args.depth}")
     result = {
-        "box": [list(b) for b in box.bounds()],
+        "box": [[x_lo, x_hi], [y_lo, y_hi]],
         "depth": args.depth,
-        "cellWidth": [
-            (box.intervals[0].width) / 2**args.depth,
-            (box.intervals[1].width) / 2**args.depth,
-        ],
+        "cellWidth": [(x_hi - x_lo) / 2**args.depth, (y_hi - y_lo) / 2**args.depth],
         "count": len(cells),
-        "cells": [
-            [c.intervals[0].lo, c.intervals[0].hi, c.intervals[1].lo, c.intervals[1].hi]
-            for c in cells
-        ],
+        "cells": [[*x, *y] for x, y in cells],
     }
     return format_epoly(f), result, []
 

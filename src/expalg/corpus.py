@@ -24,7 +24,6 @@ from .classify import (
 from .epoly import EPoly
 from .errors import HypothesisViolation
 from .hyperplanes import Hyperplane, candidate_hyperplanes
-from .intervals import Box
 from .numeric import (
     brute_force_sign_scan,
     check_transversality,
@@ -304,7 +303,7 @@ def run_all() -> list[CorpusCheck]:
     out(_check("roots/exp-plus-one-rootless", not certs and not leftovers))
 
     # --- interval evaluation -----------------------------------------------------------
-    iv = interval_eval(f_line, Box.from_bounds([(0.0, 0.0)]), mode="rigorous")
+    iv = interval_eval(f_line, [(0.0, 0.0)], rigorous=True)
     out(
         _check(
             "interval/line-exact-zero-rigorous",
@@ -312,7 +311,7 @@ def run_all() -> list[CorpusCheck]:
             f"width {iv.width:g}",
         )
     )
-    iv = interval_eval(parse_epoly("exp(x1)"), Box.from_bounds([(0.0, 1.0)]))
+    iv = interval_eval(parse_epoly("exp(x1)"), [(0.0, 1.0)])
     out(
         _check(
             "interval/exp-enclosure",
@@ -320,7 +319,7 @@ def run_all() -> list[CorpusCheck]:
             f"[{iv.lo}, {iv.hi}]",
         )
     )
-    iv = interval_eval(f_axes, Box.from_bounds([(0.9, 1.1), (0.9, 1.1)]))
+    iv = interval_eval(f_axes, [(0.9, 1.1), (0.9, 1.1)])
     out(
         _check(
             "interval/axes-off-zero-box",
@@ -330,13 +329,13 @@ def run_all() -> list[CorpusCheck]:
     )
 
     # --- zero-cell sampling --------------------------------------------------------------
-    box = Box.from_bounds([(-2.0, 2.0), (-2.0, 2.0)])
+    box = [(-2.0, 2.0), (-2.0, 2.0)]
     width = 4.0 / 2**8
     cells = sample_zero_cells_2d(f_axes, box, 8)
 
     def dist_axes(cell):
-        x, y = cell.intervals
-        return min(max(0.0, x.lo, -x.hi), max(0.0, y.lo, -y.hi))
+        (x_lo, x_hi), (y_lo, y_hi) = cell
+        return min(max(0.0, x_lo, -x_hi), max(0.0, y_lo, -y_hi))
 
     ok, detail = _cell_distance_ok(cells, width, dist_axes)
     out(_check("cells/axes-hug-the-axes", ok, detail))
@@ -346,17 +345,17 @@ def run_all() -> list[CorpusCheck]:
     cells = sample_zero_cells_2d(f_umb, box, 8)
 
     def dist_umbrella(cell):
-        x, y = cell.intervals
-        d_line = max(0.0, x.lo, -x.hi)
-        px = max(0.0, x.lo - star.hi, star.lo - x.hi)
-        py = max(0.0, y.lo, -y.hi)
+        (x_lo, x_hi), (y_lo, y_hi) = cell
+        d_line = max(0.0, x_lo, -x_hi)
+        px = max(0.0, x_lo - star.hi, star.lo - x_hi)
+        py = max(0.0, y_lo, -y_hi)
         return min(d_line, math.hypot(px, py))
 
     ok, detail = _cell_distance_ok(cells, width, dist_umbrella)
     out(_check("cells/umbrella-line-plus-point", ok, detail))
 
     never_zero = parse_epoly("exp(x1)*exp(x2)", ambient=2)
-    cells = sample_zero_cells_2d(never_zero, Box.from_bounds([(0.0, 1.0), (0.0, 1.0)]), 3)
+    cells = sample_zero_cells_2d(never_zero, [(0.0, 1.0), (0.0, 1.0)], 3)
     out(_check("cells/positive-function-empty", cells == []))
 
     # --- transversality -------------------------------------------------------------------

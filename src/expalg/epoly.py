@@ -35,8 +35,8 @@ coefficients and spectra to floats once.  ``scaled_ints``, the one exact
 evaluation path, runs on an integer kernel that each EPoly compiles on first
 use and keeps in a private slot, outside equality and repr: at a rational
 point it gives integers (M, T, {a: C_a}) with f = sum_a C_a e^(a / T) / M, so
-exact signs and fixed-point values need no Fraction per exponent.
-``scaled_groups`` is its Fraction view.
+exact signs, fixed-point values, the hyperplane certificate's refutation
+and the quadtree's exact-zero corners need no Fraction per exponent.
 """
 
 from __future__ import annotations
@@ -273,26 +273,17 @@ class EPoly:
 
         return value
 
-    def scaled_groups(self, point: Sequence[RatLike]) -> dict[Fraction, int]:
-        """Exact value structure at a rational point: f(point) = K * sum_t C_t e^t.
-
-        Groups the terms by the exact rational exponent t = s . point and sums
-        the coefficient values as integers C_t, scaled by one K > 0 that
-        depends on the point alone; zero sums are dropped.  Since the e^t with
-        distinct rational t are linearly independent over Q, the returned map
-        is empty exactly when f(point) = 0, and otherwise the sign of f(point)
-        is that of sum_t C_t e^t.  The point's entries are Fractions or ints.
-        This is the Fraction view of ``scaled_ints``.
-        """
-        _, t_den, groups = self.scaled_ints(point)
-        return {Fraction(a, t_den): c for a, c in groups.items()}
-
     def scaled_ints(self, point: Sequence[RatLike]) -> tuple[int, int, dict[int, int]]:
-        """The integer view of the exact value: (M, T, {a: C_a}) with
+        """The exact value at a rational point: (M, T, {a: C_a}) with
         f(point) = sum_a C_a e^(a / T) / M, M > 0 and T > 0.
 
-        The keys a / T are the exponents t of ``scaled_groups``, in the same
-        order and unreduced: T is one common denominator for the point.
+        Groups the terms by their exponent t = s . point = a / T, with T one
+        common denominator for the point and a unreduced, and sums their
+        coefficient values as integers C_a; zero sums are dropped.  Since the
+        e^t with distinct rational t are linearly independent over Q, the map
+        is empty exactly when f(point) = 0, and otherwise the sign of
+        f(point) is that of sum_a C_a e^(a / T).  The point's entries are
+        Fractions or ints.
         """
         if self._exact is None:
             object.__setattr__(self, "_exact", self._exact_evaluator())

@@ -5,26 +5,30 @@ program's one interval arithmetic, and each pads its result by one ulp
 outward (two ulps for exp, whose libm error is not formally bounded to a
 half ulp).  They are the semantics: ``numeric.EvalPlan`` runs whole plans,
 fast and rigorous, in an inlined kernel that reproduces them bit for bit,
-and the mean-value step calls them directly.  ``Interval`` is the validated
-record that boxes, root enclosures and reports carry; it does no arithmetic.
+and the mean-value step calls them directly.  A box or a cell is a sequence
+of such pairs; ``Interval`` is the validated record that root enclosures
+and ``numeric.interval_eval`` return, and it does no arithmetic.
 
-Rigorous mode keeps the sums and products, whose IEEE results are correctly
-rounded, and replaces the two operations that go through libm:
+Rigorous evaluation keeps the sums and products, whose IEEE results are
+correctly rounded, and replaces the two operations that go through libm:
 ``pair_pow_exact`` takes the exact powers of the float ends, and
 ``enclose_exp`` encloses e^q for a rational q to a relative 2^-96 by
 ``exp_fixed``, an argument-reduced Taylor series with an explicit Lagrange
 remainder in integer fixed point; both round their rational bounds outward.
-``exp_bounds`` is ``exp_fixed``'s enclosure as Fractions; exact signs sum
-``exp_fixed``'s integers directly.
-``RatInterval`` is a validated record with Fraction ends, as ``Interval``
-is for floats.
+Exact signs and fixed-point values sum ``exp_fixed``'s integers directly.
 
 One rule rounds a rational to floats: ``ratio_down`` and ``ratio_up`` give
 the nearest float below and above n / d (``float_down`` and ``float_up`` of
 a Fraction), and ``enclose_rational_pair`` returns that pair.  They raise
 ``OverflowError`` beyond the float range; ``floor_float`` and
-``ceil_float``, which rigorous mode uses, widen to the largest float or an
-infinity instead, as the fast operations do.
+``ceil_float``, which rigorous evaluation uses, widen to the largest float
+or an infinity instead, as the fast operations do.
+
+No program path uses ``exp_bounds`` (``exp_fixed``'s enclosure as
+Fractions) or ``RatInterval`` (a validated record with Fraction ends, as
+``Interval`` is for floats).  They stay for the tests, which check the
+exp sums and the rigorous kernel against ``exp_bounds``, and for the
+benchmark's per-layer tracer, which wraps both by name.
 """
 
 from __future__ import annotations
@@ -33,12 +37,11 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-# Precision of the exp enclosures of rigorous mode, in bits: ample headroom
-# over a 2^-52 relative enclosure of e^q, even after repeated squarings in
-# the argument reduction, and for q < 0 too in ``enclose_exp``.  The error of
-# ``exp_bounds`` is absolute for q < 0, 2^-104 (see there).
+# Precision of the exp enclosures of rigorous evaluation, in bits: ample
+# headroom over a 2^-52 relative enclosure of e^q, even after repeated
+# squarings in the argument reduction, and for q < 0 too in ``enclose_exp``.
+# The error of ``exp_bounds`` is absolute for q < 0, 2^-104 (see there).
 RIGOROUS_BITS = 96
 
 _INF = math.inf
@@ -201,37 +204,13 @@ def pair_exp(a: Pair) -> Pair:
     )
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box: one interval per dimension."""
-
-    intervals: tuple[Interval, ...]
-
-    @classmethod
-    def from_bounds(cls, bounds: Sequence[tuple[float, float]]) -> Box:
-        return cls(tuple(Interval(float(lo), float(hi)) for lo, hi in bounds))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.intervals)
-
-    def bounds(self) -> list[tuple[float, float]]:
-        return [(iv.lo, iv.hi) for iv in self.intervals]
-
-    def contains_box(self, other: Box) -> bool:
-        return all(
-            a.lo <= b.lo and b.hi <= a.hi
-            for a, b in zip(self.intervals, other.intervals)
-        )
-
-
 # ---------------------------------------------------------------------------
-# Rigorous mode: certified powers and exp on float pairs
+# Rigorous evaluation: certified powers and exp on float pairs
 # ---------------------------------------------------------------------------
 #
 # IEEE 754 rounds a sum or product correctly (IEEE 754-2008, section 5.4),
 # so ``pair_add`` and ``pair_mul`` are sound as they stand; libm's powers and
-# exp carry no such guarantee, so rigorous mode replaces them.
+# exp carry no such guarantee, so rigorous evaluation replaces them.
 
 _MAX = sys.float_info.max
 _TINY = math.ulp(0.0)

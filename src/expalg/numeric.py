@@ -28,16 +28,19 @@ Its corner signs last for one call, so most kept cells cost no evaluation.
 
 All box evaluation goes through one ``EvalPlan`` per function, compiled once
 from an ``EPoly``: the terms in canonical order with their coefficient and
-spectrum enclosures precomputed.  Both modes run one hand-written loop on
-the float pairs of ``intervals`` that computes exactly what the ``pair_*``
-operations would, bit for bit, without a call or a tuple per operation.
-Rigorous mode differs in three steps: the exact value on a point box, exact
-powers, and exp by ``exp_fixed`` at the exact ends of its argument.
+spectrum enclosures precomputed.  Fast and rigorous plans run one hand-written
+loop on the float pairs of ``intervals`` that computes exactly what the
+``pair_*`` operations would, bit for bit, without a call or a tuple per
+operation.  One flag, ``rigorous``, selects the evaluation from the
+command line down to the plans; rigorous evaluation differs in three steps:
+the exact value on a point box, exact powers, and exp by ``exp_fixed`` at
+the exact ends of its argument.
 ``TightEvaluator`` maps float bounds to one pair as a plan does, and its
 mean-value step combines plan results with the ``pair_*`` operations.  The
 transversality check ranks its Jacobian minors, EPolys too, by their float
-values and encloses the decisive one with a plan.  Cells are float bounds;
-``Box`` and ``Interval`` carry only what this module returns.
+values and encloses the decisive one with a plan.  Each box and cell, in
+and out, is a sequence of float bounds (lo, hi), one per variable;
+``Interval`` carries only the enclosures this module returns.
 ``TightEvaluator``, the root isolator and the transversality check keep
 their plans for as long as they run, and a rigorous evaluator keeps the exp
 enclosures it computed, one per distinct argument; nothing is cached
@@ -69,7 +72,6 @@ from .errors import (
 )
 from .intervals import (
     RIGOROUS_BITS,
-    Box,
     Interval,
     Pair,
     ceil_float,
@@ -98,7 +100,7 @@ _FLOAT_ROOT_STEPS = 64
 #: order of ``TightEvaluator``'s mean-value form: gradients by the form one
 #: level down, Hessian entries by natural extension
 _TAYLOR_ORDER = 2
-#: largest exp enclosure precision, in bits, that ``sign_at_rational`` tries
+#: largest exp enclosure precision, in bits, that ``_one_sign_sums`` tries
 _SIGN_MAX_BITS = 4096
 #: relative precision of ``_fixed_value``, in bits
 _FIXED_REL_BITS = 20
@@ -114,14 +116,6 @@ _SCAN_CHUNK = 2048
 # ---------------------------------------------------------------------------
 
 
-def _is_exact(mode: str) -> bool:
-    if mode == "fast":
-        return False
-    if mode == "rigorous":
-        return True
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 #: the exp enclosure of a group without exponential: ``pair_exp((0, 0))``
 _EXP0_LO, _EXP0_HI = pair_exp((0.0, 0.0))
 
@@ -135,35 +129,35 @@ class EvalPlan:
     interval extension term by term, with the powers x_i^e it needs
     computed once and shared.
 
-    Both modes run one hand-written kernel, ``__call__``, on local floats.
-    It reproduces ``pair_mul`` and ``pair_add`` of ``intervals``, and in
-    fast mode ``pair_pow`` and ``pair_exp``, bit for bit and in the same
-    order, with the outward rounding inlined.  A product takes its endpoints
-    from the sign-case table (Moore, Kearfott & Cloud, *Introduction to
-    Interval Analysis*, SIAM 2009, section 2.2): two products when one
-    factor has a known sign, and min/max of two when both straddle 0.  These
-    differ from the min/max of all four products only in the sign of a zero,
-    which the outward step erases.
+    Fast and rigorous plans run one hand-written kernel, ``__call__``, on
+    local floats.  It reproduces ``pair_mul`` and ``pair_add`` of
+    ``intervals``, and in a fast plan ``pair_pow`` and ``pair_exp``, bit for
+    bit and in the same order, with the outward rounding inlined.  A product
+    takes its endpoints from the sign-case table (Moore, Kearfott & Cloud,
+    *Introduction to Interval Analysis*, SIAM 2009, section 2.2): two
+    products when one factor has a known sign, and min/max of two when both
+    straddle 0.  These differ from the min/max of all four products only in
+    the sign of a zero, which the outward step erases.
 
-    Rigorous mode (``exact``) differs in three steps: a point box gets the
-    exact value sum_t C_t e^t / M (``EPoly.scaled_ints``, summed by
-    ``_exp_sum``) rounded outward,
-    so an exact zero gives (0, 0), unless some |t| exceeds 746; powers come
-    from ``pair_pow_exact``; and a group's exp is ``enclose_exp`` at the
-    ends of its argument s . x, computed exactly at box corners, while a
-    group without exponential is added without a product.  The kernel's
+    A ``rigorous`` plan differs in three steps: a point box gets the exact
+    value sum_t C_t e^t / M (``EPoly.scaled_ints``, summed by ``_exp_sum``)
+    rounded outward, so an exact zero gives (0, 0), unless some |t| exceeds
+    746; powers come from ``pair_pow_exact``; and a group's exp is
+    ``enclose_exp`` at the ends of its argument s . x, computed exactly at
+    box corners, while a group without exponential is added without a
+    product.  The kernel's
     products and sums stay exactly ``pair_mul`` and ``pair_add``: no lower
     end is +inf, no upper end -inf, and no exp enclosure reaches below 0.
     ``exps`` keeps the exp enclosures by argument (a ``TightEvaluator``
     gives all its plans one), so neighbouring boxes share them.
     """
 
-    __slots__ = ("f", "exact", "powers", "groups", "exps")
+    __slots__ = ("f", "rigorous", "powers", "groups", "exps")
 
-    def __init__(self, f: EPoly, exact: bool = False, exps: dict | None = None):
+    def __init__(self, f: EPoly, rigorous: bool = False, exps: dict | None = None):
         """Plan for f on its n variables; ``exps`` may be shared by plans of one spectrum."""
         self.f = f
-        self.exact = exact
+        self.rigorous = rigorous
         self.exps = {} if exps is None else exps
         # A group is (spectrum pairs, terms, spectrum ratios): entries (i,
         # q_lo, q_hi) and (i, numerator, denominator), terms (c_lo, c_hi,
@@ -187,8 +181,8 @@ class EvalPlan:
         """Enclosure (lo, hi) over the box with the given float bounds."""
         nxt = math.nextafter
         inf = math.inf
-        exact = self.exact
-        if exact:
+        rigorous = self.rigorous
+        if rigorous:
             if all(lo == hi for lo, hi in bounds):
                 m, t_den, groups = self.f.scaled_ints([Fraction(lo) for lo, _ in bounds])
                 edge = _POINT_EXP_EDGE * t_den
@@ -253,7 +247,7 @@ class EvalPlan:
                 v_lo = nxt(v_lo + t_lo, -inf)
                 v_hi = nxt(v_hi + t_hi, inf)
 
-            if exact:
+            if rigorous:
                 if not ratios:  # no exponential: the value is added as it is
                     acc_lo = nxt(acc_lo + v_lo, -inf)
                     acc_hi = nxt(acc_hi + v_hi, inf)
@@ -324,21 +318,26 @@ def _sign(enclosure: Pair) -> int:
     return 1 if enclosure[0] > 0.0 else -1 if enclosure[1] < 0.0 else 0
 
 
-def interval_eval(f: EPoly, box: Box, mode: str = "fast") -> Interval:
-    """Enclosure of f over the box.
+def interval_eval(f: EPoly, bounds: Sequence[Pair], rigorous: bool = False) -> Interval:
+    """Enclosure of f over the box with the given float bounds (lo, hi).
 
-    ``fast`` uses outward-rounded hardware floats; ``rigorous`` certifies
-    powers and exp too, and evaluates a point box exactly (see
-    ``EvalPlan``).  Callers that evaluate one function on many boxes should
-    keep an ``EvalPlan``.
+    By default it uses outward-rounded hardware floats; ``rigorous``
+    certifies powers and exp too, and evaluates a point box exactly (see
+    ``EvalPlan``).  Every side must satisfy lo <= hi, which a NaN end does
+    not.  Callers that evaluate one function on many boxes should keep an
+    ``EvalPlan``.
     """
-    if box.dimension != f.n:
-        raise DimensionError(f"box dimension {box.dimension} != ambient {f.n}")
-    return Interval(*EvalPlan(f, _is_exact(mode))(box.bounds()))
+    if len(bounds) != f.n:
+        raise DimensionError(f"box dimension {len(bounds)} != ambient {f.n}")
+    bounds = [(float(lo), float(hi)) for lo, hi in bounds]
+    for lo, hi in bounds:
+        if not lo <= hi:
+            raise ValueError(f"invalid interval [{lo}, {hi}]")
+    return Interval(*EvalPlan(f, rigorous)(bounds))
 
 
 class TightEvaluator:
-    """Box evaluation: natural extension intersected with mean-value forms.
+    """Evaluation over a box: natural extension intersected with mean-value forms.
 
     Like an ``EvalPlan``, it maps the float bounds of a box to one enclosure
     (lo, hi).  The mean-value form f(c) + grad f(box) . (box - c) is a sound
@@ -354,12 +353,12 @@ class TightEvaluator:
     a caller hands in those it has.  Nothing is kept between calls.
     """
 
-    def __init__(self, f: EPoly, mode: str = "fast"):
+    def __init__(self, f: EPoly, rigorous: bool = False):
         self.n = f.n
-        self.exact = _is_exact(mode)
+        self.rigorous = rigorous
         # Derivatives keep the spectrum, so the plans share exp enclosures.
         self.exps: dict = {}
-        self.plans: dict[tuple[int, ...], EvalPlan] = {(): EvalPlan(f, self.exact, self.exps)}
+        self.plans: dict[tuple[int, ...], EvalPlan] = {(): EvalPlan(f, rigorous, self.exps)}
 
     def __call__(self, bounds: Sequence[Pair], nats: dict | None = None) -> Pair:
         """Enclosure (lo, hi) over the box with the given float bounds;
@@ -374,7 +373,7 @@ class TightEvaluator:
         plan = self.plans.get(path)
         if plan is None:
             g = self.plan(path[:-1]).f.derivative(path[-1])
-            plan = self.plans[path] = EvalPlan(g, self.exact, self.exps)
+            plan = self.plans[path] = EvalPlan(g, self.rigorous, self.exps)
         return plan
 
     def _eval(self, path, bounds: Sequence[Pair], centre: list, nats: dict, depth: int) -> Pair:
@@ -418,20 +417,30 @@ def sign_at_rational(f: EPoly, pt: Sequence) -> int:
     a / T and integer C_a (``EPoly.scaled_ints``, whose kernel each EPoly
     compiles once).  The sum is zero exactly when every C_a is zero;
     otherwise the value is nonzero, so ``_exp_sum``'s integer bounds at
-    doubling precision must eventually separate it from zero.
+    doubling precision must eventually separate it from zero: the first
+    bounds of one sign from ``_one_sign_sums`` give it.
     """
     _, t_den, groups = f.scaled_ints([Fraction(v) for v in pt])
     if not groups:
         return 0
+    for lo, _, _ in _one_sign_sums(groups, t_den):
+        return 1 if lo > 0 else -1
+    raise InternalInvariantError("sign refinement exhausted precision budget")
+
+
+def _one_sign_sums(groups: dict[int, int], t_den: int):
+    """``_exp_sum``'s bounds (lo, hi, w) that exclude 0, at doubling
+    precision from ``RIGOROUS_BITS`` up to ``_SIGN_MAX_BITS``.
+
+    The one precision loop of exact signs and fixed-point values: bounds
+    that hold 0 are skipped, and the budget ends the iteration.
+    """
     bits = RIGOROUS_BITS
     while bits <= _SIGN_MAX_BITS:
-        lo, hi, _ = _exp_sum(groups, t_den, bits)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
+        lo, hi, w = _exp_sum(groups, t_den, bits)
+        if lo > 0 or hi < 0:
+            yield lo, hi, w
         bits *= 2
-    raise InternalInvariantError("sign refinement exhausted precision budget")
 
 
 def _exp_sum(groups: dict[int, int], t_den: int, bits: int) -> tuple[int, int, int]:
@@ -457,18 +466,13 @@ def _fixed_value(f: EPoly, x: Fraction) -> tuple[int, int, int] | None:
     """Integer bounds (lo, hi, d) with lo / d <= f(x) <= hi / d, d > 0, of one
     sign and within 2^-``_FIXED_REL_BITS`` of each other relatively, or None.
 
-    ``_exp_sum`` at doubling precision from ``RIGOROUS_BITS``; None when f(x)
-    is 0 or ``_SIGN_MAX_BITS`` do not reach that precision.
+    The first bounds from ``_one_sign_sums`` that are that close; None when
+    f(x) is 0 or ``_SIGN_MAX_BITS`` do not reach that precision.
     """
     m, t_den, groups = f.scaled_ints([x])
-    if not groups:
-        return None
-    bits = RIGOROUS_BITS
-    while bits <= _SIGN_MAX_BITS:
-        lo, hi, w = _exp_sum(groups, t_den, bits)
-        if (lo > 0 or hi < 0) and (hi - lo) << _FIXED_REL_BITS <= min(abs(lo), abs(hi)):
+    for lo, hi, w in _one_sign_sums(groups, t_den):
+        if (hi - lo) << _FIXED_REL_BITS <= min(abs(lo), abs(hi)):
             return lo, hi, m << w
-        bits *= 2
     return None
 
 
@@ -768,8 +772,13 @@ def _refine_bracket(f: EPoly, sgn, value, lo: Fraction, hi: Fraction, tol: Fract
                     pos = (Fraction(root) - lo) / (hi - lo)
                     guess = (pos.numerator, pos.denominator)
             else:
-                if not values:  # the first guess below float resolution
-                    m = levels
+                if not values:
+                    # The first guess below float resolution: the secant
+                    # misses the root by about w / 8 of a bracket w wide
+                    # where |f'' / f'| is near 1, so it takes at most
+                    # log2(1 / w) - 3 levels.
+                    w = hi - lo
+                    m = min(levels, max(2, (w.denominator // w.numerator).bit_length() - 4))
                 for x in (lo, hi):
                     if x not in values:
                         values[x] = _fixed_value(f, x)
@@ -945,40 +954,42 @@ def _grid_values(f: EPoly, lo: float, step: float, points: int):
 
 
 def sample_zero_cells_2d(
-    f: EPoly, box: Box, max_depth: int, mode: str = "fast"
-) -> list[Box]:
+    f: EPoly, bounds: Sequence[Pair], max_depth: int, rigorous: bool = False
+) -> list[tuple[Pair, Pair]]:
     """Quadtree cells at depth ``max_depth`` whose interval value contains 0.
 
-    The union of returned cells is a guaranteed superset of the zero set
-    inside the box (inclusion monotonicity of interval evaluation), and cells
-    kept at depth d+1 always lie inside cells kept at depth d.  Output is
-    sorted by coordinates.  ``max_depth`` must be nonnegative, and every side
-    of the box finite, of positive width and wide enough to halve where
-    needed with each midpoint strictly inside: else a cell's halves would
-    repeat it or be degenerate.
+    The box and each returned cell are float bounds ((x_lo, x_hi), (y_lo,
+    y_hi)).  The union of returned cells is a guaranteed superset of the
+    zero set inside the box (inclusion monotonicity of interval
+    evaluation), and cells kept at depth d+1 always lie inside cells kept at
+    depth d.  Output is sorted by coordinates.  ``max_depth`` must be
+    nonnegative, and every side of the box finite, of positive width and
+    wide enough to halve where needed with each midpoint strictly inside:
+    else a cell's halves would repeat it or be degenerate.
 
-    A cell is kept unevaluated when a corner is an exact zero
-    (``EPoly.scaled_groups`` is empty) or two corners' point enclosures
+    A cell is kept unevaluated when a corner is an exact zero (the
+    ``EPoly.scaled_ints`` map is empty) or two corners' point enclosures
     have opposite signs: f vanishes in the convex cell, so no sound
-    enclosure of it (fast mode: on the usual libm trust) excludes 0, and
-    the cells are the same.  Corner signs last for the call.  Other cells
-    go when f's natural extension excludes 0; else their missing corners
-    are evaluated, and last the ``TightEvaluator`` decides.
+    enclosure of it (fast evaluation: on the usual libm trust) excludes 0,
+    and the cells are the same.  Corner signs last for the call.  Other
+    cells go when f's natural extension excludes 0; else their missing
+    corners are evaluated, and last the ``TightEvaluator`` decides.
     """
     if f.n != 2:
         raise DimensionError("cell sampling requires a 2-variable input")
     if f.is_zero():
         raise HypothesisViolation("function is identically zero")
-    if box.dimension != 2:
+    if len(bounds) != 2:
         raise DimensionError("box must be 2-dimensional")
     if max_depth < 0:
         raise ValueError("quadtree depth must be nonnegative")
-    if not all(math.isfinite(v) for side in box.bounds() for v in side):
+    box = tuple((float(lo), float(hi)) for lo, hi in bounds)
+    if not all(math.isfinite(v) for side in box for v in side):
         raise ValueError("box sides must be finite")
-    if not all(lo < hi for lo, hi in box.bounds()):
+    if not all(lo < hi for lo, hi in box):
         raise ValueError("box sides must be nonempty intervals")
 
-    evaluator = TightEvaluator(f, mode)
+    evaluator = TightEvaluator(f, rigorous)
     f_plan = evaluator.plan(())
     # corner -> sign of f there, None if undecided; -0.0 and 0.0 are one point
     corners: dict[Pair, int | None] = {}
@@ -987,10 +998,10 @@ def sample_zero_cells_2d(
         s = _sign(f_plan(((x, x), (y, y))))
         if s:
             return s
-        return None if f.scaled_groups((Fraction(x), Fraction(y))) else 0
+        return None if f.scaled_ints((Fraction(x), Fraction(y)))[2] else 0
 
-    out: list[Sequence[Pair]] = []
-    stack = [(box.bounds(), 0)]
+    out: list[tuple[Pair, Pair]] = []
+    stack = [(box, 0)]
     while stack:
         cell, depth = stack.pop()
         (x_lo, x_hi), (y_lo, y_hi) = cell
@@ -1019,7 +1030,7 @@ def sample_zero_cells_2d(
             stack.append(((x, (y_lo, ym)), depth + 1))
             stack.append(((x, (ym, y_hi)), depth + 1))
     out.sort(key=lambda c: (c[0][0], c[1][0]))
-    return [Box.from_bounds(cell) for cell in out]
+    return out
 
 
 def _holds_zero(signs: set) -> bool:

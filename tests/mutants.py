@@ -73,6 +73,30 @@ MUTANTS = [
         "                    return (floor_float(lo, 1 << work), ceil_float(hi, 1 << work))\n",
         "tests/test_rational_kernel.py::test_rigorous_plan_matches_reference",
     ),
+    # f at a rational point is zero exactly when the scaled_ints map, its
+    # third entry, is empty.
+    Mutant(
+        "quadtree: a corner's exact zero read off M instead of the map",
+        "src/expalg/numeric.py",
+        "        return None if f.scaled_ints((Fraction(x), Fraction(y)))[2] else 0\n",
+        "        return None if f.scaled_ints((Fraction(x), Fraction(y)))[0] else 0\n",
+        "tests/test_quadtree.py::test_only_undecided_cells_reach_the_tight_evaluator",
+    ),
+    Mutant(
+        "hyperplane certificate: the refuting value read off M instead of the map",
+        "src/expalg/classify.py",
+        "        refuted = m.dimension == f.n and f.scaled_ints(_point_on(m))[2]\n",
+        "        refuted = m.dimension == f.n and f.scaled_ints(_point_on(m))[0]\n",
+        "tests/test_certify.py::test_split_matches_restriction_on_seeded_inputs",
+    ),
+    # Bounds that reach 0 give neither a sign nor a fixed-point value.
+    Mutant(
+        "precision loop: bounds with lower end 0 taken as one sign",
+        "src/expalg/numeric.py",
+        "        if lo > 0 or hi < 0:\n            yield lo, hi, w\n",
+        "        if lo >= 0 or hi < 0:\n            yield lo, hi, w\n",
+        "tests/test_exp_kernel.py::test_bounds_that_reach_zero_decide_no_sign",
+    ),
     Mutant(
         "parser: the leading negation of a single term dropped",
         "src/expalg/parsing.py",

@@ -15,7 +15,6 @@ from expalg import cli
 from expalg.classify import classify_codim1, classify_single_exp
 from expalg.epoly import EPoly
 from expalg.hyperplanes import candidate_hyperplanes
-from expalg.intervals import Box
 from expalg.numeric import (
     brute_force_sign_scan,
     check_transversality,
@@ -79,13 +78,13 @@ def test_criterion_3_umbrella_line_and_point():
     star_certs, _ = isolate_roots_1d(parse_epoly(TWO_POINT_LINE_F), (-5.0, 5.0), 1e-9)
     star = next(c.enclosure for c in star_certs if not c.enclosure.contains(0.0))
 
-    cells = sample_zero_cells_2d(f, Box.from_bounds([(-2.0, 2.0), (-2.0, 2.0)]), 8)
+    cells = sample_zero_cells_2d(f, [(-2.0, 2.0), (-2.0, 2.0)], 8)
     width = 4.0 / 2**8
     for cell in cells:
-        x, y = cell.intervals
-        d_line = max(0.0, x.lo, -x.hi)
-        px = max(0.0, x.lo - star.hi, star.lo - x.hi)
-        py = max(0.0, y.lo, -y.hi)
+        (x_lo, x_hi), (y_lo, y_hi) = cell
+        d_line = max(0.0, x_lo, -x_hi)
+        px = max(0.0, x_lo - star.hi, star.lo - x_hi)
+        py = max(0.0, y_lo, -y_hi)
         distance = min(d_line, math.hypot(px, py))
         assert distance <= 2 * width + 1e-12, (cell, distance)
     _report("3 umbrella line plus point")

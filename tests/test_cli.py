@@ -7,7 +7,6 @@ import re
 import pytest
 
 from expalg import cli, corpus
-from expalg.intervals import Box
 from expalg.numeric import sample_zero_cells_2d
 from expalg.parsing import parse_epoly
 
@@ -102,7 +101,7 @@ def test_sample2d_rejects_an_unbounded_box(capsys):
     f = parse_epoly("x1 - x2")
     for side in ((-math.inf, 0.0), (0.0, math.inf)):
         with pytest.raises(ValueError, match="box sides must be finite"):
-            sample_zero_cells_2d(f, Box.from_bounds([(0.0, 1.0), side]), 1)
+            sample_zero_cells_2d(f, [(0.0, 1.0), side], 1)
 
 
 def test_sample2d_rejects_a_zero_width_side(capsys):
@@ -113,7 +112,24 @@ def test_sample2d_rejects_a_zero_width_side(capsys):
         assert code == cli.EXIT_INPUT and out == "", box
         assert err == "input error: box sides must be nonempty intervals\n", err
     with pytest.raises(ValueError, match="box sides must be nonempty intervals"):
-        sample_zero_cells_2d(parse_epoly("x1 - x2"), Box.from_bounds([(0.0, 1.0), (1.0, 1.0)]), 1)
+        sample_zero_cells_2d(parse_epoly("x1 - x2"), [(0.0, 1.0), (1.0, 1.0)], 1)
+
+
+def test_sample2d_rejects_a_reversed_or_nan_side_with_the_quadtree_message(capsys):
+    # the quadtree's checks are the only box validation: a reversed side is
+    # not a nonempty interval and a NaN end is not finite
+    for box, message in (
+        (["1", "0", "0", "1"], "box sides must be nonempty intervals"),
+        (["0", "1", "1", "0"], "box sides must be nonempty intervals"),
+        (["nan", "1", "0", "1"], "box sides must be finite"),
+        (["0", "1", "0", "nan"], "box sides must be finite"),
+    ):
+        code, out, err = run_cli(capsys, ["sample2d", "--box", *box, "--depth", "2", "--", "x1 - x2"])
+        assert code == cli.EXIT_INPUT and out == "", box
+        assert err == f"input error: {message}\n", err
+        x_lo, x_hi, y_lo, y_hi = map(float, box)
+        with pytest.raises(ValueError, match=message):
+            sample_zero_cells_2d(parse_epoly("x1 - x2"), [(x_lo, x_hi), (y_lo, y_hi)], 2)
 
 
 def test_sample2d_rejects_a_side_too_narrow_to_halve(capsys):
@@ -128,7 +144,7 @@ def test_sample2d_rejects_a_side_too_narrow_to_halve(capsys):
         assert code == cli.EXIT_INPUT and out == "", box
         assert err == "input error: box sides are too narrow to halve max_depth times\n", err
     # a narrow side is fine while no cell that holds a zero needs splitting
-    cells = sample_zero_cells_2d(parse_epoly("x1 - 2*x2"), Box.from_bounds([(1.0, 1.0000000000000002), (0.0, 1.0)]), 0)
+    cells = sample_zero_cells_2d(parse_epoly("x1 - 2*x2"), [(1.0, 1.0000000000000002), (0.0, 1.0)], 0)
     assert len(cells) == 1
 
 

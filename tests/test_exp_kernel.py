@@ -19,7 +19,7 @@ from expalg import numeric
 from expalg.epoly import EPoly
 from expalg.hyperplanes import Hyperplane, primitive_normalize
 from expalg.intervals import exp_bounds, exp_fixed
-from expalg.numeric import _exp_sum, sign_at_rational
+from expalg.numeric import _exp_sum, _fixed_value, sign_at_rational
 from expalg.parsing import parse_epoly
 
 from util import (
@@ -146,7 +146,8 @@ def check_against_reference(f: EPoly, pt) -> int:
     """The kernel's groups are the reference's, in order, times one positive factor;
     sign_at_rational asks for the reference's precisions and returns its sign."""
     ref = reference_coefficient_groups(f, pt)
-    got = f.scaled_groups(pt)
+    _, t_den, groups = f.scaled_ints(pt)
+    got = {Fraction(a, t_den): c for a, c in groups.items()}
     assert list(got) == list(ref), (f, pt)
     ratios = {Fraction(c) / ref[t] for t, c in got.items()}
     assert len(ratios) <= 1 and all(r > 0 for r in ratios), (f, pt)
@@ -199,6 +200,19 @@ def test_sign_with_precision_doublings():
             # t = 1 at each precision, doubling from 96 bits; t = 0 needs none
             expected = (sign, [b for b in BITS if b <= decided])
             assert reference_sign(f, [1]) == precisions_asked(f, [1]) == expected
+
+
+def test_bounds_that_reach_zero_decide_no_sign():
+    # 2^w e^x1 - c, where c / 2^w is exp_fixed's 96-bit lower bound for e: at
+    # x1 = 1 the 96-bit sum's lower bound is exactly 0, so neither the sign
+    # nor the fixed-point value may be taken there; 192 bits decide both.
+    e_lo, _, work = exp_fixed(1, 1, 96)
+    f = parse_epoly(f"{1 << work}*u1 - {e_lo}", 1)
+    m, t_den, groups = f.scaled_ints([1])
+    assert _exp_sum(groups, t_den, 96)[0] == 0
+    assert reference_sign(f, [1]) == precisions_asked(f, [1]) == (1, [96, 192])
+    lo, hi, w = _exp_sum(groups, t_den, 192)
+    assert 0 < lo <= hi and _fixed_value(f, Fraction(1)) == (lo, hi, m << w)
 
 
 def test_sign_of_exact_zero_needs_no_enclosure():

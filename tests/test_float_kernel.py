@@ -25,7 +25,6 @@ import struct
 from fractions import Fraction
 
 from expalg.epoly import EPoly
-from expalg.intervals import Box
 from expalg.numeric import EvalPlan, brute_force_sign_scan
 from expalg.parsing import parse_epoly, parse_poly
 from expalg.poly import Poly
@@ -106,7 +105,7 @@ def exp_edges(f: EPoly) -> list[float]:
 def check_plan(f: EPoly, bounds: list[tuple[float, float]]) -> None:
     got = EvalPlan(f)(bounds)
     assert bits(got) == bits(reference_pair_plan(f, bounds)), (f, bounds, got)
-    ref = reference_interval_eval(f, Box.from_bounds(bounds))
+    ref = reference_interval_eval(f, bounds)
     assert bits(got) == bits((ref.lo, ref.hi)), (f, bounds, got, ref)
 
 

@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from expalg.intervals import (
-    Box,
     Interval,
     ceil_float,
     enclose_rational_pair,
@@ -252,14 +251,6 @@ def test_exp_bounds_error_relative_above_zero_absolute_below():
         e = exp_ref(q)
         slack = Fraction(1, 2 ** (bits + 8)) + e * eps / (1 - eps)
         assert lo <= e <= hi and e - lo < slack and hi - e < slack, q
-
-
-def test_box_helpers():
-    box = Box.from_bounds([(0.0, 1.0), (-1.0, 1.0)])
-    assert box.dimension == 2
-    inner = Box.from_bounds([(0.25, 0.5), (0.0, 0.5)])
-    assert box.contains_box(inner)
-    assert not inner.contains_box(box)
 
 
 def _bits(v):

@@ -37,3 +37,11 @@ def test_no_private_names_imported_across_modules():
             parts = (node.module or "").split(".") + [alias.name for alias in node.names]
             bad += [f"{name}:{line} {p}" for p in parts if p.startswith("_")]
     assert not bad, bad
+
+
+def test_every_exported_name_resolves():
+    import expalg
+
+    missing = [name for name in expalg.__all__ if not hasattr(expalg, name)]
+    assert not missing, missing
+    assert len(set(expalg.__all__)) == len(expalg.__all__)

@@ -9,8 +9,8 @@ import pytest
 
 from expalg import numeric
 from expalg.epoly import EPoly
-from expalg.errors import HypothesisViolation
-from expalg.intervals import Box, Interval, float_down, float_up
+from expalg.errors import DimensionError, HypothesisViolation
+from expalg.intervals import Interval, float_down, float_up
 from expalg.numeric import (
     EvalPlan,
     RootCert,
@@ -41,18 +41,33 @@ from util import (
 
 def test_interval_eval_worked_examples():
     f = parse_epoly("2*x1 + 1 - exp(x1)")
-    iv = interval_eval(f, Box.from_bounds([(0.0, 0.0)]), mode="rigorous")
+    iv = interval_eval(f, [(0.0, 0.0)], rigorous=True)
     assert iv.contains(0.0) and iv.width <= 1e-15
 
-    iv = interval_eval(parse_epoly("exp(x1)"), Box.from_bounds([(0.0, 1.0)]))
+    iv = interval_eval(parse_epoly("exp(x1)"), [(0.0, 1.0)])
     assert iv.lo <= 1.0 and iv.hi >= 2.7182818
 
     f13 = parse_epoly("x1*exp(x2) + x2*exp(x1) - x1 - x2")
-    iv = interval_eval(f13, Box.from_bounds([(0.9, 1.1), (0.9, 1.1)]))
+    iv = interval_eval(f13, [(0.9, 1.1), (0.9, 1.1)])
     assert iv.excludes_zero()
     center = f13.eval_float([1.0, 1.0])
     assert iv.contains(center)
     assert abs(center - (2 * math.e - 2)) < 1e-12
+
+
+def test_interval_eval_rejects_bad_bounds():
+    f = parse_epoly("x1*exp(x2) - x2", 2)
+    with pytest.raises(DimensionError):
+        interval_eval(f, [(0.0, 1.0)])
+    with pytest.raises(DimensionError):
+        interval_eval(f, [(0.0, 1.0)] * 3)
+    for side in ((1.0, 0.0), (math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)):
+        for rigorous in (False, True):
+            with pytest.raises(ValueError, match="invalid interval"):
+                interval_eval(f, [(0.0, 1.0), side], rigorous)
+    # infinite and point sides are intervals
+    assert interval_eval(f, [(0.0, 1.0), (-math.inf, 0.0)]).hi == math.inf
+    assert interval_eval(f, [(0, 0), (1, 1)], rigorous=True) == Interval(-1.0, -1.0)
 
 
 def test_interval_eval_encloses_point_values():
@@ -62,16 +77,15 @@ def test_interval_eval_encloses_point_values():
         f = EPoly.from_poly(rand_poly(rng, n))
         x = [rng.uniform(-2.0, 2.0) for _ in range(n)]
         value = f.eval_float(x)
-        modes = ("fast", "rigorous") if trial < 200 else ("fast",)
-        for mode in modes:
-            iv = interval_eval(f, Box.from_bounds([(v, v) for v in x]), mode)
+        for rigorous in (False, True) if trial < 200 else (False,):
+            iv = interval_eval(f, [(v, v) for v in x], rigorous)
             pad = 1e-9 * max(1.0, abs(value))
             assert iv.lo - pad <= value <= iv.hi + pad
 
 
 def test_interval_eval_overflow_widens_to_infinity():
     f = parse_epoly("exp(x1)")
-    iv = interval_eval(f, Box.from_bounds([(0.0, 1000.0)]))
+    iv = interval_eval(f, [(0.0, 1000.0)])
     assert iv.lo <= 1.0 and iv.hi == math.inf
 
 
@@ -191,30 +205,25 @@ def test_default_domain_covers_coefficients():
 
 def test_subdivision_monotonicity():
     f = parse_epoly("x1*exp(x2) + x2*exp(x1) - x1 - x2")
-    box = Box.from_bounds([(-2.0, 2.0), (-2.0, 2.0)])
+    box = [(-2.0, 2.0), (-2.0, 2.0)]
     shallow = sample_zero_cells_2d(f, box, 4)
     deep = sample_zero_cells_2d(f, box, 5)
     for cell in deep:
-        assert any(parent.contains_box(cell) for parent in shallow)
+        assert any(all(p_lo <= lo and hi <= p_hi for (p_lo, p_hi), (lo, hi) in zip(parent, cell)) for parent in shallow)
 
 
 def test_sample_cells_positive_function_is_empty():
     f = parse_epoly("exp(x1)*exp(x2)", ambient=2)
-    assert sample_zero_cells_2d(f, Box.from_bounds([(0.0, 1.0), (0.0, 1.0)]), 3) == []
+    assert sample_zero_cells_2d(f, [(0.0, 1.0), (0.0, 1.0)], 3) == []
 
 
 def test_sample_cells_cover_known_zero_points():
     f = parse_epoly("x1*exp(x2) + x2*exp(x1) - x1 - x2")
-    box = Box.from_bounds([(-2.0, 2.0), (-2.0, 2.0)])
-    cells = sample_zero_cells_2d(f, box, 6)
+    cells = sample_zero_cells_2d(f, [(-2.0, 2.0), (-2.0, 2.0)], 6)
     # the axes are inside the union of retained cells
     for t in [-1.5, -0.5, 0.25, 1.75]:
-        assert any(
-            c.intervals[0].contains(t) and c.intervals[1].contains(0.0) for c in cells
-        )
-        assert any(
-            c.intervals[0].contains(0.0) and c.intervals[1].contains(t) for c in cells
-        )
+        assert any(x_lo <= t <= x_hi and y_lo <= 0.0 <= y_hi for (x_lo, x_hi), (y_lo, y_hi) in cells)
+        assert any(x_lo <= 0.0 <= x_hi and y_lo <= t <= y_hi for (x_lo, x_hi), (y_lo, y_hi) in cells)
 
 
 def test_transversality_examples_and_scaling_invariance():
@@ -265,9 +274,9 @@ def _random_boxes(rng, n):
     for width in (0.0, 1e-9, 0.5, 40.0, 1e160):
         for _ in range(3):
             lo = [rng.uniform(-3.0, 3.0) * max(1.0, width) for _ in range(n)]
-            boxes.append(Box.from_bounds([(v, v + width) for v in lo]))
+            boxes.append([(v, v + width) for v in lo])
     for bounds in ((0.0, 0.0), (0.0, math.inf), (-math.inf, 0.0)):
-        boxes.append(Box.from_bounds([bounds] * n))
+        boxes.append([bounds] * n)
     return boxes
 
 
@@ -280,15 +289,15 @@ def test_compiled_plans_match_reference_bit_for_bit():
         ref_tight = ReferenceTightEvaluator(f)
         for box in _random_boxes(rng, n):
             assert _outcome(interval_eval, f, box) == _outcome(reference_interval_eval, f, box)
-            assert _outcome(tight, box.bounds()) == _outcome(ref_tight, box)
-            if trial % 10 == 0 and box.intervals[0].width <= 0.5:
-                args = (f, box, "rigorous")
+            assert _outcome(tight, box) == _outcome(ref_tight, box)
+            if trial % 10 == 0 and box[0][1] - box[0][0] <= 0.5:
+                args = (f, box, True)
                 assert _outcome(interval_eval, *args) == _outcome(reference_interval_eval, *args)
     # exp overflow widens to infinity identically, in both evaluators
     f = parse_epoly("exp(x1)")
-    box = Box.from_bounds([(0.0, 1000.0)])
+    box = [(0.0, 1000.0)]
     assert _outcome(interval_eval, f, box) == _outcome(reference_interval_eval, f, box)
-    assert _outcome(TightEvaluator(f), box.bounds()) == _outcome(ReferenceTightEvaluator(f), box)
+    assert _outcome(TightEvaluator(f), box) == _outcome(ReferenceTightEvaluator(f), box)
 
 
 def test_tight_evaluator_midpoint_near_the_top_of_the_float_range():
@@ -300,7 +309,7 @@ def test_tight_evaluator_midpoint_near_the_top_of_the_float_range():
     bounds = [(1e308, 1.7e308), (0.5, 1.5)]
     lo, hi = TightEvaluator(f)(bounds)
     assert -9.6e307 < lo < -9.4e307 and 1.04e308 < hi < 1.06e308
-    want = _outcome(ReferenceTightEvaluator(f), Box.from_bounds(bounds))
+    want = _outcome(ReferenceTightEvaluator(f), bounds)
     assert _outcome(TightEvaluator(f), bounds) == want
 
 
@@ -308,12 +317,12 @@ def test_rigorous_tight_evaluator_matches_reference():
     rng = random.Random(7)
     for _ in range(6):
         f = rand_epoly(rng, 2, max_terms=3)
-        tight = TightEvaluator(f, "rigorous")
-        ref = ReferenceTightEvaluator(f, "rigorous")
+        tight = TightEvaluator(f, rigorous=True)
+        ref = ReferenceTightEvaluator(f, rigorous=True)
         for width in (0.0, 1e-9, 0.25):
             lows = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-            box = Box.from_bounds([(v, v + width) for v in lows])
-            assert _outcome(tight, box.bounds()) == _outcome(ref, box)
+            box = [(v, v + width) for v in lows]
+            assert _outcome(tight, box) == _outcome(ref, box)
 
 
 def _reference_minors(p):
@@ -358,7 +367,7 @@ def _reference_transversal(p, enc: Interval, coords, tol: float):
     if not margin > tol:
         return margin, "Undetermined", None
     sides = [reference_enclose_rational(v) for v in coords]
-    box = Box.from_bounds([(enc.lo, enc.hi)] + [(iv.lo, iv.hi) for iv in sides])
+    box = [(enc.lo, enc.hi)] + [(iv.lo, iv.hi) for iv in sides]
     verdict = "Transverse" if reference_interval_eval(decisive, box).excludes_zero() else "Undetermined"
     return margin, verdict, decisive
 
@@ -371,8 +380,8 @@ def _transversal(monkeypatch, p, enc: Interval, coords, tol: float):
     """
     calls = []
 
-    def plan(f, exact=False):
-        inner = EvalPlan(f, exact)
+    def plan(f, rigorous=False):
+        inner = EvalPlan(f, rigorous)
 
         def run(bounds):
             calls.append((f, list(bounds)))
@@ -512,7 +521,7 @@ def test_box_enclosures_reach_the_exact_sign_at_rational_points():
             c = lows[0] + widths[0] * Fraction(rng.randint(0, 4), 4)
             f = f * parse_epoly(f"{c.denominator}*x1 + ({-c.numerator})", n)
         bounds = [(float(lo), float(lo + w)) for lo, w in zip(lows, widths)]
-        enclosures = [EvalPlan(f)(bounds), EvalPlan(f, exact=True)(bounds)]
+        enclosures = [EvalPlan(f)(bounds), EvalPlan(f, rigorous=True)(bounds)]
         for _ in range(3):
             pt = [lo + w * Fraction(rng.randint(0, 7), 7) for lo, w in zip(lows, widths)]
             if case % 3 == 0 and rng.random() < 0.5:

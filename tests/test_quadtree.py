@@ -29,7 +29,6 @@ from fractions import Fraction
 from expalg import numeric
 from expalg.corpus import AXES_PAIR, CARTAN_UMBRELLA
 from expalg.epoly import EPoly
-from expalg.intervals import Box
 from expalg.numeric import EvalPlan, TightEvaluator, brute_force_sign_scan, isolate_roots_1d, sample_zero_cells_2d
 from expalg.parsing import parse_epoly
 from expalg.poly import Poly
@@ -43,7 +42,7 @@ from util import (
     run_standalone,
 )
 
-SQUARE = Box.from_bounds([(-2.0, 2.0), (-2.0, 2.0)])
+SQUARE = [(-2.0, 2.0), (-2.0, 2.0)]
 BIG = "100000000000000000000"  # 10^20: its products cancel far above one ulp
 #: zero lines on the split lines of SQUARE, through its grid corners, and across cells
 LINES = (
@@ -68,32 +67,32 @@ POINTS = (CARTAN_UMBRELLA, "x1^2 + x2^2", "(3*x1 - 1)^2 + (5*x2 - 1)^2")
 DEFINITE = ("x1^2 + x2^2 + 1", "(x1 - x2)^2 + 1/100", "-(x1 + x2)^2 - 1/1000", "exp(x1)*exp(x2)", "x1^2*exp(x2) + 1/64")
 #: boxes near the float range's edge, where point enclosures overflow
 EDGE_BOXES = (
-    Box.from_bounds([(1e300, 1.5e300), (1e300, 1.5e300)]),
-    Box.from_bounds([(-1.5e300, 1.5e300), (-1.5e300, 1.5e300)]),
-    Box.from_bounds([(-1.7e300, -1e300), (1e300, 1.7e300)]),
+    [(1e300, 1.5e300), (1e300, 1.5e300)],
+    [(-1.5e300, 1.5e300), (-1.5e300, 1.5e300)],
+    [(-1.7e300, -1e300), (1e300, 1.7e300)],
 )
 EDGE_FUNCTIONS = ("x1^2 - x2^2", "x1^2 + x1*x2 - 2*x2^2", "x1^3 + x2^3", "x1*x2 - 1")
 #: a box whose split lines meet on the diagonal x1 = x2
-NEAR_DIAGONAL = Box.from_bounds([(0.5, 1.5), (0.5, 1.5)])
+NEAR_DIAGONAL = [(0.5, 1.5), (0.5, 1.5)]
 #: more boxes for the seeded inputs, -0.0 ends included
 BOXES = (
     SQUARE,
-    Box.from_bounds([(-0.0, 2.0), (-1.0, 0.0)]),
-    Box.from_bounds([(-3.0, 1.0), (-0.5, 3.5)]),
-    Box.from_bounds([(0.1, 0.7), (-1.3, 2.9)]),
+    [(-0.0, 2.0), (-1.0, 0.0)],
+    [(-3.0, 1.0), (-0.5, 3.5)],
+    [(0.1, 0.7), (-1.3, 2.9)],
 )
 
 
-def _same_cells(f: EPoly, box: Box, depth: int, mode: str) -> list[Box]:
-    cells = sample_zero_cells_2d(f, box, depth, mode)
-    want = reference_sample_zero_cells_2d(f, box, depth, mode)
-    assert [c.bounds() for c in cells] == [c.bounds() for c in want], (f, box.bounds(), depth, mode)
+def _same_cells(f: EPoly, box, depth: int, rigorous: bool) -> list:
+    cells = sample_zero_cells_2d(f, box, depth, rigorous)
+    want = reference_sample_zero_cells_2d(f, box, depth, rigorous)
+    assert cells == want, (f, box, depth, rigorous)
     return cells
 
 
-def _corner_signs(f: EPoly, cell, exact: bool) -> list:
+def _corner_signs(f: EPoly, cell, rigorous: bool) -> list:
     """Each corner's sign by a fresh point plan, 0 where f is exactly 0, else None."""
-    plan = EvalPlan(f, exact)
+    plan = EvalPlan(f, rigorous)
     signs = []
     for x in cell[0]:
         for y in cell[1]:
@@ -101,7 +100,7 @@ def _corner_signs(f: EPoly, cell, exact: bool) -> list:
             if lo > 0.0 or hi < 0.0:
                 signs.append(1 if lo > 0.0 else -1)
             else:
-                signs.append(None if f.scaled_groups((Fraction(x), Fraction(y))) else 0)
+                signs.append(None if f.scaled_ints((Fraction(x), Fraction(y)))[2] else 0)
     return signs
 
 
@@ -109,40 +108,40 @@ def test_zero_lines_on_split_lines_through_corners_and_across_cells():
     for text in LINES:
         f = parse_epoly(text, ambient=2)
         for depth in (0, 1, 3, 6):
-            assert _same_cells(f, SQUARE, depth, "fast") or depth == 0, text
-        _same_cells(f, SQUARE, 4, "rigorous")
+            assert _same_cells(f, SQUARE, depth, False) or depth == 0, text
+        _same_cells(f, SQUARE, 4, True)
     # the axes pair's zero lines run along split lines: its cells at depth 5
     # are the two columns and two rows of the 32 x 32 grid beside the axes
-    cells = _same_cells(parse_epoly(AXES_PAIR), SQUARE, 5, "fast")
+    cells = _same_cells(parse_epoly(AXES_PAIR), SQUARE, 5, False)
     assert len(cells) == 4 * 32 - 4
-    assert all(0.0 in (*c.bounds()[0], *c.bounds()[1]) for c in cells)
+    assert all(0.0 in (*x, *y) for x, y in cells)
 
 
 def test_undecided_corners_are_not_zeros():
     # at x1 = x2 the point enclosure of 10^20 (x1 - x2) + 1 holds 0, but f is 1
     f = parse_epoly(f"{BIG}*x1 - {BIG}*x2 + 1")
     assert _corner_signs(f, ((1.0, 1.0), (1.0, 1.0)), False) == [None] * 4
-    for mode, depth in (("fast", 6), ("rigorous", 5)):
-        _same_cells(f, NEAR_DIAGONAL, depth, mode)
+    for rigorous, depth in ((False, 6), (True, 5)):
+        _same_cells(f, NEAR_DIAGONAL, depth, rigorous)
 
 
 def test_isolated_zeros():
     for text in POINTS:
         f = parse_epoly(text, ambient=2)
         for depth in (2, 5):
-            _same_cells(f, SQUARE, depth, "fast")
-        _same_cells(f, SQUARE, 4, "rigorous")
+            _same_cells(f, SQUARE, depth, False)
+        _same_cells(f, SQUARE, 4, True)
     # the umbrella: a line plus a point
     f = parse_epoly(CARTAN_UMBRELLA)
-    assert _same_cells(f, SQUARE, 7, "fast")
+    assert _same_cells(f, SQUARE, 7, False)
 
 
 def test_sign_definite_functions():
     for text in DEFINITE:
         f = parse_epoly(text, ambient=2)
         for depth in (1, 3, 6):
-            _same_cells(f, SQUARE, depth, "fast")
-        _same_cells(f, SQUARE, 4, "rigorous")
+            _same_cells(f, SQUARE, depth, False)
+        _same_cells(f, SQUARE, 4, True)
 
 
 def test_boxes_near_the_float_range_edge():
@@ -151,10 +150,10 @@ def test_boxes_near_the_float_range_edge():
         f = parse_epoly(text)
         plan = EvalPlan(f)
         for box in EDGE_BOXES:
-            (x, _), (y, _) = box.bounds()
+            (x, _), (y, _) = box
             overflowed += plan(((x, x), (y, y))) == (-math.inf, math.inf)
-            for mode in ("fast", "rigorous"):
-                _same_cells(f, box, 4, mode)
+            for rigorous in (False, True):
+                _same_cells(f, box, 4, rigorous)
     assert overflowed >= 4
 
 
@@ -173,21 +172,20 @@ def test_seeded_epolys():
         if f.is_zero():
             continue
         box = BOXES[k % len(BOXES)]
-        _same_cells(f, box, rng.randint(2, 5), "fast")
+        _same_cells(f, box, rng.randint(2, 5), False)
         if k % 4 == 0:
-            _same_cells(f, box, rng.randint(2, 4), "rigorous")
+            _same_cells(f, box, rng.randint(2, 4), True)
 
 
-def _expected_tight_cells(f: EPoly, box: Box, depth: int, mode: str) -> list:
+def _expected_tight_cells(f: EPoly, box, depth: int, rigorous: bool) -> list:
     """The cells the TightEvaluator must get, in order: the quadtree's cells
     whose natural extension contains 0 and whose corners prove no zero."""
-    exact = mode == "rigorous"
-    plan, tight = EvalPlan(f, exact), TightEvaluator(f, mode)
+    plan, tight = EvalPlan(f, rigorous), TightEvaluator(f, rigorous)
     out = []
-    stack = [(box.bounds(), 0)]
+    stack = [(box, 0)]
     while stack:
         cell, level = stack.pop()
-        signs = set(_corner_signs(f, cell, exact))
+        signs = set(_corner_signs(f, cell, rigorous))
         if not (0 in signs or {1, -1} <= signs):
             lo, hi = plan(cell)
             if lo > 0.0 or hi < 0.0:
@@ -217,25 +215,25 @@ def test_only_undecided_cells_reach_the_tight_evaluator():
         return tight_call(self, bounds, nats)
 
     cases = (
-        (AXES_PAIR, SQUARE, 6, "fast"),
-        (CARTAN_UMBRELLA, SQUARE, 6, "fast"),
-        (CARTAN_UMBRELLA, SQUARE, 4, "rigorous"),
-        ("x1^2 + x2^2 - 2", SQUARE, 5, "fast"),
-        ("(x1 - x2)^2 + 1/100", SQUARE, 5, "fast"),
-        (f"{BIG}*x1 - {BIG}*x2 + 1", NEAR_DIAGONAL, 5, "fast"),
+        (AXES_PAIR, SQUARE, 6, False),
+        (CARTAN_UMBRELLA, SQUARE, 6, False),
+        (CARTAN_UMBRELLA, SQUARE, 4, True),
+        ("x1^2 + x2^2 - 2", SQUARE, 5, False),
+        ("(x1 - x2)^2 + 1/100", SQUARE, 5, False),
+        (f"{BIG}*x1 - {BIG}*x2 + 1", NEAR_DIAGONAL, 5, False),
     )
-    for text, box, depth, mode in cases:
+    for text, box, depth, rigorous in cases:
         f = parse_epoly(text, ambient=2)
         del seen[:]
         TightEvaluator.__call__ = recording
         try:
-            sample_zero_cells_2d(f, box, depth, mode)
+            sample_zero_cells_2d(f, box, depth, rigorous)
         finally:
             TightEvaluator.__call__ = tight_call
-        want = _expected_tight_cells(f, box, depth, mode)
+        want = _expected_tight_cells(f, box, depth, rigorous)
         assert want and [tuple(bounds) for bounds, _ in seen] == [tuple(cell) for cell in want], text
         for bounds, nats in seen:
-            assert list(nats) == [()] and nats[()] == EvalPlan(f, mode == "rigorous")(bounds), (text, bounds)
+            assert list(nats) == [()] and nats[()] == EvalPlan(f, rigorous)(bounds), (text, bounds)
 
 
 def _plan_calls(run):
@@ -267,7 +265,7 @@ def test_tight_evaluator_evaluates_each_path_once_per_box():
             got, calls = _plan_calls(lambda: tight(bounds))
             keys = [(plan, b) for plan, _, b in calls]
             assert len(keys) == len(set(keys)), (f, bounds)
-            want = ref(Box.from_bounds(bounds))
+            want = ref(bounds)
             assert struct.pack("<2d", *got) == struct.pack("<2d", want.lo, want.hi), (f, bounds)
             # a natural extension handed in is used, not computed again
             nat = tight.plan(())(bounds)

@@ -34,7 +34,6 @@ from fractions import Fraction
 from expalg import intervals
 from expalg.epoly import EPoly
 from expalg.intervals import (
-    Box,
     RatInterval,
     enclose_exp,
     exp_bounds,
@@ -144,7 +143,7 @@ def test_rat_interval_is_a_validated_record():
 
 
 def rigorous_plan_matches(f: EPoly, bounds) -> None:
-    got = outcome(EvalPlan(f, exact=True), bounds)
+    got = outcome(EvalPlan(f, rigorous=True), bounds)
     ref = outcome(reference_pair_plan, f, bounds, True)
     assert got == ref, (f, bounds, got, ref)
 
@@ -227,7 +226,7 @@ def test_rigorous_plan_groups_without_exponential():
         for bounds in ((0.25, 0.75), (-0.5, 0.75), (-3.0, -2.0), (0.1, 0.1), (-800.0, 800.0)):
             rigorous_plan_matches(f, [bounds])
     # not widened by the two-ulp pad of e^0 that fast mode multiplies by
-    rigorous, fast = EvalPlan(alone, exact=True)([(0.25, 0.75)]), EvalPlan(alone)([(0.25, 0.75)])
+    rigorous, fast = EvalPlan(alone, rigorous=True)([(0.25, 0.75)]), EvalPlan(alone)([(0.25, 0.75)])
     assert fast[0] < rigorous[0] < 0.0 < rigorous[1] < fast[1], (rigorous, fast)
 
 
@@ -263,14 +262,14 @@ def test_rigorous_plan_underflowed_exp_times_straddling_value():
     for bounds in ([(-1000.0, -900.0), (0.0, 1.0)], [(-1000.0, -900.0), (0.75, 1.0)], [(-1000.0, -1.0), (0.0, 1.0)]):
         rigorous_plan_matches(f, bounds)
     tiny = math.ulp(0.0)
-    assert EvalPlan(f, exact=True)([(-1000.0, -900.0), (0.0, 1.0)]) == (-3 * tiny, 3 * tiny)
+    assert EvalPlan(f, rigorous=True)([(-1000.0, -900.0), (0.0, 1.0)]) == (-3 * tiny, 3 * tiny)
 
 
 def test_rigorous_exp_below_0_is_relative():
     """exp(x1) - 1/10^40 on [-100, -99] is about -1e-40 throughout: the
     rigorous enclosure excludes 0 and lies inside the fast one."""
     f = parse_epoly("exp(x1) - 1/10000000000000000000000000000000000000000")
-    rigorous = EvalPlan(f, exact=True)([(-100.0, -99.0)])
+    rigorous = EvalPlan(f, rigorous=True)([(-100.0, -99.0)])
     fast = EvalPlan(f)([(-100.0, -99.0)])
     assert rigorous[1] < 0.0, rigorous
     assert fast[0] <= rigorous[0] and rigorous[1] <= fast[1], (rigorous, fast)
@@ -280,9 +279,9 @@ def test_rigorous_exp_below_0_is_relative():
 def test_exact_zero_on_point_box():
     """2 x1 + 1 - e^x1 vanishes at 0: the point box gets the exact value."""
     f = parse_epoly("2*x1 + 1 - exp(x1)")
-    assert bits(EvalPlan(f, exact=True)([(0.0, 0.0)])) == bits((0.0, 0.0))
+    assert bits(EvalPlan(f, rigorous=True)([(0.0, 0.0)])) == bits((0.0, 0.0))
     rigorous_plan_matches(f, [(0.0, 0.0)])
-    assert TightEvaluator(f, "rigorous")([(0.0, 0.0)]) == (0.0, 0.0)
+    assert TightEvaluator(f, rigorous=True)([(0.0, 0.0)]) == (0.0, 0.0)
 
 
 def test_rigorous_tight_evaluator_matches_reference():
@@ -292,10 +291,10 @@ def test_rigorous_tight_evaluator_matches_reference():
         f = rational_epoly(rng, 2)
         if f.is_zero():
             continue
-        tight, ref = TightEvaluator(f, "rigorous"), ReferenceTightEvaluator(f, "rigorous")
+        tight, ref = TightEvaluator(f, rigorous=True), ReferenceTightEvaluator(f, rigorous=True)
         for _ in range(4):
-            box = Box.from_bounds([side(rng, f) for _ in range(2)])
-            assert outcome(tight, box.bounds()) == outcome(ref, box), (f, box)
+            box = [side(rng, f) for _ in range(2)]
+            assert outcome(tight, box) == outcome(ref, box), (f, box)
 
 
 def value_bounds(f: EPoly, point: list[Fraction]) -> tuple[Fraction, Fraction]:
@@ -323,7 +322,7 @@ def test_rigorous_enclosures_contain_fraction_values():
         f = rational_epoly(rng, n)
         if f.is_zero():
             continue
-        plan, tight = EvalPlan(f, exact=True), TightEvaluator(f, "rigorous")
+        plan, tight = EvalPlan(f, rigorous=True), TightEvaluator(f, rigorous=True)
         for _ in range(3):
             bounds = [side(rng, f) for _ in range(n)]
             got = plan(bounds)
@@ -352,12 +351,12 @@ def test_beyond_the_float_range_no_exp_core_runs():
     intervals.exp_fixed = spy
     try:
         f = parse_epoly("exp(x1)")
-        lo, hi = EvalPlan(f, exact=True)([(0.0, 1e6)])
+        lo, hi = EvalPlan(f, rigorous=True)([(0.0, 1e6)])
         assert hi == math.inf and 0.99 < lo <= 1.0
-        lo, hi = EvalPlan(f, exact=True)([(-1e6, -1e3)])
+        lo, hi = EvalPlan(f, rigorous=True)([(-1e6, -1e3)])
         assert lo <= 0.0 and 0.0 < hi <= math.ulp(0.0) * 4
         g = parse_epoly("exp(x1) - x2")
-        lo, hi = TightEvaluator(g, "rigorous")([(0.0, 1e6), (0.0, 1.0)])
+        lo, hi = TightEvaluator(g, rigorous=True)([(0.0, 1e6), (0.0, 1.0)])
         assert hi == math.inf and lo <= 0.0
     finally:
         intervals.exp_fixed = core

@@ -362,6 +362,22 @@ def test_refinement_below_float_resolution_needs_at_most_a_third_of_bisections_s
     assert 3 * new_calls <= ref_calls, (new_calls, ref_calls)
 
 
+def test_first_guess_below_float_resolution_is_capped_by_the_secant_error():
+    # On exp(x1) - 2 the secant of fixed-point values misses the root by
+    # about w / 8 of a bracket w wide, relatively.  A first guess taking
+    # every level left is refuted on two of these brackets (12 signs
+    # each); one capped at log2(1 / w) - 3 levels is proven at once, so
+    # each bracket takes its two end signs and two per proven guess.
+    f = parse_epoly("exp(x1) - 2")
+    root = Fraction(0.6931471805599453)
+    for offset in (6, 433, 913, 734):
+        lo = root - Fraction(offset, 8000)
+        with Counting(numeric, "sign_at_rational") as counter:
+            got = _refine_bracket(f, signs(f), f.float_evaluator(), lo, lo + Fraction(1, 8), TOLS[2], True)
+        assert got == reference_refine_bracket(signs(f), lo, lo + Fraction(1, 8), TOLS[2]), offset
+        assert counter.calls <= 8, (offset, counter.calls)
+
+
 def _bracketing(plan, lo: Fraction, hi: Fraction) -> bool:
     """Whether the float enclosures of f at lo and at hi exclude 0 with opposite signs."""
     signs = []

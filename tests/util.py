@@ -38,7 +38,6 @@ from expalg.factor import (
 from expalg.hyperplanes import Hyperplane
 from expalg.intervals import (
     RIGOROUS_BITS,
-    Box,
     Interval,
     Pair,
     enclose_exp,
@@ -167,8 +166,8 @@ def reference_coefficient_groups(f: EPoly, point) -> dict[Fraction, Fraction]:
 
     Groups the terms by the exact rational exponent t = s . point and sums
     the coefficient values in Fractions; zero sums are dropped.
-    ``EPoly.scaled_groups`` must return the same exponents in the same order,
-    each c_t times one positive factor.
+    ``EPoly.scaled_ints`` must return the same exponents, as a / T, in the
+    same order, each c_t times one positive factor.
     """
     if len(point) != f.n:
         raise DimensionError(f"point length {len(point)} != {f.n}")
@@ -432,19 +431,18 @@ def _reference_poly(a: Poly, xs, zero, coeff):
     return acc
 
 
-def reference_interval_eval(f: EPoly, box: Box, mode: str = "fast") -> ReferenceInterval:
-    """Natural extension of f over the box, as ``interval_eval`` defines it.
+def reference_interval_eval(f: EPoly, bounds, rigorous: bool = False) -> ReferenceInterval:
+    """Natural extension of f over the box with the given float bounds, as
+    ``interval_eval`` defines it.
 
-    Fast mode builds one ReferenceInterval per step; rigorous mode is
-    ``reference_pair_plan`` with the certified operations.
+    Fast evaluation builds one ReferenceInterval per step; rigorous
+    evaluation is ``reference_pair_plan`` with the certified operations.
     """
-    if box.dimension != f.n:
-        raise DimensionError(f"box dimension {box.dimension} != ambient {f.n}")
-    if mode == "rigorous":
-        return ReferenceInterval(*reference_pair_plan(f, box.bounds(), rigorous=True))
-    if mode != "fast":
-        raise ValueError(f"unknown mode {mode!r}")
-    xs = [ReferenceInterval(iv.lo, iv.hi) for iv in box.intervals]
+    if len(bounds) != f.n:
+        raise DimensionError(f"box dimension {len(bounds)} != ambient {f.n}")
+    xs = [ReferenceInterval(float(lo), float(hi)) for lo, hi in bounds]
+    if rigorous:
+        return ReferenceInterval(*reference_pair_plan(f, [(iv.lo, iv.hi) for iv in xs], rigorous=True))
     zero = reference_point(0.0)
     acc = zero
     for spec, a in f.sorted_terms():
@@ -459,8 +457,8 @@ def reference_interval_eval(f: EPoly, box: Box, mode: str = "fast") -> Reference
 class ReferenceTightEvaluator:
     """Natural extension intersected with mean-value forms, on ReferenceInterval objects."""
 
-    def __init__(self, f: EPoly, mode: str = "fast", order: int = 2):
-        self.mode = mode
+    def __init__(self, f: EPoly, rigorous: bool = False, order: int = 2):
+        self.rigorous = rigorous
         self.order = order
         self.derivs = {(): f}
         frontier = [()]
@@ -474,21 +472,21 @@ class ReferenceTightEvaluator:
                     new_frontier.append(key)
             frontier = sorted(set(new_frontier))
 
-    def __call__(self, box: Box) -> ReferenceInterval:
-        return self._eval((), box, self.order)
+    def __call__(self, bounds) -> ReferenceInterval:
+        return self._eval((), bounds, self.order)
 
-    def _eval(self, path, box: Box, depth: int) -> ReferenceInterval:
+    def _eval(self, path, bounds, depth: int) -> ReferenceInterval:
         g = self.derivs[path]
-        nat = reference_interval_eval(g, box, self.mode)
+        nat = reference_interval_eval(g, bounds, self.rigorous)
         if depth == 0 or nat.excludes_zero() or nat.width < 1e-14:
             return nat
-        ivs = [ReferenceInterval(iv.lo, iv.hi) for iv in box.intervals]
+        ivs = [ReferenceInterval(float(lo), float(hi)) for lo, hi in bounds]
         mids = tuple(reference_point(iv.mid) for iv in ivs)
-        mv = reference_interval_eval(g, Box(mids), self.mode)
+        mv = reference_interval_eval(g, [(m.lo, m.hi) for m in mids], self.rigorous)
         for i, (iv, m) in enumerate(zip(ivs, mids), start=1):
             if iv.width == 0.0:
                 continue
-            gi = self._eval(tuple(sorted(path + (i,))), box, depth - 1)
+            gi = self._eval(tuple(sorted(path + (i,))), bounds, depth - 1)
             mv = mv + gi * (iv - m)
         out = nat.intersect(mv)
         if out is None:
@@ -1098,11 +1096,11 @@ def _reference_secant_cell(value, lo: Fraction, hi: Fraction, m: int):
 # ---------------------------------------------------------------------------
 
 
-def reference_sample_zero_cells_2d(f: EPoly, box: Box, max_depth: int, mode: str = "fast") -> list[Box]:
+def reference_sample_zero_cells_2d(f: EPoly, bounds, max_depth: int, rigorous: bool = False) -> list:
     """The quadtree's cells when ``TightEvaluator`` decides every cell."""
-    evaluator = numeric.TightEvaluator(f, mode)
+    evaluator = numeric.TightEvaluator(f, rigorous)
     out = []
-    stack = [(box.bounds(), 0)]
+    stack = [(tuple((float(lo), float(hi)) for lo, hi in bounds), 0)]
     while stack:
         cell, depth = stack.pop()
         lo, hi = evaluator(cell)
@@ -1119,7 +1117,7 @@ def reference_sample_zero_cells_2d(f: EPoly, box: Box, max_depth: int, mode: str
             stack.append(((x, (y_lo, ym)), depth + 1))
             stack.append(((x, (ym, y_hi)), depth + 1))
     out.sort(key=lambda c: (c[0][0], c[1][0]))
-    return [Box.from_bounds(cell) for cell in out]
+    return out
 
 
 def reference_brute_force_sign_scan(f: EPoly, domain, step: float = 1e-4) -> int:
