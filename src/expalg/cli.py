@@ -12,8 +12,10 @@ input); 3 internal invariant breach or a failed ``verify-paper`` check
 (never expected).
 
 Each subcommand handler computes its report's input, result and hypothesis
-log and prints its human summary; ``main`` alone times the handler and
-assembles, prints and writes the report.
+log and prints nothing; ``main`` alone times the handler and has ``_emit``
+assemble, print and write the report.  The human summary on stderr is
+rendered by ``summary`` from the report dict alone, so it says what the JSON
+says.
 
 Reports are versioned (schemaVersion 2) and byte-identical for identical
 (input, seed, mode); wall-clock timings are only included when --timings is
@@ -142,6 +144,8 @@ def _emit(args, input_text, result, hypothesis_log, elapsed: float) -> None:
         "timings": {"totalMs": round(elapsed * 1000.0, 3)} if args.timings else None,
     }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    for line in summary(report):
+        _say(line)
     sys.stdout.write(text)
     if args.output:
         with open(args.output, "w") as handle:
@@ -150,6 +154,51 @@ def _emit(args, input_text, result, hypothesis_log, elapsed: float) -> None:
 
 def _say(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def summary(report: dict) -> list[str]:
+    """The human summary of a report, one line per entry, read from the report alone."""
+    command, r = report["command"], report["result"]
+    span = "[{0!r}, {1!r}]".format
+    if command == "canon":
+        return [f"canonical {r['kind']}: {r['canonical']}"]
+    if command == "hyperplanes":
+        if r["degenerate"]:
+            return ["candidate family undefined: at most one u-monomial"]
+        return ["candidates: " + ", ".join(h["equation"] for h in r["hyperplanes"])]
+    if command == "classify":
+        lines = [f"verdict: {r['verdict']} ({r['conditionality']})"]
+        lines += [f"  component: {h['equation']}" for h in r["hyperplanes"]]
+        return lines + [f"  rejected:  {h['equation']}" for h in r["rejected"]]
+    if command == "classify1e":
+        lines = [f"verdict: {r['verdict']} ({r['conditionality']})"]
+        for sc in r.get("sliceComponents", []):
+            # a factor of several terms, and only such a factor, has spaces
+            base = f"({sc['factor']})" if " " in sc["factor"] else sc["factor"]
+            tag = "component" if sc["realPoints"] else "no real points"
+            lines.append(f"  slice factor {base}^{sc['multiplicity']}: {tag}")
+        return lines
+    if command == "roots":
+        left = len(r["uncertified"])
+        lines = [
+            f"{r['count']} certified roots on {span(*r['domain'])}"
+            + (f", {left} uncertified intervals" if left else "")
+        ]
+        return lines + [f"  {c['kind']}: {span(*c['enclosure'])}" for c in r["certified"]]
+    if command == "sample2d":
+        return [f"{r['count']} cells retained at depth {r['depth']}"]
+    if command == "transversal":
+        return [
+            f"at x1 in {span(*c['rootEnclosure'])}: {c['verdict']}, margin "
+            + ("beyond the float range" if c["tangencyMargin"] is None else f"{c['tangencyMargin']:.6g}")
+            for c in r["checks"]
+        ]
+    # verify-paper
+    lines = [
+        f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}" + (f"  ({c['detail']})" if c["detail"] else "")
+        for c in r["checks"]
+    ]
+    return lines + [f"{r['passed']}/{r['total']} corpus checks passed"]
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +216,6 @@ def _cmd_canon(args) -> Report:
         value = parse_poly(args.text, args.ambient)
         canonical = format_poly(value)
         kind = "poly"
-    _say(f"canonical {kind}: {canonical}")
     return args.text, {"kind": kind, "canonical": canonical}, []
 
 
@@ -179,10 +227,6 @@ def _cmd_hyperplanes(args) -> Report:
         "count": len(cand),
         "hyperplanes": [_hyperplane_json(h) for h in cand],
     }
-    if cand.degenerate:
-        _say("candidate family undefined: at most one u-monomial")
-    else:
-        _say("candidates: " + ", ".join(format_hyperplane(h) for h in cand))
     return format_poly(p), result, []
 
 
@@ -195,24 +239,12 @@ def _cmd_classify(args) -> Report:
         attempts=args.attempts,
         seed=args.seed,
     )
-    _say(f"verdict: {rep.verdict} ({rep.conditionality})")
-    for c in rep.hyperplanes:
-        _say(f"  component: {format_hyperplane(c.hyperplane)}")
-    for c in rep.rejected:
-        _say(f"  rejected:  {format_hyperplane(c.hyperplane)}")
     return format_poly(p), _report_json(rep), _hypothesis_json(rep)
 
 
 def _cmd_classify1e(args) -> Report:
     p = parse_poly(args.text, args.ambient)
     rep = classify_single_exp(p, attempts=args.attempts, seed=args.seed)
-    _say(f"verdict: {rep.verdict} ({rep.conditionality})")
-    for sc in rep.slice_components or []:
-        tag = "component" if sc.real_points else "no real points"
-        base = format_poly(sc.factor)
-        if len(sc.factor.terms) > 1:
-            base = f"({base})"
-        _say(f"  slice factor {base}^{sc.multiplicity}: {tag}")
     return format_poly(p), _report_json(rep), _hypothesis_json(rep)
 
 
@@ -222,12 +254,6 @@ def _cmd_roots(args) -> Report:
         raise DriverError("roots requires a 1-variable exponential polynomial")
     domain = tuple(args.domain) if args.domain else default_root_domain(f)
     certs, leftovers = isolate_roots_1d(f, domain, args.tol)
-    _say(
-        f"{len(certs)} certified roots on [{domain[0]}, {domain[1]}]"
-        + (f", {len(leftovers)} uncertified intervals" if leftovers else "")
-    )
-    for cert in certs:
-        _say(f"  {cert.kind}: [{cert.enclosure.lo!r}, {cert.enclosure.hi!r}]")
     result = {
         "domain": [float(domain[0]), float(domain[1])],
         "tolerance": args.tol,
@@ -244,7 +270,6 @@ def _cmd_sample2d(args) -> Report:
         raise DriverError("sample2d requires a 2-variable exponential polynomial")
     x_lo, x_hi, y_lo, y_hi = args.box if args.box else [-2.0, 2.0, -2.0, 2.0]
     cells = sample_zero_cells_2d(f, [(x_lo, x_hi), (y_lo, y_hi)], args.depth, args.rigorous)
-    _say(f"{len(cells)} cells retained at depth {args.depth}")
     result = {
         "box": [[x_lo, x_hi], [y_lo, y_hi]],
         "depth": args.depth,
@@ -288,15 +313,7 @@ def _cmd_transversal(args) -> Report:
                 "every certified root enclosure contains x1 = 0; select one "
                 "explicitly with --root-index to see the violation"
             )
-    reports = []
-    for cert in selected:
-        rep = check_transversality(p, cert, coords, args.tol)
-        reports.append((cert, rep))
-        margin = rep.tangency_margin
-        _say(
-            f"at x1 in [{cert.enclosure.lo!r}, {cert.enclosure.hi!r}]: {rep.verdict}, margin "
-            + ("beyond the float range" if margin is None else f"{margin:.6g}")
-        )
+    reports = [(cert, check_transversality(p, cert, coords, args.tol)) for cert in selected]
     result = {
         "tolerance": args.tol,
         "checks": [
@@ -316,9 +333,6 @@ def _cmd_transversal(args) -> Report:
 def _cmd_verify_paper(args) -> Report:
     checks = corpus.run_all()
     failed = [c for c in checks if not c.passed]
-    for c in checks:
-        _say(f"{'PASS' if c.passed else 'FAIL'}  {c.name}" + (f"  ({c.detail})" if c.detail else ""))
-    _say(f"{len(checks) - len(failed)}/{len(checks)} corpus checks passed")
     result = {
         "total": len(checks),
         "passed": len(checks) - len(failed),

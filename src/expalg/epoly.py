@@ -133,9 +133,6 @@ class EPoly:
     def sorted_terms(self) -> list[tuple[tuple, Poly]]:
         return sorted(self.terms.items(), key=lambda kv: spectrum_key(kv[0]))
 
-    def spectra(self) -> list[tuple]:
-        return [s for s, _ in self.sorted_terms()]
-
     def coefficient_height(self) -> int:
         return max((a.coefficient_height() for a in self.terms.values()), default=0)
 

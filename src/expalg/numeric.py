@@ -735,18 +735,21 @@ def _refine_bracket(f: EPoly, sgn, value, lo: Fraction, hi: Fraction, tol: Fract
     "Quadratic interval refinement for real roots", 2014).  A proven guess
     doubles m, a refuted one halves it, and m = 1 is a bisection step.
 
-    While the floats resolve at least two levels of the bracket, the guess
+    While the floats resolve at least two levels of the bracket, m is capped
+    one level above the deepest level whose cells they resolve: cells there
+    are about one ulp wide, and a float root may miss r by about as much.
+    So at two resolved levels the step bisects, and from three on the guess
     is the cell, found exactly with Fractions, that holds a float root of
-    ``value`` (``_float_root``), and m is capped at the deepest level whose
-    cells the floats resolve; the first guess takes m = k, so on a bracket
-    the floats resolve down to width ``tol`` the two signs of one cell
-    settle it.  When the float values overflow, are not finite or do not
-    have strictly opposite signs, the step bisects.  Below float resolution
-    the guess is regula falsi on fixed-point values of f at the bracket's
-    ends (``_fixed_value``, each within 2^-20 relatively), the first such
-    guess taking every level left, and m is capped at the levels those
-    values resolve.  A bracket not known to hold one root (a merged run of suspect
-    cells, where bisection's answer depends on its path) is only bisected.
+    ``value`` (``_float_root``).  The first guess takes m = k, so on a
+    bracket the floats resolve one level below width ``tol`` the two signs
+    of one cell settle it.  When the float values overflow,
+    are not finite or do not have strictly opposite signs, the step bisects.
+    Below float resolution the guess is regula falsi on fixed-point values
+    of f at the bracket's ends (``_fixed_value``, each within 2^-20
+    relatively), the first such guess taking at most log2(1 / w) - 3 levels
+    of a bracket w wide, and m is capped at the levels those values resolve.
+    A bracket not known to hold one root (a merged run of suspect cells,
+    where bisection's answer depends on its path) is only bisected.
     """
     s_lo, s_hi = sgn(lo), sgn(hi)
     if s_lo * s_hi >= 0:
@@ -765,10 +768,10 @@ def _refine_bracket(f: EPoly, sgn, value, lo: Fraction, hi: Fraction, tol: Fract
             x_lo, x_hi = float(lo), float(hi)
             resolved = _resolved_levels(x_lo, x_hi)
             if resolved >= 2:
-                m = min(m, resolved)
-                if root is None or not x_lo <= root <= x_hi:
+                m = min(m, resolved - 1)
+                if m > 1 and (root is None or not x_lo <= root <= x_hi):
                     root = _float_root(value, x_lo, x_hi)
-                if root is not None:
+                if m > 1 and root is not None:
                     pos = (Fraction(root) - lo) / (hi - lo)
                     guess = (pos.numerator, pos.denominator)
             else:

@@ -111,6 +111,23 @@ MUTANTS = [
         "    return {c0 + 1 for c0, r in solved if not r and c0 in span}\n",
         "tests/test_symbolic_kernel.py::test_solved_constants_match_enumerated_forms",
     ),
+    # The stderr summary is rendered from the report; a rule broken there
+    # still agrees with the report, so the pinned lines must catch it.
+    Mutant(
+        "summary: a slice factor's parentheses inverted",
+        "src/expalg/cli.py",
+        """            base = f"({sc['factor']})" if " " in sc["factor"] else sc["factor"]\n""",
+        """            base = f"({sc['factor']})" if " " not in sc["factor"] else sc["factor"]\n""",
+        "tests/test_summary.py::test_summary_of_each_branch",
+    ),
+    # Bisection's target level k is the least with 2^k >= ceil((hi - lo) / tol).
+    Mutant(
+        "refinement: the level count from the floor of the width ratio",
+        "src/expalg/numeric.py",
+        "    levels = (-(-ratio.numerator // ratio.denominator) - 1).bit_length()\n",
+        "    levels = ((ratio.numerator // ratio.denominator) - 1).bit_length()\n",
+        "tests/test_refine.py::test_isolation_matches_reference_on_seeded_inputs",
+    ),
 ]
 
 

@@ -1,4 +1,5 @@
-"""Layout rules of the package: standard-library runtime, no private imports."""
+"""Layout rules of the package: standard-library runtime, no private imports,
+output written by the command line's ``main`` and ``_emit`` alone."""
 
 import ast
 import sys
@@ -45,3 +46,20 @@ def test_every_exported_name_resolves():
     missing = [name for name in expalg.__all__ if not hasattr(expalg, name)]
     assert not missing, missing
     assert len(set(expalg.__all__)) == len(expalg.__all__)
+
+
+def test_only_main_and_emit_write_output():
+    # The command handlers return data; the summary is rendered from the
+    # report by cli.summary, and main and _emit (through _say) print it.
+    writers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    callee = ast.unparse(node.func)
+                    if callee in ("print", "_say") or callee.startswith(("sys.stdout", "sys.stderr")):
+                        writers.append(f"{path.name}:{func.name}")
+    assert sorted(set(writers)) == ["cli.py:_emit", "cli.py:_say", "cli.py:main"], writers

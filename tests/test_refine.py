@@ -365,12 +365,15 @@ def test_refinement_below_float_resolution_needs_at_most_a_third_of_bisections_s
 def test_first_guess_below_float_resolution_is_capped_by_the_secant_error():
     # On exp(x1) - 2 the secant of fixed-point values misses the root by
     # about w / 8 of a bracket w wide, relatively.  A first guess taking
-    # every level left is refuted on two of these brackets (12 signs
-    # each); one capped at log2(1 / w) - 3 levels is proven at once, so
-    # each bracket takes its two end signs and two per proven guess.
+    # every level left is refuted on the first four of these brackets (12
+    # signs each); one capped at log2(1 / w) - 3 levels is proven at once,
+    # so each bracket takes its two end signs and two per proven guess.
+    # On the last three, a first float guess at the deepest level the
+    # floats resolve, where cells are about one ulp wide, misses the root's
+    # cell (17 or 18 signs); one level up it is proven at once.
     f = parse_epoly("exp(x1) - 2")
     root = Fraction(0.6931471805599453)
-    for offset in (6, 433, 913, 734):
+    for offset in (6, 433, 913, 734, 371, 630, 926):
         lo = root - Fraction(offset, 8000)
         with Counting(numeric, "sign_at_rational") as counter:
             got = _refine_bracket(f, signs(f), f.float_evaluator(), lo, lo + Fraction(1, 8), TOLS[2], True)
