@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
 )
 from .factor import factor_univariate
-from .hyperplanes import CandidateSet, Hyperplane, candidate_hyperplanes, primitive_normalize
+from .hyperplanes import Hyperplane, candidate_hyperplanes, primitive_normalize
 from .intervals import Interval
 from .numeric import (
     RootCert,
@@ -49,7 +49,6 @@ from .poly import Poly, Rat
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidateSet",
     "ComponentReport",
     "DimensionError",
     "DriverError",

@@ -693,7 +693,7 @@ def classify_codim1(
 
     f = EPoly.from_poly(p)
     cand = candidate_hyperplanes(p)
-    if cand.degenerate:
+    if not cand:
         # The zero set is algebraic in x (up to a nonvanishing exponential
         # factor); only the x-part hypotheses matter here.
         roots = _log_codim1(f, assume_codim1, log)

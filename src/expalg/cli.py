@@ -223,7 +223,7 @@ def _cmd_hyperplanes(args) -> Report:
     p = parse_poly(args.text, args.ambient)
     cand = candidate_hyperplanes(p)
     result = {
-        "degenerate": cand.degenerate,
+        "degenerate": not cand,
         "count": len(cand),
         "hyperplanes": [_hyperplane_json(h) for h in cand],
     }

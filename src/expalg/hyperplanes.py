@@ -7,10 +7,9 @@ stored in a primitive canonical form (gcd 1, first nonzero entry positive),
 so the family is a deduplicated sorted list, invariant under reordering terms
 of p or scaling p by a nonzero rational.
 
-With at most one distinct exponent vector the family is undefined; that case
-is represented by ``degenerate=True`` with an empty list (the zero set is
-then algebraic in x, up to a nonvanishing exponential factor), which keeps
-downstream pipelines total.
+With at most one distinct exponent vector the family is empty: the
+degenerate case, whose zero set is algebraic in x, up to a nonvanishing
+exponential factor.
 """
 
 from __future__ import annotations
@@ -45,20 +44,6 @@ class Hyperplane:
         return len(self.normal)
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Sorted, duplicate-free candidate hyperplanes for one polynomial."""
-
-    hyperplanes: tuple[Hyperplane, ...]
-    degenerate: bool
-
-    def __iter__(self):
-        return iter(self.hyperplanes)
-
-    def __len__(self) -> int:
-        return len(self.hyperplanes)
-
-
 def primitive_normalize(v: Sequence[int]) -> Hyperplane:
     """Divide by the gcd and flip sign so the first nonzero entry is positive."""
     if not v or all(e == 0 for e in v):
@@ -72,13 +57,12 @@ def primitive_normalize(v: Sequence[int]) -> Hyperplane:
     return Hyperplane(tuple(w))
 
 
-def candidate_hyperplanes(p: Poly) -> CandidateSet:
-    """All hyperplanes {(d - d') . x = 0} over pairs of distinct u-exponent vectors."""
+def candidate_hyperplanes(p: Poly) -> tuple[Hyperplane, ...]:
+    """All hyperplanes {(d - d') . x = 0} over pairs of distinct u-exponent
+    vectors, sorted and duplicate-free: empty exactly when p has at most one."""
     vectors = sorted(p.u_exponent_vectors())
-    if len(vectors) <= 1:
-        return CandidateSet((), degenerate=True)
     seen: set[Hyperplane] = set()
     for d, e in combinations(vectors, 2):
         diff = tuple(a - b for a, b in zip(d, e))
         seen.add(primitive_normalize(diff))
-    return CandidateSet(tuple(sorted(seen)), degenerate=False)
+    return tuple(sorted(seen))

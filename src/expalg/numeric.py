@@ -107,8 +107,6 @@ _FIXED_REL_BITS = 20
 #: largest |t| for which a rigorous point box gets the exact value: beyond
 #: it e^t is far outside the float range, and ``exp_fixed`` grows with t
 _POINT_EXP_EDGE = 746
-#: grid points ``brute_force_sign_scan`` evaluates at a time
-_SCAN_CHUNK = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +528,9 @@ class RootCert:
 def default_root_domain(f: EPoly) -> tuple[float, float]:
     """Crude symmetric search domain from the coefficient height.
 
-    Dominant-term growth of exponential polynomials pushes distant real roots
-    toward moderate magnitudes; the bound is logged by callers, not claimed
-    complete.
+    It is no root bound: x1^7 - 3*x1 + 1 - e^x1 has a root near 21.46,
+    outside its domain [-8, 8].  Yet ``classify``'s one-variable verdicts
+    still take the roots found on it as all of them.
     """
     h = max(8, 2 * f.coefficient_height())
     return (-float(h), float(h))
@@ -559,7 +557,9 @@ def isolate_roots_1d(
     test.  Exact rational roots (for instance at 0) are detected by a zero
     sign and certified as point enclosures.  Each bracket is then narrowed
     by ``_refine_bracket``: quadratic interval refinement on the monotone
-    cells, and bisection on merged runs of suspect cells.  Returns
+    cells, and bisection on merged runs of suspect cells.  A merged run with
+    opposite end signs becomes one ``SignChange`` whose uniqueness is not
+    proven: it may hold several roots, and it reports one.  Returns
     (certified, uncertified) lists, both sorted by position, with pairwise
     disjoint certified enclosures of width at most ``tol``, which must be
     positive and finite; so must the domain's ends.
@@ -905,50 +905,6 @@ def _merge_cells(cells: list[tuple[int, int]]):
         else:
             merged.append([lo, hi])
     return [(lo, hi) for lo, hi in merged]
-
-
-def brute_force_sign_scan(
-    f: EPoly, domain: tuple[float, float], step: float = 1e-4
-) -> int:
-    """Independent root count oracle: strict sign changes plus exact grid zeros."""
-    lo, hi = domain
-    count = 0
-    prev = None
-    for v in _grid_values(f, lo, step, int(round((hi - lo) / step)) + 1):
-        if v == 0.0:
-            count += 1
-            prev = None  # do not double-count the crossing around an exact hit
-            continue
-        if prev is not None and prev * v < 0:
-            count += 1
-        prev = v
-    return count
-
-
-def _grid_values(f: EPoly, lo: float, step: float, points: int):
-    """``EPoly.float_evaluator``'s values at lo + k step, k < ``points``, with
-    its operation order, computed ``_SCAN_CHUNK`` points at a time."""
-    if f.n != 1:
-        raise DimensionError(f"point length 1 != {f.n}")
-    # per group: its spectrum entry, or None, and its (coefficient, exponent) terms
-    groups = [
-        (float(spec[0]) if spec[0] else None, [(float(c), m[0]) for m, c in a.terms.items()])
-        for spec, a in f.terms.items()
-    ]
-    exp = math.exp
-    for start in range(0, points, _SCAN_CHUNK):
-        xs = [lo + k * step for k in range(start, min(start + _SCAN_CHUNK, points))]
-        acc = [0.0] * len(xs)
-        for q, terms in groups:
-            coeff = None
-            for c, e in terms:
-                term = [c * x**e for x in xs] if e else [c] * len(xs)
-                coeff = term if coeff is None else [a + b for a, b in zip(coeff, term)]
-            if q is None:
-                acc = [a + b for a, b in zip(acc, coeff)]
-            else:
-                acc = [a + b * exp(q * x) for a, b, x in zip(acc, coeff, xs)]
-        yield from acc
 
 
 # ---------------------------------------------------------------------------

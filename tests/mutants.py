@@ -128,6 +128,30 @@ MUTANTS = [
         "    levels = ((ratio.numerator // ratio.denominator) - 1).bit_length()\n",
         "tests/test_refine.py::test_isolation_matches_reference_on_seeded_inputs",
     ),
+    # A sum keeps its terms in the order they were written.
+    Mutant(
+        "parser: a sum's terms merged in reverse order",
+        "src/expalg/parsing.py",
+        "for minus, t in signed for m, c in t.terms.items()",
+        "for minus, t in reversed(signed) for m, c in t.terms.items()",
+        "tests/test_parse_kernel.py::test_valid_text_parses_to_the_reference_term_order",
+    ),
+    # e^t underflows below the smallest subnormal only below -745.2.
+    Mutant(
+        "exp enclosure: the old underflow cut-off at -744.0",
+        "src/expalg/intervals.py",
+        "    if 10 * n < -7452 * d:\n",
+        "    if 10 * n < -7440 * d:\n",
+        "tests/test_rational_kernel.py::test_certified_exp_and_pow_enclose_fraction_values",
+    ),
+    # The oracle of the change of variables: normals map by M^T, not by M.
+    Mutant(
+        "metamorphic test: normals mapped by M instead of its transpose",
+        "tests/test_metamorphic.py",
+        "sum(m[i][j] * a[i] for i in range(2))",
+        "sum(m[j][i] * a[i] for i in range(2))",
+        "tests/test_metamorphic.py::test_integer_change_of_variables_maps_the_certified_normals",
+    ),
 ]
 
 

@@ -16,7 +16,6 @@ from expalg.classify import classify_codim1, classify_single_exp
 from expalg.epoly import EPoly
 from expalg.hyperplanes import candidate_hyperplanes
 from expalg.numeric import (
-    brute_force_sign_scan,
     check_transversality,
     isolate_roots_1d,
     sample_zero_cells_2d,
@@ -24,7 +23,7 @@ from expalg.numeric import (
 from expalg.parsing import format_poly, parse_epoly, parse_poly
 from expalg.poly import Poly
 
-from util import mono, rand_poly
+from util import mono, rand_poly, reference_brute_force_sign_scan
 
 AXES_PAIR = "x1*u2 + x2*u1 - x1 - x2"
 TWO_POINT_LINE_F = "2*x1 + 1 - exp(x1)"
@@ -63,7 +62,7 @@ def test_criterion_2_two_point_root_count():
     assert a.enclosure.lo == 0.0 == a.enclosure.hi  # contains 0 exactly
     assert 1.25 <= b.enclosure.lo and b.enclosure.hi <= 1.26
     assert b.enclosure.width <= 1e-9
-    assert brute_force_sign_scan(f, (-5.0, 5.0), 1e-4) == 2
+    assert reference_brute_force_sign_scan(f, (-5.0, 5.0), 1e-4) == 2
     assert elapsed < 1.0, f"root isolation took {elapsed:.3f}s"
     _report("2 two-point root count")
 

@@ -125,7 +125,7 @@ def test_certified_hyperplanes_vanish_numerically_and_come_from_candidates():
         p = parse_poly(text, ambient=2)
         f = EPoly.from_poly(p)
         rep = classify_codim1(p)
-        candidates = set(candidate_hyperplanes(p).hyperplanes)
+        candidates = set(candidate_hyperplanes(p))
         for cert in rep.hyperplanes:
             assert cert.hyperplane in candidates  # nothing outside the family
             assert f.restrict(cert.hyperplane).is_zero()

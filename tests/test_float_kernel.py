@@ -25,7 +25,7 @@ import struct
 from fractions import Fraction
 
 from expalg.epoly import EPoly
-from expalg.numeric import EvalPlan, brute_force_sign_scan
+from expalg.numeric import EvalPlan
 from expalg.parsing import parse_epoly, parse_poly
 from expalg.poly import Poly
 
@@ -34,6 +34,7 @@ from util import (
     rand_epoly,
     rand_fraction,
     rand_nonzero_poly,
+    reference_brute_force_sign_scan,
     reference_float_evaluator,
     reference_interval_eval,
     reference_pair_plan,
@@ -222,7 +223,7 @@ def test_float_evaluator_sums_several_entries_with_sum():
 
 
 def test_brute_force_scan_counts_the_two_roots():
-    assert brute_force_sign_scan(parse_epoly("2*x1 + 1 - exp(x1)"), (-5.0, 5.0)) == 2
+    assert reference_brute_force_sign_scan(parse_epoly("2*x1 + 1 - exp(x1)"), (-5.0, 5.0)) == 2
 
 
 if __name__ == "__main__":

@@ -13,9 +13,16 @@ For an integer matrix M with det 1 and nonnegative entries, f(M x) comes
 from P_M(x, u) = P(M x, u^M), where u^d becomes u^(M^T d).  f vanishes on
 {a . y = 0} exactly when f(M x) vanishes on {(M^T a) . x = 0}, so the
 certified normals of P_M are the primitive M^T a for the certified a of P.
+Restriction to a hyperplane H is a ring homomorphism, and exponential
+polynomials form an integral domain, so (f_P f_Q)|H is zero exactly when
+f_P|H or f_Q|H is: the certified hyperplanes of P Q are the candidates of
+P Q on which f_P or f_Q vanishes.
 The claims are on counts and containment, not on bytes: the float
 enclosures that steer the bisection change with how f is written, and at a
-coarse tolerance so may the width of an enclosure.
+coarse tolerance so may the width of an enclosure.  The module needs no
+pytest, so it also runs as a script on an interpreter without it:
+
+    PYTHONPATH=src python3 tests/test_metamorphic.py
 """
 
 import random
@@ -23,11 +30,11 @@ from fractions import Fraction
 
 from expalg.classify import classify_codim1
 from expalg.epoly import EPoly
-from expalg.hyperplanes import primitive_normalize
+from expalg.hyperplanes import candidate_hyperplanes, primitive_normalize
 from expalg.numeric import isolate_roots_1d
 from expalg.poly import Poly
 
-from util import rand_epoly
+from util import rand_epoly, rand_nonzero_poly, run_standalone
 
 DOMAIN = (-4.0, 4.0)
 TOL = 1e-6
@@ -146,3 +153,22 @@ def test_integer_change_of_variables_maps_the_certified_normals():
             assert certified_normals(changed(p, m)) == mapped, (p, m)
             pairs += 1
     assert pairs == 135
+
+
+def test_certified_hyperplanes_of_a_product_are_those_of_its_factors():
+    rng = random.Random(1407)
+    with_hyperplane = 0
+    for k in range(60):
+        p = planted_2d(rng)[0] if k % 2 == 0 else rand_nonzero_poly(rng, 2)
+        q = planted_2d(rng)[0] if k % 3 == 0 else rand_nonzero_poly(rng, 2)
+        f_p, f_q = EPoly.from_poly(p), EPoly.from_poly(q)
+        report = classify_codim1(p * q, assume_irreducible=True, assume_codim1=True)
+        got = [c.hyperplane for c in report.hyperplanes]
+        want = [h for h in candidate_hyperplanes(p * q) if f_p.restrict(h).is_zero() or f_q.restrict(h).is_zero()]
+        assert got == want, (p, q)
+        with_hyperplane += bool(want)
+    assert with_hyperplane >= 50, with_hyperplane  # 52: the planted 40 and 12 more
+
+
+if __name__ == "__main__":
+    run_standalone(globals())

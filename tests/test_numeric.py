@@ -16,7 +16,6 @@ from expalg.numeric import (
     RootCert,
     TightEvaluator,
     SIGN_GRID,
-    brute_force_sign_scan,
     certified_sign_change,
     check_transversality,
     default_root_domain,
@@ -34,6 +33,7 @@ from util import (
     rand_epoly,
     rand_fraction,
     rand_poly,
+    reference_brute_force_sign_scan,
     reference_enclose_rational,
     reference_interval_eval,
 )
@@ -107,7 +107,7 @@ def test_isolate_roots_two_point_example():
     assert zero.kind == "NewtonContraction" and zero.residual_bound == 0.0
     assert 1.25 <= star.enclosure.lo <= star.enclosure.hi <= 1.26
     assert star.enclosure.width <= 1e-9
-    assert brute_force_sign_scan(f, (-5.0, 5.0)) == 2
+    assert reference_brute_force_sign_scan(f, (-5.0, 5.0)) == 2
 
 
 def test_isolate_roots_simple_cases():
@@ -171,7 +171,7 @@ def test_root_completeness_against_scan():
         f = parse_epoly(text)
         certs, leftovers = isolate_roots_1d(f, domain, 1e-9)
         assert not leftovers, text
-        assert brute_force_sign_scan(f, domain) == len(certs), text
+        assert reference_brute_force_sign_scan(f, domain) == len(certs), text
 
 
 def test_root_count_matches_scan_on_random_inputs():
@@ -191,7 +191,7 @@ def test_root_count_matches_scan_on_random_inputs():
         marks = [domain[0]] + [c.enclosure.mid for c in certs] + [domain[1]]
         if leftovers or min(b - a for a, b in zip(marks, marks[1:])) <= 4 * step:
             continue
-        assert brute_force_sign_scan(f, domain, step) == len(certs), f
+        assert reference_brute_force_sign_scan(f, domain, step) == len(certs), f
         checked += 1
         roots += len(certs)
     assert checked >= 30 and roots >= 20, (checked, roots)

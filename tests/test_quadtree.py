@@ -1,4 +1,4 @@
-"""The quadtree with zero certificates, and the chunked sign scan, against references.
+"""The quadtree with zero certificates against references.
 
 ``numeric.sample_zero_cells_2d`` keeps a cell without evaluating it when f
 provably vanishes in it: one corner where f is exactly 0, or two corners
@@ -13,10 +13,8 @@ enclosure is (-inf, inf).
 
 ``TightEvaluator`` evaluates each path's natural extension once per box,
 and the quadtree and the root isolator hand it the ones they computed.
-``numeric.brute_force_sign_scan`` evaluates its grid in chunks; each value
-must be ``EPoly.float_evaluator``'s, and each count that of
-``util.reference_brute_force_sign_scan``.  The module needs no pytest, so
-it also runs as a script on an interpreter without it:
+The module needs no pytest, so it also runs as a script on an interpreter
+without it:
 
     PYTHONPATH=src python3 tests/test_quadtree.py
 """
@@ -29,15 +27,13 @@ from fractions import Fraction
 from expalg import numeric
 from expalg.corpus import AXES_PAIR, CARTAN_UMBRELLA
 from expalg.epoly import EPoly
-from expalg.numeric import EvalPlan, TightEvaluator, brute_force_sign_scan, isolate_roots_1d, sample_zero_cells_2d
+from expalg.numeric import EvalPlan, TightEvaluator, isolate_roots_1d, sample_zero_cells_2d
 from expalg.parsing import parse_epoly
 from expalg.poly import Poly
 
 from util import (
     ReferenceTightEvaluator,
     rand_epoly,
-    rand_poly,
-    reference_brute_force_sign_scan,
     reference_sample_zero_cells_2d,
     run_standalone,
 )
@@ -282,44 +278,6 @@ def test_isolator_box_test_reuses_the_derivative():
         certs, calls = _plan_calls(lambda: isolate_roots_1d(f, (-4.0, 4.0), 1e-6))
         boxes = [b for _, g, b in calls if g == df]
         assert certs and boxes and len(boxes) == len(set(boxes)), text
-
-
-def _bits(v: float) -> bytes:
-    return struct.pack("<d", v)
-
-
-def test_scan_values_are_the_float_evaluator_values():
-    rng = random.Random(11)
-    chunk = numeric._SCAN_CHUNK
-    cases = [(parse_epoly("2*x1 + 1 - exp(x1)"), -5.0, 1e-4, 100001), (parse_epoly("x1"), -1.0, 0.25, 9)]
-    for k in range(24):
-        f = rand_epoly(rng, 1, max_terms=4, max_exp=3)
-        if k % 3 == 0:
-            f = f + EPoly.from_poly(rand_poly(rng, 1, max_exp=4))
-        points = (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 37, 3000)[k % 6]
-        cases.append((f, rng.uniform(-3, 0), rng.choice((1e-3, 7e-4, 1 / 64)), points))
-    for f, lo, step, points in cases:
-        if f.is_zero():
-            continue
-        value = f.float_evaluator()
-        got = list(numeric._grid_values(f, lo, step, points))
-        want = [value([lo + k * step]) for k in range(points)]
-        assert len(got) == points and [_bits(v) for v in got] == [_bits(v) for v in want], (f, lo, step, points)
-
-
-def test_scan_counts_match_the_reference():
-    cases = [
-        ("2*x1 + 1 - exp(x1)", (-5.0, 5.0), 1e-4),  # 100,001 points: not a whole number of chunks
-        ("x1", (-1.0, 1.0), 0.25),  # an exact zero on the grid
-        ("(4*x1^2 - 1)*exp(x1)", (-1.0, 1.0), 1 / 1024),  # exact zeros at +-1/2 with exp
-        ("x1^3 - 1/4*x1 + 1/1000", (-2.0, 2.0), 1e-3),
-        ("exp(x1) - 1", (-0.5, 0.75), 1 / 4096),
-    ]
-    for text, domain, step in cases:
-        f = parse_epoly(text)
-        assert brute_force_sign_scan(f, domain, step) == reference_brute_force_sign_scan(f, domain, step), text
-    assert brute_force_sign_scan(parse_epoly("x1"), (-1.0, 1.0), 0.25) == 1
-    assert brute_force_sign_scan(parse_epoly("(4*x1^2 - 1)*exp(x1)"), (-1.0, 1.0), 1 / 1024) == 2
 
 
 if __name__ == "__main__":

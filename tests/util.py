@@ -1089,10 +1089,9 @@ def _reference_secant_cell(value, lo: Fraction, hi: Fraction, m: int):
 
 
 # ---------------------------------------------------------------------------
-# Reference quadtree and sign scan, as they were before certified cells were
-# kept unevaluated and before the scan was evaluated in chunks.
-# ``numeric.sample_zero_cells_2d`` and ``numeric.brute_force_sign_scan`` must
-# give the same cells and counts.
+# Reference quadtree, as it was before certified cells were kept unevaluated:
+# ``numeric.sample_zero_cells_2d`` must give the same cells.  The sign scan is
+# an independent root count oracle for tests of the root isolator.
 # ---------------------------------------------------------------------------
 
 
@@ -1121,7 +1120,8 @@ def reference_sample_zero_cells_2d(f: EPoly, bounds, max_depth: int, rigorous: b
 
 
 def reference_brute_force_sign_scan(f: EPoly, domain, step: float = 1e-4) -> int:
-    """The sign scan with one ``float_evaluator`` call per grid point."""
+    """Strict sign changes plus exact zeros of ``float_evaluator`` on the grid
+    lo + k step; a zero resets the previous sign, so it counts once."""
     lo, hi = domain
     value = f.float_evaluator()
     count = 0
