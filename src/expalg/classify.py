@@ -40,7 +40,6 @@ hypothesis log rather than treated as proof.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import random
 from dataclasses import dataclass, field
@@ -48,6 +47,14 @@ from fractions import Fraction
 from itertools import product as iter_product
 from math import gcd
 from operator import add, mul, sub
+
+try:  # hashlib maps OpenSSL's libcrypto; CPython's own sha256 does not
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .epoly import EPoly
 from .errors import DimensionError, DriverError, HypothesisViolation
@@ -137,9 +144,12 @@ class ComponentReport:
 
 
 def _stable_seed(p: Poly, seed: int) -> int:
+    """The oracle's random seed for p: the first 8 bytes of the SHA-256 of
+    p's sorted terms, read big-endian, XOR ``seed``.  Every oracle line, and
+    so every report, follows from it, so it must never change."""
     n = p.n
     blob = repr(sorted((m[:n], m[n:], c.numerator, c.denominator) for m, c in p.terms.items()))
-    digest = hashlib.sha256(blob.encode()).digest()
+    digest = sha256(blob.encode()).digest()
     return int.from_bytes(digest[:8], "big") ^ seed
 
 

@@ -152,6 +152,50 @@ MUTANTS = [
         "sum(m[j][i] * a[i] for i in range(2))",
         "tests/test_metamorphic.py::test_integer_change_of_variables_maps_the_certified_normals",
     ),
+    # The oracle's seed is pinned: its digest is read big-endian.
+    Mutant(
+        "oracle seed: the digest read little-endian",
+        "src/expalg/classify.py",
+        '    return int.from_bytes(digest[:8], "big") ^ seed\n',
+        '    return int.from_bytes(digest[:8], "little") ^ seed\n',
+        "tests/test_footprint.py::test_stable_seed_matches_the_hashlib_recipe",
+    ),
+    # c f has other coefficient denominators than f: the exact kernel scales
+    # them to integers by their lcm, which is 1 for f with integer ones.
+    Mutant(
+        "exact kernel: coefficients scaled by the gcd of their denominators",
+        "src/expalg/epoly.py",
+        "        scale = math.lcm(",
+        "        scale = math.gcd(",
+        "tests/test_metamorphic.py::test_nonzero_rational_multiple_has_the_same_roots",
+    ),
+    # e^(k x1) f has no group without exponential, and the derivative of a
+    # group e^(s x1) a is e^(s x1) (a' + s a).
+    Mutant(
+        "derivative: the exponential's chain-rule term dropped",
+        "src/expalg/epoly.py",
+        '            ((s, a.derivative("x", i) + a.scale(s[i - 1])) for s, a in self.terms.items()),\n',
+        '            ((s, a.derivative("x", i)) for s, a in self.terms.items()),\n',
+        "tests/test_metamorphic.py::test_exponential_multiple_has_the_same_roots",
+    ),
+    # The reflection's roots on [0, 4] are f's on [-4, 0], where an even
+    # power of a cell that reaches 0, such as [-4, 0], is bounded by lo^k.
+    Mutant(
+        "box power: an even power across 0 bounded by the upper end alone",
+        "src/expalg/numeric.py",
+        "                        hi = (hi if hi > -lo else -lo) ** k\n",
+        "                        hi = hi**k\n",
+        "tests/test_metamorphic.py::test_reflection_negates_the_roots",
+    ),
+    # The refuting point must lie on the hyperplane, or a factor's certified
+    # plane is refuted in the product.
+    Mutant(
+        "hyperplane certificate: the pivot coordinate solved with the wrong sign",
+        "src/expalg/classify.py",
+        "    point[pivot] = Fraction(-rest, normal[pivot])\n",
+        "    point[pivot] = Fraction(rest, normal[pivot])\n",
+        "tests/test_metamorphic.py::test_certified_hyperplanes_of_a_product_are_those_of_its_factors",
+    ),
 ]
 
 
