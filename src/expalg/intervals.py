@@ -3,11 +3,13 @@
 ``pair_add``, ``pair_mul``, ``pair_pow`` and ``pair_exp`` define the
 program's one interval arithmetic, and each pads its result by one ulp
 outward (two ulps for exp, whose libm error is not formally bounded to a
-half ulp).  They are the semantics: ``numeric.EvalPlan`` runs whole plans,
-fast and rigorous, in an inlined kernel that reproduces them bit for bit,
-and the mean-value step calls them directly.  A box or a cell is a sequence
-of such pairs; ``Interval`` is the validated record that root enclosures
-and ``numeric.interval_eval`` return, and it does no arithmetic.
+half ulp, and whose lower end is clamped at 0, as e^x > 0).  They are the
+semantics: ``numeric.EvalPlan`` runs whole plans, fast and rigorous, in an
+inlined kernel that reproduces them bit for bit, and the mean-value step
+calls them directly.  A plan rounds no exact step: it takes x^1 as x and
+adds a group without exponential without an exp.  A box or a cell is a
+sequence of such pairs; ``Interval`` is the validated record that root
+enclosures and ``numeric.interval_eval`` return, and it does no arithmetic.
 
 Rigorous evaluation keeps the sums and products, whose IEEE results are
 correctly rounded, and replaces the two operations that go through libm:
@@ -198,8 +200,9 @@ def pair_pow(a: Pair, k: int) -> Pair:
 
 
 def pair_exp(a: Pair) -> Pair:
+    """e^a padded by two ulps, the lower end clamped at 0: e^x > 0."""
     return (
-        _next(_next(_safe_exp(a[0]), -_INF), -_INF),
+        max(_next(_next(_safe_exp(a[0]), -_INF), -_INF), 0.0),
         _next(_next(_safe_exp(a[1]), _INF), _INF),
     )
 

@@ -31,10 +31,13 @@ from an ``EPoly``: the terms in canonical order with their coefficient and
 spectrum enclosures precomputed.  Fast and rigorous plans run one hand-written
 loop on the float pairs of ``intervals`` that computes exactly what the
 ``pair_*`` operations would, bit for bit, without a call or a tuple per
-operation.  One flag, ``rigorous``, selects the evaluation from the
-command line down to the plans; rigorous evaluation differs in three steps:
-the exact value on a point box, exact powers, and exp by ``exp_fixed`` at
-the exact ends of its argument.
+operation.  Neither mode rounds an exact step: a first power is the
+variable's bounds, a group without exponential is added without an exp, and
+no exp enclosure reaches below 0.  One flag, ``rigorous``, selects the
+evaluation from the command line down to the plans; rigorous evaluation
+differs only in the exact value on a point box and in the two steps that
+fast plans take from libm: powers above the first are exact, and exp is
+``exp_fixed`` at the exact ends of its argument.
 ``TightEvaluator`` maps float bounds to one pair as a plan does, and its
 mean-value step combines plan results with the ``pair_*`` operations.  The
 transversality check ranks its Jacobian minors, EPolys too, by their float
@@ -83,7 +86,6 @@ from .intervals import (
     floor_float,
     midpoint,
     pair_add,
-    pair_exp,
     pair_mul,
     pair_pow_exact,
     ratio_down,
@@ -114,17 +116,13 @@ _POINT_EXP_EDGE = 746
 # ---------------------------------------------------------------------------
 
 
-#: the exp enclosure of a group without exponential: ``pair_exp((0, 0))``
-_EXP0_LO, _EXP0_HI = pair_exp((0.0, 0.0))
-
-
 class EvalPlan:
     """Interval evaluation of one EPoly, compiled once.
 
     The plan holds the terms in canonical order with their coefficient and
     spectrum enclosures precomputed as the tightest float pairs, and each
     spectrum entry also as an exact ratio.  A call computes the natural
-    interval extension term by term, with the powers x_i^e it needs
+    interval extension term by term, with the powers x_i^k it needs
     computed once and shared.
 
     Fast and rigorous plans run one hand-written kernel, ``__call__``, on
@@ -137,15 +135,19 @@ class EvalPlan:
     straddle 0.  These differ from the min/max of all four products only in
     the sign of a zero, which the outward step erases.
 
+    Both modes leave the exact steps unrounded.  Power slot i < n is x_i's
+    own bounds, so only the powers x_i^k with k >= 2 are computed; a group
+    without exponential is added as it is; and no exp enclosure has a lower
+    end below 0, so its product with the group's value takes the first sign
+    case alone.  The kernel's products and sums stay exactly ``pair_mul``
+    and ``pair_add``: no lower end is +inf, and no upper end -inf.
+
     A ``rigorous`` plan differs in three steps: a point box gets the exact
     value sum_t C_t e^t / M (``EPoly.scaled_ints``, summed by ``_exp_sum``)
     rounded outward, so an exact zero gives (0, 0), unless some |t| exceeds
-    746; powers come from ``pair_pow_exact``; and a group's exp is
-    ``enclose_exp`` at the ends of its argument s . x, computed exactly at
-    box corners, while a group without exponential is added without a
-    product.  The kernel's
-    products and sums stay exactly ``pair_mul`` and ``pair_add``: no lower
-    end is +inf, no upper end -inf, and no exp enclosure reaches below 0.
+    746; powers x_i^k with k >= 2 come from ``pair_pow_exact``; and a
+    group's exp is ``enclose_exp`` at the ends of its argument s . x,
+    computed exactly at box corners.
     ``exps`` keeps the exp enclosures by argument (a ``TightEvaluator``
     gives all its plans one), so neighbouring boxes share them.
     """
@@ -159,16 +161,18 @@ class EvalPlan:
         self.exps = {} if exps is None else exps
         # A group is (spectrum pairs, terms, spectrum ratios): entries (i,
         # q_lo, q_hi) and (i, numerator, denominator), terms (c_lo, c_hi,
-        # power slots).
+        # power slots).  Slot i < n is x_i itself, and each power x_i^k,
+        # k >= 2, gets one slot after those.
         pair = enclose_rational_pair
-        slots: dict[tuple[int, int], int] = {}  # (variable, exponent) -> power
+        slots: dict[tuple[int, int], int] = {}  # (variable, exponent >= 2) -> slot
+
+        def slot(i: int, k: int) -> int:
+            return i if k == 1 else slots.setdefault((i, k), f.n + len(slots))
+
         self.groups = tuple(
             (
                 tuple((i, *pair(q)) for i, q in enumerate(spec) if q),
-                tuple(
-                    (*pair(c), tuple(slots.setdefault(v, len(slots)) for v in enumerate(mono) if v[1]))
-                    for mono, c in a.sorted_terms()
-                ),
+                tuple((*pair(c), tuple(slot(i, k) for i, k in enumerate(mono) if k)) for mono, c in a.sorted_terms()),
                 tuple((i, q.numerator, q.denominator) for i, q in enumerate(spec) if q),
             )
             for spec, a in f.sorted_terms()
@@ -187,11 +191,11 @@ class EvalPlan:
                 if all(-edge <= a <= edge for a in groups):
                     lo, hi, work = _exp_sum(groups, t_den, RIGOROUS_BITS)
                     return (floor_float(lo, m << work), ceil_float(hi, m << work))
-            pows = [pair_pow_exact(bounds[i], k) for i, k in self.powers]
+            pows = [*bounds, *(pair_pow_exact(bounds[i], k) for i, k in self.powers)]
             ends = [(lo.as_integer_ratio(), hi.as_integer_ratio()) for lo, hi in bounds]
             exps = self.exps
         else:
-            pows = []
+            pows = list(bounds)
             for i, k in self.powers:
                 lo, hi = bounds[i]
                 if k % 2 == 0 and lo <= 0.0 <= hi:
@@ -245,11 +249,11 @@ class EvalPlan:
                 v_lo = nxt(v_lo + t_lo, -inf)
                 v_hi = nxt(v_hi + t_hi, inf)
 
+            if not ratios:  # no exponential: the value is added as it is
+                acc_lo = nxt(acc_lo + v_lo, -inf)
+                acc_hi = nxt(acc_hi + v_hi, inf)
+                continue
             if rigorous:
-                if not ratios:  # no exponential: the value is added as it is
-                    acc_lo = nxt(acc_lo + v_lo, -inf)
-                    acc_hi = nxt(acc_hi + v_hi, inf)
-                    continue
                 # s . x is least at the corner with x_i low where s_i > 0
                 # and high where s_i < 0, and greatest at the opposite one.
                 ln = hn = 0
@@ -260,7 +264,7 @@ class EvalPlan:
                     hn, hd = hn * d * e + n * c * hd, hd * d * e
                 e_lo = (exps.get((ln, ld)) or exps.setdefault((ln, ld), enclose_exp(ln, ld)))[0]
                 e_hi = (exps.get((hn, hd)) or exps.setdefault((hn, hd), enclose_exp(hn, hd)))[1]
-            elif spec:
+            else:
                 d_lo = d_hi = 0.0
                 for i, q_lo, q_hi in spec:
                     x_lo, x_hi = bounds[i]
@@ -276,8 +280,8 @@ class EvalPlan:
                         hi = 0.0
                     d_lo = nxt(d_lo + nxt(lo, -inf), -inf)
                     d_hi = nxt(d_hi + nxt(hi, inf), inf)
-                # exp, padded by two ulps; its lower end is below 0 after an
-                # underflow, so its sign is tested below like any other.
+                # exp, padded by two ulps, with its lower end clamped at 0
+                # where an underflow took it below: e^x > 0.
                 try:
                     e_lo = math.exp(d_lo)
                 except OverflowError:
@@ -287,23 +291,14 @@ class EvalPlan:
                 except OverflowError:
                     e_hi = inf
                 e_lo = nxt(nxt(e_lo, -inf), -inf)
+                if e_lo < 0.0:
+                    e_lo = 0.0
                 e_hi = nxt(nxt(e_hi, inf), inf)
-            else:
-                e_lo, e_hi = _EXP0_LO, _EXP0_HI
 
-            if e_lo >= 0.0:
-                lo = v_lo * (e_lo if v_lo >= 0.0 else e_hi)
-                hi = v_hi * (e_hi if v_hi >= 0.0 else e_lo)
-            elif v_lo >= 0.0:  # e_hi > 0 always
-                lo = e_lo * v_hi
-                hi = e_hi * v_hi
-            elif v_hi <= 0.0:
-                lo = e_hi * v_lo
-                hi = e_lo * v_lo
-            else:
-                lo = min(v_lo * e_hi, v_hi * e_lo)
-                hi = max(v_lo * e_lo, v_hi * e_hi)
-            # lo is never NaN: e_lo is finite, and e_hi > 0 meets only v_lo < 0.
+            # 0 <= e_lo < inf and e_hi > 0, so one sign case: lo is never
+            # NaN, as e_lo is finite and e_hi meets only v_lo < 0.
+            lo = v_lo * (e_lo if v_lo >= 0.0 else e_hi)
+            hi = v_hi * (e_hi if v_hi >= 0.0 else e_lo)
             if hi != hi:
                 hi = 0.0
             acc_lo = nxt(acc_lo + nxt(lo, -inf), -inf)

@@ -196,6 +196,31 @@ MUTANTS = [
         "    point[pivot] = Fraction(rest, normal[pivot])\n",
         "tests/test_metamorphic.py::test_certified_hyperplanes_of_a_product_are_those_of_its_factors",
     ),
+    # A group without exponential is added as it is in both modes: e^0 = 1
+    # needs no product.
+    Mutant(
+        "fast plan: a group without exponential multiplied by a padded e^0",
+        "src/expalg/numeric.py",
+        "            if not ratios:  # no exponential: the value is added as it is\n",
+        "            if rigorous and not ratios:  # no exponential: the value is added as it is\n",
+        "tests/test_exact_steps.py::test_fast_and_rigorous_plans_agree_without_exponential_and_higher_powers",
+    ),
+    # e^x > 0: no exp enclosure reaches below 0, so value * exp takes the
+    # first sign case alone.
+    Mutant(
+        "fast plan: the exp lower end not clamped at 0",
+        "src/expalg/numeric.py",
+        "                if e_lo < 0.0:\n                    e_lo = 0.0\n",
+        "",
+        "tests/test_float_kernel.py::test_plan_kernel_at_exp_overflow_and_underflow",
+    ),
+    Mutant(
+        "pair_exp: the lower end not clamped at 0",
+        "src/expalg/intervals.py",
+        "        max(_next(_next(_safe_exp(a[0]), -_INF), -_INF), 0.0),\n",
+        "        _next(_next(_safe_exp(a[0]), -_INF), -_INF),\n",
+        "tests/test_exact_steps.py::test_exp_lower_end_is_zero_where_exp_underflows",
+    ),
 ]
 
 

@@ -421,6 +421,37 @@ def test_coefficient_beyond_float_range_is_an_input_error(capsys):
     assert code == 0 and json.loads(out)["command"] == "hyperplanes"
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["transversal", "--coords", "1", "2", "--", "2*x1 - u1 + 1"],
+            "transversal on an ambient-1 polynomial needs 0 --coords values",
+        ),
+        (
+            ["transversal", "--ambient", "2", "--coords", "0", "--", "2*x1 - u1 + 1"],
+            "--root-of is required when the polynomial has n >= 2",
+        ),
+        (
+            ["transversal", "--ambient", "2", "--coords", "0", "--root-of", "x1 + x2", "--", "2*x1 - u1 + 1"],
+            "--root-of must be a 1-variable exponential polynomial",
+        ),
+        (["transversal", "--", "x1^2 + 1"], "no certified roots to lift"),
+        (["transversal", "--root-index", "5", "--", "2*x1 - u1 + 1"], "--root-index out of range 0..1"),
+        (
+            ["transversal", "--", "x1"],
+            "every certified root enclosure contains x1 = 0; select one explicitly "
+            "with --root-index to see the violation",
+        ),
+        (["sample2d", "--", "x1 - u1"], "sample2d requires a 2-variable exponential polynomial"),
+        (["classify1e", "--", "0"], "cannot classify the zero polynomial"),
+    ],
+)
+def test_refusals_exit_2_with_one_stderr_line(capsys, argv, line):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (2, "", f"hypothesis violation: {line}\n")
+
+
 def test_wrong_driver_exit_code(capsys):
     code, _, err = run_cli(capsys, ["roots", "x1*exp(x2)"])
     assert code == 2 and "hypothesis violation" in err

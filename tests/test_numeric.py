@@ -138,7 +138,7 @@ def test_isolate_roots_double_roots_stay_suspect_leftovers():
     # Around each double root +-sqrt(2) no cell is monotone and no sign changes.
     certs, leftovers = isolate_roots_1d(parse_epoly("(x1^2 - 2)^2"), (-8.0, 8.0), 1e-9)
     assert certs == []
-    lo, hi, residual = 1.4142135621514171, 1.4142135626170784, 5.268362635035833e-09
+    lo, hi, residual = 1.4142135621514171, 1.4142135626170784, 5.26836263503583e-09
     assert leftovers == [
         RootCert(Interval(-hi, -lo), "UncertifiedTangential", residual),
         RootCert(Interval(lo, hi), "UncertifiedTangential", residual),
@@ -150,8 +150,23 @@ def test_isolate_roots_deepest_suspect_with_a_sign_change_is_refined():
     # wider than the certificate width; the sign change there is refined.
     certs, leftovers = isolate_roots_1d(parse_epoly("x1 - 1/3"), (-1e300, 1e300), 1e-9)
     enc = Interval(0.3333333326635275, 0.33333333335886317)
-    assert certs == [RootCert(enc, "SignChange", 6.698060439624959e-10)]
+    assert certs == [RootCert(enc, "SignChange", 6.698059884513443e-10)]
     assert leftovers == []
+
+
+def test_isolate_roots_rejects_bad_inputs():
+    f = parse_epoly("x1 - 1/3")
+    with pytest.raises(DimensionError, match="1-variable"):
+        isolate_roots_1d(parse_epoly("x1 - x2"), (-1.0, 1.0), 1e-9)
+    for domain in ((-math.inf, 1.0), (-1.0, math.nan)):
+        with pytest.raises(ValueError, match="domain endpoints must be finite"):
+            isolate_roots_1d(f, domain, 1e-9)
+    for domain in ((1.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="nonempty interval"):
+            isolate_roots_1d(f, domain, 1e-9)
+    for tol in (0.0, -1e-9, math.inf, math.nan):
+        with pytest.raises(ValueError, match="root tolerance"):
+            isolate_roots_1d(f, (-1.0, 1.0), tol)
 
 
 def test_isolate_roots_rejects_zero_function():
@@ -212,6 +227,24 @@ def test_subdivision_monotonicity():
         assert any(all(p_lo <= lo and hi <= p_hi for (p_lo, p_hi), (lo, hi) in zip(parent, cell)) for parent in shallow)
 
 
+def test_sample_cells_rejects_bad_inputs():
+    f = parse_epoly("x1*exp(x2) - x2", 2)
+    box = [(0.0, 1.0), (0.0, 1.0)]
+    with pytest.raises(DimensionError, match="2-variable"):
+        sample_zero_cells_2d(parse_epoly("x1 - 1"), box, 3)
+    for bounds in (box[:1], box * 2):
+        with pytest.raises(DimensionError, match="box must be 2-dimensional"):
+            sample_zero_cells_2d(f, bounds, 3)
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        sample_zero_cells_2d(f, box, -1)
+    for side in ((0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            sample_zero_cells_2d(f, [(0.0, 1.0), side], 3)
+    for side in ((1.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="nonempty intervals"):
+            sample_zero_cells_2d(f, [side, (0.0, 1.0)], 3)
+
+
 def test_sample_cells_positive_function_is_empty():
     f = parse_epoly("exp(x1)*exp(x2)", ambient=2)
     assert sample_zero_cells_2d(f, [(0.0, 1.0), (0.0, 1.0)], 3) == []
@@ -243,6 +276,28 @@ def test_transversality_examples_and_scaling_invariance():
     zero = next(c for c in certs if c.enclosure.contains(0.0))
     with pytest.raises(HypothesisViolation):
         check_transversality(p, zero, (), 1e-6)
+
+
+def test_transversality_rejects_bad_inputs():
+    p = parse_poly("2*x1 - u1 + 1")
+    root = RootCert(Interval(1.25, 1.26), "SignChange", 0.0)
+    for tol in (-1e-6, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            check_transversality(p, root, (), tol)
+    with pytest.raises(DimensionError, match="expected 0 extra coordinates"):
+        check_transversality(p, root, (Fraction(1),), 1e-6)
+    with pytest.raises(DimensionError, match="expected 1 extra coordinates"):
+        check_transversality(parse_poly("2*x1 - u1 + x2", 2), root, (), 1e-6)
+
+
+def test_tight_evaluator_rejects_bad_boxes():
+    tight = TightEvaluator(parse_epoly("x1*exp(x2) - x2", 2))
+    for bounds in ([(0.0, 1.0)], [(0.0, 1.0)] * 3):
+        with pytest.raises(DimensionError, match="box dimension"):
+            tight(bounds)
+    # the midpoint of (-inf, inf) is NaN, and no mean-value form is taken there
+    with pytest.raises(ValueError, match="midpoint is not a number"):
+        TightEvaluator(parse_epoly("x1"))([(-math.inf, math.inf)])
 
 
 def test_transversality_precondition_on_synthetic_root():

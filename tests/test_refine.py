@@ -461,5 +461,30 @@ def test_cells_whose_ends_bracket_a_root_skip_the_box_test():
     assert skipped >= 40, skipped
 
 
+def test_bisection_step_returns_an_exact_root_at_its_midpoint():
+    # At tol 1/8 the monotone cell [0, 1/4] is its own bracket, two levels of
+    # tol wide, so refinement bisects once, and the midpoint 1/8 is a root.
+    f = parse_epoly("(8*x1 - 1)*(8*x1 - 5)")
+    certs, leftovers = isolate_roots_1d(f, (-8.0, 8.0), 0.125)
+    assert [(c.enclosure.lo, c.enclosure.hi, c.kind) for c in certs] == [
+        (0.125, 0.125, "NewtonContraction"),
+        (0.625, 0.625, "NewtonContraction"),
+    ]
+    assert leftovers == []
+
+    def sgn(x: Fraction) -> int:
+        return numeric.sign_at_rational(f, [x])
+
+    eighth = Fraction(1, 8)
+    assert _refine_bracket(f, sgn, f.float_evaluator(), Fraction(0), 2 * eighth, eighth, True) == (eighth, eighth)
+
+
+def test_resolved_levels_of_a_bracket_wider_than_the_float_range():
+    # The root isolator's one-root brackets are at most 2^61 wide, so no
+    # input reaches this; the width of [-1e308, 1e308] overflows to inf.
+    assert numeric._resolved_levels(-1e308, 1e308) == 0
+    assert numeric._resolved_levels(0.0, 1.0) > 50
+
+
 if __name__ == "__main__":
     run_standalone(globals())

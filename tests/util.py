@@ -293,7 +293,9 @@ class ReferenceInterval:
         return ReferenceInterval(_down(lo), _up(hi))
 
     def exp(self) -> ReferenceInterval:
-        return ReferenceInterval(_down(_down(_safe_exp(self.lo))), _up(_up(_safe_exp(self.hi))))
+        """Two ulps outward, and no lower end below 0 after an underflow."""
+        lo = _down(_down(_safe_exp(self.lo)))
+        return ReferenceInterval(lo if lo > 0.0 else 0.0, _up(_up(_safe_exp(self.hi))))
 
     def scale(self, c: Fraction) -> ReferenceInterval:
         return self * reference_enclose_rational(c)
@@ -332,15 +334,16 @@ def reference_pair_plan(f: EPoly, bounds, rigorous: bool = False) -> Pair:
     """A plan of f run as one ``pair_*`` call per interval operation.
 
     Terms and groups in canonical order, each coefficient and spectrum entry
-    enclosed by ``enclose_rational_pair``, each power x_i^e computed once, and
-    every value, exponent and sum starting from the pair (0, 0).  The float
-    kernel of ``EvalPlan`` must reproduce it bit for bit.
+    enclosed by ``enclose_rational_pair``, each power x_i^e, e >= 2, computed
+    once, and every value, exponent and sum starting from the pair (0, 0).
+    The exact steps are not rounded: x_i^1 is x_i's bounds, and a group
+    without exponential is not multiplied.  The float kernel of ``EvalPlan``
+    must reproduce it bit for bit.
 
     ``rigorous`` takes the certified operations instead: ``pair_pow_exact``
     for powers, and for the exp of a group ``enclose_exp`` at the least and
     greatest values of its argument over the box, found exactly with
-    Fractions at the box corners; a group without exponential is not
-    multiplied.  A point box gets the exact value instead
+    Fractions at the box corners.  A point box gets the exact value instead
     (``reference_point_value``) unless an exponent lies beyond +-746.
     """
     if rigorous and all(lo == hi for lo, hi in bounds):
@@ -359,7 +362,7 @@ def reference_pair_plan(f: EPoly, bounds, rigorous: bool = False) -> Pair:
         for spec, a in f.sorted_terms()
     ]
     power = pair_pow_exact if rigorous else pair_pow
-    pows = [power(bounds[i], e) for i, e in slots]
+    pows = [bounds[i] if e == 1 else power(bounds[i], e) for i, e in slots]
     acc = (0.0, 0.0)
     for spec, terms in groups:
         value = (0.0, 0.0)
@@ -368,7 +371,7 @@ def reference_pair_plan(f: EPoly, bounds, rigorous: bool = False) -> Pair:
             for k in term_slots:
                 term = pair_mul(term, pows[k])
             value = pair_add(value, term)
-        if not rigorous:
+        if spec and not rigorous:
             dot = (0.0, 0.0)
             for i, q in spec:
                 dot = pair_add(dot, pair_mul(bounds[i], enclose_rational_pair(q)))
@@ -426,7 +429,7 @@ def _reference_poly(a: Poly, xs, zero, coeff):
         term = coeff(c)
         for iv, e in zip(xs, m):
             if e:
-                term = term * iv.pow_int(e)
+                term = term * (iv if e == 1 else iv.pow_int(e))
         acc = acc + term
     return acc
 
@@ -435,8 +438,10 @@ def reference_interval_eval(f: EPoly, bounds, rigorous: bool = False) -> Referen
     """Natural extension of f over the box with the given float bounds, as
     ``interval_eval`` defines it.
 
-    Fast evaluation builds one ReferenceInterval per step; rigorous
-    evaluation is ``reference_pair_plan`` with the certified operations.
+    Fast evaluation builds one ReferenceInterval per step, except for the
+    exact steps: x_i^1 is x_i, and a group without exponential takes no exp.
+    Rigorous evaluation is ``reference_pair_plan`` with the certified
+    operations.
     """
     if len(bounds) != f.n:
         raise DimensionError(f"box dimension {len(bounds)} != ambient {f.n}")
@@ -446,11 +451,14 @@ def reference_interval_eval(f: EPoly, bounds, rigorous: bool = False) -> Referen
     zero = reference_point(0.0)
     acc = zero
     for spec, a in f.sorted_terms():
-        dot = zero
-        for q, iv in zip(spec, xs):
-            if q:
-                dot = dot + iv.scale(q)
-        acc = acc + _reference_poly(a, xs, zero, reference_enclose_rational) * dot.exp()
+        value = _reference_poly(a, xs, zero, reference_enclose_rational)
+        if any(spec):
+            dot = zero
+            for q, iv in zip(spec, xs):
+                if q:
+                    dot = dot + iv.scale(q)
+            value = value * dot.exp()
+        acc = acc + value
     return acc
 
 
