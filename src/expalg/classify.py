@@ -31,8 +31,11 @@ exponentials, Unconditional for single-exponential and algebraic zero sets.
 
 ``irreducibility_oracle`` is a heuristic certifier for polynomial
 irreducibility over Q: reducibility witnesses are exact divisors (verified),
-irreducibility certificates come from full-degree specializations to random
-rational lines whose univariate image is irreducible.  Polynomial
+irreducibility certificates come from full-degree specializations to
+rational lines whose univariate image is irreducible.  A polynomial in one
+variable v is factored as it is, its image on the line v = t; otherwise the
+lines are random, and a linear divisor is proved by substitution
+(``divides_linear``).  Polynomial
 irreducibility over Q is neither necessary nor sufficient for the
 irreducibility of the real zero set, so oracle outcomes are recorded in the
 hypothesis log rather than treated as proof.
@@ -40,13 +43,12 @@ hypothesis log rather than treated as proof.
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
 from math import gcd
-from operator import add, mul, sub
+from operator import mul
 
 try:  # hashlib maps OpenSSL's libcrypto; CPython's own sha256 does not
     from _sha2 import sha256  # Python 3.12+
@@ -60,7 +62,6 @@ from .epoly import EPoly
 from .errors import DimensionError, DriverError, HypothesisViolation
 from .factor import (
     count_real_roots,
-    dadd,
     dense_to_poly,
     dmul,
     dtrim,
@@ -68,12 +69,11 @@ from .factor import (
     factor_univariate,
     over_common_denominator,
     poly_to_dense,
-    zprimitive,
 )
 from .hyperplanes import Hyperplane, candidate_hyperplanes
 from .numeric import RootCert, certified_sign_change, default_root_domain, isolate_roots_1d
 from .parsing import format_poly
-from .poly import Mono, Poly, var_name, var_pos
+from .poly import Poly, var_name, var_pos
 
 # Conditionality levels, ordered from strongest statement to weakest.
 UNCONDITIONAL = "Unconditional"
@@ -92,6 +92,8 @@ class IrredVerdict:
     status: str  # Irreducible | Reducible | Unknown
     witness: str = ""
     factor: Poly | None = None  # exact divisor, present for Reducible
+    # certifying line (a, b) of an Irreducible verdict of degree >= 2:
+    # variable i -> a_i t + b_i; in one variable v it is v = t
     line: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None = None
 
 
@@ -197,51 +199,29 @@ def _int_nth_root(v: int, k: int) -> int | None:
     return lo if lo**k == v else None
 
 
-def trial_divide(p: Poly, d: Poly) -> Poly | None:
-    """Exact quotient p / d under graded-lex leading-term division, or None.
+def divides_linear(p: Poly, d: Poly) -> bool:
+    """Whether the affine form d (total degree 1) divides p exactly.
 
-    The remainder is one dict, changed in place; a heap of negated grlex keys
-    yields its leading monomial (entries of monomials that cancelled are
-    skipped).  Each step removes the leading monomial and adds only smaller
-    ones, so the loop ends because grlex is a well-order.  If d divides p,
-    every remainder is a multiple of d and its leading monomial is divisible
-    by d's; the first one that is not proves d does not divide p.
+    Write d = c v + r with v d's first variable and c != 0.  Over the other
+    variables, dividing p by d as a polynomial in v leaves the remainder
+    p(-r / c) (the remainder theorem), so d divides p exactly when that
+    substitution makes p the zero polynomial.
     """
     if p.n != d.n:
         raise DimensionError(f"ambient mismatch: {p.n} != {d.n}")
-    lead_d, c_d = d.leading_term()
-    tail_d = [(m, c) for m, c in d.terms.items() if m != lead_d]
-    rem = dict(p.terms)
-    heap = [(_desc_key(m), m) for m in rem]
-    heapq.heapify(heap)
-    quo: list[tuple[Mono, Fraction]] = []
-    while heap:
-        lead_r = heapq.heappop(heap)[1]
-        c_r = rem.pop(lead_r, None)
-        if c_r is None:
-            continue
-        diff = tuple(map(sub, lead_r, lead_d))
-        if min(diff, default=0) < 0:
-            return None
-        c_q = c_r / c_d
-        quo.append((diff, c_q))
-        for m, c in tail_d:
-            mono = tuple(map(add, diff, m))
-            v = c_q * c
-            prev = rem.get(mono)
-            if prev is None:
-                rem[mono] = -v
-                heapq.heappush(heap, (_desc_key(mono), mono))
-            elif prev == v:
-                del rem[mono]
-            else:
-                rem[mono] = prev - v
-    return Poly(p.n, quo)
-
-
-def _desc_key(m: Mono) -> tuple:
-    """Key whose ascending order is descending graded-lex order."""
-    return (-sum(m), tuple(-e for e in m))
+    if d.total_degree() != 1:
+        raise ValueError("divides_linear needs a divisor of total degree 1")
+    n = p.n
+    coeffs = [Fraction(0)] * (2 * n)
+    for m, c in d.terms.items():
+        if any(m):
+            coeffs[m.index(1)] = c
+    pivot = next(j for j, c in enumerate(coeffs) if c)
+    c_v = coeffs[pivot]
+    rest = [-c / c_v for c in coeffs]
+    rest[pivot] = 0
+    const = -d.terms.get((0,) * (2 * n), 0) / c_v
+    return p.substitute_affine(*var_name(n, pivot), rest, const).is_zero()
 
 
 #: coefficient bound of the divisor hunt's affine forms, and the most active
@@ -331,37 +311,24 @@ def _specialize_to_line(p: Poly, C: list[int], A: list[int], B: list[int], l: in
     return dtrim(acc)
 
 
-def _pull_back(g: list[int], A: int, B: int, l: int, n: int, kind: str, idx: int) -> Poly:
-    """g((v - b) / a) for a = A / l and b = B / l, as a primitive Poly in
-    the variable v = (kind, idx).
-
-    (v - b) / a = (l v - B) / A, so the Horner sum of
-    g_k (l v - B)^k A^(d - k) is A^d times it, with d the degree of g.
-    """
-    acc = [g[-1]]
-    scale = 1
-    for c in reversed(g[:-1]):
-        scale *= A
-        acc = dadd(dmul(acc, [-B, l]), [c * scale])
-    return dense_to_poly(zprimitive(acc), n, kind, idx)
-
-
 def irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0) -> IrredVerdict:
     """Heuristic irreducibility certifier for polynomials over Q.
 
     Reducible verdicts always carry an exact divisor.  Irreducible verdicts
-    record the certifying random line: the specialization preserves the total
+    record the certifying line: the specialization preserves the total
     degree and its univariate image is irreducible over Q, so any nontrivial
-    factorization of p would specialize to one of the image.  In one variable
-    the first full-degree image decides: if it factors, one of its factors,
-    mapped back through the line, is an exact divisor.  When no line
-    certifies, the oracle hunts for an exact divisor among the small primitive
-    linear forms.  It keeps the rational roots of every full-degree image it
-    factored and trial-divides only the forms whose restriction to each such
-    line divides the image (a factor of p restricts to a factor of every
-    specialization), so every divisor is still tried, in the same order;
-    each line's roots fix the constant terms that pass, which are solved
-    for instead of enumerated.
+    factorization of p would specialize to one of the image.  A polynomial
+    in one variable v is its own full-degree image on the line v = t, so
+    ``factor_dense`` decides it at every seed: if it factors, its first
+    factor of lowest degree is the divisor.  Otherwise the lines are drawn
+    at random, and when none certifies, the oracle hunts for an exact
+    divisor among the small primitive linear forms.  It keeps the rational
+    roots of every full-degree image it factored and checks only the forms
+    whose restriction to each such line divides the image (a factor of p
+    restricts to a factor of every specialization), so every divisor is
+    still tried, in the same order; each line's roots fix the constant
+    terms that pass, which are solved for instead of enumerated.  A form
+    divides p when p vanishes on its zero set (``divides_linear``).
     Without a divisor the verdict is Unknown.  ``attempts`` must be at
     least 1.
     """
@@ -395,6 +362,26 @@ def irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0) -> IrredVer
                 )
 
     active = sorted(p.variables_used())
+    if len(active) == 1:
+        # On the line v = t the image is p's own coefficients.
+        [(kind, idx)] = active
+        image, _ = over_common_denominator(poly_to_dense(p)[1])
+        factors = factor_dense(image)
+        if len(factors) == 1 and factors[0][1] == 1:
+            a = [Fraction(0)] * (2 * p.n)
+            a[var_pos(p.n, kind, idx)] = Fraction(1)
+            return IrredVerdict(
+                "Irreducible",
+                witness="full-degree line specialization with irreducible image",
+                line=(tuple(a), (Fraction(0),) * (2 * p.n)),
+            )
+        return IrredVerdict(
+            "Reducible",
+            witness="a factor of a full-degree line image, mapped back "
+            "through the line (one variable)",
+            factor=dense_to_poly(min((g for g, _ in factors), key=len), p.n, kind, idx),
+        )
+
     C, _ = over_common_denominator(list(p.terms.values()))
     rng = random.Random(_stable_seed(p, seed))
     lines = []  # a _line_filter for each full-degree image that factored
@@ -416,25 +403,13 @@ def irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0) -> IrredVer
                 witness="full-degree line specialization with irreducible image",
                 line=(tuple(a), tuple(b)),
             )
-        if len(active) == 1:
-            # In one variable v, p(v) = image((v - b_v) / a_v) with a_v != 0
-            # (full degree), so the image factors exactly as p does.
-            [(kind, idx)] = active
-            j = var_pos(p.n, kind, idx)
-            g = min((g for g, _ in nontrivial), key=len)
-            return IrredVerdict(
-                "Reducible",
-                witness="a factor of a full-degree line image, mapped back "
-                "through the line (one variable)",
-                factor=_pull_back(g, A[j], B[j], l, p.n, kind, idx),
-            )
         lines.append(_line_filter(A, B, l, factors))
 
-    # Every sampled image factored: hunt for an exact low-degree divisor
-    # among the linear forms that restrict to a divisor of every image.
+    # Every sampled image factored: hunt for an exact divisor among the
+    # linear forms that restrict to a divisor of every image.  p has degree
+    # >= 2 here, so a linear divisor leaves a nonconstant quotient.
     for cand in _linear_candidates(p, lines):
-        quo = trial_divide(p, cand)
-        if quo is not None and not quo.is_constant():
+        if divides_linear(p, cand):
             return IrredVerdict(
                 "Reducible", witness="exact division by a small linear form", factor=cand
             )

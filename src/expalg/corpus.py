@@ -18,8 +18,8 @@ from fractions import Fraction
 from .classify import (
     classify_codim1,
     classify_single_exp,
+    divides_linear,
     irreducibility_oracle,
-    trial_divide,
 )
 from .epoly import EPoly
 from .errors import HypothesisViolation
@@ -208,9 +208,7 @@ def run_all() -> list[CorpusCheck]:
     )
     square_diff = parse_poly("x1^2 - u1^2")
     verdict = irreducibility_oracle(square_diff)
-    witness_divides = verdict.factor is not None and not (
-        _exact_division_fails(square_diff, verdict.factor)
-    )
+    witness_divides = verdict.factor is not None and divides_linear(square_diff, verdict.factor)
     out(
         _check(
             "oracle/difference-of-squares-reducible",
@@ -398,7 +396,3 @@ def run_all() -> list[CorpusCheck]:
         out(_check("transversal/zero-root-rejected", True))
 
     return checks
-
-
-def _exact_division_fails(p, factor) -> bool:
-    return trial_divide(p, factor) is None

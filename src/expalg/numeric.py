@@ -317,8 +317,9 @@ def interval_eval(f: EPoly, bounds: Sequence[Pair], rigorous: bool = False) -> I
     By default it uses outward-rounded hardware floats; ``rigorous``
     certifies powers and exp too, and evaluates a point box exactly (see
     ``EvalPlan``).  Every side must satisfy lo <= hi, which a NaN end does
-    not.  Callers that evaluate one function on many boxes should keep an
-    ``EvalPlan``.
+    not.  Rigorous evaluation takes the exact value of every end, so it
+    needs finite sides; the fast mode also accepts infinite ones.  Callers
+    that evaluate one function on many boxes should keep an ``EvalPlan``.
     """
     if len(bounds) != f.n:
         raise DimensionError(f"box dimension {len(bounds)} != ambient {f.n}")
@@ -326,6 +327,8 @@ def interval_eval(f: EPoly, bounds: Sequence[Pair], rigorous: bool = False) -> I
     for lo, hi in bounds:
         if not lo <= hi:
             raise ValueError(f"invalid interval [{lo}, {hi}]")
+        if rigorous and not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"rigorous evaluation needs finite sides, not [{lo}, {hi}]")
     return Interval(*EvalPlan(f, rigorous)(bounds))
 
 

@@ -221,6 +221,31 @@ MUTANTS = [
         "        _next(_next(_safe_exp(a[0]), -_INF), -_INF),\n",
         "tests/test_exact_steps.py::test_exp_lower_end_is_zero_where_exp_underflows",
     ),
+    # A linear form divides p when p vanishes on its zero set: the pivot
+    # variable is solved for, constant term included.
+    Mutant(
+        "divides_linear: the constant term solved with the wrong sign",
+        "src/expalg/classify.py",
+        "    const = -d.terms.get((0,) * (2 * n), 0) / c_v\n",
+        "    const = d.terms.get((0,) * (2 * n), 0) / c_v\n",
+        "tests/test_divisor_hunt.py::test_divides_linear_matches_leading_term_division",
+    ),
+    # A polynomial in one variable reports factor_dense's first factor of
+    # lowest degree, at every seed.
+    Mutant(
+        "one-variable oracle: the last factor of lowest degree",
+        "src/expalg/classify.py",
+        "min((g for g, _ in factors), key=len)",
+        "min((g for g, _ in reversed(factors)), key=len)",
+        "tests/test_divisor_hunt.py::test_one_variable_verdict_is_the_same_at_every_seed",
+    ),
+    Mutant(
+        "interval_eval: rigorous boxes with an infinite side let through",
+        "src/expalg/numeric.py",
+        "        if rigorous and not (math.isfinite(lo) and math.isfinite(hi)):\n",
+        "        if False:\n",
+        "tests/test_rational_kernel.py::test_rigorous_interval_eval_needs_finite_sides",
+    ),
 ]
 
 

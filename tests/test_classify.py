@@ -15,7 +15,6 @@ from expalg.classify import (
     classify_codim1,
     classify_single_exp,
     irreducibility_oracle,
-    trial_divide,
 )
 from expalg.epoly import EPoly
 from expalg.errors import DriverError, HypothesisViolation
@@ -25,7 +24,7 @@ from expalg.intervals import Interval
 from expalg.numeric import RootCert, sign_at_rational
 from expalg.parsing import format_poly, parse_poly
 
-from util import line_image
+from util import line_image, reference_trial_divide
 
 
 UMBRELLA = "(x1 + u1 - 1)*((2*x1 - u1 + 1)^2 + x2^2) + (2*x1 - u1 + 1)^3"
@@ -53,7 +52,7 @@ def test_oracle_difference_of_squares_reducible_with_exact_divisor():
     p = parse_poly("x1^2 - u1^2")
     v = irreducibility_oracle(p)
     assert v.status == "Reducible" and v.factor is not None
-    quo = trial_divide(p, v.factor)
+    quo = reference_trial_divide(p, v.factor)
     assert quo is not None and quo * v.factor == p
 
 
@@ -165,7 +164,7 @@ def test_classify_refuted_irreducibility_is_inconclusive():
         assert rep.verdict == "Inconclusive", text
         assert rep.residual.startswith("Z(p) is reducible over Q"), rep.residual
         divisor = rep.residual.split("divisor ")[1].split(")")[0]
-        assert trial_divide(p, parse_poly(divisor, p.n)) is not None
+        assert reference_trial_divide(p, parse_poly(divisor, p.n)) is not None
         assert rep.conditionality == "ConditionalOnAssertedHypotheses"
 
 
@@ -335,7 +334,7 @@ def test_reducible_x_part_quotes_its_divisor():
     statuses = {h.name: h.status for h in rep.hypothesis_log}
     assert statuses["x-part irreducible"] == "failed"
     divisor = parse_poly(rep.residual.split("divisor ")[1].split(")")[0], 2)
-    assert trial_divide(parse_poly("(x1 - 1)*(x2 - 2)", 2), divisor) is not None
+    assert reference_trial_divide(parse_poly("(x1 - 1)*(x2 - 2)", 2), divisor) is not None
 
 
 def test_single_exp_constant_is_inconclusive():

@@ -276,6 +276,20 @@ def test_seed_only_on_the_oracle_drivers(capsys):
     assert_rejected(capsys, ["verify-paper", "--ambient", "2"], "--ambient")
 
 
+def test_one_variable_divisor_is_the_same_at_every_seed(capsys):
+    # x1^2 - 1 is factored on the line x1 = t, so the seed changes nothing
+    # but the report's seed key: the divisor is factor_dense's first factor.
+    reports = []
+    for seed in (0, 1):
+        argv = ["classify", "--ambient", "2", "--seed", str(seed), "--", "x1^2 - 1"]
+        code, out, err = run_cli(capsys, argv)
+        report = json.loads(out)
+        assert code == 0 and report.pop("seed") == seed
+        reports.append((report, err))
+    assert reports[0] == reports[1]
+    assert "; divisor x1 - 1)" in reports[0][0]["result"]["residual"]
+
+
 def test_parse_error_exit_code(capsys):
     code, out, err = run_cli(capsys, ["canon", "x1 +"])
     assert code == 1 and out == "" and "input error" in err

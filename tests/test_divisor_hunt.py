@@ -1,19 +1,23 @@
 """The oracle's divisor hunt, pruned by the line images it has factored.
 
 The reference in ``util`` is the hunt before pruning: it trial-divides every
-small primitive linear form.  The pruned hunt must reach the same verdict and
-must trial-divide exactly the forms whose restriction to every factored line
-divides that line's image, in the same order.
+small primitive linear form by leading-term division.  The pruned hunt must
+reach the same verdict and must check exactly the forms whose restriction to
+every factored line divides that line's image, in the same order.  Its check,
+``divides_linear``, substitutes the form's zero set and must agree with the
+reference division.  A polynomial in one variable v is factored as it is, on
+the line v = t, so its verdict and divisor must not depend on the seed.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from expalg import classify
-from expalg.classify import _allowed_constants, _line_filter, irreducibility_oracle, trial_divide
+from expalg.classify import _allowed_constants, _line_filter, divides_linear, irreducibility_oracle
 from expalg.factor import factor_dense
 from expalg.parsing import format_poly, parse_poly
-from expalg.poly import Poly
+from expalg.poly import Poly, var_pos
 
 from util import (
     line_image,
@@ -29,14 +33,14 @@ HUNT_PRODUCT = "(x1*u2 + 2*x2 + 3)*(x3*u1 + x1 + 5)"
 
 
 def _record_divisions(monkeypatch):
-    """Divisors passed to classify.trial_divide from here on, in call order."""
+    """Divisors passed to classify.divides_linear from here on, in call order."""
     calls = []
 
     def recording(p, d):
         calls.append(d)
-        return trial_divide(p, d)
+        return divides_linear(p, d)
 
-    monkeypatch.setattr(classify, "trial_divide", recording)
+    monkeypatch.setattr(classify, "divides_linear", recording)
     return calls
 
 
@@ -104,7 +108,7 @@ def test_pruned_hunt_matches_unpruned_reference(monkeypatch):
         ), case
         statuses.add(got.status)
         if got.status == "Reducible":
-            quo = trial_divide(p, got.factor)
+            quo = reference_trial_divide(p, got.factor)
             assert quo is not None and quo * got.factor == p, case
         if not want.witness.startswith(("exact division", "no certificate")):
             assert calls == [], case
@@ -156,7 +160,7 @@ def _units(n):
     return [tuple(int(j == i) for j in range(n)) for i in range(n)]
 
 
-# Deterministic work gates: counts of trial divisions, not timings.
+# Deterministic work gates: counts of divisibility checks, not timings.
 
 
 def test_hunt_product_needs_no_trial_division(monkeypatch):
@@ -175,33 +179,9 @@ def test_planted_linear_divisor_is_found_with_few_divisions(monkeypatch):
     assert calls == [verdict.factor]
 
 
-def test_trial_divide_long_exact_quotient():
-    p, d = parse_poly("x1^22 - 1", 1), parse_poly("x1 - 1", 1)
-    quo = trial_divide(p, d)
-    assert quo == Poly(1, {mono((k,), (0,)): 1 for k in range(22)})
-    assert len(quo.terms) == 22
-    # The old division gave up after len(p) * (len(d) + 1) + 16 = 22 steps.
-    assert reference_trial_divide(p, d) is None
-
-
-def test_trial_divide_matches_old_division():
-    rng = random.Random(5)
-    for _ in range(300):
-        n = rng.choice([1, 2, 3])
-        d = rand_poly(rng, n, max_terms=3)
-        if d.is_zero():
-            continue
-        p = rand_poly(rng, n) * d if rng.random() < 0.5 else rand_poly(rng, n)
-        got, want = trial_divide(p, d), reference_trial_divide(p, d)
-        if want is not None:
-            assert got == want and list(got.terms) == list(want.terms)
-        elif got is not None:
-            assert got * d == p  # exact, beyond the old step guard
-
-
 def test_one_variable_oracle_factors_one_image(monkeypatch):
-    # A full-degree line image of p in one variable factors exactly as p,
-    # so the first image decides and no divisor hunt follows.
+    # p in one variable v is factored once, as its image on the line v = t,
+    # and no divisor hunt follows.
     calls = []
 
     def counting(image):
@@ -214,6 +194,97 @@ def test_one_variable_oracle_factors_one_image(monkeypatch):
         calls.clear()
         verdict = irreducibility_oracle(p)
         assert verdict.status == "Reducible" and calls == [p.total_degree()], text
-        quo = trial_divide(p, verdict.factor)
+        quo = reference_trial_divide(p, verdict.factor)
         assert quo is not None and not quo.is_constant() and quo * verdict.factor == p, text
         assert verdict.factor.variables_used() == p.variables_used()
+
+
+def _rand_linear(rng, n, kinds="xu"):
+    """A random affine form with rational coefficients on 1 to 3 variables
+    of the given kinds; the constant term is 0 about a third of the time."""
+    variables = [(k, i) for k in kinds for i in range(1, n + 1)]
+    scale = [Fraction(c) for c in (-3, -2, -1, 1, 2, 3)] + [Fraction(-1, 2), Fraction(2, 3)]
+    terms = {}
+    for kind, idx in rng.sample(variables, rng.randint(1, min(3, len(variables)))):
+        terms[Poly.var(n, kind, idx).leading_term()[0]] = rng.choice(scale)
+    if rng.random() < 0.67:
+        terms[(0,) * (2 * n)] = rng.choice(scale)
+    return Poly(n, terms)
+
+
+def test_divides_linear_matches_leading_term_division():
+    rng = random.Random(29)
+    seen = dict.fromkeys(
+        ("divides", "does not divide", "u pivot", "negative pivot", "non-unit pivot", "zero constant"), 0
+    )
+    for _ in range(240):
+        n = rng.choice([1, 2, 3])
+        form = _rand_linear(rng, n, rng.choice(["xu", "xu", "u"]))
+        q = rand_poly(rng, n)
+        if q.is_zero():
+            continue
+        roll = rng.random()
+        if roll < 0.45:
+            p = form * q
+        elif roll < 0.7:
+            p = form * q + Poly.const(n, rng.choice([1, -2, Fraction(1, 3)]))  # a near miss
+        else:
+            p = rand_poly(rng, n)
+        got = divides_linear(p, form)
+        want = reference_trial_divide(p, form) is not None
+        assert got == want, (format_poly(p), format_poly(form))
+        # The pivot is the form's first variable in (x1..xn, u1..un) order.
+        pivot = max(m for m in form.terms if any(m))
+        c_v = form.terms[pivot]
+        seen["divides" if want else "does not divide"] += 1
+        seen["u pivot"] += not any(pivot[:n])
+        seen["negative pivot"] += c_v < 0
+        seen["non-unit pivot"] += abs(c_v) != 1
+        seen["zero constant"] += (0,) * (2 * n) not in form.terms
+    assert all(seen.values()), seen
+
+
+ONE_VARIABLE_WITNESS = "a factor of a full-degree line image, mapped back through the line (one variable)"
+LINE_WITNESS = "full-degree line specialization with irreducible image"
+
+
+def _one_variable_product(rng):
+    """(p, divisor): a seeded product in one variable v, x or u, at ambient
+    1 to 3, of 2 or 3 distinct primitive linear factors a v + b (b != 0,
+    so p has no monomial content), one of them squared at times, times
+    v^2 + c at times, scaled by a rational.  divisor is the first factor of
+    lowest degree in factor_dense order, by (degree, coefficients)."""
+    n = rng.randint(1, 3)
+    kind, idx = rng.choice("xu"), rng.randint(1, n)
+    count, forms = rng.choice([2, 2, 3]), set()
+    while len(forms) < count:
+        a, b = rng.randint(1, 4), rng.choice([-3, -2, -1, 1, 2, 3])
+        if gcd(a, b) == 1:
+            forms.add((b, a))
+    v = Poly.var(n, kind, idx)
+    p = Poly.const(n, rng.choice([1, -1, Fraction(3, 2), Fraction(-2, 5)]))
+    for k, (b, a) in enumerate(sorted(forms)):
+        p = p * (v.scale(a) + Poly.const(n, b)) ** (2 if k == 1 and rng.random() < 0.3 else 1)
+    if rng.random() < 0.4:
+        p = p * (v * v + Poly.const(n, rng.randint(1, 3)))
+    b, a = min(forms)
+    return p, v.scale(a) + Poly.const(n, b)
+
+
+def test_one_variable_verdict_is_the_same_at_every_seed():
+    rng = random.Random(41)
+    for _ in range(20):
+        p, divisor = _one_variable_product(rng)
+        for seed in range(6):
+            verdict = irreducibility_oracle(p, seed=seed)
+            case = (format_poly(p), seed)
+            assert verdict.status == "Reducible" and verdict.witness == ONE_VARIABLE_WITNESS, case
+            assert verdict.factor == divisor and verdict.line is None, case
+    # Irreducible p record the line v = t: a is v's unit vector, b is 0.
+    for text, n, kind, idx in [("x1^2 + 2", 1, "x", 1), ("3*u2^3 - 4", 2, "u", 2), ("x3^4 + 1", 3, "x", 3)]:
+        p = parse_poly(text, n)
+        a = tuple(Fraction(j == var_pos(n, kind, idx)) for j in range(2 * n))
+        for seed in range(6):
+            verdict = irreducibility_oracle(p, seed=seed)
+            assert (verdict.status, verdict.witness) == ("Irreducible", LINE_WITNESS), (text, seed)
+            assert verdict.line == (a, (Fraction(0),) * (2 * n)), (text, seed)

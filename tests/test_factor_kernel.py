@@ -1,12 +1,11 @@
 """The oracle's integer kernels against their Fraction references.
 
 ``classify._specialize_to_line`` sums line images in integers over one
-denominator, and ``classify._pull_back`` maps a factor back through the line
-by integer Horner; ``factor_dense`` factors integer lists, splitting
+denominator; ``factor_dense`` factors integer lists, splitting
 square-free parts with primitive PRS gcds and exact integer division and
 Hensel lifting in (Z / p^k)[x]; ``count_real_roots`` builds its Sturm chain
 from integer pseudo-remainders.  The references in ``util`` do the same on
-Fractions.  Images, pull-backs, factorizations and counts must be equal, and
+Fractions.  Images, factorizations and counts must be equal, and
 the modular splitting must return the same factors for every seed.  Modular
 division, which reduces once per step, must equal division that reduces at
 every step, and so must the remainder-only ``gf_rem``; the prime is
@@ -21,7 +20,6 @@ import random
 from fractions import Fraction
 
 from expalg import factor
-from expalg.classify import _pull_back
 from expalg.factor import (
     _factor_squarefree_int,
     _gf_equal_degree,
@@ -58,7 +56,6 @@ from util import (
     reference_factor_dense,
     reference_gf_divmod,
     reference_gf_factor_squarefree,
-    reference_pull_back,
     reference_specialize_to_line,
     reference_squarefree_decomposition,
     reference_sturm_chain,
@@ -140,29 +137,6 @@ def test_line_image_matches_fraction_reference():
         seen["zero b_i"] += 0 in b
         seen["fractional image"] += any(c.denominator > 1 for c in want)
         seen["zero image"] += not got
-    assert all(seen.values()), seen
-
-
-def test_pull_back_matches_fraction_horner():
-    # g((v - b) / a) for integer, negative and fractional a and b, on
-    # integer g of either leading sign, with zero and nonzero constants.
-    rng = random.Random(37)
-    entries = [Fraction(v) for v in (-4, -1, 1, 3)] + [Fraction(-2, 3), Fraction(5, 2), Fraction(-7, 12)]
-    seen = {"negative a": 0, "fractional a": 0, "negative b": 0, "fractional b": 0}
-    for _ in range(300):
-        n = rng.choice([1, 2, 3])
-        kind, idx = rng.choice("xu"), rng.randint(1, n)
-        g = rand_int_poly(rng, rng.randint(1, 4))
-        a = rng.choice(entries)
-        b = rng.choice(entries + [Fraction(0)])
-        (A, B), l = over_common_denominator([a, b])
-        got = _pull_back(g, A, B, l, n, kind, idx)
-        want = reference_pull_back(g, a, b, n, kind, idx)
-        assert got == want and list(got.terms) == list(want.terms), (g, a, b)
-        seen["negative a"] += a < 0
-        seen["fractional a"] += a.denominator > 1
-        seen["negative b"] += b < 0
-        seen["fractional b"] += b.denominator > 1
     assert all(seen.values()), seen
 
 

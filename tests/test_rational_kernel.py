@@ -19,7 +19,8 @@ under even and odd powers, coefficients 1/3 and 1/10, rational spectra, exp
 arguments from -50 to +40 and across the edges of the float range, and the
 exact zero of 2 x1 + 1 - e^x1 at 0; fixed cases cover groups without
 exponential, powers past the float range and an underflowed exp times a
-value straddling 0.  The module needs no pytest, so it also runs as a
+value straddling 0.  ``interval_eval`` must reject a rigorous box with an
+infinite side, which has no exact value.  The module needs no pytest, so it also runs as a
 script on an interpreter without it:
 
     PYTHONPATH=src python3 tests/test_rational_kernel.py
@@ -42,7 +43,7 @@ from expalg.intervals import (
     float_up,
     pair_pow_exact,
 )
-from expalg.numeric import EvalPlan, TightEvaluator
+from expalg.numeric import EvalPlan, TightEvaluator, interval_eval
 from expalg.parsing import parse_epoly
 from expalg.poly import Poly
 
@@ -282,6 +283,27 @@ def test_exact_zero_on_point_box():
     assert bits(EvalPlan(f, rigorous=True)([(0.0, 0.0)])) == bits((0.0, 0.0))
     rigorous_plan_matches(f, [(0.0, 0.0)])
     assert TightEvaluator(f, rigorous=True)([(0.0, 0.0)]) == (0.0, 0.0)
+
+
+def test_rigorous_interval_eval_needs_finite_sides():
+    """A rigorous box takes the exact value of each end, which an infinite
+    end lacks: ``interval_eval`` rejects it with a ValueError that says so,
+    even for x1 with no power or exp to certify.  Fast mode keeps accepting
+    infinite sides."""
+    inf = math.inf
+    f = parse_epoly("x1")
+    for side in ((-inf, 0.0), (0.0, inf), (-inf, inf), (inf, inf)):
+        fast = interval_eval(f, [side])
+        assert fast.lo <= side[0] and side[1] <= fast.hi, side
+        try:
+            interval_eval(f, [side], rigorous=True)
+        except ValueError as exc:
+            assert "rigorous evaluation needs finite sides" in str(exc), exc
+        else:
+            raise AssertionError(f"rigorous evaluation accepted the side {side}")
+    for side in ((-1.0, 2.0), (-MAX, MAX)):
+        got = interval_eval(f, [side], rigorous=True)
+        assert got.lo <= side[0] and side[1] <= got.hi, side
 
 
 def test_rigorous_tight_evaluator_matches_reference():

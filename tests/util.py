@@ -17,7 +17,6 @@ from expalg.classify import (
     _poly_nth_root,
     _specialize_to_line,
     _stable_seed,
-    trial_divide,
 )
 from expalg.epoly import EPoly
 from expalg.errors import DimensionError, HypothesisViolation, InternalInvariantError, ParseError
@@ -25,7 +24,6 @@ from expalg.factor import (
     dadd,
     dderiv,
     ddeg,
-    dense_to_poly,
     dmul,
     dneg,
     dpow,
@@ -556,22 +554,21 @@ def reference_exp_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
 
 # ---------------------------------------------------------------------------
 # Reference divisor hunt: the irreducibility oracle before its hunt was
-# pruned by the line images, and the old trial division.  The oracle must
-# give the same verdicts; its hunt trial-divides exactly the candidates of
-# ``reference_linear_candidates`` whose restriction divides every image.
+# pruned by the line images, and multivariate leading-term division.  The
+# oracle must give the same verdicts; its hunt checks exactly the candidates
+# of ``reference_linear_candidates`` whose restriction divides every image.
 # ---------------------------------------------------------------------------
 
 
 def reference_trial_divide(p: Poly, d: Poly) -> Poly | None:
-    """Leading-term division on whole Polys, under the old step guard."""
+    """Exact quotient p / d by graded-lex leading-term division on whole
+    Polys, or None.  Each step cancels the remainder's leading term and adds
+    only smaller ones, so the loop ends because grlex is a well-order."""
     n = p.n
     quo = Poly.zero(n)
     rem = p
     lead_d, c_d = d.leading_term()
-    guard = len(p.terms) * (len(d.terms) + 1) + 16
-    for _ in range(guard):
-        if rem.is_zero():
-            return quo
+    while not rem.is_zero():
         lead_r, c_r = rem.leading_term()
         diff_x = tuple(a - b for a, b in zip(lead_r[:n], lead_d[:n]))
         diff_u = tuple(a - b for a, b in zip(lead_r[n:], lead_d[n:]))
@@ -580,7 +577,7 @@ def reference_trial_divide(p: Poly, d: Poly) -> Poly | None:
         t = Poly(p.n, {mono(diff_x, diff_u): c_r / c_d})
         quo = quo + t
         rem = rem - t * d
-    return None
+    return quo
 
 
 def reference_linear_candidates(p: Poly, height: int = 2, max_active: int = 5):
@@ -664,16 +661,6 @@ def line_image(p: Poly, a: list[Fraction], b: list[Fraction]) -> tuple[list[int]
     A, B = AB[: len(a)], AB[len(a) :]
     C, _ = over_common_denominator(list(p.terms.values()))
     return _specialize_to_line(p, C, A, B, l), A, B, l
-
-
-def reference_pull_back(g: list[int], a: Fraction, b: Fraction, n: int, kind: str, idx: int) -> Poly:
-    """``classify._pull_back`` on Fractions: g((v - b) / a) by Horner over
-    Q, as a primitive Poly in the variable v = (kind, idx)."""
-    t = [-b / a, 1 / a]
-    acc = [Fraction(g[-1])]
-    for c in reversed(g[:-1]):
-        acc = dadd(dmul(acc, t), [Fraction(c)])
-    return dense_to_poly(dprimitive(acc)[1], n, kind, idx)
 
 
 def reference_ddivmod(a, b) -> tuple[list[Fraction], list[Fraction]]:
@@ -841,8 +828,9 @@ def reference_count_real_roots(f) -> int:
 
 
 def reference_irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0):
-    """(verdict, images): the oracle with the unpruned hunt, for polynomials
-    in two or more variables (in one, the oracle decides on the first image).
+    """(verdict, images): the oracle with the unpruned hunt and
+    ``reference_trial_divide``, for polynomials in two or more variables (in
+    one, the oracle factors the polynomial itself).
 
     ``images`` lists (a, b, image) for every full-degree line image that
     factored, in the order the lines were drawn.
@@ -884,7 +872,7 @@ def reference_irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0):
             return IrredVerdict("Irreducible", witness=witness, line=(tuple(a), tuple(b))), images
         images.append((a, b, image))
     for cand in reference_linear_candidates(p):
-        quo = trial_divide(p, cand)
+        quo = reference_trial_divide(p, cand)
         if quo is not None and not quo.is_constant():
             witness = "exact division by a small linear form"
             return IrredVerdict("Reducible", witness=witness, factor=cand), images
