@@ -34,11 +34,12 @@ irreducibility over Q: reducibility witnesses are exact divisors (verified),
 irreducibility certificates come from full-degree specializations to
 rational lines whose univariate image is irreducible.  A polynomial in one
 variable v is factored as it is, its image on the line v = t; otherwise the
-lines are random, and a linear divisor is proved by substitution
-(``divides_linear``).  Polynomial
-irreducibility over Q is neither necessary nor sufficient for the
-irreducibility of the real zero set, so oracle outcomes are recorded in the
-hypothesis log rather than treated as proof.
+lines come from one fixed sequence, ``random.Random(0)``, so they depend on
+the ambient n and the attempt budget alone, and a linear divisor is proved
+by substitution (``divides_linear``).  Polynomial irreducibility over Q is
+neither necessary nor sufficient for the irreducibility of the real zero
+set, so oracle outcomes are recorded in the hypothesis log rather than
+treated as proof.
 """
 
 from __future__ import annotations
@@ -49,14 +50,6 @@ from fractions import Fraction
 from itertools import product as iter_product
 from math import gcd
 from operator import mul
-
-try:  # hashlib maps OpenSSL's libcrypto; CPython's own sha256 does not
-    from _sha2 import sha256  # Python 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # Python 3.10 and 3.11
-    except ImportError:
-        from hashlib import sha256
 
 from .epoly import EPoly
 from .errors import DimensionError, DriverError, HypothesisViolation
@@ -143,16 +136,6 @@ class ComponentReport:
 # ---------------------------------------------------------------------------
 # Irreducibility oracle
 # ---------------------------------------------------------------------------
-
-
-def _stable_seed(p: Poly, seed: int) -> int:
-    """The oracle's random seed for p: the first 8 bytes of the SHA-256 of
-    p's sorted terms, read big-endian, XOR ``seed``.  Every oracle line, and
-    so every report, follows from it, so it must never change."""
-    n = p.n
-    blob = repr(sorted((m[:n], m[n:], c.numerator, c.denominator) for m, c in p.terms.items()))
-    digest = sha256(blob.encode()).digest()
-    return int.from_bytes(digest[:8], "big") ^ seed
 
 
 def _poly_nth_root(p: Poly, k: int) -> Poly | None:
@@ -311,7 +294,7 @@ def _specialize_to_line(p: Poly, C: list[int], A: list[int], B: list[int], l: in
     return dtrim(acc)
 
 
-def irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0) -> IrredVerdict:
+def irreducibility_oracle(p: Poly, attempts: int = 8) -> IrredVerdict:
     """Heuristic irreducibility certifier for polynomials over Q.
 
     Reducible verdicts always carry an exact divisor.  Irreducible verdicts
@@ -319,12 +302,15 @@ def irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0) -> IrredVer
     degree and its univariate image is irreducible over Q, so any nontrivial
     factorization of p would specialize to one of the image.  A polynomial
     in one variable v is its own full-degree image on the line v = t, so
-    ``factor_dense`` decides it at every seed: if it factors, its first
-    factor of lowest degree is the divisor.  Otherwise the lines are drawn
-    at random, and when none certifies, the oracle hunts for an exact
-    divisor among the small primitive linear forms.  It keeps the rational
-    roots of every full-degree image it factored and checks only the forms
-    whose restriction to each such line divides the image (a factor of p
+    ``factor_dense`` decides it: if it factors, its first factor of lowest
+    degree is the divisor.  Otherwise the lines are drawn from
+    ``random.Random(0)``, afresh for every call, so every input of one
+    ambient n meets the same lines in the same order: a certificate holds
+    on any full-degree line, so nothing needs lines that depend on p.  When
+    none certifies, the oracle hunts for an exact divisor among the small
+    primitive linear forms.  It keeps the rational roots of every
+    full-degree image it factored and checks only the forms whose
+    restriction to each such line divides the image (a factor of p
     restricts to a factor of every specialization), so every divisor is
     still tried, in the same order; each line's roots fix the constant
     terms that pass, which are solved for instead of enumerated.  A form
@@ -383,7 +369,7 @@ def irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0) -> IrredVer
         )
 
     C, _ = over_common_denominator(list(p.terms.values()))
-    rng = random.Random(_stable_seed(p, seed))
+    rng = random.Random(0)
     lines = []  # a _line_filter for each full-degree image that factored
     for _ in range(attempts):
         a = [Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(2 * p.n)]
@@ -421,16 +407,14 @@ def irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0) -> IrredVer
 # ---------------------------------------------------------------------------
 
 
-def _log_irreducibility(
-    p, assume, attempts, seed, log, name="Z(p) irreducible"
-) -> IrredVerdict | None:
+def _log_irreducibility(p, assume, attempts, log, name="Z(p) irreducible") -> IrredVerdict | None:
     """Log the hypothesis ``name`` about p; the oracle's verdict, if it ran."""
     if assume:
         log.append(
             HypothesisCheck(name, "asserted", "accepted via flag; user responsibility")
         )
         return None
-    verdict = irreducibility_oracle(p, attempts=attempts, seed=seed)
+    verdict = irreducibility_oracle(p, attempts=attempts)
     if verdict.status == "Irreducible":
         log.append(
             HypothesisCheck(
@@ -660,7 +644,6 @@ def classify_codim1(
     assume_irreducible: bool = False,
     assume_codim1: bool = False,
     attempts: int = 8,
-    seed: int = 0,
 ) -> ComponentReport:
     """Classify the codimension-1 components of Z(p(x, e^x)).
 
@@ -682,9 +665,9 @@ def classify_codim1(
         # The zero set is algebraic in x (up to a nonvanishing exponential
         # factor); only the x-part hypotheses matter here.
         roots = _log_codim1(f, assume_codim1, log)
-        return _classify_degenerate(f, log, attempts, seed, roots)
+        return _classify_degenerate(f, log, attempts, roots)
 
-    oracle = _log_irreducibility(p, assume_irreducible, attempts, seed, log)
+    oracle = _log_irreducibility(p, assume_irreducible, attempts, log)
     roots = _log_codim1(f, assume_codim1, log)
     certified, rejected = _certify(f, cand)
     single_exp = sum(kind == "u" for kind, _ in p.variables_used()) <= 1
@@ -737,11 +720,7 @@ def classify_codim1(
 
 
 def _classify_degenerate(
-    f: EPoly,
-    log: list[HypothesisCheck],
-    attempts: int,
-    seed: int,
-    roots,
+    f: EPoly, log: list[HypothesisCheck], attempts: int, roots
 ) -> ComponentReport:
     """At most one u-exponent vector: the zero set is algebraic in x.
 
@@ -758,9 +737,7 @@ def _classify_degenerate(
 
     oracle = None
     if not x_part.is_constant():
-        oracle = _log_irreducibility(
-            x_part, False, attempts, seed, log, "x-part irreducible"
-        )
+        oracle = _log_irreducibility(x_part, False, attempts, log, "x-part irreducible")
     verdict, conditionality, residual = _verdict(
         UNCONDITIONAL, log, oracle, f.n, roots, [], premise="x-part irreducible"
     )
@@ -782,11 +759,7 @@ def _classify_degenerate(
 # ---------------------------------------------------------------------------
 
 
-def classify_single_exp(
-    p: Poly,
-    attempts: int = 8,
-    seed: int = 0,
-) -> ComponentReport:
+def classify_single_exp(p: Poly, attempts: int = 8) -> ComponentReport:
     """Analysis for polynomials depending on u1 only.
 
     The analysis is independent of Schanuel's conjecture; the label follows
@@ -824,7 +797,7 @@ def classify_single_exp(
     f = EPoly.from_poly(p)
     oracle = None
     if not p.is_constant():
-        oracle = _log_irreducibility(p, False, attempts, seed, log)
+        oracle = _log_irreducibility(p, False, attempts, log)
     roots = _log_codim1(f, False, log)
 
     # Exact slice p(0, x', 1).

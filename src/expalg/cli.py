@@ -18,8 +18,9 @@ rendered by ``summary`` from the report dict alone, so it says what the JSON
 says.
 
 Reports are versioned (schemaVersion 2) and byte-identical for identical
-(input, seed, mode); wall-clock timings are only included when --timings is
-given, since they would break reproducibility.
+input and mode: the irreducibility oracle draws its lines from one fixed
+sequence, so no option seeds it.  Wall-clock timings are only included when
+--timings is given, since they would break reproducibility.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def _emit(args, input_text, result, hypothesis_log, elapsed: float) -> None:
         "command": args.command,
         "input": input_text,
         "mode": "rigorous" if getattr(args, "rigorous", False) else "fast",
-        "seed": getattr(args, "seed", 0),
+        "seed": 0,  # no step is seeded; schemaVersion 3 drops the key
         "result": result,
         "hypothesisLog": hypothesis_log,
         "timings": {"totalMs": round(elapsed * 1000.0, 3)} if args.timings else None,
@@ -237,14 +238,13 @@ def _cmd_classify(args) -> Report:
         assume_irreducible=args.assert_irreducible,
         assume_codim1=args.assert_codim1,
         attempts=args.attempts,
-        seed=args.seed,
     )
     return format_poly(p), _report_json(rep), _hypothesis_json(rep)
 
 
 def _cmd_classify1e(args) -> Report:
     p = parse_poly(args.text, args.ambient)
-    rep = classify_single_exp(p, attempts=args.attempts, seed=args.seed)
+    rep = classify_single_exp(p, attempts=args.attempts)
     return format_poly(p), _report_json(rep), _hypothesis_json(rep)
 
 
@@ -354,11 +354,6 @@ def _add_input(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--ambient", type=int, default=None, help="override variable count")
 
 
-def _add_oracle(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--attempts", type=int, default=8)
-    sub.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
-
-
 #: a negative number as ``float`` reads it: argparse's own test takes
 #: ``-5e0`` and ``-inf`` for options, so they could not be option values
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$", re.IGNORECASE)
@@ -384,12 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(classify)
     classify.add_argument("--assert-irreducible", action="store_true")
     classify.add_argument("--assert-codim1", action="store_true")
-    _add_oracle(classify)
+    classify.add_argument("--attempts", type=int, default=8)
     classify.set_defaults(func=_cmd_classify)
 
     single = subs.add_parser("classify1e", help="single-exponential classification")
     _add_input(single)
-    _add_oracle(single)
+    single.add_argument("--attempts", type=int, default=8)
     single.set_defaults(func=_cmd_classify1e)
 
     roots = subs.add_parser("roots", help="certified 1-D root isolation")

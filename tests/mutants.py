@@ -152,14 +152,6 @@ MUTANTS = [
         "sum(m[j][i] * a[i] for i in range(2))",
         "tests/test_metamorphic.py::test_integer_change_of_variables_maps_the_certified_normals",
     ),
-    # The oracle's seed is pinned: its digest is read big-endian.
-    Mutant(
-        "oracle seed: the digest read little-endian",
-        "src/expalg/classify.py",
-        '    return int.from_bytes(digest[:8], "big") ^ seed\n',
-        '    return int.from_bytes(digest[:8], "little") ^ seed\n',
-        "tests/test_footprint.py::test_stable_seed_matches_the_hashlib_recipe",
-    ),
     # c f has other coefficient denominators than f: the exact kernel scales
     # them to integers by their lcm, which is 1 for f with integer ones.
     Mutant(
@@ -231,13 +223,21 @@ MUTANTS = [
         "tests/test_divisor_hunt.py::test_divides_linear_matches_leading_term_division",
     ),
     # A polynomial in one variable reports factor_dense's first factor of
-    # lowest degree, at every seed.
+    # lowest degree.
     Mutant(
         "one-variable oracle: the last factor of lowest degree",
         "src/expalg/classify.py",
         "min((g for g, _ in factors), key=len)",
         "min((g for g, _ in reversed(factors)), key=len)",
-        "tests/test_divisor_hunt.py::test_one_variable_verdict_is_the_same_at_every_seed",
+        "tests/test_divisor_hunt.py::test_one_variable_divisor_is_the_first_factor_of_lowest_degree",
+    ),
+    # The oracle's lines are one pinned sequence.
+    Mutant(
+        "oracle lines: drawn from random.Random(1)",
+        "src/expalg/classify.py",
+        "    rng = random.Random(0)\n",
+        "    rng = random.Random(1)\n",
+        "tests/test_divisor_hunt.py::test_lines_depend_on_the_ambient_alone",
     ),
     Mutant(
         "interval_eval: rigorous boxes with an infinite side let through",

@@ -223,8 +223,8 @@ def test_classify_rejects_zero_polynomial():
 
 
 def test_classify_reports_are_deterministic():
-    a = classify_codim1(parse_poly("x1*u2 + x2*u1 - x1 - x2"), seed=0)
-    b = classify_codim1(parse_poly("x1*u2 + x2*u1 - x1 - x2"), seed=0)
+    a = classify_codim1(parse_poly("x1*u2 + x2*u1 - x1 - x2"))
+    b = classify_codim1(parse_poly("x1*u2 + x2*u1 - x1 - x2"))
     assert a == b
 
 

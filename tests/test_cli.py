@@ -61,7 +61,7 @@ def test_classify_report_shape(capsys):
 
 
 def test_reports_are_byte_identical(capsys):
-    argv = ["classify", "x1*u2 + x2*u1 - x1 - x2", "--seed", "0"]
+    argv = ["classify", "x1*u2 + x2*u1 - x1 - x2"]
     _, first, _ = run_cli(capsys, argv)
     _, second, _ = run_cli(capsys, argv)
     assert first == second
@@ -255,39 +255,29 @@ def test_rigorous_only_on_sample2d(capsys):
         assert_rejected(capsys, [*argv, "--rigorous"], "--rigorous")
 
 
-def test_seed_only_on_the_oracle_drivers(capsys):
-    # only classify and classify1e run randomized oracle steps; elsewhere the
-    # seed was a label, so argparse rejects it, and the report says seed 0
-    for command in ("classify", "classify1e"):
-        code, out, _ = run_cli(capsys, [command, "--seed", "1", "--", "2*x1 - u1 + 1"])
-        assert code == 0 and json.loads(out)["seed"] == 1, command
-    code, out, _ = run_cli(capsys, ["roots", "2*x1 + 1 - exp(x1)"])
-    assert code == 0 and json.loads(out)["seed"] == 0
+def test_no_subcommand_takes_a_seed(capsys):
+    # The oracle's lines are one fixed sequence, so nothing is seeded: every
+    # subcommand rejects --seed, and the oracle drivers' reports say seed 0.
     for argv in (
         ["canon", "x1"],
         ["hyperplanes", "x1*u2"],
+        ["classify", "2*x1 - u1 + 1"],
+        ["classify1e", "2*x1 - u1 + 1"],
         ["roots", "2*x1 + 1 - exp(x1)"],
         ["sample2d", "x1 - x2"],
         ["transversal", "2*x1 - u1 + 1"],
         ["verify-paper"],
     ):
         assert_rejected(capsys, [*argv, "--seed", "1"], "--seed")
+    for command in ("classify", "classify1e"):
+        code, out, _ = run_cli(capsys, [command, "--", "2*x1 - u1 + 1"])
+        assert code == 0 and json.loads(out)["seed"] == 0, command
+    # x1^2 - 1 is factored on the line x1 = t: the divisor is factor_dense's
+    # first factor.
+    code, out, _ = run_cli(capsys, ["classify", "--ambient", "2", "--", "x1^2 - 1"])
+    assert code == 0 and "; divisor x1 - 1)" in json.loads(out)["result"]["residual"]
     # verify-paper takes no input, so no variable count either
     assert_rejected(capsys, ["verify-paper", "--ambient", "2"], "--ambient")
-
-
-def test_one_variable_divisor_is_the_same_at_every_seed(capsys):
-    # x1^2 - 1 is factored on the line x1 = t, so the seed changes nothing
-    # but the report's seed key: the divisor is factor_dense's first factor.
-    reports = []
-    for seed in (0, 1):
-        argv = ["classify", "--ambient", "2", "--seed", str(seed), "--", "x1^2 - 1"]
-        code, out, err = run_cli(capsys, argv)
-        report = json.loads(out)
-        assert code == 0 and report.pop("seed") == seed
-        reports.append((report, err))
-    assert reports[0] == reports[1]
-    assert "; divisor x1 - 1)" in reports[0][0]["result"]["residual"]
 
 
 def test_parse_error_exit_code(capsys):

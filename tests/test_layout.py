@@ -6,9 +6,6 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "expalg"
-#: CPython's built-in SHA-256 module is _sha256 up to 3.11 and _sha2 from
-#: 3.12; classify imports whichever this interpreter has
-SAME_MODULE = {"_sha256": "_sha2", "_sha2": "_sha256"}
 
 
 def _imports():
@@ -31,8 +28,7 @@ def test_absolute_imports_are_standard_library():
         else:
             continue
         for m in modules:
-            top = m.split(".")[0]
-            if top not in sys.stdlib_module_names and SAME_MODULE.get(top) not in sys.stdlib_module_names:
+            if m.split(".")[0] not in sys.stdlib_module_names:
                 bad.append(f"{name}:{line} {m}")
     assert not bad, bad
 

@@ -12,12 +12,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from expalg import factor, numeric
-from expalg.classify import (
-    IrredVerdict,
-    _poly_nth_root,
-    _specialize_to_line,
-    _stable_seed,
-)
+from expalg.classify import IrredVerdict, _poly_nth_root, _specialize_to_line
 from expalg.epoly import EPoly
 from expalg.errors import DimensionError, HypothesisViolation, InternalInvariantError, ParseError
 from expalg.factor import (
@@ -827,7 +822,7 @@ def reference_count_real_roots(f) -> int:
     return variations(at_minus) - variations(at_plus)
 
 
-def reference_irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0):
+def reference_irreducibility_oracle(p: Poly, attempts: int = 8):
     """(verdict, images): the oracle with the unpruned hunt and
     ``reference_trial_divide``, for polynomials in two or more variables (in
     one, the oracle factors the polynomial itself).
@@ -855,7 +850,7 @@ def reference_irreducibility_oracle(p: Poly, attempts: int = 8, seed: int = 0):
             root = _poly_nth_root(p, k)
             if root is not None:
                 return IrredVerdict("Reducible", witness=f"perfect {k}-th power", factor=root), []
-    rng = random.Random(_stable_seed(p, seed))
+    rng = random.Random(0)
     images = []
     for _ in range(max(1, attempts)):
         a = [Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(2 * p.n)]
