@@ -45,11 +45,11 @@ treated as proof.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from .epoly import EPoly
 from .errors import DimensionError, DriverError, HypothesisViolation
@@ -78,8 +78,7 @@ HYPERPLANE_COMPONENTS = "HyperplaneComponents"
 INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class IrredVerdict:
+class IrredVerdict(NamedTuple):
     """Outcome of the irreducibility oracle."""
 
     status: str  # Irreducible | Reducible | Unknown
@@ -90,27 +89,23 @@ class IrredVerdict:
     line: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None = None
 
 
-@dataclass(frozen=True)
-class HypothesisCheck:
+class HypothesisCheck(NamedTuple):
     name: str
     status: str  # verified | asserted | unverified | failed
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class CertifiedHyperplane:
+class CertifiedHyperplane(NamedTuple):
     hyperplane: Hyperplane
     certificate: str
 
 
-@dataclass(frozen=True)
-class RejectedCandidate:
+class RejectedCandidate(NamedTuple):
     hyperplane: Hyperplane
     reason: str
 
 
-@dataclass(frozen=True)
-class SliceComponent:
+class SliceComponent(NamedTuple):
     """One irreducible factor of the exact slice polynomial p(0, x', 1)."""
 
     factor: Poly
@@ -118,16 +113,15 @@ class SliceComponent:
     real_points: bool
 
 
-@dataclass
-class ComponentReport:
+class ComponentReport(NamedTuple):
     verdict: str
     conditionality: str
-    hyperplanes: list[CertifiedHyperplane] = field(default_factory=list)
-    rejected: list[RejectedCandidate] = field(default_factory=list)
-    residual: str = ""
-    hypothesis_log: list[HypothesisCheck] = field(default_factory=list)
+    hyperplanes: list[CertifiedHyperplane]
+    rejected: list[RejectedCandidate]
+    residual: str
+    hypothesis_log: list[HypothesisCheck]
+    notes: list[str]
     degenerate: bool = False
-    notes: list[str] = field(default_factory=list)
     roots: list[RootCert] | None = None
     slice_components: list[SliceComponent] | None = None
     slice_identically_zero: bool | None = None
@@ -746,6 +740,8 @@ def _classify_degenerate(
     return ComponentReport(
         verdict=verdict,
         conditionality=conditionality,
+        hyperplanes=[],
+        rejected=[],
         residual=residual,
         hypothesis_log=log,
         degenerate=True,

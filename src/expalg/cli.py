@@ -79,7 +79,7 @@ Report = tuple[str | None, dict, list[dict]]
 
 
 def _interval_json(iv: Interval) -> list[float]:
-    return [iv.lo, iv.hi]
+    return list(iv)
 
 
 def _root_json(cert: RootCert) -> dict:

@@ -13,8 +13,8 @@ direct gradient computation for the transversality margins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 from .classify import (
     classify_codim1,
     classify_single_exp,
@@ -40,8 +40,7 @@ CARTAN_UMBRELLA = "(x1 + u1 - 1)*((2*x1 - u1 + 1)^2 + x2^2) + (2*x1 - u1 + 1)^3"
 SHIFTED_CIRCLE = "x1^2 + (x2^2 + (u1 - 1)^2 - 1)^2"  # lifted unit circle, squared
 
 
-@dataclass(frozen=True)
-class CorpusCheck:
+class CorpusCheck(NamedTuple):
     name: str
     passed: bool
     detail: str

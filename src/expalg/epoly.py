@@ -50,8 +50,6 @@ from .errors import DimensionError, HyperplaneError
 from .hyperplanes import Hyperplane
 from .poly import Mono, Poly, RatLike, Substitution
 
-Spectrum = tuple[Fraction, ...]
-
 
 def spectrum_key(s: Sequence[Fraction]) -> tuple:
     """Canonical total order on spectra: lex on (numerator, denominator) pairs."""

@@ -14,7 +14,7 @@ exponential factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from math import gcd
 from typing import Sequence
@@ -23,21 +23,22 @@ from .errors import HyperplaneError
 from .poly import Poly
 
 
-@dataclass(frozen=True, order=True)
-class Hyperplane:
-    """Hyperplane {normal . x = 0} with a primitive integer normal vector."""
+class Hyperplane(namedtuple("Hyperplane", "normal")):
+    """Hyperplane {normal . x = 0} with a primitive integer normal vector,
+    ordered as its normal."""
 
-    normal: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.normal or all(e == 0 for e in self.normal):
+    def __new__(cls, normal: tuple[int, ...]):
+        if not normal or all(e == 0 for e in normal):
             raise HyperplaneError("hyperplane normal must be a nonzero vector")
         g = 0
-        for e in self.normal:
+        for e in normal:
             g = gcd(g, abs(e))
-        first = next(e for e in self.normal if e != 0)
+        first = next(e for e in normal if e != 0)
         if g != 1 or first < 0:
-            raise HyperplaneError(f"normal {self.normal} is not in primitive form")
+            raise HyperplaneError(f"normal {normal} is not in primitive form")
+        return tuple.__new__(cls, (normal,))
 
     @property
     def dimension(self) -> int:

@@ -61,10 +61,9 @@ these are reported, never silently dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .epoly import EPoly
 from .errors import (
@@ -514,8 +513,7 @@ def certified_sign_change(f: EPoly) -> tuple[tuple[Fraction, ...], tuple[Fractio
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootCert:
+class RootCert(NamedTuple):
     """Certified enclosure of one real root (or an uncertified leftover)."""
 
     enclosure: Interval
@@ -642,7 +640,7 @@ def isolate_roots_1d(
 
     def cert(kind: str, lo: Fraction, hi: Fraction) -> RootCert:
         enc = Interval(float_down(lo), float_up(hi))
-        rlo, rhi = f_plan([(enc.lo, enc.hi)])
+        rlo, rhi = f_plan([enc])
         return RootCert(enc, kind, max(abs(rlo), abs(rhi)))
 
     zero_ends: set[int] = set()
@@ -1000,8 +998,7 @@ def _holds_zero(signs: set) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransversalityReport:
+class TransversalityReport(NamedTuple):
     point: tuple[float | None, ...]
     jacobian_rank_lower_bound: int
     tangency_margin: float | None
@@ -1077,7 +1074,7 @@ def check_transversality(
     # Interval cross-check of the decisive minor, the first largest.
     transverse = False
     if margin > tol:
-        bounds = [(enc.lo, enc.hi), *(enclose_rational_pair(v) for v in other_coords)]
+        bounds = [enc, *(enclose_rational_pair(v) for v in other_coords)]
         transverse = _sign(EvalPlan(minors[values.index(margin)])(bounds)) != 0
     return TransversalityReport(
         point=z,

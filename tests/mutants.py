@@ -246,6 +246,14 @@ MUTANTS = [
         "        if False:\n",
         "tests/test_rational_kernel.py::test_rigorous_interval_eval_needs_finite_sides",
     ),
+    # An Interval is a pair with lo <= hi and no NaN end.
+    Mutant(
+        "Interval: __new__ returns without validating",
+        "src/expalg/intervals.py",
+        "        self.__post_init__()\n",
+        "",
+        "tests/test_records.py::test_invalid_intervals_and_hyperplanes_raise",
+    ),
 ]
 
 
